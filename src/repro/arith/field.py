@@ -37,7 +37,7 @@ class PrimeField:
     implies is part of the quACK's documented collision probability.
     """
 
-    __slots__ = ("modulus", "bits", "_vectorized")
+    __slots__ = ("modulus", "bits", "_vectorized", "_small_inverses")
 
     def __init__(self, modulus: int) -> None:
         if not is_prime(modulus):
@@ -47,6 +47,8 @@ class PrimeField:
         self.bits = modulus.bit_length()
         #: Whether batch operations may use uint64 intermediate products.
         self._vectorized = modulus < _UINT64_SAFE_MODULUS
+        #: ``_small_inverses[i] == inv(i)`` for the 1 <= i it holds so far.
+        self._small_inverses = [0, 1]
 
     # -- scalar operations -------------------------------------------------
 
@@ -81,6 +83,26 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def small_inverses(self, n: int) -> list[int]:
+        """Table with ``table[i] == inv(i)`` for ``1 <= i <= n < p``.
+
+        Newton's identities divide by 1..m on every decode; the table is
+        built once per field, each entry from a smaller one by
+        ``inv(i) = -(p // i) * inv(p % i)``, with no exponentiation.
+        """
+        table = self._small_inverses
+        if len(table) <= n:
+            p = self.modulus
+            if n >= p:
+                raise ArithmeticDomainError(
+                    f"{n} has no inverse table mod {p}: it contains a "
+                    f"multiple of the modulus")
+            table = list(table)
+            for i in range(len(table), n + 1):
+                table.append(-(p // i) * table[p % i] % p)
+            self._small_inverses = table  # one store: readers never see a gap
+        return table
 
     # -- batch operations ---------------------------------------------------
 

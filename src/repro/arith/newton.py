@@ -22,6 +22,7 @@ holds whenever ``m < p`` -- always true here since ``m <= t`` is tens and
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from repro.arith.field import PrimeField
@@ -41,16 +42,16 @@ def power_sums_to_elementary(field: PrimeField,
             f"Newton's identities need m < p; got m={m}, p={field.modulus}"
         )
     p = field.modulus
-    d = [x % p for x in power_sums]
+    # The sign of each term goes into d once, so that step i is the dot
+    # product of (e_{i-1}, ..., e_0) with (d_1, -d_2, ..., +-d_i) and one
+    # reduction; exact, since Python integers do not overflow.
+    signed_d = [x % p if k % 2 == 0 else -(x % p)
+                for k, x in enumerate(power_sums)]
+    inverses = field.small_inverses(m)
     e: list[int] = [1]  # e_0 = 1
     for i in range(1, m + 1):
-        acc = 0
-        sign = 1
-        for k in range(1, i + 1):
-            term = (e[i - k] * d[k - 1]) % p
-            acc = (acc + term) % p if sign > 0 else (acc - term) % p
-            sign = -sign
-        e.append((acc * field.inv(i)) % p)
+        acc = sum(map(mul, reversed(e), signed_d))
+        e.append(acc * inverses[i] % p)
     return e[1:]
 
 

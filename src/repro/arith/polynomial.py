@@ -37,6 +37,16 @@ class Poly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _from_reduced(cls, field: PrimeField, coeffs: list[int]) -> "Poly":
+        """Wrap coefficients already in ``[0, p)`` (takes the list)."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls, field: PrimeField) -> "Poly":
         return cls(field, ())
 
@@ -129,8 +139,20 @@ class Poly:
         if divisor.is_zero:
             raise ArithmeticDomainError("polynomial division by zero")
         p = self.field.modulus
-        remainder = list(self.coeffs)
         dn = divisor.degree
+        if dn == 1 and divisor.coeffs[-1] == 1:
+            # Dividing by x - r (root deflation): synthetic division, one
+            # multiply-add per coefficient.
+            root = -divisor.coeffs[0]
+            partial = []  # Horner's partial values: quotient, then f(r)
+            carry = 0
+            for c in reversed(self.coeffs):
+                carry = (carry * root + c) % p
+                partial.append(carry)
+            partial.reverse()
+            return (Poly._from_reduced(self.field, partial[1:]),
+                    Poly._from_reduced(self.field, partial[:1]))
+        remainder = list(self.coeffs)
         quotient = [0] * max(0, len(remainder) - dn)
         inv_lead = self.field.inv(divisor.leading_coefficient)
         for shift in range(len(remainder) - dn - 1, -1, -1):
@@ -140,7 +162,8 @@ class Poly:
             quotient[shift] = factor
             for i, d in enumerate(divisor.coeffs):
                 remainder[shift + i] = (remainder[shift + i] - factor * d) % p
-        return Poly(self.field, quotient), Poly(self.field, remainder[:dn])
+        return (Poly._from_reduced(self.field, quotient),
+                Poly._from_reduced(self.field, remainder[:dn]))
 
     def __floordiv__(self, divisor: "Poly") -> "Poly":
         return divmod(self, divisor)[0]

@@ -81,16 +81,27 @@ def find_all_roots(poly: Poly, rng: random.Random | None = None) -> Counter:
     distinct = _split_linear(linear_part, rng)
 
     for root in distinct:
-        divisor = Poly(field, (field.neg(root), 1))
-        multiplicity = 0
-        while True:
-            quotient, remainder = divmod(work, divisor)
-            if not remainder.is_zero:
-                break
-            work = quotient
-            multiplicity += 1
-        roots[root] = multiplicity
+        work, roots[root] = deflate_root(work, root)
     return roots
+
+
+def deflate_root(poly: Poly, root: int) -> tuple[Poly, int]:
+    """Divide out every copy of ``x - root``, which must divide ``poly``.
+
+    Returns the quotient and the multiplicity (>= 1).  One division per
+    copy: whether another copy remains is read off the quotient's value
+    at ``root`` rather than found by a division that leaves a remainder.
+    """
+    divisor = Poly(poly.field, (-root, 1))
+    multiplicity = 0
+    while True:
+        poly, remainder = divmod(poly, divisor)
+        if not remainder.is_zero:
+            raise ArithmeticDomainError(
+                f"{root} is not a root of the polynomial being deflated")
+        multiplicity += 1
+        if poly(root) != 0:
+            return poly, multiplicity
 
 
 def _split_linear(poly: Poly, rng: random.Random) -> list[int]:

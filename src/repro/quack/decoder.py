@@ -29,7 +29,11 @@ from typing import Sequence
 
 from repro.arith.newton import polynomial_from_power_sums
 from repro.arith.polynomial import Poly
-from repro.arith.roots import find_all_roots, roots_among_candidates
+from repro.arith.roots import (
+    deflate_root,
+    find_all_roots,
+    roots_among_candidates,
+)
 from repro.obs import PROFILER
 from repro.errors import (
     ArithmeticDomainError,
@@ -143,24 +147,15 @@ def _find_roots(poly: Poly, sent_log: Sequence[int], method: str) -> Counter:
     if method == "factor":
         return find_all_roots(poly)
     # Candidates path: evaluate at the distinct residues present in the log,
-    # then recover each root's multiplicity by trial division.
+    # then recover each root's multiplicity by deflation.
     p = poly.field.modulus
     distinct = sorted({identifier % p for identifier in sent_log})
     mask = roots_among_candidates(poly, distinct)
     roots = Counter()
     work = poly
     for residue, is_root in zip(distinct, mask):
-        if not is_root:
-            continue
-        divisor = Poly(poly.field, (poly.field.neg(residue), 1))
-        multiplicity = 0
-        while True:
-            quotient, remainder = divmod(work, divisor)
-            if not remainder.is_zero:
-                break
-            work = quotient
-            multiplicity += 1
-        roots[residue] = multiplicity
+        if is_root:
+            work, roots[residue] = deflate_root(work, residue)
     return roots
 
 

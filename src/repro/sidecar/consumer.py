@@ -16,7 +16,10 @@ and implements the Section 3.3 practical refinements:
   threshold ``t``, the log suffix is truncated so exactly ``t`` packets
   can be missing, "considering the truncated packets to be in transit";
   and "any continuous suffix of missing packets" in the decoded log is
-  also treated as in transit rather than missing.
+  also treated as in transit rather than missing.  The truncated
+  suffix's power sums are kept between quACKs (``_tail``), so a quACK
+  pays for the packets sent and confirmed since the last one, not for
+  everything in flight.
 * **Dropped quACKs** cost nothing: all state is cumulative.
 
 Identifier collisions yield *indeterminate* entries (no strikes, reported
@@ -99,6 +102,12 @@ class QuackConsumer:
         # gone from the log) while absent from the restored accumulator.
         self._recent_confirmed: deque[int] = deque(maxlen=4 * threshold)
         self._reconcile_pending = False
+        # Power sums of the in-transit suffix truncated at the last
+        # quACK.  Invariant: _tail == sum of powers over
+        # log[_tail_lo:_tail_hi]; None when something other than a
+        # truncating decode rewrote the log since.
+        self._tail: PowerSumQuack | None = None
+        self._tail_lo = self._tail_hi = 0
 
     @property
     def threshold(self) -> int:
@@ -177,9 +186,7 @@ class QuackConsumer:
             # (m - t) unresolved packets as in transit and decode the rest.
             drop = min(m_total - self.threshold, len(self.log))
             kept = self.log[:len(self.log) - drop]
-            truncated_mine = self.mine.copy()
-            for entry in self.log[len(self.log) - drop:]:
-                truncated_mine.remove(entry.identifier)
+            truncated_mine = self._truncated_mine(len(kept))
             in_transit = drop
 
         delta = truncated_mine - theirs
@@ -247,13 +254,44 @@ class QuackConsumer:
                 feedback.received.append(entry.meta)
                 self._recent_confirmed.append(entry.identifier)
                 self.stats.confirmed_received += 1
-        # The truncated suffix stays in the log untouched.
+        # The truncated suffix stays in the log untouched, and so do its
+        # power sums: re-base them on the rebuilt log.
+        if in_transit:
+            self._tail_lo = len(survivors)
+            self._tail_hi = len(survivors) + in_transit
+        else:
+            self._tail = None
         survivors.extend(self.log[len(kept):])
         self.log = survivors
         self._trace_decode(now, DecodeStatus.OK, result.num_missing,
                            declared_lost=len(feedback.lost),
                            in_transit=feedback.in_transit)
         return feedback
+
+    def _truncated_mine(self, cut: int) -> PowerSumQuack:
+        """``mine`` without ``log[cut:]``.
+
+        The suffix's power sums are moved to ``cut`` from wherever the
+        last quACK left them: fold in what was sent since, then shift
+        the boundary over what was confirmed (or un-truncated) since.
+        """
+        log, tail = self.log, self._tail
+        if tail is None:
+            tail = self._tail = PowerSumQuack(
+                self.mine.threshold, self.mine.bits, self.mine.count_bits,
+                field=self.mine.field)
+            self._tail_lo = self._tail_hi = len(log)
+        started = PROFILER.begin("quack.power_sum_update")
+        for entry in log[self._tail_hi:]:
+            tail.insert(entry.identifier)
+        for entry in log[self._tail_lo:cut]:
+            tail.remove(entry.identifier)
+        for entry in log[cut:self._tail_lo]:
+            tail.insert(entry.identifier)
+        if started:
+            PROFILER.end("quack.power_sum_update", started)
+        self._tail_lo, self._tail_hi = cut, len(log)
+        return self.mine - tail
 
     @staticmethod
     def _mark_entries(kept: list[LogEntry],
@@ -294,6 +332,8 @@ class QuackConsumer:
                 self.stats.declared_lost += 1
             else:
                 survivors.append(entry)
+        if expired:
+            self._tail = None
         self.log = survivors
         return expired
 
@@ -307,6 +347,7 @@ class QuackConsumer:
         if not self.log:
             return None
         entry = self.log.pop(0)
+        self._tail = None
         self.mine.remove(entry.identifier)
         self.stats.declared_lost += 1
         return entry.meta
@@ -329,5 +370,6 @@ class QuackConsumer:
         self.mine = PowerSumQuack(self.mine.threshold, self.mine.bits,
                                   self.mine.count_bits)
         self.log.clear()
+        self._tail = None
         self._recent_confirmed.clear()
         self._reconcile_pending = False

@@ -71,6 +71,22 @@ class TestScalarOps:
         assert f.mul(a, f.inv(a)) == 1
         assert f.div(a, a) == 1
 
+    @pytest.mark.parametrize("modulus", [251, P16, P32, P64])
+    def test_small_inverses_match_fermat(self, modulus):
+        f = PrimeField(modulus)
+        short = f.small_inverses(5)
+        table = f.small_inverses(64)          # grows the cached table
+        assert table[:6] == short[:6]
+        assert f.small_inverses(20) is table  # and then reuses it
+        for i in range(1, 65):
+            assert table[i] == pow(i, modulus - 2, modulus)
+
+    def test_small_inverses_stop_below_the_modulus(self):
+        f = PrimeField(7)
+        assert f.small_inverses(6)[1:] == [1, 4, 5, 2, 3, 6]
+        with pytest.raises(ArithmeticDomainError):
+            f.small_inverses(7)
+
     def test_inverse_of_zero(self, f32):
         with pytest.raises(ArithmeticDomainError):
             f32.inv(0)

@@ -1,5 +1,7 @@
 """Tests for Newton's identities (repro.arith.newton)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,22 @@ class TestRoundTrip:
         e = brute_elementary(values)
         d = elementary_to_power_sums(F, e, num_sums=m + extra)
         assert d == brute_power_sums(values, m + extra)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_round_trip_for_every_m_up_to_the_threshold(self, bits):
+        """Forward then inverse is the identity for each m in 1..t=20,
+        on the uint64-vectorized field and on the exact 64-bit one."""
+        field = field_for_bits(bits)
+        rng = random.Random(bits)
+        for m in range(1, 21):
+            d = [rng.randrange(field.modulus) for _ in range(m)]
+            e = power_sums_to_elementary(field, d)
+            assert all(0 <= x < field.modulus for x in e)
+            assert elementary_to_power_sums(field, e) == d
+            values = [rng.getrandbits(bits) for _ in range(m)]
+            sums = brute_power_sums(values, m, field.modulus)
+            assert power_sums_to_elementary(field, sums) \
+                == brute_elementary(values, field.modulus)
 
     def test_defaults_to_len_elementary(self):
         e = brute_elementary([7, 9])

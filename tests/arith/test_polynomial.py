@@ -105,6 +105,35 @@ class TestDivision:
         assert q * pb + r == pa
         assert r.is_zero or r.degree < pb.degree
 
+    @given(a=coeff_lists, r=st.integers(min_value=0, max_value=2 * P))
+    @settings(max_examples=100)
+    def test_linear_path_matches_long_division(self, a, r):
+        """Dividing by a monic ``x - r`` takes the synthetic-division
+        path; by ``2x - 2r`` the general one.  Same remainder, twice the
+        quotient."""
+        f = poly(a)
+        q, rem = divmod(f, poly([-r, 1]))
+        assert q * poly([-r, 1]) + rem == f
+        assert rem == poly([f(r % P)])
+        q_long, rem_long = divmod(f, poly([-2 * r, 2]))
+        assert (q, rem) == (q_long.scale(2), rem_long)
+
+    @pytest.mark.parametrize("field", [FSMALL, F, field_for_bits(64)],
+                             ids=lambda field: f"p={field.modulus}")
+    def test_linear_path_edges(self, field):
+        x_minus_3 = Poly(field, (-3, 1))
+        # Zero and constant dividends; a root at 0; results stay canonical.
+        assert divmod(Poly.zero(field), x_minus_3) \
+            == (Poly.zero(field), Poly.zero(field))
+        assert divmod(Poly(field, (5,)), x_minus_3) \
+            == (Poly.zero(field), Poly(field, (5,)))
+        cube = Poly.from_roots(field, [0, 0, 3])
+        q, rem = divmod(cube, Poly.x(field))
+        assert (q, rem) == (Poly.from_roots(field, [0, 3]), Poly.zero(field))
+        q, rem = divmod(cube, x_minus_3)
+        assert (q, rem) == (Poly(field, (0, 0, 1)), Poly.zero(field))
+        assert all(0 <= c < field.modulus for c in q.coeffs)
+
     def test_division_by_zero(self):
         with pytest.raises(ArithmeticDomainError):
             divmod(poly([1, 1]), Poly.zero(F))

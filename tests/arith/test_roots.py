@@ -10,12 +10,41 @@ from hypothesis import strategies as st
 
 from repro.arith.field import PrimeField
 from repro.arith.polynomial import Poly
-from repro.arith.roots import find_all_roots, roots_among_candidates
+from repro.arith.roots import (
+    deflate_root,
+    find_all_roots,
+    roots_among_candidates,
+)
 from repro.errors import ArithmeticDomainError
 
 P = 4_294_967_291
 F = PrimeField(P)
 FSMALL = PrimeField(251)
+
+
+class TestDeflateRoot:
+    @pytest.mark.parametrize("copies", [1, 2, 3, 20])
+    def test_strips_every_copy_with_one_division_each(self, copies,
+                                                      monkeypatch):
+        others = [5, P - 1]
+        f = Poly.from_roots(F, [9] * copies + others)
+        divisions = []
+        real_divmod = Poly.__divmod__
+        monkeypatch.setattr(
+            Poly, "__divmod__",
+            lambda a, b: divisions.append(b) or real_divmod(a, b))
+        rest, multiplicity = deflate_root(f, 9)
+        assert multiplicity == copies == len(divisions)
+        assert rest == Poly.from_roots(F, others)
+
+    def test_root_at_zero_and_sole_root(self):
+        rest, multiplicity = deflate_root(Poly.from_roots(F, [0, 0, 4]), 0)
+        assert (rest, multiplicity) == (Poly.from_roots(F, [4]), 2)
+        assert deflate_root(Poly.from_roots(F, [4]), 4) == (Poly.one(F), 1)
+
+    def test_non_root_rejected(self):
+        with pytest.raises(ArithmeticDomainError):
+            deflate_root(Poly.from_roots(F, [1, 2]), 3)
 
 
 class TestRootsAmongCandidates:

@@ -77,6 +77,25 @@ class TestHappyPath:
         assert result.ok
         assert list(result.missing) == [7, 7]
 
+    @pytest.mark.parametrize("method", ["candidates", "factor"])
+    @pytest.mark.parametrize("copies", [2, 3, 10])
+    def test_repeated_identifier_missing(self, copies, method):
+        """Multiplicity 2, 3 and all m = t copies of one identifier."""
+        sent = [7] * copies + [8, 9]
+        delta = make_delta(sent, [8, 9] if copies == 10 else [8])
+        result = decode_delta(delta, sent, method=method)
+        assert result.ok
+        assert list(result.missing) == [7] * copies + [9] * (copies != 10)
+
+    def test_repeated_root_at_zero_and_aliased_small_residue(self):
+        # 0 and p alias residue 0; p + 1 aliases 1.  All of one group
+        # missing is determinate whatever the multiplicity.
+        sent = [0, P32, P32 + 1, 1, 12]
+        delta = make_delta(sent, [12])
+        result = decode_delta(delta, sent)
+        assert result.ok and result.is_determinate
+        assert list(result.missing) == [0, 1, P32, P32 + 1]
+
     def test_zero_identifier_missing(self):
         # Identifier 0 contributes nothing to the sums; only the count
         # reveals it.  The polynomial gains a root at 0.
@@ -119,6 +138,14 @@ class TestCollisions:
         assert result.indeterminate == (((a, b), 1),)
         assert not result.is_determinate
         assert result.num_missing == 1
+
+    def test_partial_collision_group_with_a_repeated_root(self):
+        a, b = 4, P32 + 4
+        sent = [a, b, b, 100]
+        delta = make_delta(sent, [b, 100])  # two of the three are missing
+        result = decode_delta(delta, sent)
+        assert result.ok and result.missing == ()
+        assert result.indeterminate == (((a, b), 2),)
 
 
 class TestFailures:
