@@ -21,6 +21,9 @@ import pytest
 from repro.bench.timing import measure, measure_staged
 from repro.netsim.core import Simulator
 from repro.sweep import SweepSpec, run_sweep, strip_timing
+# The heap oracle lives with the tests (run from the repository root:
+# ``python -m pytest benchmarks/test_sweep_scaling.py``).
+from tests.netsim.heap_oracle import make_simulator
 
 CELL_SLEEP_S = 0.05
 
@@ -86,7 +89,7 @@ def _burst_drain_rate(scheduler: str) -> float:
     (dense same-bucket batches), scheduling untimed, drain timed.
     """
     def build() -> Simulator:
-        sim = Simulator(scheduler=scheduler)
+        sim = make_simulator(scheduler)
         fired = [0]
 
         def on_event() -> None:

@@ -357,8 +357,7 @@ def collect_simcore(quick: bool = False) -> dict[str, Metric]:
     """Simulator-core throughput: the trajectory the scheduler rework
     (ROADMAP item 5) has to beat.
 
-    Three wall-clock rates plus one deterministic cost signature, all
-    measured under the process default scheduler:
+    Three wall-clock rates plus one deterministic cost signature:
 
     * ``events_per_sec`` -- the *scheduler-throughput benchmark*:
       dispatch rate of a burst-loaded queue.  N events are pre-scheduled
@@ -368,9 +367,7 @@ def collect_simcore(quick: bool = False) -> dict[str, Metric]:
       the calendar queue's batched dispatch targets (whole same-tick
       buckets dequeued at once).  Before the calendar rework this metric
       measured a 64-timer self-rescheduling loop on the heap scheduler
-      at ~314k events/s; that pre-rework snapshot is kept at
-      ``benchmarks/baselines/pre_scheduler/`` as the comparison point,
-      and the old loop itself lives on unchanged as
+      at ~314k events/s; the old loop itself lives on unchanged as
       ``timer_loop_events_per_sec``.
     * ``timer_loop_events_per_sec`` -- the original self-rescheduling
       timer loop (schedule + dispatch combined; pure scheduler cost, no
@@ -379,7 +376,7 @@ def collect_simcore(quick: bool = False) -> dict[str, Metric]:
       pushes through per wall-clock second (protocol + scheduler);
     * ``heap_ops_per_event`` -- binary-heap pushes+pops per dispatched
       event on the scheduler-throughput workload, machine-independent:
-      the heap scheduler does 2.0 by construction, the calendar queue
+      a plain binary heap does 2.0 by construction, the calendar queue
       touches a heap only for far-future overflow and mid-batch
       arrivals (~0 here).
     """

@@ -9,7 +9,8 @@ Public surface:
 * :class:`~repro.netsim.node.Host`, :class:`~repro.netsim.node.Router`;
 * :func:`~repro.netsim.topology.build_path`,
   :class:`~repro.netsim.topology.HopSpec`;
-* measurement helpers in :mod:`repro.netsim.trace`.
+* :class:`~repro.netsim.trace.FlowMonitor`, the per-transfer progress
+  monitor.
 """
 
 from repro.netsim.core import (
@@ -17,9 +18,8 @@ from repro.netsim.core import (
     Simulator,
     Timer,
     default_scheduler,
-    set_default_scheduler,
 )
-from repro.netsim.sched import CalendarScheduler, HeapScheduler
+from repro.netsim.sched import CalendarScheduler
 from repro.netsim.faults import (
     Blackout,
     BurstLoss,
@@ -49,16 +49,14 @@ from repro.netsim.topology import (
     build_parallel_paths,
     build_path,
 )
-from repro.netsim.trace import EventTrace, FlowMonitor, PacketCounter
+from repro.netsim.trace import FlowMonitor
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "Timer",
-    "HeapScheduler",
     "CalendarScheduler",
     "default_scheduler",
-    "set_default_scheduler",
     "Packet",
     "PacketKind",
     "Link",
@@ -88,6 +86,4 @@ __all__ = [
     "Duplication",
     "SIDECAR_KINDS",
     "FlowMonitor",
-    "PacketCounter",
-    "EventTrace",
 ]

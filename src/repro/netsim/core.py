@@ -2,72 +2,34 @@
 
 This is the substrate on which the sidecar protocols (paper, Section 2)
 are exercised: hosts, proxies, and links are processes exchanging packets
-in virtual time.  The simulator owns the clock; the event queue itself is
-a pluggable backend from :mod:`repro.netsim.sched`:
-
-* ``scheduler="calendar"`` (the default) -- a two-level calendar queue
-  with batched same-bucket dispatch and a slotted timer wheel for
-  recurring clocks (ROADMAP item 5);
-* ``scheduler="heap"`` -- the classic one-heappush-per-event binary
-  heap, kept as the differential oracle
-  (``tests/netsim/test_scheduler_differential.py`` proves the two
-  produce byte-identical traces).
+in virtual time.  The simulator owns the clock; the event queue is the
+calendar scheduler of :mod:`repro.netsim.sched` (a two-level calendar
+queue with batched same-bucket dispatch and a slotted timer wheel for
+recurring clocks, ROADMAP item 5).
 
 Virtual time is in float seconds.  Events at equal times fire in the order
-they were scheduled (a monotonic sequence number breaks ties) under
-*either* backend, which keeps runs deterministic for a fixed seed -- see
-DESIGN.md section 15 for the determinism contract.
-
-The process-wide default backend can be overridden with
-:func:`set_default_scheduler` or the ``REPRO_SCHEDULER`` environment
-variable (which also reaches fork-spawned sweep workers).
+they were scheduled (a monotonic sequence number breaks ties), which keeps
+runs deterministic for a fixed seed -- see DESIGN.md section 15 for the
+determinism contract and ``tests/netsim/heap_oracle.py`` for the binary
+heap the differential suites hold the calendar queue to.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.netsim.sched import (  # noqa: F401  (re-exported surface)
-    SCHEDULERS,
     CalendarScheduler,
     EventHandle,
-    HeapScheduler,
     Timer,
 )
 
-_FALLBACK_SCHEDULER = "calendar"
-_default_scheduler: str | None = None
-
-
-def set_default_scheduler(name: str | None) -> None:
-    """Set the process-wide default scheduler backend.
-
-    ``None`` restores the built-in resolution order (``REPRO_SCHEDULER``
-    env var, then ``"calendar"``).  Affects only simulators constructed
-    afterwards.
-    """
-    if name is not None and name not in SCHEDULERS:
-        raise SimulationError(
-            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}")
-    global _default_scheduler
-    _default_scheduler = name
-
 
 def default_scheduler() -> str:
-    """Resolve the backend a ``Simulator()`` call would use right now."""
-    if _default_scheduler is not None:
-        return _default_scheduler
-    env = os.environ.get("REPRO_SCHEDULER", "").strip()
-    if env:
-        if env not in SCHEDULERS:
-            raise SimulationError(
-                f"REPRO_SCHEDULER={env!r} is not a scheduler; "
-                f"choose from {sorted(SCHEDULERS)}")
-        return env
-    return _FALLBACK_SCHEDULER
+    """Name of the backend every ``Simulator()`` runs on."""
+    return CalendarScheduler.name
 
 
 class Simulator:
@@ -75,73 +37,38 @@ class Simulator:
 
     The loop keeps always-on resource counters (one integer add per
     operation): ``events_dispatched`` callbacks executed,
-    ``heap_pushes``/``heap_pops`` binary-heap operations (under the
-    calendar backend these count only the residual heap traffic --
-    far-future overflow and mid-batch arrivals -- so the ratio of heap
-    ops to dispatched events is the cost signature the calendar queue
-    beats), and ``events_cancelled_dropped`` cancelled events discarded
+    ``heap_pushes``/``heap_pops`` binary-heap operations (only the
+    calendar queue's residual heap traffic -- far-future overflow and
+    mid-batch arrivals -- so the ratio of heap ops to dispatched events
+    is the cost signature it beats a plain heap on), and
+    ``events_cancelled_dropped`` cancelled events discarded
     without running.  They feed the simulator-core bench area
     (``BENCH_simcore.json``, ROADMAP item 5).
     """
 
-    def __init__(self, scheduler: str | None = None) -> None:
-        name = scheduler if scheduler is not None else default_scheduler()
-        try:
-            backend_cls = SCHEDULERS[name]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {name!r}; choose from "
-                f"{sorted(SCHEDULERS)}") from None
-        self._sched = backend_cls()
+    #: ``schedule(delay, callback, *args)`` runs ``callback(*args)`` after
+    #: ``delay`` seconds of virtual time; ``schedule_at(time, ...)`` at an
+    #: absolute virtual time.  Both reject the past with
+    #: :class:`~repro.errors.SimulationError` and return the event's
+    #: cancellable handle.  Bound per instance in ``__init__``.
+    schedule: Callable[..., EventHandle]
+    schedule_at: Callable[..., EventHandle]
+
+    def __init__(self) -> None:
+        self._sched = CalendarScheduler()
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         # Fused fast paths: the backend supplies one-frame closures that
         # validate, allocate the handle, and place the entry without a
-        # second method dispatch.  Bound as instance attributes, they
-        # shadow the class-level reference implementations below (kept
-        # as the documented spec both must match).
+        # second method dispatch.
         self.schedule = self._sched.bind_schedule(self)
         self.schedule_at = self._sched.bind_schedule_at(self)
-
-    @property
-    def scheduler_name(self) -> str:
-        """Which backend this simulator runs on ("heap" or "calendar")."""
-        return self._sched.name
 
     @property
     def now(self) -> float:
         """Current virtual time, in seconds."""
         return self._now
-
-    def schedule(self, delay: float, callback: Callable[..., None],
-                 *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
-
-        Reference implementation; instances carry a fused backend
-        closure with identical semantics (see ``__init__``).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = self._now + delay
-        event = EventHandle(time, next(self._seq), callback, args)
-        self._sched.insert(event)
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` at the absolute virtual ``time``.
-
-        Reference implementation; instances carry a fused backend
-        closure with identical semantics (see ``__init__``).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time:.9f}, current time is {self._now:.9f}"
-            )
-        event = EventHandle(time, next(self._seq), callback, args)
-        self._sched.insert(event)
-        return event
 
     def timer(self, callback: Callable[..., None], *args: Any) -> Timer:
         """A reusable rearm-able timer bound to ``callback(*args)``.
@@ -202,8 +129,8 @@ class Simulator:
     def resource_stats(self) -> dict[str, Any]:
         """The loop's always-on resource counters, as a plain dict.
 
-        Always contains the four classic counters; the calendar backend
-        adds ``bucket_inserts``, ``batch_dispatches``, and
+        The four classic counters plus the calendar queue's
+        ``bucket_inserts``, ``batch_dispatches``, and
         ``overflow_migrations``.  ``scheduler`` names the backend.
         """
         stats: dict[str, Any] = {"scheduler": self._sched.name}

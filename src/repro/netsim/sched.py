@@ -1,31 +1,26 @@
-"""Scheduler backends for the discrete-event simulator core.
+"""The simulator's event queue: a calendar scheduler and its timer handle.
 
-Two interchangeable event queues sit behind
-:class:`~repro.netsim.core.Simulator` (selected with ``scheduler=``):
+:class:`CalendarScheduler` is the one backend behind
+:class:`~repro.netsim.core.Simulator`: a two-level calendar queue built
+for the million-flow scale goals (ROADMAP items 2 and 5) -- a ring of
+near-horizon buckets keyed by quantized virtual time plus a far-future
+overflow heap.  Inserts inside the horizon are an O(1) list append;
+whole buckets are dequeued and dispatched as one sorted batch instead
+of popping events one at a time; cancellation is an O(1) tombstone
+swept lazily at dispatch.
 
-* :class:`HeapScheduler` -- the classic one-``heappush``-per-event binary
-  heap.  Simple, and kept as the *differential oracle*: the calendar
-  queue must reproduce its dispatch order byte-for-byte
-  (``tests/netsim/test_scheduler_differential.py``).
-* :class:`CalendarScheduler` -- a two-level calendar queue built for the
-  million-flow scale goals (ROADMAP items 2 and 5): a ring of
-  near-horizon buckets keyed by quantized virtual time plus a far-future
-  overflow heap.  Inserts inside the horizon are an O(1) list append;
-  whole buckets are dequeued and dispatched as one sorted batch instead
-  of popping events one at a time; cancellation is an O(1) tombstone
-  swept lazily at dispatch.
-
-**Determinism contract** (DESIGN.md section 15).  Both backends dispatch
-events in strictly increasing ``(time, seq)`` order, where ``seq`` is a
-monotone sequence number assigned at ``schedule()`` time -- equal-time
-events fire in the order they were scheduled.  Bucket quantization uses
+**Determinism contract** (DESIGN.md section 15).  Events dispatch in
+strictly increasing ``(time, seq)`` order, where ``seq`` is a monotone
+sequence number assigned at ``schedule()`` time -- equal-time events
+fire in the order they were scheduled.  Bucket quantization uses
 ``int(time / bucket_width)``, which is monotone non-decreasing in
 ``time``, so bucketing can never reorder two events: it only decides
 *which batch* an event is sorted into, and every batch is sorted by the
-same ``(time, seq)`` key the heap uses.  Because dispatch order is
-identical, callbacks run in the same order, consume sequence numbers in
-the same order, and drive the RNGs identically -- traces are
-byte-identical across backends.
+``(time, seq)`` key a plain binary heap would use.  That heap lives in
+``tests/netsim/heap_oracle.py`` as the differential oracle: callbacks
+run in the same order, consume sequence numbers in the same order, and
+drive the RNGs identically, so traces are byte-identical against it
+(``tests/netsim/test_scheduler_differential.py``).
 
 The calendar queue's structural invariant: the ring window covers
 absolute bucket indices ``[base, base + slots)``; events beyond it live
@@ -96,8 +91,8 @@ class Timer:
     A periodic clock (emission tick, PTO, checkpoint) holds one
     :class:`Timer` for its whole life and calls :meth:`rearm` each
     period; the previous arm (if still pending) is tombstoned in place.
-    Under the calendar scheduler each rearm is one wheel-slot insert;
-    there is no per-rearm heap push and no cancelled-entry heap pop.
+    Each rearm is one wheel-slot insert; there is no per-rearm heap push
+    and no cancelled-entry heap pop.
     Rearming from inside the timer's own callback is the normal case.
     """
 
@@ -154,125 +149,6 @@ class Timer:
         if event is None or event.cancelled:
             return None
         return event.time
-
-
-class HeapScheduler:
-    """The legacy binary-heap event queue (the differential oracle).
-
-    Entries are ``(time, seq, event)`` tuples so heap comparisons stay in
-    C (``seq`` is unique; the event object is never compared).  Cancelled
-    events are swept by :meth:`_drop_cancelled_head`, the *single* drain
-    helper both the run loop and ``peek_time`` share -- a cancelled head
-    is discarded exactly once, counted exactly once, and can never be
-    dispatched.
-    """
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
-        self.events_dispatched = 0
-        self.heap_pushes = 0
-        self.heap_pops = 0
-        self.events_cancelled_dropped = 0
-
-    def insert(self, event: EventHandle) -> None:
-        heappush(self._heap, (event.time, event.seq, event))
-        self.heap_pushes += 1
-
-    def bind_schedule(self, sim: Any) -> Callable[..., EventHandle]:
-        """Fused validate+allocate+insert closure for ``sim.schedule``.
-
-        Bound as an instance attribute on the simulator: the scheduling
-        hot path runs in one frame with cell-variable lookups instead of
-        two method dispatches and repeated attribute loads.
-        """
-        seq_next = sim._seq.__next__
-        heap = self._heap
-
-        def schedule(delay: float, callback: Callable[..., None],
-                     *args: Any) -> EventHandle:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule into the past: delay={delay}")
-            time = sim._now + delay
-            seq = seq_next()
-            event = EventHandle(time, seq, callback, args)
-            heappush(heap, (time, seq, event))
-            self.heap_pushes += 1
-            return event
-
-        return schedule
-
-    def bind_schedule_at(self, sim: Any) -> Callable[..., EventHandle]:
-        """Fused absolute-time variant of :meth:`bind_schedule`."""
-        seq_next = sim._seq.__next__
-        heap = self._heap
-
-        def schedule_at(time: float, callback: Callable[..., None],
-                        *args: Any) -> EventHandle:
-            now = sim._now
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at {time:.9f}, "
-                    f"current time is {now:.9f}")
-            seq = seq_next()
-            event = EventHandle(time, seq, callback, args)
-            heappush(heap, (time, seq, event))
-            self.heap_pushes += 1
-            return event
-
-        return schedule_at
-
-    def _drop_cancelled_head(self) -> None:
-        """Discard tombstoned events from the head of the heap.
-
-        The one place cancelled events leave the queue: ``drain`` and
-        ``peek_time`` both call it, so neither can double-pop around the
-        other or dispatch a cancelled head.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heappop(heap)
-            self.heap_pops += 1
-            self.events_cancelled_dropped += 1
-
-    def drain(self, sim: Any, until: float | None,
-              max_events: int | None) -> int:
-        horizon = until if until is not None else float("inf")
-        limit = max_events if max_events is not None else _UNLIMITED
-        heap = self._heap
-        executed = 0
-        while heap:
-            self._drop_cancelled_head()
-            if not heap:
-                break
-            entry = heap[0]
-            if entry[0] > horizon or executed >= limit:
-                break
-            heappop(heap)
-            self.heap_pops += 1
-            event = entry[2]
-            sim._now = entry[0]
-            event.callback(*event.args)
-            executed += 1
-        self.events_dispatched += executed
-        return executed
-
-    def peek_time(self) -> float | None:
-        self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
-
-    def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "events_dispatched": self.events_dispatched,
-            "heap_pushes": self.heap_pushes,
-            "heap_pops": self.heap_pops,
-            "events_cancelled_dropped": self.events_cancelled_dropped,
-        }
 
 
 class CalendarScheduler:
@@ -349,32 +225,15 @@ class CalendarScheduler:
 
     # -- insert ---------------------------------------------------------------
 
-    def insert(self, event: EventHandle) -> None:
-        idx = int(event.time / self._width)
-        if idx < self._fence:
-            if idx == self._active:
-                # Into the bucket currently being dispatched: merge via
-                # the side heap so (time, seq) order survives mid-batch
-                # arrivals.
-                heappush(self._extra, (event.time, event.seq, event))
-                self.heap_pushes += 1
-            else:
-                self._ring[idx % self._slots].append(
-                    (event.time, event.seq, event))
-                self._ring_count += 1
-                self.bucket_inserts += 1
-                if idx < self._scan_from:
-                    self._scan_from = idx
-        else:
-            heappush(self._overflow, (event.time, event.seq, event))
-            self.heap_pushes += 1
-
     def bind_schedule(self, sim: Any) -> Callable[..., EventHandle]:
         """Fused validate+allocate+insert closure for ``sim.schedule``.
 
-        Identical placement logic to :meth:`insert`, flattened into one
-        frame: the active bucket is always inside the fence, so one
-        window compare routes the common case straight to a ring append.
+        Bound as an instance attribute on the simulator: the scheduling
+        hot path runs in one frame with cell-variable lookups.  The
+        active bucket is always inside the fence, so one window compare
+        routes the common case straight to a ring append; an event for
+        the bucket currently being dispatched goes to the side heap so
+        ``(time, seq)`` order survives mid-batch arrivals.
         """
         seq_next = sim._seq.__next__
         width = self._width
@@ -691,9 +550,3 @@ class CalendarScheduler:
             "overflow_migrations": self.overflow_migrations,
         }
 
-
-#: Registry the ``Simulator(scheduler=...)`` selector resolves against.
-SCHEDULERS: dict[str, type] = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}

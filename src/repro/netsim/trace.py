@@ -1,19 +1,16 @@
-"""Measurement helpers: flow monitors and event traces.
+"""Measurement helper: the per-transfer flow monitor.
 
-The experiment harness needs goodput, completion time, per-kind packet
-counts, and time series of deliveries; these classes collect them without
-entangling measurement with protocol logic (protocol agents call
-``record_*`` at the relevant points, or a :class:`PacketCounter` is added
-as a router tap).
+The experiment harness needs goodput, completion time, and the time
+series of deliveries; :class:`FlowMonitor` collects them without
+entangling measurement with protocol logic (the receiving connection
+calls ``record_*`` at the relevant points).  Packet-level event traces
+are :mod:`repro.obs`'s job.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.netsim.packet import Packet, PacketKind
+from dataclasses import dataclass
 
 
 @dataclass
@@ -62,62 +59,3 @@ class FlowMonitor:
     def bytes_delivered_by(self, time: float) -> int:
         index = bisect.bisect_right([s.time for s in self.samples], time) - 1
         return self.samples[index].cumulative_bytes if index >= 0 else 0
-
-
-class PacketCounter:
-    """A router/host tap counting packets and bytes by kind."""
-
-    def __init__(self) -> None:
-        self.packets: dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
-        self.bytes: dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
-
-    def __call__(self, packet: Packet) -> None:
-        self.packets[packet.kind] += 1
-        self.bytes[packet.kind] += packet.size_bytes
-
-    @property
-    def total_packets(self) -> int:
-        return sum(self.packets.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes.values())
-
-
-@dataclass
-class TraceEvent:
-    time: float
-    where: str
-    what: str
-    packet_uid: int
-    kind: str
-    size_bytes: int
-
-
-class EventTrace:
-    """An append-only log of packet events, filterable for debugging."""
-
-    def __init__(self, capacity: int | None = None) -> None:
-        self.events: list[TraceEvent] = []
-        self.capacity = capacity
-        self.dropped_events = 0
-
-    def record(self, time: float, where: str, what: str,
-               packet: Packet) -> None:
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped_events += 1
-            return
-        self.events.append(TraceEvent(time, where, what, packet.uid,
-                                      packet.kind.value, packet.size_bytes))
-
-    def filtered(self, where: str | None = None,
-                 what: str | None = None) -> Iterable[TraceEvent]:
-        for event in self.events:
-            if where is not None and event.where != where:
-                continue
-            if what is not None and event.what != what:
-                continue
-            yield event
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -25,6 +25,7 @@ plus the shared session machinery:
 from repro.sidecar.ack_reduction import AckReductionResult, run_ack_reduction
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
+    EmitterEndpoint,
     HostEmitterAgent,
     ProxyEmitterTap,
     ServerSidecar,
@@ -115,6 +116,7 @@ __all__ = [
     "HealthMonitor",
     "HealthState",
     "HealthTransition",
+    "EmitterEndpoint",
     "HostEmitterAgent",
     "ServerSidecar",
     "ProxyEmitterTap",

@@ -1,20 +1,23 @@
 """Sidecar agents: the glue between quACK state machines and the network.
 
-Three reusable agents implement the roles of Table 1:
+Table 1 assigns two roles -- *sends quACKs* and *receives quACKs* -- to
+server, proxy and client; each role is written here once:
 
-* :class:`HostEmitterAgent` -- the client-side library: observes DATA
-  packets arriving at a host, emits quACKs to a sidecar peer (proxy or
-  server) under a frequency policy, with an optional periodic timer.
-* :class:`ServerSidecar` -- the server-side library: logs every packet
-  the transport sends, consumes quACKs arriving at the server, and feeds
-  the decoded receipts/losses into the
+* :class:`EmitterEndpoint` -- the sending role: folds a flow's
+  identifiers into a :class:`~repro.sidecar.emitter.QuackEmitter` at one
+  node and quACKs them to a sidecar peer under a frequency policy, with
+  an optional periodic timer.  :class:`HostEmitterAgent` (the
+  client-side library) attaches one to a host's DATA arrivals and
+  :class:`ProxyEmitterTap` (a pure-observer proxy, the ACK-reduction
+  proxy of Section 2.2) to the DATA a router forwards toward the client.
+* :class:`ServerSidecar` -- the receiving role on the server: logs every
+  packet the transport sends, consumes quACKs arriving at the server,
+  and feeds the decoded receipts/losses into the
   :class:`~repro.transport.connection.SenderConnection` window hooks.
-* :class:`ProxyEmitterTap` -- a pure-observer proxy sidecar: watches DATA
-  packets traversing a router toward the client and quACKs them to the
-  server (the ACK-reduction proxy, Section 2.2).
 
 Protocol-specific proxies (the pacing proxy of congestion-control
-division and the buffering retransmitter) live in their own modules.
+division and the buffering retransmitter) live in their own modules and
+hold an :class:`EmitterEndpoint` for the quACKs they send.
 
 Resilience: a sidecar is strictly optional assistance, so every agent
 here must survive a hostile channel -- corrupted datagrams are counted
@@ -34,7 +37,7 @@ plausibility validator and quarantine ledger of
 honest-observer gates before it may touch the consumer, and a sidecar
 caught lying is QUARANTINED (no signals, no resets it could farm for
 stalls).  Passing a :class:`~repro.sidecar.snapshot.CheckpointStore` to
-an emitter agent makes it checkpoint its accumulator periodically and,
+an emitter endpoint makes it checkpoint its accumulator periodically and,
 after ``crash_restart()``, restore the latest checkpoint and announce
 itself with a :class:`~repro.sidecar.protocol.ResumeMessage` instead of
 forcing the full reset round-trip.
@@ -47,10 +50,11 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.errors import QuackError, WireFormatError
 from repro.netsim.core import Simulator
-from repro.netsim.node import Host, Router
+from repro.netsim.node import Host, Node, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.base import DecodeStatus
+from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.defense import (
     AdversarialSignal,
@@ -92,13 +96,47 @@ from repro.transport.connection import SenderConnection, SentPacketRecord
 DEFAULT_THRESHOLD = 20
 
 
-class _EmitterMixin:
-    """Shared emitter-side plumbing: resets, restarts, fault counters."""
+class EmitterEndpoint:
+    """Table 1's *sends quACKs* role: one flow, one node, one peer.
 
-    # Subclasses provide: sim, flow_id, threshold, bits, policy, emitter,
-    # epoch, resets_applied plain attributes.
+    Folds the flow's identifiers into a
+    :class:`~repro.sidecar.emitter.QuackEmitter` at ``node`` (a host or a
+    router) and sends the snapshots its frequency policy calls for to
+    ``peer``, on a reusable emission clock when the policy is
+    timer-driven.  It is also the responder side of everything the
+    receiving role can ask of it: reset epochs, crash/restart with
+    checkpoint resume, HELLO negotiation and mid-session version
+    switches.  Where the observations come from is the only thing the
+    protocols vary: :class:`HostEmitterAgent` and
+    :class:`ProxyEmitterTap` attach an endpoint to a host handler or a
+    router tap and filter; the pacing and retransmission proxies hold a
+    plain endpoint and feed it the packets they forward.
 
-    def _init_fault_state(self) -> None:
+    ``role`` labels the ``sidecar.quack_emit`` trace event.  ``ledger_key``
+    names the accumulator in the per-flow resource ledger where one flow
+    has more than one (default: ``flow_id``).
+    """
+
+    def __init__(self, sim: Simulator, node: Node, peer: str, flow_id: str,
+                 policy: FrequencyPolicy, role: str,
+                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
+                 checkpoints: CheckpointStore | None = None,
+                 checkpoint_interval_s: float = 0.05,
+                 negotiate: NegotiateConfig | None = None,
+                 ledger_key: str | None = None) -> None:
+        self.sim = sim
+        self.node = node
+        self.peer = peer
+        self.flow_id = flow_id
+        self.role = role
+        self.threshold = threshold
+        self.bits = bits
+        self.policy = policy
+        self._ledger_key = ledger_key if ledger_key is not None else flow_id
+        self.emitter = self._fresh_emitter()
+        self.quacks_sent = 0
+        self.epoch = 0
+        self.resets_applied = 0
         self.stale_resets = 0
         self.corrupt_frames = 0
         self.restarts = 0
@@ -118,14 +156,64 @@ class _EmitterMixin:
         self.version_switches = 0
         self.stale_switches = 0
         self.quacks_suppressed = 0
+        self._arm_negotiation(negotiate)
+        self._arm_checkpoints(checkpoints, checkpoint_interval_s)
+        interval = policy.interval_hint()
+        if interval is not None:
+            # The emission clock lives on one reusable timer for the
+            # endpoint's whole life (one wheel-slot insert per tick).
+            self._tick_timer = sim.timer(self._tick, interval)
+            self._tick_timer.rearm(interval)
+
+    def _fresh_emitter(self) -> QuackEmitter:
+        return QuackEmitter(self.threshold, self.bits, policy=self.policy,
+                            flow=self._ledger_key)
+
+    # -- observe and emit --------------------------------------------------------
+
+    def on_data(self, packet: Packet) -> None:
+        """Fold one DATA packet of the flow; send a quACK if one is due."""
+        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
+                                        ctx=packet.trace_ctx,
+                                        flow=self.flow_id)
+        if snapshot is not None:
+            self._send(snapshot)
+
+    def _tick(self, interval: float) -> None:
+        if self.emitter.pending_packets:
+            self._send(self.emitter.emit(self.sim.now))
+        self._tick_timer.rearm(interval)
+
+    def _send(self, snapshot: PowerSumQuack) -> None:
+        if not self.negotiated:
+            # Assistance is opt-in: no quACKs before the handshake
+            # completes (identifiers keep accumulating meanwhile).
+            self.quacks_suppressed += 1
+            return
+        self.quacks_sent += 1
+        if obs.TRACER.enabled:
+            obs.TRACER.emit("sidecar.quack_emit", self.sim.now,
+                            role=self.role, flow=self.flow_id,
+                            epoch=self.epoch)
+            obs.count("sidecar_quacks_emitted_total", role=self.role)
+        self.node.send(quack_packet(self.node.name, self.peer, snapshot,
+                                    self.flow_id, self.sim.now,
+                                    epoch=self.epoch,
+                                    version=self.wire_version,
+                                    features=self.wire_features))
+
+    def _send_control_message(self, message: ControlMessage) -> None:
+        self.node.send(control_packet(self.node.name, self.peer, message,
+                                      self.sim.now, version=self.wire_version,
+                                      features=self.wire_features))
+
+    # -- negotiation (responder side) --------------------------------------------
 
     def _arm_negotiation(self, config: NegotiateConfig | None) -> None:
         if config is None:
             return
         self.negotiate_config = config
         self.negotiated = False  # no assistance before the handshake
-
-    # -- negotiation (responder side) --------------------------------------------
 
     def _on_hello(self, hello: HelloMessage) -> None:
         config = self.negotiate_config
@@ -144,9 +232,7 @@ class _EmitterMixin:
                 # accumulator is empty; once identifiers are folded in,
                 # rebuilding it would orphan them in the peer's log.
                 self.threshold, self.bits = ack.threshold, ack.bits
-                self.emitter = QuackEmitter(ack.threshold, ack.bits,
-                                            policy=self.policy,
-                                            flow=self.flow_id)
+                self.emitter = self._fresh_emitter()
             if obs.TRACER.enabled:
                 obs.TRACER.emit("sidecar.negotiated", self.sim.now,
                                 flow=self.flow_id, role="emitter",
@@ -220,8 +306,7 @@ class _EmitterMixin:
             return  # duplicate of the current handshake (idempotent)
         self.epoch = epoch
         self.resets_applied += 1
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
+        self.emitter = self._fresh_emitter()
 
     def crash_restart(self) -> None:
         """Simulate a middlebox crash/restart: all volatile state is lost.
@@ -238,8 +323,7 @@ class _EmitterMixin:
         """
         self.restarts += 1
         self.epoch = 0
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
+        self.emitter = self._fresh_emitter()
         # Negotiated session state is volatile too; a checkpoint (v2)
         # restores it below, otherwise an armed responder waits for a
         # fresh HELLO before assisting again.
@@ -285,31 +369,25 @@ class _EmitterMixin:
         self._send_control_message(ResumeMessage(
             flow_id=self.flow_id, epoch=self.epoch, count=restored.count))
 
-    def _send_control_message(self, message: ControlMessage) -> None:
-        raise NotImplementedError  # subclasses know their endpoints
+    def on_control(self, message) -> None:
+        """Handle one CONTROL payload addressed to this endpoint's node.
 
-    def _note_control(self, message) -> ResetMessage | None:
-        """Classify a CONTROL payload; returns a reset to apply, if any.
-
-        Negotiation traffic (HELLO offers, VERSION-SWITCH) for this flow
-        is handled here directly.
+        Corrupt frames are counted and dropped; negotiation traffic
+        (HELLO offers, VERSION-SWITCH) and resets for this flow are
+        applied; anything else is ignored.
         """
         if isinstance(message, CorruptFrame):
             if not message.flow_id or message.flow_id == self.flow_id:
                 self.corrupt_frames += 1
-            return None
-        if isinstance(message, HelloMessage) \
-                and message.flow_id == self.flow_id:
+            return
+        if getattr(message, "flow_id", None) != self.flow_id:
+            return  # another flow's session, or not a control message
+        if isinstance(message, HelloMessage):
             self._on_hello(message)
-            return None
-        if isinstance(message, VersionSwitchMessage) \
-                and message.flow_id == self.flow_id:
+        elif isinstance(message, VersionSwitchMessage):
             self._on_version_switch(message)
-            return None
-        if isinstance(message, ResetMessage) \
-                and message.flow_id == self.flow_id:
-            return message
-        return None
+        elif isinstance(message, ResetMessage):
+            self._apply_reset(message.epoch)
 
     def fault_counters(self) -> dict[str, int]:
         """The agent's resilience counters (the chaos stats surface)."""
@@ -330,79 +408,25 @@ class _EmitterMixin:
         }
 
 
-class HostEmitterAgent(_EmitterMixin):
-    """Client-side quACK library: observe arrivals, emit quACKs to a peer."""
+class HostEmitterAgent(EmitterEndpoint):
+    """Client-side quACK library: observe arrivals, emit quACKs to a peer.
+
+    Keyword options are :class:`EmitterEndpoint`'s.
+    """
 
     def __init__(self, sim: Simulator, host: Host, peer: str, flow_id: str,
-                 policy: FrequencyPolicy,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 checkpoints: CheckpointStore | None = None,
-                 checkpoint_interval_s: float = 0.05,
-                 negotiate: NegotiateConfig | None = None) -> None:
-        self.sim = sim
-        self.host = host
-        self.peer = peer
-        self.flow_id = flow_id
-        self.threshold = threshold
-        self.bits = bits
-        self.policy = policy
-        self.emitter = QuackEmitter(threshold, bits, policy=policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
-        self.epoch = 0
-        self.resets_applied = 0
-        self._init_fault_state()
-        self._arm_negotiation(negotiate)
-        self._arm_checkpoints(checkpoints, checkpoint_interval_s)
+                 policy: FrequencyPolicy, **options) -> None:
+        super().__init__(sim, host, peer, flow_id, policy, role="host",
+                         **options)
         host.add_handler(PacketKind.DATA, self._observe)
         host.add_handler(PacketKind.CONTROL, self._on_control)
-        interval = policy.interval_hint()
-        if interval is not None:
-            # The emission clock lives on one reusable timer for the
-            # agent's whole life (one wheel-slot insert per tick).
-            self._tick_timer = sim.timer(self._tick, interval)
-            self._tick_timer.rearm(interval)
 
     def _observe(self, packet: Packet) -> None:
-        if packet.flow_id != self.flow_id or packet.identifier is None:
-            return
-        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                        ctx=packet.trace_ctx,
-                                        flow=self.flow_id)
-        if snapshot is not None:
-            self._send(snapshot)
+        if packet.flow_id == self.flow_id and packet.identifier is not None:
+            self.on_data(packet)
 
     def _on_control(self, packet: Packet) -> None:
-        reset = self._note_control(packet.payload)
-        if reset is not None:
-            self._apply_reset(reset.epoch)
-
-    def _send_control_message(self, message: ControlMessage) -> None:
-        self.host.send(control_packet(self.host.name, self.peer, message,
-                                      self.sim.now, version=self.wire_version,
-                                      features=self.wire_features))
-
-    def _tick(self, interval: float) -> None:
-        if self.emitter.pending_packets:
-            self._send(self.emitter.emit(self.sim.now))
-        self._tick_timer.rearm(interval)
-
-    def _send(self, snapshot) -> None:
-        if not self.negotiated:
-            # Assistance is opt-in: no quACKs before the handshake
-            # completes (identifiers keep accumulating meanwhile).
-            self.quacks_suppressed += 1
-            return
-        self.quacks_sent += 1
-        if obs.TRACER.enabled:
-            obs.TRACER.emit("sidecar.quack_emit", self.sim.now, role="host",
-                            flow=self.flow_id, epoch=self.epoch)
-            obs.count("sidecar_quacks_emitted_total", role="host")
-        self.host.send(quack_packet(self.host.name, self.peer, snapshot,
-                                    self.flow_id, self.sim.now,
-                                    epoch=self.epoch,
-                                    version=self.wire_version,
-                                    features=self.wire_features))
+        self.on_control(packet.payload)
 
 
 @dataclass
@@ -1116,89 +1140,31 @@ class ServerSidecar:
         self.sender.cc_from_acks = not divided
 
 
-class ProxyEmitterTap(_EmitterMixin):
+class ProxyEmitterTap(EmitterEndpoint):
     """Proxy sidecar that quACKs forwarded DATA packets to the server.
 
-    Attach to a router with ``router.add_tap(tap.observe)``.  Observes
-    packets heading toward ``client`` for ``flow_id`` and sends quACK
-    snapshots back to ``server`` (the ACK-reduction proxy role: "The
-    proxy can send quACKs, e.g., every other packet", Section 2.2).
+    A pure observer on ``router``: watches packets heading toward
+    ``client`` for ``flow_id`` and sends quACK snapshots back to
+    ``server`` (the ACK-reduction proxy role: "The proxy can send quACKs,
+    e.g., every other packet", Section 2.2).  Keyword options are
+    :class:`EmitterEndpoint`'s.
     """
 
     def __init__(self, sim: Simulator, router: Router, server: str,
                  client: str, flow_id: str, policy: FrequencyPolicy,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 checkpoints: CheckpointStore | None = None,
-                 checkpoint_interval_s: float = 0.05,
-                 negotiate: NegotiateConfig | None = None) -> None:
-        self.sim = sim
+                 **options) -> None:
+        super().__init__(sim, router, server, flow_id, policy, role="proxy",
+                         **options)
         self.router = router
-        self.server = server
         self.client = client
-        self.flow_id = flow_id
-        self.threshold = threshold
-        self.bits = bits
-        self.policy = policy
-        self.emitter = QuackEmitter(threshold, bits, policy=policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
-        self.epoch = 0
-        self.resets_applied = 0
-        self._init_fault_state()
-        self._arm_negotiation(negotiate)
-        self._arm_checkpoints(checkpoints, checkpoint_interval_s)
         router.add_tap(self.observe)
-        interval = policy.interval_hint()
-        if interval is not None:
-            # Same reusable emission clock as the host-side agent.
-            self._tick_timer = sim.timer(self._tick, interval)
-            self._tick_timer.rearm(interval)
 
     def observe(self, packet: Packet) -> None:
         if packet.dst == self.router.name:
             if packet.kind is PacketKind.CONTROL:
-                reset = self._note_control(packet.payload)
-                if reset is not None:
-                    self._apply_reset(reset.epoch)
-            return
-        if (packet.kind is not PacketKind.DATA
-                or packet.dst != self.client
-                or packet.flow_id != self.flow_id
-                or packet.identifier is None):
-            return
-        self._on_data(packet)
-
-    def _on_data(self, packet: Packet) -> None:
-        """Fold one forwarded DATA packet (overridden by the flow table
-        tap, which routes the observation through a shared table)."""
-        snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                        ctx=packet.trace_ctx,
-                                        flow=self.flow_id)
-        if snapshot is not None:
-            self._send(snapshot)
-
-    def _tick(self, interval: float) -> None:
-        if self.emitter.pending_packets:
-            self._send(self.emitter.emit(self.sim.now))
-        self._tick_timer.rearm(interval)
-
-    def _send(self, snapshot) -> None:
-        if not self.negotiated:
-            self.quacks_suppressed += 1
-            return
-        self.quacks_sent += 1
-        if obs.TRACER.enabled:
-            obs.TRACER.emit("sidecar.quack_emit", self.sim.now, role="proxy",
-                            flow=self.flow_id, epoch=self.epoch)
-            obs.count("sidecar_quacks_emitted_total", role="proxy")
-        self.router.send(quack_packet(self.router.name, self.server, snapshot,
-                                      self.flow_id, self.sim.now,
-                                      epoch=self.epoch,
-                                      version=self.wire_version,
-                                      features=self.wire_features))
-
-    def _send_control_message(self, message: ControlMessage) -> None:
-        self.router.send(control_packet(self.router.name, self.server,
-                                        message, self.sim.now,
-                                        version=self.wire_version,
-                                        features=self.wire_features))
+                self.on_control(packet.payload)
+        elif (packet.kind is PacketKind.DATA
+                and packet.dst == self.client
+                and packet.flow_id == self.flow_id
+                and packet.identifier is not None):
+            self.on_data(packet)

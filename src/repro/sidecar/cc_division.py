@@ -37,17 +37,16 @@ from repro.netsim.core import Simulator
 from repro.netsim.link import Link
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.netsim.node import Host, Router
-from repro import obs
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
+    EmitterEndpoint,
     HostEmitterAgent,
     ServerSidecar,
 )
 from repro.sidecar.consumer import QuackConsumer
-from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
-from repro.sidecar.protocol import QuackMessage, quack_packet
+from repro.sidecar.protocol import QuackMessage
 from repro.netsim.topology import HopSpec, build_path
 from repro.transport.cc.fixed import AimdRate
 from repro.transport.connection import ReceiverConnection, SenderConnection
@@ -81,7 +80,6 @@ class PacingProxy:
                  controller=None) -> None:
         self.sim = sim
         self.router = router
-        self.server = server
         self.client = client
         self.flow_id = flow_id
         self.buffer_packets = buffer_packets
@@ -97,9 +95,10 @@ class PacingProxy:
         self._in_flight_bytes = 0
 
         # Upstream duty: quACK forwarded packets to the server.
-        self.emitter = QuackEmitter(
-            threshold, bits, policy=PacketCountFrequency(quack_to_server_every),
-            flow="proxy-upstream")
+        self.upstream = EmitterEndpoint(
+            sim, router, server, flow_id,
+            PacketCountFrequency(quack_to_server_every), role="proxy",
+            threshold=threshold, bits=bits, ledger_key="proxy-upstream")
 
         self._buffer: list[Packet] = []
         router.policy = self
@@ -138,7 +137,11 @@ class PacingProxy:
             return
         self.stats.quacks_from_client += 1
         now = self.sim.now
-        feedback = self.consumer.on_quack(message.quack(), now)
+        quack = message.quack_or_none()
+        if quack is None:
+            self.stats.decode_failures += 1
+            return
+        feedback = self.consumer.on_quack(quack, now)
         if not feedback.ok:
             self.stats.decode_failures += 1
             return
@@ -165,16 +168,7 @@ class PacingProxy:
                                       now)
             self.router.emit(head)
             self.stats.forwarded += 1
-            snapshot = self.emitter.observe(head.identifier, now,
-                                            ctx=head.trace_ctx,
-                                            flow=self.flow_id)
-            if snapshot is not None:
-                if obs.TRACER.enabled:
-                    obs.TRACER.emit("sidecar.quack_emit", now, role="proxy",
-                                    flow=self.flow_id, epoch=0)
-                    obs.count("sidecar_quacks_emitted_total", role="proxy")
-                self.router.send(quack_packet(self.router.name, self.server,
-                                              snapshot, self.flow_id, now))
+            self.upstream.on_data(head)
 
     def _sweep(self) -> None:
         now = self.sim.now

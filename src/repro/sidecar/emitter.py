@@ -67,8 +67,10 @@ class QuackEmitter:
 
         ``ctx``/``flow`` are purely observational: when the datagram
         carried a trace-context id, the middlebox observation point is
-        recorded as a ``sidecar.mb_observe`` lifecycle event.  Neither
-        influences the power sums.
+        recorded as a ``sidecar.mb_observe`` lifecycle event labelled
+        ``flow``.  Neither influences the power sums, and the ledger is
+        always charged to the emitter's own ``self.flow`` (the key
+        :meth:`emit` charges), so one bank never splits over two accounts.
         """
         started = PROFILER.begin("quack.power_sum_update")
         self.quack.insert(identifier)
@@ -79,8 +81,7 @@ class QuackEmitter:
                             flow=flow if flow is not None else "?", ctx=ctx)
         if FLOW_ACCOUNTS.armed:
             FLOW_ACCOUNTS.on_observe(
-                flow if flow is not None else self.flow,
-                (self.quack.wire_size_bits() + 7) // 8)
+                self.flow, (self.quack.wire_size_bits() + 7) // 8)
         self.stats.observed += 1
         self._packets_since_emit += 1
         return self.policy.on_packet(self._packets_since_emit, now,

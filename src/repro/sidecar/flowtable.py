@@ -458,7 +458,7 @@ class FlowTableTap(ProxyEmitterTap):
         """Whether the table currently holds this flow's bank."""
         return self._record is not None and self._record.live
 
-    def _on_data(self, packet) -> None:
+    def on_data(self, packet) -> None:
         if self._record is None or not self._record.live:
             return  # evicted: assistance is gone, sender falls to e2e
         self.table.observe(self._record, packet.identifier,
@@ -479,8 +479,7 @@ class FlowTableTap(ProxyEmitterTap):
         """
         if self.assisted:
             return True
-        self.emitter = QuackEmitter(self.threshold, self.bits,
-                                    policy=self.policy, flow=self.flow_id)
+        self.emitter = self._fresh_emitter()
         record = self.table.admit(self.tenant, self.flow_id,
                                   emitter=self.emitter,
                                   on_emit=self._deliver,

@@ -31,16 +31,10 @@ from repro import obs
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import DEFAULT_THRESHOLD
+from repro.sidecar.agents import DEFAULT_THRESHOLD, EmitterEndpoint
 from repro.sidecar.consumer import QuackConsumer
-from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import (
-    ConfigMessage,
-    QuackMessage,
-    config_packet,
-    quack_packet,
-)
+from repro.sidecar.protocol import ConfigMessage, QuackMessage, config_packet
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 
@@ -101,7 +95,11 @@ class SenderSideRetxProxy:
         if not isinstance(message, QuackMessage) \
                 or message.flow_id != self.flow_id:
             return
-        feedback = self.consumer.on_quack(message.quack(), self.sim.now)
+        quack = message.quack_or_none()
+        if quack is None:
+            self.stats.decode_failures += 1
+            return
+        feedback = self.consumer.on_quack(quack, self.sim.now)
         if not feedback.ok:
             self.stats.decode_failures += 1
             return
@@ -159,16 +157,14 @@ class ReceiverSideRetxProxy:
                  client: str, flow_id: str,
                  threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
                  policy: AdaptiveFrequency | None = None) -> None:
-        self.sim = sim
         self.router = router
-        self.peer_proxy = peer_proxy
         self.client = client
         self.flow_id = flow_id
         self.policy = policy if policy is not None else AdaptiveFrequency(
             initial_every=8)
-        self.emitter = QuackEmitter(threshold, bits, policy=self.policy,
-                                    flow=flow_id)
-        self.quacks_sent = 0
+        self.endpoint = EmitterEndpoint(sim, router, peer_proxy, flow_id,
+                                        self.policy, role="proxy",
+                                        threshold=threshold, bits=bits)
         self.retunes_applied = 0
         router.add_tap(self._tap)
 
@@ -186,18 +182,7 @@ class ReceiverSideRetxProxy:
         if (packet.kind is PacketKind.DATA and packet.dst == self.client
                 and packet.flow_id == self.flow_id
                 and packet.identifier is not None):
-            snapshot = self.emitter.observe(packet.identifier, self.sim.now,
-                                            ctx=packet.trace_ctx,
-                                            flow=self.flow_id)
-            if snapshot is not None:
-                self.quacks_sent += 1
-                if obs.TRACER.enabled:
-                    obs.TRACER.emit("sidecar.quack_emit", self.sim.now,
-                                    role="proxy", flow=self.flow_id, epoch=0)
-                    obs.count("sidecar_quacks_emitted_total", role="proxy")
-                self.router.send(quack_packet(self.router.name,
-                                              self.peer_proxy, snapshot,
-                                              self.flow_id, self.sim.now))
+            self.endpoint.on_data(packet)
 
 
 @dataclass
@@ -291,7 +276,8 @@ def run_retransmission(total_bytes: int = 1_500_000,
         server_congestion_events=sender.cc.congestion_events,
         proxy_retransmissions=(sender_proxy.stats.retransmitted
                                if sender_proxy else 0),
-        proxy_quacks=receiver_proxy.quacks_sent if receiver_proxy else 0,
+        proxy_quacks=(receiver_proxy.endpoint.quacks_sent
+                      if receiver_proxy else 0),
         proxy_decode_failures=(sender_proxy.stats.decode_failures
                                if sender_proxy else 0),
         client_duplicates=receiver.stats.duplicate_packets,

@@ -254,17 +254,12 @@ class TestSimcoreArea:
         assert metrics["timer_loop_events_per_sec"].mean > 0
         assert metrics["packets_per_sec"].direction == "higher"
         assert metrics["packets_per_sec"].mean > 0
-        # The cost signature is machine-independent.  Under the default
-        # calendar scheduler the burst workload never touches a binary
-        # heap (near-horizon inserts are bucket appends); the legacy
-        # heap backend does one push + one pop per event (2.0 -- the
-        # value pinned in benchmarks/baselines/pre_scheduler/).
+        # The cost signature is machine-independent: on the calendar
+        # scheduler the burst workload never touches a binary heap
+        # (near-horizon inserts are bucket appends), where a plain heap
+        # does one push + one pop per event (2.0).
         assert metrics["heap_ops_per_event"].direction == "lower"
-        from repro.netsim.core import default_scheduler
-        if default_scheduler() == "calendar":
-            assert metrics["heap_ops_per_event"].mean < 0.1
-        else:
-            assert 1.5 <= metrics["heap_ops_per_event"].mean <= 4.0
+        assert metrics["heap_ops_per_event"].mean < 0.1
 
     def test_heap_ops_signature_is_deterministic(self, tmp_path):
         from repro.bench.store import collect_simcore

@@ -1,7 +1,8 @@
 """Differential oracle: heap vs. calendar scheduler, byte-identical.
 
-The calendar-queue backend (DESIGN.md §15) is only admissible if it is
-*observationally indistinguishable* from the legacy binary heap: every
+The runtime's calendar queue (DESIGN.md §15) is only admissible if it is
+*observationally indistinguishable* from the binary heap kept in
+``heap_oracle.py``, swapped in through its one seam: every
 event fires at the same virtual time, in the same order, producing the
 same packets, the same trace, the same metrics.  This suite enforces
 that at the strongest level we can measure -- byte equality of the
@@ -10,7 +11,7 @@ serialized artifacts:
 * the JSONL trace export of every seed scenario and every chaos plan,
 * the mergeable telemetry snapshot of the same runs,
 * the ``strip_timing`` sweep aggregates, crossing scheduler *and*
-  worker count (heap/serial vs. calendar/4-workers),
+  worker count (heap/in-process vs. calendar/4-workers),
 * (``--runslow``) every sweep grid checked into ``examples/sweeps/``.
 
 If a future scheduler change reorders even one same-tick tie, these
@@ -29,11 +30,11 @@ import pytest
 
 from repro import obs
 from repro.chaos import PLANS
-from repro.netsim.core import set_default_scheduler
 from repro.obs.aggregate import mergeable_snapshot
 from repro.obs.runner import EXPERIMENT_SCENARIOS, run_traced
 from repro.obs.trace import dump_jsonl
 from repro.sweep import SweepSpec, run_sweep, strip_timing
+from tests.netsim.heap_oracle import backend
 
 SWEEP_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                          "examples", "sweeps")
@@ -55,11 +56,8 @@ def _traced_artifacts(scenario: str, scheduler: str,
     from repro.chaos.harness import _BASELINE_CACHE
 
     _BASELINE_CACHE.clear()
-    set_default_scheduler(scheduler)
-    try:
+    with backend(scheduler):
         result = run_traced(scenario, profile=False, **kwargs)
-    finally:
-        set_default_scheduler(None)
     buffer = io.StringIO()
     dump_jsonl(result.events, buffer)
     telemetry = json.dumps(mergeable_snapshot(obs.METRICS), sort_keys=True)
@@ -100,19 +98,18 @@ class TestChaosPlans:
         _assert_schedulers_agree(plan, seed=1, total_bytes=40_000)
 
 
-def _stripped_dump(spec, *, workers, scheduler, monkeypatch):
-    """One sweep run pinned to a scheduler via the env var the
-    fork-spawned workers inherit."""
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-    try:
+def _stripped_dump(spec, *, workers, scheduler):
+    """One sweep run on a scheduler.  The heap oracle is swapped in for
+    this process only (pool workers import the runtime as it is), so
+    heap runs are serial."""
+    assert scheduler == "calendar" or workers == 1
+    with backend(scheduler):
         aggregate = run_sweep(spec, workers=workers)
-    finally:
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     return json.dumps(strip_timing(aggregate.to_dict()), sort_keys=True)
 
 
 class TestSweepCrossSchedulerDeterminism:
-    """workers x scheduler: all four corners produce the same bytes."""
+    """workers x scheduler: every reachable corner produces the same bytes."""
 
     SPEC = {
         "name": "xsched-retx", "scenario": "retransmission", "seed": 42,
@@ -121,21 +118,17 @@ class TestSweepCrossSchedulerDeterminism:
                  "lossy_delay": [0.002, 0.01]},
     }
 
-    def test_heap_serial_matches_calendar_parallel(self, monkeypatch):
+    def test_heap_serial_matches_calendar_parallel(self):
         spec = SweepSpec.from_dict(self.SPEC)
-        heap_serial = _stripped_dump(spec, workers=1, scheduler="heap",
-                                     monkeypatch=monkeypatch)
-        cal_parallel = _stripped_dump(spec, workers=4, scheduler="calendar",
-                                      monkeypatch=monkeypatch)
+        heap_serial = _stripped_dump(spec, workers=1, scheduler="heap")
+        cal_parallel = _stripped_dump(spec, workers=4, scheduler="calendar")
         assert heap_serial == cal_parallel
 
-    def test_calendar_serial_matches_heap_parallel(self, monkeypatch):
+    def test_calendar_serial_matches_heap_serial(self):
         spec = SweepSpec.from_dict(self.SPEC)
-        cal_serial = _stripped_dump(spec, workers=1, scheduler="calendar",
-                                    monkeypatch=monkeypatch)
-        heap_parallel = _stripped_dump(spec, workers=4, scheduler="heap",
-                                       monkeypatch=monkeypatch)
-        assert cal_serial == heap_parallel
+        cal_serial = _stripped_dump(spec, workers=1, scheduler="calendar")
+        heap_serial = _stripped_dump(spec, workers=1, scheduler="heap")
+        assert cal_serial == heap_serial
 
 
 def _example_sweep_paths():
@@ -152,11 +145,9 @@ class TestExampleSweepGrids:
         "path", _example_sweep_paths(),
         ids=[os.path.splitext(os.path.basename(p))[0]
              for p in _example_sweep_paths()])
-    def test_grid_identical_across_schedulers(self, path, monkeypatch):
+    def test_grid_identical_across_schedulers(self, path):
         with open(path, encoding="utf-8") as handle:
             spec = SweepSpec.from_dict(json.load(handle))
-        heap = _stripped_dump(spec, workers=1, scheduler="heap",
-                              monkeypatch=monkeypatch)
-        calendar = _stripped_dump(spec, workers=4, scheduler="calendar",
-                                  monkeypatch=monkeypatch)
+        heap = _stripped_dump(spec, workers=1, scheduler="heap")
+        calendar = _stripped_dump(spec, workers=4, scheduler="calendar")
         assert heap == calendar

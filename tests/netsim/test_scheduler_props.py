@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.core import Simulator
 from repro.netsim.sched import DEFAULT_BUCKET_WIDTH, DEFAULT_WHEEL_SLOTS
+from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -59,7 +59,7 @@ def _execute(ops, scheduler: str) -> list[tuple]:
     is over observable behavior (which callback fired when), not over
     backend internals.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = make_simulator(scheduler)
     log: list[tuple] = []
     handles: list = []
     timer_holder = [None]
@@ -114,7 +114,7 @@ def test_dispatch_times_monotone_under_calendar(ops):
 )
 def test_cancelled_never_fire_others_exactly_once(delays, cancels):
     for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
+        sim = make_simulator(scheduler)
         fired: list[int] = []
         handles = [sim.schedule(delay, fired.append, index)
                    for index, delay in enumerate(delays)]
@@ -138,7 +138,7 @@ def test_cancelled_never_fire_others_exactly_once(delays, cancels):
 )
 def test_chunked_run_equals_single_run(delays, chunk):
     def run_all_at_once(scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = make_simulator(scheduler)
         fired = []
         for index, delay in enumerate(delays):
             sim.schedule(delay, fired.append, index)
@@ -146,7 +146,7 @@ def test_chunked_run_equals_single_run(delays, chunk):
         return fired
 
     def run_chunked(scheduler):
-        sim = Simulator(scheduler=scheduler)
+        sim = make_simulator(scheduler)
         fired = []
         for index, delay in enumerate(delays):
             sim.schedule(delay, fired.append, index)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.core import Simulator
 from repro.netsim.sched import DEFAULT_BUCKET_WIDTH, DEFAULT_WHEEL_SLOTS
+from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -51,7 +51,7 @@ FLOWS = st.lists(ARM_DELAYS, min_size=1, max_size=40)
 
 def _run_waves(flows, waves, scheduler, wave_step):
     """Arm one timer per flow, then run teardown/rejoin waves over them."""
-    sim = Simulator(scheduler=scheduler)
+    sim = make_simulator(scheduler)
     log: list[tuple] = []
     timers = []
 
@@ -138,7 +138,7 @@ def test_mass_teardown_silences_all_but_rejoined(flows, teardown_buckets,
     rejoin = {index for index in rejoin if index < len(flows)}
 
     for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
+        sim = make_simulator(scheduler)
         log: list[tuple] = []
         timers = []
 

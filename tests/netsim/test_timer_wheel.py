@@ -18,15 +18,15 @@ from repro.netsim.sched import (
     DEFAULT_WHEEL_SLOTS,
     CalendarScheduler,
 )
+from tests.netsim.heap_oracle import BACKENDS, make_simulator
 
-BACKENDS = ["heap", "calendar"]
 WIDTH = DEFAULT_BUCKET_WIDTH
 HORIZON = DEFAULT_BUCKET_WIDTH * DEFAULT_WHEEL_SLOTS
 
 
 @pytest.fixture(params=BACKENDS)
 def sim(request):
-    return Simulator(scheduler=request.param)
+    return make_simulator(request.param)
 
 
 class TestRearmWithinCallback:
@@ -137,7 +137,7 @@ class TestBucketBoundaries:
     def test_exact_boundary_times_fire_in_order(self, boundary_multiple):
         reference = None
         for scheduler in BACKENDS:
-            sim = Simulator(scheduler=scheduler)
+            sim = make_simulator(scheduler)
             fired = []
             edge = WIDTH * boundary_multiple
             # Straddle the edge: just below, exactly on, just above.
@@ -177,7 +177,7 @@ class TestOverflowMigration:
         # then let the window advance across it: migration must not
         # perturb (time, seq) order relative to the heap oracle.
         def run(scheduler):
-            sim = Simulator(scheduler=scheduler)
+            sim = make_simulator(scheduler)
             fired = []
             far = HORIZON * 2
             for index in range(8):
@@ -197,7 +197,7 @@ class TestOverflowMigration:
         assert run("calendar") == run("heap")
 
     def test_cancelled_overflow_arm_never_migrates_into_firing(self):
-        sim = Simulator(scheduler="calendar")
+        sim = Simulator()
         backend = sim._sched
         assert isinstance(backend, CalendarScheduler)
         fired = []
@@ -211,7 +211,7 @@ class TestOverflowMigration:
         assert backend.events_cancelled_dropped == 1
 
     def test_overflow_migration_counter_increments(self):
-        sim = Simulator(scheduler="calendar")
+        sim = Simulator()
         backend = sim._sched
         sim.schedule(HORIZON * 2, lambda: None)
         assert backend.overflow_migrations == 0

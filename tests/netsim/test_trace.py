@@ -1,9 +1,8 @@
-"""Tests for measurement helpers (repro.netsim.trace)."""
+"""Tests for the flow monitor (repro.netsim.trace)."""
 
 import pytest
 
-from repro.netsim.packet import Packet, PacketKind
-from repro.netsim.trace import EventTrace, FlowMonitor, PacketCounter
+from repro.netsim.trace import FlowMonitor
 
 
 class TestFlowMonitor:
@@ -43,37 +42,3 @@ class TestFlowMonitor:
         assert m.first_delivery == 0.5
         assert m.last_delivery == 2.5
         assert m.completed_at == 2.6
-
-
-class TestPacketCounter:
-    def test_counts_by_kind(self):
-        counter = PacketCounter()
-        counter(Packet(src="a", dst="b", size_bytes=100))
-        counter(Packet(src="a", dst="b", size_bytes=50,
-                       kind=PacketKind.ACK))
-        counter(Packet(src="a", dst="b", size_bytes=80,
-                       kind=PacketKind.QUACK))
-        assert counter.packets[PacketKind.DATA] == 1
-        assert counter.packets[PacketKind.ACK] == 1
-        assert counter.bytes[PacketKind.QUACK] == 80
-        assert counter.total_packets == 3
-        assert counter.total_bytes == 230
-
-
-class TestEventTrace:
-    def test_record_and_filter(self):
-        trace = EventTrace()
-        p = Packet(src="a", dst="b", size_bytes=10)
-        trace.record(1.0, "r1", "forward", p)
-        trace.record(2.0, "r2", "drop", p)
-        assert len(trace) == 2
-        assert [e.where for e in trace.filtered(what="drop")] == ["r2"]
-        assert [e.time for e in trace.filtered(where="r1")] == [1.0]
-
-    def test_capacity(self):
-        trace = EventTrace(capacity=2)
-        p = Packet(src="a", dst="b", size_bytes=10)
-        for i in range(5):
-            trace.record(float(i), "x", "e", p)
-        assert len(trace) == 2
-        assert trace.dropped_events == 3

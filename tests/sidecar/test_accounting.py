@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import ObservabilityError
+from repro.sidecar import agents
 from repro.sidecar.accounting import FLOW_ACCOUNTS, FlowAccounts
+from repro.sidecar.cc_division import run_cc_division
 from repro.sidecar.emitter import QuackEmitter
 
 
@@ -106,8 +109,46 @@ class TestEmitterIntegration:
             (emitter.quack.wire_size_bits() + 7) // 8
 
     def test_observe_flow_override_wins(self):
+        # ... the trace label, and only that: the passed ``flow`` names
+        # the mb_observe event, while the bank is charged where emit()
+        # charges it -- the emitter's own key.
         FLOW_ACCOUNTS.arm()
-        emitter = QuackEmitter(4, flow="default")
-        emitter.observe(1, now=0.0, flow="override")
+        sink = obs.enable(profile=False)
+        try:
+            emitter = QuackEmitter(4, flow="default")
+            emitter.observe(1, now=0.0, ctx=7, flow="override")
+            emitter.observe(2, now=0.0, ctx=8, flow="override")  # emits
+        finally:
+            obs.disable()
+        assert [event.fields["flow"] for event in sink.events
+                if event.type == "sidecar.mb_observe"] == ["override"] * 2
         snapshot = FLOW_ACCOUNTS.snapshot()
-        assert snapshot["flows"]["override"]["observed"] == 1
+        assert list(snapshot["flows"]) == ["default"]
+        account = snapshot["flows"]["default"]
+        assert account["observed"] == 2
+        assert account["frames_emitted"] == 1
+
+    def test_cc_division_ledger_is_the_sum_of_resident_banks(
+            self, monkeypatch):
+        # ROADMAP 5(d): ledger bytes == sum of resident banks.  One flow,
+        # two accumulators (client library, proxy upstream): each gets a
+        # whole account instead of one bank split over two keys.
+        resident = []
+
+        class Recording(QuackEmitter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                resident.append(self)
+
+        monkeypatch.setattr(agents, "QuackEmitter", Recording)
+        FLOW_ACCOUNTS.arm()
+        result = run_cc_division(total_bytes=200_000)
+        assert result.completed
+        snapshot = FLOW_ACCOUNTS.snapshot()
+        assert sorted(e.flow for e in resident) == ["flow0", "proxy-upstream"]
+        assert snapshot["total_bank_bytes"] == sum(
+            (e.quack.wire_size_bits() + 7) // 8 for e in resident)
+        for emitter in resident:
+            account = snapshot["flows"][emitter.flow]
+            assert account["observed"] == emitter.stats.observed
+            assert account["frames_emitted"] == emitter.stats.emitted

@@ -1,8 +1,12 @@
 """Unit tests for the CC-division pacing proxy internals."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.netsim.core import Simulator
+from repro.netsim.faults import flip_frame_bits
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
@@ -100,6 +104,36 @@ class TestQuackFeedback:
         assert agent.stats.quacks_from_client == 1
         assert agent.stats.decode_failures == 0
         assert agent.stats.forwarded == 4  # window freed, rest drained
+
+    def test_corrupt_client_quack_is_counted_and_dropped(self):
+        # One flipped bit fails the frame checksum.  That must cost the
+        # proxy one datagram, not the simulation: classified like
+        # ServerSidecar does, session state untouched.
+        sim, server, proxy, client, agent, delivered = build_proxy(
+            buffer_packets=64, controller=FixedWindow(2))
+        for i in range(4):
+            server.send(data_packet(300 + i))
+        sim.run(until=0.1)
+        receiver_quack = PowerSumQuack(8)
+        for i in range(2):
+            receiver_quack.insert(300 + i)
+        good = quack_packet("client", "proxy", receiver_quack, "f", sim.now)
+        mangled = dataclasses.replace(good, payload=dataclasses.replace(
+            good.payload, frame=flip_frame_bits(good.payload.frame,
+                                                random.Random(7),
+                                                max_flips=1)))
+        outstanding = agent.consumer.outstanding
+        client.send(mangled)
+        sim.run(until=0.2)
+        assert agent.stats.quacks_from_client == 1
+        assert agent.stats.decode_failures == 1
+        assert agent.consumer.outstanding == outstanding
+        assert agent.stats.forwarded == 2  # window still shut
+        # The intact snapshot afterwards decodes as if nothing happened.
+        client.send(good)
+        sim.run(until=0.4)
+        assert agent.stats.decode_failures == 1
+        assert agent.stats.forwarded == 4
 
     def test_expire_sweep_releases_stuck_window(self):
         sim, server, proxy, client, agent, delivered = build_proxy(

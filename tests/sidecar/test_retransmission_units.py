@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.netsim.core import Simulator
+from repro.netsim.faults import Corruption, default_corrupter
 from repro.netsim.loss import DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
@@ -17,8 +18,10 @@ from repro.sidecar.retransmission import (
 )
 
 
-def build_segment(loss_ordinals=frozenset(), quack_every=4):
-    """server -- p1 -- p2 -- client with a deterministic lossy middle."""
+def build_segment(loss_ordinals=frozenset(), quack_every=4,
+                  quack_faults=None):
+    """server -- p1 -- p2 -- client with a deterministic lossy middle
+    (``quack_faults``: injector on its p2 -> p1 direction)."""
     sim = Simulator()
     server = Host(sim, "server")
     p1, p2 = Router(sim, "p1"), Router(sim, "p2")
@@ -26,7 +29,8 @@ def build_segment(loss_ordinals=frozenset(), quack_every=4):
     build_path(sim, [server, p1, p2, client], [
         HopSpec(bandwidth_bps=50e6, delay_s=0.002),
         HopSpec(bandwidth_bps=50e6, delay_s=0.002,
-                loss_up=DeterministicLoss(loss_ordinals)),
+                loss_up=DeterministicLoss(loss_ordinals),
+                faults_down=quack_faults),
         HopSpec(bandwidth_bps=50e6, delay_s=0.002),
     ])
     sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
@@ -98,6 +102,31 @@ class TestLocalRepair:
         send_data(sim, server, 40)
         sim.run(until=2)
         assert 0.0 < sp.observed_loss_ratio() <= 0.3
+
+
+class TestCorruptQuack:
+    def test_flipped_frame_is_counted_and_dropped(self):
+        # Flip bits in the first quACK p2 sends to p1: the checksum
+        # catches it, p1 counts a decode failure and keeps its log, and
+        # the next intact quACK (cumulative) still repairs the loss.
+        flipped = []
+
+        def first_only(packet, rng):
+            if flipped:
+                return None
+            flipped.append(packet)
+            return default_corrupter(packet, rng)
+
+        sim, server, p1, p2, client, sp, rp, received = build_segment(
+            loss_ordinals={2},
+            quack_faults=Corruption(1.0, seed=11, kinds=[PacketKind.QUACK],
+                                    corrupter=first_only))
+        send_data(sim, server, 12)
+        sim.run(until=2)
+        assert len(flipped) == 1
+        assert sp.stats.decode_failures == 1
+        assert sp.stats.retransmitted == 1
+        assert len(received) == 12
 
 
 class TestAdaptiveCadence:

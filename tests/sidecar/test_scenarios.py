@@ -7,6 +7,10 @@ each protocol, with comfortable margins so seeds don't flake.
 
 import pytest
 
+from repro.netsim.faults import Corruption
+from repro.netsim.packet import PacketKind
+from repro.netsim.topology import build_path
+from repro.sidecar import cc_division, retransmission
 from repro.sidecar.ack_reduction import run_ack_reduction
 from repro.sidecar.cc_division import run_cc_division
 from repro.sidecar.retransmission import run_retransmission
@@ -131,3 +135,42 @@ class TestInNetworkRetransmission:
     def test_quacks_flowed_and_adapted(self, results):
         _, local, _ = results
         assert local.proxy_quacks > 0
+
+
+class TestCorruptQuackChannel:
+    """A corrupt quACK costs one datagram of assistance, never the run.
+
+    The scenarios build their own links, so the injector goes in through
+    the ``build_path`` name each scenario module calls: the lossy hop's
+    reverse direction -- the one the proxy-bound quACKs travel -- gets a
+    :class:`Corruption` restricted to ``PacketKind.QUACK``.  The rate is
+    low enough that the gap a dropped snapshot leaves stays inside the
+    threshold (the pacing proxy has no reset protocol to heal a wider one).
+    """
+
+    @staticmethod
+    def _corrupt_quacks_on_lossy_hop(monkeypatch, module):
+        injector = Corruption(0.05, seed=5, kinds=[PacketKind.QUACK])
+
+        def build(sim, nodes, hops):
+            hops[1].faults_down = injector  # the lossy hop in both paths
+            return build_path(sim, nodes, hops)
+
+        monkeypatch.setattr(module, "build_path", build)
+        return injector
+
+    def test_cc_division_completes(self, monkeypatch):
+        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch,
+                                                     cc_division)
+        result = run_cc_division(total_bytes=TOTAL, seed=3)
+        assert injector.stats.corrupted > 0
+        assert result.completed
+        assert result.proxy_stats.decode_failures >= injector.stats.corrupted
+
+    def test_retransmission_completes(self, monkeypatch):
+        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch,
+                                                     retransmission)
+        result = run_retransmission(total_bytes=TOTAL, seed=3)
+        assert injector.stats.corrupted > 0
+        assert result.completed
+        assert result.proxy_decode_failures >= injector.stats.corrupted

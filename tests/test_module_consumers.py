@@ -1,0 +1,104 @@
+"""Every module in ``src/repro`` has a runtime consumer (ROADMAP north star).
+
+A module counts as consumed when a file under ``src/``, ``benchmarks/``
+or ``examples/`` imports it -- directly, or by importing from a package a
+name that the package's ``__init__`` re-exports from it.  A re-export on
+its own is not a use: an ``__init__`` only counts as a consumer of the
+names it actually loads (``FLIGHT = FlightRecorder()``).  Tests do not
+count: a module only its own tests exercise is the dead code this check
+exists to catch.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+#: Run by the interpreter / the console script, not imported.
+ENTRY_POINTS = {"repro.__main__"}
+
+#: Modules with no consumer yet, each with the reason it is still here.
+#: Shrink this, do not grow it (ROADMAP item 4).
+KNOWN_ORPHANS = {
+    "repro.netsim.reorder":
+        "DESIGN.md X3: the reordering link model behind the consumer-grace "
+        "tests; no scenario wires it in",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path) -> list[tuple[str, str, str]]:
+    """``(base module, imported name or "", bound name)`` per import."""
+    package: tuple[str, ...] = ()
+    if SRC in path.parents:
+        package = path.relative_to(SRC).parts[:-1]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, "", (alias.asname or alias.name)
+                       .partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package[:len(package) - node.level + 1]
+                base = ".".join(anchor + ((base,) if base else ()))
+            found += [(base, alias.name, alias.asname or alias.name)
+                      for alias in node.names]
+    return found
+
+
+def _loaded_names(path: Path) -> set[str]:
+    return {node.id
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_module_has_a_consumer():
+    files = {path: _module_name(path) for path in SRC.rglob("*.py")}
+    modules = set(files.values())
+    #: package -> {re-exported name: module (or package) it came from}
+    exports = {files[path]: {bound: base for base, name, bound
+                             in _imports(path) if name and base in modules}
+               for path in files if path.name == "__init__.py"}
+
+    def origin(base: str, name: str) -> str | None:
+        """The module ``from base import name`` ultimately reads."""
+        if f"{base}.{name}" in modules:
+            return f"{base}.{name}"
+        source = exports.get(base, {}).get(name)
+        if source is None:  # defined in ``base`` itself
+            return base if base in modules else None
+        if source in exports and source != base:  # through a package
+            return origin(source, name)
+        return source
+
+    consumers: dict[str, set[Path]] = {name: set() for name in modules}
+    importers = list(files) + [
+        path for root in ("benchmarks", "examples")
+        for path in (REPO / root).rglob("*.py")]
+    for path in importers:
+        reexporter = path.name == "__init__.py"
+        loaded = _loaded_names(path) if reexporter else set()
+        for base, name, bound in _imports(path):
+            module = origin(base, name) if name else \
+                base if base in modules else None
+            if module is None or module == files.get(path):
+                continue
+            if reexporter and bound not in loaded:
+                continue
+            consumers[module].add(path)
+
+    orphans = sorted(name for path, name in files.items()
+                     if path.name != "__init__.py"
+                     and name not in ENTRY_POINTS
+                     and not consumers[name])
+    assert orphans == sorted(KNOWN_ORPHANS), (
+        "modules nothing but their tests and package re-exports import "
+        f"(expected exactly the known ones): {orphans}")
