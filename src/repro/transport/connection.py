@@ -28,6 +28,7 @@ ACK-frequency updates from the sender.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -155,6 +156,9 @@ class SenderConnection:
 
         self.rtt = RttEstimator()
         self.sent: dict[int, SentPacketRecord] = {}
+        #: Every packet number an ACK frame has covered, so that the next
+        #: frame is diffed against it and only what it adds is visited.
+        self.acked_numbers = RangeSet()
         self.acked_offsets = RangeSet()
         self.assigned_offsets = RangeSet()  # chunks this subflow owns
         self.bytes_in_flight = 0
@@ -168,7 +172,8 @@ class SenderConnection:
         #: time between the original transmission and the declaration,
         #: and the lost packet's trace-context id (None untraced) so the
         #: retransmission's span links to its parent.
-        self._retx_queue: list[tuple[int, int, str, float, int | None]] = []
+        self._retx_queue: deque[tuple[int, int, str, float, int | None]] = \
+            deque()
         self._pacing_handle: EventHandle | None = None
         self._next_send_allowed = 0.0
         # One reusable timer carries every PTO arm for the connection's
@@ -177,6 +182,9 @@ class SenderConnection:
         self._pto_timer = sim.timer(self._on_pto)
         self._pto_backoff = 0
         self._largest_acked: int | None = None
+        #: Every record numbered below this is acked or declared lost;
+        #: loss detection and the PTO probe start here.  Only ever rises.
+        self._loss_floor = 0
         self._ce_echoed = 0  # largest cumulative CE count seen in ACKs
         self._send_listeners: list[Callable[[SentPacketRecord], None]] = []
         self._started = False
@@ -296,16 +304,6 @@ class SenderConnection:
             self.stats.sidecar_losses += 1
         self._maybe_send()
 
-    def packet_number_of_identifier(self, identifier: int) -> list[int]:
-        """All packet numbers whose packets carry this identifier.
-
-        More than one entry means an identifier collision: the sidecar
-        must treat the fate of these packets as indeterminate
-        (Section 3.2).
-        """
-        return [pn for pn, rec in self.sent.items()
-                if rec.identifier == identifier]
-
     # -- sending ------------------------------------------------------------
 
     def _maybe_send(self) -> None:
@@ -358,7 +356,7 @@ class SenderConnection:
         so analysis never has to re-infer causality from event ordering).
         """
         if self._retx_queue:
-            offset, length, cause, latency, parent_ctx = self._retx_queue.pop(0)
+            offset, length, cause, latency, parent_ctx = self._retx_queue.popleft()
             return offset, length, (cause, latency, parent_ctx)
         if self.chunk_source is not None:
             chunk = self.chunk_source.next_chunk()
@@ -377,7 +375,7 @@ class SenderConnection:
                          retx: tuple[str, float, int | None] | None) -> None:
         """Return an unsent chunk to the front of its queue."""
         if retx is not None:
-            self._retx_queue.insert(0, (offset, length, *retx))
+            self._retx_queue.appendleft((offset, length, *retx))
         elif self.chunk_source is not None:
             self.chunk_source.push_back(offset, length)
         else:
@@ -449,20 +447,28 @@ class SenderConnection:
             raise TransportError(f"expected AckFrame, got {type(frame).__name__}")
         self.stats.acks_received += 1
         now = self.sim.now
+        sent = self.sent
         newly_acked: list[SentPacketRecord] = []
-        for lo, hi in frame.ranges:
+        largest = -1
+        # Only what this frame adds to the acked numbers is visited, in
+        # the order a walk over every range would meet it (frame order,
+        # ascending inside a range): ``cc.on_ack`` below is a floating
+        # point fold and depends on it.  A number not sent yet is never
+        # recorded, so acking it early changes nothing.
+        for lo, hi in self.acked_numbers.add_new(frame.ranges,
+                                                 self._next_packet_number):
             for pn in range(lo, hi + 1):
-                record = self.sent.get(pn)
-                if record is None or record.acked:
-                    continue
+                record = sent.get(pn)
+                if record is None:
+                    continue  # the number of an ACK_FREQUENCY packet
                 record.acked = True
                 newly_acked.append(record)
+                if pn > largest:
+                    largest = pn
         if newly_acked:
-            largest = max(newly_acked, key=lambda r: r.packet_number)
-            if (self._largest_acked is None
-                    or largest.packet_number > self._largest_acked):
-                self._largest_acked = largest.packet_number
-                self.rtt.update(now - largest.time_sent, frame.delay_s)
+            if self._largest_acked is None or largest > self._largest_acked:
+                self._largest_acked = largest
+                self.rtt.update(now - sent[largest].time_sent, frame.delay_s)
             for record in newly_acked:
                 if not record.retired:
                     record.retired = True
@@ -504,21 +510,27 @@ class SenderConnection:
 
     def _detect_losses(self, now: float) -> None:
         """Packet-threshold and time-threshold loss detection."""
-        if self._largest_acked is None:
+        largest = self._largest_acked
+        if largest is None or self._loss_floor >= largest:
             return
         time_threshold = self.rtt.loss_time_threshold()
-        for pn in sorted(self.sent):
-            if pn >= self._largest_acked:
-                break
-            record = self.sent[pn]
-            if record.acked or record.lost:
+        sent = self.sent
+        floor = None
+        for pn in range(self._loss_floor, largest):
+            record = sent.get(pn)
+            if record is None or record.acked or record.lost:
                 continue
-            reordered_out = self._largest_acked - pn >= self.reorder_threshold
+            reordered_out = largest - pn >= self.reorder_threshold
             too_old = now - record.time_sent >= time_threshold
             if reordered_out or too_old:
                 self._declare_lost(record, now, congestion=self.cc_from_acks,
                                    trigger="reorder" if reordered_out
                                    else "time")
+            elif floor is None:
+                floor = pn
+        # Whatever was walked and is not still waiting is settled for
+        # good (the largest acked number itself included).
+        self._loss_floor = floor if floor is not None else largest + 1
 
     def _declare_lost(self, record: SentPacketRecord, now: float,
                       congestion: bool, trigger: str = "reorder") -> None:
@@ -566,8 +578,11 @@ class SenderConnection:
                             backoff=self._pto_backoff)
             obs.count("transport_pto_fired_total", flow=self.flow_id)
         # Probe: retransmit the earliest outstanding un-acked range.
+        sent = self.sent
         outstanding = sorted(
-            (r for r in self.sent.values() if not r.acked and not r.lost),
+            (record for record in map(
+                sent.get, range(self._loss_floor, self._next_packet_number))
+             if record is not None and not record.acked and not record.lost),
             key=lambda r: r.offset,
         )
         for record in outstanding[:2]:

@@ -15,10 +15,13 @@ from typing import Iterable, Iterator
 class RangeSet:
     """A set of ints as sorted disjoint inclusive ranges."""
 
-    __slots__ = ("_ranges",)
+    __slots__ = ("_ranges", "_count")
 
     def __init__(self, ranges: Iterable[tuple[int, int]] = ()) -> None:
         self._ranges: list[tuple[int, int]] = []
+        #: Integers covered, maintained by every mutation so that
+        #: ``len()`` is O(1) (both endpoints ask per packet).
+        self._count = 0
         for lo, hi in ranges:
             self.add_range(lo, hi)
 
@@ -32,6 +35,17 @@ class RangeSet:
         if lo > hi:
             raise ValueError(f"inverted range [{lo}, {hi}]")
         ranges = self._ranges
+        if ranges:
+            last_lo, last_hi = ranges[-1]
+            if lo >= last_lo:
+                # In-order arrival: only the top range can be involved.
+                if lo > last_hi + 1:
+                    ranges.append((lo, hi))
+                    self._count += hi - lo + 1
+                elif hi > last_hi:
+                    ranges[-1] = (last_lo, hi)
+                    self._count += hi - last_hi
+                return
         # Find the window of existing ranges that touch [lo-1, hi+1].
         i = bisect.bisect_left(ranges, (lo,)) - 1
         if i >= 0 and ranges[i][1] >= lo - 1:
@@ -40,11 +54,80 @@ class RangeSet:
             start = i + 1
         j = start
         new_lo, new_hi = lo, hi
+        absorbed = 0
         while j < len(ranges) and ranges[j][0] <= hi + 1:
-            new_lo = min(new_lo, ranges[j][0])
-            new_hi = max(new_hi, ranges[j][1])
+            old_lo, old_hi = ranges[j]
+            if old_lo < new_lo:
+                new_lo = old_lo
+            if old_hi > new_hi:
+                new_hi = old_hi
+            absorbed += old_hi - old_lo + 1
             j += 1
         ranges[start:j] = [(new_lo, new_hi)]
+        self._count += new_hi - new_lo + 1 - absorbed
+
+    def add_new(self, ranges: Iterable[tuple[int, int]],
+                below: int | None = None) -> list[tuple[int, int]]:
+        """Insert every range; return the pieces that were not yet present.
+
+        The pieces come in the order the ranges were given and ascending
+        inside one range, so a caller that visits them visits exactly the
+        integers a range-by-range walk would find new, in the same order.
+        Values ``>= below`` are ignored.  An inverted range is empty.
+
+        One pass when the ranges come highest first (an ACK frame): a
+        cursor walks the stored ranges downwards beside them, a range the
+        set already covers costs a comparison, and only a range that adds
+        something splices the list.
+        """
+        mine = self._ranges
+        fresh: list[tuple[int, int]] = []
+        # ``mine[j]`` is the highest stored range starting at or below the
+        # current ``hi`` (``j == -1``: none does).
+        j = len(mine) - 1
+        for lo, hi in ranges:
+            if below is not None and hi >= below:
+                hi = below - 1
+            if lo > hi:
+                continue
+            if j + 1 < len(mine) and mine[j + 1][0] <= hi:
+                j = len(mine) - 1  # not descending: start from the top again
+            while j >= 0 and mine[j][0] > hi:
+                j -= 1
+            if j >= 0 and mine[j][0] <= lo and mine[j][1] >= hi:
+                continue
+            # Walk down across the stored ranges that overlap [lo, hi],
+            # collecting the gaps between them from the top.
+            pieces: list[tuple[int, int]] = []
+            top = hi
+            new_hi = hi
+            end = j + 1
+            if j >= 0 and mine[j][1] > hi:
+                new_hi = mine[j][1]
+            elif end < len(mine) and mine[end][0] == hi + 1:
+                new_hi = mine[end][1]  # touches the range above
+                end += 1
+            k = j
+            while k >= 0 and mine[k][1] >= lo:
+                stored_lo, stored_hi = mine[k]
+                if stored_hi < top:
+                    pieces.append((stored_hi + 1, top))
+                top = stored_lo - 1
+                k -= 1
+            new_lo = lo
+            if top >= lo:
+                pieces.append((lo, top))
+                if k >= 0 and mine[k][1] == lo - 1:
+                    new_lo = mine[k][0]  # touches the range below
+                    k -= 1
+            else:
+                new_lo = top + 1
+            mine[k + 1:end] = [(new_lo, new_hi)]
+            j = k + 1
+            for piece_lo, piece_hi in reversed(pieces):
+                self._count += piece_hi - piece_lo + 1
+                fresh.append((piece_lo, piece_hi))
+        return fresh
 
     # -- queries -----------------------------------------------------------
 
@@ -54,7 +137,7 @@ class RangeSet:
 
     def __len__(self) -> int:
         """Total count of integers covered."""
-        return sum(hi - lo + 1 for lo, hi in self._ranges)
+        return self._count
 
     def __bool__(self) -> bool:
         return bool(self._ranges)

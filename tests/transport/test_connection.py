@@ -238,14 +238,6 @@ class TestSidecarHooks:
         assert sender.stats.acks_received > 0
         assert sender.cc.cwnd == initial_cwnd
 
-    def test_identifier_collision_lookup(self):
-        sim, sender, receiver, _ = make_pair(total_bytes=1460 * 3)
-        sender.start()
-        sim.run(until=10)
-        record = sender.sent[0]
-        assert sender.packet_number_of_identifier(record.identifier) == [0]
-        assert sender.packet_number_of_identifier(0xFFFFFFFF + 1) == []
-
 
 class TestThroughHopPath:
     def test_two_hop_transfer(self):

@@ -81,6 +81,101 @@ class TestAddAndMerge:
             assert (v in rs) == (v in model)
 
 
+def assert_well_formed(rs, model):
+    flat = list(rs.ranges)
+    assert {v for lo, hi in flat for v in range(lo, hi + 1)} == model
+    for (_lo1, hi1), (lo2, _hi2) in zip(flat, flat[1:]):
+        assert hi1 + 2 <= lo2
+    # The maintained count is the sum it replaced.
+    assert len(rs) == sum(hi - lo + 1 for lo, hi in flat) == len(model)
+
+
+class TestAddNew:
+    """``add_new``: insert ranges, get back exactly what they added."""
+
+    def test_pieces_between_stored_ranges(self):
+        rs = RangeSet([(2, 3), (6, 7), (10, 12)])
+        assert rs.add_new([(0, 11)]) == [(0, 1), (4, 5), (8, 9)]
+        assert rs.ranges == ((0, 12),)
+        assert len(rs) == 13
+
+    def test_covered_range_adds_nothing(self):
+        rs = RangeSet([(0, 9), (20, 29)])
+        assert rs.add_new([(22, 25), (3, 9), (0, 0)]) == []
+        assert rs.ranges == ((0, 9), (20, 29))
+
+    def test_frame_order_is_kept_and_pieces_ascend(self):
+        rs = RangeSet([(5, 5)])
+        assert rs.add_new([(20, 22), (3, 8), (0, 1)]) == \
+            [(20, 22), (3, 4), (6, 8), (0, 1)]
+
+    def test_neighbours_merge(self):
+        rs = RangeSet([(0, 4), (10, 14)])
+        assert rs.add_new([(5, 9)]) == [(5, 9)]
+        assert rs.ranges == ((0, 14),)
+
+    def test_unordered_and_overlapping_ranges(self):
+        rs = RangeSet()
+        assert rs.add_new([(3, 5), (10, 12), (4, 11), (0, 20)]) == \
+            [(3, 5), (10, 12), (6, 9), (0, 2), (13, 20)]
+        assert rs.ranges == ((0, 20),)
+
+    def test_values_at_or_above_the_limit_are_ignored(self):
+        rs = RangeSet()
+        assert rs.add_new([(8, 12), (3, 4)], below=10) == [(8, 9), (3, 4)]
+        assert rs.add_new([(10, 15)], below=10) == []
+        assert rs.ranges == ((3, 4), (8, 9))
+
+    def test_inverted_range_is_empty(self):
+        rs = RangeSet([(1, 2)])
+        assert rs.add_new([(9, 4)]) == []
+        assert rs.ranges == ((1, 2),)
+
+    @given(frames=st.lists(
+        st.tuples(st.lists(st.tuples(st.integers(0, 120), st.integers(0, 12)),
+                           min_size=0, max_size=10),
+                  st.booleans(), st.one_of(st.none(), st.integers(0, 130))),
+        min_size=1, max_size=12), seed_ops=range_ops)
+    @settings(max_examples=300)
+    def test_model_based(self, frames, seed_ops):
+        """Against a ``set[int]``: the pieces are what a value-by-value
+        walk in the given order finds new, and the set ends up right."""
+        rs = RangeSet()
+        model = set()
+        for lo, width in seed_ops:
+            rs.add_range(lo, lo + width)
+            model.update(range(lo, lo + width + 1))
+        for spans, newest_first, below in frames:
+            ranges = [(lo, lo + width) for lo, width in spans]
+            if newest_first:  # the shape of an ACK frame
+                ranges.sort(reverse=True)
+            expected = []
+            for lo, hi in ranges:
+                for value in range(lo, hi + 1):
+                    if value not in model and (below is None or value < below):
+                        model.add(value)
+                        expected.append(value)
+            pieces = rs.add_new(ranges, below)
+            assert [v for lo, hi in pieces
+                    for v in range(lo, hi + 1)] == expected
+            assert all(lo <= hi for lo, hi in pieces)
+            assert_well_formed(rs, model)
+
+    @given(ops=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 10),
+                                  st.booleans()), max_size=40))
+    @settings(max_examples=150)
+    def test_count_is_maintained_across_both_mutations(self, ops):
+        rs = RangeSet()
+        model = set()
+        for lo, width, through_add_new in ops:
+            if through_add_new:
+                rs.add_new([(lo, lo + width)])
+            else:
+                rs.add_range(lo, lo + width)
+            model.update(range(lo, lo + width + 1))
+            assert_well_formed(rs, model)
+
+
 class TestQueries:
     def test_min_max(self):
         rs = RangeSet([(5, 9), (20, 22)])
