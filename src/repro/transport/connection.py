@@ -185,6 +185,10 @@ class SenderConnection:
         #: Every record numbered below this is acked or declared lost;
         #: loss detection and the PTO probe start here.  Only ever rises.
         self._loss_floor = 0
+        #: Sent records neither acked nor declared lost (RFC 9002's
+        #: ack-eliciting packets outstanding): the PTO stays armed while
+        #: there are any, whether or not a quACK released their bytes.
+        self._outstanding = 0
         self._ce_echoed = 0  # largest cumulative CE count seen in ACKs
         self._send_listeners: list[Callable[[SentPacketRecord], None]] = []
         self._started = False
@@ -403,6 +407,7 @@ class SenderConnection:
             is_retransmission=is_retransmission,
         )
         self.sent[pn] = record
+        self._outstanding += 1
         if length > 0:
             self.assigned_offsets.add_range(offset, offset + length - 1)
         self.bytes_in_flight += size
@@ -462,6 +467,8 @@ class SenderConnection:
                 if record is None:
                     continue  # the number of an ACK_FREQUENCY packet
                 record.acked = True
+                if not record.lost:
+                    self._outstanding -= 1
                 newly_acked.append(record)
                 if pn > largest:
                     largest = pn
@@ -535,6 +542,7 @@ class SenderConnection:
     def _declare_lost(self, record: SentPacketRecord, now: float,
                       congestion: bool, trigger: str = "reorder") -> None:
         record.lost = True
+        self._outstanding -= 1
         self.stats.losses_detected += 1
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.loss", now, flow=self.flow_id,
@@ -561,7 +569,10 @@ class SenderConnection:
     # -- PTO ---------------------------------------------------------------------
 
     def _arm_pto(self) -> None:
-        if self.complete or self.bytes_in_flight == 0:
+        # Not ``bytes_in_flight == 0``: a quACK retires packets that are
+        # still un-acked end to end, and if what repairs them is then lost
+        # past the proxy only this timer is left to notice.
+        if self.complete or not self._outstanding:
             self._pto_timer.cancel()
             return
         interval = self.rtt.pto_interval(self.max_ack_delay,

@@ -137,6 +137,25 @@ class TestInNetworkRetransmission:
         assert local.proxy_quacks > 0
 
 
+class TestProbeTimeoutOutlivesQuackRelease:
+    """CC division: the proxy's quACK releases the server's window while
+    the packets are still un-acked end to end.  On these seeds the
+    retransmission of one of them is then lost on the access hop; with the
+    probe timeout disarmed at ``bytes_in_flight == 0`` nothing ever fired
+    again and the transfer hung (seeds 2 and 42 at 1.5 MB, 40 at 300 kB)."""
+
+    @pytest.mark.parametrize("total_bytes", [300_000, 1_500_000])
+    @pytest.mark.parametrize("seed", [2, 40, 42])
+    def test_transfer_completes(self, seed, total_bytes):
+        result = run_cc_division(sidecar=True, seed=seed,
+                                 total_bytes=total_bytes)
+        assert result.completed
+
+    def test_lossy_ack_reduction_completes(self):
+        # Same stall, other protocol: the one seed in 1..40 that hung.
+        assert run_ack_reduction(sidecar=True, seed=38).completed
+
+
 class TestCorruptQuackChannel:
     """A corrupt quACK costs one datagram of assistance, never the run.
 

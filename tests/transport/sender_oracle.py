@@ -6,8 +6,8 @@ acked (``acked_numbers``) and runs loss detection from a floor below
 which every record is settled (``_loss_floor``).  The code it replaced --
 walk every packet number of every ACK range from zero, sort and scan the
 whole sent log for losses and for the PTO probe -- lives on here,
-outside ``src/``, as :class:`ReferenceSender`: the three methods are the
-old ones verbatim, everything else is inherited, so whatever the two
+outside ``src/``, as :class:`ReferenceSender`: those three methods are
+the old ones verbatim, everything else is inherited, so whatever the two
 classes disagree on is a defect of the incremental bookkeeping.
 
 :func:`audit_sender` states what that bookkeeping must conserve.
@@ -20,7 +20,11 @@ from __future__ import annotations
 from repro import obs
 from repro.errors import TransportError
 from repro.netsim.packet import Packet
-from repro.transport.connection import SenderConnection, SentPacketRecord
+from repro.transport.connection import (
+    MAX_PTO_BACKOFF,
+    SenderConnection,
+    SentPacketRecord,
+)
 from repro.transport.frames import AckFrame
 from repro.transport.ranges import RangeSet
 
@@ -121,6 +125,19 @@ class ReferenceSender(SenderConnection):
         self._maybe_send()
         self._arm_pto()
 
+    def _arm_pto(self) -> None:
+        # Not one of the old methods: the arming rule itself changed (armed
+        # while anything sent is neither acked nor lost, where it used to
+        # be ``bytes_in_flight > 0``).  Here by scan, since the methods
+        # above keep no count of what is outstanding.
+        if self.complete or all(r.acked or r.lost
+                                for r in self.sent.values()):
+            self._pto_timer.cancel()
+            return
+        interval = self.rtt.pto_interval(self.max_ack_delay,
+                                         min(self._pto_backoff, MAX_PTO_BACKOFF))
+        self._pto_timer.rearm(interval)
+
 
 def _audit_rangeset(name: str, ranges: RangeSet) -> None:
     stored = ranges.ranges
@@ -157,6 +174,12 @@ def audit_sender(sender: SenderConnection) -> None:
             f"{flow}: bytes [{lo},{hi}] acked but never sent"
     acked = [r.packet_number for r in records if r.acked]
     assert sender._largest_acked == (max(acked) if acked else None)
+    outstanding = sum(1 for r in records if not r.acked and not r.lost)
+    if outstanding and not sender.complete:
+        fires_at = sender._pto_timer.next_fire_time
+        assert fires_at is not None and fires_at >= sender.sim.now, \
+            f"{flow}: {outstanding} packets neither acked nor lost and " \
+            f"no probe timeout armed"
     if sender.complete and sender.chunk_source is None:
         assert sender.acked_offsets.covers_contiguously(
             0, sender.total_bytes - 1)
@@ -174,6 +197,7 @@ def audit_sender(sender: SenderConnection) -> None:
     unrecorded = sum(1 for lo, hi in numbers for pn in range(lo, hi + 1)
                      if pn not in sender.sent)
     assert len(numbers) == len(acked) + unrecorded
+    assert sender._outstanding == outstanding
     assert 0 <= sender._loss_floor <= sender._next_packet_number
     waiting = [r.packet_number for r in records
                if not r.acked and not r.lost

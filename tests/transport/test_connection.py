@@ -228,6 +228,24 @@ class TestSidecarHooks:
         assert sender.stats.sidecar_losses == 1
         assert sender.stats.retransmitted_packets >= 1
 
+    def test_pto_stays_armed_after_a_quack_released_the_window(self):
+        """A quACK retires packets that are still un-acked end to end.
+        If they never arrive (lost past the proxy), the probe timeout is
+        what is left to repair them: it must not be disarmed just because
+        nothing counts as in flight any more."""
+        sim, sender, receiver, _ = make_pair(
+            total_bytes=1460 * 4,
+            hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
+                          loss_up=DeterministicLoss({0, 1, 2, 3}))],
+            sender_kwargs={"cc": FixedWindow(4, 1500)})
+        sender.start()
+        sim.run(until=0.001)
+        sender.sidecar_receipt([0, 1, 2, 3])
+        assert sender.bytes_in_flight == 0
+        sim.run(until=10)
+        assert sender.stats.pto_fired >= 1
+        assert receiver.complete and sender.complete
+
     def test_cc_from_acks_false_freezes_window_growth(self):
         sim, sender, receiver, _ = make_pair(
             total_bytes=500_000, sender_kwargs={"cc_from_acks": False})
