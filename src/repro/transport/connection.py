@@ -457,9 +457,9 @@ class SenderConnection:
         largest = -1
         # Only what this frame adds to the acked numbers is visited, in
         # the order a walk over every range would meet it (frame order,
-        # ascending inside a range): ``cc.on_ack`` below is a floating
-        # point fold and depends on it.  A number not sent yet is never
-        # recorded, so acking it early changes nothing.
+        # ascending inside a range): ``cc.on_ack`` below is an
+        # order-sensitive fold.  A number not sent yet is never recorded,
+        # so acking it early changes nothing.
         for lo, hi in self.acked_numbers.add_new(frame.ranges,
                                                  self._next_packet_number):
             for pn in range(lo, hi + 1):
@@ -589,11 +589,11 @@ class SenderConnection:
                             backoff=self._pto_backoff)
             obs.count("transport_pto_fired_total", flow=self.flow_id)
         # Probe: retransmit the earliest outstanding un-acked range.
-        sent = self.sent
+        unsettled = map(self.sent.get,
+                        range(self._loss_floor, self._next_packet_number))
         outstanding = sorted(
-            (record for record in map(
-                sent.get, range(self._loss_floor, self._next_packet_number))
-             if record is not None and not record.acked and not record.lost),
+            (r for r in unsettled
+             if r is not None and not r.acked and not r.lost),
             key=lambda r: r.offset,
         )
         for record in outstanding[:2]:

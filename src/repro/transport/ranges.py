@@ -114,14 +114,14 @@ class RangeSet:
                     pieces.append((stored_hi + 1, top))
                 top = stored_lo - 1
                 k -= 1
-            new_lo = lo
-            if top >= lo:
+            if top < lo:
+                new_lo = top + 1  # the lowest overlapped range starts it
+            else:
                 pieces.append((lo, top))
+                new_lo = lo
                 if k >= 0 and mine[k][1] == lo - 1:
                     new_lo = mine[k][0]  # touches the range below
                     k -= 1
-            else:
-                new_lo = top + 1
             mine[k + 1:end] = [(new_lo, new_hi)]
             j = k + 1
             for piece_lo, piece_hi in reversed(pieces):

@@ -20,11 +20,7 @@ from __future__ import annotations
 from repro import obs
 from repro.errors import TransportError
 from repro.netsim.packet import Packet
-from repro.transport.connection import (
-    MAX_PTO_BACKOFF,
-    SenderConnection,
-    SentPacketRecord,
-)
+from repro.transport.connection import SenderConnection, SentPacketRecord
 from repro.transport.frames import AckFrame
 from repro.transport.ranges import RangeSet
 
@@ -128,15 +124,11 @@ class ReferenceSender(SenderConnection):
     def _arm_pto(self) -> None:
         # Not one of the old methods: the arming rule itself changed (armed
         # while anything sent is neither acked nor lost, where it used to
-        # be ``bytes_in_flight > 0``).  Here by scan, since the methods
-        # above keep no count of what is outstanding.
-        if self.complete or all(r.acked or r.lost
-                                for r in self.sent.values()):
-            self._pto_timer.cancel()
-            return
-        interval = self.rtt.pto_interval(self.max_ack_delay,
-                                         min(self._pto_backoff, MAX_PTO_BACKOFF))
-        self._pto_timer.rearm(interval)
+        # be ``bytes_in_flight > 0``).  The methods above keep no count of
+        # what is outstanding, so it is taken by scan before every use.
+        self._outstanding = sum(1 for r in self.sent.values()
+                                if not r.acked and not r.lost)
+        super()._arm_pto()
 
 
 def _audit_rangeset(name: str, ranges: RangeSet) -> None:
