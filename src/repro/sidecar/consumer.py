@@ -19,7 +19,16 @@ and implements the Section 3.3 practical refinements:
   also treated as in transit rather than missing.  The truncated
   suffix's power sums are kept between quACKs (``_tail``), so a quACK
   pays for the packets sent and confirmed since the last one, not for
-  everything in flight.
+  everything in flight.  With ``m > t`` the cheap question comes first:
+  if ``mine`` without the newest ``m`` entries equals ``theirs`` (count
+  and all ``t`` sums), everything older arrived and nothing is decoded.
+  That changes no answer.  The check passes iff the delta truncated by
+  ``m - t`` is the power sums of the newest ``t`` kept entries; ``t``
+  sums fix a degree-``t`` polynomial, so the decoder can only return
+  those ``t`` entries, which are then the continuous missing suffix and
+  in transit too.  Only two identifiers sharing a residue (one ``>= p``)
+  could make it say *indeterminate* instead, so the check stands aside
+  while the log holds one.
 * **Dropped quACKs** cost nothing: all state is cumulative.
 
 Identifier collisions yield *indeterminate* entries (no strikes, reported
@@ -80,6 +89,8 @@ class ConsumerStats:
     declared_lost: int = 0
     confirmed_received: int = 0
     gap_reconciled: int = 0
+    #: quACKs with ``m > t`` answered by the check, without a decode.
+    settled_in_order: int = 0
 
 
 class QuackConsumer:
@@ -104,10 +115,12 @@ class QuackConsumer:
         self._reconcile_pending = False
         # Power sums of the in-transit suffix truncated at the last
         # quACK.  Invariant: _tail == sum of powers over
-        # log[_tail_lo:_tail_hi]; None when something other than a
-        # truncating decode rewrote the log since.
+        # log[_tail_lo:_tail_hi]; None once a decode that truncated
+        # nothing, or a reset, has rewritten the log since.
         self._tail: PowerSumQuack | None = None
         self._tail_lo = self._tail_hi = 0
+        # Log entries whose identifier is not its own residue (>= p).
+        self._aliased = 0
 
     @property
     def threshold(self) -> int:
@@ -120,6 +133,7 @@ class QuackConsumer:
         if started:
             PROFILER.end("quack.power_sum_update", started)
         self.log.append(LogEntry(identifier, meta, now))
+        self._aliased += identifier >= self.mine.field.modulus
         self.stats.sent_logged += 1
 
     @property
@@ -182,6 +196,11 @@ class QuackConsumer:
         truncated_mine = self.mine
         in_transit = 0
         if m_total > self.threshold:
+            if (self.trailing_in_transit and not self._reconcile_pending
+                    and not self._aliased):
+                feedback = self._settle_in_order(theirs, m_total, now)
+                if feedback is not None:
+                    return feedback
             # Section 3.3, "In-flight packets": treat the newest
             # (m - t) unresolved packets as in transit and decode the rest.
             drop = min(m_total - self.threshold, len(self.log))
@@ -234,6 +253,7 @@ class QuackConsumer:
             feedback.in_transit += len(kept) - tail_start
 
         survivors: list[LogEntry] = []
+        p = self.mine.field.modulus
         for index, entry in enumerate(kept):
             if entry.identifier in ambiguous_ids:
                 feedback.indeterminate.append(entry.meta)
@@ -246,6 +266,7 @@ class QuackConsumer:
                     if entry.strikes >= self.grace:
                         feedback.lost.append(entry.meta)
                         self.mine.remove(entry.identifier)
+                        self._aliased -= entry.identifier >= p
                         self.stats.declared_lost += 1
                     else:
                         feedback.suspected.append(entry.meta)
@@ -253,6 +274,7 @@ class QuackConsumer:
             else:
                 feedback.received.append(entry.meta)
                 self._recent_confirmed.append(entry.identifier)
+                self._aliased -= entry.identifier >= p
                 self.stats.confirmed_received += 1
         # The truncated suffix stays in the log untouched, and so do its
         # power sums: re-base them on the rebuilt log.
@@ -266,6 +288,30 @@ class QuackConsumer:
         self._trace_decode(now, DecodeStatus.OK, result.num_missing,
                            declared_lost=len(feedback.lost),
                            in_transit=feedback.in_transit)
+        return feedback
+
+    def _settle_in_order(self, theirs: PowerSumQuack, m_total: int,
+                         now: float) -> QuackFeedback | None:
+        """Confirm everything but the newest ``m_total`` entries, if that
+        is all ``theirs`` lacks; None (and no change) when it is not."""
+        cut = len(self.log) - m_total
+        delta = self._truncated_mine(cut) - theirs
+        if delta.count or any(delta.power_sums):
+            return None
+        confirmed = self.log[:cut]
+        del self.log[:cut]
+        self._tail_lo, self._tail_hi = 0, m_total
+        self._recent_confirmed.extend([e.identifier for e in confirmed])
+        self.stats.confirmed_received += cut
+        self.stats.settled_in_order += 1
+        feedback = QuackFeedback(status=DecodeStatus.OK,
+                                 received=[e.meta for e in confirmed],
+                                 in_transit=m_total,
+                                 num_missing=self.threshold)
+        self._trace_decode(now, DecodeStatus.OK, self.threshold,
+                           in_transit=m_total)
+        if obs.TRACER.enabled:
+            obs.count("quack_settled_in_order_total")
         return feedback
 
     def _truncated_mine(self, cut: int) -> PowerSumQuack:
@@ -323,19 +369,12 @@ class QuackConsumer:
         rest of the session (the reordering hazard of Section 3.3).
         """
         cutoff = now - age
-        expired: list[Any] = []
-        survivors: list[LogEntry] = []
-        for entry in self.log:
-            if entry.sent_at < cutoff:
-                expired.append(entry.meta)
-                self.mine.remove(entry.identifier)
-                self.stats.declared_lost += 1
-            else:
-                survivors.append(entry)
-        if expired:
-            self._tail = None
-        self.log = survivors
-        return expired
+        count = 0
+        for entry in self.log:  # in send order: the expired are a prefix
+            if entry.sent_at >= cutoff:
+                break
+            count += 1
+        return self._write_off_oldest(count)
 
     def evict_oldest(self) -> Any | None:
         """Write off the single oldest unresolved entry (buffer bound).
@@ -344,13 +383,26 @@ class QuackConsumer:
         :meth:`expire_older_than`; returns the evicted meta, or None when
         the log is empty.
         """
-        if not self.log:
-            return None
-        entry = self.log.pop(0)
-        self._tail = None
-        self.mine.remove(entry.identifier)
-        self.stats.declared_lost += 1
-        return entry.meta
+        return self._write_off_oldest(1)[0] if self.log else None
+
+    def _write_off_oldest(self, count: int) -> list[Any]:
+        """Drop ``log[:count]`` from the log and from every sum over it;
+        the tail keeps its place among the entries that stay."""
+        if not count:
+            return []
+        gone = self.log[:count]
+        del self.log[:count]
+        p = self.mine.field.modulus
+        for entry in gone:
+            self.mine.remove(entry.identifier)
+            self._aliased -= entry.identifier >= p
+        if self._tail is not None:
+            for entry in gone[self._tail_lo:self._tail_hi]:
+                self._tail.remove(entry.identifier)
+        self._tail_lo = max(self._tail_lo - count, 0)
+        self._tail_hi = max(self._tail_hi - count, 0)
+        self.stats.declared_lost += count
+        return [entry.meta for entry in gone]
 
     def arm_reconciliation(self) -> None:
         """Expect a checkpoint gap in the next successful decode.
@@ -371,5 +423,6 @@ class QuackConsumer:
                                   self.mine.count_bits)
         self.log.clear()
         self._tail = None
+        self._aliased = 0
         self._recent_confirmed.clear()
         self._reconcile_pending = False

@@ -1,46 +1,44 @@
-"""The in-transit tail against the truncation it replaced, and its cost.
+"""The sender-side quACK path against the one it replaced, and its cost.
 
 ``QuackConsumer`` keeps the power sums of the truncated log suffix
-between quACKs (``_tail``).  The loop it replaced -- copy the cumulative
-sums, un-fold every in-flight identifier -- lives on here as
-``ReferenceConsumer`` and is the oracle: seeded random schedules drive
-both and every observable must agree after every step.  The second half
-pins what the tail is for: insert/remove work per quACK that does not
-grow with the window.
+between quACKs (``_tail``) and, when a quACK reports more than ``t``
+packets outstanding, first checks whether they are simply the newest
+ones (``_settle_in_order``).  What both replaced -- copy the cumulative
+sums, un-fold every in-flight identifier, decode every time -- lives on
+in ``consumer_oracle.py`` as ``ReferenceConsumer`` and is the oracle:
+seeded random schedules drive both and every observable must agree
+after every step.  The second half pins what the bookkeeping is for:
+work per quACK that does not grow with the window, and no decode for a
+quACK that reports no loss.
 """
 
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro import obs
 from repro.quack.power_sum import PowerSumQuack
+from repro.sidecar import consumer as consumer_module
 from repro.sidecar.ack_reduction import run_ack_reduction
+from repro.sidecar.agents import DEFAULT_THRESHOLD
+from repro.sidecar.cc_division import run_cc_division
 from repro.sidecar.consumer import QuackConsumer
+from tests.sidecar.consumer_oracle import ReferenceConsumer
 
 P32 = 4_294_967_291
 DUPLICATE = 0xD0D0_CAFE          # one identifier sent over and over
 ALIASES = (7, P32 + 7)           # distinct identifiers, one residue
 
 
-class ReferenceConsumer(QuackConsumer):
-    """Section 3.3 truncation done literally, from ``mine``, per quACK."""
-
-    def _truncated_mine(self, cut):
-        truncated = self.mine.copy()
-        for entry in self.log[cut:]:
-            truncated.remove(entry.identifier)
-        return truncated
-
-
 class ProbedConsumer(QuackConsumer):
-    """The production consumer, noting which way each quACK moved the tail."""
+    """The production consumer, noting which way each quACK moved the tail
+    and what became of the in-order check."""
 
-    def __init__(self, *args, moves, **kwargs):
+    def __init__(self, *args, moves, seen, **kwargs):
         super().__init__(*args, **kwargs)
-        self.moves = moves
+        self.moves, self.seen = moves, seen
 
     def _truncated_mine(self, cut):
         self.moves["built" if self._tail is None
@@ -49,8 +47,15 @@ class ProbedConsumer(QuackConsumer):
                    else "stayed"] += 1
         return super()._truncated_mine(cut)
 
+    def _settle_in_order(self, theirs, m_total, now):
+        feedback = super()._settle_in_order(theirs, m_total, now)
+        self.seen["settled" if feedback else "fell through"] += 1
+        return feedback
+
 
 def assert_tail_invariant(consumer):
+    assert consumer._aliased == sum(entry.identifier >= P32
+                                    for entry in consumer.log)
     if consumer._tail is None:
         return
     lo, hi = consumer._tail_lo, consumer._tail_hi
@@ -66,7 +71,8 @@ def assert_tail_invariant(consumer):
 def assert_same_state(new, old):
     assert new.log == old.log
     assert new.mine == old.mine
-    assert new.stats == old.stats
+    # The oracle never settles a quACK without decoding it.
+    assert replace(new.stats, settled_in_order=0) == old.stats
     assert new._recent_confirmed == old._recent_confirmed
     assert new._reconcile_pending == old._reconcile_pending
     assert_tail_invariant(new)
@@ -76,7 +82,7 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
     """One seeded run of a lossy, reordering segment with a restartable
     observer; returns nothing, asserts after every step."""
     rng = random.Random(seed)
-    new = ProbedConsumer(threshold, moves=moves, **config)
+    new = ProbedConsumer(threshold, moves=moves, seen=seen, **config)
     old = ReferenceConsumer(threshold, **config)
     theirs = PowerSumQuack(threshold)
     flying: list[int] = []          # sent, neither delivered nor dropped
@@ -92,8 +98,17 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
     def quack(snapshot):
         nonlocal failures
         truncations = sum(moves.values())
+        checks = seen["settled"] + seen["fell through"]
+        asides = {"aside: reconciling": new._reconcile_pending,
+                  "aside: aliased": new._aliased > 0,
+                  "aside: no trailing rule": not new.trailing_in_transit}
         feedback = both("on_quack", snapshot, now)
         truncated = sum(moves.values()) > truncations
+        if seen["settled"] + seen["fell through"] > checks:
+            assert truncated and not any(asides.values())
+        elif truncated:
+            assert any(asides.values())
+            seen.update(reason for reason, held in asides.items() if held)
         seen[feedback.status.value] += 1
         seen["truncated"] += truncated and feedback.ok
         seen["failed after truncation"] += truncated and not feedback.ok
@@ -101,9 +116,16 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
         seen["indeterminate"] += bool(feedback.indeterminate)
         failures = 0 if feedback.ok else failures + 1
 
-    def write_off(metas):
+    def write_off(method, *args):
         # Given up on by the sender: keep the segment from delivering it
         # later, which would poison the session (Section 3.3).
+        tail = "no tail" if new._tail is None \
+            else "under the tail" if new._tail_lo == 0 < new._tail_hi \
+            else "before the tail"
+        metas = both(method, *args)
+        if method == "evict_oldest":
+            metas = [metas]
+        seen[f"{method} {tail}"] += bool(metas)
         for meta in metas:
             if sent[meta] in flying:
                 flying.remove(sent[meta])
@@ -119,13 +141,15 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
     operations = ("send", "deliver", "reorder", "lose", "quack", "stale",
                   "bogus", "mismatched", "evict", "expire", "reset", "resume")
     weights = (45, 20, 0.3, 4, 20, 2, 1, 0.5, 1, 1, 0.2, 1)
-    for _ in range(steps):
+    for step in range(steps):
         now += rng.random() * 0.01
         operation = rng.choices(operations, weights)[0]
         if operation == "send" and len(flying) < window:
+            # Aliases come in spells, so the log also gets to be free of
+            # them and to lose its last one each way an entry can leave.
             identifier = rng.choices(
                 (rng.getrandbits(32), DUPLICATE, rng.choice(ALIASES)),
-                (85, 10, 5))[0]
+                (85, 10, 5 * (step // 250 % 3 == 1)))[0]
             both("record_send", identifier, len(sent), now)
             flying.append(identifier)
             sent.append(identifier)
@@ -150,10 +174,9 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
         elif operation == "mismatched":
             quack(PowerSumQuack(threshold + 1))
         elif operation == "evict" and new.log:
-            write_off([both("evict_oldest")])
+            write_off("evict_oldest")
         elif operation == "expire":
-            write_off(both("expire_older_than", now,
-                           rng.choice((0.02, 0.1, 1.0))))
+            write_off("expire_older_than", now, rng.choice((0.02, 0.1, 1.0)))
         elif operation == "resume":
             # The observer restarts from an older checkpoint: what it saw
             # since is confirmed here and missing there (the gap).
@@ -177,11 +200,25 @@ def test_tail_agrees_with_copy_and_remove(config):
         run_schedule(seed, 1500, moves, seen, **config)
     assert seen["ok"] > 100 and seen["inconsistent"] > 0
     if config["window"] > config["threshold"]:
-        # The schedules reach what the tail has to survive.
+        # The schedules reach what the tail has to survive ...
         for move in ("built", "advanced", "retreated"):
             assert moves[move] > 0, (move, moves)
-        for event in ("truncated", "failed after truncation", "reconciled",
-                      "indeterminate"):
+        events = ["truncated", "failed after truncation", "reconciled",
+                  "indeterminate"]
+        # ... a prefix written off under it and ahead of it, both answers
+        # of the in-order check, and each reason it has for not being
+        # asked.  (Without the trailing rule every packet in flight is
+        # declared lost and the session resets too often to get far.)
+        if config.get("trailing_in_transit", True):
+            events += [f"{method} {tail}"
+                       for method in ("evict_oldest", "expire_older_than")
+                       for tail in ("under the tail", "before the tail")]
+            events += ["settled", "fell through", "aside: reconciling",
+                       "aside: aliased"]
+        else:
+            events += ["aside: no trailing rule"]
+            assert not seen["settled"] + seen["fell through"]
+        for event in events:
             assert seen[event] > 0, (event, seen)
 
 
@@ -202,10 +239,10 @@ def test_tail_work_is_attributed_to_the_power_sum_update_span():
     assert sum(stat.calls for stat in spans) == 1 and depth == 0
 
 
-# -- what the tail buys ------------------------------------------------------
+# -- what the bookkeeping buys --------------------------------------------------
 
 #: run_ack_reduction(sidecar=True, ack_every=32, loss_rate=0.0) before
-#: the tail existed; the change may not move any of it.
+#: the tail existed; no change since may move any of it.
 PINNED = {
     500_000: dict(completion_time=0.379753599999996, client_acks_sent=13,
                   proxy_quacks_sent=172, server_packets_sent=343,
@@ -213,37 +250,63 @@ PINNED = {
     1_500_000: dict(completion_time=0.7459520000000025, client_acks_sent=121,
                     proxy_quacks_sent=650, server_packets_sent=1299,
                     server_retransmissions=271, server_sidecar_failures=0),
+    4_500_000: dict(completion_time=1.6948256000000794, client_acks_sent=1866,
+                    proxy_quacks_sent=3382, server_packets_sent=7734,
+                    server_retransmissions=4651, server_sidecar_failures=0),
 }
 
 
-@pytest.mark.parametrize("total_bytes", sorted(PINNED))
-def test_power_sum_updates_per_quack_do_not_grow_with_the_window(
-        monkeypatch, total_bytes):
-    """Machine-independent gate: ``insert`` + ``remove`` calls made inside
-    ``on_quack``, per quACK.  Copy-and-remove made 214 of them at 1.5 MB
-    (one per packet in flight); the tail makes about 4 at any size."""
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of what every ``on_quack`` in the process does: power-sum
+    ``updates`` (insert + remove) made inside it, ``decodes`` it asks
+    for, and how many quACKs were ``truncating`` (reported more than
+    ``t`` outstanding) or ``bad news`` (a loss, a suspicion or a decode
+    failure)."""
     work = Counter()
     on_quack = QuackConsumer.on_quack
 
     def counted_on_quack(self, theirs, now):
+        outstanding = (self.mine.count - theirs.count) \
+            & ((1 << self.mine.count_bits) - 1)
         work["quacks"] += 1
+        work["truncating"] += outstanding > self.threshold
         work["inside"] += 1
         try:
-            return on_quack(self, theirs, now)
+            feedback = on_quack(self, theirs, now)
         finally:
             work["inside"] -= 1
+        work["bad news"] += bool(feedback.lost or feedback.suspected
+                                 or not feedback.ok)
+        return feedback
 
-    def counting(update):
-        def counted(self, identifier):
-            work["updates"] += work["inside"]
-            return update(self, identifier)
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            work[key] += work["inside"]
+            return function(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(QuackConsumer, "on_quack", counted_on_quack)
     monkeypatch.setattr(PowerSumQuack, "insert",
-                        counting(PowerSumQuack.insert))
+                        counting("updates", PowerSumQuack.insert))
     monkeypatch.setattr(PowerSumQuack, "remove",
-                        counting(PowerSumQuack.remove))
+                        counting("updates", PowerSumQuack.remove))
+    monkeypatch.setattr(consumer_module, "decode_delta",
+                        counting("decodes", consumer_module.decode_delta))
+    return work
+
+
+@pytest.mark.parametrize("total_bytes", sorted(PINNED))
+def test_power_sum_updates_per_quack_do_not_grow_with_the_window(
+        work, total_bytes):
+    """Machine-independent gate.  Copy-and-remove made 214 power-sum
+    updates per quACK at 1.5 MB (one per packet in flight); the tail makes
+    about 4 at any size, and a quACK with bad news moves it by ``t`` for
+    the decode and back for the next check.  ``loss_rate=0`` keeps the
+    links from dropping, not the proxy's queue: the 4.5 MB window
+    overruns it (970 losses over 488 quACKs), the smaller ones never do,
+    and there only the quACKs reporting at most ``t`` outstanding are
+    decoded."""
     result = asdict(run_ack_reduction(sidecar=True, ack_every=32,
                                       loss_rate=0.0,
                                       total_bytes=total_bytes))
@@ -251,4 +314,22 @@ def test_power_sum_updates_per_quack_do_not_grow_with_the_window(
     assert {key: result[key] for key in PINNED[total_bytes]} \
         == PINNED[total_bytes]
     assert work["quacks"] > 100
-    assert work["updates"] / work["quacks"] <= 8
+    assert work["truncating"] > work["quacks"] / 2
+    assert (work["bad news"] == 0) == (total_bytes < 4_500_000)
+    assert work["updates"] \
+        <= 8 * work["quacks"] + 2 * DEFAULT_THRESHOLD * work["bad news"]
+    assert work["decodes"] \
+        <= work["bad news"] + work["quacks"] - work["truncating"]
+
+
+def test_only_bad_news_is_decoded_on_a_lossy_segment(work):
+    """Both consumers of a cc-division run (the server's and the pacing
+    proxy's) over a 2% lossy access hop: a quACK that reports more than
+    ``t`` outstanding reaches the decoder only if it has a loss or a
+    suspicion to report."""
+    result = run_cc_division(sidecar=True, loss_rate=0.02, seed=1)
+    assert result.completed
+    assert work["quacks"] > 300 and work["bad news"] > 20
+    assert 100 < work["truncating"] < work["quacks"]
+    assert work["decodes"] \
+        <= work["bad news"] + work["quacks"] - work["truncating"]
