@@ -8,10 +8,10 @@ stripped.  Cells here are latency-bound (``sleep_s``) rather than
 CPU-bound so the speedup is demonstrable on single-core CI boxes; the
 determinism half of the claim is the part that is hard to get right.
 
-The scheduler-throughput case mirrors the ``simcore`` bench area's
-burst workload (``repro bench record``): the calendar queue's batched
-same-bucket dispatch must beat the one-heappop-per-event loop on raw
-drain rate.
+The scheduler-throughput case drains a burst-loaded queue (many events
+pre-scheduled across a dense near horizon): the calendar queue's
+batched same-bucket dispatch must beat the one-heappop-per-event loop
+on raw drain rate.
 """
 
 import json
@@ -84,8 +84,7 @@ N_BURST_EVENTS = 100_000
 def _burst_drain_rate(scheduler: str) -> float:
     """Events dispatched per second draining a burst-loaded queue.
 
-    Same shape as the ``simcore`` area's scheduler-throughput metric:
-    events packed onto 500 distinct timestamps inside a 50 ms horizon
+    Events packed onto 500 distinct timestamps inside a 50 ms horizon
     (dense same-bucket batches), scheduling untimed, drain timed.
     """
     def build() -> Simulator:

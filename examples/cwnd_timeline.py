@@ -3,9 +3,11 @@
 
 Runs the same 1.5 MB transfer over a 20 Mbps / 40 ms path with 3% random
 loss under three controllers -- NewReno, CUBIC, and the model-based
-BbrLite -- sampling cwnd every 50 ms and rendering the timelines as text
-charts.  This is the per-segment behaviour the congestion-control
-division proxy gets to choose between (paper, Section 2.1).
+BbrLite -- with tracing on, and charts each cwnd timeline the trace
+analyzer derives from the ``transport.cwnd`` events (one point per
+window change, held onto a 50 ms grid so the x axis is time).  This is
+the per-segment behaviour the congestion-control division proxy gets to
+choose between (paper, Section 2.1).
 
 Run::
 
@@ -13,14 +15,17 @@ Run::
 """
 
 import random
+from bisect import bisect_right
 
+from repro import obs
 from repro.netsim import BernoulliLoss, Host, HopSpec, Simulator, build_path
+from repro.obs.analyze import analyze, ascii_chart
 from repro.transport import BbrLite, Cubic, NewReno
 from repro.transport.connection import ReceiverConnection, SenderConnection
-from repro.transport.instrument import ConnectionProbe, ascii_chart
 
 TOTAL = 1_500_000
 LOSS = 0.03
+STEP_S = 0.05
 
 
 def run(controller_factory, pacing):
@@ -32,10 +37,16 @@ def run(controller_factory, pacing):
     receiver = ReceiverConnection(sim, client, "server", TOTAL)
     sender = SenderConnection(sim, server, "client", TOTAL,
                               cc=controller_factory(), pacing=pacing)
-    probe = ConnectionProbe(sim, sender, interval_s=0.05)
-    sender.start()
-    sim.run(until=60)
-    return sender, receiver, probe
+    obs.reset()
+    sink = obs.enable(profile=False)
+    try:
+        sender.start()
+        sim.run(until=60)
+    finally:
+        obs.disable()
+    timeline = analyze(sink.events,
+                       dropped_events=sink.dropped).connections[sender.flow_id]
+    return sender, receiver, timeline
 
 
 def main() -> None:
@@ -43,11 +54,15 @@ def main() -> None:
     for name, factory, pacing in (("NewReno", NewReno, False),
                                   ("CUBIC", Cubic, False),
                                   ("BbrLite (paced)", BbrLite, True)):
-        sender, receiver, probe = run(factory, pacing)
-        _, cwnd = probe.cwnd_packets_series()
+        sender, receiver, timeline = run(factory, pacing)
+        times, cwnd = timeline.series("cwnd")
+        steps = int((times[-1] - times[0]) / STEP_S) + 1
+        held = [cwnd[bisect_right(times, times[0] + STEP_S * i) - 1]
+                for i in range(steps)]
         goodput = receiver.monitor.goodput_bps(receiver.completed_at)
         print(ascii_chart(
-            cwnd, width=72, height=8,
+            [value / sender.cc.datagram_bytes for value in held],
+            width=72, height=8,
             label=(f"{name}: cwnd (packets) -- finished in "
                    f"{receiver.completed_at:.2f}s at "
                    f"{goodput / 1e6:.1f} Mbps, "

@@ -18,15 +18,6 @@ from repro.bench.tables import (
     table2_report,
     table3_report,
 )
-from repro.bench.store import (
-    BenchSnapshot,
-    Metric,
-    compare_dirs,
-    compare_snapshots,
-    format_comparison,
-    load_snapshot,
-    record,
-)
 from repro.bench.timing import TimingResult, measure, measure_throughput
 from repro.bench.traces import (
     PacketTrace,
@@ -44,13 +35,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "Metric",
-    "BenchSnapshot",
-    "record",
-    "load_snapshot",
-    "compare_snapshots",
-    "compare_dirs",
-    "format_comparison",
     "measure",
     "measure_throughput",
     "TimingResult",

@@ -234,7 +234,7 @@ def scale_section(flows: int, seed: int = 1) -> str:
 
 
 def observability_section(total_bytes: int, seed: int = 1) -> str:
-    from repro.obs import format_component_tally
+    from repro.obs import PROFILER, format_component_tally
     from repro.obs.runner import run_traced
 
     result = run_traced("cc-division", seed=seed, total_bytes=total_bytes)
@@ -248,18 +248,17 @@ def observability_section(total_bytes: int, seed: int = 1) -> str:
         format_component_tally(result.components(), markdown=True),
         "",
     ]
-    spans = result.metrics.get("obs_span_seconds", {}).get("series", [])
+    spans = sorted(PROFILER.path_stats().items())
     if spans:
-        lines.append("Hot-path latency spans (wall clock):")
+        lines.append("Hot-path spans by call path (wall clock):")
         lines.append("")
-        lines.append("| span | calls | mean | p99 |")
+        lines.append("| call path | calls | mean | self total |")
         lines.append("|---|---|---|---|")
-        for entry in spans:
-            span = entry["labels"].get("span", "?")
-            snap = entry["value"]
+        for path, stat in spans:
             lines.append(
-                f"| {span} | {snap['count']} | {snap['mean'] * 1e6:,.1f} µs "
-                f"| {snap['p99'] * 1e6:,.1f} µs |")
+                f"| {';'.join(path)} | {stat.calls} "
+                f"| {stat.cum_seconds / stat.calls * 1e6:,.1f} µs "
+                f"| {stat.self_seconds * 1e3:,.2f} ms |")
         lines.append("")
     return "\n".join(lines)
 

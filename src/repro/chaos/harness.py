@@ -315,23 +315,33 @@ def unassisted_baseline(total_bytes: int, bandwidth_bps: float,
     defense must hold: assistance under attack may never complete later
     than never having had assistance at all.  Deterministic, so the
     result is memoized per transfer shape.
+
+    The baseline is the harness's yardstick, not part of the scenario
+    (it even reuses the scenario's ``flow0`` and link names), so it runs
+    with tracing and metrics suspended: a traced plan records the same
+    events whether or not the memo was warm.
     """
     key = (total_bytes, bandwidth_bps, delay_s, deadline_s)
     cached = _BASELINE_CACHE.get(key)
     if cached is not None:
         return cached
-    reset_packet_uids()
-    sim = Simulator()
-    server = Host(sim, "server")
-    proxy = Router(sim, "proxy")
-    client = Host(sim, "client")
-    build_path(sim, [server, proxy, client],
-               [HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s),
-                HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s)])
-    receiver = ReceiverConnection(sim, client, "server", total_bytes)
-    sender = SenderConnection(sim, server, "client", total_bytes)
-    sender.start()
-    _run_transfer_loop(sim, sender, receiver, deadline_s)
+    was_tracing = obs.TRACER.enabled
+    obs.TRACER.enabled = False
+    try:
+        reset_packet_uids()
+        sim = Simulator()
+        server = Host(sim, "server")
+        proxy = Router(sim, "proxy")
+        client = Host(sim, "client")
+        build_path(sim, [server, proxy, client],
+                   [HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s),
+                    HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s)])
+        receiver = ReceiverConnection(sim, client, "server", total_bytes)
+        sender = SenderConnection(sim, server, "client", total_bytes)
+        sender.start()
+        _run_transfer_loop(sim, sender, receiver, deadline_s)
+    finally:
+        obs.TRACER.enabled = was_tracing
     _BASELINE_CACHE[key] = sim.now
     return sim.now
 

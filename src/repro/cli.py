@@ -17,9 +17,6 @@ Subcommands:
 * ``analyze``       -- derive per-connection timelines, loss-recovery
   attribution, quACK decode health, and health-ladder dwell times from
   an exported JSONL trace;
-* ``bench``         -- record benchmark snapshots (``BENCH_<area>.json``)
-  or compare a snapshot directory against a baseline with a
-  threshold-based regression verdict (exit status 1 on regression);
 * ``sweep``         -- expand a scenario-matrix spec into seeded cells,
   shard them across worker processes, and write one aggregate artifact
   (exit status 1 if any cell exhausted its retries); ``--telemetry``
@@ -35,7 +32,7 @@ Subcommands:
   stack flamegraph (``--flame``) and a JSON profile snapshot
   (``--json``) plus the per-flow middlebox resource table;
 * ``diff``          -- differential analysis of two snapshot files
-  (bench / profile / telemetry / sweep aggregate), ranking series by
+  (profile / telemetry / sweep aggregate), ranking series by
   magnitude of relative change (exit status 1 when any series moved
   past the threshold).
 
@@ -50,9 +47,6 @@ Examples::
     python -m repro chaos all
     python -m repro trace cc-division --jsonl trace.jsonl --summary
     python -m repro analyze trace.jsonl
-    python -m repro bench record --quick --dir /tmp/bench
-    python -m repro bench compare --current /tmp/bench \\
-        --baseline benchmarks/baselines
     python -m repro sweep examples/sweeps/retx_loss_delay.json \\
         --workers 4 --output sweep.json
     python -m repro sweep examples/sweeps/retx_loss_delay.json \\
@@ -64,8 +58,7 @@ Examples::
     python -m repro vectors generate
     python -m repro vectors check
     python -m repro profile retransmission --flame out.folded --top 15
-    python -m repro diff benchmarks/baselines/BENCH_quack.json \\
-        /tmp/bench/BENCH_quack.json
+    python -m repro diff before.json after.json
 """
 
 from __future__ import annotations
@@ -462,52 +455,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-# -- bench ----------------------------------------------------------------------
-
-def cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.bench.store import record, snapshot_path
-    from repro.errors import BenchStoreError
-
-    areas = args.areas.split(",") if args.areas else None
-    try:
-        snapshots = record(args.dir, areas=areas, quick=args.quick,
-                           progress=lambda m: print(m, file=sys.stderr))
-    except BenchStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for area in sorted(snapshots):
-        print(f"wrote {snapshot_path(args.dir, area)} "
-              f"({len(snapshots[area].metrics)} metrics)")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench.store import compare_dirs, format_comparison
-    from repro.errors import BenchStoreError
-
-    try:
-        comparisons = compare_dirs(args.current, args.baseline,
-                                   threshold=args.threshold)
-    except BenchStoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_comparison(comparisons, threshold=args.threshold))
-    failed = [comparison.area for comparison in comparisons
-              if not comparison.ok]
-    if failed:
-        # Best-effort span attribution: which call paths moved in the
-        # regressed areas' PROFILE_<area>.json snapshots.
-        from repro.obs import perf
-
-        hints = perf.span_regression_hints(args.current, args.baseline,
-                                           failed)
-        if hints:
-            print()
-            print(hints)
-        return 1
-    return 0
-
-
 # -- sweep ----------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -538,16 +485,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    record = aggregate.to_dict()
     if args.output:
         aggregate.save(args.output)
         print(f"wrote {args.output}", file=sys.stderr)
-    if args.bench_dir:
-        from repro.bench.store import snapshot_from_sweep, write_snapshot
-
-        path = write_snapshot(snapshot_from_sweep(record), args.bench_dir)
-        print(f"wrote {path}", file=sys.stderr)
-    print(format_aggregate(record))
+    print(format_aggregate(aggregate.to_dict()))
     return 0 if aggregate.ok else 1
 
 
@@ -715,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="rank series movements between two snapshot files "
                      "(exit 1 past threshold)")
-    diff.add_argument("baseline", help="baseline snapshot JSON (bench / "
-                                       "profile / telemetry / sweep)")
+    diff.add_argument("baseline", help="baseline snapshot JSON (profile / "
+                                       "telemetry / sweep)")
     diff.add_argument("current", help="current snapshot JSON (same kind)")
     diff.add_argument("--threshold", type=float, default=2.0,
                       help="ratio past which a series counts as moved "
@@ -750,33 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "summary instead of the timeline report")
     analyze.set_defaults(func=cmd_analyze)
 
-    bench = sub.add_parser(
-        "bench", help="record/compare benchmark snapshots")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_record = bench_sub.add_parser(
-        "record", help="run collectors, write BENCH_<area>.json files")
-    bench_record.add_argument("--dir", default="benchmarks/baselines",
-                              help="output directory for snapshot files")
-    bench_record.add_argument("--areas", default="",
-                              help="comma-separated areas "
-                                   "(default: all: obs,protocols,quack)")
-    bench_record.add_argument("--quick", action="store_true",
-                              help="smaller instances / fewer trials (CI)")
-    bench_record.set_defaults(func=cmd_bench_record)
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff snapshots against a baseline (exit 1 on "
-                        "regression)")
-    bench_compare.add_argument("--current", required=True,
-                               help="directory of freshly recorded "
-                                    "snapshots")
-    bench_compare.add_argument("--baseline", default="benchmarks/baselines",
-                               help="directory of baseline snapshots")
-    bench_compare.add_argument("--threshold", type=float, default=2.0,
-                               help="regression ratio (must be > 1.0)")
-    bench_compare.set_defaults(func=cmd_bench_compare)
-
     sweep = sub.add_parser(
         "sweep", help="run a scenario matrix across worker processes")
     sweep.add_argument("spec", help="sweep spec JSON file (see "
@@ -790,9 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None, metavar="PATH",
                        help="write the aggregate artifact here (a partial "
                             "sweep's output can seed --resume)")
-    sweep.add_argument("--bench-dir", default=None, metavar="DIR",
-                       help="also flatten the aggregate into a "
-                            "BENCH_sweep_<name>.json snapshot in DIR")
     sweep.add_argument("--telemetry", action="store_true",
                        help="collect per-cell metrics in the workers and "
                             "merge them into the aggregate's sweep-wide "

@@ -101,15 +101,6 @@ class TransportError(SimulationError):
     """Protocol violation inside the paranoid transport implementation."""
 
 
-class BenchStoreError(ReproError, ValueError):
-    """A benchmark snapshot could not be written, read, or compared.
-
-    Raised for malformed ``BENCH_<area>.json`` files, snapshots written
-    by a newer schema than this reader supports, unknown bench areas,
-    and comparisons with nothing in common.
-    """
-
-
 class SweepError(ReproError, ValueError):
     """A scenario sweep (:mod:`repro.sweep`) could not be run.
 

@@ -42,8 +42,8 @@ class Simulator:
     mid-batch arrivals -- so the ratio of heap ops to dispatched events
     is the cost signature it beats a plain heap on), and
     ``events_cancelled_dropped`` cancelled events discarded
-    without running.  They feed the simulator-core bench area
-    (``BENCH_simcore.json``, ROADMAP item 5).
+    without running.  The repo benchmark reads them as
+    ``netsim.heap_ops_per_event``.
     """
 
     #: ``schedule(delay, callback, *args)`` runs ``callback(*args)`` after

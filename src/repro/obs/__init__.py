@@ -8,8 +8,8 @@ Three cooperating pieces, shared by every layer of the reproduction:
 * :mod:`repro.obs.trace` -- a structured log of typed events stamped
   with virtual time, held in a capped ring buffer and exportable as
   JSONL (the vocabulary lives in :mod:`repro.obs.schema`);
-* :mod:`repro.obs.profile` -- wall-clock spans over the quACK hot paths
-  feeding latency histograms.
+* :mod:`repro.obs.profile` -- wall-clock spans over the quACK hot paths,
+  aggregated per call path (kept out of the metrics registry).
 
 The module-level singletons (:data:`TRACER`, :data:`METRICS`,
 :data:`PROFILER`) are what the instrumentation points inside netsim,
@@ -55,7 +55,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     json_safe,
 )
-from repro.obs.profile import SPAN_METRIC, Profiler
+from repro.obs.profile import Profiler
 from repro.obs.trace import (
     RingSink,
     TraceEvent,
@@ -71,7 +71,7 @@ __all__ = [
     "DEFAULT_BUCKETS", "LATENCY_BUCKETS", "json_safe",
     "TraceEvent", "RingSink", "Tracer", "dump_jsonl", "export_jsonl",
     "component_tally", "format_component_tally",
-    "Profiler", "SPAN_METRIC", "FlightRecorder",
+    "Profiler", "FlightRecorder",
     "TRACER", "METRICS", "PROFILER", "FLIGHT",
     "enable", "enable_metrics", "disable", "reset",
     "count", "gauge", "observe",
@@ -84,7 +84,7 @@ TRACER = Tracer()
 #: touch it behind ``TRACER.enabled`` so disabled runs skip it entirely.
 METRICS = MetricsRegistry()
 
-#: The process-wide wall-clock profiler (records into :data:`METRICS`).
+#: The process-wide wall-clock profiler (off until :func:`enable`).
 PROFILER = Profiler()
 
 #: The process-wide flight recorder (disarmed until configured).
@@ -101,11 +101,11 @@ def enable(capacity: int = 65536, profile: bool = True,
     """
     sink = TRACER.configure(capacity)
     if profile:
-        PROFILER.configure(METRICS, allocations=allocations)
+        PROFILER.configure(allocations=allocations)
     return sink
 
 
-def enable_metrics(profile: bool = False) -> None:
+def enable_metrics() -> None:
     """Metrics-only mode: counters/histograms record, events are dropped.
 
     Flips ``TRACER.enabled`` without installing a sink, so every guarded
@@ -115,8 +115,6 @@ def enable_metrics(profile: bool = False) -> None:
     """
     TRACER.sink = None
     TRACER.enabled = True
-    if profile:
-        PROFILER.configure(METRICS)
 
 
 def disable() -> None:

@@ -198,8 +198,8 @@ def summarize_hist(hist: dict) -> dict:
 def summarize_snapshot(snapshot: dict) -> dict:
     """A merged snapshot with histograms collapsed to summaries.
 
-    This is the human/bench-store surface; the mergeable form stays the
-    artifact of record.
+    This is the human surface; the mergeable form stays the artifact of
+    record.
     """
     out: dict[str, list] = {}
     for name, family in snapshot.get("families", {}).items():
@@ -213,6 +213,33 @@ def summarize_snapshot(snapshot: dict) -> dict:
                                "value": entry["value"]})
         out[name] = series
     return out
+
+
+def flatten_telemetry(snapshot: dict) -> dict[str, float]:
+    """One scalar per series of a merged snapshot (``repro diff`` input).
+
+    Counters/gauges flatten to one sample per series; histogram series
+    flatten to their count plus exact-to-bucket p50/p99.  Keys look like
+    ``telemetry_quack_decodes_total{status=ok}`` so they stay unique per
+    label set.
+    """
+    flat: dict[str, float] = {}
+    for name, series in summarize_snapshot(snapshot).items():
+        for entry in series:
+            labels = entry.get("labels", {})
+            tag = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
+            base = f"telemetry_{name}" + (f"{{{tag}}}" if tag else "")
+            if "value" in entry:
+                stats = {"": entry["value"]}
+            else:
+                stats = {"_count": entry["count"], "_p50": entry["p50"],
+                         "_p99": entry["p99"]}
+            for suffix, value in stats.items():
+                if isinstance(value, bool) \
+                        or not isinstance(value, (int, float)):
+                    continue
+                flat[base + suffix] = float(value)
+    return flat
 
 
 def select_series(snapshot: dict, metric: str,

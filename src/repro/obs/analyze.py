@@ -103,7 +103,7 @@ def _as_records(events: Iterable["TraceEvent | dict"]) -> list[dict]:
 
 @dataclass(frozen=True)
 class TimelinePoint:
-    """One instant of a connection's state (from cwnd/sample events)."""
+    """One instant of a connection's state (from ``transport.cwnd``)."""
 
     time: float
     cwnd: float
@@ -403,7 +403,7 @@ def analyze(trace: "ParsedTrace | Iterable[TraceEvent | dict]",
                         layer="transport"))
                 else:
                     attribution.unattributed += 1
-        elif etype in ("transport.cwnd", "transport.sample"):
+        elif etype == "transport.cwnd":
             timeline = conn(record.get("flow", "?"))
             timeline._touch(time)
             srtt = record.get("srtt")
@@ -578,11 +578,44 @@ def _select_flows(analysis: TraceAnalysis,
             if name in analysis.connections]
 
 
+def ascii_chart(values: Sequence[float], width: int = 72, height: int = 12,
+                label: str = "") -> str:
+    """Render a series as a block-character chart.
+
+    Values are bucketed to ``width`` columns (bucket mean) and scaled to
+    ``height`` rows.  Returns a multi-line string; empty input yields a
+    placeholder.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("chart dimensions must be positive")
+    series = [float(v) for v in values]
+    if not series:
+        return f"{label} (no data)"
+    # Bucket into `width` columns.
+    columns: list[float] = []
+    for i in range(min(width, len(series))):
+        lo = i * len(series) // min(width, len(series))
+        hi = max(lo + 1, (i + 1) * len(series) // min(width, len(series)))
+        bucket = series[lo:hi]
+        columns.append(sum(bucket) / len(bucket))
+    top = max(columns)
+    bottom = min(columns)
+    span = top - bottom or 1.0
+    rows: list[str] = []
+    for row in range(height, 0, -1):
+        # The bottom row's cutoff equals the minimum, so every column
+        # paints at least one cell (flat series render as a floor line).
+        cutoff = bottom + span * (row - 1) / height
+        line = "".join("#" if value >= cutoff else " " for value in columns)
+        rows.append(line)
+    header = f"{label}  [min {bottom:.3g}, max {top:.3g}]" if label else \
+        f"[min {bottom:.3g}, max {top:.3g}]"
+    return "\n".join([header] + rows)
+
+
 def render_text(analysis: TraceAnalysis, width: int = 72,
                 flows: Sequence[str] | None = None) -> str:
     """The terminal report: summaries plus block-character charts."""
-    from repro.transport.instrument import ascii_chart
-
     lines = [f"trace analysis: {analysis.source or '(in-memory events)'}"]
     span = (f", t={analysis.start:.3f}..{analysis.end:.3f} s"
             if analysis.events else "")

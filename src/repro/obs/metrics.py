@@ -13,7 +13,7 @@ table or a JSON document.
 
 Naming convention (documented in DESIGN.md §8): metric names are
 ``<component>_<noun>[_<unit>][_total]`` -- ``netsim_link_delivered_total``,
-``transport_cwnd_bytes``, ``obs_span_seconds``.  Counters end in
+``transport_cwnd_bytes``, ``transport_srtt_seconds``.  Counters end in
 ``_total``; gauges and histograms name their unit.
 
 Non-finite values (``RttEstimator.min_rtt`` starts at ``float("inf")``)
@@ -31,8 +31,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import ObservabilityError
 
-#: Default histogram buckets: log-spaced upper bounds covering 1 µs .. 10 s,
-#: suited to the wall-clock latencies of the quACK hot paths.
+#: Default histogram buckets: log-spaced upper bounds covering 1 µs .. 10 s.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 10.0,
@@ -40,7 +39,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 #: Per-family override for virtual-time detection/repair latencies:
 #: these live at RTT scales (milliseconds to seconds), where the
-#: wall-clock default collapses everything past 1 s into one bucket.
+#: default collapses everything past 1 s into one bucket.
 LATENCY_BUCKETS: tuple[float, ...] = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
     1.0, 1.5, 2.0, 3.0, 5.0, 10.0,

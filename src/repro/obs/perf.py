@@ -5,21 +5,21 @@ profiler (:mod:`repro.obs.profile`) and its sibling snapshots:
 
 * :func:`profile_snapshot` freezes the global profiler's per-call-path
   aggregates into a schema-versioned JSON document (stamped with the
-  git commit, like bench snapshots);
+  git commit);
 * :func:`render_folded` turns a snapshot into collapsed-stack
   ("folded") text -- one ``parent;child weight`` line per call path,
   weighted by **self time in microseconds** -- the input format of every
   flamegraph renderer (``flamegraph.pl``, speedscope, inferno);
 * :func:`diff_snapshots` is the engine behind ``repro diff <a> <b>``:
-  it flattens two snapshots of the same kind (bench / profile /
-  telemetry / sweep aggregate) into scalar series, ranks the deltas by
+  it flattens two snapshots of the same kind (profile / telemetry /
+  sweep aggregate) into scalar series, ranks the deltas by
   magnitude of relative change (deterministically -- ties break on
   name), and reports which entries moved past a ratio threshold.
 
 Diff semantics (documented in DESIGN.md §14): the diff is a *symmetric
 change detector*, not a regression gate -- a 3x improvement ranks as
-high as a 3x regression, because both demand an explanation when a
-bench gate trips.  Entries present on only one side rank first (their
+high as a 3x regression, because both demand an explanation.  Entries
+present on only one side rank first (their
 relative change is unbounded) but never trip the threshold on their
 own; entries where both sides are below ``min_abs`` are noise-floored
 out.
@@ -30,16 +30,18 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ObservabilityError
+from repro.obs.aggregate import flatten_telemetry, merge_snapshots
 
 #: Version stamp on profile snapshot documents.
 PROFILE_SCHEMA = 1
 
-#: Default ratio past which a diff entry counts as "moved" (matches the
-#: bench store's generous wall-clock threshold).
+#: Default ratio past which a diff entry counts as "moved" (generous:
+#: profile snapshots hold wall-clock span times).
 DEFAULT_DIFF_THRESHOLD = 2.0
 
 #: Ignore entries where both sides sit below this absolute value: a
@@ -48,6 +50,19 @@ DEFAULT_MIN_ABS = 1e-9
 
 
 # -- profile snapshots --------------------------------------------------------
+
+def git_revision(cwd: str | None = None) -> str | None:
+    """The working tree's HEAD, or ``None`` outside a repository."""
+    try:
+        output = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, cwd=cwd)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if output.returncode != 0:
+        return None
+    return output.stdout.strip() or None
+
 
 def profile_snapshot(profiler=None, *, scenario: str = "",
                      seed: int | None = None,
@@ -64,8 +79,6 @@ def profile_snapshot(profiler=None, *, scenario: str = "",
 
         profiler = obs.PROFILER
     if git_rev == "__detect__":
-        from repro.bench.store import git_revision
-
         git_rev = git_revision()
     spans = [stat.to_dict()
              for _path, stat in sorted(profiler.path_stats().items())]
@@ -224,45 +237,29 @@ def classify_snapshot(doc: Mapping) -> str:
     """Which snapshot family a loaded JSON document belongs to.
 
     Recognizes ``profile`` (this module), ``telemetry``
-    (:mod:`repro.obs.aggregate`), ``sweep-aggregate`` artifacts carrying
-    a telemetry block, and bench-store ``BENCH_<area>.json`` files.
+    (:mod:`repro.obs.aggregate`), and ``sweep-aggregate`` artifacts
+    carrying a telemetry block.
     """
     kind = doc.get("kind")
     if kind == "profile":
         return "profile"
-    if kind == "telemetry":
+    if kind in ("telemetry", "sweep-aggregate"):
         return "telemetry"
-    if kind == "sweep-aggregate":
-        return "telemetry"
-    if "area" in doc and isinstance(doc.get("metrics"), Mapping):
-        return "bench"
     raise ObservabilityError(
-        "unrecognized snapshot: expected a profile, telemetry, sweep "
-        "aggregate, or BENCH_<area>.json document")
+        "unrecognized snapshot: expected a profile, telemetry, or sweep "
+        "aggregate document")
 
 
 def flatten_snapshot(doc: Mapping) -> tuple[str, dict[str, float],
                                             str | None]:
     """``(kind, {series name: value}, git_rev)`` for any snapshot kind.
 
-    * bench snapshots flatten to metric means;
     * profile snapshots flatten each call path to its **self time**
       (seconds) plus a ``calls:`` series per path;
     * telemetry snapshots (and sweep aggregates carrying one) flatten
-      through the bench store's telemetry flattener, so ``repro diff``
-      and the bench store name series identically.
+      through :func:`repro.obs.aggregate.flatten_telemetry`.
     """
     kind = classify_snapshot(doc)
-    if kind == "bench":
-        flat = {}
-        for name, record in doc["metrics"].items():
-            if isinstance(record, Mapping) and "mean" in record:
-                try:
-                    flat[str(name)] = float(record["mean"])
-                except (TypeError, ValueError):
-                    continue
-        rev = doc.get("git_rev")
-        return kind, flat, rev if isinstance(rev, str) else None
     if kind == "profile":
         flat = {}
         for span in doc.get("spans", ()):
@@ -281,10 +278,7 @@ def flatten_snapshot(doc: Mapping) -> tuple[str, dict[str, float],
             raise ObservabilityError(
                 "sweep aggregate carries no telemetry block "
                 "(re-run the sweep with --telemetry)")
-    from repro.bench.store import _flatten_telemetry
-    from repro.obs.aggregate import merge_snapshots
-
-    return "telemetry", _flatten_telemetry(merge_snapshots([telemetry])), \
+    return "telemetry", flatten_telemetry(merge_snapshots([telemetry])), \
         None
 
 
@@ -404,46 +398,4 @@ def format_diff(report: DiffReport,
     else:
         lines.append(f"OK: no series moved past the {threshold:g}x "
                      f"threshold")
-    return "\n".join(lines)
-
-
-# -- bench-gate span hints ----------------------------------------------------
-
-def span_regression_hints(current_dir: str, baseline_dir: str,
-                          areas: Sequence[str], top: int = 5,
-                          min_abs: float = 1e-5) -> str:
-    """Top span-time movements for areas whose bench gate failed.
-
-    Reads the ``PROFILE_<area>.json`` written alongside each bench
-    snapshot (both sides must have one; areas missing either side are
-    skipped silently -- the hint is best-effort).  Only self-time paths
-    are ranked (``calls:`` series are informational noise here).
-    """
-    from repro.bench.store import profile_path
-
-    lines: list[str] = []
-    for area in areas:
-        current_file = profile_path(current_dir, area)
-        baseline_file = profile_path(baseline_dir, area)
-        if not (os.path.exists(current_file)
-                and os.path.exists(baseline_file)):
-            continue
-        try:
-            report = diff_files(baseline_file, current_file,
-                                threshold=DEFAULT_DIFF_THRESHOLD,
-                                min_abs=min_abs)
-        except ObservabilityError:
-            continue
-        ranked = [entry for entry in report.entries
-                  if not entry.name.startswith("calls:")
-                  and entry.ratio is not None][:top]
-        if not ranked:
-            continue
-        lines.append(f"top span movements for area {area} "
-                     f"(self time, s):")
-        for entry in ranked:
-            lines.append(f"  {entry.name:<52s} "
-                         f"{_fmt_value(entry.baseline):>12s} -> "
-                         f"{_fmt_value(entry.current):>12s} "
-                         f"({entry.ratio:.2f}x)")
     return "\n".join(lines)

@@ -3,17 +3,13 @@
 Unlike trace events (stamped with *virtual* time), spans measure the
 *real* cost of the hot paths the paper benchmarks in Tables 2-3: the
 power-sum update, Newton's identities, root finding, and wire
-encode/decode.  Each completed span does two things:
-
-* it lands in the flat ``obs_span_seconds{span=<name>}`` histogram of a
-  :class:`~repro.obs.metrics.MetricsRegistry`, exactly as the original
-  flat profiler recorded it (telemetry aggregation and the SLO budgets
-  keep reading that surface unchanged);
-* it is attributed to its **call path** -- the chain of enclosing spans
-  on the current thread, e.g. ``("quack.decode", "quack.newton")`` --
-  accumulating per-path call counts, cumulative (wall) time, *self*
-  time (cumulative minus time spent in child spans), and, when
-  allocation tracking is on, net ``tracemalloc`` byte deltas.
+encode/decode.  Each completed span is attributed to its **call path**
+-- the chain of enclosing spans on the current thread, e.g.
+``("quack.decode", "quack.newton")`` -- accumulating per-path call
+counts, cumulative (wall) time, *self* time (cumulative minus time spent
+in child spans), and, when allocation tracking is on, net
+``tracemalloc`` byte deltas.  Spans stay out of the metrics registry:
+everything in ``obs.METRICS`` is virtual-time and reproduces run to run.
 
 The per-path aggregate is what :mod:`repro.obs.perf` exports as a
 collapsed-stack flamegraph (``repro profile <scenario> --flame``) and a
@@ -53,13 +49,6 @@ import threading
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator
-
-from repro.obs.metrics import MetricsRegistry
-
-#: Histogram every completed span lands in, labeled by span name.  This
-#: is the flat (per-name) surface; per-path attribution lives in
-#: :meth:`Profiler.path_stats`.
-SPAN_METRIC = "obs_span_seconds"
 
 
 class _Frame:
@@ -102,25 +91,22 @@ class SpanStat:
 
 
 class Profiler:
-    """Collects hierarchical span durations; feeds a metrics registry."""
+    """Collects hierarchical span durations per call path."""
 
-    __slots__ = ("enabled", "registry", "allocations", "_family", "_stats",
-                 "_local", "_started_tracemalloc")
+    __slots__ = ("enabled", "allocations", "_stats", "_local",
+                 "_started_tracemalloc")
 
     def __init__(self) -> None:
         self.enabled = False
-        self.registry: MetricsRegistry | None = None
         self.allocations = False
-        self._family = None
         self._stats: dict[tuple[str, ...], SpanStat] = {}
         self._local = threading.local()
         self._started_tracemalloc = False
 
     # -- lifecycle -------------------------------------------------------
 
-    def configure(self, registry: MetricsRegistry,
-                  allocations: bool = False) -> None:
-        """Record spans into ``registry`` and switch profiling on.
+    def configure(self, allocations: bool = False) -> None:
+        """Switch profiling on.
 
         ``allocations=True`` additionally attributes net ``tracemalloc``
         byte deltas to each call path (starting the tracer if it is not
@@ -128,9 +114,6 @@ class Profiler:
         started it).  Allocation tracking is expensive -- leave it off
         for timing-sensitive runs.
         """
-        self.registry = registry
-        self._family = registry.histogram(
-            SPAN_METRIC, help="wall-clock span latency", labels=("span",))
         self.allocations = allocations
         if allocations:
             import tracemalloc
@@ -182,7 +165,7 @@ class Profiler:
 
     def end(self, name: str, started: float) -> None:
         """Close a span opened by :meth:`begin` (no-op if disabled since)."""
-        if not self.enabled or self._family is None:
+        if not self.enabled:
             return
         elapsed = perf_counter() - started
         stack = self._stack()
@@ -217,7 +200,6 @@ class Profiler:
                 - frame.alloc0
         if stack:
             stack[-1].child_seconds += elapsed
-        self._family.labels(span=name).observe(elapsed)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

@@ -49,9 +49,19 @@ class TraceRunResult:
         return component_tally(self.events)
 
     def missing_core_components(self) -> list[str]:
-        """Core components that produced no events (should be empty)."""
+        """Core components that produced no events (should be empty).
+
+        ``quack`` events are owed only once the trace holds a
+        ``sidecar.quack_emit``: a session that never negotiated (the
+        ``downgrade-strip`` plan strips every HELLO) emits and decodes
+        no quACK by design.
+        """
         present = self.components()
-        return [name for name in CORE_COMPONENTS if not present.get(name)]
+        quack_emitted = any(event.type == "sidecar.quack_emit"
+                            for event in self.events)
+        return [name for name in CORE_COMPONENTS
+                if not present.get(name)
+                and (name != "quack" or quack_emitted)]
 
 
 def run_traced(scenario: str, *, seed: int = 1,

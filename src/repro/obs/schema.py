@@ -59,8 +59,6 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
                        "congestion": BOOLEAN},
     "transport.pto": {"flow": STRING, "backoff": NUMBER},
     "transport.complete": {"flow": STRING, "bytes": NUMBER},
-    "transport.sample": {"flow": STRING, "cwnd": NUMBER,
-                         "in_flight": NUMBER, "srtt": NUMBER},
     # -- quack ----------------------------------------------------------
     "quack.encode": {"scheme": STRING, "bytes": NUMBER},
     "quack.decode": {"status": STRING, "missing": NUMBER},

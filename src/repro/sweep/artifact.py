@@ -11,8 +11,8 @@ completion orders -- the engine's determinism contract, pinned by
 
 The artifact is designed to be fed onward:
 
-* :func:`repro.bench.store.snapshot_from_sweep` turns an aggregate into
-  a ``BENCH_sweep_<name>.json`` snapshot for the regression gate;
+* ``repro diff a.json b.json`` ranks what moved between two
+  aggregates' telemetry blocks, ``repro slo --snapshot`` gates on one;
 * ``repro sweep --resume partial.json`` reloads one and re-runs only
   the cells that are missing or failed (:func:`completed_results`).
 """

@@ -48,14 +48,6 @@ def _traced_artifacts(scenario: str, scheduler: str,
     compare bytes, not structures -- a reordered dict key or a float
     that repr()s differently is a failure too.
     """
-    # Defense-armed chaos plans memoize their unassisted-baseline run in
-    # a process-global cache; a warm cache would make the second
-    # scheduler's trace skip the baseline simulation the first one
-    # performed.  Clearing it keeps the two runs structurally identical
-    # -- and puts the baseline transfer itself under differential test.
-    from repro.chaos.harness import _BASELINE_CACHE
-
-    _BASELINE_CACHE.clear()
     with backend(scheduler):
         result = run_traced(scenario, profile=False, **kwargs)
     buffer = io.StringIO()

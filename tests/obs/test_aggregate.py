@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.aggregate import (
+    flatten_telemetry,
     hist_quantile,
     merge_hists,
     merge_snapshots,
@@ -125,6 +126,12 @@ class TestQuantiles:
         flat = summarize_snapshot(snapshot)
         assert flat["events_total"][0]["value"] == 2
         assert flat["lat_seconds"][0]["p99"] == 2.0
+        assert flatten_telemetry(snapshot) == {
+            "telemetry_events_total{kind=x}": 2.0,
+            "telemetry_lat_seconds_count": 3.0,
+            "telemetry_lat_seconds_p50": 0.25,
+            "telemetry_lat_seconds_p99": 2.0,
+        }
 
 
 class TestSelect:

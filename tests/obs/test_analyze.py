@@ -9,6 +9,7 @@ from repro.obs.analyze import (
     ConnectionTimeline,
     ParsedTrace,
     analyze,
+    ascii_chart,
     load_trace,
     parse_lines,
 )
@@ -36,7 +37,7 @@ def _flow_lines(flow, t0=0.0, pn0=0):
               trigger="sidecar", congestion=True),
         _line("transport.retransmit", t0 + 0.11, flow=flow, pn=pn0 + 2,
               size=1200, cause="quack", latency=0.10),
-        _line("transport.sample", t0 + 0.12, flow=flow, cwnd=7200,
+        _line("transport.cwnd", t0 + 0.12, flow=flow, cwnd=7200,
               in_flight=2400, srtt=0.06),
         _line("transport.complete", t0 + 0.20, flow=flow, bytes=2400),
     ]
@@ -268,3 +269,40 @@ class TestEndToEnd:
         assert "loss-recovery attribution" in text
         markdown = analysis.render_markdown()
         assert "## Loss-recovery attribution" in markdown
+
+
+class TestAsciiChart:
+    def test_renders_expected_shape(self):
+        chart = ascii_chart([0, 1, 2, 3, 4, 5], width=6, height=3,
+                            label="ramp")
+        lines = chart.splitlines()
+        assert lines[0].startswith("ramp")
+        assert len(lines) == 4
+        assert len(lines[1]) == 6
+        # Top row only shows the highest values; bottom row shows all.
+        assert lines[1].count("#") < lines[3].count("#")
+
+    def test_single_value(self):
+        chart = ascii_chart([7.0], width=5, height=3, label="one")
+        lines = chart.splitlines()
+        assert "min 7" in lines[0] and "max 7" in lines[0]
+        # One column, painted at least on the bottom row.
+        assert lines[-1].count("#") == 1
+
+    def test_flat_series(self):
+        chart = ascii_chart([5, 5, 5], width=3, height=2)
+        lines = chart.splitlines()
+        assert "#" in lines[-1]
+
+    def test_empty_series(self):
+        assert "(no data)" in ascii_chart([], label="x")
+
+    def test_buckets_longer_series(self):
+        chart = ascii_chart(list(range(1000)), width=10, height=2)
+        assert len(chart.splitlines()[1]) == 10
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ascii_chart([1], width=0)
+        with pytest.raises(ValueError):
+            ascii_chart([1], height=0)

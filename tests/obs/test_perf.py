@@ -7,13 +7,12 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import perf
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 
 
 def _profiled_run():
     profiler = Profiler()
-    profiler.configure(MetricsRegistry())
+    profiler.configure()
     with profiler.span("decode"):
         with profiler.span("newton"):
             sum(range(5000))
@@ -40,7 +39,7 @@ class TestProfileSnapshot:
     def test_snapshot_roundtrip(self, tmp_path):
         doc = perf.profile_snapshot(_profiled_run(), scenario="unit",
                                     git_rev=None)
-        path = str(tmp_path / "PROFILE_unit.json")
+        path = str(tmp_path / "profile.json")
         perf.write_profile(doc, path)
         loaded = perf.load_profile(path)
         assert loaded == json.loads(json.dumps(doc))
@@ -96,22 +95,24 @@ class TestFolded:
             assert handle.read().rstrip("\n") == perf.render_folded(doc)
 
 
-class TestClassifyFlatten:
-    def test_classify_bench(self):
-        assert perf.classify_snapshot(
-            {"area": "quack", "metrics": {}}) == "bench"
+class TestGitRevision:
+    def test_none_outside_a_repository(self, tmp_path):
+        assert perf.git_revision(cwd=str(tmp_path)) is None
 
+    def test_short_hash_inside_this_repository(self):
+        rev = perf.git_revision()
+        # Best-effort: the test tree is normally a git checkout, but a
+        # tarball export legitimately yields None.
+        assert rev is None or (rev and all(c in "0123456789abcdef"
+                                           for c in rev))
+
+
+class TestClassifyFlatten:
     def test_classify_unknown_raises(self):
         with pytest.raises(ObservabilityError):
             perf.classify_snapshot({"kind": "mystery"})
-
-    def test_flatten_bench_uses_means(self):
-        kind, flat, rev = perf.flatten_snapshot({
-            "area": "quack", "git_rev": "abc",
-            "metrics": {"decode_us": {"mean": 120.0, "stdev": 3.0}}})
-        assert kind == "bench"
-        assert flat == {"decode_us": 120.0}
-        assert rev == "abc"
+        with pytest.raises(ObservabilityError):
+            perf.classify_snapshot({"area": "quack", "metrics": {}})
 
     def test_flatten_profile_self_time_and_calls(self):
         doc = perf.profile_snapshot(_profiled_run(), git_rev="r1")
@@ -162,34 +163,18 @@ class TestDiff:
         with pytest.raises(ObservabilityError):
             perf.diff_flat({}, {}, threshold=1.0)
 
-    def test_diff_files_bench_kind(self, tmp_path):
-        def write(name, mean):
-            path = tmp_path / name
-            path.write_text(json.dumps({
-                "schema": 1, "area": "quack", "git_rev": f"rev-{name}",
-                "metrics": {"decode_us": {"mean": mean}}}))
-            return str(path)
-
-        report = perf.diff_files(write("a.json", 100.0),
-                                 write("b.json", 500.0))
-        assert report.kind == "bench"
-        assert report.baseline_rev == "rev-a.json"
-        assert not report.ok
-        text = perf.format_diff(report)
-        assert "FAIL" in text
-        assert "rev-a.json" in text
-
     def test_diff_mismatched_kinds_raise(self, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({"area": "x", "metrics": {}}))
+        telemetry = tmp_path / "telemetry.json"
+        telemetry.write_text(json.dumps({"kind": "telemetry", "schema": 1,
+                                         "families": {}}))
         profile = tmp_path / "prof.json"
         profile.write_text(json.dumps({"kind": "profile", "schema": 1,
                                        "spans": []}))
         with pytest.raises(ObservabilityError):
-            perf.diff_files(str(bench), str(profile))
+            perf.diff_files(str(telemetry), str(profile))
 
     def test_diff_profiles(self, tmp_path):
-        doc_a = perf.profile_snapshot(_profiled_run(), git_rev=None)
+        doc_a = perf.profile_snapshot(_profiled_run(), git_rev="rev-a")
         doc_b = json.loads(json.dumps(doc_a))
         for span in doc_b["spans"]:
             span["self_s"] *= 10.0
@@ -199,7 +184,11 @@ class TestDiff:
         perf.write_profile(doc_b, b)
         report = perf.diff_files(a, b)
         assert report.kind == "profile"
+        assert report.baseline_rev == "rev-a"
         assert not report.ok
+        text = perf.format_diff(report)
+        assert "FAIL" in text
+        assert "rev-a" in text
 
     def test_diff_telemetry_snapshots(self, tmp_path):
         from repro import obs
@@ -218,26 +207,3 @@ class TestDiff:
         report = perf.diff_files(str(a), str(b))
         assert report.kind == "telemetry"
         assert report.ok  # identical sides
-
-
-class TestSpanHints:
-    def test_hints_name_moved_paths(self, tmp_path):
-        from repro.bench.store import profile_path
-
-        base_dir = tmp_path / "base"
-        cur_dir = tmp_path / "cur"
-        doc = perf.profile_snapshot(_profiled_run(), git_rev=None)
-        moved = json.loads(json.dumps(doc))
-        for span in moved["spans"]:
-            span["self_s"] *= 5.0
-        perf.write_profile(doc, profile_path(str(base_dir), "quack"))
-        perf.write_profile(moved, profile_path(str(cur_dir), "quack"))
-        hints = perf.span_regression_hints(str(cur_dir), str(base_dir),
-                                           ["quack"], min_abs=0.0)
-        assert "area quack" in hints
-        assert "calls:" not in hints
-
-    def test_missing_profiles_are_skipped_silently(self, tmp_path):
-        hints = perf.span_regression_hints(str(tmp_path), str(tmp_path),
-                                           ["quack", "obs"])
-        assert hints == ""

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SPAN_METRIC, Profiler
+from repro.obs.profile import Profiler
 
 
 class TestProfiler:
@@ -13,26 +12,22 @@ class TestProfiler:
         # end() without configure must be harmless.
         profiler.end("x", 0.0)
 
-    def test_records_span_into_histogram(self):
-        registry = MetricsRegistry()
+    def test_records_span_into_path_stats(self):
         profiler = Profiler()
-        profiler.configure(registry)
-        started = profiler.begin()
+        profiler.configure()
+        started = profiler.begin("quack.newton")
         assert started > 0.0
         profiler.end("quack.newton", started)
-        snap = registry.snapshot()[SPAN_METRIC]["series"]
-        assert snap[0]["labels"] == {"span": "quack.newton"}
-        assert snap[0]["value"]["count"] == 1
-        assert snap[0]["value"]["min"] >= 0.0
+        stat = profiler.path_stats()[("quack.newton",)]
+        assert stat.calls == 1
+        assert stat.cum_seconds >= 0.0
 
     def test_span_context_manager(self):
-        registry = MetricsRegistry()
         profiler = Profiler()
-        profiler.configure(registry)
+        profiler.configure()
         with profiler.span("report.section"):
             pass
-        series = registry.snapshot()[SPAN_METRIC]["series"]
-        assert series[0]["value"]["count"] == 1
+        assert profiler.path_stats()[("report.section",)].calls == 1
 
     def test_span_context_manager_disabled(self):
         profiler = Profiler()
@@ -40,20 +35,18 @@ class TestProfiler:
             pass  # nothing recorded, nothing raised
 
     def test_disable_stops_recording(self):
-        registry = MetricsRegistry()
         profiler = Profiler()
-        profiler.configure(registry)
+        profiler.configure()
         started = profiler.begin()
         profiler.disable()
         profiler.end("x", started)
-        assert SPAN_METRIC not in registry.snapshot() \
-            or not registry.snapshot()[SPAN_METRIC]["series"]
+        assert profiler.path_stats() == {}
 
 
 class TestHierarchy:
     def _configured(self):
         profiler = Profiler()
-        profiler.configure(MetricsRegistry())
+        profiler.configure()
         return profiler
 
     def test_nested_spans_build_call_paths(self):
@@ -117,33 +110,6 @@ class TestHierarchy:
         profiler.end("stray", 1.0)  # started while disabled, say
         assert ("stray",) in profiler.path_stats()
 
-    def test_hierarchical_totals_equal_flat_histogram_sums(self):
-        """Differential guard: per-name cum time across paths must equal
-        the flat ``obs_span_seconds`` histogram the old profiler fed."""
-        registry = MetricsRegistry()
-        profiler = Profiler()
-        profiler.configure(registry)
-        for _ in range(3):
-            with profiler.span("decode"):
-                with profiler.span("newton"):
-                    sum(range(1000))
-                with profiler.span("rootfind"):
-                    pass
-        with profiler.span("newton"):  # same name, different path
-            pass
-        by_name: dict[str, float] = {}
-        for path, stat in profiler.path_stats().items():
-            by_name[path[-1]] = by_name.get(path[-1], 0.0) \
-                + stat.cum_seconds
-        series = registry.snapshot()[SPAN_METRIC]["series"]
-        flat = {entry["labels"]["span"]: entry["value"]
-                for entry in series}
-        assert set(flat) == set(by_name)
-        for name, value in flat.items():
-            assert by_name[name] == pytest.approx(value["sum"], rel=1e-9)
-        assert flat["newton"]["count"] == 4
-        assert flat["decode"]["count"] == 3
-
     def test_reset_clears_paths_and_open_frames(self):
         profiler = self._configured()
         profiler.begin("open")
@@ -153,7 +119,7 @@ class TestHierarchy:
 
     def test_allocation_tracking_attributes_bytes(self):
         profiler = Profiler()
-        profiler.configure(MetricsRegistry(), allocations=True)
+        profiler.configure(allocations=True)
         try:
             with profiler.span("alloc"):
                 keep = [bytearray(64 * 1024)]

@@ -53,11 +53,34 @@ class TestRunTraced:
         assert "transport_packets_sent_total" in result.metrics
 
     def test_profiler_spans_recorded(self):
-        result = run_traced("cc-division", seed=1, total_bytes=60_000)
-        spans = {entry["labels"]["span"]
-                 for entry in result.metrics["obs_span_seconds"]["series"]}
+        run_traced("cc-division", seed=1, total_bytes=60_000)
+        spans = {path[-1] for path in obs.PROFILER.path_stats()}
         assert "quack.power_sum_update" in spans
         assert "quack.wire_encode" in spans and "quack.wire_decode" in spans
+
+    def test_unnegotiated_session_owes_no_quack_events(self):
+        # downgrade-strip strips every HELLO: the session never
+        # negotiates, so no quACK is emitted or decoded -- by design.
+        result = run_traced("downgrade-strip", seed=1, total_bytes=60_000)
+        assert not any(event.type == "sidecar.quack_emit"
+                       for event in result.events)
+        assert "quack" not in result.components()
+        assert result.missing_core_components() == []
+
+    @pytest.mark.parametrize("scenario", known_scenarios())
+    def test_same_process_runs_are_identical(self, scenario, monkeypatch):
+        """The whole observable surface -- events and metrics text --
+        repeats exactly, including the first (cold-memo) run of a plan
+        that measures the unassisted baseline."""
+        from repro.chaos import harness
+
+        monkeypatch.setattr(harness, "_BASELINE_CACHE", {})
+        first = run_traced(scenario, seed=1)
+        second = run_traced(scenario, seed=1)
+        assert [event.to_dict() for event in first.events] \
+            == [event.to_dict() for event in second.events]
+        assert first.metrics_text == second.metrics_text
+        assert first.missing_core_components() == []
 
     def test_jsonl_export_validates(self, tmp_path):
         result = run_traced("ack-reduction", seed=2, total_bytes=60_000)

@@ -243,6 +243,19 @@ class TestRunScale:
                            duration_s=0.3, seed=7, account=True)
         assert first == second
 
+    def test_quick_population_outcomes_are_pinned(self):
+        # Deterministic virtual-time outcomes: any movement is a
+        # behaviour change, to be made on purpose and re-pinned.
+        result = run_scale(flows=5000, tenants=8, packets_per_flow=4,
+                           churn_rate=0.2, duration_s=1.0, seed=1,
+                           account=True)
+        assert result["ledger_bank_bytes"] / result["ledger_flows"] == 18
+        assert result["peak_bank_bytes"] == 90_000
+        assert result["emission_latency_p99_s"] == pytest.approx(
+            0.0048, rel=1e-12)
+        assert result["flows_evicted"] == 0
+        assert result["flows_shed"] == 0
+
     def test_churn_closes_and_forgets(self):
         result = run_scale(flows=100, tenants=4, churn_rate=1.0,
                            duration_s=0.5, seed=1, account=True)

@@ -154,6 +154,16 @@ class TestNegotiatedSessions:
         assert result.server_counters["hellos_sent"] == 1
         assert 0 < result.handshake_bytes < 512
 
+    def test_version_skew_overhead_is_pinned(self, plans):
+        # Deterministic virtual-time outcomes: any movement is a
+        # behaviour change, to be made on purpose and re-pinned.
+        result = plans["version-skew"]
+        assert result.handshake_bytes == 143
+        assert result.server_counters["hellos_sent"] == 1
+        assert result.assistance_started_s == pytest.approx(0.0342288,
+                                                            rel=1e-12)
+        assert result.negotiated_version == 2
+
 
 class TestVersionSwitch:
     def test_switch_lands_on_both_peers(self, plans):
@@ -180,6 +190,11 @@ class TestVersionSwitch:
         result = plans["version-switch"]
         assert result.server_counters["stale_version_frames"] == 0
         assert result.server_counters["decode_failures"] == 0
+
+    def test_switch_cost_is_pinned(self, plans):
+        result = plans["version-switch"]
+        assert result.duration_s == pytest.approx(1.5, rel=1e-12)
+        assert result.retransmitted_packets == 45
 
 
 class TestDowngradeDefense:

@@ -137,6 +137,34 @@ class TestInNetworkRetransmission:
         assert local.proxy_quacks > 0
 
 
+class TestPinnedOutcomes:
+    """The simulator is seeded and event-ordered, so these virtual-time
+    outcomes are machine-independent: any movement is a behaviour
+    change, to be made on purpose and re-pinned."""
+
+    TOTAL = 120_000
+
+    def test_cc_division(self):
+        result = run_cc_division(total_bytes=self.TOTAL, sidecar=True,
+                                 seed=1)
+        assert result.completion_time == pytest.approx(0.20103088,
+                                                       rel=1e-12)
+
+    def test_ack_reduction(self):
+        result = run_ack_reduction(total_bytes=self.TOTAL, ack_every=32,
+                                   sidecar=True, seed=1)
+        assert result.client_acks_sent == 49
+        assert result.completion_time == pytest.approx(0.25839312,
+                                                       rel=1e-12)
+
+    def test_retransmission(self):
+        result = run_retransmission(total_bytes=self.TOTAL,
+                                    innet_retx=True, seed=1)
+        assert result.proxy_retransmissions == 6
+        assert result.completion_time == pytest.approx(
+            0.9683566601832443, rel=1e-12)
+
+
 class TestProbeTimeoutOutlivesQuackRelease:
     """CC division: the proxy's quACK releases the server's window while
     the packets are still un-acked end to end.  On these seeds the

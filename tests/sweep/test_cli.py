@@ -62,15 +62,3 @@ def test_sweep_bad_spec_exits_two(tmp_path, capsys):
     spec = _write_spec(tmp_path, dict(SPEC, scenario="no-such"))
     assert main(["sweep", spec, "--workers", "1"]) == 2
     capsys.readouterr()
-
-
-def test_sweep_writes_bench_snapshot(tmp_path, capsys):
-    spec = _write_spec(tmp_path, SPEC)
-    bench_dir = tmp_path / "bench"
-    assert main(["sweep", spec, "--workers", "1",
-                 "--bench-dir", str(bench_dir)]) == 0
-    snapshots = list(bench_dir.glob("*.json"))
-    assert len(snapshots) == 1
-    snapshot = json.loads(snapshots[0].read_text())
-    assert snapshot["area"] == "sweep_cli-sweep"
-    capsys.readouterr()

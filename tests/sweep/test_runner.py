@@ -152,15 +152,3 @@ class TestArtifact:
         text = format_aggregate(run_sweep(spec, workers=1).to_dict())
         assert "FAILED" in text
         assert "failed cells: 1" in text
-
-    def test_bench_snapshot_from_sweep(self):
-        from repro.bench.store import snapshot_from_sweep
-
-        record = run_sweep(selftest_spec(), workers=1).to_dict()
-        snapshot = snapshot_from_sweep(record)
-        assert snapshot.area == "sweep_runner-test"
-        assert snapshot.metrics["sweep_failed_cells"].mean == 0.0
-        assert snapshot.metrics["sweep_failed_cells"].direction == "lower"
-        checksum = snapshot.metrics["checksum"]
-        assert checksum.n == 4
-        assert checksum.direction == "info"

@@ -72,17 +72,14 @@ class TestDeterminism:
             == json.dumps(parallel.telemetry, sort_keys=True)
 
 
-class TestBenchStoreFlattening:
-    def test_snapshot_from_sweep_flattens_telemetry(self):
-        from repro.bench.store import snapshot_from_sweep
+class TestDiffFlattening:
+    def test_sweep_aggregate_flattens_for_diff(self):
+        from repro.obs.perf import flatten_snapshot
 
         aggregate = run_sweep(_retx_spec(), workers=1, telemetry=True)
-        snapshot = snapshot_from_sweep(aggregate.to_dict())
-        names = set(snapshot.metrics)
+        kind, flat, _rev = flatten_snapshot(aggregate.to_dict())
+        assert kind == "telemetry"
         assert any(name.startswith(
-            "telemetry_transport_packets_delivered_total") for name in names)
-        histogram_keys = [name for name in names if name.endswith("_p99")]
-        assert histogram_keys
-        for name in names:
-            if name.startswith("telemetry_"):
-                assert snapshot.metrics[name].direction == "info"
+            "telemetry_transport_packets_delivered_total") for name in flat)
+        assert any(name.endswith("_p99") for name in flat)
+        assert all(name.startswith("telemetry_") for name in flat)

@@ -1,8 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import itertools
+import pathlib
+import re
+import shlex
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
 
@@ -200,8 +205,82 @@ class TestParser:
             main([])
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        # "bench" was the legacy wall-clock store's subcommand.
+        for command in ("frobnicate", "bench"):
+            with pytest.raises(SystemExit):
+                main([command])
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+#: Where ``python -m repro ...`` commands are written down for people
+#: and for CI to run.
+COMMAND_SOURCES = (*sorted((REPO / ".github" / "workflows").glob("*.yml")),
+                   REPO / "README.md", REPO / "DESIGN.md",
+                   REPO / "EXPERIMENTS.md",
+                   REPO / ".claude" / "skills" / "verify" / "SKILL.md")
+
+
+def documented_commands(text):
+    """Argument lists of every ``python -m repro ...`` command in ``text``.
+
+    Backslash continuations are joined.  A command inside a markdown
+    inline-code span runs to the closing backtick (it may wrap a line),
+    any other to the end of its line.  Commands holding ``<placeholders>``,
+    shell globs/variables or elisions are skipped; synopsis forms are
+    expanded (``[--flag]`` is taken as given, ``a|b|c`` yields one
+    command per choice).  Prose that names a bare subcommand
+    (```python -m repro trace` runs ...``) is checked as ``trace --help``.
+    """
+    text = re.sub(r"\\\n\s*", " ", text).replace("```", "")
+    commands = []
+    for match in re.finditer(r"python -m repro\s", text):
+        paragraph = text.rfind("\n\n", 0, match.start()) + 1
+        inline = text.count("`", paragraph, match.start()) % 2 == 1
+        end = text.find("`" if inline else "\n", match.end())
+        command = text[match.end():end if end >= 0 else len(text)]
+        if re.search(r"[<*$…]|\.\.\.", command):
+            continue
+        tokens = shlex.split(command.replace("[", " ").replace("]", " "),
+                             comments=True)
+        for stop in ("|", "||", "&&", ">", ";"):
+            if stop in tokens:
+                tokens = tokens[:tokens.index(stop)]
+        if inline and len(tokens) == 1:
+            tokens.append("--help")
+        if tokens:
+            commands.extend(itertools.product(
+                *(token.split("|") for token in tokens)))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_written_down_command_still_parses(self, capsys):
+        """A deleted subcommand, flag or file cannot linger in CI or docs."""
+        parser = build_parser()
+        checked, problems = [], []
+        for source in COMMAND_SOURCES:
+            for argv in documented_commands(
+                    source.read_text(encoding="utf-8")):
+                checked.append(argv)
+                where = f"{source.relative_to(REPO)}: repro {' '.join(argv)}"
+                try:
+                    parser.parse_args(list(argv))
+                except SystemExit as stop:
+                    if stop.code:  # --help exits 0
+                        problems.append(f"{where}: argparse rejects it")
+                problems.extend(
+                    f"{where}: {arg} does not exist" for arg in argv
+                    if arg.startswith(("benchmarks/", "examples/"))
+                    and not (REPO / arg).exists())
+        capsys.readouterr()  # argparse's usage text for any rejection
+        assert not problems, "\n".join(problems)
+        # The extraction itself must be finding the commands, or the
+        # assertion above passes vacuously.
+        assert len(checked) >= 40
+        assert ("sweep", "examples/sweeps/scale_grid.json", "--workers", "4",
+                "--telemetry", "--output", "/tmp/scale-sweep.json") in checked
+        assert ("tables", "fig6") in checked  # a table2|...|fig6 synopsis
 
 
 class TestHeadroom:
@@ -269,50 +348,6 @@ class TestAnalyze:
         assert code == 2
 
 
-class TestBench:
-    def test_record_then_compare_clean(self, capsys, tmp_path):
-        base = tmp_path / "base"
-        code, out = run_cli(capsys, "bench", "record", "--quick",
-                            "--areas", "protocols", "--dir", str(base))
-        assert code == 0
-        assert "BENCH_protocols.json" in out
-        code, out = run_cli(capsys, "bench", "compare",
-                            "--current", str(base),
-                            "--baseline", str(base))
-        assert code == 0
-        assert "OK: no metric moved" in out
-
-    def test_compare_flags_injected_regression(self, capsys, tmp_path):
-        import json as _json
-
-        base, cur = tmp_path / "base", tmp_path / "cur"
-        code, _ = run_cli(capsys, "bench", "record", "--quick",
-                          "--areas", "protocols", "--dir", str(base))
-        assert code == 0
-        cur.mkdir()
-        path = base / "BENCH_protocols.json"
-        raw = _json.loads(path.read_text())
-        raw["metrics"]["retransmission_completion_s"]["mean"] *= 3
-        (cur / "BENCH_protocols.json").write_text(_json.dumps(raw))
-        code, out = run_cli(capsys, "bench", "compare",
-                            "--current", str(cur), "--baseline", str(base))
-        assert code == 1
-        assert "REGRESSED" in out and "FAIL" in out
-
-    def test_record_unknown_area(self, capsys, tmp_path):
-        code, _ = run_cli(capsys, "bench", "record", "--areas", "nope",
-                          "--dir", str(tmp_path))
-        assert code == 2
-
-    def test_compare_empty_dirs(self, capsys, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        code, _ = run_cli(capsys, "bench", "compare",
-                          "--current", str(tmp_path / "a"),
-                          "--baseline", str(tmp_path / "b"))
-        assert code == 2
-
-
 class TestProfileCommand:
     def test_profile_prints_call_paths_and_flows(self, capsys):
         code, out = run_cli(capsys, "profile", "retransmission",
@@ -344,55 +379,34 @@ class TestProfileCommand:
 
 
 class TestDiffCommand:
-    def _write_bench(self, tmp_path, name, mean):
+    def _write_profile(self, tmp_path, name, self_s):
         import json as _json
 
         path = tmp_path / name
         path.write_text(_json.dumps({
-            "schema": 1, "area": "quack",
-            "metrics": {"decode_us": {"mean": mean}}}))
+            "kind": "profile", "schema": 1,
+            "spans": [{"path": "quack.decode", "self_s": self_s,
+                       "calls": 10}]}))
         return str(path)
 
     def test_diff_ok_exits_zero(self, capsys, tmp_path):
-        a = self._write_bench(tmp_path, "a.json", 100.0)
-        b = self._write_bench(tmp_path, "b.json", 110.0)
+        a = self._write_profile(tmp_path, "a.json", 100.0)
+        b = self._write_profile(tmp_path, "b.json", 110.0)
         code, out = run_cli(capsys, "diff", a, b)
         assert code == 0
         assert "OK: no series moved" in out
 
     def test_diff_moved_exits_one(self, capsys, tmp_path):
-        a = self._write_bench(tmp_path, "a.json", 100.0)
-        b = self._write_bench(tmp_path, "b.json", 500.0)
+        a = self._write_profile(tmp_path, "a.json", 100.0)
+        b = self._write_profile(tmp_path, "b.json", 500.0)
         code, out = run_cli(capsys, "diff", a, b)
         assert code == 1
         assert "MOVED" in out and "FAIL" in out
 
     def test_diff_bad_input_exits_two(self, capsys, tmp_path):
-        a = self._write_bench(tmp_path, "a.json", 100.0)
+        a = self._write_profile(tmp_path, "a.json", 100.0)
         code, _ = run_cli(capsys, "diff", a, str(tmp_path / "nope.json"))
         assert code == 2
-
-    def test_bench_compare_prints_span_hints_on_failure(self, capsys,
-                                                        tmp_path):
-        import json as _json
-
-        base, cur = tmp_path / "base", tmp_path / "cur"
-        code, _ = run_cli(capsys, "bench", "record", "--quick",
-                          "--areas", "quack", "--dir", str(base))
-        assert code == 0
-        assert (base / "PROFILE_quack.json").exists()
-        cur.mkdir()
-        bench = _json.loads((base / "BENCH_quack.json").read_text())
-        bench["metrics"]["quack_bytes"]["mean"] *= 3
-        (cur / "BENCH_quack.json").write_text(_json.dumps(bench))
-        profile = _json.loads((base / "PROFILE_quack.json").read_text())
-        for span in profile["spans"]:
-            span["self_s"] *= 100.0
-        (cur / "PROFILE_quack.json").write_text(_json.dumps(profile))
-        code, out = run_cli(capsys, "bench", "compare",
-                            "--current", str(cur), "--baseline", str(base))
-        assert code == 1
-        assert "top span movements for area quack" in out
 
 
 class TestFlightEvents:
