@@ -1,4 +1,4 @@
-"""Guard: disabled observability adds no measurable decode overhead.
+"""Guard: what observability costs, switched off and switched on.
 
 The :mod:`repro.obs` instrumentation points inside the quACK decode path
 (``PROFILER.begin()`` in :func:`repro.quack.decoder.decode_delta` and
@@ -12,9 +12,17 @@ The factor is deliberately generous (decode itself costs hundreds of
 microseconds; the guarded branches cost nanoseconds) so the guard only
 trips on a real regression -- e.g. someone making the disabled path
 allocate or take a lock -- not on scheduler noise.
+
+The enabled path is gated by a count instead of a clock: the extra
+interpreter calls per data packet that turning observability on adds to
+a transfer.  ``cProfile`` call counts depend on the interpreter version
+and on nothing else -- the same on every run and every machine -- so
+that gate does not move with the CI box.
 """
 
 from __future__ import annotations
+
+import cProfile
 
 import pytest
 
@@ -146,6 +154,59 @@ def test_disabled_hierarchical_begin_matches_flat_guard():
         f"disabled begin ({instrumented.median * 1e6:.0f} µs vs "
         f"{baseline.median * 1e6:.0f} µs per {batch} calls); the "
         f"disabled path must stay within {MAX_OVERHEAD_FACTOR}x")
+
+
+#: Extra interpreter calls per data packet with observability on, per
+#: ``run_ack_reduction`` unit of ``benchmarks/e2e/workloads.py``.  With a
+#: hand-written ``obs.count`` beside every event these were 169.9 and
+#: 218.3; deriving the metrics inside ``Tracer.emit`` measures 92.2 and
+#: 125.3.  The caps leave room for a new event, not for a second record
+#: per observation.
+MAX_EXTRA_CALLS_PER_PACKET = {
+    "plain": (dict(sidecar=False, ack_every=2), 125.0),
+    "ackred": (dict(sidecar=True, ack_every=32), 165.0),
+}
+TRANSFER_BYTES = 1_500_000
+DATA_PACKETS = -(-TRANSFER_BYTES // 1460)
+
+
+def _profiled_calls(run) -> int:
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        run()
+    finally:
+        profile.disable()
+    # Summed from the raw entries: pstats keys by (file, line, name) and
+    # folds every dataclass ``__init__`` ("<string>", 2) into one.
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+@pytest.mark.parametrize("unit", sorted(MAX_EXTRA_CALLS_PER_PACKET))
+def test_enabled_observability_call_budget(unit):
+    from repro.sidecar.ack_reduction import run_ack_reduction
+
+    kwargs, cap = MAX_EXTRA_CALLS_PER_PACKET[unit]
+
+    def run():
+        result = run_ack_reduction(total_bytes=TRANSFER_BYTES,
+                                   loss_rate=0.0, **kwargs)
+        assert result.completed
+
+    run()  # warm-up: imports, memoised tables
+    disabled = _profiled_calls(run)
+    obs.enable(profile=False)
+    try:
+        enabled = _profiled_calls(run)
+    finally:
+        obs.disable()
+    extra = (enabled - disabled) / DATA_PACKETS
+    assert 0 < extra <= cap, (
+        f"{unit}: observability adds {extra:.1f} interpreter calls per "
+        f"packet ({enabled} enabled vs {disabled} disabled over "
+        f"{DATA_PACKETS} packets); the budget is {cap:.0f} -- an "
+        f"instrumentation point makes one call, Tracer.emit, and the "
+        f"metrics are derived from it (repro/obs/schema.py)")
 
 
 def test_enabled_profiling_actually_records():

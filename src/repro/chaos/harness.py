@@ -75,6 +75,9 @@ from repro.transport.connection import ReceiverConnection, SenderConnection
 #: Default transfer: ~876 KB, about 1.5 s at the default 5 Mbps.
 DEFAULT_TOTAL = 1460 * 600
 
+#: Virtual seconds the simulation keeps running after completion.
+DRAIN_S = 3.0
+
 
 @dataclass
 class ChaosSetup:
@@ -357,14 +360,13 @@ def run_chaos_transfer(setup: ChaosSetup, *,
                        settle_time: float = 0.1,
                        health: HealthConfig | None = None,
                        divide_cc: bool = False,
-                       deadline_s: float = 60.0,
-                       drain_s: float = 3.0) -> ChaosResult:
+                       deadline_s: float = 60.0) -> ChaosResult:
     """Run the canonical assisted transfer under ``setup``.
 
     ``health`` defaults to a ladder tuned to the scenario's timescales
     (staleness after 0.25 s, probation 0.25 s); pass None explicitly via
     ``HealthConfig()`` alternatives if different thresholds are wanted.
-    After completion the simulation drains for ``drain_s`` so in-flight
+    After completion the simulation drains for ``DRAIN_S`` so in-flight
     handshakes (reset retries) can converge the epochs.
 
     Setups with a defense armed (``adversarial`` or an explicit
@@ -406,32 +408,23 @@ def run_chaos_transfer(setup: ChaosSetup, *,
             capabilities=setup.consumer_capabilities or Capabilities())
         emitter_negotiate = NegotiateConfig(
             capabilities=setup.emitter_capabilities or Capabilities())
+    tap_kwargs = dict(
+        server="server", client="client", flow_id="flow0",
+        policy=PacketCountFrequency(quack_every), threshold=threshold,
+        checkpoints=checkpoints,
+        checkpoint_interval_s=setup.checkpoint_interval_s
+        if setup.checkpoint_interval_s is not None else 0.05,
+        negotiate=emitter_negotiate)
     table = None
     if setup.overload is not None:
         # The primary transfer shares one flow table with the overload
         # drivers' tenants; its emission rides the table's batch timer.
         table = FlowTable(sim, setup.overload.table_config())
-        tap = FlowTableTap(sim, proxy, server="server", client="client",
-                           flow_id="flow0",
-                           policy=PacketCountFrequency(quack_every),
-                           table=table,
+        tap = FlowTableTap(sim, proxy, table=table,
                            tenant=setup.overload.primary_tenant,
-                           threshold=threshold,
-                           checkpoints=checkpoints,
-                           checkpoint_interval_s=setup.checkpoint_interval_s
-                           if setup.checkpoint_interval_s is not None
-                           else 0.05,
-                           negotiate=emitter_negotiate)
+                           **tap_kwargs)
     else:
-        tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                              flow_id="flow0",
-                              policy=PacketCountFrequency(quack_every),
-                              threshold=threshold,
-                              checkpoints=checkpoints,
-                              checkpoint_interval_s=setup.checkpoint_interval_s
-                              if setup.checkpoint_interval_s is not None
-                              else 0.05,
-                              negotiate=emitter_negotiate)
+        tap = ProxyEmitterTap(sim, proxy, **tap_kwargs)
     sidecar = ServerSidecar(sim, sender, threshold=threshold, grace=2,
                             apply_losses=True, congestive_loss=False,
                             reset_after_failures=reset_after_failures,
@@ -461,7 +454,7 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         else []
     # Let straggling handshakes converge (the reset retry timer keeps
     # re-announcing the epoch until the emitter demonstrably adopted it).
-    sim.run(until=sim.now + drain_s)
+    sim.run(until=sim.now + DRAIN_S)
 
     injectors = setup.injectors()
     injector_stats = {injector.name: injector.stats for injector in injectors}

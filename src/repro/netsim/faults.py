@@ -119,8 +119,6 @@ class FaultInjector:
             for effect in effects:
                 obs.TRACER.emit("fault.activate", now, injector=self.name,
                                 kind=packet.kind.value, effect=effect)
-                obs.count("netsim_fault_activations_total",
-                          injector=self.name, effect=effect)
         return decision
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:

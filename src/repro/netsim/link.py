@@ -111,7 +111,6 @@ class Link:
             obs.TRACER.emit("link.enqueue", self.sim.now, link=self.name,
                             kind=packet.kind.value, size=packet.size_bytes,
                             queue=len(self._queue), ctx=packet.trace_ctx)
-            obs.count("netsim_link_offered_total", link=self.name)
         if not self._transmitting:
             self._start_next_transmission()
         return True
@@ -181,14 +180,12 @@ class Link:
                                 kind=packet.kind.value,
                                 size=packet.size_bytes,
                                 ctx=packet.trace_ctx)
-                obs.count("netsim_link_delivered_total", link=self.name)
             self.sim.schedule(delay, self.deliver, packet)
 
     def _trace_drop(self, packet: Packet, reason: str) -> None:
         obs.TRACER.emit("link.drop", self.sim.now, link=self.name,
                         kind=packet.kind.value, size=packet.size_bytes,
                         reason=reason, ctx=packet.trace_ctx)
-        obs.count("netsim_link_dropped_total", link=self.name, reason=reason)
 
     def __repr__(self) -> str:
         return (f"Link({self.name}, {self.bandwidth_bps / 1e6:.1f} Mbps, "

@@ -7,7 +7,8 @@ Three cooperating pieces, shared by every layer of the reproduction:
   text/JSON rendering;
 * :mod:`repro.obs.trace` -- a structured log of typed events stamped
   with virtual time, held in a capped ring buffer and exportable as
-  JSONL (the vocabulary lives in :mod:`repro.obs.schema`);
+  JSONL (the vocabulary lives in :mod:`repro.obs.schema`, and so does
+  the table that says which metrics each event type feeds);
 * :mod:`repro.obs.profile` -- wall-clock spans over the quACK hot paths,
   aggregated per call path (kept out of the metrics registry).
 
@@ -28,7 +29,7 @@ Typical use (what ``python -m repro trace`` does)::
     print(obs.METRICS.render_text())
     obs.disable()
 
-Instrumentation points follow one pattern -- guard, then emit::
+Instrumentation points follow one pattern -- guard, then emit, once::
 
     from repro import obs
 
@@ -36,8 +37,10 @@ Instrumentation points follow one pattern -- guard, then emit::
         obs.TRACER.emit("link.drop", self.sim.now, link=self.name,
                         kind=packet.kind.value, size=packet.size_bytes,
                         reason="queue")
-        obs.count("netsim_link_dropped_total", link=self.name,
-                  reason="queue")
+
+``schema.EVENT_METRICS`` derives ``netsim_link_dropped_total{link,reason}``
+from the event's fields; :func:`count` / :func:`gauge` / :func:`observe`
+remain for the few metrics no event field can supply (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -77,12 +80,13 @@ __all__ = [
     "count", "gauge", "observe",
 ]
 
-#: The process-wide trace switchboard (off until :func:`enable`).
-TRACER = Tracer()
-
 #: The process-wide metrics registry.  Always writable; hot paths only
 #: touch it behind ``TRACER.enabled`` so disabled runs skip it entirely.
 METRICS = MetricsRegistry()
+
+#: The process-wide trace switchboard (off until :func:`enable`); every
+#: event it is handed also feeds :data:`METRICS` (``schema.EVENT_METRICS``).
+TRACER = Tracer(METRICS)
 
 #: The process-wide wall-clock profiler (off until :func:`enable`).
 PROFILER = Profiler()
@@ -108,10 +112,10 @@ def enable(capacity: int = 65536, profile: bool = True,
 def enable_metrics() -> None:
     """Metrics-only mode: counters/histograms record, events are dropped.
 
-    Flips ``TRACER.enabled`` without installing a sink, so every guarded
-    instrumentation point runs its metric updates while ``emit`` remains
-    a no-op -- the mode sweep workers use to feed the cross-process
-    aggregator without paying for (or shipping) an event ring.
+    Flips ``TRACER.enabled`` without installing a sink, so ``emit``
+    updates the metrics an event feeds and stores nothing -- the mode
+    sweep workers use to feed the cross-process aggregator without
+    paying for (or shipping) an event ring.
     """
     TRACER.sink = None
     TRACER.enabled = True
@@ -124,23 +128,22 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Zero the metrics, profiler paths, and buffered trace events."""
+    """Drop the metrics, profiler paths, and buffered trace events."""
     METRICS.reset()
     PROFILER.reset()
     if TRACER.sink is not None:
         TRACER.sink.clear()
 
 
-# -- terse instrumentation helpers ------------------------------------------
+# -- direct metric helpers ----------------------------------------------------
 #
-# These keep call sites one line each.  They are *not* pre-guarded: hot
-# paths must check ``TRACER.enabled`` first so the disabled cost stays at
-# one branch.
+# For a metric no event field can supply; everything else is a row of
+# ``schema.EVENT_METRICS``.  They are *not* pre-guarded: hot paths must
+# check ``TRACER.enabled`` first so the disabled cost stays at one branch.
 
-def count(name: str, amount: float = 1.0, **labels: object) -> None:
+def count(name: str, **labels: object) -> None:
     """Increment ``name{labels}`` in the global registry."""
-    METRICS.counter(name, labels=tuple(sorted(labels))).labels(
-        **labels).inc(amount)
+    METRICS.counter(name, labels=tuple(sorted(labels))).labels(**labels).inc()
 
 
 def gauge(name: str, value: float, **labels: object) -> None:

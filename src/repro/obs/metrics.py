@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -75,9 +76,6 @@ class Counter:
     def snapshot(self) -> float:
         return self.value
 
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 class Gauge:
     """A value that can go up and down."""
@@ -98,9 +96,6 @@ class Gauge:
 
     def snapshot(self) -> float:
         return self.value
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -184,15 +179,10 @@ class Histogram:
             "max": json_safe(self.maximum if self.count else None),
         }
 
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_APPLY = {"counter": Counter.inc, "gauge": Gauge.set,
+          "histogram": Histogram.observe}
 
 
 class MetricFamily:
@@ -237,16 +227,15 @@ class MetricFamily:
         return {"name": self.name, "kind": self.kind, "help": self.help,
                 "series": series}
 
-    def reset(self) -> None:
-        for child in self._children.values():
-            child.reset()
-
 
 class MetricsRegistry:
     """Owner of every metric family; snapshot/reset/render surface."""
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: Event type -> its :meth:`updater` closures (``Tracer.emit`` fills
+        #: it); they cache children, so :meth:`reset` drops them as well.
+        self.updaters: dict[str, tuple[Callable[[dict], None], ...]] = {}
 
     # -- family constructors (get-or-create, idempotent) ------------------
 
@@ -286,6 +275,36 @@ class MetricsRegistry:
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> MetricFamily:
         return self._family(name, "histogram", help, labels, buckets)
 
+    def updater(self, kind: str, name: str, labels: Sequence[str] = (),
+                value: str | None = None,
+                const: Iterable[tuple[str, object]] = (),
+                buckets: Sequence[float] = DEFAULT_BUCKETS,
+                ) -> Callable[[dict], None]:
+        """Compile one ``schema.EVENT_METRICS`` row into ``update(fields)``.
+
+        The closure writes what ``obs.count/gauge/observe`` would: family
+        and child created on first use, label values ``str()``-ed, label
+        names sorted.  Children are cached by the raw label values, so
+        label fields must be strings (equal raw values share a child).
+        """
+        const = dict(const)
+        labelnames = tuple(sorted({*labels, *const}))
+        key_of = itemgetter(*labels) if labels else (lambda fields: None)
+        apply = _APPLY[kind]
+        children: dict[object, Counter | Gauge | Histogram] = {}
+
+        def update(fields: dict) -> None:
+            key = key_of(fields)
+            try:
+                child = children[key]
+            except KeyError:
+                child = children[key] = self._family(
+                    name, kind, "", labelnames, buckets).labels(
+                    **const, **{label: fields[label] for label in labels})
+            apply(child, 1.0 if value is None else fields[value])
+
+        return update
+
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -294,9 +313,10 @@ class MetricsRegistry:
                 for name, family in sorted(self._families.items())}
 
     def reset(self) -> None:
-        """Zero every child; families and label sets survive."""
-        for family in self._families.values():
-            family.reset()
+        """Drop every family, series and updater, so a series an earlier
+        run in the process touched does not come back as a zero."""
+        self._families.clear()
+        self.updaters.clear()
 
     def render_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, allow_nan=False)

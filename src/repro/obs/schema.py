@@ -11,6 +11,10 @@ Event types are ``<component>.<event>``; every record carries ``t``
 required set are allowed -- consumers must ignore what they do not
 know -- but a missing or mistyped required field fails validation.
 
+An event is also the only record of a metric update:
+:data:`EVENT_METRICS` declares, per event type, the metrics
+``Tracer.emit`` derives from the fields it was handed.
+
 Run as a module to validate a trace file (CI does exactly this)::
 
     python -m repro.obs.schema trace.jsonl
@@ -20,9 +24,10 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import DEFAULT_BUCKETS, LATENCY_BUCKETS
 
 #: JSON type groups used in field specs.
 NUMBER = (int, float)
@@ -117,6 +122,73 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
                                "version": NUMBER, "epoch": NUMBER},
     "sidecar.stale_version": {"flow": STRING, "got": NUMBER,
                               "expected": NUMBER},
+}
+
+
+class Metric(NamedTuple):
+    """One metric an event type feeds (a row of :data:`EVENT_METRICS`)."""
+
+    kind: str                       # counter | gauge | histogram
+    name: str
+    labels: tuple[str, ...] = ()    # event fields used as label values
+    #: Event field a gauge is set to, a histogram observes or a counter
+    #: adds; None counts one per event.
+    value: str | None = None
+    const: tuple[tuple[str, object], ...] = ()  # labels with a fixed value
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
+
+
+def _count(name: str, *labels: str, value: str | None = None,
+           **const: object) -> tuple[Metric, ...]:
+    return (Metric("counter", name, labels, value, tuple(const.items())),)
+
+
+#: Event type -> the metrics derived from each such event.  Label and
+#: value fields are *required* fields of the type, label fields strings
+#: (``tests/obs/test_schema_drift.py``).  DESIGN.md §8 lists the metrics
+#: written directly because no event field holds their value.
+EVENT_METRICS: dict[str, tuple[Metric, ...]] = {
+    "link.enqueue": _count("netsim_link_offered_total", "link"),
+    "link.deliver": _count("netsim_link_delivered_total", "link"),
+    "link.drop": _count("netsim_link_dropped_total", "link", "reason"),
+    "fault.activate": _count("netsim_fault_activations_total",
+                             "injector", "effect"),
+    "transport.send": _count("transport_packets_sent_total", "flow",
+                             retx=False),
+    "transport.deliver": _count("transport_packets_delivered_total", "flow"),
+    "transport.retransmit": (
+        _count("transport_retransmits_total", "flow", "cause")
+        + _count("transport_packets_sent_total", "flow", retx=True)),
+    "transport.cwnd": (
+        Metric("gauge", "transport_cwnd_bytes", ("flow",), "cwnd"),
+        Metric("gauge", "transport_srtt_seconds", ("flow",), "srtt")),
+    "transport.loss": _count("transport_losses_total", "flow", "trigger"),
+    "transport.pto": _count("transport_pto_fired_total", "flow"),
+    "quack.encode": _count("quack_encoded_total", "scheme"),
+    "quack.decode": _count("quack_decodes_total", "status"),
+    "sidecar.quack_emit": _count("sidecar_quacks_emitted_total", "role"),
+    "sidecar.retransmit": (
+        _count("sidecar_retransmissions_total", "cause")
+        + (Metric("histogram", "sidecar_repair_latency_seconds", ("cause",),
+                  "latency", buckets=LATENCY_BUCKETS),)),
+    "sidecar.wire_error": _count("sidecar_wire_errors_total"),
+    "sidecar.reset": _count("sidecar_resets_total", "reason"),
+    "sidecar.reset_retry": _count("sidecar_reset_retries_total"),
+    "sidecar.health": _count("sidecar_health_transitions_total", "new"),
+    "sidecar.violation": _count("sidecar_violations_total", "kind"),
+    "sidecar.quarantine": _count("sidecar_quarantines_total"),
+    "sidecar.count_regression": _count("sidecar_count_regressions_total"),
+    "sidecar.resume": _count("sidecar_resumes_total", "phase"),
+    "sidecar.checkpoint": _count("sidecar_checkpoints_total"),
+    "sidecar.flow_reject": _count("flowtable_flows_rejected_total"),
+    "sidecar.flow_evict": _count("flowtable_flows_evicted_total", "reason"),
+    "sidecar.batch_emit": _count("flowtable_frames_batched_total",
+                                 value="frames"),
+    "sidecar.hello": _count("sidecar_hellos_total"),
+    "sidecar.negotiated": _count("sidecar_negotiations_total", "role"),
+    "sidecar.version_switch": _count("sidecar_version_switches_total",
+                                     "role"),
+    "sidecar.stale_version": _count("sidecar_stale_version_frames_total"),
 }
 
 #: Components an end-to-end traced scenario must touch (the acceptance

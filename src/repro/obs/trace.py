@@ -26,7 +26,8 @@ from collections import Counter as _TallyCounter
 from collections import deque
 from typing import IO, Iterable
 
-from repro.obs.metrics import json_safe
+from repro.obs.metrics import MetricsRegistry, json_safe
+from repro.obs.schema import EVENT_METRICS, component_of
 
 
 class TraceEvent:
@@ -104,14 +105,16 @@ class Tracer:
     ``enabled`` is a plain attribute so hot paths can guard with
     ``if TRACER.enabled:`` and skip even the argument packing when
     tracing is off.  :meth:`emit` double-checks, so un-guarded callers
-    are merely slower, never wrong.
+    are merely slower, never wrong.  ``registry`` receives the metrics
+    ``schema.EVENT_METRICS`` derives from each event.
     """
 
-    __slots__ = ("enabled", "sink")
+    __slots__ = ("enabled", "sink", "registry")
 
-    def __init__(self) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.enabled = False
         self.sink: RingSink | None = None
+        self.registry = registry
 
     def configure(self, capacity: int = 65536) -> RingSink:
         """Install a fresh ring sink and switch tracing on."""
@@ -124,10 +127,25 @@ class Tracer:
         self.enabled = False
 
     def emit(self, type: str, time: float, **fields: object) -> None:
-        """Record one event (no-op unless enabled with a sink)."""
-        if not self.enabled or self.sink is None:
+        """Record one observation: its metrics, then the event.
+
+        The updaters compiled from the type's ``EVENT_METRICS`` rows read
+        the ``fields`` the event keeps; with no sink (metrics-only mode)
+        that is all that happens.  No-op while disabled.
+        """
+        if not self.enabled:
             return
-        self.sink.emit(TraceEvent(time, type, fields))
+        registry = self.registry
+        try:
+            updates = registry.updaters[type]
+        except KeyError:
+            updates = registry.updaters[type] = tuple(
+                registry.updater(*row) for row in EVENT_METRICS.get(type, ()))
+        for update in updates:
+            update(fields)
+        sink = self.sink
+        if sink is not None:
+            sink.emit(TraceEvent(time, type, fields))
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -142,8 +160,6 @@ def component_tally(events: Iterable["TraceEvent | dict"]) -> dict[str, int]:
     report's Observability section, and the analytics engine so the
     tallying/formatting logic exists exactly once.
     """
-    from repro.obs.schema import component_of
-
     tally: dict[str, int] = {}
     for event in events:
         etype = event["type"] if isinstance(event, dict) else event.type

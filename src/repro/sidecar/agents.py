@@ -195,7 +195,6 @@ class EmitterEndpoint:
             obs.TRACER.emit("sidecar.quack_emit", self.sim.now,
                             role=self.role, flow=self.flow_id,
                             epoch=self.epoch)
-            obs.count("sidecar_quacks_emitted_total", role=self.role)
         self.node.send(quack_packet(self.node.name, self.peer, snapshot,
                                     self.flow_id, self.sim.now,
                                     epoch=self.epoch,
@@ -237,7 +236,6 @@ class EmitterEndpoint:
                 obs.TRACER.emit("sidecar.negotiated", self.sim.now,
                                 flow=self.flow_id, role="emitter",
                                 version=ack.version, features=ack.features)
-                obs.count("sidecar_negotiations_total", role="emitter")
         # Re-ack duplicates: the initiator retries lost offers, and the
         # answer to every retry must be byte-identical (idempotent).
         self.hello_acks_sent += 1
@@ -261,7 +259,6 @@ class EmitterEndpoint:
             obs.TRACER.emit("sidecar.version_switch", self.sim.now,
                             flow=self.flow_id, role="emitter",
                             version=switch.version, epoch=switch.epoch)
-            obs.count("sidecar_version_switches_total", role="emitter")
 
     # -- checkpoint/restore ----------------------------------------------------
 
@@ -295,7 +292,6 @@ class EmitterEndpoint:
             obs.TRACER.emit("sidecar.checkpoint", self.sim.now,
                             flow=self.flow_id, epoch=self.epoch,
                             count=self.emitter.quack.count, bytes=len(blob))
-            obs.count("sidecar_checkpoints_total")
 
     def _apply_reset(self, epoch: int) -> None:
         if epoch < self.epoch:
@@ -365,7 +361,6 @@ class EmitterEndpoint:
             obs.TRACER.emit("sidecar.resume", self.sim.now,
                             flow=self.flow_id, role="emitter", phase="sent",
                             epoch=self.epoch, count=restored.count)
-            obs.count("sidecar_resumes_total", phase="sent")
         self._send_control_message(ResumeMessage(
             flow_id=self.flow_id, epoch=self.epoch, count=restored.count))
 
@@ -512,8 +507,6 @@ class ServerSidecar:
                  apply_losses: bool = True,
                  reset_after_failures: int | None = None,
                  settle_time: float = 0.25,
-                 reset_retry_cap: float = 2.0,
-                 restart_margin: int | None = None,
                  health: HealthConfig | None = None,
                  defense: DefenseConfig | None = None,
                  negotiate: NegotiateConfig | None = None,
@@ -524,11 +517,11 @@ class ServerSidecar:
         self.apply_losses = apply_losses
         self.reset_after_failures = reset_after_failures
         self.settle_time = settle_time
-        self.reset_retry_cap = reset_retry_cap
+        #: Ceiling of the doubling reset-retry delay, seconds.
+        self.reset_retry_cap = 2.0
         #: Count regression below this is written off as snapshot
         #: reordering; at or above it, the emitter must have restarted.
-        self.restart_margin = restart_margin if restart_margin is not None \
-            else 4 * threshold
+        self.restart_margin = 4 * threshold
         self.consumer = QuackConsumer(threshold, bits, grace=grace)
         self.stats = ServerSidecarStats()
         self.epoch = 0
@@ -674,7 +667,6 @@ class ServerSidecar:
             if obs.TRACER.enabled:
                 obs.TRACER.emit("sidecar.wire_error", self.sim.now,
                                 flow=self.sender.flow_id)
-                obs.count("sidecar_wire_errors_total")
             if obs.FLIGHT.armed:
                 obs.FLIGHT.trigger("wire-error", time=self.sim.now,
                                    detail=f"flow={self.sender.flow_id}")
@@ -777,7 +769,6 @@ class ServerSidecar:
             obs.TRACER.emit("sidecar.count_regression", self.sim.now,
                             flow=self.sender.flow_id, observed=observed,
                             expected=expected)
-            obs.count("sidecar_count_regressions_total")
 
     # -- adversarial defense (plausibility gates + quarantine) -------------------
 
@@ -789,7 +780,6 @@ class ServerSidecar:
             obs.TRACER.emit("sidecar.violation", now,
                             flow=self.sender.flow_id, kind=signal.kind.value,
                             observed=signal.observed, expected=signal.expected)
-            obs.count("sidecar_violations_total", kind=signal.kind.value)
         if self.ledger is None or self.monitor is None:
             return
         if self.ledger.record(signal):
@@ -804,7 +794,6 @@ class ServerSidecar:
                                 flow=self.sender.flow_id,
                                 kind=signal.kind.value,
                                 signals=len(self.ledger.signals))
-                obs.count("sidecar_quarantines_total")
         elif self.monitor.quarantined:
             # Still lying while quarantined: restart the clean clock.
             self.monitor.on_adversarial(now, signal.kind.value)
@@ -833,7 +822,6 @@ class ServerSidecar:
                             flow=self.sender.flow_id,
                             max_version=self._hello.max_version,
                             attempt=self.stats.hellos_sent)
-            obs.count("sidecar_hellos_total")
         self.sender.host.send(packet)
         self._hello_timer.rearm(self.negotiate.retry_s)
 
@@ -885,7 +873,6 @@ class ServerSidecar:
                             flow=self.sender.flow_id, role="consumer",
                             version=ack.version, features=ack.features,
                             handshake_bytes=self.handshake_bytes)
-            obs.count("sidecar_negotiations_total", role="consumer")
 
     def request_version_switch(self, version: int) -> bool:
         """Flip the session's wire version mid-connection, without a reset.
@@ -928,7 +915,6 @@ class ServerSidecar:
             obs.TRACER.emit("sidecar.version_switch", self.sim.now,
                             flow=self.sender.flow_id, role="consumer",
                             version=version, epoch=self.epoch)
-            obs.count("sidecar_version_switches_total", role="consumer")
         return True
 
     def _frame_version_ok(self, frame: bytes) -> bool:
@@ -957,7 +943,6 @@ class ServerSidecar:
             obs.TRACER.emit("sidecar.stale_version", self.sim.now,
                             flow=self.sender.flow_id, got=version,
                             expected=self.wire_version)
-            obs.count("sidecar_stale_version_frames_total")
         return False
 
     # -- checkpoint/restore (resume handshake, consumer side) --------------------
@@ -1031,7 +1016,6 @@ class ServerSidecar:
                             flow=self.sender.flow_id, role="consumer",
                             phase=outcome, epoch=message.epoch,
                             count=message.count)
-            obs.count("sidecar_resumes_total", phase=outcome)
 
     # -- reset protocol (Section 3.3) -------------------------------------------
 
@@ -1064,7 +1048,6 @@ class ServerSidecar:
             obs.TRACER.emit("sidecar.reset", self.sim.now,
                             flow=self.sender.flow_id, epoch=self.epoch,
                             reason=self._reset_reason)
-            obs.count("sidecar_resets_total", reason=self._reset_reason)
         self._send_reset()
         self._arm_retry(initial=True)
         self.sim.schedule(self.settle_time, self._resume)
@@ -1104,7 +1087,6 @@ class ServerSidecar:
         if obs.TRACER.enabled:
             obs.TRACER.emit("sidecar.reset_retry", self.sim.now,
                             flow=self.sender.flow_id, epoch=self.epoch)
-            obs.count("sidecar_reset_retries_total")
         self._send_reset()
         self._retry_delay = min(2 * self._retry_delay, self.reset_retry_cap)
         self._arm_retry()

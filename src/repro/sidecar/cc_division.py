@@ -53,6 +53,9 @@ from repro.transport.connection import ReceiverConnection, SenderConnection
 from repro.transport.frames import DEFAULT_MSS, HEADER_BYTES
 from repro.transport.rtt import RttEstimator
 
+#: The proxy quACKs every this many forwarded packets to the server.
+QUACK_TO_SERVER_EVERY = 8
+
 
 @dataclass
 class PacingProxyStats:
@@ -74,7 +77,6 @@ class PacingProxy:
     def __init__(self, sim: Simulator, router: Router, server: str,
                  client: str, flow_id: str,
                  threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 quack_to_server_every: int = 8,
                  buffer_packets: int = 512,
                  grace: int = 1,
                  controller=None) -> None:
@@ -97,7 +99,7 @@ class PacingProxy:
         # Upstream duty: quACK forwarded packets to the server.
         self.upstream = EmitterEndpoint(
             sim, router, server, flow_id,
-            PacketCountFrequency(quack_to_server_every), role="proxy",
+            PacketCountFrequency(QUACK_TO_SERVER_EVERY), role="proxy",
             threshold=threshold, bits=bits, ledger_key="proxy-upstream")
 
         self._buffer: list[Packet] = []

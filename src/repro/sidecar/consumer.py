@@ -47,6 +47,9 @@ from repro.quack.base import DecodeStatus
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
 
+#: How ``decode_delta`` finds the missing identifiers.
+DECODE_METHOD = "auto"
+
 
 @dataclass
 class LogEntry:
@@ -97,13 +100,11 @@ class QuackConsumer:
     """Sender-side quACK session state."""
 
     def __init__(self, threshold: int, bits: int = 32, count_bits: int = 16,
-                 grace: int = 1, decode_method: str = "auto",
-                 trailing_in_transit: bool = True) -> None:
+                 grace: int = 1, trailing_in_transit: bool = True) -> None:
         if grace < 1:
             raise ValueError(f"grace must be >= 1 quACK, got {grace}")
         self.mine = PowerSumQuack(threshold, bits, count_bits)
         self.grace = grace
-        self.decode_method = decode_method
         self.trailing_in_transit = trailing_in_transit
         self.log: list[LogEntry] = []
         self.stats = ConsumerStats()
@@ -157,7 +158,6 @@ class QuackConsumer:
             obs.TRACER.emit("quack.decode", now, status=status.value,
                             missing=missing, declared_lost=declared_lost,
                             in_transit=in_transit)
-            obs.count("quack_decodes_total", status=status.value)
 
     def on_quack(self, theirs: PowerSumQuack, now: float) -> QuackFeedback:
         """Process one received quACK; returns the decoded feedback.
@@ -210,7 +210,7 @@ class QuackConsumer:
 
         delta = truncated_mine - theirs
         result = decode_delta(delta, [e.identifier for e in kept] + recent,
-                              method=self.decode_method)
+                              method=DECODE_METHOD)
         if not result.ok:
             self.stats.quacks_failed += 1
             self._trace_decode(now, result.status, result.num_missing)
@@ -311,6 +311,7 @@ class QuackConsumer:
         self._trace_decode(now, DecodeStatus.OK, self.threshold,
                            in_transit=m_total)
         if obs.TRACER.enabled:
+            # Direct: which path settled a quACK stays out of the trace.
             obs.count("quack_settled_in_order_total")
         return feedback
 

@@ -204,12 +204,7 @@ class FlowTable:
         if existing is not None:
             return existing
         if self._flow_count >= self.config.max_flows:
-            self.stats.flows_rejected += 1
-            if obs.TRACER.enabled:
-                obs.TRACER.emit("sidecar.flow_reject", now, tenant=tenant,
-                                flow=flow_id, flows=self._flow_count)
-                obs.count("flowtable_flows_rejected_total")
-            return None
+            return self._reject(tenant, flow_id)
         if emitter is None:
             emitter = QuackEmitter(self.config.threshold, self.config.bits,
                                    flow=key)
@@ -224,12 +219,7 @@ class FlowTable:
             self._remove(self._tenant_lru(tenant), "budget")
         if self._tenant_bank.get(tenant, 0) + bank > budget:
             # The newcomer alone does not fit the tenant's budget.
-            self.stats.flows_rejected += 1
-            if obs.TRACER.enabled:
-                obs.TRACER.emit("sidecar.flow_reject", now, tenant=tenant,
-                                flow=flow_id, flows=self._flow_count)
-                obs.count("flowtable_flows_rejected_total")
-            return None
+            return self._reject(tenant, flow_id)
         record = FlowRecord(tenant, flow_id, emitter, bank, now,
                             on_emit, on_evict)
         shard[key] = record
@@ -241,8 +231,16 @@ class FlowTable:
         self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
                                          self.total_bank_bytes())
         if obs.TRACER.enabled:
+            # Direct: admissions have no per-flow event to derive from.
             obs.count("flowtable_flows_admitted_total")
         return record
+
+    def _reject(self, tenant: str, flow_id: str) -> None:
+        self.stats.flows_rejected += 1
+        if obs.TRACER.enabled:
+            obs.TRACER.emit("sidecar.flow_reject", self.sim.now,
+                            tenant=tenant, flow=flow_id,
+                            flows=self._flow_count)
 
     # -- observation ------------------------------------------------------
 
@@ -296,6 +294,7 @@ class FlowTable:
             latency = now - record.due_since
             self._latencies.append(latency)
             if obs.TRACER.enabled:
+                # Direct: ``sidecar.batch_emit`` is per sweep, not per frame.
                 obs.observe("flowtable_emission_latency_seconds",
                             latency, buckets=LATENCY_BUCKETS)
             frames += 1
@@ -307,7 +306,6 @@ class FlowTable:
             if obs.TRACER.enabled:
                 obs.TRACER.emit("sidecar.batch_emit", now, frames=frames,
                                 flows=self._flow_count)
-                obs.count("flowtable_frames_batched_total", frames)
         return frames
 
     # -- eviction / shedding / teardown -----------------------------------
@@ -341,7 +339,6 @@ class FlowTable:
             obs.TRACER.emit("sidecar.flow_evict", self.sim.now,
                             tenant=record.tenant, flow=record.flow_id,
                             reason=reason)
-            obs.count("flowtable_flows_evicted_total", reason=reason)
         if record.on_evict is not None and reason != "close":
             record.on_evict(reason)
 

@@ -230,5 +230,4 @@ class HealthMonitor:
         if obs.TRACER.enabled:
             obs.TRACER.emit("sidecar.health", now, old=self.state.value,
                             new=new.value, reason=reason)
-            obs.count("sidecar_health_transitions_total", new=new.value)
         self.state = new

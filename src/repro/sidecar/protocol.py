@@ -416,7 +416,6 @@ def quack_packet(src: str, dst: str, quack: PowerSumQuack, flow_id: str,
     if obs.TRACER.enabled:
         obs.TRACER.emit("quack.encode", now, scheme="power_sum",
                         bytes=len(frame))
-        obs.count("quack_encoded_total", scheme="power_sum")
     return Packet(
         src=src, dst=dst,
         size_bytes=SIDECAR_HEADER_BYTES + len(frame),

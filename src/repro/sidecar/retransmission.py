@@ -126,9 +126,6 @@ class SenderSideRetxProxy:
                                 flow=self.flow_id, cause="quack",
                                 latency=latency,
                                 ctx=lost_packet.trace_ctx)
-                obs.count("sidecar_retransmissions_total", cause="quack")
-                obs.observe("sidecar_repair_latency_seconds", latency,
-                            buckets=obs.LATENCY_BUCKETS, cause="quack")
             self.router.emit(lost_packet)
 
     def observed_loss_ratio(self) -> float:

@@ -191,6 +191,8 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None,
 
 def _note_outcome(outcome: CellOutcome,
                   say: Callable[[str], None]) -> None:
+    # Direct (as the other two sweep_* metrics): the parent process has
+    # no simulator clock to stamp an event with.
     obs.count("sweep_cells_total", status=outcome.status)
     if outcome.ok:
         say(f"cell {outcome.index}: ok "
@@ -236,7 +238,7 @@ def _retry_or_fail(spec: SweepSpec, tracker: _CellTracker, error: str,
                    error_kind: str, say: Callable[[str], None]) -> None:
     """Burn one failed attempt: either queue a retry or finalize."""
     if tracker.attempts_used <= spec.retries:
-        obs.count("sweep_retries_total", kind=error_kind)
+        obs.count("sweep_retries_total", kind=error_kind)  # direct, as above
         say(f"cell {tracker.cell.index}: attempt "
             f"{tracker.attempts_used} failed [{error_kind}], retrying "
             f"({spec.retries - tracker.attempts_used + 1} left)")
@@ -283,7 +285,7 @@ def _run_parallel(spec: SweepSpec, todo: list[SweepCell], workers: int,
     #: In-flight futures -> (index, submitted_monotonic).
     running: dict[Future, tuple[int, float]] = {}
     pool = _Pool(workers, telemetry)
-    obs.gauge("sweep_workers", workers)
+    obs.gauge("sweep_workers", workers)  # direct: see _note_outcome
 
     def submit_ready() -> None:
         now = time.monotonic()

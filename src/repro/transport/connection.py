@@ -429,14 +429,10 @@ class SenderConnection:
                                 flow=self.flow_id, pn=pn, size=size,
                                 cause=cause, latency=latency,
                                 ctx=packet.uid, parent_ctx=parent_ctx)
-                obs.count("transport_retransmits_total", flow=self.flow_id,
-                          cause=cause)
             else:
                 obs.TRACER.emit("transport.send", self.sim.now,
                                 flow=self.flow_id, pn=pn, size=size,
                                 ctx=packet.uid)
-            obs.count("transport_packets_sent_total", flow=self.flow_id,
-                      retx=is_retransmission)
         self.host.send(packet, via=self.via)
         for listener in self._send_listeners:
             listener(record)
@@ -502,10 +498,6 @@ class SenderConnection:
                             cwnd=int(self.cc.cwnd),
                             in_flight=self.bytes_in_flight,
                             srtt=self.rtt.srtt)
-            obs.gauge("transport_cwnd_bytes", int(self.cc.cwnd),
-                      flow=self.flow_id)
-            obs.gauge("transport_srtt_seconds", self.rtt.srtt,
-                      flow=self.flow_id)
         self._check_completion()
         self._maybe_send()
 
@@ -548,8 +540,8 @@ class SenderConnection:
             obs.TRACER.emit("transport.loss", now, flow=self.flow_id,
                             pn=record.packet_number, trigger=trigger,
                             congestion=congestion, ctx=record.trace_ctx)
-            obs.count("transport_losses_total", flow=self.flow_id,
-                      trigger=trigger)
+            # Direct: neither the latency nor the retransmit-cause label
+            # is a field of ``transport.loss``.
             obs.observe("transport_detect_latency_seconds",
                         now - record.time_sent,
                         buckets=obs.LATENCY_BUCKETS,
@@ -587,7 +579,6 @@ class SenderConnection:
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.pto", self.sim.now, flow=self.flow_id,
                             backoff=self._pto_backoff)
-            obs.count("transport_pto_fired_total", flow=self.flow_id)
         # Probe: retransmit the earliest outstanding un-acked range.
         unsettled = map(self.sent.get,
                         range(self._loss_floor, self._next_packet_number))
@@ -705,7 +696,6 @@ class ReceiverConnection:
             obs.TRACER.emit("transport.deliver", self.sim.now,
                             flow=self.flow_id, pn=frame.packet_number,
                             ctx=packet.trace_ctx)
-            obs.count("transport_packets_delivered_total", flow=self.flow_id)
         before = len(self.received_offsets)
         if frame.length > 0:
             self.received_offsets.add_range(frame.offset,

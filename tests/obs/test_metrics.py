@@ -39,12 +39,6 @@ class TestCounter:
         with pytest.raises(ObservabilityError):
             Counter().inc(-1)
 
-    def test_reset(self):
-        counter = Counter()
-        counter.inc(7)
-        counter.reset()
-        assert counter.snapshot() == 0.0
-
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -154,12 +148,28 @@ class TestRegistry:
         assert values[(("a", "one"),)] == 2.0
         assert values[(("a", "two"),)] == 1.0
 
-    def test_reset_zeroes_but_keeps_families(self):
+    def test_reset_drops_families_and_series(self):
+        # A series an earlier run touched must not come back as a zero:
+        # what a run reads is a function of that run alone.
         registry = MetricsRegistry()
-        registry.counter("x_total").labels().inc(5)
+        registry.counter("x_total", labels=("a",)).labels(a="y").inc(5)
         registry.reset()
-        snap = registry.snapshot()
-        assert snap["x_total"]["series"][0]["value"] == 0.0
+        assert registry.snapshot() == {}
+        assert "no metrics" in registry.render_text()
+        # ... and the name is free again, even with another label set.
+        registry.counter("x_total").labels().inc(2)
+        assert registry.snapshot()["x_total"]["series"] == [
+            {"labels": {}, "value": 2.0}]
+
+    def test_reset_drops_compiled_updaters(self):
+        # Updaters cache children; a cache that outlived reset() would
+        # keep counting into series the registry no longer holds.
+        registry = MetricsRegistry()
+        update = registry.updater("counter", "x_total", ("a",))
+        registry.updaters["x.y"] = (update,)
+        update({"a": "y"})
+        registry.reset()
+        assert registry.updaters == {}
 
     def test_render_json_valid_with_infinite_gauge(self):
         # RttEstimator.min_rtt starts at inf; the export must stay JSON.

@@ -82,6 +82,19 @@ class TestRunTraced:
         assert first.metrics_text == second.metrics_text
         assert first.missing_core_components() == []
 
+    def test_metrics_do_not_depend_on_what_ran_before(self):
+        """A run's metrics are a function of the run: series that only
+        another scenario touched (wire errors, fault activations, health
+        transitions) must not come back as zeros."""
+        first = run_traced("ack-reduction", seed=1, total_bytes=60_000)
+        other = run_traced("corruption", seed=1, total_bytes=60_000)
+        third = run_traced("ack-reduction", seed=1, total_bytes=60_000)
+        assert "sidecar_wire_errors_total" in other.metrics
+        assert [event.to_dict() for event in first.events] \
+            == [event.to_dict() for event in third.events]
+        assert first.metrics == third.metrics
+        assert first.metrics_text == third.metrics_text
+
     def test_jsonl_export_validates(self, tmp_path):
         result = run_traced("ack-reduction", seed=2, total_bytes=60_000)
         path = tmp_path / "trace.jsonl"

@@ -14,16 +14,38 @@ Walks every module under ``src/`` with :mod:`ast` and collects each
 This is the test that fails when someone adds an instrumentation point
 without extending the vocabulary (or prunes the vocabulary while call
 sites still reference it).
+
+The same walk guards the event -> metric table
+(:data:`repro.obs.schema.EVENT_METRICS`): a row may only read required
+fields of its event, an instrumentation point may not write a metric by
+hand that the table could derive, every metric an SLO budget names has
+a source, and DESIGN.md §8 renders the vocabulary as it is.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import re
 from pathlib import Path
 
-from repro.obs.schema import EVENT_SCHEMA
+from repro.obs.schema import EVENT_METRICS, EVENT_SCHEMA, STRING, Metric
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+
+#: Metrics written with ``obs.count/gauge/observe`` at their site because
+#: their value is not a field of any event (DESIGN.md §8 says why, one
+#: by one).  Everything else is a row of ``EVENT_METRICS``.
+DIRECT_METRICS = {
+    "transport_detect_latency_seconds",
+    "flowtable_flows_admitted_total",
+    "flowtable_emission_latency_seconds",
+    "quack_settled_in_order_total",
+    "sweep_cells_total",
+    "sweep_retries_total",
+    "sweep_workers",
+}
 
 
 def _is_tracer_emit(node: ast.Call) -> bool:
@@ -40,13 +62,22 @@ def _is_tracer_emit(node: ast.Call) -> bool:
     return False
 
 
-def collect_emit_sites() -> list[tuple[str, int, str, set[str]]]:
-    """Every literal-typed emit call: (file, line, type, keyword names)."""
+def _is_direct_metric(node: ast.Call) -> bool:
+    """Match ``obs.count(...)`` / ``obs.gauge(...)`` / ``obs.observe(...)``."""
+    func = node.func
+    return (isinstance(func, ast.Attribute)
+            and func.attr in ("count", "gauge", "observe")
+            and isinstance(func.value, ast.Name) and func.value.id == "obs")
+
+
+def _collect_sites(matches) -> list[tuple[str, int, str, set[str]]]:
+    """Every matching call whose first argument is a string literal:
+    (file, line, that literal, keyword names)."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and _is_tracer_emit(node)):
+            if not (isinstance(node, ast.Call) and matches(node)):
                 continue
             if not (node.args and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)):
@@ -55,6 +86,10 @@ def collect_emit_sites() -> list[tuple[str, int, str, set[str]]]:
             sites.append((str(path.relative_to(SRC)), node.lineno,
                           node.args[0].value, keywords))
     return sites
+
+
+def collect_emit_sites() -> list[tuple[str, int, str, set[str]]]:
+    return _collect_sites(_is_tracer_emit)
 
 
 def test_sources_contain_emit_sites():
@@ -89,3 +124,122 @@ def test_every_required_field_is_passed():
             problems.append((f"{path}:{line}", etype, sorted(missing)))
     assert not problems, (
         f"emit sites omit required schema fields: {problems}")
+
+
+# -- the event -> metric table ------------------------------------------------
+
+def test_metric_rows_read_required_fields_only():
+    # An optional field may be absent at some call site; a row reading it
+    # would raise KeyError there, in an enabled run only.  Label fields
+    # are strings so that the updaters' child cache, keyed by the raw
+    # value, cannot alias two values whose str() differ (True vs 1).
+    problems = []
+    for etype, rows in EVENT_METRICS.items():
+        required = EVENT_SCHEMA.get(etype)
+        if required is None:
+            problems.append((etype, "not an event type"))
+            continue
+        for row in rows:
+            for name in (*row.labels, *filter(None, [row.value])):
+                if name not in required:
+                    problems.append((etype, row.name, name, "not required"))
+            for name in row.labels:
+                if required.get(name) is not STRING:
+                    problems.append((etype, row.name, name, "not a string"))
+            if row.kind != "counter" and row.value is None:
+                problems.append((etype, row.name, "no value field"))
+    assert not problems, problems
+
+
+def test_each_metric_has_one_shape():
+    # The registry rejects a name re-registered with another kind or
+    # label set -- at run time, on whichever event comes second.  Catch
+    # it here instead.
+    shapes: dict[str, set] = {}
+    for rows in EVENT_METRICS.values():
+        for row in rows:
+            labelnames = tuple(sorted([*row.labels, *dict(row.const)]))
+            shapes.setdefault(row.name, set()).add(
+                (row.kind, labelnames, row.buckets))
+    assert not {name: shape for name, shape in shapes.items()
+                if len(shape) > 1}
+    assert not DIRECT_METRICS & set(shapes)
+
+
+def test_only_underivable_metrics_are_written_by_hand():
+    sites = [(f"{path}:{line}", name)
+             for path, line, name, _ in _collect_sites(_is_direct_metric)
+             if not path.startswith("repro/obs/")]
+    assert sorted(name for _, name in sites) == sorted(DIRECT_METRICS), (
+        f"obs.count/gauge/observe outside repro/obs must be exactly the "
+        f"direct metrics, once each; anything an event field can supply "
+        f"belongs in schema.EVENT_METRICS: {sites}")
+
+
+def test_every_slo_budget_metric_has_a_source():
+    declared = DIRECT_METRICS | {row.name for rows in EVENT_METRICS.values()
+                                 for row in rows}
+    budget_files = sorted((ROOT / "benchmarks" / "slo").glob("*.json"))
+    assert budget_files
+    unknown = []
+    for path in budget_files:
+        for budget in json.loads(path.read_text())["budgets"]:
+            name = budget.get("metric") or budget["ratio_of"]
+            if name not in declared:
+                unknown.append((path.name, budget["name"], name))
+    assert not unknown, (
+        f"SLO budgets name metrics nothing records: {unknown}")
+
+
+# -- DESIGN.md §8 renders the vocabulary ----------------------------------------
+
+def describe(row: Metric) -> str:
+    """One table row as DESIGN.md writes it: ``name{labels}`` plus the
+    field a counter adds (``+=``), a gauge is set to (``=``) or a
+    histogram observes (``<-``)."""
+    labels = sorted([*row.labels, *(f"{k}={v}" for k, v in row.const)])
+    text = f"{row.name}{{{','.join(labels)}}}" if labels else row.name
+    if row.value is not None:
+        sign = {"counter": "+=", "gauge": "=", "histogram": "<-"}[row.kind]
+        text += f" {sign} {row.value}"
+    return text
+
+
+def _design_section_8() -> str:
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    return text[text.index("\n## 8. "):text.index("\n## 9. ")]
+
+
+def _table_rows(section: str, header: str) -> list[list[str]]:
+    """Cells of the markdown table in ``section`` whose header row starts
+    with ``header`` (backticks stripped)."""
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"| {header} |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("`", "")
+                     for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_design_event_table_matches_schema():
+    rows = _table_rows(_design_section_8(), "event type")
+    documented = {row[0]: (row[1], row[2]) for row in rows}
+    expected = {
+        etype: (", ".join(fields),
+                "; ".join(describe(row)
+                          for row in EVENT_METRICS.get(etype, ())) or "—")
+        for etype, fields in EVENT_SCHEMA.items()}
+    assert [row[0] for row in rows] == list(EVENT_SCHEMA), (
+        "DESIGN.md §8 lists the event types in EVENT_SCHEMA order")
+    assert documented == expected
+
+
+def test_design_direct_metric_table_matches():
+    rows = _table_rows(_design_section_8(), "direct metric")
+    names = [name for row in rows
+             for name in re.sub(r"\{[^}]*\}", "", row[0]).split(", ")]
+    assert sorted(names) == sorted(DIRECT_METRICS)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     RingSink,
     TraceEvent,
@@ -71,12 +72,12 @@ class TestRingSink:
 
 class TestTracer:
     def test_disabled_emit_is_noop(self):
-        tracer = Tracer()
+        tracer = Tracer(MetricsRegistry())
         tracer.emit("x.y", 0.0, a=1)
         assert tracer.events == []
 
     def test_configure_enables_and_captures(self):
-        tracer = Tracer()
+        tracer = Tracer(MetricsRegistry())
         sink = tracer.configure(capacity=16)
         assert tracer.enabled
         tracer.emit("x.y", 1.0, a=1)
@@ -84,15 +85,57 @@ class TestTracer:
         assert sink.events[0].fields == {"a": 1}
 
     def test_disable_keeps_events_readable(self):
-        tracer = Tracer()
+        tracer = Tracer(MetricsRegistry())
         tracer.configure()
         tracer.emit("x.y", 1.0)
         tracer.disable()
         tracer.emit("x.y", 2.0)  # ignored
         assert len(tracer.events) == 1
 
+    def test_emit_derives_the_metrics_the_schema_declares(self):
+        tracer = Tracer(MetricsRegistry())
+        tracer.configure()
+        for cause in ("ack", "ack", "pto"):
+            tracer.emit("transport.retransmit", 1.0, flow="f", pn=7,
+                        size=100, cause=cause, latency=0.1)
+        tracer.emit("transport.send", 1.0, flow="f", pn=8, size=100)
+        tracer.emit("transport.cwnd", 1.0, flow="f", cwnd=2920,
+                    in_flight=0, srtt=0.05)
+        tracer.emit("x.y", 1.0, a=1)  # no row: an event and nothing else
+        assert tracer.registry.render_text().splitlines() == [
+            f"{name:<58s} {value}" for name, value in (
+                ("transport_cwnd_bytes{flow=f}", "2920"),
+                ("transport_packets_sent_total{flow=f,retx=False}", "1"),
+                ("transport_packets_sent_total{flow=f,retx=True}", "3"),
+                ("transport_retransmits_total{cause=ack,flow=f}", "2"),
+                ("transport_retransmits_total{cause=pto,flow=f}", "1"),
+                ("transport_srtt_seconds{flow=f}", "0.05"))]
+        assert len(tracer.events) == 6
+
+    def test_metrics_only_mode_is_emit_without_a_sink(self):
+        tracer = Tracer(MetricsRegistry())
+        tracer.enabled = True  # what obs.enable_metrics() does
+        tracer.emit("sidecar.batch_emit", 0.5, frames=3, flows=9)
+        tracer.emit("sidecar.batch_emit", 0.6, frames=4, flows=9)
+        tracer.emit("sidecar.retransmit", 0.7, flow="f", cause="quack",
+                    latency=0.02)
+        snap = tracer.registry.snapshot()
+        assert snap["flowtable_frames_batched_total"]["series"] == [
+            {"labels": {}, "value": 7.0}]
+        repair = snap["sidecar_repair_latency_seconds"]["series"][0]
+        assert repair["labels"] == {"cause": "quack"}
+        assert repair["value"]["count"] == 1
+        assert repair["value"]["p50"] == 0.025  # the latency buckets
+        assert tracer.events == []
+
+    def test_disabled_emit_touches_no_metric(self):
+        tracer = Tracer(MetricsRegistry())
+        tracer.emit("link.drop", 0.0, link="a->b", kind="data", size=1,
+                    reason="queue")
+        assert tracer.registry.snapshot() == {}
+
     def test_reconfigure_replaces_sink(self):
-        tracer = Tracer()
+        tracer = Tracer(MetricsRegistry())
         tracer.configure()
         tracer.emit("x.y", 1.0)
         tracer.configure()

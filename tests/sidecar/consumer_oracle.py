@@ -21,7 +21,12 @@ from typing import Any
 from repro.quack.base import DecodeStatus
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.consumer import LogEntry, QuackConsumer, QuackFeedback
+from repro.sidecar.consumer import (
+    DECODE_METHOD,
+    LogEntry,
+    QuackConsumer,
+    QuackFeedback,
+)
 
 
 class ReferenceConsumer(QuackConsumer):
@@ -79,7 +84,7 @@ class ReferenceConsumer(QuackConsumer):
 
         delta = truncated_mine - theirs
         result = decode_delta(delta, [e.identifier for e in kept] + recent,
-                              method=self.decode_method)
+                              method=DECODE_METHOD)
         if not result.ok:
             self.stats.quacks_failed += 1
             self._trace_decode(now, result.status, result.num_missing)

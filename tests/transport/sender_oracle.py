@@ -76,10 +76,6 @@ class ReferenceSender(SenderConnection):
                             cwnd=int(self.cc.cwnd),
                             in_flight=self.bytes_in_flight,
                             srtt=self.rtt.srtt)
-            obs.gauge("transport_cwnd_bytes", int(self.cc.cwnd),
-                      flow=self.flow_id)
-            obs.gauge("transport_srtt_seconds", self.rtt.srtt,
-                      flow=self.flow_id)
         self._check_completion()
         self._maybe_send()
 
@@ -109,7 +105,6 @@ class ReferenceSender(SenderConnection):
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.pto", self.sim.now, flow=self.flow_id,
                             backoff=self._pto_backoff)
-            obs.count("transport_pto_fired_total", flow=self.flow_id)
         # Probe: retransmit the earliest outstanding un-acked range.
         outstanding = sorted(
             (r for r in self.sent.values() if not r.acked and not r.lost),
