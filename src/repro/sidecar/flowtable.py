@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from repro import obs
 from repro.obs import LATENCY_BUCKETS
@@ -92,11 +94,12 @@ class FlowRecord:
                  "on_emit", "on_evict", "admitted_at", "last_activity",
                  "observed", "due", "due_since", "live")
 
-    def __init__(self, tenant: str, flow_id: str, emitter: QuackEmitter,
-                 bank_bytes: int, now: float, on_emit, on_evict) -> None:
+    def __init__(self, tenant: str, flow_id: str, flow_key: str,
+                 emitter: QuackEmitter, bank_bytes: int, now: float,
+                 on_emit, on_evict) -> None:
         self.tenant = tenant
         self.flow_id = flow_id
-        self.flow_key = f"{tenant}/{flow_id}"
+        self.flow_key = flow_key
         self.emitter = emitter
         self.bank_bytes = bank_bytes
         self.on_emit = on_emit
@@ -145,6 +148,12 @@ class FlowTable:
             {} for _ in range(self.config.shards)]
         self._tenants: dict[str, dict[str, FlowRecord]] = {}
         self._tenant_bank: dict[str, int] = {}
+        self._bank_total = 0
+        # tenant -> min-heap of (last_activity, admitted_at, flow_key,
+        # seq, record); only tenants that have needed a victim have one
+        # (see ``_tenant_lru``).
+        self._lru_heaps: dict[str, list[tuple]] = {}
+        self._lru_seq = 0
         self._budget_override: dict[str, int] = {}
         self._due: list[FlowRecord] = []
         self._latencies: list[float] = []
@@ -166,7 +175,7 @@ class FlowTable:
 
     def total_bank_bytes(self) -> int:
         """Resident bank memory across every tenant."""
-        return sum(self._tenant_bank.values())
+        return self._bank_total
 
     def tenant_bank_bytes(self, tenant: str) -> int:
         return self._tenant_bank.get(tenant, 0)
@@ -220,16 +229,21 @@ class FlowTable:
         if self._tenant_bank.get(tenant, 0) + bank > budget:
             # The newcomer alone does not fit the tenant's budget.
             return self._reject(tenant, flow_id)
-        record = FlowRecord(tenant, flow_id, emitter, bank, now,
+        record = FlowRecord(tenant, flow_id, key, emitter, bank, now,
                             on_emit, on_evict)
         shard[key] = record
         self._tenants.setdefault(tenant, {})[key] = record
+        heap = self._lru_heaps.get(tenant)
+        if heap is not None:
+            self._lru_seq += 1
+            heappush(heap, (now, now, key, self._lru_seq, record))
         self._tenant_bank[tenant] = self._tenant_bank.get(tenant, 0) + bank
+        self._bank_total += bank
         self._flow_count += 1
         self.stats.flows_admitted += 1
         self.stats.peak_flows = max(self.stats.peak_flows, self._flow_count)
         self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
-                                         self.total_bank_bytes())
+                                         self._bank_total)
         if obs.TRACER.enabled:
             # Direct: admissions have no per-flow event to derive from.
             obs.count("flowtable_flows_admitted_total")
@@ -310,10 +324,44 @@ class FlowTable:
 
     # -- eviction / shedding / teardown -----------------------------------
 
-    def _tenant_lru(self, tenant: str) -> FlowRecord:
+    def _build_lru_heap(self, tenant: str) -> list[tuple]:
         records = self._tenants[tenant].values()
-        return min(records, key=lambda r: (r.last_activity, r.admitted_at,
-                                           r.flow_key))
+        heap = [(record.last_activity, record.admitted_at, record.flow_key,
+                 seq, record)
+                for seq, record in enumerate(records, self._lru_seq + 1)]
+        self._lru_seq += len(heap)
+        heapify(heap)
+        self._lru_heaps[tenant] = heap
+        return heap
+
+    def _tenant_lru(self, tenant: str) -> FlowRecord:
+        """The tenant's resident flow least in ``(last_activity,
+        admitted_at, flow_key)``, from a heap corrected only at its top.
+
+        The heap is built the first time the tenant needs a victim, so
+        a tenant inside its budget never holds one, and ``observe``
+        never touches it: an entry keeps the ``last_activity`` it was
+        written with.  Virtual time is monotone, so a record's key only
+        grows and every entry is a lower bound of its record's key; a
+        top entry that is still exact is therefore below every other
+        resident record's current key -- the same victim, ties
+        included, as a scan of the tenant.  ``seq`` only keeps the
+        tuple comparison off the records when a flow key is closed and
+        re-admitted within one instant.
+        """
+        heap = self._lru_heaps.get(tenant)
+        if heap is None:
+            heap = self._build_lru_heap(tenant)
+        while True:
+            entry = heap[0]
+            record = entry[4]
+            if not record.live:
+                heappop(heap)
+            elif record.last_activity != entry[0]:
+                heapreplace(heap, (record.last_activity, entry[1], entry[2],
+                                   entry[3], record))
+            else:
+                return record
 
     def _remove(self, record: FlowRecord, reason: str) -> None:
         record.live = False
@@ -321,11 +369,19 @@ class FlowTable:
         tenant_records = self._tenants.get(record.tenant)
         if tenant_records is not None:
             tenant_records.pop(record.flow_key, None)
+            self._bank_total -= record.bank_bytes
             if not tenant_records:
                 del self._tenants[record.tenant]
                 del self._tenant_bank[record.tenant]
+                self._lru_heaps.pop(record.tenant, None)
             else:
                 self._tenant_bank[record.tenant] -= record.bank_bytes
+                # A removed flow's entry stays until it surfaces at the
+                # top; rebuild before dead entries outnumber the live.
+                heap = self._lru_heaps.get(record.tenant)
+                if (heap is not None
+                        and len(heap) > 2 * len(tenant_records) + 64):
+                    self._build_lru_heap(record.tenant)
         self._flow_count -= 1
         if reason == "close":
             self.stats.flows_closed += 1
@@ -549,7 +605,7 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
     table = FlowTable(sim, config)
     rng = random.Random(seed)
     records: list[FlowRecord] = []
-    live: list[FlowRecord] = []
+    live: deque[FlowRecord] = deque()
     flow_seq = 0
 
     def admit_one() -> None:
@@ -564,29 +620,33 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
         admit_one()
 
     ticks = max(1, int(round(duration_s / tick_s)))
-    total_obs = flows * packets_per_flow
+    # With every flow rejected there is nothing to observe (and no
+    # record for the cursor to index).
+    total_obs = flows * packets_per_flow if records else 0
     per_tick = -(-total_obs // ticks) if total_obs else 0  # ceil div
-    state = {"tick": 0, "cursor": 0, "churn_carry": 0.0}
+    tick = cursor = 0
+    churn_carry = 0.0
 
     def step() -> None:
+        nonlocal tick, cursor, churn_carry
         for _ in range(per_tick):
-            if state["cursor"] >= total_obs:
+            if cursor >= total_obs:
                 break
-            record = records[state["cursor"] % len(records)]
-            state["cursor"] += 1
+            record = records[cursor % len(records)]
+            cursor += 1
             table.observe(record, rng.randrange(1, 1 << bits))
-        state["churn_carry"] += churn_rate * flows * tick_s
-        replace = int(state["churn_carry"])
-        state["churn_carry"] -= replace
+        churn_carry += churn_rate * flows * tick_s
+        replace = int(churn_carry)
+        churn_carry -= replace
         for _ in range(replace):
             while live and not live[0].live:
-                live.pop(0)
+                live.popleft()
             if not live:
                 break
-            table.close_flow(live.pop(0))
+            table.close_flow(live.popleft())
             admit_one()
-        state["tick"] += 1
-        if state["tick"] < ticks:
+        tick += 1
+        if tick < ticks:
             timer.rearm(tick_s)
         else:
             table.close()

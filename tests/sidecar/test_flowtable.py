@@ -256,6 +256,35 @@ class TestRunScale:
         assert result["flows_evicted"] == 0
         assert result["flows_shed"] == 0
 
+    @pytest.mark.parametrize("kwargs, pinned", [
+        (dict(flows=2000, tenant_budget_bytes=3600),
+         dict(flows_evicted=406, flows_closed=400, observations=5863,
+              frames_batched=2308, batches=77, peak_bank_bytes=28_800,
+              ledger_bank_bytes=27_738)),
+        # The flowtable-evict benchmark workload's own input.
+        (dict(flows=20_000, tenant_budget_bytes=36_000),
+         dict(flows_evicted=4006, observations=58_664,
+              frames_batched=22_842, batches=75, flows=15_994,
+              ledger_flows=15_497)),
+    ], ids=["2000-flows", "benchmark-input"])
+    def test_budget_eviction_outcomes_are_pinned(self, kwargs, pinned):
+        # Taken with the victim chosen by a scan of the tenant
+        # (tests/sidecar/flowtable_oracle.py): which flows a tenant at
+        # 0.4x its default budget loses decides every number here.
+        result = run_scale(tenants=8, packets_per_flow=4, churn_rate=0.2,
+                           duration_s=1.0, seed=1, account=True, **kwargs)
+        assert {key: result[key] for key in pinned} == pinned
+
+    @pytest.mark.parametrize("churn_rate", [0.0, 0.5])
+    def test_every_flow_rejected_is_a_result_not_a_crash(self, churn_rate):
+        # A budget under one bank admits nothing; the driver used to
+        # divide by its empty record list on the first tick.
+        result = run_scale(flows=10, tenant_budget_bytes=1,
+                           churn_rate=churn_rate)
+        assert result["flows_rejected"] == 10
+        assert result["flows_admitted"] == 0
+        assert result["observations"] == 0
+
     def test_churn_closes_and_forgets(self):
         result = run_scale(flows=100, tenants=4, churn_rate=1.0,
                            duration_s=0.5, seed=1, account=True)
