@@ -8,6 +8,7 @@ from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs.runner import known_scenarios, run_traced, summarize
 from repro.obs.schema import validate_file, validate_record
+from tests.obs.golden import digests, load_golden
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +72,8 @@ class TestRunTraced:
     def test_same_process_runs_are_identical(self, scenario, monkeypatch):
         """The whole observable surface -- events and metrics text --
         repeats exactly, including the first (cold-memo) run of a plan
-        that measures the unassisted baseline."""
+        that measures the unassisted baseline, and matches the digests
+        checked in as ``golden_traces.json``."""
         from repro.chaos import harness
 
         monkeypatch.setattr(harness, "_BASELINE_CACHE", {})
@@ -81,6 +83,12 @@ class TestRunTraced:
             == [event.to_dict() for event in second.events]
         assert first.metrics_text == second.metrics_text
         assert first.missing_core_components() == []
+        assert digests(first) == load_golden()[scenario], (
+            "trace or result moved; if intended, regenerate with "
+            "`PYTHONPATH=src python tests/obs/golden.py --write`")
+
+    def test_golden_file_covers_exactly_the_known_scenarios(self):
+        assert sorted(load_golden()) == sorted(known_scenarios())
 
     def test_metrics_do_not_depend_on_what_ran_before(self):
         """A run's metrics are a function of the run: series that only
