@@ -4,14 +4,16 @@ Public surface:
 
 * :func:`~repro.arith.primes.is_prime`, :func:`~repro.arith.primes.largest_prime_in_bits`
 * :class:`~repro.arith.field.PrimeField`, :func:`~repro.arith.field.field_for_bits`
-* :class:`~repro.arith.montgomery.MontgomeryField`, :class:`~repro.arith.montgomery.LogTableField`
 * :class:`~repro.arith.polynomial.Poly`
 * Newton's identities in :mod:`repro.arith.newton`
 * Root finding in :mod:`repro.arith.roots`
+
+:mod:`repro.arith.montgomery` (the E10 field-arithmetic ablation's
+alternative reductions) is imported by module path, not from here: no
+runtime path uses it, so importing the package does not load it.
 """
 
 from repro.arith.field import PrimeField, field_for_bits
-from repro.arith.montgomery import LogTableField, MontgomeryField
 from repro.arith.newton import (
     elementary_to_power_sums,
     polynomial_from_power_sums,
@@ -29,8 +31,6 @@ from repro.arith.roots import find_all_roots, roots_among_candidates
 __all__ = [
     "PrimeField",
     "field_for_bits",
-    "MontgomeryField",
-    "LogTableField",
     "Poly",
     "is_prime",
     "largest_prime_in_bits",

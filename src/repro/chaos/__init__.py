@@ -11,16 +11,15 @@ checks (:mod:`repro.chaos.harness`).  Quick start::
 
 Beyond faults, :mod:`repro.chaos.adversary` supplies on-path
 *adversaries* -- checksum-valid liars the plausibility defense
-(:mod:`repro.sidecar.defense`) must catch; the ``lying-count``,
-``forged-power-sum``, ``replay`` and ``equivocation`` plans run them
-under the defense invariants.
+(:mod:`repro.sidecar.defense`) must catch; the plans marked
+adversarial run them under the defense invariants.
 
 :mod:`repro.chaos.overload` attacks *capacity* instead: background
 tenants flood the shared flow table of
 :mod:`repro.sidecar.flowtable` with admissions, churn, and memory
-pressure (the ``tenant-burst``, ``flow-churn-storm``, ``memory-clamp``
-and ``shed-under-adversary`` plans), checking that overload only ever
-removes assistance -- goodput >= unassisted, zero spurious retransmits.
+pressure, checking that overload only ever removes assistance --
+goodput >= unassisted, zero spurious retransmits.  Every plan is one
+row of :data:`PLANS` (``python -m repro chaos --list-plans``).
 
 Presentation belongs to the caller: :func:`format_result` renders a
 result as text, and the ``python -m repro chaos`` subcommand is the one
@@ -41,7 +40,6 @@ from repro.chaos.harness import (
     ChaosSetup,
     format_result,
     result_to_dict,
-    run_chaos_spec,
     run_chaos_transfer,
     run_plan,
     unassisted_baseline,
@@ -61,7 +59,6 @@ __all__ = [
     "ChaosResult",
     "run_chaos_transfer",
     "run_plan",
-    "run_chaos_spec",
     "result_to_dict",
     "format_result",
     "unassisted_baseline",

@@ -37,17 +37,16 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Sequence
 
 from repro.errors import WireFormatError
-from repro.netsim.faults import FaultDecision, FaultInjector, Window, in_window
+from repro.netsim.faults import FaultDecision, FaultInjector
 from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar.protocol import HelloMessage, QuackMessage
 
-#: Default activity window: let the session establish, then lie forever.
-DEFAULT_WINDOWS: tuple[Window, ...] = ((0.25, 3600.0),)
+#: The quACK liars let the session establish, then lie for good.
+LIE_FROM_S = 0.25
 
 
 def _reframe(quack: PowerSumQuack) -> bytes:
@@ -64,18 +63,16 @@ def _forge(packet: Packet, message: QuackMessage, frame: bytes) -> Packet:
 
 
 class _QuackAdversary(FaultInjector):
-    """Base: window gating, frame parsing, and the ``adversarial`` mark."""
+    """Base: start gating, frame parsing, and the ``adversarial`` mark."""
 
     #: The chaos harness separates tampering from corruption on this.
     adversarial = True
 
-    def __init__(self, windows: Sequence[Window] = DEFAULT_WINDOWS,
-                 name: str | None = None) -> None:
-        super().__init__(kinds={PacketKind.QUACK}, name=name)
-        self.windows = tuple(windows)
+    def __init__(self) -> None:
+        super().__init__(kinds={PacketKind.QUACK})
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
-        if not in_window(self.windows, now):
+        if now < LIE_FROM_S:
             return FaultDecision.none()
         message = packet.payload
         if not isinstance(message, QuackMessage):
@@ -84,10 +81,14 @@ class _QuackAdversary(FaultInjector):
             quack = message.quack()
         except (WireFormatError, TypeError):
             return FaultDecision.none()  # already mangled by someone else
-        return self._tamper(packet, message, quack, now)
+        frame = self._forged_frame(message, quack)
+        if frame is None:
+            return FaultDecision.none()
+        return FaultDecision(replacement=_forge(packet, message, frame))
 
-    def _tamper(self, packet: Packet, message: QuackMessage,
-                quack: PowerSumQuack, now: float) -> FaultDecision:
+    def _forged_frame(self, message: QuackMessage,
+                      quack: PowerSumQuack) -> bytes | None:
+        """The lie to send in place of ``message`` (None: let it pass)."""
         raise NotImplementedError
 
 
@@ -101,21 +102,19 @@ class LyingCountAdversary(_QuackAdversary):
     quarantine signals; neither may move the window.
     """
 
-    def __init__(self, inflation: int = 25,
-                 windows: Sequence[Window] = DEFAULT_WINDOWS) -> None:
-        super().__init__(windows, name="LyingCountAdversary")
+    def __init__(self, inflation: int) -> None:
+        super().__init__()
         if inflation < 1:
             raise ValueError(f"inflation must be >= 1, got {inflation}")
         self.inflation = inflation
 
-    def _tamper(self, packet: Packet, message: QuackMessage,
-                quack: PowerSumQuack, now: float) -> FaultDecision:
+    def _forged_frame(self, message: QuackMessage,
+                      quack: PowerSumQuack) -> bytes:
         # The same private-field surgery the wire decoder itself uses:
         # sums stay honest, the count lies.
         quack._count = (quack.count + self.inflation) \
             % (1 << quack.count_bits)
-        return FaultDecision(
-            replacement=_forge(packet, message, _reframe(quack)))
+        return _reframe(quack)
 
 
 class ForgedPowerSumAdversary(_QuackAdversary):
@@ -126,18 +125,16 @@ class ForgedPowerSumAdversary(_QuackAdversary):
     over the sender's log: FORGED_EVIDENCE.
     """
 
-    def __init__(self, seed: int = 0,
-                 windows: Sequence[Window] = DEFAULT_WINDOWS) -> None:
-        super().__init__(windows, name="ForgedPowerSumAdversary")
+    def __init__(self, seed: int) -> None:
+        super().__init__()
         self._rng = random.Random(seed)
 
-    def _tamper(self, packet: Packet, message: QuackMessage,
-                quack: PowerSumQuack, now: float) -> FaultDecision:
+    def _forged_frame(self, message: QuackMessage,
+                      quack: PowerSumQuack) -> bytes:
         modulus = quack.field.modulus
         quack._sums = [(value + self._rng.randrange(1, modulus)) % modulus
                        for value in quack.power_sums]
-        return FaultDecision(
-            replacement=_forge(packet, message, _reframe(quack)))
+        return _reframe(quack)
 
 
 class ReplayAdversary(_QuackAdversary):
@@ -150,9 +147,8 @@ class ReplayAdversary(_QuackAdversary):
     a naive freshness check would see a perfectly live channel.
     """
 
-    def __init__(self, stride: int = 2,
-                 windows: Sequence[Window] = DEFAULT_WINDOWS) -> None:
-        super().__init__(windows, name="ReplayAdversary")
+    def __init__(self, stride: int) -> None:
+        super().__init__()
         if stride < 2:
             raise ValueError(f"stride must be >= 2, got {stride}")
         self.stride = stride
@@ -160,18 +156,17 @@ class ReplayAdversary(_QuackAdversary):
         self._captured_epoch: int | None = None
         self._seen = 0
 
-    def _tamper(self, packet: Packet, message: QuackMessage,
-                quack: PowerSumQuack, now: float) -> FaultDecision:
+    def _forged_frame(self, message: QuackMessage,
+                      quack: PowerSumQuack) -> bytes | None:
         if self._captured is None or self._captured_epoch != message.epoch:
             self._captured = message.frame
             self._captured_epoch = message.epoch
             self._seen = 0
-            return FaultDecision.none()
+            return None
         self._seen += 1
         if self._seen % self.stride:
-            return FaultDecision.none()  # pass the honest snapshot
-        return FaultDecision(
-            replacement=_forge(packet, message, self._captured))
+            return None  # pass the honest snapshot
+        return self._captured
 
 
 class EquivocationAdversary(FaultInjector):
@@ -193,32 +188,28 @@ class EquivocationAdversary(FaultInjector):
 
     adversarial = True
 
-    def __init__(self, threshold: int, bits: int = 32, count_bits: int = 16,
-                 mask: int = 0x5A5A5A5A,
-                 windows: Sequence[Window] = DEFAULT_WINDOWS) -> None:
-        super().__init__(kinds={PacketKind.DATA, PacketKind.QUACK},
-                         name="EquivocationAdversary")
-        self.windows = tuple(windows)
-        self.mask = mask
-        self._shadow = PowerSumQuack(threshold, bits, count_bits)
-        self._id_limit = 1 << bits
+    #: The other session's identifiers: this one's, XORed with a mask.
+    MASK = 0x5A5A5A5A
+
+    def __init__(self, threshold: int) -> None:
+        super().__init__(kinds={PacketKind.DATA, PacketKind.QUACK})
+        # Same widths as the emitter's accumulator (the quACK defaults).
+        self._shadow = PowerSumQuack(threshold)
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
         if packet.kind is PacketKind.DATA:
             if packet.identifier is not None:
                 self._shadow.insert(
-                    (packet.identifier ^ self.mask) % self._id_limit)
+                    (packet.identifier ^ self.MASK)
+                    % (1 << self._shadow.bits))
             return FaultDecision.none()
-        if not in_window(self.windows, now):
+        if now < LIE_FROM_S:
             return FaultDecision.none()
         message = packet.payload
         if not isinstance(message, QuackMessage):
             return FaultDecision.none()
-        frame = _reframe(self._shadow.copy())
-        overhead = packet.size_bytes - len(message.frame)
-        forged = dataclasses.replace(message, frame=frame)
-        return FaultDecision(replacement=dataclasses.replace(
-            packet, payload=forged, size_bytes=overhead + len(frame)))
+        return FaultDecision(replacement=_forge(
+            packet, message, _reframe(self._shadow.copy())))
 
 
 class HelloStripAdversary(FaultInjector):
@@ -234,26 +225,18 @@ class HelloStripAdversary(FaultInjector):
     whole time (assistance never starts before the handshake), so the
     attacker gains nothing and the attack is on the record.
 
-    Windows default to starting at 0.0: negotiation happens before
-    anything else, so an adversary that sleeps through it has already
-    lost.
+    Active from time zero: negotiation happens before anything else, so
+    an adversary that sleeps through it has already lost.
     """
 
     adversarial = True
 
-    def __init__(self,
-                 windows: Sequence[Window] = ((0.0, 3600.0),)) -> None:
-        super().__init__(kinds={PacketKind.CONTROL},
-                         name="HelloStripAdversary")
-        self.windows = tuple(windows)
-        self.hellos_stripped = 0
+    def __init__(self) -> None:
+        super().__init__(kinds={PacketKind.CONTROL})
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
-        if not in_window(self.windows, now):
-            return FaultDecision.none()
         if not isinstance(packet.payload, HelloMessage):
             return FaultDecision.none()
-        self.hellos_stripped += 1
         return FaultDecision(drop=True)
 
 
@@ -261,40 +244,30 @@ class HelloRewriteAdversary(FaultInjector):
     """Rewrite capability offers in flight to pin the session at v1.
 
     The subtler downgrade: instead of deleting the offer, clamp its
-    version range (and optionally strip feature bits) so the responder
-    honestly negotiates the weakest protocol.  The transcript hash is
-    the countermeasure -- the responder hashes the offer *as received*,
-    the initiator compares against the offer *as sent*, and the rewrite
-    is detected on the first HELLO-ACK, ledgered as DOWNGRADE, and
+    version range and strip its feature bits so the responder honestly
+    negotiates the weakest protocol.  The transcript hash is the
+    countermeasure -- the responder hashes the offer *as received*, the
+    initiator compares against the offer *as sent*, and the rewrite is
+    detected on the first HELLO-ACK, ledgered as DOWNGRADE, and
     quarantined after enough repeats.
     """
 
     adversarial = True
 
-    def __init__(self, pin_version: int = 1, strip_features: bool = True,
-                 windows: Sequence[Window] = ((0.0, 3600.0),)) -> None:
-        super().__init__(kinds={PacketKind.CONTROL},
-                         name="HelloRewriteAdversary")
-        if pin_version < 1:
-            raise ValueError(f"pin_version must be >= 1, got {pin_version}")
-        self.pin_version = pin_version
-        self.strip_features = strip_features
-        self.windows = tuple(windows)
-        self.hellos_rewritten = 0
+    PIN_VERSION = 1
+
+    def __init__(self) -> None:
+        super().__init__(kinds={PacketKind.CONTROL})
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
-        if not in_window(self.windows, now):
-            return FaultDecision.none()
         hello = packet.payload
         if not isinstance(hello, HelloMessage) \
-                or hello.max_version <= self.pin_version:
+                or hello.max_version <= self.PIN_VERSION:
             return FaultDecision.none()
-        self.hellos_rewritten += 1
         rewritten = dataclasses.replace(
             hello,
-            min_version=min(hello.min_version, self.pin_version),
-            max_version=self.pin_version,
-            features=0 if self.strip_features else hello.features)
+            min_version=min(hello.min_version, self.PIN_VERSION),
+            max_version=self.PIN_VERSION, features=0)
         # Same layout, same length: the rewrite is size-preserving, as a
         # real on-path rewriter (who must fix only the CRC) would be.
         return FaultDecision(

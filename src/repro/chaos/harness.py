@@ -22,16 +22,19 @@ quACK-decoded loss touches the sender after the quarantine verdict.
 The ``crash-resume`` plan exercises checkpoint/restore instead: crashes
 heal through the resume handshake with zero resets.
 
-Named plans (:data:`PLANS`, each a :class:`ChaosPlan` with a one-line
-description) make scenarios replayable from tests, the CLI
+Named plans (:data:`PLANS`: one row each -- name, one-line description,
+setup builder) make scenarios replayable from tests, the CLI
 (``python -m repro chaos <plan>``), and ``examples/failure_modes.py``.
+Adding a plan is adding a row.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+import enum
+import functools
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from repro import obs
 from repro.chaos.adversary import (
@@ -44,6 +47,7 @@ from repro.chaos.adversary import (
 )
 from repro.chaos.injectors import MiddleboxCrash, sidecar_corrupter
 from repro.chaos.overload import (
+    PRIMARY_TENANT,
     BackgroundLoad,
     ChurnStorm,
     MemoryClamp,
@@ -62,7 +66,7 @@ from repro.netsim.faults import (
 )
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import reset_packet_uids
-from repro.netsim.topology import HopSpec, PathTopology, build_path
+from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
 from repro.sidecar.defense import DefenseConfig
 from repro.sidecar.flowtable import FlowTable, FlowTableTap
@@ -70,10 +74,32 @@ from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthState, HealthTransition
 from repro.sidecar.negotiate import Capabilities, NegotiateConfig
 from repro.sidecar.snapshot import CheckpointStore
-from repro.transport.connection import ReceiverConnection, SenderConnection
+from repro.transport.connection import (
+    ReceiverConnection,
+    SenderConnection,
+    run_transfer,
+)
 
-#: Default transfer: ~876 KB, about 1.5 s at the default 5 Mbps.
+#: Default transfer: ~876 KB, about 1.5 s at ``BANDWIDTH_BPS``.
 DEFAULT_TOTAL = 1460 * 600
+
+#: The canonical path: two identical hops, server -> proxy -> client.
+BANDWIDTH_BPS = 5e6
+DELAY_S = 0.005
+
+#: The canonical session: the proxy quACKs every ``QUACK_EVERY`` packets
+#: with threshold ``THRESHOLD``; the server resets the session after
+#: ``RESET_AFTER_FAILURES`` straight decode failures and lets the pipe
+#: settle for ``SETTLE_TIME_S`` around a reset.
+QUACK_EVERY = 4
+THRESHOLD = 16
+RESET_AFTER_FAILURES = 3
+SETTLE_TIME_S = 0.1
+
+#: A run is checked for completion every ``SLICE_S`` virtual seconds and
+#: abandoned (an invariant violation) at ``DEADLINE_S``.
+SLICE_S = 0.25
+DEADLINE_S = 60.0
 
 #: Virtual seconds the simulation keeps running after completion.
 DRAIN_S = 3.0
@@ -90,12 +116,13 @@ class ChaosSetup:
     emitter at fixed times.
 
     ``adversarial`` marks setups whose injectors *lie* rather than
-    break; the harness then arms the plausibility defense (``defense``
-    overrides the default :class:`~repro.sidecar.defense.DefenseConfig`),
-    measures the unassisted baseline, and checks the defense invariants.
+    break; the harness then checks the defense invariants.
     ``checkpoint_interval_s`` arms emitter checkpoint/restore with a
     :class:`~repro.sidecar.snapshot.CheckpointStore` so crashes heal
-    through the resume handshake instead of the reset protocol.
+    through the resume handshake instead of the reset protocol.  The
+    plausibility defense is armed, and the unassisted baseline measured,
+    whenever there is something for it to vet: an adversary, a resume
+    offer, or a negotiation transcript.
     """
 
     name: str = "custom"
@@ -103,47 +130,38 @@ class ChaosSetup:
     faults_toward_server: FaultInjector | None = None
     crashes: MiddleboxCrash | None = None
     adversarial: bool = False
-    defense: DefenseConfig | None = None
     checkpoint_interval_s: float | None = None
     #: Arm the HELLO/HELLO-ACK capability handshake on both agents.
-    #: ``consumer_capabilities``/``emitter_capabilities`` override the
-    #: defaults per side (cross-version matrix, version skew).
+    #: ``emitter_capabilities`` overrides the emitter's defaults
+    #: (cross-version matrix, version skew).
     negotiate: bool = False
-    consumer_capabilities: Capabilities | None = None
     emitter_capabilities: Capabilities | None = None
-    #: Schedule a mid-connection VERSION-SWITCH to ``version_switch_to``
-    #: at this simulated time (negotiation must be armed).
+    #: Schedule a mid-connection VERSION-SWITCH to v2 at this simulated
+    #: time (negotiation must be armed).
     version_switch_at: float | None = None
-    version_switch_to: int = 2
     #: Route the proxy tap through a shared multi-tenant flow table and
     #: arm the spec's overload drivers against it (tenant ``primary``).
+    #: The overload contract is then checked with no adversary needed:
+    #: goodput >= the unassisted baseline, and every retransmission
+    #: backed by a real drop.
     overload: OverloadSpec | None = None
-    #: Measure the unassisted baseline even without a defense armed --
-    #: the overload plans promise goodput >= unassisted despite having
-    #: no adversary to defend against.
-    measure_baseline: bool = False
     #: Extra invariants the run must satisfy.
     expect_negotiated_version: int | None = None
     expect_wire_version: int | None = None
+    #: Zero resets, and with them zero spurious retransmits.
     expect_no_resets: bool = False
-    #: Check the drop-backed zero-spurious-retransmit invariant on its
-    #: own (``expect_no_resets`` implies it; eviction plans that *do*
-    #: heal through a reset still promise no spurious retransmits).
-    expect_no_spurious: bool = False
-
-    def injectors(self) -> list[FaultInjector]:
-        unique: list[FaultInjector] = []
-        for injector in (self.faults_toward_client, self.faults_toward_server):
-            if injector is not None and injector not in unique:
-                unique.append(injector)
-        return unique
 
 
 @dataclass
 class ChaosResult:
-    """Everything one chaos run produced, plus the invariant verdicts."""
+    """Everything one chaos run produced, plus the invariant verdicts.
 
-    plan: str
+    ``setup`` is the scenario that ran -- its name, its ``adversarial``
+    and ``negotiate`` flags and its ``expect_*`` invariants are read
+    from it, not copied here.
+    """
+
+    setup: ChaosSetup
     seed: int
     total_bytes: int
     completed: bool
@@ -162,35 +180,28 @@ class ChaosResult:
     faults_duplicated: int
     wire_errors_seen: int
     control_corruptions_seen: int
-    adversarial: bool = False
-    faults_tampered: int = 0
-    signals_by_kind: dict = field(default_factory=dict)
-    quarantined_at: float | None = None
-    last_loss_applied_at: float | None = None
-    baseline_duration_s: float | None = None
-    negotiated: bool = False
-    negotiated_version: int | None = None
-    handshake_bytes: int = 0
-    assistance_started_s: float | None = None
-    retransmitted_packets: int = 0
-    #: Serialization time the handshake (and switch) traffic stole from
-    #: DATA on the shared forward link, plus scheduling epsilon; the
-    #: baseline comparison allows exactly this much.
-    baseline_slack_s: float = 0.0
-    expected_negotiated_version: int | None = None
-    expected_wire_version: int | None = None
-    expect_no_resets: bool = False
-    expect_no_spurious: bool = False
-    #: Flow-table stats of an overload run (None without a table), the
-    #: per-driver stats, and the spec's nonzero-counter expectations.
-    flowtable: dict | None = None
-    overload_drivers: dict = field(default_factory=dict)
-    flowtable_expectations: dict = field(default_factory=dict)
+    faults_tampered: int
+    signals_by_kind: dict
+    quarantined_at: float | None
+    last_loss_applied_at: float | None
+    baseline_duration_s: float | None
+    negotiated_version: int | None
+    handshake_bytes: int
+    assistance_started_s: float | None
+    retransmitted_packets: int
     #: Real datagram drops across every link (queue overflow, channel
     #: loss, injected faults) -- the ceiling "zero *spurious*
     #: retransmits" is judged against: every retransmission must be
     #: backed by an actual drop, none caused by protocol state churn.
-    link_drops: int = 0
+    link_drops: int
+    #: Serialization time the handshake (and switch) traffic stole from
+    #: DATA on the shared forward link, plus scheduling epsilon; the
+    #: baseline comparison allows exactly this much.
+    baseline_slack_s: float
+    #: Flow-table stats of an overload run (None without a table) and
+    #: the per-driver stats.
+    flowtable: dict | None
+    overload_drivers: dict
 
     @property
     def goodput_bps(self) -> float:
@@ -207,6 +218,7 @@ class ChaosResult:
 
     def violations(self) -> list[str]:
         """Invariant failures; an empty list means the run held up."""
+        setup = self.setup
         problems = []
         if not self.completed:
             problems.append(
@@ -225,7 +237,7 @@ class ChaosResult:
             problems.append(
                 f"{self.faults_corrupted} corrupted datagrams delivered but "
                 f"none classified as wire corruption")
-        if self.adversarial:
+        if setup.adversarial:
             # The paper's promise, under attack: assistance may only add.
             if self.server_counters.get("quarantines", 0) < 1:
                 problems.append(
@@ -246,29 +258,31 @@ class ChaosResult:
                 f"{self.duration_s:.3f} s vs {self.baseline_duration_s:.3f} s "
                 f"unassisted (+{self.baseline_slack_s * 1e3:.2f} ms "
                 f"handshake slack)")
-        if (self.expected_negotiated_version is not None
-                and self.negotiated_version != self.expected_negotiated_version):
+        if (setup.expect_negotiated_version is not None
+                and self.negotiated_version
+                != setup.expect_negotiated_version):
             problems.append(
                 f"negotiated version {self.negotiated_version}, expected "
-                f"{self.expected_negotiated_version}")
-        if self.expected_wire_version is not None:
+                f"{setup.expect_negotiated_version}")
+        if setup.expect_wire_version is not None:
             for side in ("server_counters", "emitter_counters"):
                 got = getattr(self, side).get("wire_version")
-                if got != self.expected_wire_version:
+                if got != setup.expect_wire_version:
                     problems.append(
                         f"{side.split('_')[0]} wire version {got}, expected "
-                        f"{self.expected_wire_version} after the switch")
-        if self.expect_no_resets:
+                        f"{setup.expect_wire_version} after the switch")
+        if setup.expect_no_resets:
             resets = self.server_counters.get("resets_initiated", 0)
             if resets:
                 problems.append(
                     f"{resets} resets initiated in a run promised reset-free")
-        if self.expect_no_resets or self.expect_no_spurious:
+        if setup.expect_no_resets or setup.overload is not None:
             # Congestion losses are the transport's business; what a
             # version switch or an eviction must never do is trigger
             # retransmissions of packets that were actually delivered
             # (a mis-decode or state loss would).  Every retransmission
-            # therefore needs a real drop behind it.
+            # therefore needs a real drop behind it -- also for eviction
+            # plans that *do* heal through a reset.
             if self.retransmitted_packets > self.link_drops:
                 problems.append(
                     f"{self.retransmitted_packets - self.link_drops} "
@@ -278,11 +292,12 @@ class ChaosResult:
         if self.flowtable is not None:
             # An overload plan that never overloads proves nothing: the
             # spec's expected pressure valves must actually have fired.
-            for kind, key in (("rejections", "flows_rejected"),
-                              ("evictions", "flows_evicted"),
-                              ("sheds", "flows_shed")):
-                if (self.flowtable_expectations.get(kind)
-                        and self.flowtable.get(key, 0) < 1):
+            spec = setup.overload
+            for expected, kind, key in (
+                    (spec.expect_rejections, "rejections", "flows_rejected"),
+                    (spec.expect_evictions, "evictions", "flows_evicted"),
+                    (spec.expect_sheds, "sheds", "flows_shed")):
+                if expected and self.flowtable.get(key, 0) < 1:
                     problems.append(
                         f"expected {kind} under overload but "
                         f"{key} stayed 0")
@@ -293,99 +308,11 @@ class ChaosResult:
         return not self.violations()
 
 
-def _run_transfer_loop(sim: Simulator, sender: SenderConnection,
-                       receiver: ReceiverConnection,
-                       deadline_s: float) -> bool:
-    while sim.now < deadline_s:
-        sim.run(until=min(sim.now + 0.25, deadline_s))
-        if sender.complete and receiver.complete:
-            break
-        if sim.peek_next_time() is None:
-            break
-    return sender.complete and receiver.complete
+def _canonical_path(total_bytes: int, setup: ChaosSetup):
+    """Server -> proxy -> client with one transfer on it, not yet started.
 
-
-#: Memoized unassisted-baseline durations, keyed by the transfer shape.
-_BASELINE_CACHE: dict[tuple, float] = {}
-
-
-def unassisted_baseline(total_bytes: int, bandwidth_bps: float,
-                        delay_s: float, deadline_s: float = 60.0) -> float:
-    """Duration of the same transfer with no sidecar (and no faults).
-
-    The adversarial plans attack only the sidecar channel, which an
-    unassisted connection does not have, so this is the floor the
-    defense must hold: assistance under attack may never complete later
-    than never having had assistance at all.  Deterministic, so the
-    result is memoized per transfer shape.
-
-    The baseline is the harness's yardstick, not part of the scenario
-    (it even reuses the scenario's ``flow0`` and link names), so it runs
-    with tracing and metrics suspended: a traced plan records the same
-    events whether or not the memo was warm.
+    ``setup``'s injectors ride the server<->proxy hop.
     """
-    key = (total_bytes, bandwidth_bps, delay_s, deadline_s)
-    cached = _BASELINE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    was_tracing = obs.TRACER.enabled
-    obs.TRACER.enabled = False
-    try:
-        reset_packet_uids()
-        sim = Simulator()
-        server = Host(sim, "server")
-        proxy = Router(sim, "proxy")
-        client = Host(sim, "client")
-        build_path(sim, [server, proxy, client],
-                   [HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s),
-                    HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s)])
-        receiver = ReceiverConnection(sim, client, "server", total_bytes)
-        sender = SenderConnection(sim, server, "client", total_bytes)
-        sender.start()
-        _run_transfer_loop(sim, sender, receiver, deadline_s)
-    finally:
-        obs.TRACER.enabled = was_tracing
-    _BASELINE_CACHE[key] = sim.now
-    return sim.now
-
-
-def run_chaos_transfer(setup: ChaosSetup, *,
-                       seed: int = 1,
-                       total_bytes: int = DEFAULT_TOTAL,
-                       bandwidth_bps: float = 5e6,
-                       delay_s: float = 0.005,
-                       quack_every: int = 4,
-                       threshold: int = 16,
-                       reset_after_failures: int | None = 3,
-                       settle_time: float = 0.1,
-                       health: HealthConfig | None = None,
-                       divide_cc: bool = False,
-                       deadline_s: float = 60.0) -> ChaosResult:
-    """Run the canonical assisted transfer under ``setup``.
-
-    ``health`` defaults to a ladder tuned to the scenario's timescales
-    (staleness after 0.25 s, probation 0.25 s); pass None explicitly via
-    ``HealthConfig()`` alternatives if different thresholds are wanted.
-    After completion the simulation drains for ``DRAIN_S`` so in-flight
-    handshakes (reset retries) can converge the epochs.
-
-    Setups with a defense armed (``adversarial`` or an explicit
-    ``defense``/``checkpoint_interval_s``) additionally measure the
-    unassisted baseline so the result can answer the robustness
-    question: did assistance-under-attack ever cost goodput?
-    """
-    if health is None:
-        health = HealthConfig(degrade_after=2, e2e_only_after=6,
-                              stale_after=0.25, probation=0.25)
-    defense = setup.defense
-    if defense is None and setup.adversarial:
-        defense = DefenseConfig()
-    baseline_duration = None
-    if defense is not None or setup.measure_baseline:
-        # Measured first (and memoized) so the packet-uid reset below
-        # keeps the main run byte-identical with or without a baseline.
-        baseline_duration = unassisted_baseline(
-            total_bytes, bandwidth_bps, delay_s, deadline_s)
     reset_packet_uids()
     sim = Simulator()
     server = Host(sim, "server")
@@ -393,42 +320,99 @@ def run_chaos_transfer(setup: ChaosSetup, *,
     client = Host(sim, "client")
     topology = build_path(
         sim, [server, proxy, client],
-        [HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s,
+        [HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
                  faults_up=setup.faults_toward_client,
                  faults_down=setup.faults_toward_server),
-         HopSpec(bandwidth_bps=bandwidth_bps, delay_s=delay_s)])
+         HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
     receiver = ReceiverConnection(sim, client, "server", total_bytes)
-    sender = SenderConnection(sim, server, "client", total_bytes,
-                              cc_from_acks=not divide_cc)
-    checkpoints = CheckpointStore() \
-        if setup.checkpoint_interval_s is not None else None
+    sender = SenderConnection(sim, server, "client", total_bytes)
+    return sim, proxy, topology, sender, receiver
+
+
+@functools.lru_cache(maxsize=None)
+def unassisted_baseline(total_bytes: int) -> float:
+    """Duration of the same transfer with no sidecar (and no faults).
+
+    The adversarial plans attack only the sidecar channel, which an
+    unassisted connection does not have, so this is the floor the
+    defense must hold: assistance under attack may never complete later
+    than never having had assistance at all.  Deterministic, so the
+    result is memoized per transfer size.
+
+    The baseline is the harness's yardstick, not part of the scenario
+    (it even reuses the scenario's ``flow0`` and link names), so it runs
+    with tracing and metrics suspended: a traced plan records the same
+    events whether or not the memo was warm.
+    """
+    was_tracing = obs.TRACER.enabled
+    obs.TRACER.enabled = False
+    try:
+        # The same path under the empty setup: no faults, and no
+        # sidecar agents attached before the transfer starts.
+        sim, _, _, sender, receiver = _canonical_path(total_bytes,
+                                                      ChaosSetup())
+        run_transfer(sim, sender, receiver, slice_s=SLICE_S,
+                     deadline_s=DEADLINE_S)
+    finally:
+        obs.TRACER.enabled = was_tracing
+    return sim.now
+
+
+def run_chaos_transfer(setup: ChaosSetup, *,
+                       seed: int = 1,
+                       total_bytes: int = DEFAULT_TOTAL,
+                       health: HealthConfig | None = None) -> ChaosResult:
+    """Run the canonical assisted transfer under ``setup``.
+
+    ``health`` defaults to a ladder tuned to the scenario's timescales
+    (staleness after 0.25 s, probation 0.25 s).  After completion the
+    simulation drains for ``DRAIN_S`` so in-flight handshakes (reset
+    retries) can converge the epochs.
+
+    Setups with the defense armed or a flow table under ``overload``
+    additionally measure the unassisted baseline so the result can
+    answer the robustness question: did assistance under pressure ever
+    cost goodput?
+    """
+    if health is None:
+        health = HealthConfig(degrade_after=2, e2e_only_after=6,
+                              stale_after=0.25, probation=0.25)
+    defense = None
+    if (setup.adversarial or setup.negotiate
+            or setup.checkpoint_interval_s is not None):
+        defense = DefenseConfig()
+    baseline_duration = None
+    if defense is not None or setup.overload is not None:
+        # Measured first (and memoized) so the packet-uid reset below
+        # keeps the main run byte-identical with or without a baseline.
+        baseline_duration = unassisted_baseline(total_bytes)
+    sim, proxy, topology, sender, receiver = _canonical_path(
+        total_bytes, setup)
     consumer_negotiate = emitter_negotiate = None
     if setup.negotiate:
-        consumer_negotiate = NegotiateConfig(
-            capabilities=setup.consumer_capabilities or Capabilities())
+        consumer_negotiate = NegotiateConfig(capabilities=Capabilities())
         emitter_negotiate = NegotiateConfig(
             capabilities=setup.emitter_capabilities or Capabilities())
     tap_kwargs = dict(
         server="server", client="client", flow_id="flow0",
-        policy=PacketCountFrequency(quack_every), threshold=threshold,
-        checkpoints=checkpoints,
-        checkpoint_interval_s=setup.checkpoint_interval_s
-        if setup.checkpoint_interval_s is not None else 0.05,
+        policy=PacketCountFrequency(QUACK_EVERY), threshold=THRESHOLD,
         negotiate=emitter_negotiate)
+    if setup.checkpoint_interval_s is not None:
+        tap_kwargs.update(checkpoints=CheckpointStore(),
+                          checkpoint_interval_s=setup.checkpoint_interval_s)
     table = None
     if setup.overload is not None:
         # The primary transfer shares one flow table with the overload
         # drivers' tenants; its emission rides the table's batch timer.
         table = FlowTable(sim, setup.overload.table_config())
-        tap = FlowTableTap(sim, proxy, table=table,
-                           tenant=setup.overload.primary_tenant,
+        tap = FlowTableTap(sim, proxy, table=table, tenant=PRIMARY_TENANT,
                            **tap_kwargs)
     else:
         tap = ProxyEmitterTap(sim, proxy, **tap_kwargs)
-    sidecar = ServerSidecar(sim, sender, threshold=threshold, grace=2,
+    sidecar = ServerSidecar(sim, sender, threshold=THRESHOLD, grace=2,
                             apply_losses=True, congestive_loss=False,
-                            reset_after_failures=reset_after_failures,
-                            settle_time=settle_time, health=health,
+                            reset_after_failures=RESET_AFTER_FAILURES,
+                            settle_time=SETTLE_TIME_S, health=health,
                             defense=defense,
                             negotiate=consumer_negotiate,
                             peer="proxy" if setup.negotiate else None)
@@ -437,55 +421,45 @@ def run_chaos_transfer(setup: ChaosSetup, *,
             raise ValueError(
                 "version_switch_at needs negotiation armed on the setup")
         sim.schedule(setup.version_switch_at,
-                     sidecar.request_version_switch, setup.version_switch_to)
+                     sidecar.request_version_switch, 2)  # v1 -> v2
     if setup.crashes is not None:
         setup.crashes.arm(sim, tap)
     if setup.overload is not None:
-        setup.overload.arm(sim, table, tap)
-    sender.start()
+        for driver in setup.overload.drivers:
+            driver.arm(sim, table, tap)
 
-    completed = _run_transfer_loop(sim, sender, receiver, deadline_s)
+    completed = run_transfer(sim, sender, receiver, slice_s=SLICE_S,
+                             deadline_s=DEADLINE_S)
     duration = sim.now
     # Health is judged at completion time: once the transfer is done,
     # quACKs legitimately stop, so anything later would read as "stale".
-    monitor = sidecar.monitor
     health_final = sidecar.health_state
-    transitions = list(monitor.stats.transitions) if monitor is not None \
-        else []
+    transitions = list(sidecar.monitor.stats.transitions)
     # Let straggling handshakes converge (the reset retry timer keeps
     # re-announcing the epoch until the emitter demonstrably adopted it).
     sim.run(until=sim.now + DRAIN_S)
 
-    injectors = setup.injectors()
-    injector_stats = {injector.name: injector.stats for injector in injectors}
-    link_drops = sum(
-        link.stats.dropped_queue + link.stats.dropped_loss
-        + link.stats.dropped_fault
-        for link in topology.links_up + topology.links_down)
-    dropped = sum(i.stats.dropped for i in injectors)
-    duplicated = sum(i.stats.duplicated for i in injectors)
+    # One injector instance may serve both directions; count it once.
+    injectors = list(dict.fromkeys(
+        injector for injector in (setup.faults_toward_client,
+                                  setup.faults_toward_server)
+        if injector is not None))
     # An adversary's replacements are checksum-valid forgeries, not
     # corruption: they must never satisfy (nor trip) the wire-error
     # classification invariant, so they are tallied separately.  An
     # adversary's *drops* are tampering too (targeted suppression --
     # e.g. stripping capability offers), unlike a fault injector's
     # indiscriminate loss.
-    corrupted = sum(i.stats.corrupted for i in injectors
-                    if not getattr(i, "adversarial", False))
-    tampered = sum(i.stats.corrupted + i.stats.dropped for i in injectors
-                   if getattr(i, "adversarial", False))
-    quarantined_at = next(
-        (hop.time for hop in transitions
-         if hop.new is HealthState.QUARANTINED), None)
+    liars = [i for i in injectors if getattr(i, "adversarial", False)]
     # Negotiation (and switch) control traffic shares the forward link
     # with DATA; its serialization time is time the baseline never
     # spent, so the goodput floor is allowed exactly that much slack.
     baseline_slack = 0.0
     if setup.negotiate:
         baseline_slack = (8 * (sidecar.handshake_bytes + 256)
-                          / bandwidth_bps) + 2e-3
+                          / BANDWIDTH_BPS) + 2e-3
     result = ChaosResult(
-        plan=setup.name,
+        setup=setup,
         seed=seed,
         total_bytes=total_bytes,
         completed=completed,
@@ -497,36 +471,36 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         health_transitions=transitions,
         server_counters=sidecar.fault_counters(),
         emitter_counters=tap.fault_counters(),
-        injector_stats=injector_stats,
+        injector_stats={i.name: i.stats for i in injectors},
         crashes=setup.crashes.crashes if setup.crashes is not None else 0,
-        faults_dropped=dropped,
-        faults_corrupted=corrupted,
-        faults_duplicated=duplicated,
+        faults_dropped=sum(i.stats.dropped for i in injectors),
+        faults_corrupted=sum(i.stats.corrupted for i in injectors
+                             if i not in liars),
+        faults_duplicated=sum(i.stats.duplicated for i in injectors),
         wire_errors_seen=sidecar.stats.wire_errors,
         control_corruptions_seen=tap.corrupt_frames,
-        adversarial=setup.adversarial,
-        faults_tampered=tampered,
+        faults_tampered=sum(i.stats.corrupted + i.stats.dropped
+                            for i in liars),
         signals_by_kind=sidecar.ledger.by_kind()
         if sidecar.ledger is not None else {},
-        quarantined_at=quarantined_at,
+        quarantined_at=next(
+            (hop.time for hop in transitions
+             if hop.new is HealthState.QUARANTINED), None),
         last_loss_applied_at=sidecar.last_loss_applied_at,
         baseline_duration_s=baseline_duration,
-        negotiated=setup.negotiate,
         negotiated_version=sidecar.negotiated_version,
         handshake_bytes=sidecar.handshake_bytes,
         assistance_started_s=sidecar.assistance_started_at,
         retransmitted_packets=sender.stats.retransmitted_packets,
+        link_drops=sum(
+            link.stats.dropped_queue + link.stats.dropped_loss
+            + link.stats.dropped_fault
+            for link in topology.links_up + topology.links_down),
         baseline_slack_s=baseline_slack,
-        expected_negotiated_version=setup.expect_negotiated_version,
-        expected_wire_version=setup.expect_wire_version,
-        expect_no_resets=setup.expect_no_resets,
-        expect_no_spurious=setup.expect_no_spurious,
         flowtable=table.stats_dict() if table is not None else None,
-        overload_drivers=setup.overload.driver_stats()
+        overload_drivers={type(driver).__name__: driver.stats
+                          for driver in setup.overload.drivers}
         if setup.overload is not None else {},
-        flowtable_expectations=setup.overload.expectations()
-        if setup.overload is not None else {},
-        link_drops=link_drops,
     )
     if obs.FLIGHT.armed:
         violations = result.violations()
@@ -546,356 +520,228 @@ def run_chaos_transfer(setup: ChaosSetup, *,
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """One replayable scenario: a setup factory plus its description.
+    """One replayable scenario: its description and its setup builder.
 
-    The factory takes the run seed and returns a fresh (stateful,
-    seeded) setup; ``description`` is the one-liner the CLI's
-    ``--list-plans`` prints; ``adversarial`` mirrors the setup's flag so
-    callers can select the adversarial suite without building setups.
+    ``description`` is the one-liner the CLI's ``--list-plans`` prints;
+    ``build`` takes the run seed and returns a fresh (stateful, seeded)
+    setup.  Which suites a plan belongs to is read off the setup it
+    builds, so the row cannot disagree with it.
     """
 
-    factory: Callable[[int], ChaosSetup]
     description: str
-    adversarial: bool = False
-    #: Mirrors ``setup.overload``: the plan pressures the shared flow
-    #: table, so ``repro chaos overload`` can select the suite.
-    overload: bool = False
+    build: Callable[[int], ChaosSetup]
+
+    @property
+    def adversarial(self) -> bool:
+        return self.build(0).adversarial
+
+    @property
+    def overload(self) -> bool:
+        """The plan pressures the shared flow table."""
+        return self.build(0).overload is not None
 
 
-def _crash_restart(seed: int) -> ChaosSetup:
-    return ChaosSetup(name="crash-restart",
-                      crashes=MiddleboxCrash(times=(0.4, 0.9)))
+def _both_ways(injector: FaultInjector, **setup: Any) -> ChaosSetup:
+    """One injector instance on both directions of the sidecar hop."""
+    return ChaosSetup(faults_toward_client=injector,
+                      faults_toward_server=injector, **setup)
 
 
-def _crash_resume(seed: int) -> ChaosSetup:
-    return ChaosSetup(name="crash-resume",
-                      crashes=MiddleboxCrash(times=(0.4, 0.9)),
-                      checkpoint_interval_s=0.02,
-                      defense=DefenseConfig())
-
-
-def _blackout(seed: int) -> ChaosSetup:
-    outage = Blackout([(0.3, 0.9)], kinds=SIDECAR_KINDS)
-    return ChaosSetup(name="blackout",
-                      faults_toward_client=outage,
-                      faults_toward_server=outage)
-
-
-def _corruption(seed: int) -> ChaosSetup:
-    noise = Corruption(rate=0.25, seed=seed, kinds=SIDECAR_KINDS,
-                       corrupter=sidecar_corrupter)
-    return ChaosSetup(name="corruption",
-                      faults_toward_client=noise,
-                      faults_toward_server=noise)
-
-
-def _duplication(seed: int) -> ChaosSetup:
-    dupes = Duplication(rate=0.25, seed=seed, kinds=SIDECAR_KINDS)
-    return ChaosSetup(name="duplication",
-                      faults_toward_client=dupes,
-                      faults_toward_server=dupes)
-
-
-def _burst_loss(seed: int) -> ChaosSetup:
-    bursts = BurstLoss([(0.3, 0.5), (0.8, 1.0)], rate=1.0, seed=seed,
-                       kinds=SIDECAR_KINDS)
-    return ChaosSetup(name="burst-loss",
-                      faults_toward_client=bursts,
-                      faults_toward_server=bursts)
-
-
-def _delay_spike(seed: int) -> ChaosSetup:
-    spike = DelaySpike([(0.3, 0.6)], extra_delay_s=0.08, kinds=SIDECAR_KINDS)
-    return ChaosSetup(name="delay-spike",
-                      faults_toward_client=spike,
-                      faults_toward_server=spike)
-
-
-def _lying_count(seed: int) -> ChaosSetup:
-    liar = LyingCountAdversary(inflation=25)
-    return ChaosSetup(name="lying-count", faults_toward_server=liar,
-                      adversarial=True)
-
-
-def _forged_power_sum(seed: int) -> ChaosSetup:
-    forger = ForgedPowerSumAdversary(seed=seed)
-    return ChaosSetup(name="forged-power-sum", faults_toward_server=forger,
-                      adversarial=True)
-
-
-def _replay(seed: int) -> ChaosSetup:
-    replayer = ReplayAdversary(stride=2)
-    return ChaosSetup(name="replay", faults_toward_server=replayer,
-                      adversarial=True)
-
-
-def _negotiate_down(seed: int) -> ChaosSetup:
+#: Built-in scenarios: one per injector family, one per adversary, the
+#: checkpoint/restore exercise, the negotiation matrix, and the
+#: flow-table overload suite.
+PLANS: Mapping[str, ChaosPlan] = {
+    "crash-restart": ChaosPlan(
+        "middlebox crashes wipe the emitter; healed by implicit resets",
+        lambda seed: ChaosSetup(crashes=MiddleboxCrash(times=(0.4, 0.9)))),
+    "crash-resume": ChaosPlan(
+        "middlebox crashes restore from checkpoints and resume, no resets",
+        lambda seed: ChaosSetup(crashes=MiddleboxCrash(times=(0.4, 0.9)),
+                                checkpoint_interval_s=0.02)),
+    "blackout": ChaosPlan(
+        "sidecar channel goes dark for 0.6 s; ladder falls to e2e-only",
+        lambda seed: _both_ways(
+            Blackout([(0.3, 0.9)], kinds=SIDECAR_KINDS))),
+    "corruption": ChaosPlan(
+        "25% of sidecar datagrams bit-flipped; classified as wire errors",
+        lambda seed: _both_ways(
+            Corruption(rate=0.25, seed=seed, kinds=SIDECAR_KINDS,
+                       corrupter=sidecar_corrupter))),
+    "duplication": ChaosPlan(
+        "25% of sidecar datagrams duplicated; harmless by idempotence",
+        lambda seed: _both_ways(
+            Duplication(rate=0.25, seed=seed, kinds=SIDECAR_KINDS))),
+    "burst-loss": ChaosPlan(
+        "two total-loss bursts on the sidecar channel",
+        lambda seed: _both_ways(
+            BurstLoss([(0.3, 0.5), (0.8, 1.0)], rate=1.0, seed=seed,
+                      kinds=SIDECAR_KINDS))),
+    "delay-spike": ChaosPlan(
+        "80 ms delay spikes reorder sidecar datagrams",
+        lambda seed: _both_ways(
+            DelaySpike([(0.3, 0.6)], extra_delay_s=0.08,
+                       kinds=SIDECAR_KINDS))),
+    "lying-count": ChaosPlan(
+        "adversary inflates quACK counts; caught by plausibility gates",
+        lambda seed: ChaosSetup(
+            faults_toward_server=LyingCountAdversary(inflation=25),
+            adversarial=True)),
+    "forged-power-sum": ChaosPlan(
+        "adversary forges power sums under honest counts; quarantined",
+        lambda seed: ChaosSetup(
+            faults_toward_server=ForgedPowerSumAdversary(seed=seed),
+            adversarial=True)),
+    "replay": ChaosPlan(
+        "adversary replays a captured snapshot between honest ones",
+        lambda seed: ChaosSetup(
+            faults_toward_server=ReplayAdversary(stride=2),
+            adversarial=True)),
+    # The threshold must match the harness's emitter so the forgery is
+    # structurally perfect; both directions carry the same instance (it
+    # observes DATA toward the client, tampers quACKs toward the server).
+    "equivocation": ChaosPlan(
+        "adversary answers with another session's accumulator",
+        lambda seed: _both_ways(EquivocationAdversary(threshold=THRESHOLD),
+                                adversarial=True)),
     # The cross-version matrix's hard cell: a v2 consumer offering 1..2
     # meets an emitter that only speaks v1; they must agree on v1 and
     # the transfer must still complete, assisted.
-    return ChaosSetup(name="negotiate-down",
-                      negotiate=True,
-                      emitter_capabilities=Capabilities(max_version=1),
-                      expect_negotiated_version=1,
-                      expect_wire_version=1,
-                      defense=DefenseConfig())
-
-
-def _version_skew(seed: int) -> ChaosSetup:
+    "negotiate-down": ChaosPlan(
+        "v2 consumer meets v1-only emitter; negotiates down, completes",
+        lambda seed: ChaosSetup(
+            negotiate=True,
+            emitter_capabilities=Capabilities(max_version=1),
+            expect_negotiated_version=1, expect_wire_version=1)),
     # An emitter one version *ahead* of this build: negotiation clamps
     # to the highest version both sides actually speak.
-    return ChaosSetup(name="version-skew",
-                      negotiate=True,
-                      emitter_capabilities=Capabilities(max_version=3),
-                      expect_negotiated_version=2,
-                      defense=DefenseConfig())
-
-
-def _version_switch(seed: int) -> ChaosSetup:
+    "version-skew": ChaosPlan(
+        "emitter claims a future v3; session clamps to mutual v2",
+        lambda seed: ChaosSetup(
+            negotiate=True,
+            emitter_capabilities=Capabilities(max_version=3),
+            expect_negotiated_version=2)),
     # Mid-connection upgrade: negotiate a v2 ceiling, run on v1, flip to
     # v2 at 0.6 s -- with zero resets and zero spurious retransmits.
-    return ChaosSetup(name="version-switch",
-                      negotiate=True,
-                      version_switch_at=0.6,
-                      version_switch_to=2,
-                      expect_negotiated_version=2,
-                      expect_wire_version=2,
-                      expect_no_resets=True,
-                      defense=DefenseConfig())
-
-
-def _downgrade_strip(seed: int) -> ChaosSetup:
+    "version-switch": ChaosPlan(
+        "mid-connection v1->v2 switch: no reset, no spurious retransmit",
+        lambda seed: ChaosSetup(
+            negotiate=True, version_switch_at=0.6,
+            expect_negotiated_version=2, expect_wire_version=2,
+            expect_no_resets=True)),
     # HELLOs ride the server->proxy direction (toward the client).
-    return ChaosSetup(name="downgrade-strip",
-                      negotiate=True,
-                      faults_toward_client=HelloStripAdversary(),
-                      adversarial=True)
-
-
-def _downgrade_rewrite(seed: int) -> ChaosSetup:
-    return ChaosSetup(name="downgrade-rewrite",
-                      negotiate=True,
-                      faults_toward_client=HelloRewriteAdversary(),
-                      adversarial=True)
-
-
-def _equivocation(seed: int) -> ChaosSetup:
-    # Threshold must match the harness's emitter so the forgery is
-    # structurally perfect; both directions carry the same instance (it
-    # observes DATA toward the client, tampers quACKs toward the server).
-    liar = EquivocationAdversary(threshold=16)
-    return ChaosSetup(name="equivocation", faults_toward_client=liar,
-                      faults_toward_server=liar, adversarial=True)
-
-
-def _tenant_burst(seed: int) -> ChaosSetup:
+    "downgrade-strip": ChaosPlan(
+        "adversary strips capability offers; quarantined, goodput holds",
+        lambda seed: ChaosSetup(
+            negotiate=True, faults_toward_client=HelloStripAdversary(),
+            adversarial=True)),
+    "downgrade-rewrite": ChaosPlan(
+        "adversary rewrites offers to pin v1; transcript hash catches it",
+        lambda seed: ChaosSetup(
+            negotiate=True, faults_toward_client=HelloRewriteAdversary(),
+            adversarial=True)),
     # Background load fills the table to its high-water mark; a burst
     # tenant then floods twice the table's capacity.  Admission control
     # must reject the flood while the primary transfer keeps assistance.
-    overload = OverloadSpec(
-        max_flows=48,
-        drivers=[BackgroundLoad(seed=seed),
-                 TenantBurst(at=0.3, flows=96, seed=seed + 1)],
-        expect_rejections=True)
-    return ChaosSetup(name="tenant-burst", overload=overload,
-                      measure_baseline=True, expect_no_resets=True,
-                      expect_no_spurious=True)
-
-
-def _flow_churn_storm(seed: int) -> ChaosSetup:
+    "tenant-burst": ChaosPlan(
+        "tenant floods 2x table capacity; admission control rejects it",
+        lambda seed: ChaosSetup(
+            overload=OverloadSpec(
+                max_flows=48,
+                drivers=[BackgroundLoad(seed=seed),
+                         TenantBurst(at=0.3, flows=96, seed=seed + 1)],
+                expect_rejections=True),
+            expect_no_resets=True)),
     # Mass admit/close churn around the primary flow: the teardown path
     # (ledger forget, timer cancel/rearm) must not perturb assistance.
-    overload = OverloadSpec(
-        max_flows=128,
-        drivers=[BackgroundLoad(seed=seed),
-                 ChurnStorm(seed=seed + 2)])
-    return ChaosSetup(name="flow-churn-storm", overload=overload,
-                      measure_baseline=True, expect_no_resets=True,
-                      expect_no_spurious=True)
-
-
-def _memory_clamp(seed: int) -> ChaosSetup:
+    "flow-churn-storm": ChaosPlan(
+        "mass flow admit/close churn around an untouched primary flow",
+        lambda seed: ChaosSetup(
+            overload=OverloadSpec(
+                max_flows=128,
+                drivers=[BackgroundLoad(seed=seed),
+                         ChurnStorm(seed=seed + 2)]),
+            expect_no_resets=True)),
     # Host memory pressure clamps the primary tenant's budget to nothing
     # mid-transfer: the primary flow is evicted, its sender must fall
     # cleanly to E2E_ONLY and finish at unassisted goodput -- eviction
     # only ever *removes* assistance.
-    overload = OverloadSpec(
-        drivers=[BackgroundLoad(seed=seed),
-                 MemoryClamp(at=0.4)],
-        expect_evictions=True)
-    return ChaosSetup(name="memory-clamp", overload=overload,
-                      measure_baseline=True, expect_no_resets=True,
-                      expect_no_spurious=True)
-
-
-def _shed_under_adversary(seed: int) -> ChaosSetup:
+    "memory-clamp": ChaosPlan(
+        "budget clamp evicts the primary flow; sender falls to e2e-only",
+        lambda seed: ChaosSetup(
+            overload=OverloadSpec(
+                drivers=[BackgroundLoad(seed=seed), MemoryClamp(at=0.4)],
+                expect_evictions=True),
+            expect_no_resets=True)),
     # Overload shedding while a lying sidecar tampers the quACK channel:
     # the shed pressure must demote idle background flows (never the
     # active primary) while the defense quarantines the liar.
-    overload = OverloadSpec(
-        max_flows=64,
-        drivers=[BackgroundLoad(tenants=4, flows_per_tenant=15,
-                                seed=seed)],
-        expect_sheds=True)
-    return ChaosSetup(name="shed-under-adversary", overload=overload,
-                      faults_toward_server=LyingCountAdversary(inflation=25),
-                      adversarial=True, expect_no_spurious=True)
-
-
-#: Built-in scenarios: one per injector family, one per adversary, plus
-#: the checkpoint/restore exercise.
-PLANS: Mapping[str, ChaosPlan] = {
-    "crash-restart": ChaosPlan(
-        _crash_restart,
-        "middlebox crashes wipe the emitter; healed by implicit resets"),
-    "crash-resume": ChaosPlan(
-        _crash_resume,
-        "middlebox crashes restore from checkpoints and resume, no resets"),
-    "blackout": ChaosPlan(
-        _blackout,
-        "sidecar channel goes dark for 0.6 s; ladder falls to e2e-only"),
-    "corruption": ChaosPlan(
-        _corruption,
-        "25% of sidecar datagrams bit-flipped; classified as wire errors"),
-    "duplication": ChaosPlan(
-        _duplication,
-        "25% of sidecar datagrams duplicated; harmless by idempotence"),
-    "burst-loss": ChaosPlan(
-        _burst_loss,
-        "two total-loss bursts on the sidecar channel"),
-    "delay-spike": ChaosPlan(
-        _delay_spike,
-        "80 ms delay spikes reorder sidecar datagrams"),
-    "lying-count": ChaosPlan(
-        _lying_count,
-        "adversary inflates quACK counts; caught by plausibility gates",
-        adversarial=True),
-    "forged-power-sum": ChaosPlan(
-        _forged_power_sum,
-        "adversary forges power sums under honest counts; quarantined",
-        adversarial=True),
-    "replay": ChaosPlan(
-        _replay,
-        "adversary replays a captured snapshot between honest ones",
-        adversarial=True),
-    "equivocation": ChaosPlan(
-        _equivocation,
-        "adversary answers with another session's accumulator",
-        adversarial=True),
-    "negotiate-down": ChaosPlan(
-        _negotiate_down,
-        "v2 consumer meets v1-only emitter; negotiates down, completes"),
-    "version-skew": ChaosPlan(
-        _version_skew,
-        "emitter claims a future v3; session clamps to mutual v2"),
-    "version-switch": ChaosPlan(
-        _version_switch,
-        "mid-connection v1->v2 switch: no reset, no spurious retransmit"),
-    "downgrade-strip": ChaosPlan(
-        _downgrade_strip,
-        "adversary strips capability offers; quarantined, goodput holds",
-        adversarial=True),
-    "downgrade-rewrite": ChaosPlan(
-        _downgrade_rewrite,
-        "adversary rewrites offers to pin v1; transcript hash catches it",
-        adversarial=True),
-    "tenant-burst": ChaosPlan(
-        _tenant_burst,
-        "tenant floods 2x table capacity; admission control rejects it",
-        overload=True),
-    "flow-churn-storm": ChaosPlan(
-        _flow_churn_storm,
-        "mass flow admit/close churn around an untouched primary flow",
-        overload=True),
-    "memory-clamp": ChaosPlan(
-        _memory_clamp,
-        "budget clamp evicts the primary flow; sender falls to e2e-only",
-        overload=True),
     "shed-under-adversary": ChaosPlan(
-        _shed_under_adversary,
         "load shedding under a lying sidecar; idle shed, liar quarantined",
-        adversarial=True, overload=True),
+        lambda seed: ChaosSetup(
+            overload=OverloadSpec(
+                max_flows=64,
+                drivers=[BackgroundLoad(tenants=4, flows_per_tenant=15,
+                                        seed=seed)],
+                expect_sheds=True),
+            faults_toward_server=LyingCountAdversary(inflation=25),
+            adversarial=True)),
 }
 
 
-def run_plan(name: str, seed: int = 1, **kwargs) -> ChaosResult:
-    """Build and run one of the built-in plans by name."""
+def run_plan(plan: str, seed: int = 1, **kwargs: Any) -> ChaosResult:
+    """Build and run one of the built-in plans by name.
+
+    Keywords go to :func:`run_chaos_transfer`; a ``chaos`` sweep cell's
+    parameters (``plan``, ``total_bytes``, ...) are this call's keywords.
+    """
     try:
-        plan = PLANS[name]
+        row = PLANS[plan]
     except KeyError:
         raise ValueError(
-            f"unknown chaos plan {name!r}; have {', '.join(sorted(PLANS))}")
-    return run_chaos_transfer(plan.factory(seed), seed=seed, **kwargs)
+            f"unknown chaos plan {plan!r}; have {', '.join(sorted(PLANS))}")
+    setup = dataclasses.replace(row.build(seed), name=plan)
+    return run_chaos_transfer(setup, seed=seed, **kwargs)
+
+
+def _plain(value: Any) -> Any:
+    """Enums to their values, dataclasses and containers to JSON types."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {spec.name: _plain(getattr(value, spec.name))
+                for spec in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def result_to_dict(result: ChaosResult) -> dict:
     """Flatten a :class:`ChaosResult` into a JSON-safe dict.
 
-    Enums become their string values and the transition audit trail a
-    list of plain dicts, so the output survives ``json.dumps`` -- the
-    contract of the :mod:`repro.sweep` spec entry points.
+    Every field but the setup itself, flattened by :func:`_plain` so the
+    output survives ``json.dumps`` (the contract of a :mod:`repro.sweep`
+    cell result), plus what is read off the setup and the derived
+    verdicts.
     """
-    return {
-        "plan": result.plan,
-        "seed": result.seed,
-        "total_bytes": result.total_bytes,
-        "completed": result.completed,
-        "duration_s": result.duration_s,
-        "bytes_received": result.bytes_received,
-        "emitter_epoch": result.emitter_epoch,
-        "server_epoch": result.server_epoch,
-        "health_final": result.health_final.value,
-        "health_transitions": [
-            {"time": hop.time, "old": hop.old.value, "new": hop.new.value,
-             "reason": hop.reason}
-            for hop in result.health_transitions],
-        "server_counters": dict(result.server_counters),
-        "emitter_counters": dict(result.emitter_counters),
-        "injector_stats": {name: dataclasses.asdict(stats)
-                           for name, stats in result.injector_stats.items()},
-        "crashes": result.crashes,
-        "faults_dropped": result.faults_dropped,
-        "faults_corrupted": result.faults_corrupted,
-        "faults_duplicated": result.faults_duplicated,
-        "wire_errors_seen": result.wire_errors_seen,
-        "control_corruptions_seen": result.control_corruptions_seen,
-        "adversarial": result.adversarial,
-        "faults_tampered": result.faults_tampered,
-        "signals_by_kind": dict(result.signals_by_kind),
-        "quarantined_at": result.quarantined_at,
-        "last_loss_applied_at": result.last_loss_applied_at,
-        "goodput_bps": result.goodput_bps,
-        "baseline_duration_s": result.baseline_duration_s,
-        "baseline_goodput_bps": result.baseline_goodput_bps,
-        "negotiated": result.negotiated,
-        "negotiated_version": result.negotiated_version,
-        "handshake_bytes": result.handshake_bytes,
-        "assistance_started_s": result.assistance_started_s,
-        "retransmitted_packets": result.retransmitted_packets,
-        "link_drops": result.link_drops,
-        "baseline_slack_s": result.baseline_slack_s,
-        "flowtable": result.flowtable,
-        "overload_drivers": dict(result.overload_drivers),
-        "invariant_violations": result.violations(),
-        "ok": result.ok,
-    }
-
-
-def run_chaos_spec(params: dict) -> dict:
-    """Spec entry point for :mod:`repro.sweep`: params dict -> result dict.
-
-    ``params`` must carry a ``plan`` key naming one of :data:`PLANS`;
-    the rest is forwarded to :func:`run_chaos_transfer`.
-    """
-    kwargs = dict(params)
-    plan = kwargs.pop("plan")
-    return result_to_dict(run_plan(plan, **kwargs))
+    flat = {spec.name: _plain(getattr(result, spec.name))
+            for spec in dataclasses.fields(result) if spec.name != "setup"}
+    flat.update(
+        plan=result.setup.name,
+        adversarial=result.setup.adversarial,
+        negotiated=result.setup.negotiate,
+        goodput_bps=result.goodput_bps,
+        baseline_goodput_bps=result.baseline_goodput_bps,
+        invariant_violations=result.violations(),
+        ok=result.ok)
+    return flat
 
 
 def format_result(result: ChaosResult) -> str:
     """Human-readable report of one run, for the CLI and examples."""
     lines = [
-        f"chaos plan: {result.plan} (seed {result.seed})",
+        f"chaos plan: {result.setup.name} (seed {result.seed})",
         f"transfer: {'completed' if result.completed else 'INCOMPLETE'} "
         f"({result.bytes_received}/{result.total_bytes} bytes "
         f"in {result.duration_s:.2f} s)",
@@ -911,7 +757,7 @@ def format_result(result: ChaosResult) -> str:
         f"emitter counters: "
         + ", ".join(f"{k}={v}" for k, v in result.emitter_counters.items()),
     ]
-    if result.negotiated:
+    if result.setup.negotiate:
         version = result.negotiated_version \
             if result.negotiated_version is not None else "never agreed"
         started = f"{result.assistance_started_s:.3f} s" \
@@ -935,7 +781,7 @@ def format_result(result: ChaosResult) -> str:
             f"shed {table['flows_shed']}, closed {table['flows_closed']}, "
             f"p99 emission latency "
             f"{table['emission_latency_p99_s'] * 1e3:.2f} ms")
-    if result.adversarial:
+    if result.setup.adversarial:
         kinds = ", ".join(f"{kind}={count}" for kind, count
                           in sorted(result.signals_by_kind.items())) or "none"
         quarantined = f"{result.quarantined_at:.3f} s" \

@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.errors import WireFormatError
 from repro.netsim.core import Simulator
 from repro.netsim.faults import flip_frame_bits
-from repro.netsim.packet import Packet, PacketKind
+from repro.netsim.packet import Packet
 from repro.sidecar.protocol import (
     ConfigMessage,
     CorruptFrame,
@@ -66,10 +66,8 @@ class MiddleboxCrash:
     detect the regression and heal with an implicit reset.
     """
 
-    def __init__(self, times: Sequence[float], name: str = "MiddleboxCrash") \
-            -> None:
+    def __init__(self, times: Sequence[float]) -> None:
         self.times = tuple(sorted(float(t) for t in times))
-        self.name = name
         self.crashes = 0
 
     def arm(self, sim: Simulator, agent) -> None:
@@ -81,4 +79,5 @@ class MiddleboxCrash:
         agent.crash_restart()
 
     def __repr__(self) -> str:
-        return f"{self.name}(at {', '.join(f'{t:.2f}s' for t in self.times)})"
+        return (f"MiddleboxCrash(at "
+                f"{', '.join(f'{t:.2f}s' for t in self.times)})")

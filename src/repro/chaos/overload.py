@@ -18,7 +18,9 @@ executes each plan under both).
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
@@ -27,27 +29,53 @@ from repro.sidecar.flowtable import FlowRecord, FlowTable, FlowTableConfig
 #: Off the batch-interval grid, so driver traffic lands between sweeps.
 DRIVER_TICK_S = 0.0077
 
+#: The tenant the harness's own transfer is admitted under.
+PRIMARY_TENANT = "primary"
+
+
+class _Driver:
+    """What every driver dataclass shares: counters reported as stats.
+
+    A driver's ``field(init=False)`` fields are its state -- what it
+    did, not how it was configured -- and exactly what ``stats`` shows.
+    """
+
+    @property
+    def stats(self) -> dict:
+        return {spec.name: getattr(self, spec.name)
+                for spec in dataclasses.fields(self) if not spec.init}
+
+    def _admit(self, tenant: str, flow_index: int) -> FlowRecord | None:
+        """Admit one flow, count the verdict, feed it a first packet."""
+        record = self._table.admit(tenant, f"f{flow_index}")
+        if record is None:
+            self.rejected += 1
+            return None
+        self.admitted += 1
+        self._table.observe(record, self._rng.randrange(1, 1 << 32))
+        return record
+
 
 @dataclass
-class BackgroundLoad:
+class BackgroundLoad(_Driver):
     """Steady multi-tenant load: mostly one-shot flows, a few active.
 
-    At ``start`` every flow is admitted and observed once; from then
-    until ``stop`` only the first ``active_per_tenant`` flows of each
+    At ``START_S`` every flow is admitted and observed once; from then
+    until ``STOP_S`` only the first ``ACTIVE_PER_TENANT`` flows of each
     tenant keep receiving packets.  The one-shot majority goes idle --
     exactly the population load shedding should demote first.
     """
 
+    START_S = 0.1
+    STOP_S = 1.1
+    ACTIVE_PER_TENANT = 4
+
+    seed: int
     tenants: int = 3
     flows_per_tenant: int = 16
-    active_per_tenant: int = 4
-    start: float = 0.1
-    stop: float = 1.1
-    tick_s: float = DRIVER_TICK_S
-    seed: int = 1
-    admitted: int = 0
-    rejected: int = 0
-    observations: int = 0
+    admitted: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    observations: int = field(default=0, init=False)
 
     def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
         self._sim = sim
@@ -55,39 +83,30 @@ class BackgroundLoad:
         self._rng = random.Random(self.seed)
         self._records: list[FlowRecord] = []
         self._timer = sim.timer(self._tick)
-        sim.schedule(self.start, self._admit_all)
+        sim.schedule(self.START_S, self._admit_all)
 
     def _admit_all(self) -> None:
         for tenant_index in range(self.tenants):
             for flow_index in range(self.flows_per_tenant):
-                record = self._table.admit(f"bg{tenant_index}",
-                                           f"f{flow_index}")
+                record = self._admit(f"bg{tenant_index}", flow_index)
                 if record is None:
-                    self.rejected += 1
                     continue
-                self.admitted += 1
-                self._table.observe(record, self._rng.randrange(1, 1 << 32))
                 self.observations += 1
-                if flow_index < self.active_per_tenant:
+                if flow_index < self.ACTIVE_PER_TENANT:
                     self._records.append(record)
-        self._timer.rearm(self.tick_s)
+        self._timer.rearm(DRIVER_TICK_S)
 
     def _tick(self) -> None:
         for record in self._records:
             if self._table.observe(record,
                                    self._rng.randrange(1, 1 << 32)):
                 self.observations += 1
-        if self._sim.now + self.tick_s <= self.stop:
-            self._timer.rearm(self.tick_s)
-
-    @property
-    def stats(self) -> dict:
-        return {"admitted": self.admitted, "rejected": self.rejected,
-                "observations": self.observations}
+        if self._sim.now + DRIVER_TICK_S <= self.STOP_S:
+            self._timer.rearm(DRIVER_TICK_S)
 
 
 @dataclass
-class TenantBurst:
+class TenantBurst(_Driver):
     """One tenant tries to admit a flood of flows at ``at``.
 
     Sized above the table's global high-water mark, the tail of the
@@ -95,12 +114,11 @@ class TenantBurst:
     the table or displace other tenants' state.
     """
 
-    at: float = 0.3
-    tenant: str = "burst"
-    flows: int = 96
-    seed: int = 1
-    admitted: int = 0
-    rejected: int = 0
+    at: float
+    flows: int
+    seed: int
+    admitted: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
 
     def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
         self._table = table
@@ -109,77 +127,51 @@ class TenantBurst:
 
     def _burst(self) -> None:
         for flow_index in range(self.flows):
-            record = self._table.admit(self.tenant, f"f{flow_index}")
-            if record is None:
-                self.rejected += 1
-                continue
-            self.admitted += 1
-            self._table.observe(record, self._rng.randrange(1, 1 << 32))
-
-    @property
-    def stats(self) -> dict:
-        return {"admitted": self.admitted, "rejected": self.rejected}
+            self._admit("burst", flow_index)
 
 
 @dataclass
-class ChurnStorm:
+class ChurnStorm(_Driver):
     """Mass flow churn: every tick, close the oldest and admit fresh.
 
     The teardown pattern that leaks ledgers and stresses timer
     cancel/rearm; the primary flow must ride through it untouched.
     """
 
-    start: float = 0.2
-    stop: float = 1.0
-    tick_s: float = DRIVER_TICK_S
-    churn_per_tick: int = 6
-    tenant: str = "churn"
-    seed: int = 1
-    admitted: int = 0
-    rejected: int = 0
-    closed: int = 0
+    START_S = 0.2
+    STOP_S = 1.0
+    CHURN_PER_TICK = 6
+
+    seed: int
+    admitted: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    closed: int = field(default=0, init=False)
 
     def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
         self._sim = sim
         self._table = table
         self._rng = random.Random(self.seed)
-        self._pool: list[FlowRecord] = []
+        self._pool: deque[FlowRecord] = deque()
         self._next_flow = 0
         self._timer = sim.timer(self._tick)
-        sim.schedule(self.start, self._begin)
-
-    def _begin(self) -> None:
-        self._tick()
-
-    def _admit_one(self) -> None:
-        record = self._table.admit(self.tenant, f"f{self._next_flow}")
-        self._next_flow += 1
-        if record is None:
-            self.rejected += 1
-            return
-        self.admitted += 1
-        self._table.observe(record, self._rng.randrange(1, 1 << 32))
-        self._pool.append(record)
+        sim.schedule(self.START_S, self._tick)
 
     def _tick(self) -> None:
-        for _ in range(self.churn_per_tick):
-            self._admit_one()
-        while len(self._pool) > self.churn_per_tick:
-            record = self._pool.pop(0)
-            if self._table.close_flow(record):
+        for _ in range(self.CHURN_PER_TICK):
+            record = self._admit("churn", self._next_flow)
+            self._next_flow += 1
+            if record is not None:
+                self._pool.append(record)
+        while len(self._pool) > self.CHURN_PER_TICK:
+            if self._table.close_flow(self._pool.popleft()):
                 self.closed += 1
-        if self._sim.now + self.tick_s <= self.stop:
-            self._timer.rearm(self.tick_s)
-
-    @property
-    def stats(self) -> dict:
-        return {"admitted": self.admitted, "rejected": self.rejected,
-                "closed": self.closed}
+        if self._sim.now + DRIVER_TICK_S <= self.STOP_S:
+            self._timer.rearm(DRIVER_TICK_S)
 
 
 @dataclass
-class MemoryClamp:
-    """Force the primary tenant's budget to zero at ``at``.
+class MemoryClamp(_Driver):
+    """Force the primary tenant's budget to one byte at ``at``.
 
     Models a host-level memory clamp (cgroup pressure): the tenant's
     flows -- the harness's primary transfer included -- are evicted
@@ -189,14 +181,12 @@ class MemoryClamp:
     probation, never straight to ``HEALTHY``.
     """
 
-    at: float = 0.4
-    tenant: str = "primary"
-    budget_bytes: int = 1
+    at: float
     restore_at: float | None = None
     rejoin: bool = False
-    evicted: int = 0
-    restored: bool = False
-    rejoined: bool = False
+    evicted: int = field(default=0, init=False)
+    restored: bool = field(default=False, init=False)
+    rejoined: bool = field(default=False, init=False)
 
     def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
         self._table = table
@@ -206,24 +196,19 @@ class MemoryClamp:
             sim.schedule(self.restore_at, self._restore)
 
     def _clamp(self) -> None:
-        self.evicted += self._table.clamp_tenant(self.tenant,
-                                                 self.budget_bytes)
+        # One byte holds no bank, so every flow of the tenant goes.
+        self.evicted += self._table.clamp_tenant(PRIMARY_TENANT, 1)
 
     def _restore(self) -> None:
-        self._table.clamp_tenant(self.tenant, None)
+        self._table.clamp_tenant(PRIMARY_TENANT, None)
         self.restored = True
         if self.rejoin and self._tap is not None:
             self.rejoined = self._tap.rejoin()
 
-    @property
-    def stats(self) -> dict:
-        return {"evicted": self.evicted, "restored": self.restored,
-                "rejoined": self.rejoined}
-
 
 @dataclass
 class OverloadSpec:
-    """Flow-table sizing plus the overload drivers to arm against it.
+    """The table's capacity plus the overload drivers to arm against it.
 
     Attached to a :class:`~repro.chaos.harness.ChaosSetup`, this makes
     the harness route its proxy tap through a shared
@@ -234,15 +219,12 @@ class OverloadSpec:
     proves nothing).
     """
 
+    #: What the plans' expectations were tuned against; the flow table's
+    #: own defaults (64 KiB per tenant, low water 0.75) differ.
+    TENANT_BUDGET_BYTES = 4096
+    SHED_LOW_WATER = 0.70
+
     max_flows: int = 64
-    tenant_budget_bytes: int = 4096
-    shards: int = 8
-    batch_interval_s: float = 0.005
-    shed_high_water: float = 0.90
-    shed_low_water: float = 0.70
-    idle_after_s: float = 0.1
-    low_traffic_observed: int = 8
-    primary_tenant: str = "primary"
     drivers: list = field(default_factory=list)
     expect_rejections: bool = False
     expect_evictions: bool = False
@@ -250,23 +232,6 @@ class OverloadSpec:
 
     def table_config(self) -> FlowTableConfig:
         return FlowTableConfig(
-            shards=self.shards, max_flows=self.max_flows,
-            tenant_budget_bytes=self.tenant_budget_bytes,
-            shed_high_water=self.shed_high_water,
-            shed_low_water=self.shed_low_water,
-            batch_interval_s=self.batch_interval_s,
-            idle_after_s=self.idle_after_s,
-            low_traffic_observed=self.low_traffic_observed)
-
-    def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
-        for driver in self.drivers:
-            driver.arm(sim, table, tap)
-
-    def driver_stats(self) -> dict:
-        return {type(driver).__name__: driver.stats
-                for driver in self.drivers}
-
-    def expectations(self) -> dict[str, bool]:
-        return {"rejections": self.expect_rejections,
-                "evictions": self.expect_evictions,
-                "sheds": self.expect_sheds}
+            max_flows=self.max_flows,
+            tenant_budget_bytes=self.TENANT_BUDGET_BYTES,
+            shed_low_water=self.SHED_LOW_WATER)

@@ -170,53 +170,15 @@ def cmd_sizing(args: argparse.Namespace) -> int:
 # -- experiments --------------------------------------------------------------------
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.which == "cc-division":
-        from repro.sidecar.cc_division import run_cc_division
-        result = run_cc_division(total_bytes=args.total,
-                                 loss_rate=args.loss,
-                                 sidecar=not args.no_sidecar,
-                                 seed=args.seed)
-        print(f"sidecar: {result.sidecar_enabled}")
-        print(f"completed: {result.completed} "
-              f"in {result.completion_time:.3f} s" if result.completed
-              else "completed: False")
-        print(f"goodput: {result.goodput_bps / 1e6:.2f} Mbps")
-        print(f"server packets: {result.server_packets_sent} "
-              f"({result.server_retransmissions} retransmitted)")
-        if result.proxy_stats is not None:
-            print(f"proxy: forwarded {result.proxy_stats.forwarded}, "
-                  f"max buffer {result.proxy_stats.max_buffer_depth}, "
-                  f"decode failures {result.proxy_stats.decode_failures}")
-    elif args.which == "ack-reduction":
-        from repro.sidecar.ack_reduction import run_ack_reduction
-        result = run_ack_reduction(total_bytes=args.total,
-                                   loss_rate=args.loss,
-                                   ack_every=args.every,
-                                   sidecar=not args.no_sidecar,
-                                   seed=args.seed)
-        print(f"sidecar: {result.sidecar_enabled}, "
-              f"client ACK cadence: every {result.ack_every}")
-        print(f"completed: {result.completed} "
-              f"in {result.completion_time:.3f} s" if result.completed
-              else "completed: False")
-        print(f"client ACKs: {result.client_acks_sent} "
-              f"({result.client_ack_bytes} bytes)")
-        print(f"proxy quACKs: {result.proxy_quacks_sent} "
-              f"({result.quack_bytes} bytes)")
-    else:  # retransmission
-        from repro.sidecar.retransmission import run_retransmission
-        result = run_retransmission(total_bytes=args.total,
-                                    loss_rate=args.loss,
-                                    innet_retx=not args.no_sidecar,
-                                    reorder_threshold=args.reorder_threshold,
-                                    seed=args.seed)
-        print(f"in-network retransmission: {result.innet_retx_enabled}")
-        print(f"completed: {result.completed} "
-              f"in {result.completion_time:.3f} s" if result.completed
-              else "completed: False")
-        print(f"server retransmissions: {result.server_retransmissions}, "
-              f"proxy retransmissions: {result.proxy_retransmissions}")
-        print(f"congestion events: {result.server_congestion_events}")
+    from repro.sweep.scenarios import SCENARIOS
+
+    row = SCENARIOS[args.which]
+    own = {keyword: getattr(args, dest)
+           for dest, keyword in row.flags.items()}
+    result = row.run(total_bytes=args.total, loss_rate=args.loss,
+                     seed=args.seed, **{row.assist: not args.no_sidecar},
+                     **own)
+    print(row.format(result))
     return 0
 
 
@@ -235,21 +197,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.which is None:
         print("error: name a chaos plan, 'all', 'adversarial', or "
               "'overload' (--list-plans shows them)", file=sys.stderr)
-        sys.exit(2)
-    if args.which == "all":
-        plans = tuple(sorted(PLANS))
-    elif args.which == "adversarial":
+        return 2
+    suites = {"all": lambda plan: True,
+              "adversarial": lambda plan: plan.adversarial,
+              "overload": lambda plan: plan.overload}
+    if args.which in suites:
         plans = tuple(sorted(name for name, plan in PLANS.items()
-                             if plan.adversarial))
-    elif args.which == "overload":
-        plans = tuple(sorted(name for name, plan in PLANS.items()
-                             if plan.overload))
+                             if suites[args.which](plan)))
     elif args.which in PLANS:
         plans = (args.which,)
     else:
         print(f"error: unknown chaos plan {args.which!r} "
               f"(--list-plans shows them)", file=sys.stderr)
-        sys.exit(2)
+        return 2
     flight = bool(args.flight_dir)
     if flight:
         from repro import obs
@@ -573,10 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     sizing.add_argument("--threshold", type=int, default=20)
     sizing.set_defaults(func=cmd_sizing)
 
+    from repro.obs.runner import known_scenarios
+    from repro.sweep.scenarios import EXPERIMENT_SCENARIOS
+
     experiment = sub.add_parser("experiment",
                                 help="run a protocol scenario (E7-E9)")
-    experiment.add_argument("which", choices=("cc-division", "ack-reduction",
-                                              "retransmission"))
+    experiment.add_argument("which", choices=EXPERIMENT_SCENARIOS)
     experiment.add_argument("--total", type=int, default=1_000_000)
     experiment.add_argument("--loss", type=float, default=0.02)
     experiment.add_argument("--seed", type=int, default=1)
@@ -607,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flight-recorder ring capacity: keep the last "
                             "N trace events in each crash dump")
     chaos.set_defaults(func=cmd_chaos)
-
-    from repro.obs.runner import known_scenarios
 
     trace = sub.add_parser(
         "trace", help="run a scenario with tracing/metrics enabled")

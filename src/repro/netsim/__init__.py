@@ -42,7 +42,6 @@ from repro.netsim.loss import (
 )
 from repro.netsim.node import ForwardingPolicy, Host, Node, Router
 from repro.netsim.packet import Packet, PacketKind
-from repro.netsim.reorder import JitterLink
 from repro.netsim.topology import (
     HopSpec,
     PathTopology,
@@ -74,7 +73,6 @@ __all__ = [
     "PathTopology",
     "build_path",
     "build_parallel_paths",
-    "JitterLink",
     "FaultInjector",
     "FaultInjectorStats",
     "FaultDecision",

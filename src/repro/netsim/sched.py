@@ -219,10 +219,6 @@ class CalendarScheduler:
     def wheel_slots(self) -> int:
         return self._slots
 
-    def bucket_of(self, time: float) -> int:
-        """Absolute bucket index of a virtual time (monotone in time)."""
-        return int(time / self._width)
-
     # -- insert ---------------------------------------------------------------
 
     def bind_schedule(self, sim: Any) -> Callable[..., EventHandle]:

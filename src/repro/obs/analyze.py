@@ -538,10 +538,6 @@ def _dwell_times(transitions: list[tuple[float, str, str, str]],
 
 # -- rendering ----------------------------------------------------------------
 
-def _fmt_s(value: float | None) -> str:
-    return "-" if value is None else f"{value:.4f}"
-
-
 def _fmt_ms(value: float | None) -> str:
     return "-" if value is None else f"{value * 1e3:.2f}"
 

@@ -16,18 +16,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
+from repro.chaos import PLANS, run_plan
 from repro.errors import ObservabilityError
 from repro.obs.schema import CORE_COMPONENTS
 from repro.obs.trace import TraceEvent, component_tally, format_component_tally
-
-#: The protocol experiments the runner knows how to drive.
-EXPERIMENT_SCENARIOS = ("cc-division", "ack-reduction", "retransmission")
+from repro.sweep.scenarios import EXPERIMENT_SCENARIOS, SCENARIOS
 
 
 def known_scenarios() -> tuple[str, ...]:
     """Every name :func:`run_traced` accepts (experiments + chaos plans)."""
-    from repro.chaos import PLANS
-
     return EXPERIMENT_SCENARIOS + tuple(sorted(PLANS))
 
 
@@ -78,9 +75,7 @@ def run_traced(scenario: str, *, seed: int = 1,
     for ``repro profile --alloc``).  Observability is switched off
     again before returning, whatever happens inside the scenario.
     """
-    from repro.chaos import PLANS, run_plan
-
-    if scenario not in EXPERIMENT_SCENARIOS and scenario not in PLANS:
+    if scenario not in known_scenarios():
         raise ObservabilityError(
             f"unknown scenario {scenario!r}; have "
             f"{', '.join(known_scenarios())}")
@@ -89,8 +84,11 @@ def run_traced(scenario: str, *, seed: int = 1,
     sink = obs.enable(capacity=capacity, profile=profile,
                       allocations=allocations)
     try:
-        outcome = _run_scenario(scenario, seed=seed, total_bytes=total_bytes,
-                                loss=loss, run_plan=run_plan, plans=PLANS)
+        if scenario in EXPERIMENT_SCENARIOS:
+            outcome = SCENARIOS[scenario].run(
+                total_bytes=total_bytes, loss_rate=loss, seed=seed)
+        else:
+            outcome = run_plan(scenario, seed=seed, total_bytes=total_bytes)
     finally:
         obs.disable()
     return TraceRunResult(
@@ -103,26 +101,6 @@ def run_traced(scenario: str, *, seed: int = 1,
         metrics_text=obs.METRICS.render_text(),
         outcome=outcome,
     )
-
-
-def _run_scenario(scenario: str, *, seed: int, total_bytes: int, loss: float,
-                  run_plan, plans) -> Any:
-    if scenario in plans:
-        return run_plan(scenario, seed=seed, total_bytes=total_bytes)
-    if scenario == "cc-division":
-        from repro.sidecar.cc_division import run_cc_division
-
-        return run_cc_division(total_bytes=total_bytes, loss_rate=loss,
-                               sidecar=True, seed=seed)
-    if scenario == "ack-reduction":
-        from repro.sidecar.ack_reduction import run_ack_reduction
-
-        return run_ack_reduction(total_bytes=total_bytes, loss_rate=loss,
-                                 sidecar=True, seed=seed)
-    from repro.sidecar.retransmission import run_retransmission
-
-    return run_retransmission(total_bytes=total_bytes, loss_rate=loss,
-                              innet_retx=True, seed=seed)
 
 
 def summarize(result: TraceRunResult) -> str:

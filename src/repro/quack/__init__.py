@@ -11,6 +11,10 @@ Public surface:
 * :mod:`~repro.quack.wire` -- framing (:func:`~repro.quack.wire.encode` /
   :func:`~repro.quack.wire.decode`);
 * :mod:`~repro.quack.collision` -- collision-probability analytics (Table 3).
+
+:mod:`repro.quack.iblt` (the E10 IBLT ablation) is imported by module
+path, not from here: no runtime path uses it, so importing the package
+does not load it.
 """
 
 from repro.quack.bank import QuackBank
@@ -22,7 +26,6 @@ from repro.quack.collision import (
     table3_row,
 )
 from repro.quack.decoder import decode_delta
-from repro.quack.iblt import IbltQuack
 from repro.quack.power_sum import PowerSumQuack
 from repro.quack.strawman import EchoQuack, HashQuack
 from repro.quack.wire import decode as decode_frame
@@ -34,7 +37,6 @@ __all__ = [
     "DecodeResult",
     "DecodeStatus",
     "PowerSumQuack",
-    "IbltQuack",
     "QuackBank",
     "decode_delta",
     "EchoQuack",

@@ -84,15 +84,6 @@ class DecodeResult:
         return not self.indeterminate
 
 
-@dataclass
-class QuackMetrics:
-    """Bookkeeping counters a quACK keeps for instrumentation."""
-
-    inserts: int = 0
-    removals: int = 0
-    decodes: int = 0
-
-
 class Quack(ABC):
     """Receiver-side accumulator interface shared by all schemes."""
 

@@ -38,7 +38,11 @@ from repro.sidecar.agents import (
 )
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.ack import AckFrequencyPolicy
-from repro.transport.connection import ReceiverConnection, SenderConnection
+from repro.transport.connection import (
+    ReceiverConnection,
+    SenderConnection,
+    run_transfer,
+)
 
 #: Section 4.3: "the receiver could quACK e.g. every n = 32 packets";
 #: we default the *client's* thinned ACK cadence to the same figure.
@@ -124,13 +128,8 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
         # registered its send listener, so the frame is logged too).
         sender.request_ack_frequency(ack_every=ack_every, max_delay_s=0.05)
 
-    sender.start()
-    while sim.now < max_sim_seconds:
-        sim.run(until=min(sim.now + 0.5, max_sim_seconds))
-        if sender.complete and receiver.complete:
-            break
-        if sim.peek_next_time() is None:
-            break
+    run_transfer(sim, sender, receiver, slice_s=0.5,
+                 deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     ack_bytes = receiver.stats.acks_sent * ReceiverConnection.ACK_BASE_BYTES
@@ -153,8 +152,15 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
     )
 
 
-def run_ack_reduction_spec(params: dict) -> dict:
-    """Spec entry point for :mod:`repro.sweep`: params dict -> result dict."""
-    from dataclasses import asdict
-
-    return asdict(run_ack_reduction(**params))
+def format_result(result: AckReductionResult) -> str:
+    """The ``repro experiment ack-reduction`` report."""
+    return "\n".join([
+        f"sidecar: {result.sidecar_enabled}, "
+        f"client ACK cadence: every {result.ack_every}",
+        f"completed: {result.completed} in {result.completion_time:.3f} s"
+        if result.completed else "completed: False",
+        f"client ACKs: {result.client_acks_sent} "
+        f"({result.client_ack_bytes} bytes)",
+        f"proxy quACKs: {result.proxy_quacks_sent} "
+        f"({result.quack_bytes} bytes)",
+    ])

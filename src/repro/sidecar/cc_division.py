@@ -31,6 +31,7 @@ baseline of experiment E7).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
@@ -49,7 +50,11 @@ from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
 from repro.sidecar.protocol import QuackMessage
 from repro.netsim.topology import HopSpec, build_path
 from repro.transport.cc.fixed import AimdRate
-from repro.transport.connection import ReceiverConnection, SenderConnection
+from repro.transport.connection import (
+    ReceiverConnection,
+    SenderConnection,
+    run_transfer,
+)
 from repro.transport.frames import DEFAULT_MSS, HEADER_BYTES
 from repro.transport.rtt import RttEstimator
 
@@ -102,7 +107,7 @@ class PacingProxy:
             PacketCountFrequency(QUACK_TO_SERVER_EVERY), role="proxy",
             threshold=threshold, bits=bits, ledger_key="proxy-upstream")
 
-        self._buffer: list[Packet] = []
+        self._buffer: deque[Packet] = deque()
         router.policy = self
         router.add_tap(self._tap)
         #: Entries older than this are written off (releases their window
@@ -163,7 +168,7 @@ class PacingProxy:
             head = self._buffer[0]
             if not self.cc.can_send(self._in_flight_bytes, head.size_bytes):
                 break
-            self._buffer.pop(0)
+            self._buffer.popleft()
             now = self.sim.now
             self._in_flight_bytes += head.size_bytes
             self.consumer.record_send(head.identifier, (now, head.size_bytes),
@@ -286,15 +291,8 @@ def run_cc_division(total_bytes: int = 1_500_000,
         server_sidecar = ServerSidecar(sim, sender, threshold=threshold,
                                        grace=2, congestive_loss=True)
 
-    sender.start()
-    # Recurring sidecar timers keep the event heap alive, so run in slices
-    # and stop as soon as the transfer finishes.
-    while sim.now < max_sim_seconds:
-        sim.run(until=min(sim.now + 0.5, max_sim_seconds))
-        if sender.complete and receiver.complete:
-            break
-        if sim.peek_next_time() is None:
-            break
+    run_transfer(sim, sender, receiver, slice_s=0.5,
+                 deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     goodput = receiver.monitor.goodput_bps(completion)
@@ -313,13 +311,19 @@ def run_cc_division(total_bytes: int = 1_500_000,
     )
 
 
-def run_cc_division_spec(params: dict) -> dict:
-    """Spec entry point: keyword dict in, plain JSON-safe dict out.
-
-    This is the shape every experiment exposes to :mod:`repro.sweep` --
-    a pure function a worker process can import by name and call with
-    one task's parameters.
-    """
-    from dataclasses import asdict
-
-    return asdict(run_cc_division(**params))
+def format_result(result: CcDivisionResult) -> str:
+    """The ``repro experiment cc-division`` report."""
+    lines = [
+        f"sidecar: {result.sidecar_enabled}",
+        f"completed: {result.completed} in {result.completion_time:.3f} s"
+        if result.completed else "completed: False",
+        f"goodput: {result.goodput_bps / 1e6:.2f} Mbps",
+        f"server packets: {result.server_packets_sent} "
+        f"({result.server_retransmissions} retransmitted)",
+    ]
+    if result.proxy_stats is not None:
+        lines.append(
+            f"proxy: forwarded {result.proxy_stats.forwarded}, "
+            f"max buffer {result.proxy_stats.max_buffer_depth}, "
+            f"decode failures {result.proxy_stats.decode_failures}")
+    return "\n".join(lines)

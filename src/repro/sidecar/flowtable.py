@@ -687,9 +687,3 @@ def _default_tenant_budget(flows: int, tenants: int,
     bank = (probe.quack.wire_size_bits() + 7) // 8
     return max(1, bank * (-(-flows // tenants)) * 2)
 
-
-def run_scale_spec(params: dict) -> dict:
-    """Pure spec -> dict entry point for the sweep engine."""
-    kwargs = dict(params)
-    kwargs.pop("scenario", None)
-    return run_scale(**kwargs)

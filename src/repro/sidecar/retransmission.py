@@ -35,7 +35,11 @@ from repro.sidecar.agents import DEFAULT_THRESHOLD, EmitterEndpoint
 from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.frequency import AdaptiveFrequency
 from repro.sidecar.protocol import ConfigMessage, QuackMessage, config_packet
-from repro.transport.connection import ReceiverConnection, SenderConnection
+from repro.transport.connection import (
+    ReceiverConnection,
+    SenderConnection,
+    run_transfer,
+)
 
 
 @dataclass
@@ -254,13 +258,8 @@ def run_retransmission(total_bytes: int = 1_500_000,
                                                flow_id=flow_id,
                                                threshold=threshold)
 
-    sender.start()
-    while sim.now < max_sim_seconds:
-        sim.run(until=min(sim.now + 0.5, max_sim_seconds))
-        if sender.complete and receiver.complete:
-            break
-        if sim.peek_next_time() is None:
-            break
+    run_transfer(sim, sender, receiver, slice_s=0.5,
+                 deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     return RetransmissionResult(
@@ -281,8 +280,13 @@ def run_retransmission(total_bytes: int = 1_500_000,
     )
 
 
-def run_retransmission_spec(params: dict) -> dict:
-    """Spec entry point for :mod:`repro.sweep`: params dict -> result dict."""
-    from dataclasses import asdict
-
-    return asdict(run_retransmission(**params))
+def format_result(result: RetransmissionResult) -> str:
+    """The ``repro experiment retransmission`` report."""
+    return "\n".join([
+        f"in-network retransmission: {result.innet_retx_enabled}",
+        f"completed: {result.completed} in {result.completion_time:.3f} s"
+        if result.completed else "completed: False",
+        f"server retransmissions: {result.server_retransmissions}, "
+        f"proxy retransmissions: {result.proxy_retransmissions}",
+        f"congestion events: {result.server_congestion_events}",
+    ])

@@ -1,12 +1,17 @@
-"""The scenario registry: every experiment as ``spec -> result dict``.
+"""The scenario registry: the one place a scenario name maps to code.
 
-Worker processes import this module by name and call
-:func:`run_cell`, so everything here must be picklable and free of
-module-global mutable state.  Each entry point is a pure function: the
-same ``(params, seed)`` produces the same result dict in any process,
-which is the contract the sweep engine's determinism guarantee rests on
-(the experiment modules reset the one process-wide counter, packet
-uids, on entry).
+:data:`SCENARIOS` has one :class:`Scenario` row per name.  The sweep
+engine runs a row as ``spec -> result dict`` (:func:`run_cell`);
+``repro experiment``, ``repro trace``/``profile`` and the SLO runner
+look the same rows up to call the keyword entry point directly.  Adding
+a scenario is adding a row.
+
+Worker processes import this module by name and call :func:`run_cell`,
+so everything here must be picklable and free of module-global mutable
+state.  Each entry point is a pure function: the same keywords produce
+the same outcome in any process, which is the contract the sweep
+engine's determinism guarantee rests on (the entry points reset the one
+process-wide counter, packet uids, themselves).
 
 Registered scenarios:
 
@@ -15,10 +20,9 @@ Registered scenarios:
 * ``chaos`` -- the fault-injection harness; the cell must carry a
   ``plan`` parameter naming one of :data:`repro.chaos.PLANS` (sweep the
   ``plan`` axis to cover all of them);
-* ``scale`` -- the multi-tenant flow table driven at scale
-  (:func:`repro.sidecar.flowtable.run_scale`): flow-count x churn-rate
-  grids measuring admissions, evictions, shedding, and p99 emission
-  latency under per-tenant budgets;
+* ``scale`` -- the multi-tenant flow table driven at scale: flow-count
+  x churn-rate grids measuring admissions, evictions, shedding, and p99
+  emission latency under per-tenant budgets;
 * ``selftest`` -- a deliberately cheap arithmetic scenario with
   injectable failures, used by the engine's own differential tests and
   by scaling demos.  Parameters: ``work`` (payload size), ``sleep_s``
@@ -29,17 +33,18 @@ Registered scenarios:
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import random
 import time
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from repro.errors import SweepError
 
 
-def _run_selftest(params: Mapping[str, Any], seed: int,
-                  attempt: int) -> dict:
+def run_selftest(*, seed: int, attempt: int, **params: Any) -> dict:
     """The engine's built-in scenario: cheap, seeded, failure-injectable."""
     fail_attempts = int(params.get("fail_attempts", 0))
     exit_attempts = int(params.get("exit_attempts", 0))
@@ -74,55 +79,64 @@ def _run_selftest(params: Mapping[str, Any], seed: int,
     }
 
 
-def _run_cc_division(params: Mapping[str, Any], seed: int,
-                     attempt: int) -> dict:
-    from repro.sidecar.cc_division import run_cc_division_spec
-
-    return run_cc_division_spec(_with_seed(params, seed))
+def _resolve(path: str):
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
-def _run_ack_reduction(params: Mapping[str, Any], seed: int,
-                       attempt: int) -> dict:
-    from repro.sidecar.ack_reduction import run_ack_reduction_spec
+@dataclass(frozen=True)
+class Scenario:
+    """One registry row: a keyword entry point and how to present it.
 
-    return run_ack_reduction_spec(_with_seed(params, seed))
+    ``entry`` and ``to_dict`` are ``module:function`` paths resolved on
+    first use, so a sweep worker running selftest cells never imports
+    the simulator.  The module that defines an experiment's entry point
+    also defines its ``format_result(outcome) -> str``.
+    """
+
+    #: The keyword entry point; a sweep spec's ``base``/``grid`` keys
+    #: are its keyword arguments.
+    entry: str
+    #: Outcome -> JSON-safe dict, the cell result a sweep artifact keeps.
+    to_dict: str = "dataclasses:asdict"
+    #: Pass the engine's retry counter as ``attempt`` (selftest's
+    #: injected failures key off it).
+    retry_aware: bool = False
+    #: The E7-E9 rows only, for ``repro experiment``: the keyword that
+    #: switches assistance on (``--no-sidecar`` clears it) and the
+    #: experiment's own flags as ``argparse dest -> keyword``.
+    assist: str = ""
+    flags: Mapping[str, str] = field(default_factory=dict)
+
+    def run(self, **kwargs: Any) -> Any:
+        return _resolve(self.entry)(**kwargs)
+
+    def format(self, outcome: Any) -> str:
+        module = self.entry.partition(":")[0]
+        return _resolve(f"{module}:format_result")(outcome)
 
 
-def _run_retransmission(params: Mapping[str, Any], seed: int,
-                        attempt: int) -> dict:
-    from repro.sidecar.retransmission import run_retransmission_spec
-
-    return run_retransmission_spec(_with_seed(params, seed))
-
-
-def _run_chaos(params: Mapping[str, Any], seed: int, attempt: int) -> dict:
-    from repro.chaos import run_chaos_spec
-
-    return run_chaos_spec(_with_seed(params, seed))
-
-
-def _run_scale(params: Mapping[str, Any], seed: int, attempt: int) -> dict:
-    from repro.sidecar.flowtable import run_scale_spec
-
-    return run_scale_spec(_with_seed(params, seed))
-
-
-def _with_seed(params: Mapping[str, Any], seed: int) -> dict:
-    """Inject the derived cell seed unless the spec pins one explicitly."""
-    merged = dict(params)
-    merged.setdefault("seed", seed)
-    return merged
-
-
-#: Scenario name -> entry point ``(params, seed, attempt) -> dict``.
-SCENARIOS: dict[str, Callable[[Mapping[str, Any], int, int], dict]] = {
-    "cc-division": _run_cc_division,
-    "ack-reduction": _run_ack_reduction,
-    "retransmission": _run_retransmission,
-    "chaos": _run_chaos,
-    "scale": _run_scale,
-    "selftest": _run_selftest,
+SCENARIOS: dict[str, Scenario] = {
+    "cc-division": Scenario(
+        "repro.sidecar.cc_division:run_cc_division", assist="sidecar"),
+    "ack-reduction": Scenario(
+        "repro.sidecar.ack_reduction:run_ack_reduction", assist="sidecar",
+        flags={"every": "ack_every"}),
+    "retransmission": Scenario(
+        "repro.sidecar.retransmission:run_retransmission",
+        assist="innet_retx",
+        flags={"reorder_threshold": "reorder_threshold"}),
+    "chaos": Scenario("repro.chaos:run_plan",
+                      to_dict="repro.chaos:result_to_dict"),
+    "scale": Scenario("repro.sidecar.flowtable:run_scale",
+                      to_dict="builtins:dict"),
+    "selftest": Scenario("repro.sweep.scenarios:run_selftest",
+                         to_dict="builtins:dict", retry_aware=True),
 }
+
+#: The protocol experiments, in the order ``repro experiment`` lists them.
+EXPERIMENT_SCENARIOS = tuple(name for name, row in SCENARIOS.items()
+                             if row.assist)
 
 
 def known_scenarios() -> tuple[str, ...]:
@@ -131,11 +145,18 @@ def known_scenarios() -> tuple[str, ...]:
 
 def run_cell(scenario: str, params: Mapping[str, Any], seed: int,
              attempt: int = 0) -> dict:
-    """Run one cell's scenario; the workers' sole entry point."""
+    """Run one cell's scenario; the workers' sole entry point.
+
+    The derived cell seed is injected unless the spec pins one.
+    """
     try:
-        entry = SCENARIOS[scenario]
+        row = SCENARIOS[scenario]
     except KeyError:
         raise SweepError(
             f"unknown sweep scenario {scenario!r}; have "
             f"{', '.join(known_scenarios())}")
-    return entry(params, seed, attempt)
+    kwargs = dict(params)
+    kwargs.setdefault("seed", seed)
+    if row.retry_aware:
+        kwargs["attempt"] = attempt
+    return _resolve(row.to_dict)(row.run(**kwargs))

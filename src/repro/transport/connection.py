@@ -755,3 +755,24 @@ class ReceiverConnection:
             self._send_ack()
             if self.on_complete is not None:
                 self.on_complete(self.sim.now)
+
+
+def run_transfer(sim: Simulator, sender: SenderConnection,
+                 receiver: ReceiverConnection, *, slice_s: float,
+                 deadline_s: float) -> bool:
+    """Start ``sender`` and run ``sim`` until the transfer completes.
+
+    Returns whether it did.  Recurring sidecar timers keep the event
+    queue alive after the last byte, so a bare ``sim.run()`` would not
+    return: run in ``slice_s`` slices and stop at the first slice
+    boundary where both ends are complete, the queue is empty, or
+    ``deadline_s`` has passed.
+    """
+    sender.start()
+    while sim.now < deadline_s:
+        sim.run(until=min(sim.now + slice_s, deadline_s))
+        if sender.complete and receiver.complete:
+            break
+        if sim.peek_next_time() is None:
+            break
+    return sender.complete and receiver.complete

@@ -67,11 +67,3 @@ class AckFrequencyFrame:
     ack_every: int
     max_delay_s: float
     packet_number: int = 0
-
-
-@dataclass(frozen=True)
-class HandshakeFrame:
-    """Connection setup: announces the transfer size to the receiver."""
-
-    packet_number: int
-    total_bytes: int

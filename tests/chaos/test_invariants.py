@@ -8,6 +8,9 @@ match the injected faults.  ``SEED`` is fixed so CI replays the exact
 same packet-level histories.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.chaos import (
@@ -22,6 +25,7 @@ from repro.netsim.faults import SIDECAR_KINDS, Blackout
 from repro.sidecar.health import HealthConfig, HealthState
 
 SEED = 1
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,16 @@ class TestHarnessPlumbing:
     def test_unknown_plan_is_an_error(self):
         with pytest.raises(ValueError, match="unknown chaos plan"):
             run_plan("nope", seed=SEED)
+
+    def test_result_carries_the_setup_it_ran(self, results):
+        result = results["version-switch"]
+        assert result.setup.name == "version-switch"
+        assert result.setup.expect_no_resets
+
+    def test_all_plans_sweep_lists_every_plan(self):
+        spec = json.loads((REPO / "examples" / "sweeps"
+                           / "chaos_all_plans.json").read_text())
+        assert spec["grid"]["plan"] == sorted(PLANS)
 
     def test_format_result_mentions_the_essentials(self, results):
         text = format_result(results["crash-restart"])

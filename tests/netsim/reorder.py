@@ -11,8 +11,9 @@ With a :class:`JitterLink` in the path, the
 :class:`~repro.sidecar.consumer.QuackConsumer` grace knob becomes
 observable: grace=1 declares reordered packets lost, desynchronizing the
 cumulative power sums when they arrive after all (decode failures from
-then on); a grace of a few quACKs rides out the jitter.  See
-``tests/netsim/test_reorder.py`` and the sidecar reordering tests.
+then on); a grace of a few quACKs rides out the jitter.  No scenario
+wires a jittery link in, so the model lives with the tests that use it
+(``tests/netsim/test_reorder.py``).
 """
 
 from __future__ import annotations
@@ -58,14 +59,3 @@ class JitterLink(Link):
         return (f"JitterLink({self.name}, {self.bandwidth_bps / 1e6:.1f} Mbps, "
                 f"{self.delay_s * 1e3:.1f}+U(0,{self.jitter_s * 1e3:.1f}) ms)")
 
-
-def install_jitter(link_slot_owner, neighbor: str, sim: Simulator,
-                   base: Link, jitter_s: float,
-                   rng: random.Random | None = None) -> JitterLink:
-    """Replace a node's outgoing link with a jittery clone of it."""
-    jittery = JitterLink(sim, base.bandwidth_bps, base.delay_s, base.deliver,
-                         jitter_s, queue_packets=base.queue_packets,
-                         loss_model=base.loss_model, rng=rng,
-                         name=base.name)
-    link_slot_owner.attach_link(neighbor, jittery)
-    return jittery

@@ -6,7 +6,7 @@ import pytest
 
 from repro.netsim.core import Simulator
 from repro.netsim.packet import Packet
-from repro.netsim.reorder import JitterLink
+from tests.netsim.reorder import JitterLink
 
 
 def packet(size=1000):

@@ -69,14 +69,14 @@ class TestRunTraced:
         assert result.missing_core_components() == []
 
     @pytest.mark.parametrize("scenario", known_scenarios())
-    def test_same_process_runs_are_identical(self, scenario, monkeypatch):
+    def test_same_process_runs_are_identical(self, scenario):
         """The whole observable surface -- events and metrics text --
         repeats exactly, including the first (cold-memo) run of a plan
         that measures the unassisted baseline, and matches the digests
         checked in as ``golden_traces.json``."""
-        from repro.chaos import harness
+        from repro.chaos import unassisted_baseline
 
-        monkeypatch.setattr(harness, "_BASELINE_CACHE", {})
+        unassisted_baseline.cache_clear()
         first = run_traced(scenario, seed=1)
         second = run_traced(scenario, seed=1)
         assert [event.to_dict() for event in first.events] \

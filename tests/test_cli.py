@@ -283,6 +283,55 @@ class TestDocumentedCommands:
         assert ("tables", "fig6") in checked  # a table2|...|fig6 synopsis
 
 
+def documented_plans(text):
+    """``{plan: is_adversarial}`` over every *plan table* in ``text``.
+
+    A plan table is a markdown table whose first header cell is
+    ``plan``; its second column holds the ``*`` adversarial marker (as
+    ``--list-plans`` prints it) and the rest is prose, which is not
+    checked.  A plan listed twice must carry the same marker.
+    """
+    plans, in_table = {}, False
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.lstrip().startswith("|"):
+            in_table = False
+        elif cells[0].lower() == "plan":
+            in_table = True
+        elif in_table and not set(cells[0]) <= set("-: "):
+            name, marked = cells[0].strip("`"), cells[1] == "*"
+            assert plans.setdefault(name, marked) == marked, name
+    return plans
+
+
+class TestDocumentedPlans:
+    """README and DESIGN list the plans ``--list-plans`` lists."""
+
+    @pytest.fixture(scope="class")
+    def listed(self):
+        import contextlib
+        import io
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["chaos", "--list-plans"]) == 0
+        rows = [line.split(None, 2) for line
+                in out.getvalue().splitlines() if not line.startswith("(")]
+        return {row[0]: row[1] == "*" for row in rows}
+
+    def test_list_plans_is_the_registry(self, listed):
+        from repro.chaos import PLANS
+
+        assert listed == {name: plan.adversarial
+                          for name, plan in PLANS.items()}
+        assert sum(listed.values()) == 7 and len(listed) == 20
+
+    @pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
+    def test_plan_tables_match_list_plans(self, listed, document):
+        text = (REPO / document).read_text(encoding="utf-8")
+        assert documented_plans(text) == listed
+
+
 class TestHeadroom:
     def test_headroom_table(self, capsys):
         code, out = run_cli(capsys, "headroom", "--trials", "2",
@@ -303,9 +352,13 @@ class TestChaos:
         assert "invariants: all held" in out
         assert "final health:" in out
 
-    def test_unknown_plan_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "frobnicate"])
+    def test_unknown_plan_rejected(self, capsys):
+        assert main(["chaos", "frobnicate"]) == 2
+        assert "unknown chaos plan 'frobnicate'" in capsys.readouterr().err
+
+    def test_no_plan_named_is_a_usage_error(self, capsys):
+        assert main(["chaos"]) == 2
+        assert "name a chaos plan" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -21,12 +21,9 @@ SRC = REPO / "src"
 ENTRY_POINTS = {"repro.__main__"}
 
 #: Modules with no consumer yet, each with the reason it is still here.
-#: Shrink this, do not grow it (ROADMAP item 4).
-KNOWN_ORPHANS = {
-    "repro.netsim.reorder":
-        "DESIGN.md X3: the reordering link model behind the consumer-grace "
-        "tests; no scenario wires it in",
-}
+#: Empty since the reordering link model moved to ``tests/netsim/``;
+#: keep it that way (ROADMAP item 6).
+KNOWN_ORPHANS: dict[str, str] = {}
 
 
 def _module_name(path: Path) -> str:
