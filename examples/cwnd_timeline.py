@@ -44,9 +44,7 @@ def run(controller_factory, pacing):
         sim.run(until=60)
     finally:
         obs.disable()
-    timeline = analyze(sink.events,
-                       dropped_events=sink.dropped).connections[sender.flow_id]
-    return sender, receiver, timeline
+    return sender, receiver, analyze(sink.events).points[sender.flow_id]
 
 
 def main() -> None:
@@ -54,8 +52,9 @@ def main() -> None:
     for name, factory, pacing in (("NewReno", NewReno, False),
                                   ("CUBIC", Cubic, False),
                                   ("BbrLite (paced)", BbrLite, True)):
-        sender, receiver, timeline = run(factory, pacing)
-        times, cwnd = timeline.series("cwnd")
+        sender, receiver, points = run(factory, pacing)
+        times = [point.time for point in points]
+        cwnd = [point.cwnd for point in points]
         steps = int((times[-1] - times[0]) / STEP_S) + 1
         held = [cwnd[bisect_right(times, times[0] + STEP_S * i) - 1]
                 for i in range(steps)]

@@ -234,33 +234,21 @@ def scale_section(flows: int, seed: int = 1) -> str:
 
 
 def observability_section(total_bytes: int, seed: int = 1) -> str:
-    from repro.obs import PROFILER, format_component_tally
-    from repro.obs.runner import run_traced
+    from repro.obs.analyze import render_markdown
+    from repro.obs.runner import run_report, run_traced
 
     result = run_traced("cc-division", seed=seed, total_bytes=total_bytes)
-    lines = [
-        "## Observability (unified trace, `python -m repro trace`)",
+    report = render_markdown(run_report(result, top=20))
+    return "\n".join([
+        "## Observability (one report, `python -m repro trace`)",
         "",
-        f"One traced cc-division run ({total_bytes:,} bytes, seed {seed}) "
-        f"captured {len(result.events)} events "
-        f"({result.events_dropped} dropped by the ring buffer):",
+        f"One traced cc-division run ({total_bytes:,} bytes, seed {seed}): "
+        f"where the time went, where the packets went, why assistance "
+        f"stopped (if it did), what the trace covers, and the metrics.",
         "",
-        format_component_tally(result.components(), markdown=True),
+        report.replace("## ", "### "),
         "",
-    ]
-    spans = sorted(PROFILER.path_stats().items())
-    if spans:
-        lines.append("Hot-path spans by call path (wall clock):")
-        lines.append("")
-        lines.append("| call path | calls | mean | self total |")
-        lines.append("|---|---|---|---|")
-        for path, stat in spans:
-            lines.append(
-                f"| {';'.join(path)} | {stat.calls} "
-                f"| {stat.cum_seconds / stat.calls * 1e6:,.1f} µs "
-                f"| {stat.self_seconds * 1e3:,.2f} ms |")
-        lines.append("")
-    return "\n".join(lines)
+    ])
 
 
 def full_report(options: ReportOptions | None = None,

@@ -12,11 +12,13 @@ Subcommands:
 * ``chaos``         -- run a fault-injection scenario and check the
   robustness invariants (exit status 1 if any is violated);
 * ``trace``         -- run a scenario with the :mod:`repro.obs` layer
-  enabled, exporting the structured trace as JSONL and/or printing a
-  metrics summary;
-* ``analyze``       -- derive per-connection timelines, loss-recovery
-  attribution, quACK decode health, and health-ladder dwell times from
-  an exported JSONL trace;
+  enabled and print one report -- where the time went, where the
+  packets went, why assistance stopped, what the trace covers, the
+  metrics -- optionally exporting the trace as JSONL, the profile as a
+  collapsed-stack flamegraph (``--flame``) and a JSON snapshot
+  (``--json``);
+* ``analyze``       -- the same report, minus the time section, from an
+  exported JSONL trace;
 * ``sweep``         -- expand a scenario-matrix spec into seeded cells,
   shard them across worker processes, and write one aggregate artifact
   (exit status 1 if any cell exhausted its retries); ``--telemetry``
@@ -27,10 +29,6 @@ Subcommands:
 * ``vectors``       -- regenerate or validate the checked-in wire-format
   conformance vectors (``tests/vectors/*.json``; exit status 1 when a
   vector is stale or fails against the implementation);
-* ``profile``       -- run a scenario under the hierarchical profiler
-  and print the heaviest call paths, optionally exporting a collapsed-
-  stack flamegraph (``--flame``) and a JSON profile snapshot
-  (``--json``) plus the per-flow middlebox resource table;
 * ``diff``          -- differential analysis of two snapshot files
   (profile / telemetry / sweep aggregate), ranking series by
   magnitude of relative change (exit status 1 when any series moved
@@ -57,13 +55,14 @@ Examples::
     python -m repro slo benchmarks/slo/seed_scenarios.json
     python -m repro vectors generate
     python -m repro vectors check
-    python -m repro profile retransmission --flame out.folded --top 15
+    python -m repro trace retransmission --flame out.folded --top 15
     python -m repro diff before.json after.json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -210,19 +209,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"error: unknown chaos plan {args.which!r} "
               f"(--list-plans shows them)", file=sys.stderr)
         return 2
-    flight = bool(args.flight_dir)
-    if flight:
-        from repro import obs
-
-        # Arm the black box: trace every plan so an invariant failure
-        # dumps the ring plus the implicated packet's span tree.
-        obs.FLIGHT.configure(args.flight_dir, last_n=args.flight_events)
-        obs.reset()
-        obs.enable(profile=False)
     failures = 0
-    try:
+    with _flight_recorder(args) as obs:
+        if obs.FLIGHT.armed:
+            # The black box wants every plan traced, so that an invariant
+            # failure dumps the ring plus the implicated packet's span tree.
+            obs.enable(profile=False)
         for name in plans:
-            if flight:
+            if obs.FLIGHT.armed:
                 obs.reset()
             result = run_plan(name, seed=args.seed, total_bytes=args.total)
             print(format_result(result))
@@ -230,12 +224,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 print("-" * 60)
             if not result.ok:
                 failures += 1
-    finally:
-        if flight:
-            obs.disable()
-            obs.FLIGHT.disarm()
-            for path in obs.FLIGHT.dumps:
-                print(f"flight recorder: wrote {path}", file=sys.stderr)
     if failures:
         print(f"error: {failures} of {len(plans)} chaos plans violated "
               f"invariants", file=sys.stderr)
@@ -243,60 +231,72 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the flight recorder (chaos, vectors check) -----------------------------------
+
+def _add_flight_arguments(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--flight-dir", default=None, metavar="DIR",
+                        help=f"arm the flight recorder: dump {what} to DIR")
+    parser.add_argument("--flight-events", type=int, default=512,
+                        metavar="N",
+                        help="flight-recorder ring capacity: keep the last "
+                             "N trace events in each dump")
+
+
+@contextlib.contextmanager
+def _flight_recorder(args: argparse.Namespace):
+    """``repro.obs`` with the flight recorder armed when ``--flight-dir``
+    asks for it; on the way out it is disarmed, tracing is off, and the
+    dumps it wrote are listed."""
+    from repro import obs
+
+    if args.flight_dir:
+        obs.FLIGHT.configure(args.flight_dir, last_n=args.flight_events)
+    try:
+        yield obs
+    finally:
+        obs.disable()
+        obs.FLIGHT.disarm()
+        for path in obs.FLIGHT.dumps if args.flight_dir else ():
+            print(f"flight recorder: wrote {path}", file=sys.stderr)
+
+
 # -- trace ----------------------------------------------------------------------
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.obs.runner import run_traced, summarize
+    from repro.obs import perf
+    from repro.obs.analyze import analyze, render_text
+    from repro.obs.runner import run_report, run_traced
 
     result = run_traced(args.which, seed=args.seed, total_bytes=args.total,
-                        loss=args.loss, capacity=args.capacity)
+                        loss=args.loss, capacity=args.capacity,
+                        allocations=args.alloc)
     if args.filter:
         prefixes = tuple(args.filter)
         result.events = [event for event in result.events
                          if event.type.startswith(prefixes)]
+        result.analysis = analyze(result.events)
+    written = []
     if args.jsonl:
         obs.export_jsonl(result.events, args.jsonl)
-        print(f"wrote {len(result.events)} events to {args.jsonl}",
-              file=sys.stderr)
-    if args.summary or not args.jsonl:
-        print(summarize(result))
-    if not args.filter:
-        # A filtered view legitimately silences components; the
-        # everything-instrumented check only applies to full traces.
-        missing = result.missing_core_components()
-        if missing:
-            print(f"error: no trace events from: {', '.join(missing)}",
-                  file=sys.stderr)
-            return 1
-    return 0
-
-
-# -- profile --------------------------------------------------------------------
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import PROFILER, perf
-    from repro.obs.runner import run_traced
-    from repro.sidecar.accounting import FLOW_ACCOUNTS
-
-    FLOW_ACCOUNTS.reset()
-    FLOW_ACCOUNTS.arm()
-    try:
-        run_traced(args.which, seed=args.seed, total_bytes=args.total,
-                   loss=args.loss, allocations=args.alloc)
-    finally:
-        FLOW_ACCOUNTS.disarm()
-    snapshot = perf.profile_snapshot(
-        PROFILER, scenario=args.which, seed=args.seed,
-        flows=FLOW_ACCOUNTS.snapshot() if FLOW_ACCOUNTS.flows else None)
-    print(perf.format_profile(snapshot, top=args.top))
+        written.append(f"{len(result.events)} events to {args.jsonl}")
     if args.flame:
-        path = perf.write_folded(snapshot, args.flame)
-        print(f"wrote collapsed stacks to {path}", file=sys.stderr)
+        perf.write_folded(result.profile, args.flame)
+        written.append(f"collapsed stacks to {args.flame}")
     if args.json:
-        path = perf.write_profile(snapshot, args.json)
-        print(f"wrote profile snapshot to {path}", file=sys.stderr)
-    PROFILER.reset()
+        perf.write_profile(result.profile, args.json)
+        written.append(f"profile snapshot to {args.json}")
+    for what in written:
+        print(f"wrote {what}", file=sys.stderr)
+    if args.summary or not written:
+        print(render_text(run_report(result, top=args.top)))
+    # A filtered view legitimately silences components; the
+    # everything-instrumented check only applies to full traces.
+    missing = [] if args.filter else result.missing_core_components()
+    if missing:
+        print(f"error: no trace events from: {', '.join(missing)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -320,7 +320,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # -- analyze --------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import analyze, load_trace
+    from repro.obs.analyze import (
+        analyze,
+        load_trace,
+        render_markdown,
+        render_text,
+    )
 
     try:
         trace = load_trace(args.trace)
@@ -330,30 +335,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.filter:
         prefixes = tuple(args.filter)
         trace.records = [record for record in trace.records
-                         if str(record.get("type", "")).startswith(prefixes)]
-    if args.spans:
-        from repro.obs.causal import build_span_trees, format_causal_summary
-
-        print(format_causal_summary(build_span_trees(trace.records)))
-        if trace.malformed:
-            print(f"warning: skipped {trace.malformed} malformed lines",
-                  file=sys.stderr)
-        return 0
+                         if record["type"].startswith(prefixes)]
     analysis = analyze(trace)
-    flows = args.flow if args.flow else None
-    if flows:
-        unknown = [flow for flow in flows
-                   if flow not in analysis.connections]
-        if unknown:
-            print(f"error: no such flow(s): {', '.join(unknown)} "
-                  f"(trace has: "
-                  f"{', '.join(sorted(analysis.connections)) or 'none'})",
-                  file=sys.stderr)
-            return 2
-    if args.markdown:
-        print(analysis.render_markdown(flows=flows))
-    else:
-        print(analysis.render_text(width=args.width, flows=flows))
+    unknown = [flow for flow in args.flow if flow not in analysis.flows]
+    if unknown:
+        print(f"error: no such flow(s): {', '.join(unknown)} (trace has: "
+              f"{', '.join(analysis.flows) or 'none'})", file=sys.stderr)
+        return 2
+    report = analysis.report(flows=args.flow, spans=args.spans)
+    print(render_markdown(report) if args.markdown
+          else render_text(report, width=args.width))
     if analysis.malformed:
         print(f"warning: skipped {analysis.malformed} malformed lines",
               file=sys.stderr)
@@ -362,32 +353,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 # -- slo ------------------------------------------------------------------------
 
-def _load_slo_snapshot(path: str) -> dict:
-    """Read a saved telemetry snapshot (or a sweep aggregate's block)."""
-    import json
-
-    from repro.errors import ObservabilityError
-    from repro.obs.aggregate import merge_snapshots
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ObservabilityError(f"cannot read snapshot {path}: {exc}") \
-            from exc
-    if isinstance(doc, dict) and doc.get("kind") == "sweep-aggregate":
-        telemetry = doc.get("telemetry")
-        if not telemetry:
-            raise ObservabilityError(
-                f"{path}: sweep aggregate carries no telemetry block "
-                f"(re-run the sweep with --telemetry)")
-        doc = telemetry
-    # merge_snapshots validates the kind/schema markers on the way through.
-    return merge_snapshots([doc])
-
-
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro.errors import ObservabilityError
+    from repro.obs.aggregate import load_json, telemetry_of
     from repro.obs.slo import (
         evaluate_budgets,
         format_verdicts,
@@ -399,8 +367,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
         else (lambda message: print(message, file=sys.stderr))
     violated = False
     try:
-        snapshot = _load_slo_snapshot(args.snapshot) if args.snapshot \
-            else None
+        snapshot = telemetry_of(load_json(args.snapshot)) \
+            if args.snapshot else None
         for path in args.budgets:
             doc = load_budget_file(path)
             current = snapshot if snapshot is not None \
@@ -461,22 +429,11 @@ def cmd_vectors(args: argparse.Namespace) -> int:
         for path in vectors.generate(args.dir):
             print(f"wrote {path}")
         return 0
-    flight = bool(getattr(args, "flight_dir", None))
-    if flight:
-        from repro import obs
-
-        # Vector execution decodes hostile/corrupt wire bytes; arm the
-        # flight recorder so any WireFormatError raised mid-check dumps
-        # its evidence for the CI artifact upload.
-        obs.FLIGHT.configure(args.flight_dir,
-                             last_n=getattr(args, "flight_events", 512))
-    try:
+    # Vector execution decodes hostile/corrupt wire bytes; armed, the
+    # flight recorder dumps the evidence of any WireFormatError raised
+    # mid-check, for the CI artifact upload.
+    with _flight_recorder(args):
         problems = vectors.check(args.dir)
-    finally:
-        if flight:
-            obs.FLIGHT.disarm()
-            for path in obs.FLIGHT.dumps:
-                print(f"flight recorder: wrote {path}", file=sys.stderr)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -560,24 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=1)
     chaos.add_argument("--total", type=int, default=1460 * 600,
                        help="transfer size in bytes")
-    chaos.add_argument("--flight-dir", default=None, metavar="DIR",
-                       help="arm the flight recorder: run traced and dump "
-                            "the last trace events plus the implicated "
-                            "packet's span tree to DIR on any invariant "
-                            "failure")
-    chaos.add_argument("--flight-events", type=int, default=512, metavar="N",
-                       help="flight-recorder ring capacity: keep the last "
-                            "N trace events in each crash dump")
+    _add_flight_arguments(chaos, "the last trace events plus the "
+                          "implicated packet's span tree, on any invariant "
+                          "failure of a plan run traced,")
     chaos.set_defaults(func=cmd_chaos)
 
     trace = sub.add_parser(
-        "trace", help="run a scenario with tracing/metrics enabled")
+        "trace", help="run a scenario traced and profiled; print one "
+                      "report: time, packets, assistance, coverage, "
+                      "metrics")
     trace.add_argument("which", choices=known_scenarios())
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="export the trace events as JSON lines")
     trace.add_argument("--summary", action="store_true",
-                       help="print trace tallies and the metrics table "
-                            "(default when --jsonl is not given)")
+                       help="print the report (default when nothing is "
+                            "written to a file)")
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--total", type=int, default=200_000,
                        help="transfer size in bytes")
@@ -590,28 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep only events whose type starts with "
                             "PREFIX, e.g. 'sidecar.' or 'link.drop' "
                             "(repeatable; ORed together)")
+    trace.add_argument("--flame", default=None, metavar="PATH",
+                       help="write collapsed-stack text (flamegraph.pl "
+                            "/ speedscope input) to PATH")
+    trace.add_argument("--json", default=None, metavar="PATH",
+                       help="write the JSON profile snapshot to PATH "
+                            "(diffable with 'repro diff')")
+    trace.add_argument("--alloc", action="store_true",
+                       help="also track per-span allocation deltas via "
+                            "tracemalloc (slow)")
+    trace.add_argument("--top", type=int, default=20,
+                       help="call paths to print (by self time)")
     trace.set_defaults(func=cmd_trace)
-
-    profile = sub.add_parser(
-        "profile", help="run a scenario under the hierarchical profiler")
-    profile.add_argument("which", choices=known_scenarios())
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument("--total", type=int, default=200_000,
-                         help="transfer size in bytes")
-    profile.add_argument("--loss", type=float, default=0.02,
-                         help="loss rate (experiment scenarios)")
-    profile.add_argument("--flame", default=None, metavar="PATH",
-                         help="write collapsed-stack text (flamegraph.pl "
-                              "/ speedscope input) to PATH")
-    profile.add_argument("--json", default=None, metavar="PATH",
-                         help="write the JSON profile snapshot to PATH "
-                              "(diffable with 'repro diff')")
-    profile.add_argument("--alloc", action="store_true",
-                         help="also track per-span allocation deltas via "
-                              "tracemalloc (slow)")
-    profile.add_argument("--top", type=int, default=20,
-                         help="call paths to print (by self time)")
-    profile.set_defaults(func=cmd_profile)
 
     diff = sub.add_parser(
         "diff", help="rank series movements between two snapshot files "
@@ -630,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(func=cmd_diff)
 
     analyze = sub.add_parser(
-        "analyze", help="derive timelines/attribution from a JSONL trace")
+        "analyze", help="the trace report (minus its time section) from "
+                        "a JSONL trace")
     analyze.add_argument("trace", help="trace file written by "
                                        "'repro trace --jsonl'")
     analyze.add_argument("--markdown", action="store_true",
@@ -647,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep only events whose type starts with "
                               "PREFIX (repeatable; ORed together)")
     analyze.add_argument("--spans", action="store_true",
-                         help="print the causal packet-lifecycle span "
-                              "summary instead of the timeline report")
+                         help="add an example packet-lifecycle span tree "
+                              "to the packets section")
     analyze.set_defaults(func=cmd_analyze)
 
     sweep = sub.add_parser(
@@ -698,13 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     vectors_check = vectors_sub.add_parser(
         "check", help="fail if any checked-in vector is stale or the "
                       "implementation no longer conforms to it")
-    vectors_check.add_argument("--flight-dir", default=None, metavar="DIR",
-                               help="arm the flight recorder: dump ring "
-                                    "evidence to DIR on WireFormatError")
-    vectors_check.add_argument("--flight-events", type=int, default=512,
-                               metavar="N",
-                               help="flight-recorder ring capacity: keep "
-                                    "the last N trace events in each dump")
+    _add_flight_arguments(vectors_check,
+                          "ring evidence, on WireFormatError,")
     vectors_check.add_argument("--dir", default="tests/vectors",
                                help="vector directory")
     vectors_check.set_defaults(func=cmd_vectors)

@@ -17,6 +17,7 @@ Per-link statistics feed the experiment reports.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
@@ -84,7 +85,7 @@ class Link:
         #: Optional fault injector (chaos harness); None = no faults.
         self.faults = faults
         self.stats = LinkStats()
-        self._queue: list[Packet] = []
+        self._queue: deque[Packet] = deque()
         self._transmitting = False
         # The link serializes one packet at a time, so a single reusable
         # timer carries every end-of-serialization event: one wheel-slot
@@ -142,7 +143,7 @@ class Link:
         return self.delay_s
 
     def _finish_transmission(self) -> None:
-        packet = self._queue.pop(0)
+        packet = self._queue.popleft()
         if self.loss_model.should_drop(packet):
             self.stats.dropped_loss += 1
             if obs.TRACER.enabled:

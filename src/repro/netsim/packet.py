@@ -100,7 +100,7 @@ class Packet:
     #: it models an unauthenticated debug marker (like a spin bit or a
     #: tunnel header tag) that on-path elements may read, so lifecycle
     #: spans can be assembled without breaking the paper's threat model.
-    #: Protocol behavior must never depend on it (DESIGN.md §13).
+    #: Protocol behavior must never depend on it (DESIGN.md §8).
     trace_ctx: int | None = None
     _protected: Any = field(default=None, repr=False)
     _key: bytes | None = field(default=None, repr=False)

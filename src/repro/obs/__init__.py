@@ -3,14 +3,17 @@
 Three cooperating pieces, shared by every layer of the reproduction:
 
 * :mod:`repro.obs.metrics` -- labeled ``Counter``/``Gauge``/``Histogram``
-  families in a :class:`MetricsRegistry` with snapshot/reset and
-  text/JSON rendering;
+  families in a :class:`MetricsRegistry` with one (mergeable) snapshot
+  form, reset and text rendering;
 * :mod:`repro.obs.trace` -- a structured log of typed events stamped
   with virtual time, held in a capped ring buffer and exportable as
   JSONL (the vocabulary lives in :mod:`repro.obs.schema`, and so does
   the table that says which metrics each event type feeds);
 * :mod:`repro.obs.profile` -- wall-clock spans over the quACK hot paths,
   aggregated per call path (kept out of the metrics registry).
+
+Reading a trace back is one module, :mod:`repro.obs.analyze` (not loaded
+by ``import repro.obs``): one pass, one report.
 
 The module-level singletons (:data:`TRACER`, :data:`METRICS`,
 :data:`PROFILER`) are what the instrumentation points inside netsim,
@@ -63,17 +66,14 @@ from repro.obs.trace import (
     RingSink,
     TraceEvent,
     Tracer,
-    component_tally,
     dump_jsonl,
     export_jsonl,
-    format_component_tally,
 )
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry",
     "DEFAULT_BUCKETS", "LATENCY_BUCKETS", "json_safe",
     "TraceEvent", "RingSink", "Tracer", "dump_jsonl", "export_jsonl",
-    "component_tally", "format_component_tally",
     "Profiler", "FlightRecorder",
     "TRACER", "METRICS", "PROFILER", "FLIGHT",
     "enable", "enable_metrics", "disable", "reset",

@@ -15,23 +15,13 @@ it becomes a child span of the packet it replaces.  A sidecar local
 repair (Fig. 4) re-emits the *same* datagram, so the span keeps its
 context id and simply gains a ``retransmitted`` stage.
 
-Stage sources:
-
-====================  =============================================
-stage                 trace event
-====================  =============================================
-``sent``              ``transport.send`` / ``transport.retransmit``
-``mb_observed``       ``sidecar.mb_observe``
-``quack_emitted``     the ``sidecar.quack_emit`` that *caused* the
-                      span's ``gap_detected`` (last emit at or before
-                      it); for never-lost packets, the first emit
-                      covering the ``mb_observed``
-``gap_detected``      ``transport.loss`` (ctx) or ``sidecar.gap_detect``
-``retransmitted``     ``sidecar.retransmit`` (same ctx, local repair)
-                      or a child ``transport.retransmit`` (parent_ctx)
-``delivered``         ``transport.deliver``
-``lost``              ``link.drop`` carrying the ctx
-====================  =============================================
+Which event adds which stage is one table, :data:`_STAGE_OF`; the two
+stages it does not hold are a parent's ``retransmitted`` (mirrored from
+the child ``transport.retransmit`` naming it in ``parent_ctx``) and
+``quack_emitted`` (see :meth:`SpanBuilder.finish`).
+:class:`SpanBuilder` is fed by the one pass of :mod:`repro.obs.analyze`;
+:func:`build_span_trees` wraps it for the flight recorder, which wants
+the tree of one implicated packet.
 
 ``quack_emitted`` is associated analytically (the emit event is
 flow-level; carrying per-packet context on every quACK would add wire
@@ -48,11 +38,12 @@ the same spans regardless of host or worker count.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.obs.metrics import json_safe
-from repro.obs.trace import TraceEvent
+from repro.obs.schema import as_record
 
 #: Canonical stage vocabulary (display/tie-break order).
 STAGE_ORDER = ("sent", "mb_observed", "quack_emitted", "gap_detected",
@@ -63,10 +54,6 @@ STAGE_ORDER = ("sent", "mb_observed", "quack_emitted", "gap_detected",
 #: check that each quACK preceded the gap detection credited to it.
 #: ``mb_observed`` sits outside the chain: a locally repaired packet is
 #: observed by the emitter only *after* the repair.
-
-#: Repair-attribution classes a root span lands in.
-ATTRIBUTIONS = ("clean", "sidecar", "e2e-ack", "e2e-pto", "spurious",
-                "lost")
 
 #: Retransmit ``cause`` tag -> attribution class.
 _CAUSE_ATTRIBUTION = {"quack": "sidecar", "ack": "e2e-ack", "pto": "e2e-pto"}
@@ -83,7 +70,7 @@ class SpanStage:
 
     stage: str
     time: float
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_dict(self) -> dict:
         record = {"stage": self.stage, "t": json_safe(self.time)}
@@ -98,14 +85,14 @@ class PacketSpan:
 
     ctx: int
     flow: str
-    stages: list[SpanStage] = field(default_factory=list)
-    children: list["PacketSpan"] = field(default_factory=list)
-    parent_ctx: int | None = None
+    stages: list[SpanStage] = field(default_factory=list, init=False)
+    children: list["PacketSpan"] = field(default_factory=list, init=False)
+    parent_ctx: int | None = field(default=None, init=False)
 
     # -- stage access -----------------------------------------------------
 
     def add_stage(self, stage: str, time: float, **detail: object) -> None:
-        self.stages.append(SpanStage(stage, time, dict(detail)))
+        self.stages.append(SpanStage(stage, time, detail))
 
     def stage_times(self) -> dict[str, float]:
         """First occurrence time per stage name."""
@@ -183,6 +170,13 @@ class PacketSpan:
                 and self.monotonic)
 
     @property
+    def complete(self) -> bool:
+        """The causal tree accounts for the packet (the coverage
+        surface): it, or a retransmission of it, was delivered, and the
+        stages the trace recorded are in causal order."""
+        return self.delivered_in_tree and self.monotonic
+
+    @property
     def attribution(self) -> str:
         """Who repaired (or failed to repair) this datagram."""
         if not self.delivered_in_tree:
@@ -242,10 +236,7 @@ class CausalAnalysis:
     roots: list[PacketSpan]
 
     def attribution_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in ATTRIBUTIONS}
-        for root in self.roots:
-            counts[root.attribution] += 1
-        return {name: count for name, count in counts.items() if count}
+        return dict(Counter(root.attribution for root in self.roots))
 
     def complete_repairs(self) -> list[PacketSpan]:
         """Roots whose tree shows the full repair lifecycle."""
@@ -255,188 +246,149 @@ class CausalAnalysis:
         return [root for root in self.roots
                 if root.attribution in ("sidecar", "e2e-ack", "e2e-pto")]
 
+    def retransmissions(self) -> list[tuple[str | None, float | None]]:
+        """``(cause, detection latency)`` of every retransmission: a
+        transport retransmission is the ``sent`` stage of a child
+        datagram, a sidecar local repair a ``retransmitted`` stage on the
+        repaired datagram itself (the stage a parent mirrors from its
+        child is the same event again).  ``cause`` is None where the
+        event carried no tag."""
+        return [(entry.detail["cause"], entry.detail.get("latency"))
+                for span in self.spans.values() for entry in span.stages
+                if "cause" in entry.detail
+                and (entry.stage == "sent" or entry.detail.get("local"))]
 
-def _as_record(event: "TraceEvent | Mapping") -> tuple[float, str, Mapping]:
-    if isinstance(event, TraceEvent):
-        return float(event.time), event.type, event.fields
-    stamp = event.get("t", 0.0)
-    return (float(stamp) if stamp is not None else 0.0,
-            str(event.get("type", "")), event)
+    def lowest_pn(self) -> dict[str, int]:
+        """Lowest packet number each flow transmitted; above zero, the
+        trace lost its beginning (a ring that wrapped)."""
+        lowest: dict[str, int] = {}
+        for span in self.spans.values():
+            for entry in span.stages:
+                pn = entry.detail.get("pn")
+                if entry.stage == "sent" and isinstance(pn, int):
+                    lowest[span.flow] = min(pn, lowest.get(span.flow, pn))
+        return lowest
 
 
-def build_span_trees(events: Iterable["TraceEvent | Mapping"],
-                     ) -> CausalAnalysis:
-    """Assemble per-packet span trees from a trace.
+#: Event type -> (the stage it adds to the span of its ``ctx``, the
+#: event fields kept as the stage's detail).  This table and the
+#: flow-level ``sidecar.quack_emit`` in :meth:`SpanBuilder.add` are the
+#: only place the span model names an event type.
+_STAGE_OF = {
+    "transport.send": ("sent", ("pn",)),
+    "transport.retransmit": ("sent", ("pn", "cause", "latency")),
+    "sidecar.mb_observe": ("mb_observed", ()),
+    "transport.loss": ("gap_detected", ("trigger",)),
+    "sidecar.gap_detect": ("gap_detected", ("latency",)),
+    "sidecar.retransmit": ("retransmitted", ("cause", "latency")),
+    "transport.deliver": ("delivered", ("pn",)),
+    "link.drop": ("lost", ("link", "reason")),
+}
 
-    Accepts in-memory :class:`~repro.obs.trace.TraceEvent` objects or
-    decoded JSONL records; events without a context id contribute
-    nothing (control traffic, runs without stamping).
+
+class SpanBuilder:
+    """Assembles span trees from records fed in time order.
+
+    Events without a context id contribute nothing (control traffic,
+    runs without stamping).
     """
-    records = sorted((_as_record(event) for event in events),
-                     key=lambda item: item[0])
-    spans: dict[int, PacketSpan] = {}
-    pending_children: list[tuple[int, PacketSpan]] = []
-    quack_emits: dict[str, list[float]] = {}
 
-    def span_for(ctx: object, flow: object) -> PacketSpan | None:
-        if not isinstance(ctx, int) or isinstance(ctx, bool):
-            return None
-        span = spans.get(ctx)
-        if span is None:
-            span = PacketSpan(ctx=ctx, flow=str(flow or "?"))
-            spans[ctx] = span
-        return span
+    def __init__(self) -> None:
+        self.spans: dict[int, PacketSpan] = {}
+        self._pending_children: list[tuple[int, PacketSpan]] = []
+        self._quack_emits: dict[str, list[float]] = {}
 
-    for time, etype, fields in records:
+    def add(self, time: float, etype: str, fields: Mapping) -> None:
+        if etype == "sidecar.quack_emit":
+            self._quack_emits.setdefault(str(fields.get("flow", "?")),
+                                         []).append(time)
+            return
+        row = _STAGE_OF.get(etype)
         ctx = fields.get("ctx")
-        if etype == "transport.send":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("sent", time, pn=fields.get("pn"))
-        elif etype == "transport.retransmit":
-            span = span_for(ctx, fields.get("flow"))
-            if span is None:
+        if row is None or not isinstance(ctx, int) or isinstance(ctx, bool):
+            return
+        span = self.spans.get(ctx)
+        if span is None:
+            span = self.spans[ctx] = PacketSpan(
+                ctx=ctx, flow=str(fields.get("flow") or "?"))
+        stage, keys = row
+        detail = {key: fields.get(key) for key in keys}
+        if stage == "retransmitted":
+            detail["local"] = True     # the same datagram, re-sent by a PEP
+        span.add_stage(stage, time, **detail)
+        parent_ctx = fields.get("parent_ctx")
+        if isinstance(parent_ctx, int) and not isinstance(parent_ctx, bool):
+            span.parent_ctx = parent_ctx
+            self._pending_children.append((parent_ctx, span))
+
+    def finish(self) -> CausalAnalysis:
+        spans = self.spans
+        # Attach transport retransmissions beneath the packet they
+        # replace and mirror the event onto the parent as its
+        # ``retransmitted`` stage (the parent's repair happened when the
+        # child left the wire).
+        for parent_ctx, child in self._pending_children:
+            parent = spans.get(parent_ctx)
+            if parent is None or parent is child:
                 continue
-            span.add_stage("sent", time, pn=fields.get("pn"),
-                           cause=fields.get("cause"),
-                           latency=fields.get("latency"))
-            parent_ctx = fields.get("parent_ctx")
-            if isinstance(parent_ctx, int) and not isinstance(parent_ctx,
-                                                              bool):
-                span.parent_ctx = parent_ctx
-                pending_children.append((parent_ctx, span))
-        elif etype == "sidecar.mb_observe":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("mb_observed", time)
-        elif etype == "sidecar.quack_emit":
-            quack_emits.setdefault(str(fields.get("flow", "?")),
-                                   []).append(time)
-        elif etype == "transport.loss":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("gap_detected", time,
-                               trigger=fields.get("trigger"))
-        elif etype == "sidecar.gap_detect":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("gap_detected", time,
-                               latency=fields.get("latency"))
-        elif etype == "sidecar.retransmit":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("retransmitted", time,
-                               cause=fields.get("cause"), local=True)
-        elif etype == "transport.deliver":
-            span = span_for(ctx, fields.get("flow"))
-            if span is not None:
-                span.add_stage("delivered", time, pn=fields.get("pn"))
-        elif etype == "link.drop":
-            span = span_for(ctx, None)
-            if span is not None:
-                span.add_stage("lost", time, link=fields.get("link"),
-                               reason=fields.get("reason"))
+            parent.children.append(child)
+            sent = next((entry for entry in child.stages
+                         if entry.stage == "sent"), None)
+            if sent is not None:
+                parent.add_stage("retransmitted", sent.time,
+                                 cause=sent.detail.get("cause"),
+                                 local=False, ctx=child.ctx)
 
-    # Attach transport retransmissions beneath the packet they replace
-    # and mirror the event onto the parent as its ``retransmitted``
-    # stage (the parent's repair happened when the child left the wire).
-    for parent_ctx, child in pending_children:
-        parent = spans.get(parent_ctx)
-        if parent is None or parent is child:
-            continue
-        parent.children.append(child)
-        child_sent = child.stage_times().get("sent")
-        if child_sent is not None:
-            cause = next((entry.detail.get("cause")
-                          for entry in child.stages
-                          if entry.stage == "sent"), None)
-            parent.add_stage("retransmitted", child_sent, cause=cause,
-                             local=False, ctx=child.ctx)
+        # Associate the causal quACK per span (flow-level cadence).  A
+        # span whose gap was detected by quACK decode (a
+        # ``sidecar.gap_detect`` stage) is matched with the *last* emit
+        # in its (sent, detection] window -- the quACK that revealed the
+        # gap.  A never-lost span is matched with the first emit at or
+        # after its middlebox observation (the quACK covering it).  Gaps
+        # detected purely by the e2e transport (ACK reordering, PTO)
+        # involve no quACK and get none.
+        for span in spans.values():
+            emits = self._quack_emits.get(span.flow)
+            if not emits:
+                continue
+            times = span.stage_times()
+            sent = times.get("sent")
+            quack_gap = next((entry.time for entry in span.stages
+                              if entry.stage == "gap_detected"
+                              and entry.detail.get("latency") is not None),
+                             None)
+            if quack_gap is not None:
+                index = bisect_right(emits, quack_gap + 1e-12) - 1
+                while index >= 0 and sent is not None \
+                        and emits[index] < sent - 1e-12:
+                    index -= 1
+                if index >= 0:
+                    span.add_stage("quack_emitted", emits[index],
+                                   gap=quack_gap)
+                continue
+            observed = times.get("mb_observed")
+            if observed is None:
+                continue
+            index = bisect_left(emits, observed - 1e-12)
+            if index < len(emits):
+                span.add_stage("quack_emitted", emits[index])
 
-    # Associate the causal quACK per span (flow-level cadence).  A span
-    # whose gap was detected by quACK decode (a ``sidecar.gap_detect``
-    # stage) is matched with the *last* emit in its (sent, detection]
-    # window -- the quACK that revealed the gap.  A never-lost span is
-    # matched with the first emit at or after its middlebox observation
-    # (the quACK covering it).  Gaps detected purely by the e2e
-    # transport (ACK reordering, PTO) involve no quACK and get none.
-    for flow, emits in quack_emits.items():
-        emits.sort()
-    for span in spans.values():
-        emits = quack_emits.get(span.flow)
-        if not emits:
-            continue
-        times = span.stage_times()
-        sent = times.get("sent")
-        quack_gap = next((entry.time for entry in span.stages
-                          if entry.stage == "gap_detected"
-                          and entry.detail.get("latency") is not None), None)
-        if quack_gap is not None:
-            index = bisect_right(emits, quack_gap + 1e-12) - 1
-            while index >= 0 and sent is not None \
-                    and emits[index] < sent - 1e-12:
-                index -= 1
-            if index >= 0:
-                span.add_stage("quack_emitted", emits[index],
-                               gap=quack_gap)
-            continue
-        observed = times.get("mb_observed")
-        if observed is None:
-            continue
-        index = bisect_left(emits, observed - 1e-12)
-        if index < len(emits):
-            span.add_stage("quack_emitted", emits[index])
-
-    for span in spans.values():
-        span.stages.sort(key=lambda entry: (entry.time,
-                                            STAGE_ORDER.index(entry.stage)
-                                            if entry.stage in STAGE_ORDER
-                                            else len(STAGE_ORDER)))
-    roots = [span for span in spans.values() if span.parent_ctx is None
-             or span.parent_ctx not in spans]
-    roots.sort(key=lambda span: (span.stage_times().get("sent",
-                                                        float("inf")),
-                                 span.ctx))
-    return CausalAnalysis(spans=spans, roots=roots)
+        for span in spans.values():
+            span.stages.sort(key=lambda entry: (
+                entry.time, STAGE_ORDER.index(entry.stage)))
+        roots = [span for span in spans.values() if span.parent_ctx is None
+                 or span.parent_ctx not in spans]
+        roots.sort(key=lambda span: (span.stage_times().get("sent",
+                                                            float("inf")),
+                                     span.ctx))
+        return CausalAnalysis(spans=spans, roots=roots)
 
 
-# -- rendering ------------------------------------------------------------
-
-
-def format_span_tree(span: PacketSpan, indent: int = 0) -> str:
-    """One span tree as indented text (the ``--spans`` surface)."""
-    pad = "  " * indent
-    lines = [f"{pad}ctx {span.ctx} flow={span.flow} "
-             f"[{span.attribution}]"
-             + ("" if span.monotonic else "  !! non-monotonic")]
-    previous = None
-    for entry in span.stages:
-        delta = "" if previous is None \
-            else f"  (+{(entry.time - previous) * 1e3:.3f} ms)"
-        detail = " ".join(f"{key}={value}"
-                          for key, value in entry.detail.items()
-                          if value is not None)
-        lines.append(f"{pad}  {entry.stage:<14s} t={entry.time:.6f}"
-                     f"{delta}" + (f"  {detail}" if detail else ""))
-        previous = entry.time
-    for child in span.children:
-        lines.append(f"{pad}  └─ retransmission:")
-        lines.append(format_span_tree(child, indent + 2))
-    return "\n".join(lines)
-
-
-def format_causal_summary(analysis: CausalAnalysis,
-                          examples: int = 1) -> str:
-    """Attribution counts plus up to ``examples`` repaired span trees."""
-    lines = [f"span trees: {len(analysis.roots)} packets"]
-    counts = analysis.attribution_counts()
-    if counts:
-        lines.append("attribution: " + ", ".join(
-            f"{name}={count}" for name, count in sorted(counts.items())))
-    complete = analysis.complete_repairs()
-    lines.append(f"complete repair lifecycles: {len(complete)}")
-    shown = complete or analysis.repaired()
-    for root in shown[:max(examples, 0)]:
-        lines.append("")
-        lines.append(format_span_tree(root))
-    return "\n".join(lines)
+def build_span_trees(events: Iterable[object]) -> CausalAnalysis:
+    """Assemble per-packet span trees from a whole trace: in-memory
+    :class:`~repro.obs.trace.TraceEvent` objects or decoded JSONL
+    records, in any order."""
+    builder = SpanBuilder()
+    for record in sorted(map(as_record, events), key=lambda r: r["t"]):
+        builder.add(record["t"], record["type"], record)
+    return builder.finish()

@@ -31,6 +31,7 @@ import json
 import os
 from typing import Iterable, Sequence
 
+from repro.obs.schema import as_record
 from repro.obs.trace import TraceEvent
 
 
@@ -118,9 +119,8 @@ class FlightRecorder:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header, allow_nan=False) + "\n")
             for event in window:
-                record = event.to_dict() if isinstance(event, TraceEvent) \
-                    else dict(event)
-                handle.write(json.dumps(record, allow_nan=False) + "\n")
+                handle.write(json.dumps(as_record(event), allow_nan=False)
+                             + "\n")
             for record in extra_records:
                 handle.write(json.dumps(record, allow_nan=False) + "\n")
             if implicated is not None:

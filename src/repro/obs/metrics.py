@@ -6,10 +6,13 @@ assignment owns one child holding the actual value.  Families are
 created (or fetched, idempotently) through
 :meth:`MetricsRegistry.counter` / :meth:`~MetricsRegistry.gauge` /
 :meth:`~MetricsRegistry.histogram`;
-:meth:`MetricsRegistry.snapshot` freezes everything into plain
-dictionaries, and :meth:`~MetricsRegistry.render_text` /
-:meth:`~MetricsRegistry.render_json` turn a snapshot into a terminal
-table or a JSON document.
+:meth:`MetricsRegistry.snapshot` freezes everything into one plain,
+JSON-safe document -- histograms with their full bucket state, so that
+snapshots of separate processes can be merged
+(:mod:`repro.obs.aggregate`) -- and :func:`summarize_hist` is the one
+place bucket state collapses to mean / quantiles, for
+:meth:`~MetricsRegistry.render_text`, ``repro slo`` and ``repro diff``
+alike.
 
 Naming convention (documented in DESIGN.md §8): metric names are
 ``<component>_<noun>[_<unit>][_total]`` -- ``netsim_link_delivered_total``,
@@ -18,17 +21,16 @@ Naming convention (documented in DESIGN.md §8): metric names are
 
 Non-finite values (``RttEstimator.min_rtt`` starts at ``float("inf")``)
 are accepted at write time but sanitized to ``None`` at export time, so
-rendered JSON is always strictly valid (``json.dumps`` with
+a snapshot is always strictly valid JSON (``json.dumps`` with
 ``allow_nan=False`` would otherwise reject it, and with the default it
 would emit the non-standard ``Infinity`` token).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -45,6 +47,25 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
     1.0, 1.5, 2.0, 3.0, 5.0, 10.0,
 )
+
+#: Version stamp on registry snapshots (artifact compatibility).
+TELEMETRY_SCHEMA = 1
+
+#: The quantiles a histogram is summarized at.
+QUANTILES = ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"), (0.999, "p999"))
+
+
+class Metric(NamedTuple):
+    """One metric an event type feeds (a row of ``schema.EVENT_METRICS``)."""
+
+    kind: str                       # counter | gauge | histogram
+    name: str
+    labels: tuple[str, ...] = ()    # event fields used as label values
+    #: Event field a gauge is set to, a histogram observes or a counter
+    #: adds; None counts one per event.
+    value: str | None = None
+    const: tuple[tuple[str, object], ...] = ()  # labels with a fixed value
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
 
 
 def json_safe(value: object) -> object:
@@ -125,51 +146,24 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
-        """Exact-to-bucket quantile: the upper bound of the bucket the
-        rank lands in (q in [0, 1]).
+        return hist_quantile(self.snapshot(), q)
 
-        When the rank lands in the overflow bucket (beyond the last
-        configured bound) there is no configured upper bound; the
-        observed maximum is the tightest upper bound available, clamped
-        so the result never regresses below the last finite bound.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bound in enumerate(self.buckets):
-            seen += self.counts[index]
-            if seen >= rank:
-                return bound
-        return max(self.maximum, self.buckets[-1])
+    def merge(self, state: dict) -> None:
+        """Add a peer's snapshot state bucket-wise (the bounds are equal:
+        the family was asked for under the peer's)."""
+        self.counts = [a + b for a, b in zip(self.counts, state["counts"])]
+        self.sum += state["sum"] or 0.0
+        self.count += state["count"]
+        if state.get("min") is not None:
+            self.minimum = min(self.minimum, state["min"])
+        if state.get("max") is not None:
+            self.maximum = max(self.maximum, state["max"])
 
     def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": json_safe(self.sum),
-            "mean": json_safe(self.mean),
-            "min": json_safe(self.minimum if self.count else None),
-            "max": json_safe(self.maximum if self.count else None),
-            "p50": json_safe(self.quantile(0.5)),
-            "p90": json_safe(self.quantile(0.9)),
-            "p99": json_safe(self.quantile(0.99)),
-            "p999": json_safe(self.quantile(0.999)),
-        }
-
-    def to_mergeable(self) -> dict:
-        """The full bucket state, sufficient to merge with a peer.
-
-        Unlike :meth:`snapshot` (which collapses to summary statistics),
-        this keeps per-bucket counts so histograms recorded in separate
-        processes can be added bucket-wise (``repro.obs.aggregate``).
-        """
+        """The full bucket state, sufficient to merge with a peer:
+        histograms recorded in separate processes add bucket-wise
+        (``repro.obs.aggregate``); :func:`summarize_hist` collapses it."""
         return {
             "buckets": list(self.buckets),
             "counts": list(self.counts),
@@ -180,6 +174,44 @@ class Histogram:
         }
 
 
+def hist_quantile(hist: dict, q: float) -> float:
+    """Exact-to-bucket quantile of a histogram's snapshot state: the
+    upper bound of the bucket the rank lands in (q in [0, 1]).
+
+    When the rank lands in the overflow bucket (beyond the last
+    configured bound) there is no configured upper bound; the observed
+    maximum is the tightest upper bound available, clamped so the result
+    never regresses below the last finite bound.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
+    if hist["count"] == 0:
+        return 0.0
+    rank = q * hist["count"]
+    seen = 0
+    for bound, count in zip(hist["buckets"], hist["counts"]):
+        seen += count
+        if seen >= rank:
+            return bound
+    return max(hist.get("max") or 0.0, hist["buckets"][-1])
+
+
+def summarize_hist(hist: dict) -> dict:
+    """Collapse a histogram's snapshot state to summary statistics."""
+    count = hist["count"]
+    total = hist.get("sum") or 0.0
+    summary = {
+        "count": count,
+        "sum": json_safe(total),
+        "mean": json_safe(total / count if count else 0.0),
+        "min": json_safe(hist.get("min")),
+        "max": json_safe(hist.get("max")),
+    }
+    for q, label in QUANTILES:
+        summary[label] = json_safe(hist_quantile(hist, q))
+    return summary
+
+
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 _APPLY = {"counter": Counter.inc, "gauge": Gauge.set,
           "histogram": Histogram.observe}
@@ -188,16 +220,14 @@ _APPLY = {"counter": Counter.inc, "gauge": Gauge.set,
 class MetricFamily:
     """One named metric plus its per-label-value children."""
 
-    __slots__ = ("name", "kind", "help", "labelnames", "buckets", "_children")
+    __slots__ = ("name", "kind", "labelnames", "buckets", "_children")
 
-    def __init__(self, name: str, kind: str, help: str = "",
-                 labelnames: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
+    def __init__(self, name: str, kind: str, labelnames: Sequence[str],
+                 buckets: Sequence[float]) -> None:
         if kind not in _KINDS:
             raise ObservabilityError(f"unknown metric kind {kind!r}")
         self.name = name
         self.kind = kind
-        self.help = help
         self.labelnames = tuple(labelnames)
         self.buckets = tuple(buckets)
         self._children: dict[tuple, Counter | Gauge | Histogram] = {}
@@ -217,14 +247,19 @@ class MetricFamily:
         return child
 
     def snapshot(self) -> dict:
+        """Kind, label names and the sorted series -- ``value`` for a
+        counter or gauge, ``hist`` (the bucket state) for a histogram.
+        Zero-valued series are dropped, so a registry holding a family
+        nothing touched merges identically to one that never saw it."""
         series = []
         for key, child in sorted(self._children.items()):
-            series.append({
-                "labels": dict(zip(self.labelnames, key)),
-                "value": json_safe(child.snapshot())
-                if self.kind != "histogram" else child.snapshot(),
-            })
-        return {"name": self.name, "kind": self.kind, "help": self.help,
+            labels, state = dict(zip(self.labelnames, key)), child.snapshot()
+            if self.kind == "histogram":
+                if state["count"]:
+                    series.append({"labels": labels, "hist": state})
+            elif state != 0.0:
+                series.append({"labels": labels, "value": json_safe(state)})
+        return {"kind": self.kind, "labelnames": list(self.labelnames),
                 "series": series}
 
 
@@ -239,12 +274,11 @@ class MetricsRegistry:
 
     # -- family constructors (get-or-create, idempotent) ------------------
 
-    def _family(self, name: str, kind: str, help: str,
-                labels: Sequence[str],
+    def _family(self, name: str, kind: str, labels: Sequence[str],
                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> MetricFamily:
         family = self._families.get(name)
         if family is None:
-            family = MetricFamily(name, kind, help, labels, buckets)
+            family = MetricFamily(name, kind, labels, buckets)
             self._families[name] = family
             return family
         if family.kind != kind or family.labelnames != tuple(labels):
@@ -262,24 +296,17 @@ class MetricsRegistry:
                     f"sites (mixed buckets cannot be merged)")
         return family
 
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "counter", help, labels)
+    def counter(self, name: str, labels: Sequence[str] = ()) -> MetricFamily:
+        return self._family(name, "counter", labels)
 
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "gauge", help, labels)
+    def gauge(self, name: str, labels: Sequence[str] = ()) -> MetricFamily:
+        return self._family(name, "gauge", labels)
 
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
+    def histogram(self, name: str, labels: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> MetricFamily:
-        return self._family(name, "histogram", help, labels, buckets)
+        return self._family(name, "histogram", labels, buckets)
 
-    def updater(self, kind: str, name: str, labels: Sequence[str] = (),
-                value: str | None = None,
-                const: Iterable[tuple[str, object]] = (),
-                buckets: Sequence[float] = DEFAULT_BUCKETS,
-                ) -> Callable[[dict], None]:
+    def updater(self, row: Metric) -> Callable[[dict], None]:
         """Compile one ``schema.EVENT_METRICS`` row into ``update(fields)``.
 
         The closure writes what ``obs.count/gauge/observe`` would: family
@@ -287,6 +314,7 @@ class MetricsRegistry:
         names sorted.  Children are cached by the raw label values, so
         label fields must be strings (equal raw values share a child).
         """
+        kind, name, labels, value, const, buckets = row
         const = dict(const)
         labelnames = tuple(sorted({*labels, *const}))
         key_of = itemgetter(*labels) if labels else (lambda fields: None)
@@ -299,18 +327,44 @@ class MetricsRegistry:
                 child = children[key]
             except KeyError:
                 child = children[key] = self._family(
-                    name, kind, "", labelnames, buckets).labels(
+                    name, kind, labelnames, buckets).labels(
                     **const, **{label: fields[label] for label in labels})
             apply(child, 1.0 if value is None else fields[value])
 
         return update
 
+    def merge_series(self, name: str, kind: str, labelnames: Sequence[str],
+                     entry: dict) -> Counter | Gauge | Histogram:
+        """Fold one series of another registry's snapshot into this one:
+        counters add, gauges keep the maximum (the only order-independent
+        choice that invents no value), histograms add bucket-wise."""
+        family = self._family(
+            name, kind, tuple(labelnames),
+            entry["hist"]["buckets"] if kind == "histogram"
+            else DEFAULT_BUCKETS)
+        known = len(family._children)
+        child = family.labels(**entry["labels"])
+        if kind == "histogram":
+            child.merge(entry["hist"])
+        elif kind == "counter":
+            child.inc(entry["value"])
+        elif len(family._children) > known:      # first sight of the series
+            child.set(entry["value"])
+        else:
+            child.set(max(child.value, entry["value"]))
+        return child
+
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """All families and series as plain, JSON-safe dictionaries."""
-        return {name: family.snapshot()
-                for name, family in sorted(self._families.items())}
+        """Every family with a non-zero series, as one JSON-safe document:
+        ``{"kind": "telemetry", "schema": 1, "families": {name: ...}}``."""
+        families = {name: family.snapshot()
+                    for name, family in sorted(self._families.items())}
+        return {"kind": "telemetry", "schema": TELEMETRY_SCHEMA,
+                "families": {name: family
+                             for name, family in families.items()
+                             if family["series"]}}
 
     def reset(self) -> None:
         """Drop every family, series and updater, so a series an earlier
@@ -318,34 +372,32 @@ class MetricsRegistry:
         self._families.clear()
         self.updaters.clear()
 
-    def render_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, allow_nan=False)
-
     def render_text(self) -> str:
-        """A terminal-friendly metrics table (the ``--summary`` surface)."""
-        lines: list[str] = []
-        for name, family in sorted(self._families.items()):
-            snap = family.snapshot()
-            if not snap["series"]:
-                continue
-            for entry in snap["series"]:
-                labels = ",".join(f"{k}={v}"
-                                  for k, v in entry["labels"].items())
-                qualified = f"{name}{{{labels}}}" if labels else name
-                value = entry["value"]
-                if family.kind == "histogram":
-                    rendered = (f"count={value['count']} "
-                                f"mean={_fmt(value['mean'])} "
-                                f"p50={_fmt(value['p50'])} "
-                                f"p99={_fmt(value['p99'])} "
-                                f"max={_fmt(value['max'])}")
-                else:
-                    rendered = _fmt(value)
-                lines.append(f"{qualified:<58s} {rendered}")
+        """A terminal-friendly metrics table, one series per line."""
+        lines = [f"{series:<58s} {value}"
+                 for series, value in series_rows(self.snapshot())]
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
-def _fmt(value: object) -> str:
+def series_rows(snapshot: dict) -> list[tuple[str, str]]:
+    """``(name{labels}, rendered value)`` per series of a snapshot; a
+    histogram renders as count / mean / p50 / p99 / max."""
+    rows = []
+    for name, family in snapshot["families"].items():
+        for entry in family["series"]:
+            labels = ",".join(f"{k}={v}" for k, v in entry["labels"].items())
+            if "hist" in entry:
+                stats = summarize_hist(entry["hist"])
+                rendered = " ".join(f"{key}={fmt_value(stats[key])}" for key in
+                                    ("count", "mean", "p50", "p99", "max"))
+            else:
+                rendered = fmt_value(entry["value"])
+            rows.append((f"{name}{{{labels}}}" if labels else name, rendered))
+    return rows
+
+
+def fmt_value(value: object) -> str:
+    """A metric value as the reports print it (``-`` for none)."""
     if value is None:
         return "-"
     if isinstance(value, float):

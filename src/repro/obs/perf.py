@@ -3,9 +3,10 @@
 This module is the export/analysis surface over the hierarchical
 profiler (:mod:`repro.obs.profile`) and its sibling snapshots:
 
-* :func:`profile_snapshot` freezes the global profiler's per-call-path
+* :func:`profile_snapshot` freezes a profiler's per-call-path
   aggregates into a schema-versioned JSON document (stamped with the
-  git commit);
+  git commit); :func:`profile_items` lays one out for the **time**
+  section of ``repro trace``'s report;
 * :func:`render_folded` turns a snapshot into collapsed-stack
   ("folded") text -- one ``parent;child weight`` line per call path,
   weighted by **self time in microseconds** -- the input format of every
@@ -16,7 +17,7 @@ profiler (:mod:`repro.obs.profile`) and its sibling snapshots:
   magnitude of relative change (deterministically -- ties break on
   name), and reports which entries moved past a ratio threshold.
 
-Diff semantics (documented in DESIGN.md §14): the diff is a *symmetric
+Diff semantics (DESIGN.md §8): the diff is a *symmetric
 change detector*, not a regression gate -- a 3x improvement ranks as
 high as a 3x regression, because both demand an explanation.  Entries
 present on only one side rank first (their
@@ -35,7 +36,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.aggregate import flatten_telemetry, merge_snapshots
+from repro.obs.aggregate import flatten_telemetry, load_json, telemetry_of
+from repro.obs.analyze import Table
+from repro.obs.metrics import fmt_value
 
 #: Version stamp on profile snapshot documents.
 PROFILE_SCHEMA = 1
@@ -64,20 +67,15 @@ def git_revision(cwd: str | None = None) -> str | None:
     return output.stdout.strip() or None
 
 
-def profile_snapshot(profiler=None, *, scenario: str = "",
+def profile_snapshot(profiler, *, scenario: str = "",
                      seed: int | None = None,
                      git_rev: str | None = "__detect__",
                      flows: Mapping | None = None) -> dict:
     """Freeze a profiler's per-path aggregates into a JSON document.
 
-    ``profiler`` defaults to the global ``repro.obs.PROFILER``.  The
-    document carries one record per call path, sorted by path, so two
+    The document carries one record per call path, sorted by path, so two
     snapshots of the same run are byte-identical.
     """
-    if profiler is None:
-        from repro import obs
-
-        profiler = obs.PROFILER
     if git_rev == "__detect__":
         git_rev = git_revision()
     spans = [stat.to_dict()
@@ -111,75 +109,63 @@ def render_folded(snapshot: Mapping) -> str:
     return "\n".join(sorted(lines))
 
 
-def format_profile(snapshot: Mapping, top: int = 20) -> str:
-    """Terminal table of the heaviest call paths, by self time."""
+def profile_items(snapshot: Mapping, root: str, top: int) -> list:
+    """A profile snapshot as report items: the wall time and the share
+    of it spent inside named spans (read off the ``root`` span: its self
+    time is what no span beneath it covers), the ``top`` heaviest call
+    paths by self time, and the per-flow middlebox ledger."""
     spans = sorted(snapshot.get("spans", ()),
                    key=lambda s: (-float(s.get("self_s", 0.0)), s["path"]))
-    header = (f"profile: {snapshot.get('scenario') or '?'}"
-              + (f" (commit {snapshot['git_rev']})"
-                 if snapshot.get("git_rev") else ""))
-    lines = [header,
-             f"{'self ms':>10s} {'cum ms':>10s} {'calls':>8s}"
-             f" {'alloc':>10s}  call path"]
-    for span in spans[:top]:
-        alloc = span.get("alloc_bytes") or 0
-        alloc_text = f"{alloc:+,d}B" if alloc else "-"
-        lines.append(
-            f"{span['self_s'] * 1e3:>10.3f} {span['cum_s'] * 1e3:>10.3f} "
-            f"{span['calls']:>8d} {alloc_text:>10s}  {span['path']}")
-    if len(spans) > top:
-        lines.append(f"... {len(spans) - top} more path(s)")
-    if not spans:
-        lines.append("(no spans recorded)")
+    items: list = []
+    wall = next((span for span in spans if span["path"] == root), None)
+    if wall is not None and wall["cum_s"] > 0:
+        items.append(
+            f"wall clock: {wall['cum_s'] * 1e3:.1f} ms, "
+            f"{1 - wall['self_s'] / wall['cum_s']:.1%} inside named spans"
+            + (f" (commit {snapshot['git_rev']})"
+               if snapshot.get("git_rev") else ""))
+    if spans:
+        items.append(Table(
+            "call paths by self time"
+            + (f" ({len(spans) - top} more path(s) not shown)"
+               if len(spans) > top else ""),
+            ("self ms", "cum ms", "calls", "alloc", "call path"),
+            [(f"{span['self_s'] * 1e3:.3f}", f"{span['cum_s'] * 1e3:.3f}",
+              str(span["calls"]),
+              f"{span['alloc_bytes']:+,d}B" if span.get("alloc_bytes")
+              else "-", span["path"]) for span in spans[:top]]))
+    else:
+        items.append("(no spans recorded)")
     flows = snapshot.get("flows", {}).get("flows") \
         if isinstance(snapshot.get("flows"), Mapping) else None
     if flows:
-        lines.append("")
-        lines.append(f"{'flow':<24s} {'observed':>9s} {'frames':>7s} "
-                     f"{'emitted B':>10s} {'bank B':>7s}")
-        for flow in sorted(flows):
-            acct = flows[flow]
-            lines.append(f"{flow:<24s} {acct['observed']:>9d} "
-                         f"{acct['frames_emitted']:>7d} "
-                         f"{acct['bytes_emitted']:>10d} "
-                         f"{acct['bank_bytes']:>7d}")
-    return "\n".join(lines)
+        items.append(Table(
+            "middlebox ledger",
+            ("flow", "observed", "frames", "emitted B", "bank B"),
+            [(flow, *(str(flows[flow][key]) for key in (
+                "observed", "frames_emitted", "bytes_emitted",
+                "bank_bytes"))) for flow in sorted(flows)]))
+    return items
+
+
+def _write(path: str, text: str) -> str:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
 
 
 def write_profile(snapshot: Mapping, path: str) -> str:
     """Persist a profile snapshot as JSON; returns the path."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return _write(path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
 
 def write_folded(snapshot: Mapping, path: str) -> str:
     """Persist the collapsed-stack form; returns the path."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        text = render_folded(snapshot)
-        handle.write(text + ("\n" if text else ""))
-    return path
-
-
-def load_profile(path: str) -> dict:
-    """Read one profile snapshot file back."""
-    doc = _load_json(path)
-    if doc.get("kind") != "profile":
-        raise ObservabilityError(f"{path}: not a profile snapshot "
-                                 f"(kind={doc.get('kind')!r})")
-    schema = doc.get("schema")
-    if schema != PROFILE_SCHEMA:
-        raise ObservabilityError(
-            f"{path}: profile schema {schema!r} not supported "
-            f"(this build reads {PROFILE_SCHEMA})")
-    return doc
+    text = render_folded(snapshot)
+    return _write(path, text + ("\n" if text else ""))
 
 
 # -- the diff engine ----------------------------------------------------------
@@ -220,36 +206,6 @@ class DiffReport:
         return not self.exceeded
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ObservabilityError(f"{path} must hold a JSON object")
-    return doc
-
-
-def classify_snapshot(doc: Mapping) -> str:
-    """Which snapshot family a loaded JSON document belongs to.
-
-    Recognizes ``profile`` (this module), ``telemetry``
-    (:mod:`repro.obs.aggregate`), and ``sweep-aggregate`` artifacts
-    carrying a telemetry block.
-    """
-    kind = doc.get("kind")
-    if kind == "profile":
-        return "profile"
-    if kind in ("telemetry", "sweep-aggregate"):
-        return "telemetry"
-    raise ObservabilityError(
-        "unrecognized snapshot: expected a profile, telemetry, or sweep "
-        "aggregate document")
-
-
 def flatten_snapshot(doc: Mapping) -> tuple[str, dict[str, float],
                                             str | None]:
     """``(kind, {series name: value}, git_rev)`` for any snapshot kind.
@@ -259,27 +215,22 @@ def flatten_snapshot(doc: Mapping) -> tuple[str, dict[str, float],
     * telemetry snapshots (and sweep aggregates carrying one) flatten
       through :func:`repro.obs.aggregate.flatten_telemetry`.
     """
-    kind = classify_snapshot(doc)
-    if kind == "profile":
-        flat = {}
-        for span in doc.get("spans", ()):
-            path = str(span.get("path", ""))
-            if not path:
-                continue
-            flat[path] = float(span.get("self_s", 0.0))
-            flat[f"calls:{path}"] = float(span.get("calls", 0))
-        rev = doc.get("git_rev")
-        return kind, flat, rev if isinstance(rev, str) else None
-    # telemetry (possibly wrapped in a sweep aggregate)
-    telemetry = doc
-    if doc.get("kind") == "sweep-aggregate":
-        telemetry = doc.get("telemetry") or {}
-        if not telemetry:
-            raise ObservabilityError(
-                "sweep aggregate carries no telemetry block "
-                "(re-run the sweep with --telemetry)")
-    return "telemetry", flatten_telemetry(merge_snapshots([telemetry])), \
-        None
+    kind = doc.get("kind")
+    if kind in ("telemetry", "sweep-aggregate"):
+        return "telemetry", flatten_telemetry(telemetry_of(doc)), None
+    if kind != "profile":
+        raise ObservabilityError(
+            "unrecognized snapshot: expected a profile, telemetry, or sweep "
+            "aggregate document")
+    flat = {}
+    for span in doc.get("spans", ()):
+        path = str(span.get("path", ""))
+        if not path:
+            continue
+        flat[path] = float(span.get("self_s", 0.0))
+        flat[f"calls:{path}"] = float(span.get("calls", 0))
+    rev = doc.get("git_rev")
+    return kind, flat, rev if isinstance(rev, str) else None
 
 
 def diff_flat(baseline: Mapping[str, float], current: Mapping[str, float],
@@ -328,43 +279,21 @@ def diff_flat(baseline: Mapping[str, float], current: Mapping[str, float],
     return entries
 
 
-def diff_snapshots(baseline_doc: Mapping, current_doc: Mapping,
-                   threshold: float = DEFAULT_DIFF_THRESHOLD,
-                   min_abs: float = DEFAULT_MIN_ABS,
-                   baseline_label: str = "baseline",
-                   current_label: str = "current") -> DiffReport:
-    """Diff two loaded snapshots of the same kind."""
-    kind_b = classify_snapshot(baseline_doc)
-    kind_c = classify_snapshot(current_doc)
-    if kind_b != kind_c:
-        raise ObservabilityError(
-            f"cannot diff a {kind_b} snapshot against a {kind_c} snapshot")
-    _, flat_b, rev_b = flatten_snapshot(baseline_doc)
-    _, flat_c, rev_c = flatten_snapshot(current_doc)
-    entries = diff_flat(flat_b, flat_c, threshold=threshold,
-                        min_abs=min_abs)
-    return DiffReport(kind=kind_b, baseline_label=baseline_label,
-                      current_label=current_label, baseline_rev=rev_b,
-                      current_rev=rev_c, entries=tuple(entries))
-
-
 def diff_files(baseline_path: str, current_path: str,
                threshold: float = DEFAULT_DIFF_THRESHOLD,
                min_abs: float = DEFAULT_MIN_ABS) -> DiffReport:
-    """Diff two snapshot files (the ``repro diff`` entry point)."""
-    return diff_snapshots(_load_json(baseline_path),
-                          _load_json(current_path),
-                          threshold=threshold, min_abs=min_abs,
-                          baseline_label=baseline_path,
-                          current_label=current_path)
-
-
-def _fmt_value(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value == int(value) and abs(value) < 1e15:
-        return f"{int(value):,d}"
-    return f"{value:.6g}"
+    """Diff two snapshot files of one kind (the ``repro diff`` entry
+    point)."""
+    kind_b, flat_b, rev_b = flatten_snapshot(load_json(baseline_path))
+    kind_c, flat_c, rev_c = flatten_snapshot(load_json(current_path))
+    if kind_b != kind_c:
+        raise ObservabilityError(
+            f"cannot diff a {kind_b} snapshot against a {kind_c} snapshot")
+    entries = diff_flat(flat_b, flat_c, threshold=threshold,
+                        min_abs=min_abs)
+    return DiffReport(kind=kind_b, baseline_label=baseline_path,
+                      current_label=current_path, baseline_rev=rev_b,
+                      current_rev=rev_c, entries=tuple(entries))
 
 
 def format_diff(report: DiffReport,
@@ -383,8 +312,8 @@ def format_diff(report: DiffReport,
         marker = "MOVED" if entry.exceeded else "ok"
         note = f"  [{entry.note}]" if entry.note else ""
         lines.append(f"  {marker:<5s} {entry.name:<44s} "
-                     f"{_fmt_value(entry.baseline):>14s} -> "
-                     f"{_fmt_value(entry.current):>14s} ({ratio}){note}")
+                     f"{fmt_value(entry.baseline):>14s} -> "
+                     f"{fmt_value(entry.current):>14s} ({ratio}){note}")
     hidden = len(report.entries) - len(shown)
     if hidden > 0:
         lines.append(f"  ... {hidden} more series")

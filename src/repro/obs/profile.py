@@ -12,8 +12,9 @@ in child spans), and, when allocation tracking is on, net
 everything in ``obs.METRICS`` is virtual-time and reproduces run to run.
 
 The per-path aggregate is what :mod:`repro.obs.perf` exports as a
-collapsed-stack flamegraph (``repro profile <scenario> --flame``) and a
-JSON profile snapshot, and what ``repro diff`` ranks between runs.
+collapsed-stack flamegraph (``repro trace <scenario> --flame``) and a
+JSON profile snapshot, what the report's time section lists, and what
+``repro diff`` ranks between runs.
 
 Two usage styles:
 

@@ -23,11 +23,12 @@ Run as a module to validate a trace file (CI does exactly this)::
 from __future__ import annotations
 
 import json
+import math
 import sys
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import DEFAULT_BUCKETS, LATENCY_BUCKETS
+from repro.obs.metrics import LATENCY_BUCKETS, Metric
 
 #: JSON type groups used in field specs.
 NUMBER = (int, float)
@@ -46,7 +47,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
                        "effect": STRING},
     # -- transport ------------------------------------------------------
     # Lifecycle events carry an optional ``ctx`` (the trace-context id
-    # stamped on the datagram, see DESIGN.md §13); it is not required so
+    # stamped on the datagram, see DESIGN.md §8); it is not required so
     # traces from runs without context stamping stay valid.
     "transport.send": {"flow": STRING, "pn": NUMBER, "size": NUMBER},
     # The receiver accepted a new (non-duplicate) data packet.
@@ -103,7 +104,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
     # Post-resume reconciliation: packets retired from the sender sums
     # because they were confirmed pre-crash (checkpoint gap), not lost.
     "sidecar.gap_reconciled": {"flow": STRING, "packets": NUMBER},
-    # -- sidecar flow table (multi-tenant middlebox, DESIGN.md §16) -----
+    # -- sidecar flow table (multi-tenant middlebox, DESIGN.md §13) -----
     # Admission control turned a flow away at the global high-water mark.
     "sidecar.flow_reject": {"tenant": STRING, "flow": STRING,
                             "flows": NUMBER},
@@ -113,7 +114,7 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
                            "reason": STRING},
     # One shared-timer sweep coalesced due flows into batched frames.
     "sidecar.batch_emit": {"frames": NUMBER, "flows": NUMBER},
-    # -- sidecar version negotiation (DESIGN.md §12) --------------------
+    # -- sidecar version negotiation (DESIGN.md §11) --------------------
     "sidecar.hello": {"flow": STRING, "max_version": NUMBER,
                       "attempt": NUMBER},
     "sidecar.negotiated": {"flow": STRING, "role": STRING,
@@ -123,19 +124,6 @@ EVENT_SCHEMA: dict[str, dict[str, tuple[type, ...]]] = {
     "sidecar.stale_version": {"flow": STRING, "got": NUMBER,
                               "expected": NUMBER},
 }
-
-
-class Metric(NamedTuple):
-    """One metric an event type feeds (a row of :data:`EVENT_METRICS`)."""
-
-    kind: str                       # counter | gauge | histogram
-    name: str
-    labels: tuple[str, ...] = ()    # event fields used as label values
-    #: Event field a gauge is set to, a histogram observes or a counter
-    #: adds; None counts one per event.
-    value: str | None = None
-    const: tuple[tuple[str, object], ...] = ()  # labels with a fixed value
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS
 
 
 def _count(name: str, *labels: str, value: str | None = None,
@@ -201,25 +189,50 @@ def component_of(event_type: str) -> str:
     return event_type.split(".", 1)[0]
 
 
+def as_record(item: object) -> dict:
+    """The one normaliser every trace reader goes through.
+
+    ``item`` is a JSONL line, a decoded record or a
+    :class:`~repro.obs.trace.TraceEvent`; the result is the flat record
+    with a string ``type`` and a finite numeric ``t``.  Anything else
+    raises :class:`ObservabilityError` -- the strict validator lets it
+    propagate, the forgiving parser counts it.  (The exporter never
+    writes a non-finite stamp -- it becomes ``null`` -- but ``json.loads``
+    reads ``NaN`` and ``Infinity``, and one would poison every ordering
+    and duration derived from the trace.)
+    """
+    if isinstance(item, str):
+        try:
+            item = json.loads(item)
+        except json.JSONDecodeError as exc:
+            raise ObservabilityError(f"not valid JSON: {exc}") from exc
+    elif not isinstance(item, Mapping) and hasattr(item, "to_dict"):
+        item = item.to_dict()
+    if not isinstance(item, dict):
+        raise ObservabilityError(f"event must be an object, got {item!r}")
+    if not isinstance(item.get("type"), str):
+        raise ObservabilityError(f"event has no string 'type': {item!r}")
+    stamp = item.get("t")
+    # bool is an int subclass; keep booleans out of numeric fields.
+    if not isinstance(stamp, NUMBER) or isinstance(stamp, bool) \
+            or not math.isfinite(stamp):
+        raise ObservabilityError(f"{item['type']}: 't' must be a finite "
+                                 f"number, got {stamp!r}")
+    return item
+
+
 def validate_record(record: object) -> None:
-    """Check one decoded JSONL record; raises ObservabilityError."""
-    if not isinstance(record, dict):
-        raise ObservabilityError(f"event must be an object, got {record!r}")
-    etype = record.get("type")
-    if not isinstance(etype, str):
-        raise ObservabilityError(f"event has no string 'type': {record!r}")
+    """Check one record against its type's schema; raises
+    ObservabilityError."""
+    record = as_record(record)
+    etype = record["type"]
     spec = EVENT_SCHEMA.get(etype)
     if spec is None:
         raise ObservabilityError(f"unknown event type {etype!r}")
-    stamp = record.get("t")
-    if not isinstance(stamp, NUMBER) or isinstance(stamp, bool):
-        raise ObservabilityError(f"{etype}: 't' must be a number, "
-                                 f"got {stamp!r}")
     for name, types in spec.items():
         value = record.get(name)
         if value is None and name not in record:
             raise ObservabilityError(f"{etype}: missing field {name!r}")
-        # bool is an int subclass; keep booleans out of numeric fields.
         if isinstance(value, bool) and types is NUMBER:
             raise ObservabilityError(
                 f"{etype}: field {name!r} must be a number, got a bool")
@@ -227,21 +240,20 @@ def validate_record(record: object) -> None:
             raise ObservabilityError(
                 f"{etype}: field {name!r} expected "
                 f"{'/'.join(t.__name__ for t in types)}, got {value!r}")
+        if types is NUMBER and value is not None \
+                and not math.isfinite(value):
+            raise ObservabilityError(
+                f"{etype}: field {name!r} must be finite, got {value!r}")
 
 
 def validate_lines(lines: Iterable[str]) -> dict[str, int]:
     """Validate JSONL lines; returns event counts per component."""
     components: dict[str, int] = {}
     for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"line {number}: not valid JSON: {exc}") from exc
-        try:
+            record = as_record(line)
             validate_record(record)
         except ObservabilityError as exc:
             raise ObservabilityError(f"line {number}: {exc}") from exc

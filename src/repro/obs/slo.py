@@ -1,24 +1,8 @@
 """Declarative tail-latency budgets and the ``repro slo`` gate.
 
-A budget file (checked into ``benchmarks/slo/``) names the scenarios to
-run and the tail bounds their aggregated telemetry must satisfy::
-
-    {
-      "kind": "slo-budgets",
-      "schema": 1,
-      "name": "seed-scenarios",
-      "scenarios": [
-        {"scenario": "retransmission", "seed": 1, "total_bytes": 300000}
-      ],
-      "budgets": [
-        {"name": "sidecar detection p99 <= 2*RTT",
-         "metric": "sidecar_repair_latency_seconds",
-         "labels": {"cause": "quack"}, "stat": "p99", "max": 0.016},
-        {"name": "quack decode failure rate",
-         "ratio_of": "quack_decodes_total",
-         "label": "status", "ok_values": ["ok"], "max": 1e-4}
-      ]
-    }
+A budget file (``benchmarks/slo/seed_scenarios.json`` is one) names the
+traced scenarios to run -- ``{"scenario", "seed", "total_bytes",
+"loss"}`` entries -- and the bounds their merged metrics must satisfy.
 
 Two budget shapes:
 
@@ -43,22 +27,20 @@ needs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ObservabilityError
 from repro.obs.aggregate import (
     combine_series,
-    hist_quantile,
+    load_json,
     merge_snapshots,
     select_series,
 )
+from repro.obs.metrics import summarize_hist
 
 #: Version stamp on budget files.
 SLO_SCHEMA = 1
-
-_QUANTILE_STATS = {"p50": 0.5, "p90": 0.9, "p99": 0.99, "p999": 0.999}
 
 
 @dataclass
@@ -82,18 +64,11 @@ class BudgetVerdict:
 
 def load_budget_file(path: str) -> dict:
     """Read and structurally validate one budget document."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read budget file {path}: {exc}") \
-            from exc
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "slo-budgets":
+    doc = load_json(path)
+    if doc.get("kind") != "slo-budgets":
         raise ObservabilityError(
             f"{path}: not an slo-budgets document "
-            f"(kind={doc.get('kind') if isinstance(doc, dict) else None!r})")
+            f"(kind={doc.get('kind')!r})")
     schema = doc.get("schema")
     if not isinstance(schema, int) or schema > SLO_SCHEMA:
         raise ObservabilityError(
@@ -107,8 +82,6 @@ def load_budget_file(path: str) -> dict:
 def run_scenarios(doc: dict, *,
                   progress: Callable[[str], None] | None = None) -> dict:
     """Run the document's scenarios traced; returns merged telemetry."""
-    from repro import obs
-    from repro.obs.aggregate import mergeable_snapshot
     from repro.obs.runner import run_traced
 
     scenarios = doc.get("scenarios") or []
@@ -127,9 +100,7 @@ def run_scenarios(doc: dict, *,
                   if key in entry}
         if progress is not None:
             progress(f"slo: running {name} {kwargs}")
-        run_traced(name, profile=False, **kwargs)
-        snapshots.append(mergeable_snapshot(obs.METRICS))
-        obs.METRICS.reset()
+        snapshots.append(run_traced(name, profile=False, **kwargs).metrics)
     return merge_snapshots(snapshots)
 
 
@@ -183,20 +154,12 @@ def _evaluate_one(budget: dict, snapshot: dict) -> BudgetVerdict:
             return _missing(budget, limit,
                             f"only {count} samples "
                             f"(min_count={budget.get('min_count', 1)})")
-        if stat in _QUANTILE_STATS:
-            observed = hist_quantile(combined, _QUANTILE_STATS[stat])
-        elif stat == "mean":
-            observed = (combined["sum"] or 0.0) / count
-        elif stat == "max":
-            observed = combined["max"]
-        elif stat == "count":
-            observed = float(count)
-        elif stat == "sum":
-            observed = combined["sum"] or 0.0
-        else:
+        summary = summarize_hist(combined)
+        if stat not in summary:
             raise ObservabilityError(
                 f"budget {name!r}: stat {stat!r} not valid for a "
                 f"histogram")
+        observed = summary[stat]
     else:
         if stat not in ("value", "total"):
             raise ObservabilityError(

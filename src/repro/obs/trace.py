@@ -22,12 +22,11 @@ vocabulary and per-type required fields live in
 from __future__ import annotations
 
 import json
-from collections import Counter as _TallyCounter
 from collections import deque
 from typing import IO, Iterable
 
 from repro.obs.metrics import MetricsRegistry, json_safe
-from repro.obs.schema import EVENT_METRICS, component_of
+from repro.obs.schema import EVENT_METRICS
 
 
 class TraceEvent:
@@ -84,20 +83,6 @@ class RingSink:
         self.emitted = 0
         self.dropped = 0
 
-    def tally(self) -> dict[str, int]:
-        """Event counts by type (the summary table's trace section).
-
-        When the ring had to drop events the tally also carries a
-        ``dropped_events`` entry, so any analysis built on a truncated
-        buffer sees that truncation happened instead of silently reading
-        a partial trace as complete.  (No real event type can collide:
-        the vocabulary is ``<component>.<event>`` with a dot.)
-        """
-        counts = dict(_TallyCounter(event.type for event in self._events))
-        if self.dropped:
-            counts["dropped_events"] = self.dropped
-        return counts
-
 
 class Tracer:
     """The process-wide switchboard instrumentation points talk to.
@@ -140,7 +125,7 @@ class Tracer:
             updates = registry.updaters[type]
         except KeyError:
             updates = registry.updaters[type] = tuple(
-                registry.updater(*row) for row in EVENT_METRICS.get(type, ()))
+                registry.updater(row) for row in EVENT_METRICS.get(type, ()))
         for update in updates:
             update(fields)
         sink = self.sink
@@ -150,34 +135,6 @@ class Tracer:
     @property
     def events(self) -> list[TraceEvent]:
         return self.sink.events if self.sink is not None else []
-
-
-def component_tally(events: Iterable["TraceEvent | dict"]) -> dict[str, int]:
-    """Event counts by component prefix (link/transport/quack/...).
-
-    Accepts both in-memory :class:`TraceEvent` objects and decoded JSONL
-    records; shared by ``python -m repro trace --summary``, the bench
-    report's Observability section, and the analytics engine so the
-    tallying/formatting logic exists exactly once.
-    """
-    tally: dict[str, int] = {}
-    for event in events:
-        etype = event["type"] if isinstance(event, dict) else event.type
-        component = component_of(etype)
-        tally[component] = tally.get(component, 0) + 1
-    return tally
-
-
-def format_component_tally(tally: dict[str, int],
-                           markdown: bool = False) -> str:
-    """Render a component tally as text (``a=1, b=2``) or a markdown table."""
-    if markdown:
-        lines = ["| component | events |", "|---|---|"]
-        lines.extend(f"| {name} | {count} |"
-                     for name, count in sorted(tally.items()))
-        return "\n".join(lines)
-    return ", ".join(f"{name}={count}"
-                     for name, count in sorted(tally.items()))
 
 
 def dump_jsonl(events: Iterable[TraceEvent], handle: IO[str]) -> int:

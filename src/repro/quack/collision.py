@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
-#: The identifier widths of Table 3.
+#: The identifier widths and the list length of Table 3.
 TABLE3_BITS: tuple[int, ...] = (8, 16, 24, 32)
+TABLE3_N = 1000
 
 
 def collision_probability(n: int, bits: int) -> float:
@@ -48,10 +48,9 @@ def expected_collisions(n: int, bits: int) -> float:
     return n * collision_probability(n, bits)
 
 
-def table3_row(n: int = 1000,
-               bits: Sequence[int] = TABLE3_BITS) -> dict[int, float]:
+def table3_row() -> dict[int, float]:
     """The collision probabilities Table 3 reports, keyed by bit width."""
-    return {b: collision_probability(n, b) for b in bits}
+    return {b: collision_probability(TABLE3_N, b) for b in TABLE3_BITS}
 
 
 def monte_carlo_collision_rate(n: int, bits: int, trials: int,

@@ -16,7 +16,7 @@ The ledger follows the observability switchboard discipline: the
 singleton :data:`FLOW_ACCOUNTS` is **disarmed by default** and each
 hook site costs one attribute load plus a branch while disarmed
 (``benchmarks/test_obs_overhead.py`` pins the same guarantee for the
-tracer and profiler guards).  ``repro profile`` arms it for the run and
+tracer and profiler guards).  A traced run (``repro trace``) arms it and
 folds the per-flow table into the profile snapshot.
 """
 
@@ -116,7 +116,7 @@ class FlowAccounts:
                       key=lambda item: (-getattr(item[1], key), item[0]))[:n]
 
     def snapshot(self) -> dict:
-        """JSON-safe ledger: the block ``repro profile`` embeds."""
+        """JSON-safe ledger: the block a profile snapshot embeds."""
         return {
             "kind": "flow-accounts",
             "schema": 1,

@@ -18,7 +18,7 @@ production middlebox needs and the paper's deployment story assumes --
   threshold the *cheapest-to-lose* flows are demoted first -- idle, then
   low-traffic, then active -- down to the low-water mark.
 
-The robustness contract (DESIGN.md §16): losing a flow's bank only ever
+The robustness contract (DESIGN.md §13): losing a flow's bank only ever
 *removes assistance*.  The evicted flow's sender stops seeing quACKs,
 walks the health ladder down to ``E2E_ONLY``, and keeps its goodput at
 the unassisted baseline with zero spurious retransmits; a re-admitted

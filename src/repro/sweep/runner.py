@@ -41,7 +41,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Mapping
 
 from repro import obs
-from repro.obs.aggregate import mergeable_snapshot
 from repro.sweep.artifact import (
     CELL_FAILED,
     CELL_OK,
@@ -72,8 +71,8 @@ def _execute_cell(scenario: str, params: dict, seed: int,
     With ``telemetry`` on, the cell runs in metrics-only observability
     mode (:func:`repro.obs.enable_metrics`: guarded counters and
     histograms record, trace events are dropped) and the payload gains
-    a ``"telemetry"`` key carrying the worker registry frozen into the
-    mergeable form of :func:`repro.obs.aggregate.mergeable_snapshot`.
+    a ``"telemetry"`` key carrying the worker registry's snapshot, which
+    :func:`repro.obs.aggregate.merge_snapshots` folds sweep-wide.
     """
     start = time.perf_counter()
     if telemetry:
@@ -87,7 +86,7 @@ def _execute_cell(scenario: str, params: dict, seed: int,
     payload = {"result": _json_sanitize(result),
                "wall_time_s": time.perf_counter() - start}
     if telemetry:
-        payload["telemetry"] = mergeable_snapshot(obs.METRICS)
+        payload["telemetry"] = obs.METRICS.snapshot()
         obs.METRICS.reset()
     return payload
 

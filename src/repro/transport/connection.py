@@ -420,7 +420,7 @@ class SenderConnection:
             # Stamp the trace-context id *before* the packet hits the
             # wire so every on-path observation can cite it.  The uid is
             # already unique per datagram, so it doubles as the context
-            # id at zero extra state (DESIGN.md §13).
+            # id at zero extra state (DESIGN.md §8).
             packet.trace_ctx = packet.uid
             record.trace_ctx = packet.uid
             if retx is not None:

@@ -25,6 +25,7 @@ precisely the answer the experiment in
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,14 +48,14 @@ class SharedStream:
         self.total_bytes = total_bytes
         self.mss = mss
         self._next_offset = 0
-        self._returned: list[tuple[int, int]] = []
+        self._returned: deque[tuple[int, int]] = deque()
         self.chunks_handed_out = 0
 
     def next_chunk(self) -> tuple[int, int] | None:
         """Hand out the next chunk (returned chunks take precedence)."""
         if self._returned:
             self.chunks_handed_out += 1
-            return self._returned.pop(0)
+            return self._returned.popleft()
         if self._next_offset >= self.total_bytes:
             return None
         length = min(self.mss, self.total_bytes - self._next_offset)
@@ -65,7 +66,7 @@ class SharedStream:
 
     def push_back(self, offset: int, length: int) -> None:
         """A subflow could not send a pulled chunk; re-offer it."""
-        self._returned.insert(0, (offset, length))
+        self._returned.appendleft((offset, length))
         self.chunks_handed_out -= 1
 
     def exhausted(self) -> bool:

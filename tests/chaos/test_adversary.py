@@ -125,26 +125,15 @@ class TestResumeTraceAnalytics:
 
     @pytest.fixture(scope="class")
     def analyses(self):
-        from repro import obs
-        from repro.obs.analyze import analyze
         from repro.obs.runner import run_traced
 
-        out, drops = {}, {}
-        for plan in ("crash-restart", "crash-resume"):
-            result = run_traced(plan, seed=SEED,
-                                total_bytes=self.TOTAL_BYTES)
-            out[plan] = analyze(result.events)
-            drops[plan] = sum(1 for event in result.events
-                              if event.type == "link.drop")
-        obs.TRACER.disable()
-        out["link_drops"] = drops
-        return out
+        return {plan: run_traced(plan, seed=SEED,
+                                 total_bytes=self.TOTAL_BYTES).analysis
+                for plan in ("crash-restart", "crash-resume")}
 
     @staticmethod
     def _completion(analysis) -> float:
-        return max(transfer.completed_at
-                   for transfer in analysis.connections.values()
-                   if transfer.completed_at is not None)
+        return max(time for time, _bytes in analysis.completed.values())
 
     @classmethod
     def _off_healthy_dwell(cls, analysis) -> float:
@@ -156,7 +145,7 @@ class TestResumeTraceAnalytics:
         """
         done = cls._completion(analysis)
         dwell, state, since = 0.0, HealthState.HEALTHY.value, 0.0
-        for time, _old, new, _reason in analysis.health.transitions:
+        for time, _old, new, _reason in analysis.transitions:
             if time > done:
                 break
             if state != HealthState.HEALTHY.value:
@@ -170,24 +159,23 @@ class TestResumeTraceAnalytics:
     def _worst_assistance_outage(cls, analysis) -> float:
         """Longest gap between successful decodes during the transfer."""
         done = cls._completion(analysis)
-        ok_times = [time for time, status
-                    in zip(analysis.decode.times, analysis.decode.statuses)
+        ok_times = [time for time, status, _missing in analysis.decodes
                     if status == "ok" and time <= done]
         return max(later - earlier
                    for earlier, later in zip(ok_times, ok_times[1:]))
 
     def test_resume_verdict_lands_within_one_rtt(self, analyses):
         # Sidecar-hop RTT in the chaos topology: 2 * 5 ms one-way delay.
-        latencies = analyses["crash-resume"].defense.resume_latencies()
+        latencies = analyses["crash-resume"].resume_latencies()
         assert len(latencies) >= 1
         assert all(latency <= 0.010 + 1e-9 for latency in latencies)
 
     def test_resume_avoids_the_reset_downtime(self, analyses):
         restart = analyses["crash-restart"]
         resume = analyses["crash-resume"]
-        assert restart.decode.resets >= 1
-        assert resume.decode.resets == 0
-        assert resume.defense.resumes.get("accepted", 0) >= 2
+        assert restart.count("sidecar_resets_total") >= 1
+        assert resume.count("sidecar_resets_total") == 0
+        assert resume.count("sidecar_resumes_total", phase="accepted") >= 2
 
     def test_resume_spends_less_time_off_healthy(self, analyses):
         # The dwell-time comparison: the reset path knocks the health
@@ -210,20 +198,23 @@ class TestResumeTraceAnalytics:
     def test_gap_packets_reconcile_without_spurious_retransmits(
             self, analyses):
         resume = analyses["crash-resume"]
-        assert resume.defense.checkpoints > 0
-        assert resume.defense.gap_reconciled > 0
+        assert resume.count("sidecar_checkpoints_total") > 0
+        assert resume.gap_reconciled > 0
         # Every retransmission (either cause) is backed by a real
         # bottleneck-queue drop: the checkpoint gap produced none.
         for plan in ("crash-restart", "crash-resume"):
-            assert analyses[plan].attribution.total \
-                == analyses["link_drops"][plan]
+            assert len(analyses[plan].spans.retransmissions()) \
+                == analyses[plan].count("netsim_link_dropped_total") > 0
         # And no quACK-attributed retransmission touches a packet sent
         # in the checkpoint window just before a crash -- those are the
         # gap packets, confirmed pre-crash and reconciled, not lost.
         crash_times = (0.4, 0.9)
-        for record in resume.attribution.records:
-            if record.cause != "quack":
-                continue
-            sent_at = record.time - record.latency
+        quack_repairs = [entry for span in resume.spans.spans.values()
+                         for entry in span.stages
+                         if entry.stage == "sent"
+                         and entry.detail.get("cause") == "quack"]
+        assert quack_repairs
+        for record in quack_repairs:
+            sent_at = record.time - record.detail["latency"]
             assert not any(crash - 0.05 <= sent_at <= crash
                            for crash in crash_times), record

@@ -1,6 +1,6 @@
 """The overload plans: capacity pressure on the shared flow table.
 
-The invariant these scenarios all share (DESIGN.md §16): overload may
+The invariant these scenarios all share (DESIGN.md §13): overload may
 take assistance *away* from a flow -- rejection at admission, budget or
 clamp eviction, load shedding -- but never corrupt it.  The primary
 sender either keeps its quACKs or falls cleanly down the health ladder

@@ -1,6 +1,6 @@
 """Differential oracle: heap vs. calendar scheduler, byte-identical.
 
-The runtime's calendar queue (DESIGN.md §15) is only admissible if it is
+The runtime's calendar queue (DESIGN.md §12) is only admissible if it is
 *observationally indistinguishable* from the binary heap kept in
 ``heap_oracle.py``, swapped in through its one seam: every
 event fires at the same virtual time, in the same order, producing the
@@ -30,7 +30,6 @@ import pytest
 
 from repro import obs
 from repro.chaos import PLANS
-from repro.obs.aggregate import mergeable_snapshot
 from repro.obs.runner import EXPERIMENT_SCENARIOS, run_traced
 from repro.obs.trace import dump_jsonl
 from repro.sweep import SweepSpec, run_sweep, strip_timing
@@ -52,7 +51,7 @@ def _traced_artifacts(scenario: str, scheduler: str,
         result = run_traced(scenario, profile=False, **kwargs)
     buffer = io.StringIO()
     dump_jsonl(result.events, buffer)
-    telemetry = json.dumps(mergeable_snapshot(obs.METRICS), sort_keys=True)
+    telemetry = json.dumps(obs.METRICS.snapshot(), sort_keys=True)
     return buffer.getvalue(), telemetry
 
 

@@ -10,25 +10,26 @@ diff shows which scenarios moved::
 
     PYTHONPATH=src python tests/obs/golden.py --write
 
-``report_golden.json`` pins what the reporting surfaces *print*: for six
-seed-1 scenarios, every deterministic number on every line of
-``trace --summary``, ``analyze`` (text and ``--markdown``),
-``analyze --spans`` and ``profile`` (call-path names, the ``calls``
-column and the flow-accounts table; not its wall-clock columns), each
-tagged with the block it was printed under.
-``tests/obs/test_report_golden.py`` holds the surfaces to it::
-
-    PYTHONPATH=src python tests/obs/golden.py --write-report
+``report_golden.json`` is the record of what the reporting surfaces
+printed before ``repro trace`` became one report: for six seed-1
+scenarios, every deterministic value on every line of ``trace
+--summary``, ``analyze`` (text and ``--markdown``), ``analyze --spans``
+and ``profile`` (call-path names, the ``calls`` column and the
+flow-accounts table; not its wall-clock columns), as ``[block, value,
+...]`` with the block (heading) the line was printed under.  It was
+written by ``golden.py --write-report`` at the commit that added it,
+from surfaces that no longer exist, so it is not regenerated;
+``tests/obs/test_report_golden.py`` finds every line of it in the
+report.  A change that moves one of these traces on purpose drops the
+scenario from the file: what it proves is that nothing printed was lost.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from repro.chaos import ChaosResult, result_to_dict
@@ -67,116 +68,29 @@ def load_golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-# -- printed numbers ----------------------------------------------------------
+# -- printed values -----------------------------------------------------------
 
 _PUNCTUATION = "()[]|,:;`*"
 
 
-def _is_name(word: str) -> bool:
-    """A metric series or a call path: kept whole, digits or not."""
-    return "_" in word or ";" in word
-
-
-def _words(line: str) -> list[str]:
-    words = (word.strip(_PUNCTUATION).rstrip(".")
-             for word in line.replace("|", " ").split())
-    return [word for word in words if word]
-
-
-def value_tokens(line: str) -> list[str]:
-    """The deterministic values one printed line states.
+def line_states(line: str, values: list[str]) -> bool:
+    """Does ``line`` print every one of ``values``?
 
     Words are split on whitespace and table pipes and stripped of
-    punctuation; ``key=value`` counts as its value; a word is kept when
-    it holds a digit or names a metric series / call path, and the
-    leading label of an otherwise numeric row (a cause, a state) with it.
+    punctuation; ``key=value`` also counts as its key and as its value.
+    A name (letters joined by ``_``, ``;`` or ``.``: a metric series, a
+    call path) may be part of a longer word -- ``quack.decode`` is now
+    printed under the run's root span, as ``run;quack.decode``.
     """
-    words = _words(line)
-    row = len(words) > 1 and all(any(char.isdigit() for char in word)
-                                 for word in words[1:])
-    tokens = []
-    for index, word in enumerate(words):
-        if "=" in word and not _is_name(word):
-            word = word.rpartition("=")[2]
-        if _is_name(word) or any(char.isdigit() for char in word) \
-                or (row and index == 0):
-            tokens.append(word)
-    return tokens
-
-
-def line_states(line: str, tokens: list[str]) -> bool:
-    """Does ``line`` print every one of ``tokens``?  A name may be part
-    of a longer word (a call path under a root span)."""
     words = set()
-    for word in _words(line):
-        words.update((word, word.rpartition("=")[2]))
-    return all(token in words
-               or (_is_name(token) and any(token in word for word in words))
-               for token in tokens)
-
-
-def _block_of(surface: str, line: str, block: str) -> str:
-    """The block a line opens (else the one it continues)."""
-    if surface == "trace --summary":
-        return "metrics" if line == "metrics:" else block
-    if surface == "analyze --markdown":
-        return line[3:] if line.startswith("## ") else block
-    if surface == "profile":
-        return "flows" if line.startswith("flow ") else block
-    if surface == "analyze":
-        if line.startswith(("connection ", "loss-recovery attribution")):
-            return line.split()[0]
-        if line.endswith(":") and not line.startswith(" "):
-            return line[:-1]
-    return block
-
-
-def printed_facts(surface: str, text: str) -> list[list[str]]:
-    """``[block, token, ...]`` per line of ``text`` that states a value."""
-    facts, block = [], "header"
-    for line in text.splitlines():
-        block = _block_of(surface, line, block)
-        tokens = value_tokens(line)
-        if surface == "profile" and block == "header":
-            # "self ms, cum ms, calls, alloc, call path": wall-clock
-            # columns, the scenario and the commit are not pinned.
-            parts = line.split()
-            tokens = [parts[4], parts[2]] \
-                if len(parts) == 5 and parts[2].isdigit() else []
-        if tokens:
-            facts.append([block, *tokens])
-    # ``profile`` lists call paths by self time, which is wall-clock.
-    return sorted(facts) if surface == "profile" else facts
-
-
-def _cli(*argv: str) -> str:
-    from repro.cli import main as cli_main
-
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(list(argv))
-    assert code == 0, (argv, code)
-    return out.getvalue()
-
-
-def report_surfaces(scenario: str) -> dict[str, list[list[str]]]:
-    """The printed facts of every reporting surface, for one scenario."""
-    total = str(REPORT_SCENARIOS[scenario])
-    with tempfile.TemporaryDirectory() as scratch:
-        jsonl = str(Path(scratch) / "trace.jsonl")
-        texts = {
-            "trace --summary": _cli("trace", scenario, "--total", total,
-                                    "--jsonl", jsonl, "--summary"),
-            "analyze": _cli("analyze", jsonl),
-            "analyze --markdown": _cli("analyze", jsonl, "--markdown"),
-            "analyze --spans": _cli("analyze", jsonl, "--spans"),
-            "profile": _cli("profile", scenario, "--total", total),
-        }
-    # The analyzed file's own path is the one token that is not the run's.
-    return {surface: [fact for fact in printed_facts(surface, text)
-                      if not any(scratch in token for token in fact)]
-            for surface, text in texts.items()}
+    for word in line.replace("|", " ").split():
+        word = word.strip(_PUNCTUATION).rstrip(".")
+        words.update((word, *word.rpartition("=")[::2]))
+    return all(value in words
+               or (any(char.isalpha() for char in value)
+                   and any(char in value for char in "_;.")
+                   and any(value in word for word in words))
+               for value in (value.strip(_PUNCTUATION) for value in values))
 
 
 def load_report_golden() -> dict[str, dict[str, list[list[str]]]]:
@@ -184,13 +98,6 @@ def load_report_golden() -> dict[str, dict[str, list[list[str]]]]:
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--write-report"]:
-        golden = {name: report_surfaces(name) for name in REPORT_SCENARIOS}
-        REPORT_GOLDEN_PATH.write_text(
-            json.dumps(golden, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"wrote {REPORT_GOLDEN_PATH} ({len(golden)} scenarios)")
-        return 0
     if argv != ["--write"]:
         print(__doc__, file=sys.stderr)
         return 2

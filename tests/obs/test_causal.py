@@ -3,12 +3,8 @@
 import pytest
 
 from repro import obs
-from repro.obs.causal import (
-    REPAIR_LIFECYCLE,
-    build_span_trees,
-    format_causal_summary,
-    format_span_tree,
-)
+from repro.obs.analyze import analyze, render_markdown, render_text
+from repro.obs.causal import REPAIR_LIFECYCLE, build_span_trees
 
 
 @pytest.fixture(autouse=True)
@@ -128,19 +124,50 @@ class TestAssembly:
 
 
 class TestRendering:
+    """The span trees are printed by the report's packets section."""
+
+    @staticmethod
+    def _packets(records, **options):
+        return analyze(records).report(**options)[0]
+
     def test_span_tree_text(self):
-        root = build_span_trees(_local_repair_records()).roots[0]
-        text = format_span_tree(root)
-        assert "ctx 7" in text and "[sidecar]" in text
+        packets = self._packets(_local_repair_records(), spans=True)
+        assert packets.title == "packets"
+        text = render_text([packets])
+        assert "ctx 7 flow=flow0 [sidecar]" in text
         assert "quack_emitted" in text and "retransmitted" in text
+        assert "cause=quack latency=0.06 local=True" in text
         assert "!! non-monotonic" not in text
+        # ... and only on request.
+        assert "ctx 7" not in render_text(
+            [self._packets(_local_repair_records())])
+        # The markdown renderer walks the same table.
+        assert "| retransmitted | 1.060000 | +0.000 | cause=quack " \
+            "latency=0.06 local=True |" in render_markdown([packets])
 
     def test_causal_summary_counts(self):
-        analysis = build_span_trees(_local_repair_records())
-        text = format_causal_summary(analysis)
-        assert "span trees: 1 packets" in text
-        assert "sidecar=1" in text
-        assert "complete repair lifecycles: 1" in text
+        text = render_text([self._packets(_local_repair_records())])
+        assert "span trees: 1 packets, 1 with the complete repair " \
+            "lifecycle" in text
+        assert "attribution per packet: sidecar=1" in text
+        assert "loss-recovery attribution (1 retransmits)" in text
+
+    def test_retransmissions_are_read_off_the_trees(self):
+        records = _local_repair_records() + [
+            _record("transport.loss", 1.4, flow="flow0", pn=3,
+                    trigger="reorder", congestion=True, ctx=7),
+            _record("transport.retransmit", 1.5, flow="flow0", pn=9,
+                    size=1460, cause="ack", latency=0.5, ctx=12,
+                    parent_ctx=7),
+            _record("transport.retransmit", 1.6, flow="flow0", pn=10,
+                    size=1460, ctx=13, parent_ctx=7),   # pre-tagging
+        ]
+        trees = build_span_trees(records)
+        # The stage the parent mirrors from each child is not counted again.
+        assert sorted(trees.retransmissions(), key=str) == [
+            ("ack", 0.5), ("quack", 0.06), (None, None)]
+        assert trees.lowest_pn() == {"flow0": 3}
+        assert [root.complete for root in trees.roots] == [True]
 
     def test_span_to_dict_round_trips_edges(self):
         root = build_span_trees(_local_repair_records()).roots[0]

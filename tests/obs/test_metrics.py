@@ -10,8 +10,10 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    Metric,
     MetricsRegistry,
     json_safe,
+    summarize_hist,
 )
 
 
@@ -54,7 +56,9 @@ class TestHistogram:
         hist = Histogram(buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 5.0, 50.0):
             hist.observe(value)
-        snap = hist.snapshot()
+        state = hist.snapshot()
+        assert state["counts"] == [1, 1, 1, 1]  # the last is the overflow
+        snap = summarize_hist(state)
         assert snap["count"] == 4
         assert snap["min"] == 0.05
         assert snap["max"] == 50.0
@@ -154,18 +158,18 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x_total", labels=("a",)).labels(a="y").inc(5)
         registry.reset()
-        assert registry.snapshot() == {}
+        assert registry.snapshot()["families"] == {}
         assert "no metrics" in registry.render_text()
         # ... and the name is free again, even with another label set.
         registry.counter("x_total").labels().inc(2)
-        assert registry.snapshot()["x_total"]["series"] == [
+        assert registry.snapshot()["families"]["x_total"]["series"] == [
             {"labels": {}, "value": 2.0}]
 
     def test_reset_drops_compiled_updaters(self):
         # Updaters cache children; a cache that outlived reset() would
         # keep counting into series the registry no longer holds.
         registry = MetricsRegistry()
-        update = registry.updater("counter", "x_total", ("a",))
+        update = registry.updater(Metric("counter", "x_total", ("a",)))
         registry.updaters["x.y"] = (update,)
         update({"a": "y"})
         registry.reset()
@@ -175,8 +179,9 @@ class TestRegistry:
         # RttEstimator.min_rtt starts at inf; the export must stay JSON.
         registry = MetricsRegistry()
         registry.gauge("transport_min_rtt_seconds").labels().set(math.inf)
-        parsed = json.loads(registry.render_json())
-        assert parsed["transport_min_rtt_seconds"]["series"][0]["value"] is None
+        parsed = json.loads(json.dumps(registry.snapshot(), allow_nan=False))
+        series = parsed["families"]["transport_min_rtt_seconds"]["series"]
+        assert series[0]["value"] is None
 
     def test_render_text(self):
         registry = MetricsRegistry()

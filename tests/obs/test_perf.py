@@ -39,23 +39,28 @@ class TestProfileSnapshot:
     def test_snapshot_roundtrip(self, tmp_path):
         doc = perf.profile_snapshot(_profiled_run(), scenario="unit",
                                     git_rev=None)
-        path = str(tmp_path / "profile.json")
-        perf.write_profile(doc, path)
-        loaded = perf.load_profile(path)
-        assert loaded == json.loads(json.dumps(doc))
-
-    def test_load_rejects_non_profile(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"kind": "telemetry"}')
-        with pytest.raises(ObservabilityError):
-            perf.load_profile(str(path))
+        path = str(tmp_path / "deep" / "profile.json")
+        assert perf.write_profile(doc, path) == path  # makes the directory
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle) == json.loads(json.dumps(doc))
 
     def test_format_profile_lists_heaviest_paths(self):
+        # "format": the profile laid out as items of the report's time
+        # section, which the two renderers walk.
         doc = perf.profile_snapshot(_profiled_run(), scenario="unit",
-                                    git_rev=None)
-        text = perf.format_profile(doc, top=2)
-        assert "profile: unit" in text
-        assert "more path(s)" in text  # 3 paths, top=2
+                                    git_rev="abc1234")
+        wall, paths = perf.profile_items(doc, "decode", top=2)
+        assert wall.startswith("wall clock: ")
+        assert "inside named spans (commit abc1234)" in wall
+        assert "1 more path(s) not shown" in paths.caption  # 3 paths, top=2
+        assert paths.columns[-1] == "call path"
+        self_ms = [float(row[0]) for row in paths.rows]
+        assert len(self_ms) == 2 and self_ms == sorted(self_ms, reverse=True)
+        share = float(wall.split(", ")[1].split("%")[0]) / 100
+        decode = next(span for span in doc["spans"]
+                      if span["path"] == "decode")
+        assert share == pytest.approx(
+            1 - decode["self_s"] / decode["cum_s"], abs=1e-3)
 
     def test_format_profile_includes_flow_table(self):
         doc = perf.profile_snapshot(
@@ -65,9 +70,13 @@ class TestProfileSnapshot:
                    "flows": {"flow0": {"observed": 4, "frames_emitted": 2,
                                        "bytes_emitted": 164,
                                        "bank_bytes": 82}}})
-        text = perf.format_profile(doc)
-        assert "flow0" in text
-        assert "164" in text
+        ledger = perf.profile_items(doc, "decode", top=20)[-1]
+        assert ledger.rows == [("flow0", "4", "2", "164", "82")]
+
+    def test_empty_profile_says_so(self):
+        doc = perf.profile_snapshot(Profiler(), git_rev=None)
+        assert perf.profile_items(doc, "run", top=5) == [
+            "(no spans recorded)"]
 
 
 class TestFolded:
@@ -110,9 +119,9 @@ class TestGitRevision:
 class TestClassifyFlatten:
     def test_classify_unknown_raises(self):
         with pytest.raises(ObservabilityError):
-            perf.classify_snapshot({"kind": "mystery"})
+            perf.flatten_snapshot({"kind": "mystery"})
         with pytest.raises(ObservabilityError):
-            perf.classify_snapshot({"area": "quack", "metrics": {}})
+            perf.flatten_snapshot({"area": "quack", "metrics": {}})
 
     def test_flatten_profile_self_time_and_calls(self):
         doc = perf.profile_snapshot(_profiled_run(), git_rev="r1")
@@ -192,12 +201,11 @@ class TestDiff:
 
     def test_diff_telemetry_snapshots(self, tmp_path):
         from repro import obs
-        from repro.obs.aggregate import mergeable_snapshot
 
         obs.reset()
         obs.enable_metrics()
         obs.count("quack_decodes_total", status="ok")
-        snapshot = mergeable_snapshot(obs.METRICS)
+        snapshot = obs.METRICS.snapshot()
         obs.disable()
         obs.reset()
         a = tmp_path / "a.json"

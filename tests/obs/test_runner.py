@@ -6,7 +6,8 @@ import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.obs.runner import known_scenarios, run_traced, summarize
+from repro.obs.analyze import Table, render_text
+from repro.obs.runner import known_scenarios, run_report, run_traced
 from repro.obs.schema import validate_file, validate_record
 from tests.obs.golden import digests, load_golden
 
@@ -51,13 +52,19 @@ class TestRunTraced:
     def test_metrics_snapshot_is_json_safe(self):
         result = run_traced("cc-division", seed=1, total_bytes=60_000)
         json.dumps(result.metrics, allow_nan=False)  # must not raise
-        assert "transport_packets_sent_total" in result.metrics
+        assert "transport_packets_sent_total" in result.metrics["families"]
 
     def test_profiler_spans_recorded(self):
         run_traced("cc-division", seed=1, total_bytes=60_000)
-        spans = {path[-1] for path in obs.PROFILER.path_stats()}
+        paths = obs.PROFILER.path_stats()
+        spans = {path[-1] for path in paths}
         assert "quack.power_sum_update" in spans
         assert "quack.wire_encode" in spans and "quack.wire_decode" in spans
+        # One root span covers the scenario: the wall time and, by its
+        # self time, the part of it no named span accounts for.
+        assert {path[0] for path in paths} == {"run"}
+        assert paths[("run",)].calls == 1
+        assert 0 < paths[("run",)].self_seconds < paths[("run",)].cum_seconds
 
     def test_unnegotiated_session_owes_no_quack_events(self):
         # downgrade-strip strips every HELLO: the session never
@@ -65,7 +72,7 @@ class TestRunTraced:
         result = run_traced("downgrade-strip", seed=1, total_bytes=60_000)
         assert not any(event.type == "sidecar.quack_emit"
                        for event in result.events)
-        assert "quack" not in result.components()
+        assert "quack" not in result.analysis.components
         assert result.missing_core_components() == []
 
     @pytest.mark.parametrize("scenario", known_scenarios())
@@ -81,7 +88,7 @@ class TestRunTraced:
         second = run_traced(scenario, seed=1)
         assert [event.to_dict() for event in first.events] \
             == [event.to_dict() for event in second.events]
-        assert first.metrics_text == second.metrics_text
+        assert first.metrics == second.metrics
         assert first.missing_core_components() == []
         assert digests(first) == load_golden()[scenario], (
             "trace or result moved; if intended, regenerate with "
@@ -97,11 +104,10 @@ class TestRunTraced:
         first = run_traced("ack-reduction", seed=1, total_bytes=60_000)
         other = run_traced("corruption", seed=1, total_bytes=60_000)
         third = run_traced("ack-reduction", seed=1, total_bytes=60_000)
-        assert "sidecar_wire_errors_total" in other.metrics
+        assert "sidecar_wire_errors_total" in other.metrics["families"]
         assert [event.to_dict() for event in first.events] \
             == [event.to_dict() for event in third.events]
         assert first.metrics == third.metrics
-        assert first.metrics_text == third.metrics_text
 
     def test_jsonl_export_validates(self, tmp_path):
         result = run_traced("ack-reduction", seed=2, total_bytes=60_000)
@@ -114,9 +120,39 @@ class TestRunTraced:
 
 class TestSummarize:
     def test_summary_text(self):
+        """The run's report: the time section, then what the events say."""
         result = run_traced("cc-division", seed=1, total_bytes=60_000)
-        text = summarize(result)
+        report = run_report(result, top=3)
+        assert [section.title for section in report] == [
+            "time", "packets", "assistance", "coverage", "metrics"]
+        text = render_text(report)
         assert "scenario: cc-division (seed 1)" in text
         assert "events by component" in text
-        assert "metrics:" in text
         assert "WARNING" not in text
+        time = report[0]
+        paths, ledger, direct = (item for item in time.items
+                                 if isinstance(item, Table))
+        assert len(paths.rows) == 3 and "more path(s)" in paths.caption
+        assert [row[0] for row in ledger.rows] == ["flow0", "proxy-upstream"]
+        # Metrics no event field holds are the run's to state; the rest
+        # the events derive, and the metrics section is exactly those.
+        written = {row[0].split("{")[0] for row in direct.rows}
+        assert written == {"trace_packets_total",
+                           "transport_detect_latency_seconds"}
+        assert report[1:] == result.analysis.report()
+        assert not written & set(result.analysis.metrics["families"])
+
+    def test_coverage_counters(self):
+        """Coverage is itself a metric ``repro slo`` can budget."""
+        result = run_traced("corruption", seed=1, total_bytes=1460 * 300)
+        roots = result.analysis.spans.roots
+        families = result.metrics["families"]
+        assert {tuple(entry["labels"].items()): entry["value"] for entry
+                in families["trace_packets_total"]["series"]} == {
+            (("tree", "complete"),): sum(root.complete for root in roots)}
+        transitions = families["trace_health_transitions_total"]["series"]
+        assert transitions == [{"labels": {"cause": "recorded"},
+                                "value": len(result.analysis.transitions)}]
+        assert transitions[0]["value"] > 0
+        assert (f"packets with a complete causal tree: {len(roots)} of "
+                f"{len(roots)}") in render_text(result.analysis.report())

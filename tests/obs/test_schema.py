@@ -53,6 +53,13 @@ class TestValidateRecord:
         with pytest.raises(ObservabilityError):
             validate_record([1, 2])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(ObservabilityError, match="'t' must be a finite"):
+            validate_record({**GOOD, "t": bad})
+        with pytest.raises(ObservabilityError, match="'size' must be finite"):
+            validate_record({**GOOD, "size": bad})
+
 
 class TestSchemaShape:
     def test_every_type_has_component_prefix(self):
@@ -98,6 +105,18 @@ class TestCli:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    def test_non_finite_timestamp_fails_the_file(self, tmp_path, capsys):
+        # json.loads reads the NaN / Infinity tokens the exporter never
+        # writes; the validator must not print "ok" over them.
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(GOOD) + "\n"
+                        + json.dumps({**GOOD, "t": float("nan")}) + "\n"
+                        + json.dumps({**GOOD, "t": float("inf")}) + "\n")
+        assert "NaN" in path.read_text()
+        assert main([str(path)]) == 1
+        assert "line 2: link.drop: 't' must be a finite number" \
+            in capsys.readouterr().err
 
     def test_validate_file_function(self, tmp_path):
         path = tmp_path / "trace.jsonl"

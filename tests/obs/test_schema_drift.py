@@ -45,6 +45,8 @@ DIRECT_METRICS = {
     "sweep_cells_total",
     "sweep_retries_total",
     "sweep_workers",
+    "trace_packets_total",
+    "trace_health_transitions_total",
 }
 
 
@@ -168,11 +170,10 @@ def test_each_metric_has_one_shape():
 
 def test_only_underivable_metrics_are_written_by_hand():
     sites = [(f"{path}:{line}", name)
-             for path, line, name, _ in _collect_sites(_is_direct_metric)
-             if not path.startswith("repro/obs/")]
+             for path, line, name, _ in _collect_sites(_is_direct_metric)]
     assert sorted(name for _, name in sites) == sorted(DIRECT_METRICS), (
-        f"obs.count/gauge/observe outside repro/obs must be exactly the "
-        f"direct metrics, once each; anything an event field can supply "
+        f"obs.count/gauge/observe calls must be exactly the direct "
+        f"metrics, once each; anything an event field can supply "
         f"belongs in schema.EVENT_METRICS: {sites}")
 
 
@@ -243,3 +244,24 @@ def test_design_direct_metric_table_matches():
     names = [name for row in rows
              for name in re.sub(r"\{[^}]*\}", "", row[0]).split(", ")]
     assert sorted(names) == sorted(DIRECT_METRICS)
+
+
+# -- one reader of a trace ------------------------------------------------------
+
+def test_each_event_type_is_a_dispatch_key_in_one_module():
+    """Outside ``schema.py``, ``repro.obs`` names an event type in exactly
+    one module: the span model (``causal.py``) or the collectors of the
+    one pass (``analyze.py``).  Counting an event is a row of
+    ``EVENT_METRICS``, which the pass replays -- not a second ``if``."""
+    owners: dict[str, set[str]] = {}
+    for path in sorted((SRC / "repro" / "obs").glob("*.py")):
+        if path.name == "schema.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value in EVENT_SCHEMA:
+                owners.setdefault(node.value, set()).add(path.name)
+    assert len(owners) >= 15
+    assert not {etype: names for etype, names in owners.items()
+                if len(names) > 1}
+    assert set().union(*owners.values()) == {"analyze.py", "causal.py"}

@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
-from repro.obs.aggregate import mergeable_snapshot
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.slo import (
     evaluate_budgets,
@@ -33,7 +32,7 @@ def _snapshot():
     decodes.labels(status="ok").inc(98)
     decodes.labels(status="fail").inc(2)
     registry.counter("delivered_total", labels=()).labels().inc(500)
-    return mergeable_snapshot(registry)
+    return registry.snapshot()
 
 
 class TestStatBudgets:

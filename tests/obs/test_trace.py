@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, hist_quantile
 from repro.obs.trace import (
     RingSink,
     TraceEvent,
@@ -53,21 +53,6 @@ class TestRingSink:
         sink.emit(TraceEvent(0.0, "x.y", {}))
         sink.clear()
         assert len(sink) == 0 and sink.emitted == 0 and sink.dropped == 0
-
-    def test_tally(self):
-        sink = RingSink()
-        sink.emit(TraceEvent(0.0, "a.b", {}))
-        sink.emit(TraceEvent(0.1, "a.b", {}))
-        sink.emit(TraceEvent(0.2, "c.d", {}))
-        assert sink.tally() == {"a.b": 2, "c.d": 1}
-
-    def test_tally_surfaces_drops(self):
-        sink = RingSink(capacity=2)
-        for index in range(5):
-            sink.emit(TraceEvent(float(index), "a.b", {}))
-        tally = sink.tally()
-        assert tally["dropped_events"] == 3
-        assert tally["a.b"] == 2  # only what the ring still holds
 
 
 class TestTracer:
@@ -119,20 +104,20 @@ class TestTracer:
         tracer.emit("sidecar.batch_emit", 0.6, frames=4, flows=9)
         tracer.emit("sidecar.retransmit", 0.7, flow="f", cause="quack",
                     latency=0.02)
-        snap = tracer.registry.snapshot()
+        snap = tracer.registry.snapshot()["families"]
         assert snap["flowtable_frames_batched_total"]["series"] == [
             {"labels": {}, "value": 7.0}]
         repair = snap["sidecar_repair_latency_seconds"]["series"][0]
         assert repair["labels"] == {"cause": "quack"}
-        assert repair["value"]["count"] == 1
-        assert repair["value"]["p50"] == 0.025  # the latency buckets
+        assert repair["hist"]["count"] == 1
+        assert hist_quantile(repair["hist"], 0.5) == 0.025  # latency buckets
         assert tracer.events == []
 
     def test_disabled_emit_touches_no_metric(self):
         tracer = Tracer(MetricsRegistry())
         tracer.emit("link.drop", 0.0, link="a->b", kind="data", size=1,
                     reason="queue")
-        assert tracer.registry.snapshot() == {}
+        assert tracer.registry.snapshot()["families"] == {}
 
     def test_reconfigure_replaces_sink(self):
         tracer = Tracer(MetricsRegistry())

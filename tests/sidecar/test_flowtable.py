@@ -1,4 +1,4 @@
-"""Tests for the multi-tenant flow table (DESIGN.md §16)."""
+"""Tests for the multi-tenant flow table (DESIGN.md §13)."""
 
 import pytest
 

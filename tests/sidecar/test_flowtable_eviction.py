@@ -1,4 +1,4 @@
-"""Budget eviction against the scan it replaced (DESIGN.md §16).
+"""Budget eviction against the scan it replaced (DESIGN.md §13).
 
 ``FlowTable._tenant_lru`` answers from a per-tenant heap built on first
 need and corrected only at its top; :func:`reference_lru` in

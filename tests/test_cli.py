@@ -129,6 +129,23 @@ class TestTrace:
         assert code == 0
         assert "scenario: cc-division" in out
         assert "events by component" in out
+        assert [line for line in out.splitlines()
+                if line.startswith("== ")] == [
+            "== time ==", "== packets ==", "== assistance ==",
+            "== coverage ==", "== metrics =="]
+
+    def test_run_and_file_say_the_same_thing(self, capsys, tmp_path):
+        """``trace X --jsonl f`` and ``analyze f`` print identical
+        reports apart from the time section (CI diffs the same pair)."""
+        path = tmp_path / "trace.jsonl"
+        code, from_run = run_cli(capsys, "trace", "cc-division", "--total",
+                                 "60000", "--jsonl", str(path), "--summary")
+        assert code == 0
+        code, from_file = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        assert from_run.startswith("== time ==\n")
+        assert from_file.startswith("== packets ==\n")
+        assert from_run[from_run.index("== packets =="):] == from_file
 
     def test_jsonl_export_is_schema_valid(self, capsys, tmp_path):
         from repro.obs.schema import validate_file
@@ -183,15 +200,19 @@ class TestTraceFilter:
         assert code == 0
         assert "WARNING: ring buffer truncated the trace" in out
         assert "raise --capacity" in out
+        assert out.index("WARNING") < out.index("== packets ==")
 
     def test_analyze_filter_and_spans(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
         code, _ = run_cli(capsys, "trace", "retransmission",
                           "--total", "120000", "--jsonl", str(path))
         assert code == 0
+        code, plain = run_cli(capsys, "analyze", str(path))
         code, out = run_cli(capsys, "analyze", str(path), "--spans")
         assert code == 0
-        assert "span trees:" in out and "attribution:" in out
+        assert "span trees:" in out and "attribution per packet:" in out
+        # --spans adds one example tree to the packets section.
+        assert "\nctx " in out and "\nctx " not in plain
         # Filtering away the transport layer leaves no spans to build.
         code, out = run_cli(capsys, "analyze", str(path), "--spans",
                             "--filter", "quack.")
@@ -205,10 +226,28 @@ class TestParser:
             main([])
 
     def test_unknown_command(self):
-        # "bench" was the legacy wall-clock store's subcommand.
-        for command in ("frobnicate", "bench"):
-            with pytest.raises(SystemExit):
-                main([command])
+        # "bench" was the legacy wall-clock store's subcommand, "profile"
+        # is now the time section of "trace".
+        for argv in (["frobnicate"], ["bench"],
+                     ["profile", "retransmission"]):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+
+    def test_subcommand_and_argument_counts(self):
+        """The surface shrinks with the code: 13 subcommands, and
+        trace + analyze take 18 arguments where trace + profile +
+        analyze took 22."""
+        import argparse
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)).choices
+        assert len(subparsers) == 13
+        arguments = [action.dest for name in ("trace", "analyze")
+                     for action in subparsers[name]._actions
+                     if action.dest != "help"]
+        assert len(arguments) == 18
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -375,13 +414,15 @@ class TestAnalyze:
         assert code == 0
         assert "loss-recovery attribution" in out
         assert "quACK decode health" in out
-        assert "connection flow0" in out
+        assert "flow0 cwnd bytes" in out
 
     def test_analyze_markdown(self, capsys, tmp_path):
         path = self._trace_file(capsys, tmp_path)
         code, out = run_cli(capsys, "analyze", str(path), "--markdown")
         assert code == 0
-        assert "## Loss-recovery attribution" in out
+        assert out.startswith("## packets\n")
+        assert "**loss-recovery attribution" in out
+        assert "| cause | count | mean | median | max |" in out
 
     def test_analyze_tolerates_garbage_lines(self, capsys, tmp_path):
         path = self._trace_file(capsys, tmp_path)
@@ -402,33 +443,38 @@ class TestAnalyze:
 
 
 class TestProfileCommand:
+    """``repro profile`` is the time section of ``repro trace``."""
+
     def test_profile_prints_call_paths_and_flows(self, capsys):
-        code, out = run_cli(capsys, "profile", "retransmission",
+        code, out = run_cli(capsys, "trace", "retransmission",
                             "--total", "60000", "--top", "8")
         assert code == 0
-        assert "profile: retransmission" in out
-        assert "quack.decode;quack.newton" in out
-        assert "flow0" in out  # per-flow middlebox accounting table
+        time = out[:out.index("== packets ==")]
+        assert "wall clock: " in time and "inside named spans" in time
+        assert "run;quack.decode;quack.newton" in time
+        assert "flow0" in time  # per-flow middlebox accounting table
 
     def test_profile_writes_flame_and_json(self, capsys, tmp_path):
         flame = tmp_path / "out.folded"
         snapshot = tmp_path / "out.json"
-        code, _ = run_cli(capsys, "profile", "retransmission",
-                          "--total", "60000", "--flame", str(flame),
-                          "--json", str(snapshot))
+        code, out = run_cli(capsys, "trace", "retransmission",
+                            "--total", "60000", "--flame", str(flame),
+                            "--json", str(snapshot))
         assert code == 0
+        assert out == ""  # writing files: the report needs --summary
         folded = flame.read_text().splitlines()
         assert folded == sorted(folded)
-        assert any(line.startswith("quack.decode;") for line in folded)
+        assert any(line.startswith("run;quack.decode;") for line in folded)
         import json as _json
 
         doc = _json.loads(snapshot.read_text())
         assert doc["kind"] == "profile"
         assert doc["scenario"] == "retransmission"
+        assert doc["flows"]["flows"]["flow0"]["frames_emitted"] > 0
 
     def test_profile_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            main(["profile", "frobnicate"])
+            main(["trace", "frobnicate", "--flame", "x.folded"])
 
 
 class TestDiffCommand:
