@@ -117,15 +117,16 @@ def render_text(report: Sequence[Section], width: int = 72) -> str:
                 grid = [item.columns, *item.rows]
                 # A column of numbers lines up on the right, any other on
                 # the left; "+3.2" and "-" (no value) count as numbers.
-                pads = [(str.rjust if all(row[i][:1].isdigit()
-                                          or row[i][:1] in "+-"
-                                          for row in item.rows)
-                         else str.ljust, max(len(row[i]) for row in grid))
-                        for i in range(len(item.columns))]
+                pads = []
+                for header, *cells in zip(*grid):
+                    numeric = all(cell[:1].isdigit() or cell[:1] in "+-"
+                                  for cell in cells)
+                    pads.append((str.rjust if numeric else str.ljust,
+                                 max(map(len, (header, *cells)))))
                 if item.caption:
                     lines.append(item.caption)
                 lines += ["  " + "  ".join(
-                    pad(cell, width) for cell, (pad, width)
+                    pad(cell, size) for cell, (pad, size)
                     in zip(row, pads)).rstrip() for row in grid]
             else:
                 lines.append(item)

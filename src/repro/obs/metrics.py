@@ -359,12 +359,11 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Every family with a non-zero series, as one JSON-safe document:
         ``{"kind": "telemetry", "schema": 1, "families": {name: ...}}``."""
-        families = {name: family.snapshot()
-                    for name, family in sorted(self._families.items())}
+        families = ((name, family.snapshot())
+                    for name, family in sorted(self._families.items()))
         return {"kind": "telemetry", "schema": TELEMETRY_SCHEMA,
-                "families": {name: family
-                             for name, family in families.items()
-                             if family["series"]}}
+                "families": {name: frozen for name, frozen in families
+                             if frozen["series"]}}
 
     def reset(self) -> None:
         """Drop every family, series and updater, so a series an earlier
