@@ -66,12 +66,10 @@ class IdentifierFactory:
             packet_number += 1
 
     @classmethod
-    def fresh(cls, rng: random.Random | None = None,
-              bits: int = 32) -> "IdentifierFactory":
+    def fresh(cls, rng: random.Random | None = None) -> "IdentifierFactory":
         """A factory with a random per-connection key."""
         rng = rng if rng is not None else random.SystemRandom()
-        key = rng.getrandbits(128).to_bytes(16, "big")
-        return cls(key, bits=bits)
+        return cls(rng.getrandbits(128).to_bytes(16, "big"))
 
 
 def random_identifiers(count: int, bits: int = 32,

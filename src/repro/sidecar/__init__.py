@@ -16,6 +16,8 @@ plus the shared session machinery:
 * frequency policies (Section 4.3) in :mod:`repro.sidecar.frequency`;
 * wire messages in :mod:`repro.sidecar.protocol`;
 * host/proxy agents in :mod:`repro.sidecar.agents`;
+* the Section 3.3 reset handshake in :mod:`repro.sidecar.reset` and
+  capability negotiation in :mod:`repro.sidecar.negotiate`;
 * the graceful-degradation ladder in :mod:`repro.sidecar.health`;
 * adversarial plausibility gates and quarantine in
   :mod:`repro.sidecar.defense`;
@@ -63,12 +65,9 @@ from repro.sidecar.protocol import (
     QuackMessage,
     ResetMessage,
     ResumeMessage,
-    config_packet,
     decode_control,
     encode_control,
     quack_packet,
-    reset_packet,
-    resume_packet,
 )
 from repro.sidecar.retransmission import (
     ReceiverSideRetxProxy,
@@ -97,9 +96,6 @@ __all__ = [
     "ResumeMessage",
     "CorruptFrame",
     "quack_packet",
-    "config_packet",
-    "reset_packet",
-    "resume_packet",
     "encode_control",
     "decode_control",
     "AdversarialSignal",

@@ -64,12 +64,12 @@ QUACK_TO_SERVER_EVERY = 8
 
 @dataclass
 class PacingProxyStats:
-    taken_custody: int = 0
-    forwarded: int = 0
-    buffer_drops: int = 0
-    quacks_from_client: int = 0
-    decode_failures: int = 0
-    max_buffer_depth: int = 0
+    taken_custody: int = field(default=0, init=False)
+    forwarded: int = field(default=0, init=False)
+    buffer_drops: int = field(default=0, init=False)
+    quacks_from_client: int = field(default=0, init=False)
+    decode_failures: int = field(default=0, init=False)
+    max_buffer_depth: int = field(default=0, init=False)
 
 
 class PacingProxy:
@@ -81,9 +81,8 @@ class PacingProxy:
 
     def __init__(self, sim: Simulator, router: Router, server: str,
                  client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
+                 threshold: int = DEFAULT_THRESHOLD,
                  buffer_packets: int = 512,
-                 grace: int = 1,
                  controller=None) -> None:
         self.sim = sim
         self.router = router
@@ -98,14 +97,14 @@ class PacingProxy:
         # e.g. pass BbrLite() to run a model-based pacer on the lossy leg.
         self.cc = controller if controller is not None else AimdRate()
         self.rtt = RttEstimator(initial_rtt=0.05)
-        self.consumer = QuackConsumer(threshold, bits, grace=grace)
+        self.consumer = QuackConsumer(threshold)
         self._in_flight_bytes = 0
 
         # Upstream duty: quACK forwarded packets to the server.
         self.upstream = EmitterEndpoint(
             sim, router, server, flow_id,
             PacketCountFrequency(QUACK_TO_SERVER_EVERY), role="proxy",
-            threshold=threshold, bits=bits, ledger_key="proxy-upstream")
+            threshold=threshold, ledger_key="proxy-upstream")
 
         self._buffer: deque[Packet] = deque()
         router.policy = self

@@ -58,7 +58,7 @@ class LogEntry:
     identifier: int
     meta: Any
     sent_at: float
-    strikes: int = 0
+    strikes: int = field(default=0, init=False)
 
 
 @dataclass
@@ -72,9 +72,9 @@ class QuackFeedback:
 
     status: DecodeStatus
     received: list[Any] = field(default_factory=list)
-    lost: list[Any] = field(default_factory=list)
-    suspected: list[Any] = field(default_factory=list)
-    indeterminate: list[Any] = field(default_factory=list)
+    lost: list[Any] = field(default_factory=list, init=False)
+    suspected: list[Any] = field(default_factory=list, init=False)
+    indeterminate: list[Any] = field(default_factory=list, init=False)
     in_transit: int = 0
     num_missing: int = 0
     reconciled: int = 0
@@ -86,24 +86,24 @@ class QuackFeedback:
 
 @dataclass
 class ConsumerStats:
-    sent_logged: int = 0
-    quacks_processed: int = 0
-    quacks_failed: int = 0
-    declared_lost: int = 0
-    confirmed_received: int = 0
-    gap_reconciled: int = 0
+    sent_logged: int = field(default=0, init=False)
+    quacks_processed: int = field(default=0, init=False)
+    quacks_failed: int = field(default=0, init=False)
+    declared_lost: int = field(default=0, init=False)
+    confirmed_received: int = field(default=0, init=False)
+    gap_reconciled: int = field(default=0, init=False)
     #: quACKs with ``m > t`` answered by the check, without a decode.
-    settled_in_order: int = 0
+    settled_in_order: int = field(default=0, init=False)
 
 
 class QuackConsumer:
     """Sender-side quACK session state."""
 
-    def __init__(self, threshold: int, bits: int = 32, count_bits: int = 16,
+    def __init__(self, threshold: int, bits: int = 32,
                  grace: int = 1, trailing_in_transit: bool = True) -> None:
         if grace < 1:
             raise ValueError(f"grace must be >= 1 quACK, got {grace}")
-        self.mine = PowerSumQuack(threshold, bits, count_bits)
+        self.mine = PowerSumQuack(threshold, bits)
         self.grace = grace
         self.trailing_in_transit = trailing_in_transit
         self.log: list[LogEntry] = []

@@ -17,8 +17,11 @@ an honest observer *cannot* violate:
   cumulative count only moves forward.  A snapshot slightly behind the
   best accepted count is network reordering and carries strictly less
   information than what we already have, so it is dropped silently; a
-  regression of ``replay_margin`` or more is a replayed old snapshot or
-  a wiped accumulator, and is dropped *and* signalled.
+  regression in the restart band (:func:`count_regression`) is a
+  replayed old snapshot or a wiped accumulator, and is dropped *and*
+  signalled -- never healed by a reset, which a replayer could farm into
+  a standing stall (an honest restart heals through the resume
+  handshake of :mod:`repro.sidecar.snapshot` instead).
 * **count <= packets actually sent** -- the observer cannot have seen
   more of the flow than the sender put on the wire.
 * **inter-quACK rate sanity** -- an honest emitter is bounded by its
@@ -40,6 +43,11 @@ rung: all sidecar signals off, no more resets (a lying sidecar must not
 be able to stall the sender with reset round-trips), re-entry only
 through a double probation.
 
+The count arithmetic under the gates (:func:`count_lead`,
+:func:`count_regression`, :func:`resume_implausibility`) is shared with
+sessions that arm no defense: they read the same verdicts and answer
+with a reset instead of a signal.
+
 Nothing here touches the transport; the owner
 (:class:`~repro.sidecar.agents.ServerSidecar`) consults the validator's
 :class:`Verdict` per snapshot and acts.
@@ -60,7 +68,7 @@ class SignalKind(Enum):
 
     #: The snapshot claims more packets observed than were ever sent.
     COUNT_AHEAD = "count_ahead"
-    #: Same-epoch count regressed by >= replay_margin: a replayed old
+    #: Same-epoch count regressed into the restart band: a replayed old
     #: snapshot (or a wiped accumulator presented without a resume).
     COUNT_REGRESSION = "count_regression"
     #: Snapshots arriving faster than any honest frequency policy.
@@ -90,18 +98,56 @@ class AdversarialSignal:
     expected: int = 0
 
 
+#: A same-epoch count regression of this many thresholds or more cannot
+#: be snapshot reordering: the accumulator was wiped, or an old snapshot
+#: replayed.
+RESTART_MARGIN_THRESHOLDS = 4
+
+
+def count_lead(count: int, reference: int, modulus: int) -> int:
+    """How far ``count`` runs ahead of ``reference`` on the c-bit circle.
+
+    Counts are cumulative modulo ``2**count_bits``; a lead of half the
+    circle or more is the other count leading, and reads as 0 here.
+    """
+    lead = (count - reference) % modulus
+    return lead if lead < modulus // 2 else 0
+
+
+def count_regression(reference: int | None, count: int, modulus: int,
+                     margin: int) -> tuple[int, bool]:
+    """``(behind, wiped)`` for a same-epoch ``count`` against the last
+    accepted one: how far it trails (0: level, ahead, or no reference
+    yet), and whether that is the restart band -- ``margin`` or more,
+    where the cumulative states can never re-converge on their own."""
+    if reference is None:
+        return 0, False
+    behind = count_lead(reference, count, modulus)
+    return behind, behind >= margin
+
+
+def resume_implausibility(epoch: int, count: int, current_epoch: int,
+                          sent_count: int,
+                          modulus: int) -> tuple[str, int, int] | None:
+    """Why no honest restart announces ``(epoch, count)``, as ``(detail,
+    observed, expected)``; None when one could: an epoch this side
+    issued, at a count no further along than the sent log.  (A *past*
+    epoch is not implausible, only stale -- see
+    :func:`~repro.sidecar.snapshot.resume_verdict`.)"""
+    if epoch > current_epoch:
+        return (f"resume claims epoch {epoch}, never issued "
+                f"(current {current_epoch})", epoch, current_epoch)
+    ahead = count_lead(count, sent_count, modulus)
+    if ahead:
+        return (f"resume count runs {ahead} ahead of the sent log",
+                count, sent_count)
+    return None
+
+
 @dataclass
 class DefenseConfig:
-    """Gate thresholds.  ``None`` margins resolve against the quACK
-    threshold at validator construction."""
+    """Thresholds of the rate gate and the quarantine ledger."""
 
-    #: Count regression at or beyond this is a replay/wipe signal;
-    #: below it, a silently dropped reordered snapshot.  Defaults to the
-    #: owner's restart margin (4 * threshold) so the two bands agree.
-    replay_margin: int | None = None
-    #: Counts may run ahead of the sent log by at most this much
-    #: (0: an observer can never have seen an unsent packet).
-    ahead_tolerance: int = 0
     #: Rate gate: more than ``rate_max`` snapshots inside
     #: ``rate_window_s`` seconds trips RATE_ANOMALY.  None disables.
     rate_max: int | None = None
@@ -140,10 +186,10 @@ _ACCEPT = Verdict(action="accept")
 
 @dataclass
 class ValidatorStats:
-    checked: int = 0
-    accepted: int = 0
-    stale_dropped: int = 0
-    signals: int = 0
+    checked: int = field(default=0, init=False)
+    accepted: int = field(default=0, init=False)
+    stale_dropped: int = field(default=0, init=False)
+    signals: int = field(default=0, init=False)
 
 
 class PlausibilityValidator:
@@ -154,8 +200,7 @@ class PlausibilityValidator:
         self.config = config
         self.flow_id = flow_id
         self.modulus = 1 << count_bits
-        self.replay_margin = config.replay_margin \
-            if config.replay_margin is not None else 4 * threshold
+        self.replay_margin = RESTART_MARGIN_THRESHOLDS * threshold
         #: The furthest-forward count accepted so far (mod-aware), or
         #: None before the first accepted snapshot.
         self.max_count: int | None = None
@@ -167,11 +212,8 @@ class PlausibilityValidator:
     def note_accepted(self, count: int) -> None:
         """An accepted snapshot advanced the high-water count."""
         self.stats.accepted += 1
-        if self.max_count is None:
-            self.max_count = count
-            return
-        ahead = (count - self.max_count) % self.modulus
-        if 0 < ahead < self.modulus // 2:
+        if self.max_count is None \
+                or count_lead(count, self.max_count, self.modulus):
             self.max_count = count
 
     def rewind(self, count: int) -> None:
@@ -179,6 +221,12 @@ class PlausibilityValidator:
         self.max_count = count
 
     # -- the gates -------------------------------------------------------------
+
+    def _signal(self, now: float, kind: SignalKind, detail: str,
+                observed: int, expected: int) -> AdversarialSignal:
+        return AdversarialSignal(time=now, kind=kind, flow_id=self.flow_id,
+                                 detail=detail, observed=observed,
+                                 expected=expected)
 
     def check_snapshot(self, count: int, sent_count: int,
                        now: float) -> Verdict:
@@ -190,21 +238,20 @@ class PlausibilityValidator:
         if signal is not None:
             self.stats.signals += 1
             return Verdict(action="drop", signal=signal)
-        if self.max_count is not None:
-            behind = (self.max_count - count) % self.modulus
-            if 0 < behind < self.modulus // 2:
-                if behind >= self.replay_margin:
-                    self.stats.signals += 1
-                    return Verdict(action="regressed", signal=AdversarialSignal(
-                        time=now, kind=SignalKind.COUNT_REGRESSION,
-                        flow_id=self.flow_id,
-                        detail=f"count regressed {behind} "
-                               f"(replay margin {self.replay_margin})",
-                        observed=count, expected=self.max_count))
-                # A slightly older snapshot of a cumulative accumulator
-                # carries strictly less information: benign reordering.
-                self.stats.stale_dropped += 1
-                return Verdict(action="drop")
+        behind, wiped = count_regression(self.max_count, count, self.modulus,
+                                         self.replay_margin)
+        if wiped:
+            self.stats.signals += 1
+            return Verdict(action="regressed", signal=self._signal(
+                now, SignalKind.COUNT_REGRESSION,
+                f"count regressed {behind} "
+                f"(replay margin {self.replay_margin})",
+                count, self.max_count))
+        if behind:
+            # A slightly older snapshot of a cumulative accumulator
+            # carries strictly less information: benign reordering.
+            self.stats.stale_dropped += 1
+            return Verdict(action="drop")
         return _ACCEPT
 
     def _check_rate(self, now: float) -> AdversarialSignal | None:
@@ -216,21 +263,22 @@ class PlausibilityValidator:
         while arrivals and arrivals[0] <= now - window:
             arrivals.popleft()
         if len(arrivals) > self.config.rate_max:
-            return AdversarialSignal(
-                time=now, kind=SignalKind.RATE_ANOMALY, flow_id=self.flow_id,
-                detail=f"{len(arrivals)} snapshots inside {window} s "
-                       f"(max {self.config.rate_max})",
-                observed=len(arrivals), expected=self.config.rate_max)
+            return self._signal(
+                now, SignalKind.RATE_ANOMALY,
+                f"{len(arrivals)} snapshots inside {window} s "
+                f"(max {self.config.rate_max})",
+                len(arrivals), self.config.rate_max)
         return None
 
     def _check_ahead(self, count: int, sent_count: int,
                      now: float) -> AdversarialSignal | None:
-        ahead = (count - sent_count) % self.modulus
-        if self.config.ahead_tolerance < ahead < self.modulus // 2:
-            return AdversarialSignal(
-                time=now, kind=SignalKind.COUNT_AHEAD, flow_id=self.flow_id,
-                detail=f"observer claims {ahead} more packets than were sent",
-                observed=count, expected=sent_count)
+        # An observer can never have seen a packet that was not sent.
+        ahead = count_lead(count, sent_count, self.modulus)
+        if ahead:
+            return self._signal(
+                now, SignalKind.COUNT_AHEAD,
+                f"observer claims {ahead} more packets than were sent",
+                count, sent_count)
         return None
 
     def classify_decode_failure(self, status: DecodeStatus, num_missing: int,
@@ -249,35 +297,20 @@ class PlausibilityValidator:
         """
         if status is not DecodeStatus.INCONSISTENT:
             return None
-        return AdversarialSignal(
-            time=now, kind=SignalKind.FORGED_EVIDENCE, flow_id=self.flow_id,
-            detail=f"checksum-valid snapshot undecodable "
-                   f"({num_missing} missing vs {outstanding} outstanding)",
-            observed=num_missing, expected=outstanding)
+        return self._signal(
+            now, SignalKind.FORGED_EVIDENCE,
+            f"checksum-valid snapshot undecodable "
+            f"({num_missing} missing vs {outstanding} outstanding)",
+            num_missing, outstanding)
 
     def check_resume(self, epoch: int, count: int, *, current_epoch: int,
                      sent_count: int, now: float) -> AdversarialSignal | None:
-        """Plausibility gates over a ResumeMessage; None means accept.
-
-        A resume for a *past* epoch is not adversarial -- the middlebox
-        restored a pre-reset checkpoint -- so the owner answers it with
-        a repeat reset rather than consulting this gate.
-        """
-        if epoch > current_epoch:
-            return AdversarialSignal(
-                time=now, kind=SignalKind.IMPLAUSIBLE_RESUME,
-                flow_id=self.flow_id,
-                detail=f"resume claims epoch {epoch}, never issued "
-                       f"(current {current_epoch})",
-                observed=epoch, expected=current_epoch)
-        ahead = (count - sent_count) % self.modulus
-        if self.config.ahead_tolerance < ahead < self.modulus // 2:
-            return AdversarialSignal(
-                time=now, kind=SignalKind.IMPLAUSIBLE_RESUME,
-                flow_id=self.flow_id,
-                detail=f"resume count runs {ahead} ahead of the sent log",
-                observed=count, expected=sent_count)
-        return None
+        """The signal an implausible ResumeMessage earns; None: accept."""
+        why = resume_implausibility(epoch, count, current_epoch, sent_count,
+                                    self.modulus)
+        if why is None:
+            return None
+        return self._signal(now, SignalKind.IMPLAUSIBLE_RESUME, *why)
 
 
 def missing_within_log(missing: Iterable[int],
@@ -318,9 +351,10 @@ class QuarantineLedger:
 
     quarantine_after: int = 3
     signal_window_s: float = 5.0
-    signals: list[AdversarialSignal] = field(default_factory=list)
-    quarantined_at: float | None = None
-    quarantines: int = 0
+    signals: list[AdversarialSignal] = field(default_factory=list,
+                                             init=False)
+    quarantined_at: float | None = field(default=None, init=False)
+    quarantines: int = field(default=0, init=False)
 
     @classmethod
     def from_config(cls, config: DefenseConfig) -> "QuarantineLedger":
@@ -339,6 +373,20 @@ class QuarantineLedger:
             self.quarantines += 1
             return True
         return False
+
+    def judge(self, signal: AdversarialSignal,
+              quarantined: bool) -> tuple[bool, str | None]:
+        """Ledger ``signal``; ``(tripped, reason)`` for the health ladder.
+
+        ``tripped`` is :meth:`record`'s verdict.  ``reason`` is what to
+        hand :meth:`~repro.sidecar.health.HealthMonitor.on_adversarial`,
+        or None for nothing: the verdict when it trips, the bare kind
+        while the channel is already ``quarantined`` -- a peer that
+        keeps lying restarts its clean-probation clock.
+        """
+        if self.record(signal):
+            return True, f"quarantined: {signal.kind.value}"
+        return False, signal.kind.value if quarantined else None
 
     def by_kind(self) -> dict[str, int]:
         tally: dict[str, int] = {}

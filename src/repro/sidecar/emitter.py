@@ -13,7 +13,7 @@ The accumulator is never reset: cumulativeness is what makes the scheme
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs import PROFILER
@@ -24,9 +24,9 @@ from repro.sidecar.frequency import FrequencyPolicy, PacketCountFrequency
 
 @dataclass(slots=True)
 class EmitterStats:
-    observed: int = 0
-    emitted: int = 0
-    emitted_bytes: int = 0
+    observed: int = field(default=0, init=False)
+    emitted: int = field(default=0, init=False)
+    emitted_bytes: int = field(default=0, init=False)
 
 
 class QuackEmitter:
@@ -44,10 +44,10 @@ class QuackEmitter:
     __slots__ = ("quack", "policy", "flow", "stats",
                  "_packets_since_emit", "_last_emit")
 
-    def __init__(self, threshold: int, bits: int = 32, count_bits: int = 16,
+    def __init__(self, threshold: int, bits: int = 32,
                  policy: FrequencyPolicy | None = None,
                  flow: str = "") -> None:
-        self.quack = PowerSumQuack(threshold, bits, count_bits)
+        self.quack = PowerSumQuack(threshold, bits)
         self.policy = policy if policy is not None else PacketCountFrequency(2)
         self.flow = flow
         self.stats = EmitterStats()

@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 
 from repro import obs
@@ -116,16 +116,16 @@ class FlowRecord:
 class FlowTableStats:
     """Lifetime counters of one table (all monotone, JSON-safe)."""
 
-    flows_admitted: int = 0
-    flows_rejected: int = 0
-    flows_evicted: int = 0   # budget + clamp evictions
-    flows_shed: int = 0      # overload shedding
-    flows_closed: int = 0    # graceful teardown
-    observations: int = 0
-    frames_batched: int = 0
-    batches: int = 0
-    peak_flows: int = 0
-    peak_bank_bytes: int = 0
+    flows_admitted: int = field(default=0, init=False)
+    flows_rejected: int = field(default=0, init=False)
+    flows_evicted: int = field(default=0, init=False)  # budget + clamp
+    flows_shed: int = field(default=0, init=False)     # overload shedding
+    flows_closed: int = field(default=0, init=False)   # graceful teardown
+    observations: int = field(default=0, init=False)
+    frames_batched: int = field(default=0, init=False)
+    batches: int = field(default=0, init=False)
+    peak_flows: int = field(default=0, init=False)
+    peak_bank_bytes: int = field(default=0, init=False)
 
 
 def _quantile(values: list[float], q: float) -> float:

@@ -19,8 +19,9 @@ accident:
     The channel is unusable (many failures, or no decodable quACK within
     the staleness horizon -- e.g. a blackout).  All sidecar signals are
     disabled and, if congestion control had been divided
-    (``cc_from_acks=False``), it is handed back to the end-to-end ACKs so
-    the transfer proceeds exactly as an unassisted connection.
+    (``cc_from_acks=False``), it is handed back to the end-to-end ACKs
+    (:attr:`HealthMonitor.allow_cc_division`) so the transfer proceeds
+    exactly as an unassisted connection.
 ``RECOVERING``
     Decodable quACKs are arriving again.  Signals stay off for a
     probation window; a clean window re-enters ``HEALTHY``, any failure
@@ -41,7 +42,8 @@ The monitor is driven by its owner (:class:`~repro.sidecar.agents
 snapshot, ``on_stale`` from a staleness timer, ``on_adversarial`` from
 the quarantine ledger's verdict.  It never touches the transport
 itself; the owner reads :attr:`allow_receipts` / :attr:`allow_losses` /
-:attr:`e2e_only` / :attr:`quarantined` and acts.
+:attr:`allow_cc_division` / :attr:`e2e_only` / :attr:`quarantined` and
+acts.
 """
 
 from __future__ import annotations
@@ -103,11 +105,12 @@ class HealthConfig:
 
 @dataclass
 class HealthStats:
-    degradations: int = 0
-    e2e_fallbacks: int = 0
-    recoveries: int = 0
-    quarantines: int = 0
-    transitions: list[HealthTransition] = field(default_factory=list)
+    degradations: int = field(default=0, init=False)
+    e2e_fallbacks: int = field(default=0, init=False)
+    recoveries: int = field(default=0, init=False)
+    quarantines: int = field(default=0, init=False)
+    transitions: list[HealthTransition] = field(default_factory=list,
+                                                init=False)
 
 
 class HealthMonitor:
@@ -133,6 +136,15 @@ class HealthMonitor:
     def allow_losses(self) -> bool:
         """May quACK-decoded losses drive retransmission/CC?"""
         return self.state is HealthState.HEALTHY
+
+    @property
+    def allow_cc_division(self) -> bool:
+        """May the sidecar keep a divided congestion controller?
+
+        Division is only safe while receipts actually flow: on every
+        other rung the end-to-end ACKs get the controller back.
+        """
+        return self.allow_receipts
 
     @property
     def e2e_only(self) -> bool:

@@ -33,22 +33,35 @@ end-to-end (assistance never starts before the handshake completes, so
 goodput never drops below the unassisted baseline).
 
 Negotiation sets a capability *ceiling*; the wire keeps speaking v1
-until a :class:`~repro.sidecar.protocol.VersionSwitchMessage` flips both
-peers mid-connection (no reset -- cumulative quACK state is
-version-independent).  Frames under the pre-switch version stay valid
-until the first new-version frame confirms the emitter adopted the
-switch, plus one :attr:`NegotiateConfig.switch_grace_s` window for
-reordered stragglers; after that they are counted stale and dropped.
+until a :class:`~repro.sidecar.protocol.VersionSwitchMessage` pinned to
+the current epoch flips both peers mid-connection (no reset --
+cumulative quACK state is version-independent).  The consumer sends
+under the new version at once; on its receive side, frames under the
+pre-switch version stay valid until the first new-version frame proves
+the emitter adopted the switch -- the switch shares the forward link
+with DATA and can queue behind a full bottleneck buffer, so a deadline
+would misclassify a healthy emitter's snapshots as stale -- plus one
+:attr:`NegotiateConfig.switch_grace_s` window for reordered stragglers;
+after that they are counted stale and dropped.
+
+Both halves live here as events in, answers out, with no simulator and
+no node: :class:`Session` is the agreed state either role keeps and the
+responder's two rules; :class:`Initiator` is the consumer's offer, echo
+check and frame-version gate.  The agents in :mod:`repro.sidecar.agents`
+own the timers and the datagrams.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
+from repro.sidecar.defense import AdversarialSignal, SignalKind
 from repro.sidecar.protocol import (
     HelloAckMessage,
     HelloMessage,
+    VersionSwitchMessage,
     encode_control,
 )
 
@@ -81,15 +94,15 @@ class Capabilities:
     """What one sidecar endpoint can speak and wants to use.
 
     The initiator's capabilities become the HELLO offer; the responder's
-    clamp it.  ``interval_us`` is a *preference* (0 = no preference),
-    quACK parameters are maxima the endpoint can afford.
+    clamp it.  QuACK parameters are maxima the endpoint can afford; no
+    endpoint states an emission-interval preference (the HELLO field is
+    sent as 0).
     """
 
     min_version: int = 1
     max_version: int = 2
     threshold: int = 20
     bits: int = 32
-    interval_us: int = 0
     features: int = ALL_FEATURES
 
     def __post_init__(self) -> None:
@@ -98,22 +111,13 @@ class Capabilities:
                 f"version range {self.min_version}..{self.max_version} "
                 f"is empty or starts below 1")
 
-    def hello(self, flow_id: str, threshold: int | None = None,
-              bits: int | None = None) -> HelloMessage:
-        """Build the capability offer for one flow.
-
-        ``threshold``/``bits`` override the capability defaults with the
-        consumer's actual session parameters.
-        """
+    def hello(self, flow_id: str, threshold: int, bits: int) -> HelloMessage:
+        """The capability offer for one flow, at the consumer's actual
+        session parameters ``threshold``/``bits``."""
         return HelloMessage(
-            flow_id=flow_id,
-            min_version=self.min_version,
-            max_version=self.max_version,
-            threshold=self.threshold if threshold is None else threshold,
-            bits=self.bits if bits is None else bits,
-            interval_us=self.interval_us,
-            features=self.features,
-        )
+            flow_id=flow_id, min_version=self.min_version,
+            max_version=self.max_version, threshold=threshold, bits=bits,
+            features=self.features)
 
 
 def select_version(offer_min: int, offer_max: int,
@@ -152,7 +156,7 @@ def respond(offer: HelloMessage, own: Capabilities) -> HelloAckMessage | None:
         version=chosen,
         threshold=min(offer.threshold, own.threshold),
         bits=min(offer.bits, own.bits),
-        interval_us=offer.interval_us or own.interval_us,
+        interval_us=offer.interval_us,
         features=offer.features & own.features,
         transcript=hello_transcript(offer),
     )
@@ -165,11 +169,8 @@ class NegotiateConfig:
     ``retry_s`` is the initiator's offer-retry timer; ``strip_after`` is
     how many consecutive unanswered offers are written off as loss
     before each further timeout ledgers a DOWNGRADE signal;
-    ``switch_grace_s`` is roughly one RTT -- how long frames still
-    encoded under the pre-switch version remain tolerated *after the
-    first new-version frame* confirms the emitter adopted a
-    VERSION-SWITCH (before that confirmation they are simply valid:
-    the switch message can queue behind a full DATA buffer).
+    ``switch_grace_s`` is roughly one RTT -- how long pre-switch frames
+    stay tolerated after the first new-version frame.
     """
 
     capabilities: Capabilities = field(default_factory=Capabilities)
@@ -186,3 +187,129 @@ class NegotiateConfig:
         if self.switch_grace_s < 0:
             raise ValueError(
                 f"switch_grace_s must be >= 0, got {self.switch_grace_s}")
+
+
+class Session:
+    """What one sidecar session agreed to and what its wire speaks now.
+
+    Both roles keep one.  ``version``/``features`` are the negotiated
+    ceiling (None until a handshake, or a checkpoint proving one, fixes
+    it); ``wire_version``/``wire_features`` are stamped on the frames
+    this side sends.  ``ready``: may assistance flow?  At once where
+    negotiation is not ``armed``, otherwise from the agreement on.
+    """
+
+    def __init__(self, armed: bool) -> None:
+        self.ready = not armed
+        self.version: int | None = None
+        self.features = 0
+        self.wire_version = 1
+        self.wire_features = 0
+
+    def agree(self, version: int, features: int) -> None:
+        self.ready = True
+        self.version = version
+        self.features = features
+
+    def switch(self, version: int) -> None:
+        """Stamp ``version`` from now on (v1 frames have no feature byte)."""
+        self.wire_version = version
+        self.wire_features = self.features & 0xFF if version >= 2 else 0
+
+    # -- the responder's half (the emitter) ------------------------------------
+
+    def answer(self, offer: HelloMessage, own: Capabilities) \
+            -> tuple[HelloAckMessage | None, bool]:
+        """``(ack, opened)`` for one offer: the answer to send (None: no
+        version overlaps, stay silent) and whether it opened the session.
+        A duplicate -- the initiator retries lost offers -- is re-acked
+        byte-identically and changes nothing."""
+        ack = respond(offer, own)
+        opened = ack is not None and not self.ready
+        if opened:
+            self.agree(ack.version, ack.features)
+        return ack, opened
+
+    def follow(self, switch: VersionSwitchMessage, epoch: int) -> str:
+        """Apply a VERSION-SWITCH: ``switched``, ``duplicate``, or
+        ``stale`` -- from before a reset (another epoch) or above the
+        negotiated ceiling, neither of which may flip the session."""
+        if (not self.ready or switch.epoch != epoch
+                or not 1 <= switch.version <= (self.version or 1)):
+            return "stale"
+        if switch.version == self.wire_version:
+            return "duplicate"
+        self.switch(switch.version)
+        return "switched"
+
+
+class Initiator:
+    """The consumer's half: one offer, its echo check, the frame gate."""
+
+    def __init__(self, config: NegotiateConfig, session: Session,
+                 flow_id: str, threshold: int, bits: int) -> None:
+        self.config = config
+        self.session = session
+        self.offer = config.capabilities.hello(flow_id, threshold=threshold,
+                                               bits=bits)
+        self.transcript = hello_transcript(self.offer)
+        self._pre_switch_version = 1
+        #: Until when frames under the pre-switch version are accepted:
+        #: ``inf`` while the switch is unconfirmed.
+        self._grace_until = -math.inf
+
+    def _downgrade(self, now: float, detail: str, observed: int,
+                   expected: int) -> AdversarialSignal:
+        return AdversarialSignal(
+            time=now, kind=SignalKind.DOWNGRADE, flow_id=self.offer.flow_id,
+            detail=detail, observed=observed, expected=expected)
+
+    def unanswered(self, offers_sent: int,
+                   now: float) -> AdversarialSignal | None:
+        """The retry clock fired with the offer open: past
+        ``strip_after`` offers the loss allowance is spent and silence
+        is evidence of stripped HELLOs, not of an unlucky datagram."""
+        if offers_sent < self.config.strip_after:
+            return None
+        return self._downgrade(
+            now, f"{offers_sent} capability offers unanswered",
+            offers_sent, self.config.strip_after)
+
+    def on_hello_ack(self, ack: HelloAckMessage,
+                     now: float) -> AdversarialSignal | None:
+        """Check the echo; None: session agreed.  A mismatch means the
+        responder answered an offer this side never made: someone
+        rewrote the HELLO in flight, or forged the answer."""
+        caps = self.config.capabilities
+        if ack.transcript != self.transcript \
+                or not caps.min_version <= ack.version <= caps.max_version:
+            return self._downgrade(
+                now, "hello-ack transcript does not match the offer sent",
+                ack.version, self.offer.max_version)
+        self.session.agree(ack.version, ack.features & caps.features)
+        return None
+
+    def may_switch(self, version: int) -> bool:
+        """Within the negotiated ceiling, and did the peer offer switches?"""
+        session = self.session
+        return (session.ready and 1 <= version <= session.version
+                and bool(session.features & FEATURE_VERSION_SWITCH))
+
+    def switch(self, version: int) -> None:
+        """Send under ``version`` from now on; the receive gate reopens."""
+        self._pre_switch_version = self.session.wire_version
+        self.session.switch(version)
+        self._grace_until = math.inf
+
+    def frame_ok(self, version: int, now: float) -> bool:
+        """May a quACK frame stamped ``version`` be accepted at ``now``?"""
+        if version == self.session.wire_version:
+            if self._grace_until == math.inf:
+                # First frame under the new version: the emitter has
+                # demonstrably adopted the switch.  Stragglers reordered
+                # behind it get one grace window from this moment.
+                self._grace_until = now + self.config.switch_grace_s
+            return True
+        # Still propagating, or a reordered in-flight frame from before?
+        return version == self._pre_switch_version \
+            and now <= self._grace_until

@@ -283,9 +283,7 @@ def encode_control(message: ControlMessage, version: int = CONTROL_VERSION,
     session negotiated to v2 stamps its feature bits on every control
     message it sends.
     """
-    if not isinstance(message, (ResetMessage, ConfigMessage, ResumeMessage,
-                                HelloMessage, HelloAckMessage,
-                                VersionSwitchMessage)):
+    if type(message) not in _CONTROL_KINDS:
         raise WireFormatError(
             f"cannot serialize control message {type(message).__name__}")
     if version not in CONTROL_VERSIONS:
@@ -443,21 +441,3 @@ def control_packet(src: str, dst: str, message: ControlMessage,
         identifier=None, flow_id=message.flow_id, created_at=now,
         payload=message,
     )
-
-
-def reset_packet(src: str, dst: str, message: ResetMessage,
-                 now: float) -> Packet:
-    """Wrap a session reset in a datagram."""
-    return control_packet(src, dst, message, now)
-
-
-def resume_packet(src: str, dst: str, message: ResumeMessage,
-                  now: float) -> Packet:
-    """Wrap a restart-resume announcement in a datagram."""
-    return control_packet(src, dst, message, now)
-
-
-def config_packet(src: str, dst: str, message: ConfigMessage,
-                  now: float) -> Packet:
-    """Wrap a configuration update in a datagram."""
-    return control_packet(src, dst, message, now)

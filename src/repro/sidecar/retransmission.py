@@ -22,7 +22,7 @@ repairs were local vs end-to-end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss
@@ -34,7 +34,7 @@ from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.agents import DEFAULT_THRESHOLD, EmitterEndpoint
 from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import ConfigMessage, QuackMessage, config_packet
+from repro.sidecar.protocol import ConfigMessage, QuackMessage, control_packet
 from repro.transport.connection import (
     ReceiverConnection,
     SenderConnection,
@@ -42,14 +42,18 @@ from repro.transport.connection import (
 )
 
 
+#: The retuned cadence aims at this many losses per quACK.
+TARGET_MISSING = 10
+
+
 @dataclass
 class RetxProxyStats:
-    logged: int = 0
-    retransmitted: int = 0
-    confirmed: int = 0
-    evicted: int = 0
-    decode_failures: int = 0
-    retunes_sent: int = 0
+    logged: int = field(default=0, init=False)
+    retransmitted: int = field(default=0, init=False)
+    confirmed: int = field(default=0, init=False)
+    evicted: int = field(default=0, init=False)
+    decode_failures: int = field(default=0, init=False)
+    retunes_sent: int = field(default=0, init=False)
 
 
 class SenderSideRetxProxy:
@@ -57,18 +61,16 @@ class SenderSideRetxProxy:
 
     def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
                  client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
-                 max_buffer: int = 4096, grace: int = 1,
-                 retune_period_s: float = 0.25,
-                 target_missing: int = 10) -> None:
+                 threshold: int = DEFAULT_THRESHOLD,
+                 max_buffer: int = 4096,
+                 retune_period_s: float = 0.25) -> None:
         self.sim = sim
         self.router = router
         self.peer_proxy = peer_proxy
         self.client = client
         self.flow_id = flow_id
         self.max_buffer = max_buffer
-        self.target_missing = target_missing
-        self.consumer = QuackConsumer(threshold, bits, grace=grace)
+        self.consumer = QuackConsumer(threshold)
         self.stats = RetxProxyStats()
         self._window_received = 0
         self._window_lost = 0
@@ -140,11 +142,11 @@ class SenderSideRetxProxy:
         total = self._window_received + self._window_lost
         if total >= 50:
             ratio = self.observed_loss_ratio()
-            every = max(2, min(512, int(self.target_missing / ratio)
+            every = max(2, min(512, int(TARGET_MISSING / ratio)
                                if ratio > 0 else 512))
             message = ConfigMessage(flow_id=self.flow_id, every_n=every)
-            self.router.send(config_packet(self.router.name, self.peer_proxy,
-                                           message, self.sim.now))
+            self.router.send(control_packet(self.router.name, self.peer_proxy,
+                                            message, self.sim.now))
             self.stats.retunes_sent += 1
             self._window_received = 0
             self._window_lost = 0
@@ -156,7 +158,7 @@ class ReceiverSideRetxProxy:
 
     def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
                  client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD, bits: int = 32,
+                 threshold: int = DEFAULT_THRESHOLD,
                  policy: AdaptiveFrequency | None = None) -> None:
         self.router = router
         self.client = client
@@ -165,7 +167,7 @@ class ReceiverSideRetxProxy:
             initial_every=8)
         self.endpoint = EmitterEndpoint(sim, router, peer_proxy, flow_id,
                                         self.policy, role="proxy",
-                                        threshold=threshold, bits=bits)
+                                        threshold=threshold)
         self.retunes_applied = 0
         router.add_tap(self._tap)
 

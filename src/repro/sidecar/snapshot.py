@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from repro.errors import WireFormatError, unsupported_version
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
+from repro.sidecar.defense import resume_implausibility
 
 #: Magic prefix of serialized checkpoints ("sidecar Snapshot").
 CHECKPOINT_MAGIC = b"sK"
@@ -159,6 +160,45 @@ def decode_checkpoint(blob: bytes) -> EmitterCheckpoint:
     return EmitterCheckpoint(flow_id=flow_id, epoch=epoch,
                              taken_at=taken_at, frame=frame,
                              wire_version=wire_version, features=features)
+
+
+def restore_checkpoint(blob: bytes, flow_id: str, threshold: int) \
+        -> tuple[EmitterCheckpoint, PowerSumQuack] | None:
+    """The checkpoint and accumulator a restarting emitter may adopt.
+
+    None means cold start, exactly as if no checkpoint existed: the
+    blob fails its CRC (a torn write, bit rot), or describes another
+    flow or another quACK configuration.
+    """
+    try:
+        checkpoint = decode_checkpoint(blob)
+        restored = checkpoint.quack()
+    except WireFormatError:
+        return None
+    if checkpoint.flow_id != flow_id or restored.threshold != threshold:
+        return None
+    return checkpoint, restored
+
+
+def resume_verdict(epoch: int, count: int, current_epoch: int,
+                   sent_count: int, modulus: int) -> str:
+    """The consumer's answer to a ResumeMessage claiming ``(epoch, count)``.
+
+    ``stale``: a pre-reset checkpoint was restored -- not adversarial,
+    but it describes an abandoned epoch, so the reset is repeated.
+    ``implausible``: no honest restart says this
+    (:func:`~repro.sidecar.defense.resume_implausibility`); answered
+    with a full reset, and a signal where the defense is armed.
+    ``plausible``: re-base the expected emitter count at ``count`` and
+    arm gap reconciliation -- no pause, no reset round-trip, no spurious
+    loss reports (end-to-end ACKs already covered the gap).
+    """
+    if epoch < current_epoch:
+        return "stale"
+    if resume_implausibility(epoch, count, current_epoch, sent_count,
+                             modulus) is not None:
+        return "implausible"
+    return "plausible"
 
 
 class CheckpointStore:

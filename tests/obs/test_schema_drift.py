@@ -90,8 +90,18 @@ def _collect_sites(matches) -> list[tuple[str, int, str, set[str]]]:
     return sites
 
 
+def _is_agent_trace(node: ast.Call) -> bool:
+    """Match ``self._trace("<type>", field=...)``: the sidecar agents'
+    wrapper (``sidecar/agents.py``), which adds the time and ``flow``."""
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "_trace"
+            and isinstance(func.value, ast.Name) and func.value.id == "self")
+
+
 def collect_emit_sites() -> list[tuple[str, int, str, set[str]]]:
-    return _collect_sites(_is_tracer_emit)
+    return _collect_sites(_is_tracer_emit) + [
+        (path, line, etype, keywords | {"flow"})
+        for path, line, etype, keywords in _collect_sites(_is_agent_trace)]
 
 
 def test_sources_contain_emit_sites():
@@ -115,9 +125,9 @@ def test_every_emitted_type_is_declared():
 
 def test_every_required_field_is_passed():
     # ``**kwargs`` forwarding (kw.arg None) makes a site unverifiable
-    # statically; no current call site does that, and the first test
-    # above would still catch an unknown type at runtime via CI's JSONL
-    # validation.
+    # statically; only the agents' ``_trace`` wrapper does that, and its
+    # callers are sites in their own right.  The first test above would
+    # still catch an unknown type at runtime via CI's JSONL validation.
     problems = []
     for path, line, etype, keywords in collect_emit_sites():
         required = set(EVENT_SCHEMA.get(etype, {}))

@@ -16,7 +16,10 @@ from repro.sidecar.defense import (
     PlausibilityValidator,
     QuarantineLedger,
     SignalKind,
+    count_lead,
+    count_regression,
     missing_within_log,
+    resume_implausibility,
 )
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
 
@@ -28,6 +31,44 @@ MODULUS = 1 << COUNT_BITS
 def make_validator(**overrides) -> PlausibilityValidator:
     config = DefenseConfig(**overrides)
     return PlausibilityValidator(config, THRESHOLD, COUNT_BITS, "flow0")
+
+
+class TestCountArithmetic:
+    """The one copy of the c-bit circle, the band and resume plausibility."""
+
+    def test_lead_is_zero_when_level_or_behind(self):
+        assert count_lead(10, 10, MODULUS) == 0
+        assert count_lead(9, 10, MODULUS) == 0
+        assert count_lead(12, 10, MODULUS) == 2
+
+    def test_lead_wraps_and_half_the_circle_is_the_other_side(self):
+        assert count_lead(3, MODULUS - 2, MODULUS) == 5
+        assert count_lead(MODULUS // 2 - 1, 0, MODULUS) == MODULUS // 2 - 1
+        assert count_lead(MODULUS // 2, 0, MODULUS) == 0
+
+    @pytest.mark.parametrize("behind,expected", [
+        (0, (0, False)),
+        (5, (5, False)),
+        (63, (63, False)),
+        (64, (64, True)),
+        (MODULUS // 2 - 1, (MODULUS // 2 - 1, True)),
+        (MODULUS // 2, (0, False)),
+    ])
+    def test_regression_band(self, behind, expected):
+        count = (1000 - behind) % MODULUS
+        assert count_regression(1000, count, MODULUS, margin=64) == expected
+
+    def test_no_reference_no_regression(self):
+        assert count_regression(None, 7, MODULUS, margin=64) == (0, False)
+
+    def test_resume_implausibility_names_the_evidence(self):
+        assert resume_implausibility(2, 180, 2, 200, MODULUS) is None
+        detail, observed, expected = resume_implausibility(
+            5, 180, 2, 200, MODULUS)
+        assert "never issued" in detail and (observed, expected) == (5, 2)
+        detail, observed, expected = resume_implausibility(
+            2, 230, 2, 200, MODULUS)
+        assert "30 ahead" in detail and (observed, expected) == (230, 200)
 
 
 class TestCountGates:
@@ -175,6 +216,19 @@ class TestQuarantineLedger:
         assert not ledger.record(signal_at(0.1))
         assert ledger.quarantines == 1
         assert len(ledger.signals) == 2
+
+    def test_judge_tells_the_ladder_what_the_ledger_decided(self):
+        ledger = QuarantineLedger(quarantine_after=2, signal_window_s=5.0)
+        assert ledger.judge(signal_at(0.0), quarantined=False) \
+            == (False, None)
+        assert ledger.judge(signal_at(0.1), quarantined=False) \
+            == (True, "quarantined: forged_evidence")
+        # Still lying on the quarantined rung: restart its clean clock.
+        assert ledger.judge(signal_at(0.2), quarantined=True) \
+            == (False, "forged_evidence")
+        # Re-admitted by the ladder: the sticky verdict trips nothing new.
+        assert ledger.judge(signal_at(0.3), quarantined=False) \
+            == (False, None)
 
     def test_by_kind_tally(self):
         ledger = QuarantineLedger()

@@ -22,13 +22,16 @@ from repro.sidecar.negotiate import (
     FEATURE_RESUME,
     FEATURE_VERSION_SWITCH,
     Capabilities,
+    Initiator,
     NegotiateConfig,
+    Session,
     feature_names,
     hello_transcript,
     respond,
     select_version,
 )
-from repro.sidecar.protocol import HelloMessage
+from repro.sidecar.defense import SignalKind
+from repro.sidecar.protocol import HelloMessage, VersionSwitchMessage
 
 SEED = 1
 
@@ -112,6 +115,136 @@ class TestNegotiateConfig:
             NegotiateConfig(strip_after=0)
         with pytest.raises(ValueError, match="switch_grace_s"):
             NegotiateConfig(switch_grace_s=-0.1)
+
+
+# -- the machines: no simulator, no node --------------------------------------
+
+def switch_to(version, epoch=0):
+    return VersionSwitchMessage(flow_id="flow0", version=version, epoch=epoch)
+
+
+class TestSession:
+    def test_unarmed_sessions_assist_at_once_under_v1(self):
+        session = Session(armed=False)
+        assert session.ready and session.version is None
+        assert (session.wire_version, session.wire_features) == (1, 0)
+
+    def test_armed_sessions_wait_for_the_agreement(self):
+        session = Session(armed=True)
+        assert not session.ready
+        session.agree(2, ALL_FEATURES)
+        assert session.ready and session.version == 2
+        assert (session.wire_version, session.wire_features) == (1, 0)
+
+    def test_switch_up_down_and_to_the_same_version(self):
+        session = Session(armed=True)
+        session.agree(2, ALL_FEATURES)
+        session.switch(2)
+        assert (session.wire_version, session.wire_features) \
+            == (2, ALL_FEATURES)
+        session.switch(2)
+        assert (session.wire_version, session.wire_features) \
+            == (2, ALL_FEATURES)
+        session.switch(1)  # v1 frames have no feature byte
+        assert (session.wire_version, session.wire_features) == (1, 0)
+
+    def test_answer_opens_once_and_reacks_duplicates_identically(self):
+        session = Session(armed=True)
+        ack, opened = session.answer(TestRespond.OFFER, Capabilities())
+        assert opened and session.ready and session.version == 2
+        again, opened = session.answer(TestRespond.OFFER, Capabilities())
+        assert not opened and again == ack
+
+    def test_answer_stays_silent_without_overlap(self):
+        session = Session(armed=True)
+        ack, opened = session.answer(
+            TestRespond.OFFER, Capabilities(min_version=3, max_version=4))
+        assert ack is None and not opened and not session.ready
+
+    def test_follow_switches_then_reads_the_repeat_as_a_duplicate(self):
+        session = Session(armed=True)
+        session.agree(2, ALL_FEATURES)
+        assert session.follow(switch_to(2), epoch=0) == "switched"
+        assert session.wire_version == 2
+        assert session.follow(switch_to(2), epoch=0) == "duplicate"
+        assert session.follow(switch_to(1), epoch=0) == "switched"
+        assert (session.wire_version, session.wire_features) == (1, 0)
+
+    def test_follow_refuses_stale_switches(self):
+        session = Session(armed=True)
+        assert session.follow(switch_to(1), epoch=0) == "stale"  # no session
+        session.agree(1, ALL_FEATURES)
+        assert session.follow(switch_to(2), epoch=0) == "stale"  # ceiling
+        assert session.follow(switch_to(1, epoch=3), epoch=4) == "stale"
+        unarmed = Session(armed=False)  # a legacy emitter stays at v1
+        assert unarmed.follow(switch_to(2), epoch=0) == "stale"
+        assert unarmed.follow(switch_to(1), epoch=0) == "duplicate"
+
+
+class TestInitiator:
+    def make(self, **config):
+        return Initiator(NegotiateConfig(**config), Session(armed=True),
+                         "flow0", threshold=20, bits=32)
+
+    def good_ack(self, initiator, own=None):
+        return respond(initiator.offer, own or Capabilities())
+
+    def test_offer_carries_the_session_parameters(self):
+        initiator = self.make()
+        assert initiator.offer == TestRespond.OFFER
+        assert initiator.transcript == hello_transcript(initiator.offer)
+
+    def test_silence_is_loss_until_the_allowance_is_spent(self):
+        initiator = self.make(strip_after=2)
+        assert initiator.unanswered(1, now=0.15) is None
+        signal = initiator.unanswered(2, now=0.3)
+        assert signal.kind is SignalKind.DOWNGRADE
+        assert (signal.observed, signal.expected) == (2, 2)
+        assert initiator.unanswered(3, now=0.45) is not None
+
+    def test_a_matching_echo_agrees_the_session(self):
+        initiator = self.make()
+        own = Capabilities(features=FEATURE_RESUME | FEATURE_VERSION_SWITCH)
+        assert initiator.on_hello_ack(self.good_ack(initiator, own),
+                                      now=0.02) is None
+        session = initiator.session
+        assert session.ready and session.version == 2
+        assert session.features == FEATURE_RESUME | FEATURE_VERSION_SWITCH
+
+    def test_a_rewritten_offer_or_forged_answer_is_a_downgrade(self):
+        initiator = self.make()
+        pinned = dataclasses.replace(initiator.offer, max_version=1)
+        signal = initiator.on_hello_ack(respond(pinned, Capabilities()), 0.0)
+        assert signal.kind is SignalKind.DOWNGRADE
+        assert (signal.observed, signal.expected) == (1, 2)
+        forged = dataclasses.replace(self.good_ack(initiator), version=3)
+        assert initiator.on_hello_ack(forged, 0.0) is not None
+        assert not initiator.session.ready
+
+    def test_may_switch_needs_session_ceiling_and_feature(self):
+        initiator = self.make()
+        assert not initiator.may_switch(2)  # nothing agreed yet
+        initiator.on_hello_ack(self.good_ack(initiator), 0.0)
+        assert initiator.may_switch(2) and initiator.may_switch(1)
+        assert not initiator.may_switch(3)
+        plain = self.make()
+        plain.on_hello_ack(self.good_ack(
+            plain, Capabilities(features=FEATURE_RESUME)), 0.0)
+        assert not plain.may_switch(2)
+
+    def test_frame_gate_around_a_switch(self):
+        initiator = self.make(switch_grace_s=0.1)
+        initiator.on_hello_ack(self.good_ack(initiator), 0.0)
+        assert initiator.frame_ok(1, now=0.1)
+        assert not initiator.frame_ok(2, now=0.1)  # never switched to
+        initiator.switch(2)
+        assert initiator.session.wire_version == 2
+        # Unconfirmed: old-version frames are simply valid, however late.
+        assert initiator.frame_ok(1, now=5.0)
+        assert initiator.frame_ok(2, now=5.2)      # the emitter flipped
+        assert initiator.frame_ok(1, now=5.3)      # straggler, in grace
+        assert not initiator.frame_ok(1, now=5.31)
+        assert initiator.frame_ok(2, now=9.0)
 
 
 # -- end-to-end sessions ------------------------------------------------------

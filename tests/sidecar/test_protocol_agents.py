@@ -12,7 +12,7 @@ from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
 from repro.sidecar.protocol import (
     ConfigMessage,
     QuackMessage,
-    config_packet,
+    control_packet,
     quack_packet,
 )
 from repro.transport.connection import ReceiverConnection, SenderConnection
@@ -53,7 +53,7 @@ class TestProtocolMessages:
 
     def test_config_packet(self):
         message = ConfigMessage(flow_id="f", every_n=64)
-        packet = config_packet("p1", "p2", message, now=2.0)
+        packet = control_packet("p1", "p2", message, now=2.0)
         assert packet.kind is PacketKind.CONTROL
         assert packet.payload.every_n == 64
 

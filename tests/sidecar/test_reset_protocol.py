@@ -16,6 +16,7 @@ from repro.netsim.packet import PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
+from repro.sidecar.reset import RETRY_CAP_S, ResetInitiator, epoch_verdict
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 SETTLE = 0.1
@@ -76,7 +77,7 @@ class TestRecovery:
         # landed than had before the poisoning.
         assert sender.stats.sidecar_releases > releases_before
         # And failures stopped accumulating once healed.
-        assert sidecar._consecutive_failures < 2
+        assert sidecar.reset.consecutive_failures < 2
 
     def test_without_reset_the_session_stays_broken(self):
         sim, sender, receiver, tap, sidecar = build_assisted(reset_after=None)
@@ -171,3 +172,91 @@ class TestEpochPlumbing:
         assert tap.emitter.quack.count == 1
         tap._apply_reset(1)
         assert tap.emitter.quack.count == 0
+
+
+class TestResetMachine:
+    """The consumer's half as a machine: events in, verdicts out -- no
+    simulator, no transport."""
+
+    COUNT_BITS = 16
+    MODULUS = 1 << COUNT_BITS
+
+    def make(self, reset_after=2):
+        return ResetInitiator(threshold=16, count_bits=self.COUNT_BITS,
+                              reset_after_failures=reset_after,
+                              settle_time=SETTLE)
+
+    def test_consecutive_failures_trigger_once_per_drain(self):
+        reset = self.make()
+        assert not reset.on_failure(quarantined=False)
+        assert reset.on_failure(quarantined=False)
+        reset.settling = True  # the owner began draining
+        assert not reset.on_failure(quarantined=False)
+
+    def test_a_decode_in_between_restarts_the_count(self):
+        reset = self.make()
+        assert not reset.on_failure(quarantined=False)
+        reset.on_decoded(40)
+        assert reset.consecutive_failures == 0
+        assert not reset.on_failure(quarantined=False)
+
+    def test_never_on_a_quarantined_channel_or_when_disarmed(self):
+        reset = self.make()
+        reset.on_failure(quarantined=True)
+        assert not reset.on_failure(quarantined=True)
+        disarmed = self.make(reset_after=None)
+        assert not any(disarmed.on_failure(quarantined=False)
+                       for _ in range(10))
+
+    def test_next_epoch_opens_unconfirmed_with_a_clean_slate(self):
+        reset = self.make()
+        reset.on_decoded(40)
+        reset.on_failure(quarantined=False)
+        assert reset.next_epoch() == pytest.approx(2 * SETTLE)
+        assert reset.epoch == 1 and not reset.confirmed
+        assert reset.consecutive_failures == 0
+        assert reset.last_emitter_count is None
+
+    def test_backoff_doubles_to_the_cap(self):
+        reset = self.make()
+        delays = [reset.next_epoch()] + [reset.back_off() for _ in range(8)]
+        assert delays[:4] == pytest.approx(
+            [2 * SETTLE, 4 * SETTLE, 8 * SETTLE, 16 * SETTLE])
+        assert delays[-1] == delays[-2] == RETRY_CAP_S
+        assert max(delays) == RETRY_CAP_S
+
+    def test_rebase_confirms_the_epoch_at_the_resumed_count(self):
+        reset = self.make()
+        reset.next_epoch()
+        reset.on_failure(quarantined=False)
+        reset.rebase(120)
+        assert reset.confirmed and reset.consecutive_failures == 0
+        assert reset.last_emitter_count == 120
+
+    @pytest.mark.parametrize("behind,restarted", [
+        (0, False),
+        (1, False),                   # reordering
+        (4 * 16 - 1, False),          # restart_margin - 1
+        (4 * 16, True),               # restart_margin
+        (MODULUS // 2 - 1, True),
+        (MODULUS // 2, False),        # that far "behind" is ahead
+        (MODULUS - 3, False),         # three ahead
+    ])
+    def test_restart_band_edges(self, behind, restarted):
+        reset = self.make()
+        assert reset.restart_margin == 4 * 16
+        assert not reset.restarted(5)  # nothing to regress from yet
+        reset.on_decoded(1000)
+        assert reset.restarted((1000 - behind) % self.MODULUS) is restarted
+
+    def test_restart_band_across_the_counter_wrap(self):
+        reset = self.make()
+        reset.on_decoded(10)
+        assert reset.restarted((10 - 64) % self.MODULUS)
+        assert not reset.restarted((10 - 63) % self.MODULUS)
+
+    def test_emitter_rule_stale_duplicate_new(self):
+        assert epoch_verdict(current=2, announced=1) == "stale"
+        assert epoch_verdict(current=2, announced=2) == "duplicate"
+        assert epoch_verdict(current=2, announced=3) == "new"
+        assert epoch_verdict(current=0, announced=5) == "new"

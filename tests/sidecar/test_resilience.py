@@ -16,15 +16,19 @@ from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar.agents import HostEmitterAgent, ProxyEmitterTap, ServerSidecar
+from repro.sidecar.defense import DefenseConfig
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
+from repro.sidecar.negotiate import Capabilities, NegotiateConfig, respond
 from repro.sidecar.protocol import (
     CorruptFrame,
     QuackMessage,
     ResetMessage,
+    ResumeMessage,
+    control_packet,
     quack_packet,
-    reset_packet,
 )
+from repro.sidecar.reset import RETRY_CAP_S
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 SETTLE = 0.1
@@ -95,10 +99,10 @@ class TestStaleResets:
         """Two resets delivered newest-first: the session ends on the
         newest epoch and counts exactly one stale delivery."""
         sim, proxy, tap = self.make_tap()
-        newer = reset_packet("server", "proxy",
-                             ResetMessage(flow_id="flow0", epoch=2), 0.0)
-        older = reset_packet("server", "proxy",
-                             ResetMessage(flow_id="flow0", epoch=1), 0.0)
+        newer = control_packet("server", "proxy",
+                               ResetMessage(flow_id="flow0", epoch=2), 0.0)
+        older = control_packet("server", "proxy",
+                               ResetMessage(flow_id="flow0", epoch=1), 0.0)
         proxy.receive(newer)
         proxy.receive(older)
         assert tap.epoch == 2
@@ -150,13 +154,13 @@ class TestCorruptFrameCounting:
                 pkt.payload,
                 frame=pkt.payload.frame[:-1]
                 + bytes([pkt.payload.frame[-1] ^ 0xFF])))
-        failures_before = sidecar._consecutive_failures
+        failures_before = sidecar.reset.consecutive_failures
         sidecar.sender.host.receive(bad)
         assert sidecar.stats.wire_errors == 1
         assert sidecar.stats.decode_failures >= 1
         # Corruption must not push the session toward a reset: a reset
         # cannot fix a noisy channel.
-        assert sidecar._consecutive_failures == failures_before
+        assert sidecar.reset.consecutive_failures == failures_before
 
 
 class TestResetRetry:
@@ -192,16 +196,35 @@ class TestResetRetry:
         assert receiver.complete
 
     def test_backoff_delay_doubles_to_cap(self):
+        """Every unanswered announcement doubles the wait for the next,
+        from two settle windows up to the cap -- on the wire, not just
+        in the machine (``test_reset_protocol.TestResetMachine``)."""
         sim, sender, receiver, tap, sidecar = build_assisted()
-        sidecar._peer = "proxy"
-        sidecar._epoch_confirmed = False
-        sidecar._arm_retry(initial=True)
-        assert sidecar._retry_delay == pytest.approx(2 * SETTLE)
-        sidecar._retry_reset()
-        assert sidecar._retry_delay == pytest.approx(4 * SETTLE)
-        for _ in range(8):
-            sidecar._retry_reset()
-        assert sidecar._retry_delay == pytest.approx(sidecar.reset_retry_cap)
+        link = sender.host.links["proxy"]
+        #: retry count -> when the first announcement under it left (the
+        #: epoch's first, then one per firing of the retry clock; repeats
+        #: that answer stale-epoch quACKs do not move the count).
+        announced = {}
+
+        def swallow(packet):
+            if isinstance(packet.payload, ResetMessage):
+                announced.setdefault(sidecar.stats.reset_retries, sim.now)
+                return True  # the emitter never hears: every retry fires
+            return send(packet)
+
+        send, link.send = link.send, swallow
+        sender.start()
+        sim.run(until=0.1)
+        sidecar.consumer.mine.insert(0xDEADBEEF)  # poison -> reset
+        sim.run(until=12.0)
+        assert sidecar.epoch == 1 and tap.epoch == 0
+        times = [announced[count] for count in sorted(announced)]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert gaps[:4] == pytest.approx(
+            [2 * SETTLE, 4 * SETTLE, 8 * SETTLE, 16 * SETTLE], abs=1e-3)
+        assert max(gaps) == pytest.approx(RETRY_CAP_S, abs=1e-3)
+        assert gaps[-1] == pytest.approx(RETRY_CAP_S, abs=1e-3)
+        assert sidecar.reset.retry_delay == pytest.approx(RETRY_CAP_S)
 
     def test_current_epoch_quack_cancels_retry(self):
         sim, sender, receiver, tap, sidecar = build_assisted()
@@ -210,8 +233,70 @@ class TestResetRetry:
         sidecar.consumer.mine.insert(0xDEADBEEF)
         run(sim, sender, receiver)
         assert sidecar.epoch >= 1
-        assert sidecar._epoch_confirmed
-        assert sidecar._retry_timer.next_fire_time is None
+        assert sidecar.reset.confirmed
+        retries = sidecar.stats.reset_retries
+        sim.run(until=sim.now + 3 * RETRY_CAP_S)
+        assert sidecar.stats.reset_retries == retries  # the clock stopped
+
+
+class RecordingHost(Host):
+    """A host whose sends are kept instead of routed."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.sent = []
+
+    def send(self, packet, via=None):
+        self.sent.append(packet)
+        return True
+
+
+class TestUntrustedDatagramsDoNotMoveThePeer:
+    """With negotiation armed the peer is configured, then confirmed by
+    the handshake; a datagram that fails a gate must not re-point it."""
+
+    def build(self):
+        sim = Simulator()
+        server = RecordingHost(sim, "server")
+        sender = SenderConnection(sim, server, "client", 1460 * 100)
+        sidecar = ServerSidecar(sim, sender, threshold=16,
+                                reset_after_failures=2, settle_time=SETTLE,
+                                defense=DefenseConfig(),
+                                negotiate=NegotiateConfig(), peer="proxy")
+        sim.run(until=0.0)  # the first HELLO
+        return sim, server, sidecar
+
+    def sidecar_datagrams(self, server):
+        return [p for p in server.sent if p.kind is not PacketKind.DATA]
+
+    def test_quack_before_the_handshake_leaves_the_peer_alone(self):
+        sim, server, sidecar = self.build()
+        assert [p.dst for p in self.sidecar_datagrams(server)] == ["proxy"]
+        server.receive(quack_packet("mallory", "server", PowerSumQuack(16),
+                                    "flow0", sim.now))
+        assert sidecar.stats.quacks_before_negotiation == 1
+        sim.run(until=1.0)  # HELLO retries
+        offers = self.sidecar_datagrams(server)
+        assert len(offers) > 2
+        assert {p.dst for p in offers} == {"proxy"}
+
+    def test_rejected_resume_leaves_the_peer_alone(self):
+        sim, server, sidecar = self.build()
+        offer = self.sidecar_datagrams(server)[0].payload
+        server.receive(control_packet(
+            "proxy", "server", respond(offer, Capabilities()), sim.now))
+        assert sidecar.negotiated_version == 2
+        # A resume for an epoch never issued, from somewhere else: it is
+        # rejected, and the full reset that answers it goes to the peer.
+        server.receive(control_packet(
+            "mallory", "server",
+            ResumeMessage(flow_id="flow0", epoch=3, count=0), sim.now))
+        assert sidecar.stats.resumes_rejected == 1
+        answer = self.sidecar_datagrams(server)[-1]
+        assert isinstance(answer.payload, ResetMessage)
+        assert answer.dst == "proxy"
+        assert sidecar.request_version_switch(2)
+        assert self.sidecar_datagrams(server)[-1].dst == "proxy"
 
 
 class TestRestartDetection:
@@ -220,7 +305,7 @@ class TestRestartDetection:
             total=1460 * 800)
         sender.start()
         sim.run(until=0.5)
-        assert tap.emitter.quack.count > sidecar.restart_margin
+        assert tap.emitter.quack.count > sidecar.reset.restart_margin
         tap.crash_restart()
         assert tap.restarts == 1
         run(sim, sender, receiver)
@@ -236,11 +321,15 @@ class TestRestartDetection:
         sim, sender, receiver, tap, sidecar = build_assisted()
         sender.start()
         sim.run(until=0.3)
-        assert sidecar._last_emitter_count is not None
-        lagging = sidecar._last_emitter_count - 2  # tiny regression
-        assert lagging > 0
-        assert not sidecar._detect_restart(lagging)
+        last = sidecar.reset.last_emitter_count
+        assert last is not None and last > 2
+        lagging = PowerSumQuack(16)
+        lagging._count = last - 2  # tiny regression
+        sidecar.sender.host.receive(quack_packet(
+            "proxy", "server", lagging, "flow0", sim.now))
+        assert not sidecar.reset.restarted(last - 2)
         assert sidecar.stats.restarts_detected == 0
+        assert sidecar.stats.resets_initiated == 0
 
 
 class TestHealthLadderUnit:
@@ -259,6 +348,14 @@ class TestHealthLadderUnit:
         monitor.on_failure(0.4)
         assert monitor.state is HealthState.E2E_ONLY
         assert not monitor.allow_receipts and not monitor.allow_losses
+
+    def test_cc_division_is_allowed_exactly_while_receipts_flow(self):
+        monitor = HealthMonitor(HealthConfig())
+        for state in HealthState:
+            monitor.state = state
+            assert monitor.allow_cc_division == monitor.allow_receipts
+            assert monitor.allow_cc_division == (
+                state in (HealthState.HEALTHY, HealthState.DEGRADED))
 
     def test_recovery_needs_a_clean_probation(self):
         monitor = HealthMonitor(HealthConfig(probation=0.5))

@@ -11,7 +11,7 @@ from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import ConfigMessage, config_packet
+from repro.sidecar.protocol import ConfigMessage, control_packet
 from repro.sidecar.retransmission import (
     ReceiverSideRetxProxy,
     SenderSideRetxProxy,
@@ -133,7 +133,7 @@ class TestAdaptiveCadence:
     def test_retune_message_applied(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
         message = ConfigMessage(flow_id="f", every_n=64)
-        p1.send(config_packet("p1", "p2", message, 0.0))
+        p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
         assert rp.policy.every_n == 64
         assert rp.retunes_applied == 1
@@ -141,7 +141,7 @@ class TestAdaptiveCadence:
     def test_retune_clamped_to_policy_bounds(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
         message = ConfigMessage(flow_id="f", every_n=10_000)
-        p1.send(config_packet("p1", "p2", message, 0.0))
+        p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
         assert rp.policy.every_n == rp.policy.max_every
 
@@ -158,7 +158,7 @@ class TestAdaptiveCadence:
     def test_other_flows_ignored(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
         message = ConfigMessage(flow_id="other", every_n=64)
-        p1.send(config_packet("p1", "p2", message, 0.0))
+        p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
         assert rp.retunes_applied == 0
 

@@ -18,6 +18,8 @@ from repro.sidecar.snapshot import (
     EmitterCheckpoint,
     decode_checkpoint,
     encode_checkpoint,
+    restore_checkpoint,
+    resume_verdict,
 )
 
 
@@ -200,6 +202,63 @@ class TestCheckpointStore:
         store.save(b"data")
         store.clear()
         assert store.load() is None
+
+
+class TestRestoreValidation:
+    """What a restarting emitter may adopt; anything else cold-starts."""
+
+    def test_a_good_checkpoint_restores_epoch_and_accumulator(self):
+        checkpoint = make_checkpoint(epoch=3, values=(7, 8, 9))
+        restored = restore_checkpoint(encode_checkpoint(checkpoint),
+                                      "flow0", threshold=4)
+        assert restored is not None
+        assert restored[0].epoch == 3 and restored[1].count == 3
+
+    def test_bit_rot_cold_starts(self):
+        blob = bytearray(encode_checkpoint(make_checkpoint()))
+        blob[9] ^= 0x40
+        assert restore_checkpoint(bytes(blob), "flow0", threshold=4) is None
+
+    def test_torn_write_cold_starts(self):
+        blob = encode_checkpoint(make_checkpoint())
+        assert restore_checkpoint(blob[:-7], "flow0", threshold=4) is None
+
+    def test_another_flows_checkpoint_cold_starts(self):
+        blob = encode_checkpoint(make_checkpoint(flow_id="flow9"))
+        assert restore_checkpoint(blob, "flow0", threshold=4) is None
+
+    def test_another_configurations_checkpoint_cold_starts(self):
+        blob = encode_checkpoint(make_checkpoint())
+        assert restore_checkpoint(blob, "flow0", threshold=8) is None
+
+
+class TestResumeVerdict:
+    """The consumer's answer to a restart announcement, as a function."""
+
+    MODULUS = 1 << 16
+
+    def verdict(self, epoch, count, current_epoch=2, sent_count=200):
+        return resume_verdict(epoch, count, current_epoch, sent_count,
+                              self.MODULUS)
+
+    def test_current_epoch_at_or_behind_the_sent_log_is_plausible(self):
+        assert self.verdict(2, 180) == "plausible"
+        assert self.verdict(2, 200) == "plausible"
+
+    def test_past_epoch_is_stale_whatever_it_counts(self):
+        assert self.verdict(1, 180) == "stale"
+        assert self.verdict(0, 900) == "stale"
+
+    def test_future_epoch_is_implausible(self):
+        assert self.verdict(3, 0) == "implausible"
+
+    def test_count_ahead_of_the_sent_log_is_implausible(self):
+        assert self.verdict(2, 201) == "implausible"
+
+    def test_counts_compare_across_the_wrap(self):
+        # The sent log wrapped to 3; 65534 is five behind it, not ahead.
+        assert self.verdict(2, self.MODULUS - 2, sent_count=3) == "plausible"
+        assert self.verdict(2, 4, sent_count=3) == "implausible"
 
 
 class TestGapReconciliation:

@@ -9,8 +9,9 @@ to cover, so one that every caller leaves alone should be a constant.
 
 A call site sets an option by keyword, by position, through a
 ``dict(...)`` forwarded with ``**``, through a ``**kwargs`` wrapper that
-forwards to the callable, or as a key of a checked-in sweep spec whose
-scenario names the callable as its entry point.  Call sites are read
+forwards to the callable (a function, or a subclass constructor handing
+its ``**options`` to ``super().__init__``), or as a key of a checked-in
+sweep spec whose scenario names the callable as its entry point.  Call sites are read
 from ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``; matching is
 by the callable's bare name, so the audit errs towards counting an
 option as set.  Dataclass *state* is not an option: declare it
@@ -28,10 +29,26 @@ SRC = REPO / "src"
 
 #: Packages held to the rule.  Grow this list (ROADMAP item 7 keeps the
 #: count of unset options in the packages not yet on it).
-AUDITED = ("repro.chaos", "repro.obs", "repro.quack")
+AUDITED = ("repro.chaos", "repro.obs", "repro.quack", "repro.sidecar",
+           "repro.arith", "repro.ids")
+
+_ENTRY_POINT = ("keyword of a scenario entry point: the sweep-spec input "
+                "format and the frozen benchmark's call surface")
 
 #: ``"Callable.option": reason`` for options that must stay unset.
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    f"{entry}.{option}": _ENTRY_POINT
+    for entry, options in {
+        "run_ack_reduction": (
+            "max_sim_seconds", "proxy_client_delay", "proxy_client_mbps",
+            "quack_every", "server_proxy_delay", "server_proxy_mbps",
+            "threshold"),
+        "run_cc_division": ("max_sim_seconds", "threshold"),
+        "run_retransmission": (
+            "edge_mbps", "lossy_mbps", "max_sim_seconds", "p2_client_delay",
+            "threshold"),
+        "run_scale": ("batch_interval_s", "bits", "threshold", "tick_s"),
+    }.items() for option in options}
 
 CALL_SITE_ROOTS = ("src", "tests", "benchmarks", "examples")
 SPEC_GLOBS = ("examples/sweeps/*.json",)
@@ -130,6 +147,18 @@ def _dict_keys(node: ast.AST) -> set[str]:
     return set()
 
 
+def _forwards_to_super(init: ast.FunctionDef) -> bool:
+    """Does ``__init__(.., **options)`` call ``super().__init__(**options)``?"""
+    catch_all = init.args.kwarg.arg if init.args.kwarg else None
+    return any(
+        isinstance(call, ast.Call) and _callee(call) == "__init__"
+        and isinstance(call.func.value, ast.Call)
+        and _callee(call.func.value) == "super"
+        and any(kw.arg is None and getattr(kw.value, "id", None) == catch_all
+                for kw in call.keywords)
+        for call in ast.walk(init))
+
+
 def _spec_keywords() -> dict[str, set[str]]:
     """Entry-point name -> keys the checked-in sweep specs set on it."""
     from repro.sweep.scenarios import SCENARIOS
@@ -172,6 +201,13 @@ def options_set() -> dict[str, set[str]]:
                                 for kw in call.keywords):
                             forwards.setdefault(node.name, set()).add(
                                 _callee(call))
+                if isinstance(node, ast.ClassDef) and any(
+                        isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__"
+                        and _forwards_to_super(item) for item in node.body):
+                    # Constructing the subclass sets its bases' options.
+                    forwards.setdefault(node.name, set()).update(
+                        getattr(base, "id", "") for base in node.bases)
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -221,3 +257,5 @@ def test_the_audit_sees_options_and_call_sites():
     assert "total_bytes" in used["run_chaos_transfer"]   # via run_plan(**)
     assert "plan" in used["run_plan"]                    # via sweep specs
     assert "max_flows" in used["OverloadSpec"]
+    assert "checkpoints" in used["EmitterEndpoint"]      # via super().__init__
+    assert len(ALLOWED) == 18
