@@ -15,13 +15,11 @@ plus the shared session machinery:
   sender-side quACK state of Sections 3.2-3.3;
 * frequency policies (Section 4.3) in :mod:`repro.sidecar.frequency`;
 * wire messages in :mod:`repro.sidecar.protocol`;
-* host/proxy agents in :mod:`repro.sidecar.agents`;
-* the Section 3.3 reset handshake in :mod:`repro.sidecar.reset` and
-  capability negotiation in :mod:`repro.sidecar.negotiate`;
-* the graceful-degradation ladder in :mod:`repro.sidecar.health`;
-* adversarial plausibility gates and quarantine in
-  :mod:`repro.sidecar.defense`;
-* emitter checkpoint/restore in :mod:`repro.sidecar.snapshot`.
+* host/proxy agents in :mod:`repro.sidecar.agents`, wiring over the
+  session machines: the Section 3.3 reset handshake (``reset``),
+  capability negotiation (``negotiate``), emitter checkpoint/restore
+  (``snapshot``), plausibility gates and quarantine (``defense``) and
+  the graceful-degradation ladder (``health``).
 """
 
 from repro.sidecar.ack_reduction import AckReductionResult, run_ack_reduction

@@ -95,10 +95,8 @@ class EmitterEndpoint:
     checkpoint resume (``checkpoints``), HELLO negotiation and
     mid-session version switches (``negotiate``; no quACK leaves before
     the handshake completes).  Where the observations come from is the
-    only thing the protocols vary: :class:`HostEmitterAgent` and
-    :class:`ProxyEmitterTap` attach an endpoint to a host handler or a
-    router tap and filter; the pacing and retransmission proxies hold a
-    plain endpoint and feed it the packets they forward.
+    only thing the protocols vary: subclasses attach to a host handler
+    or a router tap and filter; proxies feed a plain endpoint.
 
     ``role`` labels the ``sidecar.quack_emit`` trace event.  ``ledger_key``
     names the accumulator in the per-flow resource ledger where one flow
@@ -347,8 +345,7 @@ class HostEmitterAgent(EmitterEndpoint):
 
 @dataclass
 class ServerSidecarStats:
-    """Counters of one :class:`ServerSidecar`; ``fault_counters()``
-    reports all but :data:`_TRAFFIC_COUNTERS`, in this order."""
+    """``fault_counters()`` reports all but :data:`_TRAFFIC_COUNTERS`."""
 
     quacks_received: int = field(default=0, init=False)
     receipts_applied: int = field(default=0, init=False)
@@ -421,8 +418,7 @@ class ServerSidecar:
         #: the handshake when negotiation is armed, otherwise whoever
         #: sent the last quACK that passed the gates.
         self._peer: str | None = peer
-        # The retry and HELLO clocks are reusable arms: each step
-        # tombstones the previous arm instead of churning the queue.
+        # Reusable arms: a step tombstones the last, no queue churn.
         self._retry_timer = sim.timer(self._retry_reset)
         self._hello_timer = sim.timer(self._hello_retry)
         #: When a quACK-decoded loss last reached the sender (the chaos
@@ -440,8 +436,7 @@ class ServerSidecar:
         if health is not None:
             self.monitor = HealthMonitor(health)
             interval = health.stale_after / 2
-            self._staleness_timer = sim.timer(self._check_staleness,
-                                              interval)
+            self._staleness_timer = sim.timer(self._check_staleness, interval)
             self._staleness_timer.rearm(interval)
         self.session = Session(armed=negotiate is not None)
         self.handshake_bytes = 0
@@ -543,7 +538,17 @@ class ServerSidecar:
         try:
             quack = message.quack()
         except WireFormatError:
-            self._on_wire_error()
+            # Corruption, positively identified by the frame checksum:
+            # the session state is untouched, so no reset is warranted
+            # (it cannot fix a noisy channel) -- but the channel looks
+            # unhealthy.
+            stats.wire_errors += 1
+            stats.decode_failures += 1
+            self._trace("sidecar.wire_error")
+            if obs.FLIGHT.armed:
+                obs.FLIGHT.trigger("wire-error", time=self.sim.now,
+                                   detail=f"flow={self.sender.flow_id}")
+            self._note_health_failure("corrupt frame")
         except (QuackError, TypeError):
             # Undecodable for structural reasons (alien scheme, wrong
             # type): treat like decode divergence.
@@ -552,11 +557,18 @@ class ServerSidecar:
             self._on_snapshot(quack, self.sim.now)
 
     def _on_snapshot(self, quack: PowerSumQuack, now: float) -> None:
-        """Count gate, decode, then the news goes to the transport -- as
-        far as the ladder lets it."""
+        """Count gate, decode, then news for the transport, by the ladder."""
         stats, reset, validator = self.stats, self.reset, self.validator
         if validator is not None:
-            if not self._plausible(quack.count, now):
+            # Armed: signal what the count gates catch, never reset.
+            verdict = validator.check_snapshot(
+                quack.count, self.consumer.mine.count, now)
+            if verdict.signal is not None:
+                self._record_signal(verdict.signal)
+            if verdict.action == "regressed":
+                self._on_count_regression(
+                    quack.count, verdict.signal.expected, "count regression")
+            if verdict.action != "accept":
                 return
         elif reset.restarted(quack.count):
             # Unarmed, a wiped emitter is healed by an implicit reset.
@@ -614,29 +626,6 @@ class ServerSidecar:
         self._trace("sidecar.stale_version", got=version,
                     expected=self.session.wire_version)
         return True
-
-    def _on_wire_error(self) -> None:
-        """Corruption, positively identified by the frame checksum: the
-        session state is untouched, so no reset is warranted (it cannot
-        fix a noisy channel) -- but the channel looks unhealthy."""
-        self.stats.wire_errors += 1
-        self.stats.decode_failures += 1
-        self._trace("sidecar.wire_error")
-        if obs.FLIGHT.armed:
-            obs.FLIGHT.trigger("wire-error", time=self.sim.now,
-                               detail=f"flow={self.sender.flow_id}")
-        self._note_health_failure("corrupt frame")
-
-    def _plausible(self, count: int, now: float) -> bool:
-        """The armed count gates: signal what they catch, never reset."""
-        verdict = self.validator.check_snapshot(
-            count, self.consumer.mine.count, now)
-        if verdict.signal is not None:
-            self._record_signal(verdict.signal)
-        if verdict.action == "regressed":
-            self._on_count_regression(count, verdict.signal.expected,
-                                      "count regression")
-        return verdict.action == "accept"
 
     def _on_count_regression(self, observed: int, expected: int,
                              reason: str) -> None:
@@ -843,11 +832,10 @@ class ServerSidecar:
 class ProxyEmitterTap(EmitterEndpoint):
     """Proxy sidecar that quACKs forwarded DATA packets to the server.
 
-    A pure observer on ``router``: watches packets heading toward
-    ``client`` for ``flow_id`` and sends quACK snapshots back to
-    ``server`` (the ACK-reduction proxy role: "The proxy can send quACKs,
-    e.g., every other packet", Section 2.2).  Keyword options are
-    :class:`EmitterEndpoint`'s.
+    A pure observer on ``router``: watches ``flow_id`` packets heading
+    toward ``client`` and quACKs them to ``server`` (the ACK-reduction
+    proxy: "The proxy can send quACKs, e.g., every other packet", Section
+    2.2).  Keyword options are :class:`EmitterEndpoint`'s.
     """
 
     def __init__(self, sim: Simulator, router: Router, server: str,

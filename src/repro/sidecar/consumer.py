@@ -406,16 +406,10 @@ class QuackConsumer:
         return [entry.meta for entry in gone]
 
     def arm_reconciliation(self) -> None:
-        """Expect a checkpoint gap in the next successful decode.
-
-        Call after accepting a middlebox resume: packets observed by the
-        emitter after its checkpoint but confirmed received pre-crash are
-        in the sender sums and nowhere else.  The next decode also
-        matches roots against the recently-confirmed ring and retires
-        such identifiers from the sums without declaring them lost.  The
-        flag is one-shot (cleared by the first successful decode); a
-        failed decode keeps it armed for the next snapshot.
-        """
+        """Expect a checkpoint gap in the next successful decode (call
+        after accepting a middlebox resume; :mod:`repro.sidecar.snapshot`
+        has why).  One-shot: cleared by the first successful decode, kept
+        armed by a failed one."""
         self._reconcile_pending = True
 
     def reset(self) -> None:

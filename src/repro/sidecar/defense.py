@@ -105,11 +105,9 @@ RESTART_MARGIN_THRESHOLDS = 4
 
 
 def count_lead(count: int, reference: int, modulus: int) -> int:
-    """How far ``count`` runs ahead of ``reference`` on the c-bit circle.
-
-    Counts are cumulative modulo ``2**count_bits``; a lead of half the
-    circle or more is the other count leading, and reads as 0 here.
-    """
+    """How far ``count`` runs ahead of ``reference`` on the c-bit circle
+    (counts are cumulative modulo ``2**count_bits``); a lead of half the
+    circle or more is the other count leading, and reads as 0."""
     lead = (count - reference) % modulus
     return lead if lead < modulus // 2 else 0
 
@@ -376,14 +374,11 @@ class QuarantineLedger:
 
     def judge(self, signal: AdversarialSignal,
               quarantined: bool) -> tuple[bool, str | None]:
-        """Ledger ``signal``; ``(tripped, reason)`` for the health ladder.
-
-        ``tripped`` is :meth:`record`'s verdict.  ``reason`` is what to
-        hand :meth:`~repro.sidecar.health.HealthMonitor.on_adversarial`,
-        or None for nothing: the verdict when it trips, the bare kind
-        while the channel is already ``quarantined`` -- a peer that
-        keeps lying restarts its clean-probation clock.
-        """
+        """Ledger ``signal``; ``(tripped, reason)``: :meth:`record`'s
+        verdict, and what to tell the health ladder's ``on_adversarial``
+        (None: nothing) -- the verdict when it trips, the bare kind while
+        already ``quarantined``, so that a peer which keeps lying
+        restarts its clean-probation clock."""
         if self.record(signal):
             return True, f"quarantined: {signal.kind.value}"
         return False, signal.kind.value if quarantined else None

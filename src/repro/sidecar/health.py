@@ -139,11 +139,8 @@ class HealthMonitor:
 
     @property
     def allow_cc_division(self) -> bool:
-        """May the sidecar keep a divided congestion controller?
-
-        Division is only safe while receipts actually flow: on every
-        other rung the end-to-end ACKs get the controller back.
-        """
+        """May the sidecar keep a divided congestion controller?  Only
+        while receipts flow; otherwise the e2e ACKs get it back."""
         return self.allow_receipts
 
     @property

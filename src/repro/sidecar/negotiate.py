@@ -44,11 +44,10 @@ would misclassify a healthy emitter's snapshots as stale -- plus one
 :attr:`NegotiateConfig.switch_grace_s` window for reordered stragglers;
 after that they are counted stale and dropped.
 
-Both halves live here as events in, answers out, with no simulator and
-no node: :class:`Session` is the agreed state either role keeps and the
-responder's two rules; :class:`Initiator` is the consumer's offer, echo
-check and frame-version gate.  The agents in :mod:`repro.sidecar.agents`
-own the timers and the datagrams.
+Both halves live here as events in, answers out: :class:`Session` is
+the agreed state either role keeps, with the responder's two rules;
+:class:`Initiator` is the consumer's offer, echo check and frame gate.
+The agents in :mod:`repro.sidecar.agents` own timers and datagrams.
 """
 
 from __future__ import annotations

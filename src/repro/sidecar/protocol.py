@@ -3,25 +3,22 @@
 Sidecar messages travel as ordinary datagrams between consenting sidecars
 (host libraries and proxies).  They are not E2E-encrypted -- the sidecar
 channel is its own protocol, deliberately decoupled from the base
-transport (paper, Section 2).  Two message types cover the protocols of
-Table 1:
-
-* :class:`QuackMessage` -- carries one serialized quACK snapshot;
-* :class:`ConfigMessage` -- (re)configures the peer's quACK parameters
-  and communication frequency ("They can also configure sidecar protocol
-  parameters with each other such as the communication frequency and
-  properties of the quACK", Section 2).
+transport (paper, Section 2).  :class:`QuackMessage` carries one
+serialized quACK snapshot; the control messages (:data:`ControlMessage`)
+are the Section 2 control plane -- "They can also configure sidecar
+protocol parameters with each other such as the communication frequency
+and properties of the quACK" -- and the handshakes around it.
 
 Every sidecar frame is checksummed.  Sidecar datagrams are plain UDP on
 real networks: they get bit-flipped, truncated, and replayed, and the
 sidecar must classify that corruption as a
 :class:`~repro.errors.WireFormatError` at the parse boundary rather than
 let mangled power sums masquerade as decode divergence.  QuACK snapshots
-ride the CRC-carrying quACK wire format; :class:`ResetMessage` and
-:class:`ConfigMessage` have their own tiny CRC-protected encoding
-(:func:`encode_control` / :func:`decode_control`).  A datagram whose
-bytes no longer parse is represented in the simulator as a
-:class:`CorruptFrame`, which every receiving agent counts and drops.
+ride the CRC-carrying quACK wire format; control messages have their own
+tiny CRC-protected encoding (:func:`encode_control` /
+:func:`decode_control`).  A datagram whose bytes no longer parse is
+represented in the simulator as a :class:`CorruptFrame`, which every
+receiving agent counts and drops.
 """
 
 from __future__ import annotations
@@ -60,13 +57,9 @@ TRANSCRIPT_BYTES = 32
 
 @dataclass(frozen=True)
 class QuackMessage:
-    """One quACK snapshot, serialized with :mod:`repro.quack.wire`.
-
-    ``epoch`` supports the Section 3.3 reset protocol: after an
-    unrecoverable decode divergence both sides restart their cumulative
-    state under a new epoch number, and snapshots from older epochs are
-    discarded (they describe the abandoned state).
-    """
+    """One quACK snapshot, serialized with :mod:`repro.quack.wire`, of
+    the cumulative state of ``epoch`` (:mod:`repro.sidecar.reset`:
+    snapshots of another epoch describe abandoned state)."""
 
     frame: bytes
     flow_id: str
@@ -93,15 +86,9 @@ class QuackMessage:
 
 @dataclass(frozen=True)
 class ResetMessage:
-    """Sender -> receiver: abandon the cumulative state; begin ``epoch``.
-
-    Section 3.3: "If the number of missing packets exceeds the threshold,
-    the sender and receiver must reset the connection if they wish to use
-    the quACK."  The consumer side originates the reset (it is the one
-    that detects decode failure); the emitter adopts the new epoch and a
-    fresh accumulator.  Resends are idempotent: an emitter already at
-    ``epoch`` ignores the message.
-    """
+    """Consumer -> emitter: abandon the cumulative state; begin ``epoch``
+    with a fresh accumulator (the Section 3.3 reset,
+    :mod:`repro.sidecar.reset`).  Resends are idempotent."""
 
     flow_id: str
     epoch: int
@@ -119,17 +106,10 @@ class ConfigMessage:
 
 @dataclass(frozen=True)
 class ResumeMessage:
-    """Emitter -> consumer: a restarted middlebox re-joins from a checkpoint.
-
-    A middlebox that checkpoints its accumulator
-    (:mod:`repro.sidecar.snapshot`) announces after a restart that it
-    restored ``epoch`` at cumulative ``count`` instead of coming back
-    empty.  The consumer validates the claim with the plausibility gates
-    (:meth:`~repro.sidecar.defense.PlausibilityValidator.check_resume`)
-    and, if it holds, re-bases its expected emitter count -- no pause,
-    no reset round-trip; the checkpoint gap self-heals through ordinary
-    decodes.  An implausible resume is answered with a full reset.
-    """
+    """Emitter -> consumer: a restarted middlebox restored ``epoch`` at
+    cumulative ``count`` from a checkpoint instead of coming back empty;
+    the consumer answers with
+    :func:`~repro.sidecar.snapshot.resume_verdict`."""
 
     flow_id: str
     epoch: int
@@ -138,17 +118,9 @@ class ResumeMessage:
 
 @dataclass(frozen=True)
 class HelloMessage:
-    """Capability offer: opens the Section 2 "configure each other" handshake.
-
-    The initiator (the quACK consumer,
-    :class:`~repro.sidecar.agents.ServerSidecar`) advertises the
-    protocol-version range it speaks, the quACK parameters it wants
-    (``threshold`` t, ``bits`` b), its preferred emission interval, and
-    its feature bits (:mod:`repro.sidecar.negotiate`).  The responder
-    answers with a :class:`HelloAckMessage` choosing the highest
-    mutually supported version; assistance does not start until the
-    handshake completes.
-    """
+    """Capability offer from the quACK consumer: the version range it
+    speaks, the quACK parameters it wants, its preferred emission
+    interval and its feature bits (:mod:`repro.sidecar.negotiate`)."""
 
     flow_id: str
     min_version: int = 1
@@ -161,15 +133,9 @@ class HelloMessage:
 
 @dataclass(frozen=True)
 class HelloAckMessage:
-    """Capability answer: the responder's choice plus the offer transcript.
-
-    ``transcript`` is the SHA-256 over the offer frame *as the responder
-    received it*.  The initiator compares it against the hash of the
-    offer it actually sent: any on-path rewrite of the capability offer
-    (e.g. clamping ``max_version`` to force a downgrade) changes the
-    bytes and is detected here, then routed into the quarantine ledger
-    as a downgrade attack.
-    """
+    """Capability answer: the responder's choice plus ``transcript``,
+    the SHA-256 over the offer frame *as the responder received it* --
+    the downgrade protection of :mod:`repro.sidecar.negotiate`."""
 
     flow_id: str
     version: int
@@ -182,17 +148,9 @@ class HelloAckMessage:
 
 @dataclass(frozen=True)
 class VersionSwitchMessage:
-    """Consumer -> emitter: flip the wire version at an epoch boundary.
-
-    Carries the epoch the switch belongs to so a stale, reordered switch
-    from before a reset cannot flip a fresh session.  The emitter
-    adopts ``version`` for every subsequent frame; the consumer keeps
-    accepting old-version frames until the first new-version frame
-    confirms the emitter flipped, then for one further switch-grace
-    window (reordered in-flight snapshots), after which stale-version
-    frames are counted and dropped.  No reset, no pause: cumulative
-    quACK state is version-independent.
-    """
+    """Consumer -> emitter: stamp ``version`` on every subsequent frame.
+    Carries the epoch it belongs to, so a reordered switch from before a
+    reset cannot flip a fresh session (:mod:`repro.sidecar.negotiate`)."""
 
     flow_id: str
     version: int

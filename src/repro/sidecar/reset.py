@@ -20,9 +20,8 @@ cannot fix a noisy channel -- and a quarantined channel gets no resets
 at all (:mod:`repro.sidecar.defense`).
 
 :class:`ResetInitiator` is the consumer's half as events in, verdicts
-out: it holds no simulator, timer or transport, and its owner
-(:class:`~repro.sidecar.agents.ServerSidecar`) does the pausing,
-scheduling and sending.  :func:`epoch_verdict` is the emitter's half.
+out; its owner (:class:`~repro.sidecar.agents.ServerSidecar`) pauses,
+schedules and sends.  :func:`epoch_verdict` is the emitter's half.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class ResetInitiator:
                  settle_time: float) -> None:
         self.reset_after_failures = reset_after_failures
         self.settle_time = settle_time
-        #: Count regression below this is written off as snapshot
-        #: reordering; at or above it, the emitter must have restarted.
         self.restart_margin = RESTART_MARGIN_THRESHOLDS * threshold
         self.modulus = 1 << count_bits
         self.epoch = 0

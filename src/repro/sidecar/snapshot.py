@@ -165,11 +165,9 @@ def decode_checkpoint(blob: bytes) -> EmitterCheckpoint:
 def restore_checkpoint(blob: bytes, flow_id: str, threshold: int) \
         -> tuple[EmitterCheckpoint, PowerSumQuack] | None:
     """The checkpoint and accumulator a restarting emitter may adopt.
-
-    None means cold start, exactly as if no checkpoint existed: the
-    blob fails its CRC (a torn write, bit rot), or describes another
-    flow or another quACK configuration.
-    """
+    None means cold start, exactly as if no checkpoint existed: the blob
+    fails its CRC (a torn write, bit rot), or describes another flow or
+    another quACK configuration."""
     try:
         checkpoint = decode_checkpoint(blob)
         restored = checkpoint.quack()
@@ -190,8 +188,7 @@ def resume_verdict(epoch: int, count: int, current_epoch: int,
     (:func:`~repro.sidecar.defense.resume_implausibility`); answered
     with a full reset, and a signal where the defense is armed.
     ``plausible``: re-base the expected emitter count at ``count`` and
-    arm gap reconciliation -- no pause, no reset round-trip, no spurious
-    loss reports (end-to-end ACKs already covered the gap).
+    arm gap reconciliation -- no pause, no reset round-trip.
     """
     if epoch < current_epoch:
         return "stale"

@@ -242,8 +242,7 @@ def _build_negotiation() -> list[dict[str, Any]]:
             "name": name,
             "offer": _message_to_dict(offer),
             "offer_frame": protocol.encode_control(offer, version=1).hex(),
-            # The format has a slot for the responder's emission-interval
-            # preference; no endpoint of this build states one.
+            # The format's slot for an interval preference nobody states.
             "responder": {**dataclasses.asdict(own), "interval_us": 0},
             "transcript": hello_transcript(offer).hex(),
             "ack": None if ack is None else _message_to_dict(ack),
