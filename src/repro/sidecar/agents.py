@@ -727,7 +727,7 @@ class ServerSidecar:
             if not message.flow_id or message.flow_id == flow_id:
                 self.stats.control_corrupt_frames += 1
         elif getattr(message, "flow_id", None) != flow_id:
-            return
+            pass  # another flow's session, or not a control message
         elif isinstance(message, HelloAckMessage):
             self._on_hello_ack(packet, message)
         elif isinstance(message, ResumeMessage):

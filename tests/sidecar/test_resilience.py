@@ -30,6 +30,7 @@ from repro.sidecar.protocol import (
 )
 from repro.sidecar.reset import RETRY_CAP_S
 from repro.transport.connection import ReceiverConnection, SenderConnection
+from tests.sidecar.test_sender_state_model import OutboxHost
 
 SETTLE = 0.1
 
@@ -239,25 +240,13 @@ class TestResetRetry:
         assert sidecar.stats.reset_retries == retries  # the clock stopped
 
 
-class RecordingHost(Host):
-    """A host whose sends are kept instead of routed."""
-
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.sent = []
-
-    def send(self, packet, via=None):
-        self.sent.append(packet)
-        return True
-
-
 class TestUntrustedDatagramsDoNotMoveThePeer:
     """With negotiation armed the peer is configured, then confirmed by
     the handshake; a datagram that fails a gate must not re-point it."""
 
     def build(self):
         sim = Simulator()
-        server = RecordingHost(sim, "server")
+        server = OutboxHost(sim, "server")  # sends are kept, not routed
         sender = SenderConnection(sim, server, "client", 1460 * 100)
         sidecar = ServerSidecar(sim, sender, threshold=16,
                                 reset_after_failures=2, settle_time=SETTLE,
@@ -267,7 +256,8 @@ class TestUntrustedDatagramsDoNotMoveThePeer:
         return sim, server, sidecar
 
     def sidecar_datagrams(self, server):
-        return [p for p in server.sent if p.kind is not PacketKind.DATA]
+        return [packet for _, _, packet in server.outbox
+                if packet.kind is not PacketKind.DATA]
 
     def test_quack_before_the_handshake_leaves_the_peer_alone(self):
         sim, server, sidecar = self.build()
