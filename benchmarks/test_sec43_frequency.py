@@ -12,10 +12,11 @@ The paper's sizing envelopes, reproduced as code:
 import pytest
 
 from repro.bench.frequency import (
+    PAPER_TARGET_MISSING,
     ack_reduction_sizing,
     cc_division_sizing,
-    retransmission_cadence,
 )
+from repro.sidecar.frequency import retransmission_cadence
 
 
 def test_cc_division_sizing_matches_paper(benchmark):
@@ -64,7 +65,8 @@ def test_ack_reduction_requires_t_below_n(benchmark):
     (0.0, 512),     # lossless: slowest cadence
 ])
 def test_retransmission_cadence(benchmark, loss, expected):
-    value = benchmark(lambda: retransmission_cadence(loss))
+    value = benchmark(
+        lambda: retransmission_cadence(loss, PAPER_TARGET_MISSING))
     assert value == expected
     benchmark.extra_info["loss_ratio"] = loss
     benchmark.extra_info["packets_per_quack"] = value

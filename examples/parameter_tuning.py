@@ -15,14 +15,15 @@ Run::
 """
 
 from repro.bench.frequency import (
+    PAPER_TARGET_MISSING,
     ack_reduction_sizing,
     cc_division_sizing,
-    retransmission_cadence,
 )
 from repro.bench.timing import measure
 from repro.bench.workloads import make_workload
 from repro.quack.collision import collision_probability
 from repro.quack.power_sum import PowerSumQuack
+from repro.sidecar.frequency import retransmission_cadence
 
 
 def threshold_tradeoff() -> None:
@@ -67,10 +68,11 @@ def frequency_selection() -> None:
     print(f"ack reduction (every n={ack.every_n} packets, count omitted):\n"
           f"  quACK={ack.quack_bytes} B vs strawman-1 {ack.strawman1_bytes} B "
           f"-> {ack.bandwidth_saving_factor:.2f}x saving (needs t < n)")
-    print("in-network retransmission (target 20 missing per quACK):")
+    print(f"in-network retransmission (target {PAPER_TARGET_MISSING} "
+          f"missing per quACK):")
     for loss in (0.20, 0.05, 0.01, 0.0):
-        print(f"  loss {loss:>5.0%} -> quACK every "
-              f"{retransmission_cadence(loss):>3d} packets")
+        cadence = retransmission_cadence(loss, PAPER_TARGET_MISSING)
+        print(f"  loss {loss:>5.0%} -> quACK every {cadence:>3d} packets")
 
 
 def main() -> None:

@@ -5,7 +5,6 @@ from repro.bench.frequency import (
     CcDivisionSizing,
     ack_reduction_sizing,
     cc_division_sizing,
-    retransmission_cadence,
 )
 from repro.bench.tables import (
     PAPER_INTRO,
@@ -54,7 +53,6 @@ __all__ = [
     "PAPER_INTRO",
     "cc_division_sizing",
     "ack_reduction_sizing",
-    "retransmission_cadence",
     "CcDivisionSizing",
     "AckReductionSizing",
     "PacketTrace",

@@ -12,8 +12,10 @@ bench can print the same numbers and the tests can pin them down.
   omit c, which is always n"), "Setting t < n uses less bandwidth
   compared to Strawman 1" -- :func:`ack_reduction_sizing`.
 * In-network retransmission: cadence from the loss ratio targeting a
-  constant number of missing packets per quACK --
-  :func:`retransmission_cadence`.
+  constant number of missing packets per quACK -- the rule the
+  sender-side proxy itself runs,
+  :func:`repro.sidecar.frequency.retransmission_cadence`, at the
+  paper's :data:`PAPER_TARGET_MISSING`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ PAPER_RTT_S = 0.060
 PAPER_LINK_BPS = 200e6
 PAPER_LOSS = 0.02
 PAPER_PACKET_BYTES = 1500
+#: "could target a constant t = 20 missing packets per quACK".
+PAPER_TARGET_MISSING = 20
 
 
 @dataclass(frozen=True)
@@ -91,18 +95,3 @@ def ack_reduction_sizing(every_n: int = 32, threshold: int = 20,
         strawman1_bytes=(strawman1_bits + 7) // 8,
         bandwidth_saving_factor=strawman1_bits / quack_bits,
     )
-
-
-def retransmission_cadence(loss_ratio: float, target_missing: int = 20,
-                           min_every: int = 2, max_every: int = 512) -> int:
-    """Packets per quACK so ~``target_missing`` losses accrue per quACK.
-
-    "The sender who configures this frequency could target a constant
-    t = 20 missing packets per quACK.  If the link is relatively stable,
-    the sender-side proxy could decrease the frequency" (Section 4.3).
-    """
-    if not 0.0 <= loss_ratio < 1.0:
-        raise ValueError(f"loss ratio must be in [0, 1), got {loss_ratio}")
-    if loss_ratio == 0.0:
-        return max_every
-    return max(min_every, min(max_every, int(target_missing / loss_ratio)))

@@ -58,8 +58,7 @@ def _forge(packet: Packet, message: QuackMessage, frame: bytes) -> Packet:
     """Rebuild the datagram around a forged frame (size included)."""
     overhead = packet.size_bytes - len(message.frame)
     forged = dataclasses.replace(message, frame=frame)
-    return dataclasses.replace(packet, payload=forged,
-                               size_bytes=overhead + len(frame))
+    return packet.with_payload(forged, size_bytes=overhead + len(frame))
 
 
 class _QuackAdversary(FaultInjector):
@@ -271,4 +270,4 @@ class HelloRewriteAdversary(FaultInjector):
         # Same layout, same length: the rewrite is size-preserving, as a
         # real on-path rewriter (who must fix only the CRC) would be.
         return FaultDecision(
-            replacement=dataclasses.replace(packet, payload=rewritten))
+            replacement=packet.with_payload(rewritten))

@@ -45,14 +45,14 @@ def sidecar_corrupter(packet: Packet, rng: random.Random) -> Packet | None:
     if isinstance(payload, QuackMessage):
         mangled = dataclasses.replace(
             payload, frame=flip_frame_bits(payload.frame, rng))
-        return dataclasses.replace(packet, payload=mangled)
+        return packet.with_payload(mangled)
     if isinstance(payload, (ResetMessage, ConfigMessage)):
         frame = flip_frame_bits(encode_control(payload), rng)
         try:
             reparsed = decode_control(frame)
         except WireFormatError:
             reparsed = CorruptFrame(frame=frame, flow_id=payload.flow_id)
-        return dataclasses.replace(packet, payload=reparsed)
+        return packet.with_payload(reparsed)
     return None
 
 

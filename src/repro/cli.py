@@ -160,9 +160,12 @@ def cmd_sizing(args: argparse.Namespace) -> int:
               f"(strawman-1: {sizing.strawman1_bytes})")
         print(f"bandwidth saving: {sizing.bandwidth_saving_factor:.2f}x")
     else:  # retransmission
-        cadence = frequency.retransmission_cadence(args.loss)
+        from repro.sidecar.frequency import retransmission_cadence
+
+        target = frequency.PAPER_TARGET_MISSING
+        cadence = retransmission_cadence(args.loss, target)
         print(f"loss ratio {args.loss:.1%} -> quACK every "
-              f"{cadence} packets (targeting 20 missing per quACK)")
+              f"{cadence} packets (targeting {target} missing per quACK)")
     return 0
 
 

@@ -77,24 +77,24 @@ _NO_FAULT = FaultDecision()
 
 @dataclass(slots=True)
 class FaultInjectorStats:
-    considered: int = 0
-    dropped: int = 0
-    corrupted: int = 0
-    duplicated: int = 0
-    delayed: int = 0
+    considered: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
+    corrupted: int = field(default=0, init=False)
+    duplicated: int = field(default=0, init=False)
+    delayed: int = field(default=0, init=False)
 
 
 class FaultInjector:
     """Base injector: kind filtering plus per-injector statistics.
 
     Subclasses implement :meth:`_decide`; the base class handles the
-    ``kinds`` filter (None = all traffic) and bookkeeping.
+    ``kinds`` filter (None = all traffic) and bookkeeping; ``name``
+    (the class's) labels the injector in traces and chaos reports.
     """
 
-    def __init__(self, kinds: Iterable[PacketKind] | None = None,
-                 name: str | None = None) -> None:
+    def __init__(self, kinds: Iterable[PacketKind] | None = None) -> None:
         self.kinds = frozenset(kinds) if kinds is not None else None
-        self.name = name if name is not None else type(self).__name__
+        self.name = type(self).__name__
         self.stats = FaultInjectorStats()
 
     def on_transmit(self, packet: Packet, now: float) -> FaultDecision:
@@ -143,9 +143,8 @@ class Blackout(FaultInjector):
     """
 
     def __init__(self, windows: Sequence[Window],
-                 kinds: Iterable[PacketKind] | None = None,
-                 name: str | None = None) -> None:
-        super().__init__(kinds=kinds, name=name)
+                 kinds: Iterable[PacketKind] | None = None) -> None:
+        super().__init__(kinds=kinds)
         self.windows = _check_windows(windows)
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
@@ -180,34 +179,29 @@ def default_corrupter(packet: Packet,
     if not isinstance(frame, bytes) or not frame:
         return None
     mangled = dataclasses.replace(payload, frame=flip_frame_bits(frame, rng))
-    return dataclasses.replace(packet, payload=mangled)
+    return packet.with_payload(mangled)
 
 
 class Corruption(FaultInjector):
     """Corrupt a fraction of packets (seeded, replayable).
 
     ``corrupter(packet, rng)`` builds the corrupted replacement;
-    :func:`default_corrupter` flips bits in ``payload.frame`` bytes.  The
-    windows restrict corruption to scheduled intervals (default: always).
+    :func:`default_corrupter` flips bits in ``payload.frame`` bytes.
     """
 
     def __init__(self, rate: float, seed: int = 0,
                  kinds: Iterable[PacketKind] | None = None,
                  corrupter: Callable[[Packet, random.Random],
-                                     Packet | None] = default_corrupter,
-                 windows: Sequence[Window] | None = None,
-                 name: str | None = None) -> None:
+                                     Packet | None] = default_corrupter) \
+            -> None:
         if not 0 <= rate <= 1:
             raise SimulationError(f"corruption rate must be in [0,1], got {rate}")
-        super().__init__(kinds=kinds, name=name)
+        super().__init__(kinds=kinds)
         self.rate = rate
         self.rng = random.Random(seed)
         self.corrupter = corrupter
-        self.windows = _check_windows(windows) if windows is not None else None
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
-        if self.windows is not None and not in_window(self.windows, now):
-            return FaultDecision.none()
         if self.rng.random() >= self.rate:
             return FaultDecision.none()
         replacement = self.corrupter(packet, self.rng)
@@ -220,13 +214,12 @@ class Duplication(FaultInjector):
     """Deliver a fraction of packets more than once (seeded)."""
 
     def __init__(self, rate: float, seed: int = 0, copies: int = 2,
-                 kinds: Iterable[PacketKind] | None = None,
-                 name: str | None = None) -> None:
+                 kinds: Iterable[PacketKind] | None = None) -> None:
         if not 0 <= rate <= 1:
             raise SimulationError(f"duplication rate must be in [0,1], got {rate}")
         if copies < 2:
             raise SimulationError(f"duplication needs >= 2 copies, got {copies}")
-        super().__init__(kinds=kinds, name=name)
+        super().__init__(kinds=kinds)
         self.rate = rate
         self.copies = copies
         self.rng = random.Random(seed)
@@ -247,11 +240,10 @@ class BurstLoss(FaultInjector):
 
     def __init__(self, windows: Sequence[Window], rate: float = 1.0,
                  seed: int = 0,
-                 kinds: Iterable[PacketKind] | None = None,
-                 name: str | None = None) -> None:
+                 kinds: Iterable[PacketKind] | None = None) -> None:
         if not 0 < rate <= 1:
             raise SimulationError(f"burst loss rate must be in (0,1], got {rate}")
-        super().__init__(kinds=kinds, name=name)
+        super().__init__(kinds=kinds)
         self.windows = _check_windows(windows)
         self.rate = rate
         self.rng = random.Random(seed)
@@ -271,12 +263,11 @@ class DelaySpike(FaultInjector):
     """
 
     def __init__(self, windows: Sequence[Window], extra_delay_s: float,
-                 kinds: Iterable[PacketKind] | None = None,
-                 name: str | None = None) -> None:
+                 kinds: Iterable[PacketKind] | None = None) -> None:
         if extra_delay_s <= 0:
             raise SimulationError(
                 f"delay spike must be positive, got {extra_delay_s}")
-        super().__init__(kinds=kinds, name=name)
+        super().__init__(kinds=kinds)
         self.windows = _check_windows(windows)
         self.extra_delay_s = extra_delay_s
 
@@ -294,9 +285,8 @@ class CompositeFault(FaultInjector):
     an earlier one (its corrupter saw the already-corrupted packet).
     """
 
-    def __init__(self, injectors: Sequence[FaultInjector],
-                 name: str | None = None) -> None:
-        super().__init__(kinds=None, name=name)
+    def __init__(self, injectors: Sequence[FaultInjector]) -> None:
+        super().__init__(kinds=None)
         self.injectors = list(injectors)
 
     def on_transmit(self, packet: Packet, now: float) -> FaultDecision:

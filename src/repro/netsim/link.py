@@ -18,7 +18,7 @@ Per-link statistics feed the experiment reports.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -35,16 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses errors o
 class LinkStats:
     """Counters a link accumulates over a run."""
 
-    offered: int = 0
-    delivered: int = 0
-    dropped_queue: int = 0
-    dropped_loss: int = 0
-    dropped_fault: int = 0
-    corrupted_fault: int = 0
-    duplicated_fault: int = 0
-    bytes_delivered: int = 0
-    busy_seconds: float = 0.0
-    ce_marked: int = 0
+    offered: int = field(default=0, init=False)
+    delivered: int = field(default=0, init=False)
+    dropped_queue: int = field(default=0, init=False)
+    dropped_loss: int = field(default=0, init=False)
+    dropped_fault: int = field(default=0, init=False)
+    corrupted_fault: int = field(default=0, init=False)
+    duplicated_fault: int = field(default=0, init=False)
+    bytes_delivered: int = field(default=0, init=False)
+    busy_seconds: float = field(default=0.0, init=False)
+    ce_marked: int = field(default=0, init=False)
 
     @property
     def loss_rate(self) -> float:

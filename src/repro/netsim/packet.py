@@ -17,6 +17,7 @@ on their contents" (Section 2).  Concretely:
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,6 +77,10 @@ class Packet:
             same sense a UDP 4-tuple is observable).
         uid: unique per simulated packet; never reused, even across
             retransmissions carrying the same protected data.
+
+    ``uid`` and ``trace_ctx`` are state, not constructor arguments; a
+    datagram rebuilt in flight keeps them through :meth:`with_payload`
+    (``dataclasses.replace`` would allocate a new identity).
     """
 
     src: str
@@ -84,7 +89,7 @@ class Packet:
     kind: PacketKind = PacketKind.DATA
     identifier: int | None = None
     flow_id: str = "flow0"
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=lambda: next(_packet_ids), init=False)
     created_at: float = 0.0
     #: ECN Congestion Experienced mark.  Lives in the IP header, so it is
     #: observable and *settable* by on-path elements (an AQM marks it),
@@ -101,7 +106,7 @@ class Packet:
     #: tunnel header tag) that on-path elements may read, so lifecycle
     #: spans can be assembled without breaking the paper's threat model.
     #: Protocol behavior must never depend on it (DESIGN.md §8).
-    trace_ctx: int | None = None
+    trace_ctx: int | None = field(default=None, init=False)
     _protected: Any = field(default=None, repr=False)
     _key: bytes | None = field(default=None, repr=False)
 
@@ -114,6 +119,16 @@ class Packet:
         return cls(src=src, dst=dst, size_bytes=size_bytes, kind=kind,
                    identifier=identifier, flow_id=flow_id,
                    created_at=created_at, _protected=payload, _key=key)
+
+    def with_payload(self, payload: Any,
+                     size_bytes: int | None = None) -> "Packet":
+        """This datagram as corruption or an on-path rewrite leaves it:
+        other sidecar bytes (and size), same identity."""
+        twin = copy.copy(self)
+        twin.payload = payload
+        if size_bytes is not None:
+            twin.size_bytes = size_bytes
+        return twin
 
     def protected_payload(self, key: bytes) -> Any:
         """Decrypt: return the protected payload, or raise without the key."""

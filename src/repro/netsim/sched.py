@@ -13,7 +13,7 @@ swept lazily at dispatch.
 strictly increasing ``(time, seq)`` order, where ``seq`` is a monotone
 sequence number assigned at ``schedule()`` time -- equal-time events
 fire in the order they were scheduled.  Bucket quantization uses
-``int(time / bucket_width)``, which is monotone non-decreasing in
+``int(time / BUCKET_WIDTH)``, which is monotone non-decreasing in
 ``time``, so bucketing can never reorder two events: it only decides
 *which batch* an event is sorted into, and every batch is sorted by the
 ``(time, seq)`` key a plain binary heap would use.  That heap lives in
@@ -46,14 +46,14 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 
-#: Default quantum of the calendar ring: 1 ms of virtual time per bucket.
+#: Quantum of the calendar ring: 1 ms of virtual time per bucket.
 #: Packet-scale events (serialization, propagation) land a few buckets
 #: apart; the recurring clocks (emission ~25 ms, PTO >= 100 ms) stay
 #: well inside the horizon.
-DEFAULT_BUCKET_WIDTH = 1e-3
+BUCKET_WIDTH = 1e-3
 
-#: Default ring size: 512 buckets x 1 ms = a 0.512 s near horizon.
-DEFAULT_WHEEL_SLOTS = 512
+#: Ring size: 512 buckets x 1 ms = a 0.512 s near horizon.
+WHEEL_SLOTS = 512
 
 _UNLIMITED = sys.maxsize
 
@@ -154,7 +154,8 @@ class Timer:
 class CalendarScheduler:
     """Two-level calendar queue: near-horizon ring + far-future overflow.
 
-    * **Ring**: ``wheel_slots`` buckets of ``bucket_width`` seconds each,
+    * **Ring**: :data:`WHEEL_SLOTS` buckets of :data:`BUCKET_WIDTH`
+      seconds each,
       covering absolute bucket indices ``[base, base + slots)``.  Insert
       is an O(1) ``list.append``; a whole bucket is dequeued at once,
       sorted by ``(time, seq)``, and dispatched as a batch.
@@ -174,16 +175,9 @@ class CalendarScheduler:
 
     name = "calendar"
 
-    def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH,
-                 wheel_slots: int = DEFAULT_WHEEL_SLOTS) -> None:
-        if bucket_width <= 0:
-            raise SimulationError(
-                f"bucket_width must be positive, got {bucket_width}")
-        if wheel_slots < 2:
-            raise SimulationError(
-                f"wheel needs >= 2 slots, got {wheel_slots}")
-        self._width = float(bucket_width)
-        self._slots = int(wheel_slots)
+    def __init__(self) -> None:
+        self._width = BUCKET_WIDTH
+        self._slots = WHEEL_SLOTS
         self._ring: list[list[tuple[float, int, EventHandle]]] = \
             [[] for _ in range(self._slots)]
         self._ring_count = 0
@@ -210,14 +204,6 @@ class CalendarScheduler:
         self.batch_dispatches = 0
         #: Far-future events that migrated overflow -> ring.
         self.overflow_migrations = 0
-
-    @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    @property
-    def wheel_slots(self) -> int:
-        return self._slots
 
     # -- insert ---------------------------------------------------------------
 

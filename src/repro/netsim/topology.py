@@ -59,8 +59,8 @@ class PathTopology:
 
     sim: Simulator
     nodes: list[Node]
-    links_up: list[Link] = field(default_factory=list)
-    links_down: list[Link] = field(default_factory=list)
+    links_up: list[Link] = field(default_factory=list, init=False)
+    links_down: list[Link] = field(default_factory=list, init=False)
 
     def node_named(self, name: str) -> Node:
         for node in self.nodes:

@@ -68,7 +68,6 @@ from repro.sidecar.protocol import (
     quack_packet,
 )
 from repro.sidecar.retransmission import (
-    ReceiverSideRetxProxy,
     RetransmissionResult,
     SenderSideRetxProxy,
     run_retransmission,
@@ -116,7 +115,6 @@ __all__ = [
     "ProxyEmitterTap",
     "PacingProxy",
     "SenderSideRetxProxy",
-    "ReceiverSideRetxProxy",
     "run_cc_division",
     "run_ack_reduction",
     "run_retransmission",

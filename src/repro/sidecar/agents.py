@@ -1,18 +1,18 @@
 """Sidecar agents: the wiring between the session machines and the network.
 
 Table 1 assigns two roles -- *sends quACKs* and *receives quACKs* -- to
-server, proxy and client; each role is written here once:
+server, proxy and client; each role is written here once, and a protocol
+supplies what it varies by subclassing:
 
-* :class:`EmitterEndpoint` -- the sending role, at a host
-  (:class:`HostEmitterAgent`, the client-side library), at a
-  pure-observer proxy (:class:`ProxyEmitterTap`, the ACK-reduction proxy
-  of Section 2.2), or held by the protocol-specific proxies in their own
-  modules (the pacing proxy of congestion-control division, the
-  buffering retransmitter) for the quACKs they send;
-* :class:`ServerSidecar` -- the receiving role on the server: logs every
-  packet the transport sends, takes each arriving quACK through an
-  ordered list of gates, and feeds what survives into the
-  :class:`~repro.transport.connection.SenderConnection` window hooks.
+* :class:`EmitterEndpoint` -- the sending role; where the observations
+  come from varies: a host (:class:`HostEmitterAgent`), a pure-observer
+  proxy (:class:`ProxyEmitterTap`, Sections 2.2 and 2.3), or the pacing
+  proxy feeding a plain endpoint upstream;
+* :class:`ConsumerEndpoint` -- the receiving role; where the log comes
+  from and what the news moves vary: the server's transport
+  (:class:`ServerSidecar`), the pacing proxy's custody buffer
+  (:mod:`~repro.sidecar.cc_division`), the retransmitting proxy's
+  packet buffer (:mod:`~repro.sidecar.retransmission`).
 
 The agents own constructors, timers, datagrams, counters and trace
 events.  Every decision belongs to a machine that is handed events and
@@ -39,7 +39,7 @@ from repro.netsim.node import Host, Node, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.consumer import QuackConsumer
+from repro.sidecar.consumer import QuackConsumer, QuackFeedback
 from repro.sidecar.defense import (
     AdversarialSignal,
     DefenseConfig,
@@ -47,10 +47,11 @@ from repro.sidecar.defense import (
     QuarantineLedger,
 )
 from repro.sidecar.emitter import QuackEmitter
-from repro.sidecar.frequency import FrequencyPolicy
+from repro.sidecar.frequency import AdaptiveFrequency, FrequencyPolicy
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
 from repro.sidecar.negotiate import Initiator, NegotiateConfig, Session
 from repro.sidecar.protocol import (
+    ConfigMessage,
     ControlMessage,
     CorruptFrame,
     HelloAckMessage,
@@ -83,7 +84,22 @@ _EMITTER_COUNTERS = (
     "quacks_suppressed")
 
 
-class EmitterEndpoint:
+class _Endpoint:
+    """Either role: one flow at one ``node``, one ``peer``, one ``session``."""
+
+    def _trace(self, event: str, **fields) -> None:
+        if obs.TRACER.enabled:
+            obs.TRACER.emit(event, self.sim.now, flow=self.flow_id, **fields)
+
+    def _send_control(self, message: ControlMessage) -> None:
+        node = self.node
+        node.send(control_packet(
+            node.name, self.peer, message, self.sim.now,
+            version=self.session.wire_version,
+            features=self.session.wire_features))
+
+
+class EmitterEndpoint(_Endpoint):
     """Table 1's *sends quACKs* role: one flow, one node, one peer.
 
     Folds the flow's identifiers into a
@@ -91,12 +107,13 @@ class EmitterEndpoint:
     router) and sends the snapshots its frequency policy calls for to
     ``peer``, on a reusable emission clock when the policy is
     timer-driven.  It is also the responder side of everything the
-    receiving role can ask of it: reset epochs, crash/restart with
-    checkpoint resume (``checkpoints``), HELLO negotiation and
-    mid-session version switches (``negotiate``; no quACK leaves before
-    the handshake completes).  Where the observations come from is the
-    only thing the protocols vary: subclasses attach to a host handler
-    or a router tap and filter; proxies feed a plain endpoint.
+    receiving role can ask of it: reset epochs, a cadence retune,
+    crash/restart with checkpoint resume (``checkpoints``), HELLO
+    negotiation and mid-session version switches (``negotiate``; no
+    quACK leaves before the handshake completes).  Where the
+    observations come from is the only thing the protocols vary:
+    subclasses attach to a host handler or a router tap and filter; the
+    pacing proxy feeds a plain endpoint.
 
     ``role`` labels the ``sidecar.quack_emit`` trace event.  ``ledger_key``
     names the accumulator in the per-flow resource ledger where one flow
@@ -154,10 +171,6 @@ class EmitterEndpoint:
     def wire_version(self) -> int:
         return self.session.wire_version
 
-    def _trace(self, event: str, **fields) -> None:
-        if obs.TRACER.enabled:
-            obs.TRACER.emit(event, self.sim.now, flow=self.flow_id, **fields)
-
     def _fresh_emitter(self) -> QuackEmitter:
         return QuackEmitter(self.threshold, self.bits, policy=self.policy,
                             flow=self._ledger_key)
@@ -195,12 +208,6 @@ class EmitterEndpoint:
                                     version=session.wire_version,
                                     features=session.wire_features))
 
-    def _send_control_message(self, message: ControlMessage) -> None:
-        self.node.send(control_packet(
-            self.node.name, self.peer, message, self.sim.now,
-            version=self.session.wire_version,
-            features=self.session.wire_features))
-
     # -- negotiation (responder side) --------------------------------------------
 
     def _on_hello(self, hello: HelloMessage) -> None:
@@ -221,7 +228,7 @@ class EmitterEndpoint:
             self._trace("sidecar.negotiated", role="emitter",
                         version=ack.version, features=ack.features)
         self.hello_acks_sent += 1
-        self._send_control_message(ack)
+        self._send_control(ack)
 
     def _on_version_switch(self, switch: VersionSwitchMessage) -> None:
         verdict = self.session.follow(switch, self.epoch)
@@ -294,15 +301,15 @@ class EmitterEndpoint:
         count = self.emitter.quack.count
         self._trace("sidecar.resume", role="emitter", phase="sent",
                     epoch=self.epoch, count=count)
-        self._send_control_message(ResumeMessage(
+        self._send_control(ResumeMessage(
             flow_id=self.flow_id, epoch=self.epoch, count=count))
 
     def on_control(self, message) -> None:
         """Handle one CONTROL payload addressed to this endpoint's node.
 
         Corrupt frames are counted and dropped; negotiation traffic
-        (HELLO offers, VERSION-SWITCH) and resets for this flow are
-        applied; anything else is ignored.
+        (HELLO offers, VERSION-SWITCH), resets and cadence retunes for
+        this flow are applied; anything else is ignored.
         """
         if isinstance(message, CorruptFrame):
             if not message.flow_id or message.flow_id == self.flow_id:
@@ -316,6 +323,10 @@ class EmitterEndpoint:
             self._on_version_switch(message)
         elif isinstance(message, ResetMessage):
             self._apply_reset(message.epoch)
+        elif (isinstance(message, ConfigMessage)
+                and message.every_n is not None
+                and isinstance(self.policy, AdaptiveFrequency)):
+            self.policy.configure(message.every_n)
 
     def fault_counters(self) -> dict[str, int]:
         """The agent's resilience counters (the chaos stats surface)."""
@@ -344,7 +355,7 @@ class HostEmitterAgent(EmitterEndpoint):
 
 
 @dataclass
-class ServerSidecarStats:
+class ConsumerEndpointStats:
     """``fault_counters()`` reports all but :data:`_TRAFFIC_COUNTERS`."""
 
     quacks_received: int = field(default=0, init=False)
@@ -373,18 +384,17 @@ class ServerSidecarStats:
     version_switches: int = field(default=0, init=False)
 
 
-#: The :class:`ServerSidecarStats` fields that count traffic, not faults.
+#: The :class:`ConsumerEndpointStats` fields that count traffic, not faults.
 _TRAFFIC_COUNTERS = ("quacks_received", "receipts_applied", "losses_applied")
 
 
-class ServerSidecar:
-    """Table 1's *receives quACKs* role on the server: wiring only.
+class ConsumerEndpoint(_Endpoint):
+    """Table 1's *receives quACKs* role: one flow, one node, one peer.
 
-    Logs what the transport sends in a
-    :class:`~repro.sidecar.consumer.QuackConsumer`, takes every arriving
-    quACK through the gates of :meth:`_on_quack_packet`, and applies what
-    survives to the sender's window hooks.  Each gate is the verdict of
-    a machine; this class schedules, sends, counts and traces.
+    Keeps the log of what left ``node`` toward the quACKing observer in
+    a :class:`~repro.sidecar.consumer.QuackConsumer`, takes every
+    arriving quACK through the gates of :meth:`_on_quack_packet`, runs
+    the Section 3.3 reset, and hands the news to its holder.
     ``reset_after_failures``/``settle_time`` configure ``reset``
     (:mod:`~repro.sidecar.reset`; always present, it carries the epoch),
     ``health`` arms ``monitor`` (:mod:`~repro.sidecar.health`),
@@ -393,12 +403,17 @@ class ServerSidecar:
     quarantine needs one to stand on -- and ``negotiate`` arms
     ``handshake`` (:mod:`~repro.sidecar.negotiate`), which needs
     ``peer``.  With nothing armed a gate is one attribute test.
+
+    A holder subclasses: it calls ``consumer.record_send`` for every
+    packet it lets toward the observer (always -- ``consumer.reset()`` at
+    the epoch boundary is what discards the old epoch), routes the
+    datagrams addressed to ``node`` to :meth:`_on_quack_packet` and
+    :meth:`_on_control_packet`, and overrides the hooks below.
     """
 
-    def __init__(self, sim: Simulator, sender: SenderConnection,
-                 threshold: int = DEFAULT_THRESHOLD,
-                 grace: int = 1, congestive_loss: bool = True,
-                 apply_losses: bool = True,
+    def __init__(self, sim: Simulator, node: Node, flow_id: str,
+                 stats: ConsumerEndpointStats,
+                 threshold: int = DEFAULT_THRESHOLD, grace: int = 1,
                  reset_after_failures: int | None = None,
                  settle_time: float = 0.25,
                  health: HealthConfig | None = None,
@@ -406,31 +421,24 @@ class ServerSidecar:
                  negotiate: NegotiateConfig | None = None,
                  peer: str | None = None) -> None:
         self.sim = sim
-        self.sender = sender
-        self.congestive_loss = congestive_loss
-        self.apply_losses = apply_losses
+        self.node = node
+        self.flow_id = flow_id
         self.consumer = QuackConsumer(threshold, grace=grace)
-        self.stats = ServerSidecarStats()
+        self.stats = stats
         mine = self.consumer.mine
         self.reset = ResetInitiator(threshold, mine.count_bits,
                                     reset_after_failures, settle_time)
-        #: Where resets, offers and switches go: fixed by ``peer`` and
-        #: the handshake when negotiation is armed, otherwise whoever
-        #: sent the last quACK that passed the gates.
-        self._peer: str | None = peer
+        #: Where resets, offers, switches and retunes go: fixed by the
+        #: handshake when negotiation is armed, otherwise whoever sent
+        #: the last quACK that passed the gates.
+        self.peer = peer
         # Reusable arms: a step tombstones the last, no queue churn.
         self._retry_timer = sim.timer(self._retry_reset)
         self._hello_timer = sim.timer(self._hello_retry)
-        #: When a quACK-decoded loss last reached the sender (the chaos
-        #: invariant "no induced signals after quarantine" reads it).
-        self.last_loss_applied_at: float | None = None
-        #: Was congestion control divided at construction?  Then the
-        #: ladder moves it between the sidecar and the e2e ACKs.
-        self._cc_divided = not sender.cc_from_acks
         self.validator = self.ledger = self.monitor = self.handshake = None
         if defense is not None:
             self.validator = PlausibilityValidator(
-                defense, threshold, mine.count_bits, sender.flow_id)
+                defense, threshold, mine.count_bits, flow_id)
             self.ledger = QuarantineLedger.from_config(defense)
             health = health if health is not None else HealthConfig()
         if health is not None:
@@ -448,13 +456,25 @@ class ServerSidecar:
                 raise ValueError(
                     "capability negotiation needs an explicit peer address "
                     "(the HELLO is sent before any quACK reveals one)")
-            self.handshake = Initiator(negotiate, self.session,
-                                       sender.flow_id, threshold, mine.bits)
+            self.handshake = Initiator(negotiate, self.session, flow_id,
+                                       threshold, mine.bits)
             self.assistance_started_at = None
             sim.schedule(0.0, self._send_hello)
-        sender.add_send_listener(self._on_send)
-        sender.host.add_handler(PacketKind.QUACK, self._on_quack_packet)
-        sender.host.add_handler(PacketKind.CONTROL, self._on_control_packet)
+
+    # -- what a holder supplies ----------------------------------------------------
+
+    def _apply(self, feedback: QuackFeedback, now: float) -> None:
+        """One decoded quACK's news: move what this protocol moves."""
+        raise NotImplementedError
+
+    def _pause(self) -> None:
+        """A reset began: stop sending toward the observer."""
+
+    def _resume(self) -> None:
+        """The second settle window is over, the log starts empty: send."""
+
+    def _sync_health(self) -> None:
+        """The ladder may have moved: act on what its rung allows."""
 
     @property
     def epoch(self) -> int:
@@ -486,31 +506,13 @@ class ServerSidecar:
         counters["health"] = self.health_state.value
         return counters
 
-    def _on_send(self, record: SentPacketRecord) -> None:
-        if self.reset.settling:
-            return  # nothing should be in flight, but belt and braces
-        self.consumer.record_send(record.identifier, record.packet_number,
-                                  self.sim.now)
-
-    def _trace(self, event: str, **fields) -> None:
-        if obs.TRACER.enabled:
-            obs.TRACER.emit(event, self.sim.now, flow=self.sender.flow_id,
-                            **fields)
-
-    def _send_control(self, message: ControlMessage) -> None:
-        host = self.sender.host
-        host.send(control_packet(
-            host.name, self._peer, message, self.sim.now,
-            version=self.session.wire_version,
-            features=self.session.wire_features))
-
     # -- one quACK, gate by gate ---------------------------------------------------
 
     def _on_quack_packet(self, packet: Packet) -> None:
-        """The gates a datagram passes before its snapshot is looked at."""
+        """The gates a datagram passes, in order, before its news counts."""
         message = packet.payload
         if not isinstance(message, QuackMessage) \
-                or message.flow_id != self.sender.flow_id:
+                or message.flow_id != self.flow_id:
             return
         stats, reset, handshake = self.stats, self.reset, self.handshake
         stats.quacks_received += 1
@@ -528,13 +530,14 @@ class ServerSidecar:
                 self._send_reset()  # the emitter missed the reset: repeat
             return
         if handshake is None:
-            self._peer = packet.src
+            self.peer = packet.src
         if not reset.confirmed:
             # A snapshot of the current epoch: the emitter heard us.
             reset.confirmed = True
             self._retry_timer.cancel()
         if reset.settling:
             return  # snapshots of the abandoned state
+        now = self.sim.now
         try:
             quack = message.quack()
         except WireFormatError:
@@ -546,19 +549,17 @@ class ServerSidecar:
             stats.decode_failures += 1
             self._trace("sidecar.wire_error")
             if obs.FLIGHT.armed:
-                obs.FLIGHT.trigger("wire-error", time=self.sim.now,
-                                   detail=f"flow={self.sender.flow_id}")
+                obs.FLIGHT.trigger("wire-error", time=now,
+                                   detail=f"flow={self.flow_id}")
             self._note_health_failure("corrupt frame")
+            return
         except (QuackError, TypeError):
             # Undecodable for structural reasons (alien scheme, wrong
             # type): treat like decode divergence.
             self._register_failure()
-        else:
-            self._on_snapshot(quack, self.sim.now)
-
-    def _on_snapshot(self, quack: PowerSumQuack, now: float) -> None:
-        """Count gate, decode, then news for the transport, by the ladder."""
-        stats, reset, validator = self.stats, self.reset, self.validator
+            return
+        # The count gate, the decode, then the news to the holder.
+        validator = self.validator
         if validator is not None:
             # Armed: signal what the count gates catch, never reset.
             verdict = validator.check_snapshot(
@@ -592,27 +593,10 @@ class ServerSidecar:
             validator.note_accepted(quack.count)
         if feedback.reconciled:
             self._trace("sidecar.gap_reconciled", packets=feedback.reconciled)
-        monitor = self.monitor
-        allow_receipts = allow_losses = True
-        if monitor is not None:
-            monitor.on_good_quack(now)
+        if self.monitor is not None:
+            self.monitor.on_good_quack(now)
             self._sync_health()
-            allow_receipts = monitor.allow_receipts
-            allow_losses = monitor.allow_losses
-        if feedback.received:
-            if allow_receipts:
-                stats.receipts_applied += len(feedback.received)
-                self.sender.sidecar_receipt(feedback.received)
-            else:
-                stats.receipts_suppressed += len(feedback.received)
-        if feedback.lost and self.apply_losses:
-            if allow_losses:
-                stats.losses_applied += len(feedback.lost)
-                self.last_loss_applied_at = now
-                self.sender.sidecar_loss(feedback.lost,
-                                         congestive=self.congestive_loss)
-            else:
-                stats.losses_suppressed += len(feedback.lost)
+        self._apply(feedback, now)
 
     def _stale_version(self, frame: bytes) -> bool:
         """Does the frame break the negotiated wire version?"""
@@ -656,14 +640,14 @@ class ServerSidecar:
     # -- capability negotiation (initiator side) ---------------------------------
 
     def _send_hello(self) -> None:
-        host = self.sender.host
+        node = self.node
         offer = self.handshake.offer
-        packet = control_packet(host.name, self._peer, offer, self.sim.now)
+        packet = control_packet(node.name, self.peer, offer, self.sim.now)
         self.stats.hellos_sent += 1
         self.handshake_bytes += packet.size_bytes
         self._trace("sidecar.hello", max_version=offer.max_version,
                     attempt=self.stats.hellos_sent)
-        host.send(packet)
+        node.send(packet)
         self._hello_timer.rearm(self.handshake.config.retry_s)
 
     def _hello_retry(self) -> None:
@@ -687,7 +671,7 @@ class ServerSidecar:
             self.stats.transcript_mismatches += 1
             self._record_signal(signal)
             return
-        self._peer = packet.src
+        self.peer = packet.src
         self.assistance_started_at = self.sim.now
         self._hello_timer.cancel()
         self._trace("sidecar.negotiated", role="consumer",
@@ -707,11 +691,10 @@ class ServerSidecar:
             return False
         if version == self.session.wire_version:
             return True
-        if not handshake.may_switch(version) or self._peer is None:
+        if not handshake.may_switch(version) or self.peer is None:
             return False
         self._send_control(VersionSwitchMessage(
-            flow_id=self.sender.flow_id, version=version,
-            epoch=self.reset.epoch))
+            flow_id=self.flow_id, version=version, epoch=self.reset.epoch))
         handshake.switch(version)
         self.stats.version_switches += 1
         self._trace("sidecar.version_switch", role="consumer",
@@ -722,11 +705,10 @@ class ServerSidecar:
 
     def _on_control_packet(self, packet: Packet) -> None:
         message = packet.payload
-        flow_id = self.sender.flow_id
         if isinstance(message, CorruptFrame):
-            if not message.flow_id or message.flow_id == flow_id:
+            if not message.flow_id or message.flow_id == self.flow_id:
                 self.stats.control_corrupt_frames += 1
-        elif getattr(message, "flow_id", None) != flow_id:
+        elif getattr(message, "flow_id", None) != self.flow_id:
             pass  # another flow's session, or not a control message
         elif isinstance(message, HelloAckMessage):
             self._on_hello_ack(packet, message)
@@ -748,7 +730,7 @@ class ServerSidecar:
                 sent_count=sent_count, now=now))
         if verdict == "plausible":
             if self.handshake is None:
-                self._peer = packet.src
+                self.peer = packet.src
             reset.rebase(message.count)
             self._retry_timer.cancel()
             if self.validator is not None:
@@ -776,7 +758,7 @@ class ServerSidecar:
         self.stats.resets_initiated += 1
         self.reset.settling = True
         self._retry_timer.cancel()
-        self.sender.pause()
+        self._pause()
         self.sim.schedule(self.reset.settle_time, self._complete_reset,
                           reason)
 
@@ -788,15 +770,15 @@ class ServerSidecar:
         self._trace("sidecar.reset", epoch=reset.epoch, reason=reason)
         self._send_reset()
         self._retry_timer.rearm(retry_delay)
-        self.sim.schedule(reset.settle_time, self._resume)
+        self.sim.schedule(reset.settle_time, self._settled)
 
-    def _resume(self) -> None:
+    def _settled(self) -> None:
         self.reset.settling = False
-        self.sender.resume()
+        self._resume()
 
     def _send_reset(self) -> None:
-        if self._peer is not None:
-            self._send_control(ResetMessage(flow_id=self.sender.flow_id,
+        if self.peer is not None:
+            self._send_control(ResetMessage(flow_id=self.flow_id,
                                             epoch=self.reset.epoch))
 
     def _retry_reset(self) -> None:
@@ -823,10 +805,63 @@ class ServerSidecar:
             self._sync_health()
         self._staleness_timer.rearm(interval)
 
+
+class ServerSidecar(ConsumerEndpoint):
+    """The receiving role on the server: the log is what ``sender``
+    transmits, the news moves its window hooks as far as the ladder
+    allows (losses only if ``apply_losses``, as congestion only if
+    ``congestive_loss``), a reset pauses it.  Other keyword options are
+    :class:`ConsumerEndpoint`'s."""
+
+    def __init__(self, sim: Simulator, sender: SenderConnection,
+                 congestive_loss: bool = True, apply_losses: bool = True,
+                 **options) -> None:
+        self.sender = sender
+        self.congestive_loss = congestive_loss
+        self.apply_losses = apply_losses
+        #: When a quACK-decoded loss last reached the sender (the chaos
+        #: invariant "no induced signals after quarantine" reads it).
+        self.last_loss_applied_at: float | None = None
+        #: Was congestion control divided at construction?  Then the
+        #: ladder moves it between the sidecar and the e2e ACKs.
+        self._cc_divided = not sender.cc_from_acks
+        super().__init__(sim, sender.host, sender.flow_id,
+                         ConsumerEndpointStats(), **options)
+        sender.add_send_listener(self._on_send)
+        sender.host.add_handler(PacketKind.QUACK, self._on_quack_packet)
+        sender.host.add_handler(PacketKind.CONTROL, self._on_control_packet)
+
+    def _on_send(self, record: SentPacketRecord) -> None:
+        self.consumer.record_send(record.identifier, record.packet_number,
+                                  self.sim.now)
+
+    def _pause(self) -> None:
+        self.sender.pause()
+
+    def _resume(self) -> None:
+        self.sender.resume()
+
     def _sync_health(self) -> None:
         """Give a divided congestion controller to whom the ladder says."""
         if self._cc_divided:
             self.sender.cc_from_acks = not self.monitor.allow_cc_division
+
+    def _apply(self, feedback: QuackFeedback, now: float) -> None:
+        stats, monitor = self.stats, self.monitor
+        if feedback.received:
+            if monitor is None or monitor.allow_receipts:
+                stats.receipts_applied += len(feedback.received)
+                self.sender.sidecar_receipt(feedback.received)
+            else:
+                stats.receipts_suppressed += len(feedback.received)
+        if feedback.lost and self.apply_losses:
+            if monitor is None or monitor.allow_losses:
+                stats.losses_applied += len(feedback.lost)
+                self.last_loss_applied_at = now
+                self.sender.sidecar_loss(feedback.lost,
+                                         congestive=self.congestive_loss)
+            else:
+                stats.losses_suppressed += len(feedback.lost)
 
 
 class ProxyEmitterTap(EmitterEndpoint):

@@ -35,19 +35,19 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
-from repro.netsim.link import Link
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
+    ConsumerEndpoint,
+    ConsumerEndpointStats,
     EmitterEndpoint,
     HostEmitterAgent,
     ServerSidecar,
 )
-from repro.sidecar.consumer import QuackConsumer
+from repro.sidecar.consumer import QuackFeedback
 from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
-from repro.sidecar.protocol import QuackMessage
 from repro.netsim.topology import HopSpec, build_path
 from repro.transport.cc.fixed import AimdRate
 from repro.transport.connection import (
@@ -55,28 +55,35 @@ from repro.transport.connection import (
     SenderConnection,
     run_transfer,
 )
-from repro.transport.frames import DEFAULT_MSS, HEADER_BYTES
 from repro.transport.rtt import RttEstimator
 
 #: The proxy quACKs every this many forwarded packets to the server.
 QUACK_TO_SERVER_EVERY = 8
+#: The downstream session's reset (:mod:`repro.sidecar.reset`): after
+#: this many undecodable client quACKs in a row, draining this long.
+RESET_AFTER_FAILURES = 3
+SETTLE_TIME_S = 0.1
 
 
 @dataclass
-class PacingProxyStats:
+class PacingProxyStats(ConsumerEndpointStats):
     taken_custody: int = field(default=0, init=False)
     forwarded: int = field(default=0, init=False)
     buffer_drops: int = field(default=0, init=False)
-    quacks_from_client: int = field(default=0, init=False)
-    decode_failures: int = field(default=0, init=False)
     max_buffer_depth: int = field(default=0, init=False)
 
+    @property
+    def quacks_from_client(self) -> int:
+        return self.quacks_received
 
-class PacingProxy:
+
+class PacingProxy(ConsumerEndpoint):
     """The congestion-control-division proxy: buffer, pace, quACK.
 
     Custody applies to DATA packets of ``flow_id`` heading to ``client``;
     everything else (e2e ACKs, other flows) is forwarded untouched.
+    Toward the client it holds the receiving role: the log is what it
+    drains, the news moves its own window, a reset stops the drain.
     """
 
     def __init__(self, sim: Simulator, router: Router, server: str,
@@ -84,12 +91,12 @@ class PacingProxy:
                  threshold: int = DEFAULT_THRESHOLD,
                  buffer_packets: int = 512,
                  controller=None) -> None:
-        self.sim = sim
+        super().__init__(sim, router, flow_id, PacingProxyStats(), threshold,
+                         reset_after_failures=RESET_AFTER_FAILURES,
+                         settle_time=SETTLE_TIME_S, peer=client)
         self.router = router
         self.client = client
-        self.flow_id = flow_id
         self.buffer_packets = buffer_packets
-        self.stats = PacingProxyStats()
 
         # Downstream (proxy->client) congestion state, fed by client
         # quACKs.  Any CongestionController works here -- "a different
@@ -97,7 +104,6 @@ class PacingProxy:
         # e.g. pass BbrLite() to run a model-based pacer on the lossy leg.
         self.cc = controller if controller is not None else AimdRate()
         self.rtt = RttEstimator(initial_rtt=0.05)
-        self.consumer = QuackConsumer(threshold)
         self._in_flight_bytes = 0
 
         # Upstream duty: quACK forwarded packets to the server.
@@ -131,26 +137,14 @@ class PacingProxy:
         self._drain()
         return False
 
-    # -- client quACK ingestion ---------------------------------------------------
+    # -- the receiving role toward the client --------------------------------------
 
     def _tap(self, packet: Packet) -> None:
-        if (packet.kind is not PacketKind.QUACK
-                or packet.dst != self.router.name):
-            return
-        message = packet.payload
-        if not isinstance(message, QuackMessage) \
-                or message.flow_id != self.flow_id:
-            return
-        self.stats.quacks_from_client += 1
-        now = self.sim.now
-        quack = message.quack_or_none()
-        if quack is None:
-            self.stats.decode_failures += 1
-            return
-        feedback = self.consumer.on_quack(quack, now)
-        if not feedback.ok:
-            self.stats.decode_failures += 1
-            return
+        if (packet.kind is PacketKind.QUACK
+                and packet.dst == self.router.name):
+            self._on_quack_packet(packet)
+
+    def _apply(self, feedback: QuackFeedback, now: float) -> None:
         for sent_at, size in feedback.received:
             self._in_flight_bytes -= size
             self.rtt.update(now - sent_at)
@@ -160,9 +154,15 @@ class PacingProxy:
             self.cc.on_congestion_event(sent_at, now)
         self._drain()
 
+    def _resume(self) -> None:
+        self._in_flight_bytes = 0  # it went with the old epoch's log
+        self._drain()
+
     # -- draining -------------------------------------------------------------------
 
     def _drain(self) -> None:
+        if self.reset.settling:
+            return  # the pause of a reset: custody is kept, not drained
         while self._buffer:
             head = self._buffer[0]
             if not self.cc.can_send(self._in_flight_bytes, head.size_bytes):

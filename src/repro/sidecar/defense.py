@@ -49,7 +49,7 @@ sessions that arm no defense: they read the same verdicts and answer
 with a reset instead of a signal.
 
 Nothing here touches the transport; the owner
-(:class:`~repro.sidecar.agents.ServerSidecar`) consults the validator's
+(:class:`~repro.sidecar.agents.ConsumerEndpoint`) consults the validator's
 :class:`Verdict` per snapshot and acts.
 """
 
@@ -342,9 +342,9 @@ class QuarantineLedger:
     The ledger is append-only evidence: every signal is kept (the audit
     trail chaos tests and ``repro analyze`` read), and once
     ``quarantine_after`` signals land inside ``signal_window_s`` the
-    ledger's verdict flips.  The verdict is sticky -- a quarantined
-    sidecar earns no fresh verdicts; re-entry is the health ladder's
-    probation business, not the ledger's.
+    ledger's verdict flips.  It lasts as long as the ladder's QUARANTINED
+    rung: once the health ladder has re-admitted the channel (probation
+    is its business) a signal is judged against the window afresh.
     """
 
     quarantine_after: int = 3
@@ -353,6 +353,8 @@ class QuarantineLedger:
                                              init=False)
     quarantined_at: float | None = field(default=None, init=False)
     quarantines: int = field(default=0, init=False)
+    #: ``signals[_fresh_from:]`` arrived since the last re-admission.
+    _fresh_from: int = field(default=0, init=False)
 
     @classmethod
     def from_config(cls, config: DefenseConfig) -> "QuarantineLedger":
@@ -365,7 +367,8 @@ class QuarantineLedger:
         if self.quarantined_at is not None:
             return False
         horizon = signal.time - self.signal_window_s
-        recent = sum(1 for s in self.signals if s.time > horizon)
+        recent = sum(1 for s in self.signals[self._fresh_from:]
+                     if s.time > horizon)
         if recent >= self.quarantine_after:
             self.quarantined_at = signal.time
             self.quarantines += 1
@@ -378,7 +381,11 @@ class QuarantineLedger:
         verdict, and what to tell the health ladder's ``on_adversarial``
         (None: nothing) -- the verdict when it trips, the bare kind while
         already ``quarantined``, so that a peer which keeps lying
-        restarts its clean-probation clock."""
+        restarts its clean-probation clock.  A verdict standing on a
+        channel no longer ``quarantined`` has been served."""
+        if not quarantined and self.quarantined_at is not None:
+            self.quarantined_at = None
+            self._fresh_from = len(self.signals)
         if self.record(signal):
             return True, f"quarantined: {signal.kind.value}"
         return False, signal.kind.value if quarantined else None

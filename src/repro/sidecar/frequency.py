@@ -10,7 +10,7 @@ and Section 4.3 prescribes one policy per sidecar protocol:
   :class:`PacketCountFrequency`;
 * in-network retransmission: "should change dynamically based on the loss
   ratio ... could target a constant t = 20 missing packets per quACK" --
-  :class:`AdaptiveFrequency`.
+  :class:`AdaptiveFrequency`, retuned by :func:`retransmission_cadence`.
 
 A policy answers two questions: *should a quACK go out now that a packet
 arrived?* (:meth:`FrequencyPolicy.on_packet`) and *how long until a
@@ -67,46 +67,49 @@ class PacketCountFrequency(FrequencyPolicy):
         return packets_since_emit >= self.every_n
 
     def __repr__(self) -> str:
-        return f"PacketCountFrequency(every {self.every_n} packets)"
+        return f"{type(self).__name__}(every {self.every_n} packets)"
 
 
-class AdaptiveFrequency(FrequencyPolicy):
+#: Bounds of a loss-adaptive cadence, in packets per quACK.
+MIN_EVERY = 2
+MAX_EVERY = 512
+
+
+def retransmission_cadence(loss_ratio: float, target_missing: int) -> int:
+    """Packets per quACK so ~``target_missing`` losses accrue per quACK.
+
+    "The sender who configures this frequency could target a constant
+    t = 20 missing packets per quACK.  If the link is relatively stable,
+    the sender-side proxy could decrease the frequency" (Section 4.3):
+    the proxy's rule, and what ``repro sizing retransmission`` prints.
+    """
+    if not 0.0 <= loss_ratio <= 1.0:
+        raise ValueError(f"loss ratio must be in [0, 1], got {loss_ratio}")
+    if loss_ratio == 0.0:
+        return MAX_EVERY
+    return max(MIN_EVERY, min(MAX_EVERY, int(target_missing / loss_ratio)))
+
+
+class AdaptiveFrequency(PacketCountFrequency):
     """Loss-adaptive cadence for in-network retransmission (Section 4.3).
 
     Starts from an initial packet count and accepts retuning from the
     *sender-side* proxy, which "determines the loss ratio, and can
-    configure the communication frequency accordingly" (Section 2.3):
-    given an observed loss ratio and the quACK threshold ``t``, the sender
-    targets roughly ``target_missing`` losses per quACK, i.e. one quACK
-    every ``target_missing / loss_ratio`` packets, clamped to
-    ``[min_every, max_every]``.
+    configure the communication frequency accordingly" (Section 2.3,
+    :func:`retransmission_cadence`), within ``[min_every, max_every]``.
     """
 
-    def __init__(self, initial_every: int = 16, min_every: int = 2,
-                 max_every: int = 512, target_missing: int = 10) -> None:
+    def __init__(self, initial_every: int = 16, min_every: int = MIN_EVERY,
+                 max_every: int = MAX_EVERY) -> None:
         if not 1 <= min_every <= initial_every <= max_every:
             raise ValueError(
                 f"need 1 <= min_every <= initial_every <= max_every, got "
                 f"{min_every}, {initial_every}, {max_every}"
             )
-        self.every_n = initial_every
+        super().__init__(initial_every)
         self.min_every = min_every
         self.max_every = max_every
-        self.target_missing = target_missing
 
-    def on_packet(self, packets_since_emit: int, now: float,
-                  last_emit: float) -> bool:
-        return packets_since_emit >= self.every_n
-
-    def retune(self, loss_ratio: float) -> int:
-        """Adopt a new cadence for the observed loss ratio; returns it."""
-        if loss_ratio <= 0:
-            desired = self.max_every
-        else:
-            desired = int(self.target_missing / loss_ratio)
-        self.every_n = max(self.min_every, min(self.max_every, max(1, desired)))
-        return self.every_n
-
-    def __repr__(self) -> str:
-        return (f"AdaptiveFrequency(every={self.every_n}, "
-                f"target_missing={self.target_missing})")
+    def configure(self, every_n: int) -> None:
+        """Adopt the cadence a peer asked for, within this policy's bounds."""
+        self.every_n = max(self.min_every, min(self.max_every, every_n))

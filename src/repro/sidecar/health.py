@@ -38,7 +38,7 @@ accident:
     fresh violation restarts the clock.
 
 The monitor is driven by its owner (:class:`~repro.sidecar.agents
-.ServerSidecar`): ``on_good_quack`` / ``on_failure`` per processed
+.ConsumerEndpoint`): ``on_good_quack`` / ``on_failure`` per processed
 snapshot, ``on_stale`` from a staleness timer, ``on_adversarial`` from
 the quarantine ledger's verdict.  It never touches the transport
 itself; the owner reads :attr:`allow_receipts` / :attr:`allow_losses` /

@@ -7,7 +7,7 @@ hardened the way Secure Middlebox-Assisted QUIC argues middlebox
 assistance must be: *explicitly negotiated, with downgrade resistance*.
 
 The handshake is one round trip, initiated by the quACK consumer
-(:class:`~repro.sidecar.agents.ServerSidecar`) before any assistance
+(:class:`~repro.sidecar.agents.ConsumerEndpoint`) before any assistance
 starts:
 
 * **HELLO** -- the initiator offers its supported protocol-version range,

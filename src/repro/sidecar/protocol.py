@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro import obs
-from repro.errors import QuackError, WireFormatError, unsupported_version
+from repro.errors import WireFormatError, unsupported_version
 from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
@@ -71,18 +71,6 @@ class QuackMessage:
             raise TypeError("sidecar QuackMessage must carry a power-sum quACK")
         return decoded
 
-    def quack_or_none(self) -> PowerSumQuack | None:
-        """The snapshot, or None for a frame to count and drop.
-
-        For consumers with no reset protocol to feed: a corrupt frame
-        (checksum), an alien scheme or a payload that is no frame at all
-        is one decode failure each, session state untouched.
-        """
-        try:
-            return self.quack()
-        except (WireFormatError, QuackError, TypeError):
-            return None
-
 
 @dataclass(frozen=True)
 class ResetMessage:
@@ -96,7 +84,9 @@ class ResetMessage:
 
 @dataclass(frozen=True)
 class ConfigMessage:
-    """Retune the peer's emitter (frequency and quACK parameters)."""
+    """Consumer -> emitter: retune the emitter (frequency and quACK
+    parameters).  Applied in one place:
+    :meth:`~repro.sidecar.agents.EmitterEndpoint.on_control`."""
 
     flow_id: str
     every_n: int | None = None

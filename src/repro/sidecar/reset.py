@@ -19,9 +19,17 @@ deadlock it.  Corrupt frames do not count toward the trigger -- a reset
 cannot fix a noisy channel -- and a quarantined channel gets no resets
 at all (:mod:`repro.sidecar.defense`).
 
+A holder that cannot pause (an in-path observer: the retransmitting
+proxy) runs the same handshake with its log still fed: the restart is
+what discards the old epoch, and the announcement leaves on the same
+FIFO hop behind the last packet logged in it, so both sides cut at the
+same packet.  A lost announcement costs the packets logged before the
+emitter adopts -- repaired once, or past the threshold one more reset.
+
 :class:`ResetInitiator` is the consumer's half as events in, verdicts
-out; its owner (:class:`~repro.sidecar.agents.ServerSidecar`) pauses,
-schedules and sends.  :func:`epoch_verdict` is the emitter's half.
+out; its owner (:class:`~repro.sidecar.agents.ConsumerEndpoint`, the
+receiving role) pauses, schedules and sends.  :func:`epoch_verdict` is
+the emitter's half.
 """
 
 from __future__ import annotations

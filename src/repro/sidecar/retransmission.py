@@ -25,16 +25,20 @@ import random
 from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
-from repro.netsim.loss import BernoulliLoss
 from repro.sidecar.cc_division import make_loss_model
 from repro import obs
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import DEFAULT_THRESHOLD, EmitterEndpoint
-from repro.sidecar.consumer import QuackConsumer
-from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import ConfigMessage, QuackMessage, control_packet
+from repro.sidecar.agents import (
+    DEFAULT_THRESHOLD,
+    ConsumerEndpoint,
+    ConsumerEndpointStats,
+    ProxyEmitterTap,
+)
+from repro.sidecar.consumer import QuackFeedback
+from repro.sidecar.frequency import AdaptiveFrequency, retransmission_cadence
+from repro.sidecar.protocol import ConfigMessage
 from repro.transport.connection import (
     ReceiverConnection,
     SenderConnection,
@@ -44,34 +48,39 @@ from repro.transport.connection import (
 
 #: The retuned cadence aims at this many losses per quACK.
 TARGET_MISSING = 10
+#: The proxies' session reset (:mod:`repro.sidecar.reset`): after this
+#: many undecodable quACKs in a row, settling this long.
+RESET_AFTER_FAILURES = 3
+SETTLE_TIME_S = 0.1
 
 
 @dataclass
-class RetxProxyStats:
+class RetxProxyStats(ConsumerEndpointStats):
     logged: int = field(default=0, init=False)
     retransmitted: int = field(default=0, init=False)
     confirmed: int = field(default=0, init=False)
     evicted: int = field(default=0, init=False)
-    decode_failures: int = field(default=0, init=False)
     retunes_sent: int = field(default=0, init=False)
 
 
-class SenderSideRetxProxy:
-    """The buffering/retransmitting proxy (right-hand side of Fig. 4)."""
+class SenderSideRetxProxy(ConsumerEndpoint):
+    """The buffering/retransmitting proxy (right-hand side of Fig. 4):
+    the receiving role at an in-path observer.  The log is what crosses
+    its tap, what the news reports lost is re-logged and re-emitted, and
+    a reset pauses nothing (:mod:`repro.sidecar.reset` has why).
+    """
 
     def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
                  client: str, flow_id: str,
                  threshold: int = DEFAULT_THRESHOLD,
                  max_buffer: int = 4096,
                  retune_period_s: float = 0.25) -> None:
-        self.sim = sim
+        super().__init__(sim, router, flow_id, RetxProxyStats(), threshold,
+                         reset_after_failures=RESET_AFTER_FAILURES,
+                         settle_time=SETTLE_TIME_S, peer=peer_proxy)
         self.router = router
-        self.peer_proxy = peer_proxy
         self.client = client
-        self.flow_id = flow_id
         self.max_buffer = max_buffer
-        self.consumer = QuackConsumer(threshold)
-        self.stats = RetxProxyStats()
         self._window_received = 0
         self._window_lost = 0
         router.add_tap(self._tap)
@@ -81,7 +90,7 @@ class SenderSideRetxProxy:
     def _tap(self, packet: Packet) -> None:
         if packet.dst == self.router.name:
             if packet.kind is PacketKind.QUACK:
-                self._on_quack(packet)
+                self._on_quack_packet(packet)
             return
         if (packet.kind is PacketKind.DATA and packet.dst == self.client
                 and packet.flow_id == self.flow_id
@@ -96,19 +105,7 @@ class SenderSideRetxProxy:
         self.consumer.record_send(packet.identifier, packet, self.sim.now)
         self.stats.logged += 1
 
-    def _on_quack(self, packet: Packet) -> None:
-        message = packet.payload
-        if not isinstance(message, QuackMessage) \
-                or message.flow_id != self.flow_id:
-            return
-        quack = message.quack_or_none()
-        if quack is None:
-            self.stats.decode_failures += 1
-            return
-        feedback = self.consumer.on_quack(quack, self.sim.now)
-        if not feedback.ok:
-            self.stats.decode_failures += 1
-            return
+    def _apply(self, feedback: QuackFeedback, now: float) -> None:
         self.stats.confirmed += len(feedback.received)
         self._window_received += len(feedback.received)
         self._window_lost += len(feedback.lost)
@@ -116,19 +113,19 @@ class SenderSideRetxProxy:
             # Retransmit across the lossy segment; same packet, same
             # identifier -- re-logged so the next quACK covers the repair.
             self.consumer.record_send(lost_packet.identifier, lost_packet,
-                                      self.sim.now)
+                                      now)
             self.stats.retransmitted += 1
             if obs.TRACER.enabled:
-                latency = self.sim.now - lost_packet.created_at
+                latency = now - lost_packet.created_at
                 # The decode just declared this specific buffered packet
                 # missing: the per-packet gap-detection lifecycle stage.
-                obs.TRACER.emit("sidecar.gap_detect", self.sim.now,
+                obs.TRACER.emit("sidecar.gap_detect", now,
                                 flow=self.flow_id,
                                 ctx=lost_packet.trace_ctx,
                                 latency=latency)
                 # Local repair re-emits the *same* datagram, so the span
                 # keeps its context id across the retransmission.
-                obs.TRACER.emit("sidecar.retransmit", self.sim.now,
+                obs.TRACER.emit("sidecar.retransmit", now,
                                 flow=self.flow_id, cause="quack",
                                 latency=latency,
                                 ctx=lost_packet.trace_ctx)
@@ -141,51 +138,14 @@ class SenderSideRetxProxy:
     def _retune(self, period: float) -> None:
         total = self._window_received + self._window_lost
         if total >= 50:
-            ratio = self.observed_loss_ratio()
-            every = max(2, min(512, int(TARGET_MISSING / ratio)
-                               if ratio > 0 else 512))
-            message = ConfigMessage(flow_id=self.flow_id, every_n=every)
-            self.router.send(control_packet(self.router.name, self.peer_proxy,
-                                            message, self.sim.now))
+            every = retransmission_cadence(self.observed_loss_ratio(),
+                                           TARGET_MISSING)
+            self._send_control(ConfigMessage(flow_id=self.flow_id,
+                                             every_n=every))
             self.stats.retunes_sent += 1
             self._window_received = 0
             self._window_lost = 0
         self._retune_timer.rearm(period)
-
-
-class ReceiverSideRetxProxy:
-    """The quACKing proxy (left-hand side of Fig. 4)."""
-
-    def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
-                 client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD,
-                 policy: AdaptiveFrequency | None = None) -> None:
-        self.router = router
-        self.client = client
-        self.flow_id = flow_id
-        self.policy = policy if policy is not None else AdaptiveFrequency(
-            initial_every=8)
-        self.endpoint = EmitterEndpoint(sim, router, peer_proxy, flow_id,
-                                        self.policy, role="proxy",
-                                        threshold=threshold)
-        self.retunes_applied = 0
-        router.add_tap(self._tap)
-
-    def _tap(self, packet: Packet) -> None:
-        if packet.dst == self.router.name:
-            if (packet.kind is PacketKind.CONTROL
-                    and isinstance(packet.payload, ConfigMessage)
-                    and packet.payload.flow_id == self.flow_id
-                    and packet.payload.every_n is not None):
-                self.policy.every_n = max(self.policy.min_every,
-                                          min(self.policy.max_every,
-                                              packet.payload.every_n))
-                self.retunes_applied += 1
-            return
-        if (packet.kind is PacketKind.DATA and packet.dst == self.client
-                and packet.flow_id == self.flow_id
-                and packet.identifier is not None):
-            self.endpoint.on_data(packet)
 
 
 @dataclass
@@ -250,15 +210,15 @@ def run_retransmission(total_bytes: int = 1_500_000,
                               reorder_threshold=reorder_threshold)
 
     sender_proxy: SenderSideRetxProxy | None = None
-    receiver_proxy: ReceiverSideRetxProxy | None = None
+    receiver_proxy: ProxyEmitterTap | None = None
     if innet_retx:
         sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                            client="client", flow_id=flow_id,
                                            threshold=threshold)
-        receiver_proxy = ReceiverSideRetxProxy(sim, p2, peer_proxy="p1",
-                                               client="client",
-                                               flow_id=flow_id,
-                                               threshold=threshold)
+        # The quACKing proxy (left-hand side of Fig. 4), retuned by p1.
+        receiver_proxy = ProxyEmitterTap(
+            sim, p2, server="p1", client="client", flow_id=flow_id,
+            policy=AdaptiveFrequency(initial_every=8), threshold=threshold)
 
     run_transfer(sim, sender, receiver, slice_s=0.5,
                  deadline_s=max_sim_seconds)
@@ -274,8 +234,7 @@ def run_retransmission(total_bytes: int = 1_500_000,
         server_congestion_events=sender.cc.congestion_events,
         proxy_retransmissions=(sender_proxy.stats.retransmitted
                                if sender_proxy else 0),
-        proxy_quacks=(receiver_proxy.endpoint.quacks_sent
-                      if receiver_proxy else 0),
+        proxy_quacks=receiver_proxy.quacks_sent if receiver_proxy else 0,
         proxy_decode_failures=(sender_proxy.stats.decode_failures
                                if sender_proxy else 0),
         client_duplicates=receiver.stats.duplicate_packets,

@@ -5,9 +5,9 @@ import time
 import pytest
 
 from repro.bench.frequency import (
+    PAPER_TARGET_MISSING,
     ack_reduction_sizing,
     cc_division_sizing,
-    retransmission_cadence,
 )
 from repro.bench.tables import (
     fig5_series,
@@ -19,6 +19,7 @@ from repro.bench.tables import (
 )
 from repro.bench.timing import TimingResult, measure, measure_throughput
 from repro.bench.workloads import QuackWorkload, make_workload
+from repro.sidecar.frequency import retransmission_cadence
 
 
 class TestMeasure:
@@ -142,12 +143,13 @@ class TestFrequency:
             .bandwidth_saving_factor == pytest.approx(4.0)
 
     def test_cadence_validation(self):
+        # 1.0 is a ratio the sender-side proxy can observe over a window.
         with pytest.raises(ValueError):
-            retransmission_cadence(1.0)
+            retransmission_cadence(1.01, PAPER_TARGET_MISSING)
         with pytest.raises(ValueError):
-            retransmission_cadence(-0.1)
+            retransmission_cadence(-0.1, PAPER_TARGET_MISSING)
 
     def test_cadence_monotone_in_loss(self):
-        cadences = [retransmission_cadence(loss)
+        cadences = [retransmission_cadence(loss, PAPER_TARGET_MISSING)
                     for loss in (0.4, 0.2, 0.1, 0.05)]
         assert cadences == sorted(cadences)

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.sched import DEFAULT_BUCKET_WIDTH, DEFAULT_WHEEL_SLOTS
+from repro.netsim.sched import BUCKET_WIDTH, WHEEL_SLOTS
 from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-WIDTH = DEFAULT_BUCKET_WIDTH
-HORIZON = DEFAULT_BUCKET_WIDTH * DEFAULT_WHEEL_SLOTS
+WIDTH = BUCKET_WIDTH
+HORIZON = BUCKET_WIDTH * WHEEL_SLOTS
 
 # Delays chosen to stress every placement class: zero-delay chains,
 # sub-bucket, exact bucket boundaries, mid-window, and past the ring

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.sched import DEFAULT_BUCKET_WIDTH, DEFAULT_WHEEL_SLOTS
+from repro.netsim.sched import BUCKET_WIDTH, WHEEL_SLOTS
 from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-WIDTH = DEFAULT_BUCKET_WIDTH
-HORIZON = WIDTH * DEFAULT_WHEEL_SLOTS
+WIDTH = BUCKET_WIDTH
+HORIZON = WIDTH * WHEEL_SLOTS
 
 # Arm delays spanning every placement class of the wheel: sub-bucket,
 # boundary, mid-ring, and the overflow heap past the horizon.

@@ -14,14 +14,14 @@ import pytest
 
 from repro.netsim.core import Simulator
 from repro.netsim.sched import (
-    DEFAULT_BUCKET_WIDTH,
-    DEFAULT_WHEEL_SLOTS,
+    BUCKET_WIDTH,
+    WHEEL_SLOTS,
     CalendarScheduler,
 )
 from tests.netsim.heap_oracle import BACKENDS, make_simulator
 
-WIDTH = DEFAULT_BUCKET_WIDTH
-HORIZON = DEFAULT_BUCKET_WIDTH * DEFAULT_WHEEL_SLOTS
+WIDTH = BUCKET_WIDTH
+HORIZON = BUCKET_WIDTH * WHEEL_SLOTS
 
 
 @pytest.fixture(params=BACKENDS)
@@ -132,8 +132,8 @@ class TestBucketBoundaries:
     """Times landing exactly on calendar bucket edges."""
 
     @pytest.mark.parametrize("boundary_multiple", [1, 2, 7,
-                                                   DEFAULT_WHEEL_SLOTS - 1,
-                                                   DEFAULT_WHEEL_SLOTS])
+                                                   WHEEL_SLOTS - 1,
+                                                   WHEEL_SLOTS])
     def test_exact_boundary_times_fire_in_order(self, boundary_multiple):
         reference = None
         for scheduler in BACKENDS:

@@ -226,9 +226,36 @@ class TestQuarantineLedger:
         # Still lying on the quarantined rung: restart its clean clock.
         assert ledger.judge(signal_at(0.2), quarantined=True) \
             == (False, "forged_evidence")
-        # Re-admitted by the ladder: the sticky verdict trips nothing new.
+        # Re-admitted by the ladder: judged against the window afresh.
         assert ledger.judge(signal_at(0.3), quarantined=False) \
             == (False, None)
+        assert not ledger.quarantined
+        assert ledger.judge(signal_at(0.4), quarantined=False) \
+            == (True, "quarantined: forged_evidence")
+        assert ledger.quarantines == 2 and len(ledger.signals) == 5
+
+    def test_a_readmitted_liar_is_quarantined_again(self):
+        # The ledger and the ladder together, no simulator: three
+        # signals quarantine, clean quACKs serve both probations, and
+        # the next burst of lies must not find a HEALTHY ladder deaf.
+        ledger = QuarantineLedger(quarantine_after=3, signal_window_s=5.0)
+        monitor = HealthMonitor(HealthConfig(probation=0.1,
+                                             quarantine_probation=0.1))
+
+        def lie(now):
+            tripped, reason = ledger.judge(signal_at(now),
+                                           monitor.quarantined)
+            if reason is not None:
+                monitor.on_adversarial(now, reason)
+            return tripped
+
+        assert [lie(t) for t in (0.1, 0.2, 0.3)] == [False, False, True]
+        for tick in range(31, 53):
+            monitor.on_good_quack(tick / 100)
+        assert monitor.state is HealthState.HEALTHY
+        assert [lie(0.53 + i / 100) for i in range(10)].count(True) == 1
+        assert monitor.state is HealthState.QUARANTINED
+        assert ledger.quarantines == 2 and len(ledger.signals) == 13
 
     def test_by_kind_tally(self):
         ledger = QuarantineLedger()

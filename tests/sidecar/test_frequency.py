@@ -3,9 +3,12 @@
 import pytest
 
 from repro.sidecar.frequency import (
+    MAX_EVERY,
+    MIN_EVERY,
     AdaptiveFrequency,
     IntervalFrequency,
     PacketCountFrequency,
+    retransmission_cadence,
 )
 
 
@@ -52,21 +55,29 @@ class TestAdaptiveFrequency:
 
     def test_retune_targets_constant_missing(self):
         # Section 4.3: target ~t missing per quACK at the observed loss.
-        policy = AdaptiveFrequency(initial_every=16, target_missing=10)
-        assert policy.retune(0.10) == 100
-        assert policy.every_n == 100
-        assert policy.retune(0.5) == 20
+        assert retransmission_cadence(0.10, target_missing=10) == 100
+        assert retransmission_cadence(0.5, target_missing=10) == 20
+        assert retransmission_cadence(0.10, target_missing=20) == 200
+        assert retransmission_cadence(1.0, target_missing=10) == 10
 
     def test_retune_clamps(self):
+        assert retransmission_cadence(0.9, 10) == 11  # 10/0.9
+        assert retransmission_cadence(0.99, 10) == 10
+        # Nearly lossless: slowest cadence.
+        assert retransmission_cadence(1e-9, 10) == MAX_EVERY == 512
+        assert retransmission_cadence(0.0, 10) == MAX_EVERY
+        # Clamped up to the fastest.
+        assert retransmission_cadence(0.9, 1) == MIN_EVERY == 2
+
+    def test_configure_adopts_within_the_policys_own_bounds(self):
         policy = AdaptiveFrequency(initial_every=16, min_every=4,
-                                   max_every=64, target_missing=10)
-        assert policy.retune(0.9) == 11  # 10/0.9
-        assert policy.retune(0.99) == 10
-        assert policy.retune(1e-9) == 64   # nearly lossless: slowest cadence
-        assert policy.retune(0.0) == 64
-        policy2 = AdaptiveFrequency(initial_every=16, min_every=8,
-                                    max_every=64, target_missing=1)
-        assert policy2.retune(0.9) == 8  # clamped up to min_every
+                                   max_every=64)
+        policy.configure(32)
+        assert policy.every_n == 32
+        policy.configure(10_000)
+        assert policy.every_n == 64
+        policy.configure(1)
+        assert policy.every_n == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

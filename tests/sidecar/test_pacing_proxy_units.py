@@ -11,8 +11,8 @@ from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.cc_division import PacingProxy
-from repro.sidecar.protocol import quack_packet
+from repro.sidecar.cc_division import RESET_AFTER_FAILURES, PacingProxy
+from repro.sidecar.protocol import ResetMessage, quack_packet
 from repro.transport.cc.fixed import FixedWindow
 
 
@@ -147,3 +147,72 @@ class TestQuackFeedback:
         # unconfirmed packets and drain the rest.
         sim.run(until=3.0)
         assert agent.stats.forwarded == 4
+
+
+class TestReset:
+    """The Section 3.3 reset at a holder whose pause is "stop draining"."""
+
+    @staticmethod
+    def quack_of(identifiers, now, epoch=0):
+        snapshot = PowerSumQuack(8)
+        for identifier in identifiers:
+            snapshot.insert(identifier)
+        return quack_packet("client", "proxy", snapshot, "f", now,
+                            epoch=epoch)
+
+    def test_custody_is_conserved_across_a_reset(self):
+        sim, server, proxy, client, agent, delivered = build_proxy(
+            buffer_packets=64, controller=FixedWindow(4))
+        controls = []
+        client.add_handler(PacketKind.CONTROL, controls.append)
+        for i in range(7):
+            server.send(data_packet(500 + i))
+        sim.run(until=0.1)
+        assert agent.stats.forwarded == 4 and agent.buffer_depth == 3
+        # Poison the session: every client quACK is now undecodable.
+        agent.consumer.mine.insert(0xDEADBEEF)
+        for _ in range(RESET_AFTER_FAILURES):
+            client.send(self.quack_of(range(500, 504), sim.now))
+        stats = agent.stats
+        while sim.now < 3.0:  # through both settle windows and two sweeps
+            sim.run(until=sim.now + 0.01)
+            assert stats.taken_custody == stats.forwarded + agent.buffer_depth
+            assert agent._in_flight_bytes >= 0
+            if agent.reset.settling:
+                assert stats.forwarded == 4  # custody kept, not drained
+            elif agent.epoch == 1 and sim.now < 1.0:  # until a sweep expires
+                # The new epoch started with nothing in flight.
+                assert agent._in_flight_bytes == 1500 * (stats.forwarded - 4)
+        assert stats.decode_failures == RESET_AFTER_FAILURES
+        assert stats.resets_initiated == 1 and agent.epoch == 1
+        # A fresh window in the new epoch: the rest of the buffer went.
+        assert stats.forwarded == 7 and len(delivered) == 7
+        assert agent._in_flight_bytes == 0  # swept: nobody quACKed them
+        assert controls and all(
+            packet.payload == ResetMessage(flow_id="f", epoch=1)
+            for packet in controls)
+
+    def test_stale_epoch_quack_is_answered_with_a_repeat(self):
+        sim, server, proxy, client, agent, delivered = build_proxy(
+            buffer_packets=64, controller=FixedWindow(4))
+        controls = []
+        client.add_handler(PacketKind.CONTROL, controls.append)
+        for i in range(4):
+            server.send(data_packet(600 + i))
+        sim.run(until=0.1)
+        agent.consumer.mine.insert(0xDEADBEEF)
+        for _ in range(RESET_AFTER_FAILURES):
+            client.send(self.quack_of(range(600, 604), sim.now))
+        sim.run(until=0.5)
+        assert agent.epoch == 1 and not agent.reset.confirmed
+        # A snapshot of the new epoch confirms it: the retry clock stops.
+        client.send(self.quack_of((), sim.now, epoch=1))
+        sim.run(until=0.6)
+        assert agent.reset.confirmed
+        announcements = len(controls)
+        # The emitter of a lost announcement would still speak epoch 0.
+        client.send(self.quack_of(range(600, 604), sim.now, epoch=0))
+        sim.run(until=3.0)
+        assert agent.stats.stale_epoch_quacks == 1
+        assert len(controls) == announcements + 1
+        assert controls[-1].payload == ResetMessage(flow_id="f", epoch=1)

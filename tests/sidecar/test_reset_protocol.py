@@ -5,7 +5,8 @@ receiver must reset the connection if they wish to use the quACK."  The
 implementation generalizes this to any unrecoverable decode divergence:
 drain, restart the cumulative state under a new epoch, and discard stale
 snapshots.  These tests poison a live session on purpose and watch it
-heal.
+heal -- whichever of the three holders of the receiving role
+(:class:`~repro.sidecar.agents.ConsumerEndpoint`) it belongs to.
 """
 
 import pytest
@@ -14,33 +15,65 @@ from repro.netsim.core import Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import PacketKind
 from repro.netsim.topology import HopSpec, build_path
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
-from repro.sidecar.frequency import PacketCountFrequency
+from repro.sidecar import cc_division, retransmission
+from repro.sidecar.agents import (
+    HostEmitterAgent,
+    ProxyEmitterTap,
+    ServerSidecar,
+)
+from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
 from repro.sidecar.reset import RETRY_CAP_S, ResetInitiator, epoch_verdict
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 SETTLE = 0.1
 
 
-def build_assisted(total=1460 * 400, reset_after=2):
+HOLDERS = ("server", "pacing-proxy", "retx-proxy")
+
+
+def build_assisted(total=1460 * 400, reset_after=2, holder="server",
+                   monkeypatch=None):
+    """One assisted transfer; returns ``(sim, sender, receiver, emitter,
+    consumer)`` with ``consumer`` the ``holder`` of the receiving role.
+    The proxies take ``reset_after`` from their module constant."""
     sim = Simulator()
-    server = Host(sim, "server")
-    proxy = Router(sim, "proxy")
-    client = Host(sim, "client")
+    server, client = Host(sim, "server"), Host(sim, "client")
+    routers = [Router(sim, name) for name in
+               (("p1", "p2") if holder == "retx-proxy" else ("proxy",))]
     # Slow enough that the transfer (~585 KB) outlives a mid-flight reset.
-    build_path(sim, [server, proxy, client],
-               [HopSpec(bandwidth_bps=5e6, delay_s=0.005),
-                HopSpec(bandwidth_bps=5e6, delay_s=0.005)])
+    build_path(sim, [server, *routers, client],
+               [HopSpec(bandwidth_bps=5e6, delay_s=0.005)
+                for _ in range(len(routers) + 1)])
     receiver = ReceiverConnection(sim, client, "server", total)
     sender = SenderConnection(sim, server, "client", total)
-    tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
-                          flow_id="flow0", policy=PacketCountFrequency(4),
-                          threshold=16)
-    sidecar = ServerSidecar(sim, sender, threshold=16, grace=2,
-                            apply_losses=False,
-                            reset_after_failures=reset_after,
-                            settle_time=SETTLE)
-    return sim, sender, receiver, tap, sidecar
+    if holder == "server":
+        emitter = ProxyEmitterTap(
+            sim, routers[0], server="server", client="client",
+            flow_id="flow0", policy=PacketCountFrequency(4), threshold=16)
+        consumer = ServerSidecar(sim, sender, threshold=16, grace=2,
+                                 apply_losses=False,
+                                 reset_after_failures=reset_after,
+                                 settle_time=SETTLE)
+    elif holder == "pacing-proxy":
+        monkeypatch.setattr(cc_division, "RESET_AFTER_FAILURES", reset_after)
+        emitter = HostEmitterAgent(sim, client, peer="proxy",
+                                   flow_id="flow0",
+                                   policy=IntervalFrequency(0.01),
+                                   threshold=16)
+        consumer = cc_division.PacingProxy(
+            sim, routers[0], server="server", client="client",
+            flow_id="flow0", threshold=16)
+        server.add_handler(PacketKind.QUACK, lambda packet: None)
+    else:
+        monkeypatch.setattr(retransmission, "RESET_AFTER_FAILURES",
+                            reset_after)
+        emitter = ProxyEmitterTap(
+            sim, routers[1], server="p1", client="client", flow_id="flow0",
+            policy=PacketCountFrequency(4), threshold=16)
+        consumer = retransmission.SenderSideRetxProxy(
+            sim, routers[0], peer_proxy="p2", client="client",
+            flow_id="flow0", threshold=16)
+    return sim, sender, receiver, emitter, consumer
 
 
 def run(sim, sender, receiver, deadline=60.0):
@@ -60,34 +93,41 @@ def run(sim, sender, receiver, deadline=60.0):
 
 
 class TestRecovery:
-    def test_session_heals_after_reset(self):
-        sim, sender, receiver, tap, sidecar = build_assisted()
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_session_heals_after_reset(self, holder, monkeypatch):
+        sim, sender, receiver, emitter, consumer = build_assisted(
+            holder=holder, monkeypatch=monkeypatch)
         sender.start()
         sim.run(until=0.1)
-        releases_before = sender.stats.sidecar_releases
-        assert releases_before > 0
+        confirmed_before = consumer.consumer.stats.confirmed_received
+        assert confirmed_before > 0
         # Poison with a ghost entry nothing will ever acknowledge.
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        consumer.consumer.mine.insert(0xDEADBEEF)
         run(sim, sender, receiver)
         assert receiver.complete
-        assert sidecar.stats.resets_initiated >= 1
-        assert tap.resets_applied >= 1
-        assert tap.epoch == sidecar.epoch
-        # The session worked again after the reset: more window credits
-        # landed than had before the poisoning.
-        assert sender.stats.sidecar_releases > releases_before
+        assert consumer.stats.resets_initiated >= 1
+        assert emitter.resets_applied >= 1
+        assert emitter.epoch == consumer.epoch
+        # The session worked again after the reset: more packets were
+        # confirmed than had been before the poisoning.
+        assert consumer.consumer.stats.confirmed_received > confirmed_before
         # And failures stopped accumulating once healed.
-        assert sidecar.reset.consecutive_failures < 2
+        assert consumer.reset.consecutive_failures < 2
 
-    def test_without_reset_the_session_stays_broken(self):
-        sim, sender, receiver, tap, sidecar = build_assisted(reset_after=None)
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_without_reset_the_session_stays_broken(self, holder,
+                                                    monkeypatch):
+        sim, sender, receiver, emitter, consumer = build_assisted(
+            reset_after=None, holder=holder, monkeypatch=monkeypatch)
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
-        run(sim, sender, receiver)
-        assert receiver.complete  # the transport never depended on it
-        assert sidecar.stats.resets_initiated == 0
-        assert sidecar.stats.decode_failures > 5  # every quACK failed
+        consumer.consumer.mine.insert(0xDEADBEEF)
+        run(sim, sender, receiver, deadline=10.0)
+        # The transport never depended on it -- except through the
+        # pacing proxy's custody, which only the expiry sweep releases.
+        assert receiver.complete or holder == "pacing-proxy"
+        assert consumer.stats.resets_initiated == 0 and emitter.epoch == 0
+        assert consumer.stats.decode_failures > 5  # every quACK failed
 
     def test_transfer_completes_despite_pause(self):
         """The reset pauses the sender twice for settle_time; the

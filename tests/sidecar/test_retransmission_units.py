@@ -5,23 +5,23 @@ import random
 import pytest
 
 from repro.netsim.core import Simulator
-from repro.netsim.faults import Corruption, default_corrupter
+from repro.netsim.faults import Blackout, Corruption, default_corrupter
 from repro.netsim.loss import DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
+from repro.sidecar.agents import ProxyEmitterTap
 from repro.sidecar.frequency import AdaptiveFrequency
-from repro.sidecar.protocol import ConfigMessage, control_packet
-from repro.sidecar.retransmission import (
-    ReceiverSideRetxProxy,
-    SenderSideRetxProxy,
-)
+from repro.sidecar.protocol import ConfigMessage, ResetMessage, control_packet
+from repro.sidecar.retransmission import SenderSideRetxProxy
+from repro.transport.connection import ReceiverConnection, SenderConnection
 
 
 def build_segment(loss_ordinals=frozenset(), quack_every=4,
-                  quack_faults=None):
+                  quack_faults=None, control_faults=None):
     """server -- p1 -- p2 -- client with a deterministic lossy middle
-    (``quack_faults``: injector on its p2 -> p1 direction)."""
+    (``quack_faults``: injector on its p2 -> p1 direction,
+    ``control_faults``: on p1 -> p2)."""
     sim = Simulator()
     server = Host(sim, "server")
     p1, p2 = Router(sim, "p1"), Router(sim, "p2")
@@ -30,16 +30,15 @@ def build_segment(loss_ordinals=frozenset(), quack_every=4,
         HopSpec(bandwidth_bps=50e6, delay_s=0.002),
         HopSpec(bandwidth_bps=50e6, delay_s=0.002,
                 loss_up=DeterministicLoss(loss_ordinals),
-                faults_down=quack_faults),
+                faults_up=control_faults, faults_down=quack_faults),
         HopSpec(bandwidth_bps=50e6, delay_s=0.002),
     ])
     sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                        client="client", flow_id="f",
                                        threshold=8, retune_period_s=0.05)
-    receiver_proxy = ReceiverSideRetxProxy(
-        sim, p2, peer_proxy="p1", client="client", flow_id="f",
-        threshold=8, policy=AdaptiveFrequency(initial_every=quack_every,
-                                              min_every=2))
+    receiver_proxy = ProxyEmitterTap(
+        sim, p2, server="p1", client="client", flow_id="f", threshold=8,
+        policy=AdaptiveFrequency(initial_every=quack_every, min_every=2))
     received = []
     client.add_handler(PacketKind.DATA, received.append)
     return sim, server, p1, p2, client, sender_proxy, receiver_proxy, received
@@ -129,6 +128,46 @@ class TestCorruptQuack:
         assert len(received) == 12
 
 
+class TestReset:
+    """The Section 3.3 reset at an in-path observer, which cannot pause."""
+
+    @pytest.mark.parametrize("announcement_lost", [False, True])
+    def test_threshold_overflow_heals(self, announcement_lost):
+        # Twelve consecutive losses against a threshold of eight: no
+        # later quACK of the epoch can decode.  With a blackout on the
+        # hop's control traffic the first announcements die too, p2
+        # adopts late, and what p1 logged meanwhile overflows once more.
+        outage = Blackout([(0.0, 0.6)], kinds=[PacketKind.CONTROL]) \
+            if announcement_lost else None
+        sim, server, p1, p2, client, sp, rp, received = build_segment(
+            loss_ordinals=set(range(20, 32)) | {3000, 3300, 3600},
+            control_faults=outage)
+        total = 1460 * 4000
+        receiver = ReceiverConnection(sim, client, "server", total,
+                                      flow_id="f")
+        sender = SenderConnection(sim, server, "client", total, flow_id="f")
+        sender.start()
+        while sim.now < 30.0 and not receiver.complete:
+            sim.run(until=sim.now + 0.05)
+        assert receiver.complete
+        assert sp.stats.resets_initiated == (2 if announcement_lost else 1)
+        assert rp.epoch == sp.epoch == sp.stats.resets_initiated
+        assert (sp.stats.reset_retries > 0) == announcement_lost
+        # Local repair works again in the new epoch: the three late
+        # losses, and only they, were repaired at p1.
+        assert sp.stats.retransmitted == 3
+        assert sp.reset.consecutive_failures == 0
+        assert receiver.stats.duplicate_packets == 0
+
+    def test_reset_message_applied_at_the_receiver_side(self):
+        sim, server, p1, p2, client, sp, rp, received = build_segment()
+        send_data(sim, server, 6)
+        p1.send(control_packet("p1", "p2",
+                               ResetMessage(flow_id="f", epoch=3), 0.0))
+        sim.run(until=1)
+        assert rp.epoch == 3 and rp.resets_applied == 1
+
+
 class TestAdaptiveCadence:
     def test_retune_message_applied(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
@@ -136,7 +175,6 @@ class TestAdaptiveCadence:
         p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
         assert rp.policy.every_n == 64
-        assert rp.retunes_applied == 1
 
     def test_retune_clamped_to_policy_bounds(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
@@ -151,7 +189,6 @@ class TestAdaptiveCadence:
         sim.run(until=3)
         # Enough traffic crossed (>=50 outcomes) for a retune round trip.
         assert sp.stats.retunes_sent >= 1
-        assert rp.retunes_applied >= 1
         # Clean link -> cadence relaxes toward max_every.
         assert rp.policy.every_n > 4
 
@@ -160,7 +197,7 @@ class TestAdaptiveCadence:
         message = ConfigMessage(flow_id="other", every_n=64)
         p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
-        assert rp.retunes_applied == 0
+        assert rp.policy.every_n == 4
 
 
 class TestBufferBound:

@@ -30,6 +30,8 @@ After every step:
   "the ladder has taken the sidecar's signals away";
 * receipts move the window only on HEALTHY/DEGRADED, losses only on
   HEALTHY;
+* ``quarantine_after`` signals inside ``signal_window_s`` on a
+  non-QUARANTINED channel end QUARANTINED, re-admitted or not;
 * frames stamped v1 carry no feature bits, v2 frames the negotiated
   ones, and no wire version exceeds the negotiated ceiling;
 * nothing raises.
@@ -77,6 +79,8 @@ from repro.transport.connection import ReceiverConnection, SenderConnection
 
 THRESHOLD = 8
 SETTLE = 0.05
+QUARANTINE_AFTER = 4
+SIGNAL_WINDOW = 1.0
 #: The ceiling of the doubling reset-retry delay, seconds.
 RETRY_CAP = 2.0
 EPS = 1e-9
@@ -138,7 +142,8 @@ class SenderSideMachine(RuleBasedStateMachine):
             health=HealthConfig(degrade_after=2, e2e_only_after=4,
                                 stale_after=0.3, probation=0.03,
                                 quarantine_probation=0.05),
-            defense=DefenseConfig(quarantine_after=4, signal_window_s=1.0),
+            defense=DefenseConfig(quarantine_after=QUARANTINE_AFTER,
+                                  signal_window_s=SIGNAL_WINDOW),
             negotiate=NegotiateConfig(retry_s=0.05), peer="proxy")
         #: Sidecar datagrams in flight toward the server, oldest first.
         self.channel = []
@@ -454,6 +459,20 @@ class SenderSideMachine(RuleBasedStateMachine):
             if monitor.state is not HealthState.HEALTHY:
                 assert stats.losses_applied == losses
         self.applied = applied
+
+    @invariant()
+    def a_lying_channel_ends_quarantined(self):
+        """Signals ledgered strictly after the ladder last left
+        QUARANTINED were all judged on the rung it is on now."""
+        if self.sidecar.quarantined:
+            return
+        readmitted = max((hop.time
+                          for hop in self.sidecar.monitor.stats.transitions
+                          if hop.old is HealthState.QUARANTINED), default=-1.0)
+        fresh = [signal.time for signal in self.sidecar.ledger.signals
+                 if signal.time > readmitted]
+        for first, last in zip(fresh, fresh[QUARANTINE_AFTER - 1:]):
+            assert last - first >= SIGNAL_WINDOW, (first, last)
 
     @invariant()
     def wire_version_stays_under_the_negotiated_ceiling(self):

@@ -99,3 +99,24 @@ def test_every_module_has_a_consumer():
     assert orphans == sorted(KNOWN_ORPHANS), (
         "modules nothing but their tests and package re-exports import "
         f"(expected exactly the known ones): {orphans}")
+
+
+def test_the_receiving_role_is_written_once():
+    """Table 1's *receives quACKs* role is one class
+    (``sidecar.agents.ConsumerEndpoint``): in ``src/repro/sidecar`` the
+    log is constructed, a quACK decoded against it and the reset
+    machine instantiated at one site each.  A second site is a copy of
+    the intake growing back in a protocol module."""
+    sites: dict[str, list[str]] = {
+        "QuackConsumer": [], "on_quack": [], "ResetInitiator": []}
+    for path in sorted((SRC / "repro" / "sidecar").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", "")
+            if name in sites:
+                sites[name].append(f"{path.name}:{node.lineno}")
+    assert {name: len(found) for name, found in sites.items()} == {
+        "QuackConsumer": 1, "on_quack": 1, "ResetInitiator": 1}, sites

@@ -11,7 +11,9 @@ A call site sets an option by keyword, by position, through a
 ``dict(...)`` forwarded with ``**``, through a ``**kwargs`` wrapper that
 forwards to the callable (a function, or a subclass constructor handing
 its ``**options`` to ``super().__init__``), or as a key of a checked-in
-sweep spec whose scenario names the callable as its entry point.  Call sites are read
+sweep spec whose scenario names the callable as its entry point.  Inside
+a class body ``super().__init__(...)`` is a call to each base and
+``cls(...)`` a call to the class itself.  Call sites are read
 from ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``; matching is
 by the callable's bare name, so the audit errs towards counting an
 option as set.  Dataclass *state* is not an option: declare it
@@ -30,7 +32,7 @@ SRC = REPO / "src"
 #: Packages held to the rule.  Grow this list (ROADMAP item 7 keeps the
 #: count of unset options in the packages not yet on it).
 AUDITED = ("repro.chaos", "repro.obs", "repro.quack", "repro.sidecar",
-           "repro.arith", "repro.ids")
+           "repro.arith", "repro.ids", "repro.netsim")
 
 _ENTRY_POINT = ("keyword of a scenario entry point: the sweep-spec input "
                 "format and the frozen benchmark's call surface")
@@ -147,13 +149,18 @@ def _dict_keys(node: ast.AST) -> set[str]:
     return set()
 
 
+def _is_super_init(node: ast.AST) -> bool:
+    """Is ``node`` a ``super().__init__(...)`` call?"""
+    return (isinstance(node, ast.Call) and _callee(node) == "__init__"
+            and isinstance(node.func.value, ast.Call)
+            and _callee(node.func.value) == "super")
+
+
 def _forwards_to_super(init: ast.FunctionDef) -> bool:
     """Does ``__init__(.., **options)`` call ``super().__init__(**options)``?"""
     catch_all = init.args.kwarg.arg if init.args.kwarg else None
     return any(
-        isinstance(call, ast.Call) and _callee(call) == "__init__"
-        and isinstance(call.func.value, ast.Call)
-        and _callee(call.func.value) == "super"
+        _is_super_init(call)
         and any(kw.arg is None and getattr(kw.value, "id", None) == catch_all
                 for kw in call.keywords)
         for call in ast.walk(init))
@@ -208,6 +215,17 @@ def options_set() -> dict[str, set[str]]:
                     # Constructing the subclass sets its bases' options.
                     forwards.setdefault(node.name, set()).update(
                         getattr(base, "id", "") for base in node.bases)
+            #: call node -> the classes it constructs under another name
+            aliased: dict[ast.Call, list[str]] = {}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                bases = [getattr(base, "id", "") for base in node.bases]
+                for call in ast.walk(node):
+                    if _is_super_init(call):
+                        aliased[call] = bases
+                    elif isinstance(call, ast.Call) and _callee(call) == "cls":
+                        aliased[call] = [node.name]
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -216,7 +234,8 @@ def options_set() -> dict[str, set[str]]:
                     if kw.arg is None:
                         keywords |= _dict_keys(kw.value) \
                             | dicts.get(getattr(kw.value, "id", ""), set())
-                calls.append((_callee(node), len(node.args), keywords))
+                calls += [(callee, len(node.args), keywords)
+                          for callee in aliased.get(node, [_callee(node)])]
     calls += [(entry, 0, keys) for entry, keys in _spec_keywords().items()]
 
     def credit(callee: str, npositional: int, keywords: set[str],
@@ -257,5 +276,7 @@ def test_the_audit_sees_options_and_call_sites():
     assert "total_bytes" in used["run_chaos_transfer"]   # via run_plan(**)
     assert "plan" in used["run_plan"]                    # via sweep specs
     assert "max_flows" in used["OverloadSpec"]
-    assert "checkpoints" in used["EmitterEndpoint"]      # via super().__init__
+    assert "checkpoints" in used["EmitterEndpoint"]      # via **options
+    assert "kinds" in used["FaultInjector"]     # via super().__init__(kinds=)
+    assert "_key" in used["Packet"]                      # via cls(...)
     assert len(ALLOWED) == 18
