@@ -29,6 +29,10 @@ from repro.quack.base import DecodeResult, Quack, QuackScheme
 
 #: Default size of the wrapped packet counter, in bits (Table 2 uses c=16).
 DEFAULT_COUNT_BITS = 16
+#: ``insert_many`` folds fewer identifiers than this one by one.  Measured
+#: at t=20, b=32: scalar 4.4 us/id; numpy 8.8 / 4.5 / 2.3 / 1.2 us/id in
+#: batches of 8 / 16 / 32 / 64.
+BATCH_CROSSOVER = 16
 
 
 class PowerSumQuack(Quack):
@@ -99,21 +103,25 @@ class PowerSumQuack(Quack):
         self._count = (self._count - 1) & ((1 << self.count_bits) - 1)
 
     def insert_many(self, identifiers: Iterable[int] | np.ndarray) -> None:
-        """Vectorized bulk insert (numpy), equivalent to repeated insert.
+        """Bulk insert, equivalent to repeated insert: the scalar loop
+        below :data:`BATCH_CROSSOVER` identifiers, numpy from there on.
 
         Conversion to an array is left to the field: naive ``np.asarray``
         on a list of mixed-magnitude Python ints silently promotes to
         float64 above 2**63, corrupting 64-bit identifiers.
         """
-        ids = identifiers if isinstance(identifiers, np.ndarray) \
+        ids = identifiers if isinstance(identifiers, (list, np.ndarray)) \
             else list(identifiers)
-        count = int(ids.size) if isinstance(ids, np.ndarray) else len(ids)
-        if count == 0:
+        if len(ids) < BATCH_CROSSOVER:
+            if isinstance(ids, np.ndarray):
+                ids = ids.tolist()  # numpy scalars overflow in ``insert``
+            for identifier in ids:
+                self.insert(identifier)
             return
         batch = self.field.batch_power_sums(ids, self.threshold)
         p = self.field.modulus
         self._sums = [(s + b) % p for s, b in zip(self._sums, batch)]
-        self._count = (self._count + count) & ((1 << self.count_bits) - 1)
+        self._count = (self._count + len(ids)) & ((1 << self.count_bits) - 1)
 
     # -- state ------------------------------------------------------------------
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 
 from repro.errors import WireFormatError, unsupported_version
 from repro.obs import PROFILER
@@ -183,6 +184,17 @@ def decode(frame: bytes, implicit_count: int | None = None) -> Quack:
 
 # -- power sum ----------------------------------------------------------------
 
+_SUM_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=64)  # bounded: both keys arrive from the network
+def _sums_layout(threshold: int, width: int) -> struct.Struct | None:
+    """The ``threshold`` power sums of ``width`` bytes as one record, or
+    None for a width ``struct`` has no code for (24-bit identifiers)."""
+    code = _SUM_CODES.get(width)
+    return struct.Struct(f">{threshold}{code}") if code else None
+
+
 def _encode_power_sum(quack: PowerSumQuack,
                       include_count: bool) -> tuple[int, int, bytes]:
     flags = _FLAG_HAS_COUNT if include_count else 0
@@ -192,8 +204,11 @@ def _encode_power_sum(quack: PowerSumQuack,
         parts.append(quack.count.to_bytes(_bytes_for_bits(quack.count_bits),
                                           "big"))
     width = _bytes_for_bits(quack.bits)
-    for value in quack.power_sums:
-        parts.append(value.to_bytes(width, "big"))
+    layout = _sums_layout(quack.threshold, width)
+    if layout is not None:
+        parts.append(layout.pack(*quack._sums))
+    else:
+        parts.extend(value.to_bytes(width, "big") for value in quack._sums)
     return QuackScheme.POWER_SUM, flags, b"".join(parts)
 
 
@@ -222,15 +237,17 @@ def _decode_power_sum(body: bytes, has_count: bool,
             f"power-sum body is {len(body)} bytes, expected {expected}"
         )
     quack = PowerSumQuack(threshold, bits, count_bits)
-    sums = []
-    for i in range(threshold):
-        start = offset + i * width
-        value = int.from_bytes(body[start:start + width], "big")
-        if value >= quack.field.modulus:
-            raise WireFormatError(
-                f"power sum {value} is not a residue mod {quack.field.modulus}"
-            )
-        sums.append(value)
+    layout = _sums_layout(threshold, width)
+    if layout is not None:
+        sums = list(layout.unpack_from(body, offset))
+    else:
+        sums = [int.from_bytes(body[start:start + width], "big")
+                for start in range(offset, expected, width)]
+    modulus = quack.field.modulus
+    if max(sums) >= modulus:
+        value = next(value for value in sums if value >= modulus)
+        raise WireFormatError(
+            f"power sum {value} is not a residue mod {modulus}")
     quack._sums = sums
     quack._count = count
     return quack

@@ -425,8 +425,8 @@ class ConsumerEndpoint(_Endpoint):
         self.flow_id = flow_id
         self.consumer = QuackConsumer(threshold, grace=grace)
         self.stats = stats
-        mine = self.consumer.mine
-        self.reset = ResetInitiator(threshold, mine.count_bits,
+        count_bits = self.consumer.count_bits
+        self.reset = ResetInitiator(threshold, count_bits,
                                     reset_after_failures, settle_time)
         #: Where resets, offers, switches and retunes go: fixed by the
         #: handshake when negotiation is armed, otherwise whoever sent
@@ -438,7 +438,7 @@ class ConsumerEndpoint(_Endpoint):
         self.validator = self.ledger = self.monitor = self.handshake = None
         if defense is not None:
             self.validator = PlausibilityValidator(
-                defense, threshold, mine.count_bits, flow_id)
+                defense, threshold, count_bits, flow_id)
             self.ledger = QuarantineLedger.from_config(defense)
             health = health if health is not None else HealthConfig()
         if health is not None:
@@ -457,7 +457,7 @@ class ConsumerEndpoint(_Endpoint):
                     "capability negotiation needs an explicit peer address "
                     "(the HELLO is sent before any quACK reveals one)")
             self.handshake = Initiator(negotiate, self.session, flow_id,
-                                       threshold, mine.bits)
+                                       threshold, self.consumer.bits)
             self.assistance_started_at = None
             sim.schedule(0.0, self._send_hello)
 
@@ -563,7 +563,7 @@ class ConsumerEndpoint(_Endpoint):
         if validator is not None:
             # Armed: signal what the count gates catch, never reset.
             verdict = validator.check_snapshot(
-                quack.count, self.consumer.mine.count, now)
+                quack.count, self.consumer.sent_count, now)
             if verdict.signal is not None:
                 self._record_signal(verdict.signal)
             if verdict.action == "regressed":
@@ -718,7 +718,7 @@ class ConsumerEndpoint(_Endpoint):
     def _on_resume(self, packet: Packet, message: ResumeMessage) -> None:
         self.stats.resumes_received += 1
         reset, now = self.reset, self.sim.now
-        sent_count = self.consumer.mine.count
+        sent_count = self.consumer.sent_count
         # No handshake with a quarantined peer: probation is earned
         # through clean snapshots, not announcements.
         verdict = "quarantined" if self.quarantined else resume_verdict(

@@ -16,12 +16,15 @@ and implements the Section 3.3 practical refinements:
   threshold ``t``, the log suffix is truncated so exactly ``t`` packets
   can be missing, "considering the truncated packets to be in transit";
   and "any continuous suffix of missing packets" in the decoded log is
-  also treated as in transit rather than missing.  The truncated
-  suffix's power sums are kept between quACKs (``_tail``), so a quACK
-  pays for the packets sent and confirmed since the last one, not for
-  everything in flight.  With ``m > t`` the cheap question comes first:
-  if ``mine`` without the newest ``m`` entries equals ``theirs`` (count
-  and all ``t`` sums), everything older arrived and nothing is decoded.
+  also treated as in transit rather than missing.  So the power sums
+  kept here (``_head``) are the ones a quACK is compared against: those
+  of everything sent and not written off *below* a log index
+  ``_boundary``.  A send touches no power sum; a quACK moves the
+  boundary to the cut it needs (``_head_at``) and folds what the
+  boundary passes, so a packet sent and then confirmed is folded once.
+  With ``m > t`` the cheap question comes first: if the head without
+  the newest ``m`` entries equals ``theirs`` (count and all ``t``
+  sums), everything older arrived and nothing is decoded.
   That changes no answer.  The check passes iff the delta truncated by
   ``m - t`` is the power sums of the newest ``t`` kept entries; ``t``
   sums fix a degree-``t`` polynomial, so the decoder can only return
@@ -103,7 +106,11 @@ class QuackConsumer:
                  grace: int = 1, trailing_in_transit: bool = True) -> None:
         if grace < 1:
             raise ValueError(f"grace must be >= 1 quACK, got {grace}")
-        self.mine = PowerSumQuack(threshold, bits)
+        # Power sums and wrapped count of everything sent and not written
+        # off *below* log[_boundary]: what was confirmed, plus
+        # log[:_boundary].  Entries from the boundary on are in no sum.
+        self._head = PowerSumQuack(threshold, bits)
+        self._boundary = 0
         self.grace = grace
         self.trailing_in_transit = trailing_in_transit
         self.log: list[LogEntry] = []
@@ -114,27 +121,32 @@ class QuackConsumer:
         # gone from the log) while absent from the restored accumulator.
         self._recent_confirmed: deque[int] = deque(maxlen=4 * threshold)
         self._reconcile_pending = False
-        # Power sums of the in-transit suffix truncated at the last
-        # quACK.  Invariant: _tail == sum of powers over
-        # log[_tail_lo:_tail_hi]; None once a decode that truncated
-        # nothing, or a reset, has rewritten the log since.
-        self._tail: PowerSumQuack | None = None
-        self._tail_lo = self._tail_hi = 0
         # Log entries whose identifier is not its own residue (>= p).
         self._aliased = 0
 
     @property
     def threshold(self) -> int:
-        return self.mine.threshold
+        return self._head.threshold
+
+    @property
+    def bits(self) -> int:
+        return self._head.bits
+
+    @property
+    def count_bits(self) -> int:
+        return self._head.count_bits
+
+    @property
+    def sent_count(self) -> int:
+        """The wrapped count of everything sent and not written off."""
+        return (self._head.count + len(self.log) - self._boundary) \
+            & ((1 << self._head.count_bits) - 1)
 
     def record_send(self, identifier: int, meta: Any, now: float) -> None:
-        """Log one transmitted packet (amortized power-sum update)."""
-        started = PROFILER.begin("quack.power_sum_update")
-        self.mine.insert(identifier)
-        if started:
-            PROFILER.end("quack.power_sum_update", started)
+        """Log one transmitted packet.  No power sum is touched: the
+        packet is folded when a quACK moves the boundary over it."""
         self.log.append(LogEntry(identifier, meta, now))
-        self._aliased += identifier >= self.mine.field.modulus
+        self._aliased += identifier >= self._head.field.modulus
         self.stats.sent_logged += 1
 
     @property
@@ -170,17 +182,18 @@ class QuackConsumer:
         must reset the connection if they wish to use the quACK").
         """
         self.stats.quacks_processed += 1
+        head = self._head
         if (not isinstance(theirs, PowerSumQuack)
-                or theirs.field != self.mine.field
-                or theirs.threshold != self.mine.threshold
-                or theirs.count_bits != self.mine.count_bits):
+                or theirs.field != head.field
+                or theirs.threshold != head.threshold
+                or theirs.count_bits != head.count_bits):
             # Parameter mismatch (e.g. a peer misconfigured after a
             # renegotiation): a protocol error to report, not a crash.
             self.stats.quacks_failed += 1
             self._trace_decode(now, DecodeStatus.INCONSISTENT, 0)
             return QuackFeedback(status=DecodeStatus.INCONSISTENT)
-        m_total = (self.mine.count - theirs.count) \
-            & ((1 << self.mine.count_bits) - 1)
+        m_total = (self.sent_count - theirs.count) \
+            & ((1 << head.count_bits) - 1)
         # After an accepted resume, decode against the log *plus* the
         # recently-confirmed ring: the checkpoint gap shows up as missing
         # identifiers that were already confirmed and retired.
@@ -193,7 +206,6 @@ class QuackConsumer:
                                  num_missing=m_total)
 
         kept = self.log
-        truncated_mine = self.mine
         in_transit = 0
         if m_total > self.threshold:
             if (self.trailing_in_transit and not self._reconcile_pending
@@ -205,10 +217,9 @@ class QuackConsumer:
             # (m - t) unresolved packets as in transit and decode the rest.
             drop = min(m_total - self.threshold, len(self.log))
             kept = self.log[:len(self.log) - drop]
-            truncated_mine = self._truncated_mine(len(kept))
             in_transit = drop
 
-        delta = truncated_mine - theirs
+        delta = self._head_at(len(kept)) - theirs
         result = decode_delta(delta, [e.identifier for e in kept] + recent,
                               method=DECODE_METHOD)
         if not result.ok:
@@ -236,7 +247,7 @@ class QuackConsumer:
             assigned = Counter(entry.identifier
                                for entry, mark in zip(kept, marks) if mark)
             for identifier in (missing - assigned).elements():
-                self.mine.remove(identifier)
+                head.remove(identifier)
                 reconciled += 1
             self.stats.gap_reconciled += reconciled
             self._reconcile_pending = False
@@ -253,7 +264,7 @@ class QuackConsumer:
             feedback.in_transit += len(kept) - tail_start
 
         survivors: list[LogEntry] = []
-        p = self.mine.field.modulus
+        p = head.field.modulus
         for index, entry in enumerate(kept):
             if entry.identifier in ambiguous_ids:
                 feedback.indeterminate.append(entry.meta)
@@ -265,7 +276,7 @@ class QuackConsumer:
                     entry.strikes += 1
                     if entry.strikes >= self.grace:
                         feedback.lost.append(entry.meta)
-                        self.mine.remove(entry.identifier)
+                        head.remove(entry.identifier)
                         self._aliased -= entry.identifier >= p
                         self.stats.declared_lost += 1
                     else:
@@ -276,13 +287,9 @@ class QuackConsumer:
                 self._recent_confirmed.append(entry.identifier)
                 self._aliased -= entry.identifier >= p
                 self.stats.confirmed_received += 1
-        # The truncated suffix stays in the log untouched, and so do its
-        # power sums: re-base them on the rebuilt log.
-        if in_transit:
-            self._tail_lo = len(survivors)
-            self._tail_hi = len(survivors) + in_transit
-        else:
-            self._tail = None
+        # The truncated suffix stays in the log untouched and unfolded:
+        # the boundary stays between it and what was decoded.
+        self._boundary = len(survivors)
         survivors.extend(self.log[len(kept):])
         self.log = survivors
         self._trace_decode(now, DecodeStatus.OK, result.num_missing,
@@ -295,12 +302,11 @@ class QuackConsumer:
         """Confirm everything but the newest ``m_total`` entries, if that
         is all ``theirs`` lacks; None (and no change) when it is not."""
         cut = len(self.log) - m_total
-        delta = self._truncated_mine(cut) - theirs
-        if delta.count or any(delta.power_sums):
+        if self._head_at(cut) != theirs:
             return None
         confirmed = self.log[:cut]
         del self.log[:cut]
-        self._tail_lo, self._tail_hi = 0, m_total
+        self._boundary = 0
         self._recent_confirmed.extend([e.identifier for e in confirmed])
         self.stats.confirmed_received += cut
         self.stats.settled_in_order += 1
@@ -315,30 +321,26 @@ class QuackConsumer:
             obs.count("quack_settled_in_order_total")
         return feedback
 
-    def _truncated_mine(self, cut: int) -> PowerSumQuack:
-        """``mine`` without ``log[cut:]``.
+    def _head_at(self, cut: int) -> PowerSumQuack:
+        """The head with its boundary moved to ``log[cut]``.
 
-        The suffix's power sums are moved to ``cut`` from wherever the
-        last quACK left them: fold in what was sent since, then shift
-        the boundary over what was confirmed (or un-truncated) since.
+        The one place an identifier sent is folded: forward over what
+        was sent or confirmed in order since the last quACK, back over
+        at most the ``t`` entries a decode reached past the next check.
         """
-        log, tail = self.log, self._tail
-        if tail is None:
-            tail = self._tail = PowerSumQuack(
-                self.mine.threshold, self.mine.bits, self.mine.count_bits,
-                field=self.mine.field)
-            self._tail_lo = self._tail_hi = len(log)
-        started = PROFILER.begin("quack.power_sum_update")
-        for entry in log[self._tail_hi:]:
-            tail.insert(entry.identifier)
-        for entry in log[self._tail_lo:cut]:
-            tail.remove(entry.identifier)
-        for entry in log[cut:self._tail_lo]:
-            tail.insert(entry.identifier)
-        if started:
-            PROFILER.end("quack.power_sum_update", started)
-        self._tail_lo, self._tail_hi = cut, len(log)
-        return self.mine - tail
+        boundary = self._boundary
+        if cut != boundary:
+            started = PROFILER.begin("quack.power_sum_update")
+            if cut > boundary:
+                self._head.insert_many(
+                    [entry.identifier for entry in self.log[boundary:cut]])
+            else:
+                for entry in self.log[cut:boundary]:
+                    self._head.remove(entry.identifier)
+            if started:
+                PROFILER.end("quack.power_sum_update", started)
+            self._boundary = cut
+        return self._head
 
     @staticmethod
     def _mark_entries(kept: list[LogEntry],
@@ -387,21 +389,19 @@ class QuackConsumer:
         return self._write_off_oldest(1)[0] if self.log else None
 
     def _write_off_oldest(self, count: int) -> list[Any]:
-        """Drop ``log[:count]`` from the log and from every sum over it;
-        the tail keeps its place among the entries that stay."""
+        """Drop ``log[:count]`` from the log, and what the boundary had
+        passed of it from the head; the boundary keeps its place among
+        the entries that stay."""
         if not count:
             return []
         gone = self.log[:count]
         del self.log[:count]
-        p = self.mine.field.modulus
+        p = self._head.field.modulus
+        for entry in gone[:self._boundary]:
+            self._head.remove(entry.identifier)
         for entry in gone:
-            self.mine.remove(entry.identifier)
             self._aliased -= entry.identifier >= p
-        if self._tail is not None:
-            for entry in gone[self._tail_lo:self._tail_hi]:
-                self._tail.remove(entry.identifier)
-        self._tail_lo = max(self._tail_lo - count, 0)
-        self._tail_hi = max(self._tail_hi - count, 0)
+        self._boundary = max(self._boundary - count, 0)
         self.stats.declared_lost += count
         return [entry.meta for entry in gone]
 
@@ -414,10 +414,8 @@ class QuackConsumer:
 
     def reset(self) -> None:
         """Hard session reset (after unrecoverable decode failures)."""
-        self.mine = PowerSumQuack(self.mine.threshold, self.mine.bits,
-                                  self.mine.count_bits)
+        self._head = PowerSumQuack(self.threshold, self.bits, self.count_bits)
         self.log.clear()
-        self._tail = None
-        self._aliased = 0
+        self._boundary = self._aliased = 0
         self._recent_confirmed.clear()
         self._reconcile_pending = False

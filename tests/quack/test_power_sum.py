@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.arith.field import field_for_bits
 from repro.errors import ArithmeticDomainError
 from repro.quack.base import DecodeStatus
-from repro.quack.power_sum import PowerSumQuack
+from repro.quack.power_sum import BATCH_CROSSOVER, PowerSumQuack
 
 P32 = 4_294_967_291
 
@@ -90,6 +90,28 @@ class TestInsertRemove:
         bulk = PowerSumQuack(threshold=5)
         bulk.insert_many(values)
         assert loop == bulk
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_insert_many_equals_loop_on_both_sides_of_the_crossover(
+            self, size, bits):
+        """The scalar loop below ``BATCH_CROSSOVER``, numpy from there
+        on: same sums and same wrapped count, whatever the input is --
+        identifiers at and past ``p`` and past ``2**63`` included."""
+        assert BATCH_CROSSOVER == 16
+        rng = random.Random(size)
+        p = field_for_bits(bits).modulus
+        edge = [p, p + 1, 2 ** bits - 1, 2 ** (bits - 1), 0]
+        values = (edge + [rng.getrandbits(bits) for _ in range(size)])[:size]
+        loop = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
+        for value in values:
+            loop.insert(value)
+        assert loop.count == size % 512        # 1,000 wraps the count
+        for shape in (list, tuple, iter, lambda v: (x for x in v),
+                      lambda v: np.array(v, dtype=np.uint64)):
+            bulk = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
+            bulk.insert_many(shape(values))
+            assert bulk == loop
 
     def test_insert_many_accepts_numpy(self):
         q = PowerSumQuack(threshold=3)

@@ -1,11 +1,14 @@
 """Tests for the quACK wire format (repro.quack.wire)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.quack import wire
+from repro.quack.base import QuackScheme
 from repro.quack.power_sum import PowerSumQuack
 from repro.quack.strawman import EchoQuack, HashQuack
 
@@ -58,6 +61,66 @@ class TestPowerSumRoundTrip:
         frame = wire.encode(q, include_count=False)
         restored = wire.decode(frame, implicit_count=300)
         assert restored.count == 300 % 256 == q.count
+
+
+def reference_frame(quack, include_count):
+    """The bare version-1 power-sum frame, one ``to_bytes`` per field."""
+    parts = [wire.MAGIC,
+             bytes((1, QuackScheme.POWER_SUM, int(include_count))),
+             struct.pack(">BHB", quack.bits, quack.threshold,
+                         quack.count_bits)]
+    if include_count:
+        parts.append(quack.count.to_bytes((quack.count_bits + 7) // 8, "big"))
+    width = (quack.bits + 7) // 8
+    parts.extend(value.to_bytes(width, "big") for value in quack.power_sums)
+    return b"".join(parts)
+
+
+class TestPowerSumLayout:
+    """The ``t`` sums travel as one ``struct`` record where the width has
+    a format code (1, 2, 4, 8 bytes) and one ``to_bytes`` each where it
+    has none; the bytes are the same either way."""
+
+    @given(bits=st.sampled_from((8, 12, 16, 24, 32, 64, 200)),
+           threshold=st.sampled_from((1, 5, 20, 300)),
+           values=st.lists(st.integers(min_value=0, max_value=2 ** 200 - 1),
+                           max_size=6),
+           include_count=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_frame_is_the_to_bytes_join_and_round_trips(
+            self, bits, threshold, values, include_count):
+        q = PowerSumQuack(threshold, bits)
+        for value in values:
+            q.insert(value % 2 ** bits)
+        frame = wire.encode(q, include_count=include_count)
+        assert frame == reference_frame(q, include_count)
+        assert wire.decode(frame, implicit_count=q.count) == q
+
+    @pytest.mark.parametrize("bits", [16, 24, 32, 64])
+    @pytest.mark.parametrize("position", range(3))
+    def test_first_non_residue_is_named(self, bits, position):
+        """Every power-sum slot is checked, and of two offenders the
+        error names the first, as the slot-by-slot loop did."""
+        q = PowerSumQuack(threshold=4, bits=bits)
+        q.insert_many([3, 17])
+        bad = 2 ** bits - 1 - position      # >= p for every width here
+        assert bad >= q.field.modulus
+        q._sums[position] = bad
+        q._sums[3] = 2 ** bits - 1
+        with pytest.raises(WireFormatError,
+                           match=f"power sum {bad} is not a residue"):
+            wire.decode(wire.encode(q))
+
+    def test_layout_cache_is_bounded(self):
+        """Both cache keys come off the wire: frames naming hundreds of
+        thresholds, and the largest one a frame can name, leave a
+        bounded number of layouts behind."""
+        for threshold in (*range(1, 200), 0xFFFF):
+            assert wire.decode(wire.encode(PowerSumQuack(threshold, 16,
+                                                         count_bits=17))) \
+                == PowerSumQuack(threshold, 16, count_bits=17)
+        info = wire._sums_layout.cache_info()
+        assert info.currsize <= info.maxsize <= 64
 
 
 class TestEchoRoundTrip:

@@ -197,12 +197,14 @@ class TestFailureModes:
         consumer.record_send(5, "m", 0.0)
         bogus = theirs.copy()
         bogus.insert(12345)
-        before_log = list(consumer.log)
-        before_sums = consumer.mine.power_sums
+        before_log, before_count = list(consumer.log), consumer.sent_count
         feedback = consumer.on_quack(bogus, now=1.0)
         assert not feedback.ok
         assert consumer.log == before_log
-        assert consumer.mine.power_sums == before_sums
+        assert consumer.sent_count == before_count
+        # ... and the session goes on as if the frame had never come.
+        theirs.insert(5)
+        assert consumer.on_quack(theirs, now=2.0).received == ["m"]
 
     def test_grace_validation(self):
         with pytest.raises(ValueError):
@@ -291,8 +293,9 @@ class TestMaintenance:
         consumer.record_send(1, "a", 0.0)
         consumer.reset()
         assert consumer.outstanding == 0
-        assert consumer.mine.count == 0
-        assert consumer.mine.power_sums == (0, 0, 0, 0)
+        assert consumer.sent_count == 0
+        # Zero power sums: a receiver that saw nothing agrees with it.
+        assert consumer.on_quack(receiver(threshold=4), now=1.0).ok
 
     def test_stats_accumulate(self):
         consumer = QuackConsumer(threshold=4, grace=1)

@@ -1,15 +1,18 @@
-"""The sender-side quACK path against the one it replaced, and its cost.
+"""The sender-side quACK path against Section 3.3 done literally, and
+its cost.
 
-``QuackConsumer`` keeps the power sums of the truncated log suffix
-between quACKs (``_tail``) and, when a quACK reports more than ``t``
-packets outstanding, first checks whether they are simply the newest
-ones (``_settle_in_order``).  What both replaced -- copy the cumulative
-sums, un-fold every in-flight identifier, decode every time -- lives on
-in ``consumer_oracle.py`` as ``ReferenceConsumer`` and is the oracle:
-seeded random schedules drive both and every observable must agree
-after every step.  The second half pins what the bookkeeping is for:
-work per quACK that does not grow with the window, and no decode for a
-quACK that reports no loss.
+``QuackConsumer`` keeps the power sums below a boundary in its log
+(``_head``), folds an identifier when a quACK moves the boundary over it
+(``_head_at``) and, when a quACK reports more than ``t`` packets
+outstanding, first checks whether they are simply the newest ones
+(``_settle_in_order``).  The literal version -- fold at every send, copy
+the cumulative sums, un-fold every in-flight identifier, decode every
+time -- is ``ReferenceConsumer`` in ``consumer_oracle.py``, a class of
+its own, and is the oracle: seeded random schedules drive both and every
+observable must agree after every step.  The second half pins what the
+bookkeeping is for: one fold per packet sent, work per quACK that does
+not grow with the window, and no decode for a quACK that reports no
+loss.
 """
 
 import random
@@ -19,7 +22,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import obs
-from repro.quack.power_sum import PowerSumQuack
+from repro.quack.power_sum import BATCH_CROSSOVER, PowerSumQuack
 from repro.sidecar import consumer as consumer_module
 from repro.sidecar.ack_reduction import run_ack_reduction
 from repro.sidecar.agents import DEFAULT_THRESHOLD
@@ -33,19 +36,19 @@ ALIASES = (7, P32 + 7)           # distinct identifiers, one residue
 
 
 class ProbedConsumer(QuackConsumer):
-    """The production consumer, noting which way each quACK moved the tail
-    and what became of the in-order check."""
+    """The production consumer, noting which way each quACK moved the
+    boundary and what became of the in-order check."""
 
     def __init__(self, *args, moves, seen, **kwargs):
         super().__init__(*args, **kwargs)
         self.moves, self.seen = moves, seen
 
-    def _truncated_mine(self, cut):
-        self.moves["built" if self._tail is None
-                   else "advanced" if cut > self._tail_lo
-                   else "retreated" if cut < self._tail_lo
+    def _head_at(self, cut):
+        self.moves["advanced" if cut > self._boundary
+                   else "retreated" if cut < self._boundary
                    else "stayed"] += 1
-        return super()._truncated_mine(cut)
+        self.seen["set aside"] += cut < len(self.log)
+        return super()._head_at(cut)
 
     def _settle_in_order(self, theirs, m_total, now):
         feedback = super()._settle_in_order(theirs, m_total, now)
@@ -53,29 +56,21 @@ class ProbedConsumer(QuackConsumer):
         return feedback
 
 
-def assert_tail_invariant(consumer):
-    assert consumer._aliased == sum(entry.identifier >= P32
-                                    for entry in consumer.log)
-    if consumer._tail is None:
-        return
-    lo, hi = consumer._tail_lo, consumer._tail_hi
-    assert 0 <= lo <= hi <= len(consumer.log)
-    expected = PowerSumQuack(consumer.threshold, consumer.mine.bits,
-                             consumer.mine.count_bits)
-    for entry in consumer.log[lo:hi]:
-        expected.insert(entry.identifier)
-    assert consumer._tail.power_sums == expected.power_sums
-    assert consumer._tail.count == hi - lo
-
-
 def assert_same_state(new, old):
     assert new.log == old.log
-    assert new.mine == old.mine
+    assert new._aliased == sum(entry.identifier >= P32 for entry in new.log)
+    assert new.sent_count == old.mine.count
+    # The head is everything sent and not written off (the oracle's
+    # ``mine``) less what lies from the boundary on, count included.
+    assert 0 <= new._boundary <= len(new.log)
+    below = old.mine.copy()
+    for entry in new.log[new._boundary:]:
+        below.remove(entry.identifier)
+    assert new._head == below
     # The oracle never settles a quACK without decoding it.
     assert {**asdict(new.stats), "settled_in_order": 0} == asdict(old.stats)
     assert new._recent_confirmed == old._recent_confirmed
     assert new._reconcile_pending == old._reconcile_pending
-    assert_tail_invariant(new)
 
 
 def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
@@ -97,13 +92,13 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
 
     def quack(snapshot):
         nonlocal failures
-        truncations = sum(moves.values())
         checks = seen["settled"] + seen["fell through"]
+        truncations = seen["set aside"]
         asides = {"aside: reconciling": new._reconcile_pending,
                   "aside: aliased": new._aliased > 0,
                   "aside: no trailing rule": not new.trailing_in_transit}
         feedback = both("on_quack", snapshot, now)
-        truncated = sum(moves.values()) > truncations
+        truncated = seen["set aside"] > truncations
         if seen["settled"] + seen["fell through"] > checks:
             assert truncated and not any(asides.values())
         elif truncated:
@@ -119,13 +114,11 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
     def write_off(method, *args):
         # Given up on by the sender: keep the segment from delivering it
         # later, which would poison the session (Section 3.3).
-        tail = "no tail" if new._tail is None \
-            else "under the tail" if new._tail_lo == 0 < new._tail_hi \
-            else "before the tail"
+        where = "below the boundary" if new._boundary else "past the boundary"
         metas = both(method, *args)
         if method == "evict_oldest":
             metas = [metas]
-        seen[f"{method} {tail}"] += bool(metas)
+        seen[f"{method} {where}"] += bool(metas)
         for meta in metas:
             if sent[meta] in flying:
                 flying.remove(sent[meta])
@@ -200,19 +193,19 @@ def test_tail_agrees_with_copy_and_remove(config):
         run_schedule(seed, 1500, moves, seen, **config)
     assert seen["ok"] > 100 and seen["inconsistent"] > 0
     if config["window"] > config["threshold"]:
-        # The schedules reach what the tail has to survive ...
-        for move in ("built", "advanced", "retreated"):
+        # The schedules reach what the boundary has to survive ...
+        for move in ("advanced", "retreated", "stayed"):
             assert moves[move] > 0, (move, moves)
         events = ["truncated", "failed after truncation", "reconciled",
                   "indeterminate"]
-        # ... a prefix written off under it and ahead of it, both answers
+        # ... a prefix written off on either side of it, both answers
         # of the in-order check, and each reason it has for not being
         # asked.  (Without the trailing rule every packet in flight is
         # declared lost and the session resets too often to get far.)
         if config.get("trailing_in_transit", True):
-            events += [f"{method} {tail}"
+            events += [f"{method} {where} the boundary"
                        for method in ("evict_oldest", "expire_older_than")
-                       for tail in ("under the tail", "before the tail")]
+                       for where in ("below", "past")]
             events += ["settled", "fell through", "aside: reconciling",
                        "aside: aliased"]
         else:
@@ -222,21 +215,29 @@ def test_tail_agrees_with_copy_and_remove(config):
             assert seen[event] > 0, (event, seen)
 
 
-def test_tail_work_is_attributed_to_the_power_sum_update_span():
+def test_boundary_move_is_attributed_to_the_power_sum_update_span():
+    def update_spans():
+        return sum(stat.calls for stat in obs.PROFILER.path_stats().values()
+                   if stat.name == "quack.power_sum_update")
+
     consumer = QuackConsumer(threshold=2)
-    for serial in range(6):
-        consumer.record_send(1000 + serial, serial, now=0.0)
+    theirs = PowerSumQuack(2)
     obs.enable()
     try:
-        feedback = consumer.on_quack(PowerSumQuack(2), now=1.0)
-        spans = [stat for stat in obs.PROFILER.path_stats().values()
-                 if stat.name == "quack.power_sum_update"]
-        depth = obs.PROFILER.depth
+        for serial in range(6):
+            consumer.record_send(1000 + serial, serial, now=0.0)
+        while_sending = update_spans()
+        theirs.insert_many([1000, 1001])
+        feedback = consumer.on_quack(theirs, now=1.0)
+        moved = update_spans()
+        consumer.on_quack(theirs, now=2.0)     # the boundary stays put
+        spans, depth = update_spans(), obs.PROFILER.depth
     finally:
         obs.disable()
         obs.reset()
-    assert feedback.ok and feedback.in_transit == 6
-    assert sum(stat.calls for stat in spans) == 1 and depth == 0
+    assert feedback.ok and feedback.received == [0, 1]
+    assert feedback.in_transit == 4
+    assert (while_sending, moved, spans, depth) == (0, 1, 1, 0)
 
 
 # -- what the bookkeeping buys --------------------------------------------------
@@ -258,55 +259,97 @@ PINNED = {
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of what every ``on_quack`` in the process does: power-sum
-    ``updates`` (insert + remove) made inside it, ``decodes`` it asks
-    for, and how many quACKs were ``truncating`` (reported more than
-    ``t`` outstanding) or ``bad news`` (a loss, a suspicion or a decode
-    failure)."""
+    """Counts over every ``QuackConsumer`` of the process, start to
+    finish: power-sum ``updates`` (identifiers folded into or out of a
+    consumer's head, wherever from), how many of them ``while sending``
+    (inside ``record_send``), packets ``sent``, ``decodes`` asked for,
+    and how many quACKs were ``truncating`` (reported more than ``t``
+    outstanding), ``reopened`` (the first such after one that did not)
+    or ``bad news`` (a loss, a suspicion or a decode failure)."""
     work = Counter()
-    on_quack = QuackConsumer.on_quack
+    consumers = {}      # -> its last quACK had at most t outstanding
+    originals = {name: getattr(QuackConsumer, name)
+                 for name in ("__init__", "record_send", "on_quack")}
+
+    def counted_init(self, *args, **kwargs):
+        originals["__init__"](self, *args, **kwargs)
+        consumers[self] = False
+
+    def counted_record_send(self, identifier, meta, now):
+        work["sent"] += 1
+        work["sending"] += 1
+        try:
+            originals["record_send"](self, identifier, meta, now)
+        finally:
+            work["sending"] -= 1
 
     def counted_on_quack(self, theirs, now):
-        outstanding = (self.mine.count - theirs.count) \
-            & ((1 << self.mine.count_bits) - 1)
+        outstanding = (self.sent_count - theirs.count) \
+            & ((1 << self.count_bits) - 1)
         work["quacks"] += 1
         work["truncating"] += outstanding > self.threshold
-        work["inside"] += 1
-        try:
-            feedback = on_quack(self, theirs, now)
-        finally:
-            work["inside"] -= 1
+        work["reopened"] += consumers[self] and outstanding > self.threshold
+        consumers[self] = outstanding <= self.threshold
+        feedback = originals["on_quack"](self, theirs, now)
         work["bad news"] += bool(feedback.lost or feedback.suspected
                                  or not feedback.ok)
         return feedback
 
-    def counting(key, function):
-        def counted(*args, **kwargs):
-            work[key] += work["inside"]
-            return function(*args, **kwargs)
+    def counting_updates(function, many=False):
+        def counted(quack, argument):
+            if any(quack is consumer._head for consumer in consumers):
+                if many:    # below the crossover it loops ``insert``
+                    argument = list(argument)
+                    folded = len(argument) * (len(argument) >= BATCH_CROSSOVER)
+                else:
+                    folded = 1
+                work["updates"] += folded
+                work["while sending"] += folded * work["sending"]
+            return function(quack, argument)
         return counted
 
+    monkeypatch.setattr(QuackConsumer, "__init__", counted_init)
+    monkeypatch.setattr(QuackConsumer, "record_send", counted_record_send)
     monkeypatch.setattr(QuackConsumer, "on_quack", counted_on_quack)
     monkeypatch.setattr(PowerSumQuack, "insert",
-                        counting("updates", PowerSumQuack.insert))
+                        counting_updates(PowerSumQuack.insert))
     monkeypatch.setattr(PowerSumQuack, "remove",
-                        counting("updates", PowerSumQuack.remove))
-    monkeypatch.setattr(consumer_module, "decode_delta",
-                        counting("decodes", consumer_module.decode_delta))
+                        counting_updates(PowerSumQuack.remove))
+    monkeypatch.setattr(PowerSumQuack, "insert_many",
+                        counting_updates(PowerSumQuack.insert_many, many=True))
+
+    def counted_decode(*args, **kwargs):
+        work["decodes"] += 1
+        return decode_delta(*args, **kwargs)
+
+    decode_delta = consumer_module.decode_delta
+    monkeypatch.setattr(consumer_module, "decode_delta", counted_decode)
     return work
+
+
+def assert_one_fold_per_packet(work):
+    """No power sum moves at a send, and over the run a consumer folds
+    each packet once: only a quACK with bad news, or the first one to
+    report more than ``t`` outstanding after one that did not, finds the
+    boundary up to ``t`` entries past its cut and moves it back and
+    forth again."""
+    assert work["while sending"] == 0
+    assert work["updates"] <= work["sent"] + 2 * DEFAULT_THRESHOLD * (
+        work["bad news"] + work["reopened"])
 
 
 @pytest.mark.parametrize("total_bytes", sorted(PINNED))
 def test_power_sum_updates_per_quack_do_not_grow_with_the_window(
         work, total_bytes):
     """Machine-independent gate.  Copy-and-remove made 214 power-sum
-    updates per quACK at 1.5 MB (one per packet in flight); the tail makes
-    about 4 at any size, and a quACK with bad news moves it by ``t`` for
-    the decode and back for the next check.  ``loss_rate=0`` keeps the
-    links from dropping, not the proxy's queue: the 4.5 MB window
-    overruns it (970 losses over 488 quACKs), the smaller ones never do,
-    and there only the quACKs reporting at most ``t`` outstanding are
-    decoded."""
+    updates per quACK at 1.5 MB (one per packet in flight); two
+    accumulators made three per packet sent.  The head makes one per
+    packet the boundary passes, at the quACK that moves it, none at the
+    send, and a quACK with bad news moves it by ``t`` for the decode and
+    back for the next check.  ``loss_rate=0`` keeps the links from
+    dropping, not the proxy's queue: the 4.5 MB window overruns it (970
+    losses over 488 quACKs), the smaller ones never do, and there only
+    the quACKs reporting at most ``t`` outstanding are decoded."""
     result = asdict(run_ack_reduction(sidecar=True, ack_every=32,
                                       loss_rate=0.0,
                                       total_bytes=total_bytes))
@@ -316,10 +359,9 @@ def test_power_sum_updates_per_quack_do_not_grow_with_the_window(
     assert work["quacks"] > 100
     assert work["truncating"] > work["quacks"] / 2
     assert (work["bad news"] == 0) == (total_bytes < 4_500_000)
-    assert work["updates"] \
-        <= 8 * work["quacks"] + 2 * DEFAULT_THRESHOLD * work["bad news"]
     assert work["decodes"] \
         <= work["bad news"] + work["quacks"] - work["truncating"]
+    assert_one_fold_per_packet(work)
 
 
 def test_only_bad_news_is_decoded_on_a_lossy_segment(work):
@@ -333,3 +375,4 @@ def test_only_bad_news_is_decoded_on_a_lossy_segment(work):
     assert 100 < work["truncating"] < work["quacks"]
     assert work["decodes"] \
         <= work["bad news"] + work["quacks"] - work["truncating"]
+    assert_one_fold_per_packet(work)

@@ -15,6 +15,10 @@ from repro.sidecar.cc_division import RESET_AFTER_FAILURES, PacingProxy
 from repro.sidecar.protocol import ResetMessage, quack_packet
 from repro.transport.cc.fixed import FixedWindow
 
+#: An identifier nobody sent: an emitter that folded it has diverged
+#: from its peer's log, and every quACK it emits fails to decode.
+PHANTOM = 0xDEADBEEF
+
 
 def build_proxy(buffer_packets=4, controller=None):
     sim = Simulator()
@@ -169,10 +173,10 @@ class TestReset:
             server.send(data_packet(500 + i))
         sim.run(until=0.1)
         assert agent.stats.forwarded == 4 and agent.buffer_depth == 3
-        # Poison the session: every client quACK is now undecodable.
-        agent.consumer.mine.insert(0xDEADBEEF)
+        # The client's emitter folded a phantom: every quACK it sends is
+        # now undecodable.
         for _ in range(RESET_AFTER_FAILURES):
-            client.send(self.quack_of(range(500, 504), sim.now))
+            client.send(self.quack_of((*range(500, 504), PHANTOM), sim.now))
         stats = agent.stats
         while sim.now < 3.0:  # through both settle windows and two sweeps
             sim.run(until=sim.now + 0.01)
@@ -200,9 +204,8 @@ class TestReset:
         for i in range(4):
             server.send(data_packet(600 + i))
         sim.run(until=0.1)
-        agent.consumer.mine.insert(0xDEADBEEF)
         for _ in range(RESET_AFTER_FAILURES):
-            client.send(self.quack_of(range(600, 604), sim.now))
+            client.send(self.quack_of((*range(600, 604), PHANTOM), sim.now))
         sim.run(until=0.5)
         assert agent.epoch == 1 and not agent.reset.confirmed
         # A snapshot of the new epoch confirms it: the retry clock stops.

@@ -85,11 +85,13 @@ def run(sim, sender, receiver, deadline=60.0):
             break
 
 
-# Poisoning, used throughout: inserting a ghost identifier into the
-# consumer's cumulative sums makes every subsequent delta contain a
-# "missing" identifier that is in no log -- the same class of divergence
-# a wrongly-declared loss causes -- so every decode fails until the
-# session resets.
+def fold_phantom(emitter, identifier=0xDEADBEEF):
+    """Poisoning, used throughout: the emitter folds an identifier nobody
+    sent, so every snapshot it emits from here on differs from the
+    consumer's sums by something that is in no log -- the same class of
+    divergence a wrongly-declared loss causes -- and every decode fails
+    until the session resets (which replaces the emitter's sums)."""
+    emitter.emitter.quack.insert(identifier)
 
 
 class TestRecovery:
@@ -101,8 +103,7 @@ class TestRecovery:
         sim.run(until=0.1)
         confirmed_before = consumer.consumer.stats.confirmed_received
         assert confirmed_before > 0
-        # Poison with a ghost entry nothing will ever acknowledge.
-        consumer.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(emitter)
         run(sim, sender, receiver)
         assert receiver.complete
         assert consumer.stats.resets_initiated >= 1
@@ -121,7 +122,7 @@ class TestRecovery:
             reset_after=None, holder=holder, monkeypatch=monkeypatch)
         sender.start()
         sim.run(until=0.1)
-        consumer.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(emitter)
         run(sim, sender, receiver, deadline=10.0)
         # The transport never depended on it -- except through the
         # pacing proxy's custody, which only the expiry sweep releases.
@@ -135,7 +136,7 @@ class TestRecovery:
         sim, sender, receiver, tap, sidecar = build_assisted()
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(tap)
         run(sim, sender, receiver)
         assert sender.complete and receiver.complete
         assert receiver.stats.bytes_received == 1460 * 400
@@ -150,7 +151,7 @@ class TestRecovery:
         sim, sender, receiver, tap, sidecar = build_assisted()
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(tap)
         run(sim, sender, receiver)
         assert sidecar.epoch >= 1
         # Replay an epoch-0 snapshot at the server.
@@ -170,11 +171,11 @@ class TestRecovery:
             total=1460 * 800)
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(tap)
         sim.run(until=2.0)
         first_epoch = sidecar.epoch
         assert first_epoch >= 1
-        sidecar.consumer.mine.insert(0xFEEDFACE)
+        fold_phantom(tap, 0xFEEDFACE)
         run(sim, sender, receiver)
         assert receiver.complete
         assert sidecar.epoch > first_epoch

@@ -30,6 +30,7 @@ from repro.sidecar.protocol import (
 )
 from repro.sidecar.reset import RETRY_CAP_S
 from repro.transport.connection import ReceiverConnection, SenderConnection
+from tests.sidecar.test_reset_protocol import fold_phantom
 from tests.sidecar.test_sender_state_model import OutboxHost
 
 SETTLE = 0.1
@@ -184,7 +185,7 @@ class TestResetRetry:
         link.deliver = deliver
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)  # poison -> reset
+        fold_phantom(tap)  # poison -> reset
         sim.run(until=1.0)
         assert sidecar.epoch == 1
         assert blackhole["swallowed"] >= 1
@@ -216,7 +217,7 @@ class TestResetRetry:
         send, link.send = link.send, swallow
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)  # poison -> reset
+        fold_phantom(tap)  # poison -> reset
         sim.run(until=12.0)
         assert sidecar.epoch == 1 and tap.epoch == 0
         times = [announced[count] for count in sorted(announced)]
@@ -231,7 +232,7 @@ class TestResetRetry:
         sim, sender, receiver, tap, sidecar = build_assisted()
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(tap)
         run(sim, sender, receiver)
         assert sidecar.epoch >= 1
         assert sidecar.reset.confirmed
@@ -405,7 +406,7 @@ class TestHealthIntegration:
             reset_after=None, health=self.HEALTH)
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)  # every decode now fails
+        fold_phantom(tap)  # every decode now fails
         run(sim, sender, receiver)
         assert receiver.complete  # transport never depended on it
         assert sidecar.health_state is HealthState.E2E_ONLY
@@ -419,7 +420,7 @@ class TestHealthIntegration:
         assert sender.cc_from_acks is False
         sender.start()
         sim.run(until=0.1)
-        sidecar.consumer.mine.insert(0xDEADBEEF)
+        fold_phantom(tap)
         run(sim, sender, receiver)
         assert sidecar.health_state is HealthState.E2E_ONLY
         # The e2e ACKs drive congestion control again: no starvation.

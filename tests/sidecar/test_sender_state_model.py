@@ -353,7 +353,7 @@ class SenderSideMachine(RuleBasedStateMachine):
             quack = self._accumulator_at(quack.count - amount)
         elif kind == "ahead":
             quack = self._accumulator_at(
-                self.sidecar.consumer.mine.count + amount)
+                self.sidecar.consumer.sent_count + amount)
         elif kind == "other-version":
             version = 3 - version
             features = ALL_FEATURES & 0xFF if version >= 2 else 0
@@ -375,7 +375,7 @@ class SenderSideMachine(RuleBasedStateMachine):
         epoch = self.sidecar.epoch
         count = self.tap.emitter.quack.count
         if kind == "ahead":
-            count = self.sidecar.consumer.mine.count + 5
+            count = self.sidecar.consumer.sent_count + 5
         elif kind == "future":
             epoch += 1
         elif kind == "past":

@@ -120,3 +120,21 @@ def test_the_receiving_role_is_written_once():
                 sites[name].append(f"{path.name}:{node.lineno}")
     assert {name: len(found) for name, found in sites.items()} == {
         "QuackConsumer": 1, "on_quack": 1, "ResetInitiator": 1}, sites
+
+
+def test_the_sender_folds_at_one_site():
+    """``QuackConsumer`` folds an identifier it sent when a quACK moves
+    the boundary over it, and nowhere else: ``sidecar/consumer.py``
+    calls ``.insert(`` / ``.insert_many(`` in one function, and that
+    function is not ``record_send``.  A second site is the second
+    accumulator growing back."""
+    tree = ast.parse((SRC / "repro" / "sidecar" / "consumer.py")
+                     .read_text(encoding="utf-8"))
+    folding = {function.name
+               for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in ("insert", "insert_many")}
+    assert folding == {"_head_at"}
