@@ -8,7 +8,7 @@ benefits from Montgomery multiplication, which replaces the division in
 ``a * b mod p`` with shifts and masks.
 
 This module reproduces that design point so the field-backend ablation
-(`benchmarks/bench_ablation_field.py`) can compare:
+(`benchmarks/test_ablation_field.py`) can compare:
 
 * plain widening multiplication + ``%`` (the :class:`~repro.arith.field.PrimeField` default),
 * Montgomery-domain multiplication (:class:`MontgomeryField`),

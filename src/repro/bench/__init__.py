@@ -1,4 +1,10 @@
-"""Benchmark harness: workloads, timing, and paper-table regeneration."""
+"""Benchmark harness: workloads, timing, and the paper's artifacts.
+
+:data:`~repro.bench.tables.ARTIFACTS` holds one row per artifact of the
+paper's evaluation (Tables 2 and 3, Figures 5 and 6, the Section 4.3
+envelopes, the E11 headroom extension); :func:`~repro.bench.tables.render`
+prints any of them, as ``python -m repro tables <artifact>|all`` does.
+"""
 
 from repro.bench.frequency import (
     AckReductionSizing,
@@ -7,13 +13,13 @@ from repro.bench.frequency import (
     cc_division_sizing,
 )
 from repro.bench.tables import (
-    PAPER_INTRO,
+    ARTIFACTS,
     PAPER_TABLE2,
     PAPER_TABLE3,
+    Artifact,
     fig5_series,
     fig6_series,
-    format_series,
-    format_table2,
+    render,
     table2_report,
     table3_report,
 )
@@ -34,30 +40,13 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "measure",
-    "measure_throughput",
-    "TimingResult",
-    "make_workload",
-    "QuackWorkload",
-    "PAPER_N",
-    "PAPER_T",
-    "PAPER_B",
-    "table2_report",
-    "format_table2",
-    "fig5_series",
-    "fig6_series",
-    "format_series",
-    "table3_report",
-    "PAPER_TABLE2",
-    "PAPER_TABLE3",
-    "PAPER_INTRO",
-    "cc_division_sizing",
-    "ack_reduction_sizing",
-    "CcDivisionSizing",
-    "AckReductionSizing",
-    "PacketTrace",
-    "SessionOutcome",
-    "synthesize_trace",
-    "run_session",
+    "measure", "measure_throughput", "TimingResult",
+    "make_workload", "QuackWorkload", "PAPER_N", "PAPER_T", "PAPER_B",
+    "ARTIFACTS", "Artifact", "render",
+    "table2_report", "table3_report", "fig5_series", "fig6_series",
+    "PAPER_TABLE2", "PAPER_TABLE3",
+    "cc_division_sizing", "ack_reduction_sizing",
+    "CcDivisionSizing", "AckReductionSizing",
+    "PacketTrace", "SessionOutcome", "synthesize_trace", "run_session",
     "survival_probability",
 ]

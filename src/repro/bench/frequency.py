@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.bench.workloads import PAPER_B, PAPER_COUNT_BITS
+
 #: The Section 4.3 scenario constants.
 PAPER_RTT_S = 0.060
 PAPER_LINK_BPS = 200e6
@@ -47,16 +49,13 @@ class CcDivisionSizing:
 
 def cc_division_sizing(rtt_s: float = PAPER_RTT_S,
                        link_bps: float = PAPER_LINK_BPS,
-                       loss_rate: float = PAPER_LOSS,
-                       packet_bytes: int = PAPER_PACKET_BYTES,
-                       bits: int = 32, count_bits: int = 16) \
-        -> CcDivisionSizing:
+                       loss_rate: float = PAPER_LOSS) -> CcDivisionSizing:
     """The paper's once-per-RTT budget: n ~= 1000, t = 20 at 2% loss."""
-    packets = int(link_bps * rtt_s / (8 * packet_bytes))
+    packets = int(link_bps * rtt_s / (8 * PAPER_PACKET_BYTES))
     missing = math.ceil(packets * loss_rate)
     threshold = missing
-    quack_bits = threshold * bits + count_bits
-    strawman1_bits = packets * bits
+    quack_bits = threshold * PAPER_B + PAPER_COUNT_BITS
+    strawman1_bits = packets * PAPER_B
     return CcDivisionSizing(
         packets_per_rtt=packets,
         expected_missing_per_rtt=missing,
@@ -79,15 +78,15 @@ class AckReductionSizing:
     bandwidth_saving_factor: float
 
 
-def ack_reduction_sizing(every_n: int = 32, threshold: int = 20,
-                         bits: int = 32) -> AckReductionSizing:
+def ack_reduction_sizing(every_n: int = 32,
+                         threshold: int = 20) -> AckReductionSizing:
     """Quack every n packets, count omitted (it is always n).
 
     The paper's bandwidth claim holds exactly when ``t < n``: the quACK
     costs ``t*b`` bits where Strawman 1 costs ``n*b``.
     """
-    quack_bits = threshold * bits  # count omitted
-    strawman1_bits = every_n * bits
+    quack_bits = threshold * PAPER_B  # count omitted
+    strawman1_bits = every_n * PAPER_B
     return AckReductionSizing(
         every_n=every_n,
         threshold=threshold,

@@ -1,10 +1,13 @@
-"""Regenerate the paper's tables and figures as data + formatted text.
+"""The paper's evaluation as one table of artifacts, printed one way.
 
-Each ``*_report`` function reruns one paper artifact on this machine and
-returns both our measured numbers and the paper's published ones, so the
-output reads like the original table with a "measured" column.  The
-pytest-benchmark files in ``benchmarks/`` wrap the same building blocks;
-these functions are what the examples and EXPERIMENTS.md generation call.
+:data:`ARTIFACTS` holds one row per artifact -- Table 2, Table 3,
+Figure 5, Figure 6, the Section 4.3 frequency envelopes and the E11
+headroom extension -- and :func:`render` prints any row as a
+GitHub-markdown table with the paper's value beside ours:
+``python -m repro tables table2|table3|fig5|fig6|sizing|headroom|all``.
+The compute functions below (``table2_report``, ``fig5_series``, ...)
+are what the rows and the pytest-benchmark files in ``benchmarks/``
+share.
 
 Absolute times will not match the paper (C++ on a MacBook vs CPython);
 the *shape* -- orderings, proportionality, crossovers -- is the
@@ -15,20 +18,23 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
+from repro.bench import frequency
 from repro.bench.timing import TimingResult, measure, measure_throughput
+from repro.bench.traces import survival_probability
 from repro.bench.workloads import (
     PAPER_B,
     PAPER_COUNT_BITS,
     PAPER_N,
     PAPER_T,
-    QuackWorkload,
     make_workload,
 )
 from repro.quack.collision import collision_probability
+from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
 from repro.quack.strawman import EchoQuack, HashQuack
+from repro.sidecar.frequency import retransmission_cadence
 
 #: Table 2 of the paper (n=1000, t=20, b=32, c=16; MacBook Pro, C++).
 PAPER_TABLE2 = {
@@ -43,13 +49,20 @@ PAPER_TABLE2 = {
 #: Table 3 of the paper (collision probability, n=1000).
 PAPER_TABLE3 = {8: 0.98, 16: 0.015, 24: 6.0e-5, 32: 2.3e-7}
 
-#: Headline metrics from Section 1 (n=1000, t=20, b=32).
-PAPER_INTRO = {
-    "quack_bytes": 82,
-    "construction_ns_per_packet": 100.0,
-    "decode_us_upper": 100.0,
-    "indeterminate_percent": 0.000023,
-}
+#: Workload seed of every timed artifact.
+SEED = 0
+#: Strawman 2's decode is extrapolated from C(18, 3) subsets, small
+#: enough to enumerate.
+STRAWMAN2_PROBE = (18, 3)
+
+#: E11: a 3,000-packet session at 2% average loss, one quACK per 32
+#: packets (``run_session``'s cadence), at four thresholds.
+HEADROOM_LOSS = 0.02
+HEADROOM_PACKETS = 3000
+HEADROOM_THRESHOLDS = (5, 10, 20, 40)
+
+#: Loss ratios at which the retransmission envelope is tabulated.
+RETX_LOSSES = (0.005, 0.01, 0.02, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
@@ -64,47 +77,29 @@ class SchemeRow:
 
 
 def table2_report(n: int = PAPER_N, threshold: int = PAPER_T,
-                  bits: int = PAPER_B, count_bits: int = PAPER_COUNT_BITS,
-                  trials: int = 100, seed: int = 0,
-                  strawman2_probe_n: int = 18,
-                  strawman2_probe_m: int = 3) -> dict[str, SchemeRow]:
+                  trials: int = 100) -> dict[str, SchemeRow]:
     """Rerun Table 2: the two strawmen vs the power-sum quACK.
 
     Strawman 2's decode is *extrapolated* from a measured small-instance
     digest rate (the paper's ~7e+06 days entry is likewise an estimate --
-    C(1000, 20) subsets cannot be enumerated).  The probe instance is
-    C(strawman2_probe_n, strawman2_probe_m) subsets, small enough to run.
+    C(1000, 20) subsets cannot be enumerated); the probe instance is
+    :data:`STRAWMAN2_PROBE`.
     """
-    workload = make_workload(n, threshold, bits, seed)
-    rows: dict[str, SchemeRow] = {}
-
-    # -- Strawman 1: echo everything ------------------------------------
-    def build_echo() -> EchoQuack:
-        quack = EchoQuack(bits)
-        for identifier in workload.received.tolist():
-            quack.insert(identifier)
-        return quack
-
-    echo = build_echo()
+    workload = make_workload(n, threshold, PAPER_B, SEED)
+    received = workload.received.tolist()
     log = workload.sent.tolist()
-    rows["strawman1"] = SchemeRow(
-        scheme="Strawman 1 (echo)",
-        construction=measure(build_echo, trials=trials),
-        decode=measure(lambda: echo.decode(log), trials=trials),
-        decode_extrapolated_days=None,
-        size_bits=echo.wire_size_bits(),
-    )
 
-    # -- Strawman 2: hash + subset search -----------------------------------
-    def build_hash() -> HashQuack:
-        quack = HashQuack(bits)
-        for identifier in workload.received.tolist():
+    def build(quack):
+        for identifier in received:
             quack.insert(identifier)
         return quack
 
-    hash_quack = build_hash()
-    probe = make_workload(strawman2_probe_n, strawman2_probe_m, bits, seed)
-    probe_quack = HashQuack(bits, max_subsets=10_000_000)
+    echo = build(EchoQuack(PAPER_B))
+    hash_quack = build(HashQuack(PAPER_B))
+    power = build(PowerSumQuack(threshold, PAPER_B, PAPER_COUNT_BITS))
+
+    probe = make_workload(*STRAWMAN2_PROBE, PAPER_B, SEED)
+    probe_quack = HashQuack(PAPER_B, max_subsets=10_000_000)
     probe_quack.insert_many(probe.received.tolist())
     probe_log = probe.sent.tolist()
     digests_per_second = measure_throughput(
@@ -112,64 +107,36 @@ def table2_report(n: int = PAPER_N, threshold: int = PAPER_T,
         items_per_call=HashQuack.subsets_to_search(probe.n, probe.num_missing),
         trials=5,
     )
-    extrapolated_days = HashQuack.estimate_decode_seconds(
-        n, threshold, digests_per_second) / 86_400
-    rows["strawman2"] = SchemeRow(
-        scheme="Strawman 2 (hash)",
-        construction=measure(build_hash, trials=trials),
-        decode=None,
-        decode_extrapolated_days=extrapolated_days,
-        size_bits=hash_quack.wire_size_bits(),
-    )
-
-    # -- Power sums ---------------------------------------------------------------
-    def build_power_sum() -> PowerSumQuack:
-        quack = PowerSumQuack(threshold, bits, count_bits)
-        for identifier in workload.received.tolist():
-            quack.insert(identifier)
-        return quack
-
-    power = PowerSumQuack(threshold, bits, count_bits)
-    power.insert_many(workload.received)
-    rows["power_sum"] = SchemeRow(
-        scheme="Power Sums",
-        construction=measure(build_power_sum, trials=trials),
-        decode=measure(lambda: power.decode(log), trials=trials),
-        decode_extrapolated_days=None,
-        size_bits=power.wire_size_bits(),
-    )
-    return rows
-
-
-def format_table2(rows: dict[str, SchemeRow]) -> str:
-    """Render the Table 2 comparison, paper numbers alongside ours."""
-    lines = [
-        f"{'Scheme':22s} {'Construction':>16s} {'Decoding':>22s} {'Size (bits)':>12s}",
-        "-" * 76,
-    ]
-    for key, row in rows.items():
-        paper = PAPER_TABLE2[key]
-        if row.decode is not None:
-            decode = f"{row.decode.mean_us:,.0f} us"
-        else:
-            decode = f"~{row.decode_extrapolated_days:.1e} days"
-        lines.append(
-            f"{row.scheme:22s} {row.construction.mean_us:>12,.0f} us "
-            f"{decode:>22s} {row.size_bits:>12,d}"
-        )
-        paper_decode = (f"{paper['decode_us']:,.0f} us" if "decode_us" in paper
-                        else f"~{paper['decode_days']:.0e} days")
-        lines.append(
-            f"{'  (paper)':22s} {paper['construction_us']:>12,.1f} us "
-            f"{paper_decode:>22s} {paper['size_bits']:>12,d}"
-        )
-    return "\n".join(lines)
+    return {
+        "strawman1": SchemeRow(
+            scheme="Strawman 1 (echo)",
+            construction=measure(lambda: build(EchoQuack(PAPER_B)),
+                                 trials=trials),
+            decode=measure(lambda: echo.decode(log), trials=trials),
+            decode_extrapolated_days=None,
+            size_bits=echo.wire_size_bits()),
+        "strawman2": SchemeRow(
+            scheme="Strawman 2 (hash)",
+            construction=measure(lambda: build(HashQuack(PAPER_B)),
+                                 trials=trials),
+            decode=None,
+            decode_extrapolated_days=HashQuack.estimate_decode_seconds(
+                n, threshold, digests_per_second) / 86_400,
+            size_bits=hash_quack.wire_size_bits()),
+        "power_sum": SchemeRow(
+            scheme="Power Sums",
+            construction=measure(lambda: build(PowerSumQuack(
+                threshold, PAPER_B, PAPER_COUNT_BITS)), trials=trials),
+            decode=measure(lambda: power.decode(log), trials=trials),
+            decode_extrapolated_days=None,
+            size_bits=power.wire_size_bits()),
+    }
 
 
 def fig5_series(thresholds: Sequence[int] = tuple(range(10, 51, 10)),
                 bits_options: Sequence[int] = (16, 24, 32),
                 n: int = PAPER_N, trials: int = 30,
-                seed: int = 0, stat: str = "mean") -> dict[int, dict[int, float]]:
+                stat: str = "mean") -> dict[int, dict[int, float]]:
     """Figure 5: construction time (us) vs threshold, per bit width.
 
     Returns ``{bits: {threshold: us}}``.  The paper's claim to check:
@@ -178,8 +145,7 @@ def fig5_series(thresholds: Sequence[int] = tuple(range(10, 51, 10)),
     """
     series: dict[int, dict[int, float]] = {}
     for bits in bits_options:
-        workload = make_workload(n, 0, bits, seed)
-        ids = workload.sent.tolist()
+        ids = make_workload(n, 0, bits, SEED).sent.tolist()
         per_bits: dict[int, float] = {}
         for threshold in thresholds:
             def build() -> None:
@@ -196,8 +162,7 @@ def fig5_series(thresholds: Sequence[int] = tuple(range(10, 51, 10)),
 def fig6_series(missing_counts: Sequence[int] = (0, 5, 10, 15, 20),
                 bits_options: Sequence[int] = (16, 24, 32),
                 n: int = PAPER_N, threshold: int = PAPER_T,
-                trials: int = 50, seed: int = 0,
-                method: str = "candidates",
+                trials: int = 50,
                 stat: str = "mean") -> dict[int, dict[int, float]]:
     """Figure 6: decoding time (us) vs number of missing packets.
 
@@ -211,16 +176,15 @@ def fig6_series(missing_counts: Sequence[int] = (0, 5, 10, 15, 20),
     for bits in bits_options:
         per_bits: dict[int, float] = {}
         for m in missing_counts:
-            workload = make_workload(n, m, bits, seed)
+            workload = make_workload(n, m, bits, SEED)
             receiver = PowerSumQuack(threshold, bits)
             receiver.insert_many(workload.received)
             sender = PowerSumQuack(threshold, bits)
             sender.insert_many(workload.sent)
             delta = sender - receiver
             log = workload.sent.tolist()
-            from repro.quack.decoder import decode_delta  # local to avoid cycle
             timing = measure(
-                lambda: decode_delta(delta, log, method=method),
+                lambda: decode_delta(delta, log, method="candidates"),
                 trials=trials)
             per_bits[m] = (timing.median * 1e6 if stat == "median"
                            else timing.mean_us)
@@ -228,29 +192,139 @@ def fig6_series(missing_counts: Sequence[int] = (0, 5, 10, 15, 20),
     return series
 
 
-def table3_report(n: int = PAPER_N,
-                  bits_options: Iterable[int] = (8, 16, 24, 32)) \
-        -> dict[int, dict[str, float]]:
+def table3_report() -> dict[int, dict[str, float]]:
     """Table 3: collision probability per identifier width, vs the paper."""
-    return {
-        bits: {
-            "ours": collision_probability(n, bits),
-            "paper": PAPER_TABLE3[bits],
-        }
-        for bits in bits_options
-    }
+    return {bits: {"ours": collision_probability(PAPER_N, bits),
+                   "paper": paper}
+            for bits, paper in PAPER_TABLE3.items()}
 
 
-def format_series(series: dict[int, dict[int, float]], x_label: str,
-                  y_label: str = "us") -> str:
-    """Render a {bits: {x: y}} family of curves as an aligned text table."""
-    all_x = sorted({x for curve in series.values() for x in curve})
-    header = f"{x_label:>12s} " + " ".join(f"{bits:>4d}-bit" for bits in series)
-    lines = [header, "-" * len(header)]
-    for x in all_x:
-        cells = " ".join(
-            f"{series[bits].get(x, float('nan')):>8.1f}" for bits in series
-        )
-        lines.append(f"{x:>12d} {cells}")
-    lines.append(f"({y_label})")
-    return "\n".join(lines)
+# -- the artifact table ------------------------------------------------------------
+
+#: ``(header, rows, note)``: what one artifact computes.
+Table = tuple[Sequence[str], list[Sequence[object]], str]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One row of :data:`ARTIFACTS`: a title and ``trials -> Table``."""
+
+    title: str
+    compute: Callable[[int], Table]
+
+
+def _table2(trials: int) -> Table:
+    rows = []
+    for key, row in table2_report(trials=trials).items():
+        paper = PAPER_TABLE2[key]
+        rows.append((
+            row.scheme,
+            f"{paper['construction_us']:g} us",
+            f"{row.construction.mean_us:,.0f} us",
+            f"{paper['decode_us']:,.0f} us" if "decode_us" in paper
+            else f"~{paper['decode_days']:.0e} days",
+            f"{row.decode.mean_us:,.0f} us" if row.decode
+            else f"~{row.decode_extrapolated_days:.1e} days",
+            f"{paper['size_bits']:,}", f"{row.size_bits:,}"))
+    return (("scheme", "construction (paper)", "construction (ours)",
+             "decoding (paper)", "decoding (ours)", "size bits (paper)",
+             "size bits (ours)"), rows,
+            f"Mean of {trials} trials with warmup. Strawman 2's decode is "
+            "extrapolated from a measured digest rate, as the paper's is.")
+
+
+def _table3(trials: int) -> Table:
+    return (("bits", "paper", "ours"),
+            [(bits, f"{row['paper']:.2g}", f"{row['ours']:.3g}")
+             for bits, row in table3_report().items()],
+            f"Closed form at n = {PAPER_N}; no trials.")
+
+
+def _curves(series: dict[int, dict[int, float]], x_label: str,
+            trials: int, claim: str) -> Table:
+    xs = sorted({x for curve in series.values() for x in curve})
+    return ((x_label, *(f"{bits}-bit (us)" for bits in series)),
+            [(x, *(f"{series[bits][x]:,.1f}" for bits in series))
+             for x in xs],
+            f"Mean of {trials} trials per point, n = {PAPER_N}. "
+            f"Paper: {claim}.")
+
+
+def _fig5(trials: int) -> Table:
+    trials = max(3, trials // 10)
+    return _curves(fig5_series(trials=trials), "threshold t", trials,
+                   "construction time is directly proportional to t")
+
+
+def _fig6(trials: int) -> Table:
+    trials = max(5, trials // 5)
+    return _curves(fig6_series(trials=trials), "missing m", trials,
+                   "decoding time is directly proportional to m, and "
+                   "m = 0 takes virtually no time")
+
+
+def _sizing(trials: int) -> Table:
+    cc = frequency.cc_division_sizing()
+    ack = frequency.ack_reduction_sizing()
+    target = frequency.PAPER_TARGET_MISSING
+    cc_name = "cc-division, 200 Mbps · 60 ms · 2%"
+    ack_name = f"ack-reduction, every {ack.every_n} packets"
+    rows = [
+        (cc_name, "packets per RTT", "~1000", cc.packets_per_rtt),
+        (cc_name, "missing per RTT (threshold t)", 20, cc.threshold),
+        (cc_name, "quACK bytes (Strawman 1)", 82,
+         f"{cc.quack_bytes} ({cc.strawman1_bytes})"),
+        (cc_name, "overhead kbps (Strawman 1)", "-",
+         f"{cc.quack_overhead_bps / 1e3:.2f} "
+         f"({cc.strawman1_overhead_bps / 1e3:.1f})"),
+        (ack_name, f"quACK bytes, t = {ack.threshold} (Strawman 1)", "-",
+         f"{ack.quack_bytes} ({ack.strawman1_bytes})"),
+        (ack_name, "bandwidth saving", "t < n wins",
+         f"{ack.bandwidth_saving_factor:.2f}x"),
+    ]
+    rows += [(f"retransmission, {loss:.1%} loss", "quACK every N packets",
+              "-", retransmission_cadence(loss, target))
+             for loss in RETX_LOSSES]
+    return (("envelope", "quantity", "paper", "ours"), rows,
+            "Analytic (Section 4.3); the retransmission cadence targets "
+            f"{target} missing packets per quACK, clamped.")
+
+
+def _headroom(trials: int) -> Table:
+    trials = max(2, trials // 3)
+    rows = []
+    for threshold in HEADROOM_THRESHOLDS:
+        survival = [survival_probability(threshold, HEADROOM_LOSS, burstiness,
+                                         trials=trials, n=HEADROOM_PACKETS)
+                    for burstiness in ("random", "bursty")]
+        rows.append((threshold, *(f"{p:.2f}" for p in survival)))
+    return (("t", "random loss", "bursty loss"), rows,
+            f"Extension, no paper value: P(a {HEADROOM_PACKETS:,}-packet "
+            f"session survives) at {HEADROOM_LOSS:.0%} average loss, one "
+            f"quACK per 32 packets, {trials} seeded trials per cell.")
+
+
+#: The paper's evaluation, in the order ``tables all`` prints it.
+ARTIFACTS: dict[str, Artifact] = {
+    "table2": Artifact("Table 2 -- strawmen vs power sums "
+                       "(n=1000, t=20, b=32)", _table2),
+    "table3": Artifact("Table 3 -- collision probability (n=1000)", _table3),
+    "fig5": Artifact("Figure 5 -- construction time vs threshold", _fig5),
+    "fig6": Artifact("Figure 6 -- decoding time vs missing packets", _fig6),
+    "sizing": Artifact("Section 4.3 -- communication-frequency envelopes",
+                       _sizing),
+    "headroom": Artifact("E11 -- threshold headroom under bursty loss",
+                         _headroom),
+}
+
+
+def render(artifact: Artifact, trials: int) -> str:
+    """One artifact as a titled GitHub-markdown table plus its note."""
+    header, rows, note = artifact.compute(trials)
+
+    def line(cells: Sequence[object]) -> str:
+        return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+    return "\n".join([f"## {artifact.title}", "", line(header),
+                      line(["---"] * len(header)),
+                      *(line(row) for row in rows), "", note])

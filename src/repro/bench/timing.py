@@ -41,6 +41,17 @@ class TimingResult:
                 f"+/- {self.stdev * 1e6:,.1f}, n={self.trials})")
 
 
+def _summary(samples: list[float]) -> TimingResult:
+    return TimingResult(
+        trials=len(samples),
+        mean=statistics.fmean(samples),
+        median=statistics.median(samples),
+        stdev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
+        minimum=min(samples),
+        maximum=max(samples),
+    )
+
+
 def measure(fn: Callable[[], object], trials: int = 100,
             warmup: int = 3) -> TimingResult:
     """Time ``fn`` with warmup, the paper's Table 2 methodology."""
@@ -53,14 +64,7 @@ def measure(fn: Callable[[], object], trials: int = 100,
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    return TimingResult(
-        trials=trials,
-        mean=statistics.fmean(samples),
-        median=statistics.median(samples),
-        stdev=statistics.stdev(samples) if trials > 1 else 0.0,
-        minimum=min(samples),
-        maximum=max(samples),
-    )
+    return _summary(samples)
 
 
 def measure_staged(setup: Callable[[], object],
@@ -83,14 +87,7 @@ def measure_staged(setup: Callable[[], object],
         start = time.perf_counter()
         stage(prepared)
         samples.append(time.perf_counter() - start)
-    return TimingResult(
-        trials=trials,
-        mean=statistics.fmean(samples),
-        median=statistics.median(samples),
-        stdev=statistics.stdev(samples) if trials > 1 else 0.0,
-        minimum=min(samples),
-        maximum=max(samples),
-    )
+    return _summary(samples)
 
 
 def measure_throughput(fn: Callable[[], object], items_per_call: int,

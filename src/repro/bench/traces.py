@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.bench.workloads import PAPER_B
 from repro.ids import IdentifierFactory
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.netsim.packet import Packet
@@ -27,6 +28,10 @@ from repro.quack.base import DecodeStatus
 from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import PacketCountFrequency
+
+#: Arrival rate and on/off period means of every synthesized trace.
+RATE_PPS = 1000.0
+ON_S = OFF_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,17 @@ def onoff_arrivals(n: int, rate_pps: float, on_s: float, off_s: float,
     return times
 
 
-def synthesize_trace(n: int, arrival: str = "cbr", rate_pps: float = 1000.0,
-                     loss: LossModel | None = None, bits: int = 32,
-                     seed: int = 0, on_s: float = 0.05,
-                     off_s: float = 0.05) -> PacketTrace:
+def synthesize_trace(n: int, arrival: str = "cbr",
+                     loss: LossModel | None = None,
+                     seed: int = 0) -> PacketTrace:
     """Build a trace: arrival process x loss process x identifiers."""
     rng = random.Random(seed)
     if arrival == "cbr":
-        times = cbr_arrivals(n, rate_pps)
+        times = cbr_arrivals(n, RATE_PPS)
     elif arrival == "poisson":
-        times = poisson_arrivals(n, rate_pps, rng)
+        times = poisson_arrivals(n, RATE_PPS, rng)
     elif arrival == "onoff":
-        times = onoff_arrivals(n, rate_pps, on_s, off_s, rng)
+        times = onoff_arrivals(n, RATE_PPS, ON_S, OFF_S, rng)
     else:
         raise ValueError(f"unknown arrival process {arrival!r}")
     model = loss if loss is not None \
@@ -115,7 +119,7 @@ def synthesize_trace(n: int, arrival: str = "cbr", rate_pps: float = 1000.0,
     probe = Packet(src="t", dst="t", size_bytes=1500)
     dropped = tuple(model.should_drop(probe) for _ in range(n))
     factory = IdentifierFactory(
-        rng.getrandbits(128).to_bytes(16, "big"), bits=bits)
+        rng.getrandbits(128).to_bytes(16, "big"), bits=PAPER_B)
     identifiers = tuple(factory.identifier(i) for i in range(n))
     return PacketTrace(times=tuple(times), dropped=dropped,
                        identifiers=identifiers)
@@ -125,18 +129,18 @@ def synthesize_trace(n: int, arrival: str = "cbr", rate_pps: float = 1000.0,
 class SessionOutcome:
     """What happened when a quACK session consumed a trace."""
 
-    quacks: int = 0
-    decode_failures: int = 0
-    threshold_exceeded: bool = False
-    declared_lost: int = 0
-    false_losses: int = 0
-    confirmed: int = 0
-    survived: bool = True
-    max_outstanding: int = 0
+    quacks: int = field(init=False, default=0)
+    decode_failures: int = field(init=False, default=0)
+    threshold_exceeded: bool = field(init=False, default=False)
+    declared_lost: int = field(init=False, default=0)
+    false_losses: int = field(init=False, default=0)
+    confirmed: int = field(init=False, default=0)
+    survived: bool = field(init=False, default=True)
+    max_outstanding: int = field(init=False, default=0)
 
 
 def run_session(trace: PacketTrace, threshold: int, quack_every: int = 32,
-                grace: int = 1, bits: int = 32) -> SessionOutcome:
+                grace: int = 1) -> SessionOutcome:
     """Drive one emitter/consumer pair over a trace (no simulator).
 
     The sender logs every packet at its timestamp; the receiver observes
@@ -144,8 +148,8 @@ def run_session(trace: PacketTrace, threshold: int, quack_every: int = 32,
     A decode failure of any kind marks the session as not survived
     (a real deployment would reset; we measure how often that happens).
     """
-    consumer = QuackConsumer(threshold, bits, grace=grace)
-    emitter = QuackEmitter(threshold, bits,
+    consumer = QuackConsumer(threshold, PAPER_B, grace=grace)
+    emitter = QuackEmitter(threshold, PAPER_B,
                            policy=PacketCountFrequency(quack_every))
     outcome = SessionOutcome()
     truly_dropped = set()
@@ -184,19 +188,18 @@ def run_session(trace: PacketTrace, threshold: int, quack_every: int = 32,
 
 
 def survival_probability(threshold: int, loss: float, burstiness: str,
-                         trials: int = 20, n: int = 4000,
-                         quack_every: int = 32,
-                         base_seed: int = 0) -> float:
+                         trials: int = 20, n: int = 4000) -> float:
     """P(session survives an n-packet trace) for a threshold choice.
 
     ``burstiness`` selects the loss process at (approximately) the same
     average rate: ``"random"`` is Bernoulli(loss); ``"bursty"`` is a
     Gilbert-Elliott channel with 50%-lossy bad states tuned to the same
-    steady-state rate.
+    steady-state rate.  Trial ``i`` is seeded with ``i``; each session
+    quACKs at :func:`run_session`'s default cadence.
     """
     survived = 0
     for trial in range(trials):
-        rng = random.Random(base_seed * 1000 + trial)
+        rng = random.Random(trial)
         if burstiness == "random":
             model: LossModel = BernoulliLoss(loss, rng)
         elif burstiness == "bursty":
@@ -209,6 +212,6 @@ def survival_probability(threshold: int, loss: float, burstiness: str,
         else:
             raise ValueError(f"unknown burstiness {burstiness!r}")
         trace = synthesize_trace(n, loss=model, seed=trial)
-        outcome = run_session(trace, threshold, quack_every=quack_every)
+        outcome = run_session(trace, threshold)
         survived += outcome.survived
     return survived / trials

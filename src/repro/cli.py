@@ -5,9 +5,10 @@ Subcommands:
 * ``quack encode``  -- build a power-sum quACK from received identifiers
   and print the wire frame as hex;
 * ``quack decode``  -- decode a hex frame against a sent-identifier log;
-* ``tables``        -- regenerate a paper table/figure (table2, table3,
-  fig5, fig6);
-* ``sizing``        -- the Section 4.3 frequency/size envelopes;
+* ``tables``        -- regenerate one artifact of the paper's evaluation
+  (table2, table3, fig5, fig6, the Section 4.3 ``sizing`` envelopes,
+  the E11 ``headroom`` extension) or ``all`` of them, as markdown tables
+  with the paper's value beside ours;
 * ``experiment``    -- run one of the E7-E9 protocol scenarios;
 * ``chaos``         -- run a fault-injection scenario and check the
   robustness invariants (exit status 1 if any is violated);
@@ -39,7 +40,7 @@ Examples::
     python -m repro quack encode --ids 11,22,33 --threshold 4
     python -m repro quack decode --frame <hex> --log 11,22,33,44
     python -m repro tables table3
-    python -m repro sizing retransmission --loss 0.05
+    python -m repro tables all --trials 3
     python -m repro experiment cc-division --loss 0.02 --total 500000
     python -m repro chaos blackout --seed 1
     python -m repro chaos all
@@ -118,54 +119,11 @@ def cmd_quack_decode(args: argparse.Namespace) -> int:
 # -- tables ----------------------------------------------------------------------
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.bench import tables
+    from repro.bench.tables import ARTIFACTS, render
 
-    if args.which == "table2":
-        print(tables.format_table2(tables.table2_report(trials=args.trials)))
-    elif args.which == "table3":
-        for bits, row in tables.table3_report().items():
-            print(f"{bits:>3d} bits: ours {row['ours']:.3g}   "
-                  f"paper {row['paper']:.3g}")
-    elif args.which == "fig5":
-        print(tables.format_series(
-            tables.fig5_series(trials=max(3, args.trials // 10)),
-            x_label="threshold"))
-    else:  # fig6
-        print(tables.format_series(
-            tables.fig6_series(trials=max(5, args.trials // 5)),
-            x_label="missing"))
-    return 0
-
-
-# -- sizing -----------------------------------------------------------------------
-
-def cmd_sizing(args: argparse.Namespace) -> int:
-    from repro.bench import frequency
-
-    if args.which == "cc-division":
-        sizing = frequency.cc_division_sizing(
-            rtt_s=args.rtt, link_bps=args.mbps * 1e6, loss_rate=args.loss)
-        print(f"packets/RTT: {sizing.packets_per_rtt}")
-        print(f"expected missing/RTT: {sizing.expected_missing_per_rtt}")
-        print(f"threshold t: {sizing.threshold}")
-        print(f"quACK bytes: {sizing.quack_bytes} "
-              f"(strawman-1 echo: {sizing.strawman1_bytes})")
-        print(f"overhead: {sizing.quack_overhead_bps / 1e3:.2f} kbps "
-              f"(echo: {sizing.strawman1_overhead_bps / 1e3:.1f} kbps)")
-    elif args.which == "ack-reduction":
-        sizing = frequency.ack_reduction_sizing(every_n=args.every,
-                                                threshold=args.threshold)
-        print(f"quACK every {sizing.every_n} packets, t={sizing.threshold}")
-        print(f"quACK bytes: {sizing.quack_bytes} "
-              f"(strawman-1: {sizing.strawman1_bytes})")
-        print(f"bandwidth saving: {sizing.bandwidth_saving_factor:.2f}x")
-    else:  # retransmission
-        from repro.sidecar.frequency import retransmission_cadence
-
-        target = frequency.PAPER_TARGET_MISSING
-        cadence = retransmission_cadence(args.loss, target)
-        print(f"loss ratio {args.loss:.1%} -> quACK every "
-              f"{cadence} packets (targeting {target} missing per quACK)")
+    names = ARTIFACTS if args.which == "all" else (args.which,)
+    for name in names:
+        print(render(ARTIFACTS[name], args.trials), end="\n\n", flush=True)
     return 0
 
 
@@ -477,21 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("auto", "candidates", "factor"))
     dec.set_defaults(func=cmd_quack_decode)
 
-    tables = sub.add_parser("tables", help="regenerate a paper table/figure")
-    tables.add_argument("which",
-                        choices=("table2", "table3", "fig5", "fig6"))
-    tables.add_argument("--trials", type=int, default=30)
-    tables.set_defaults(func=cmd_tables)
+    from repro.bench.tables import ARTIFACTS
 
-    sizing = sub.add_parser("sizing", help="Section 4.3 envelopes")
-    sizing.add_argument("which", choices=("cc-division", "ack-reduction",
-                                          "retransmission"))
-    sizing.add_argument("--rtt", type=float, default=0.060)
-    sizing.add_argument("--mbps", type=float, default=200.0)
-    sizing.add_argument("--loss", type=float, default=0.02)
-    sizing.add_argument("--every", type=int, default=32)
-    sizing.add_argument("--threshold", type=int, default=20)
-    sizing.set_defaults(func=cmd_sizing)
+    tables = sub.add_parser(
+        "tables", help="regenerate paper artifacts as markdown tables")
+    tables.add_argument("which", choices=(*ARTIFACTS, "all"))
+    tables.add_argument("--trials", type=int, default=30,
+                        help="timing trials; each artifact derives its "
+                             "own count from it")
+    tables.set_defaults(func=cmd_tables)
 
     from repro.obs.runner import known_scenarios
     from repro.sweep.scenarios import EXPERIMENT_SCENARIOS
@@ -651,56 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     vectors_check.add_argument("--dir", default="tests/vectors",
                                help="vector directory")
     vectors_check.set_defaults(func=cmd_vectors)
-
-    headroom = sub.add_parser(
-        "headroom", help="threshold survival vs loss burstiness (E11)")
-    headroom.add_argument("--loss", type=float, default=0.02)
-    headroom.add_argument("--trials", type=int, default=10)
-    headroom.add_argument("--packets", type=int, default=3000)
-    headroom.add_argument("--quack-every", type=int, default=32)
-    headroom.set_defaults(func=cmd_headroom)
-
-    report = sub.add_parser("report",
-                            help="generate a full markdown experiment report")
-    report.add_argument("--quick", action="store_true",
-                        help="fewer trials and smaller transfers")
-    report.add_argument("--output", default=None,
-                        help="write to a file instead of stdout")
-    report.set_defaults(func=cmd_report)
     return parser
-
-
-def cmd_headroom(args: argparse.Namespace) -> int:
-    from repro.bench.traces import survival_probability
-
-    print(f"session survival at {args.loss:.1%} average loss "
-          f"({args.packets} packets, quACK every {args.quack_every}):")
-    print(f"{'t':>5s} {'random':>8s} {'bursty':>8s}")
-    for threshold in (5, 10, 20, 40):
-        p_random = survival_probability(
-            threshold, args.loss, "random", trials=args.trials,
-            n=args.packets, quack_every=args.quack_every)
-        p_bursty = survival_probability(
-            threshold, args.loss, "bursty", trials=args.trials,
-            n=args.packets, quack_every=args.quack_every)
-        print(f"{threshold:>5d} {p_random:>8.2f} {p_bursty:>8.2f}")
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.bench.report import ReportOptions, full_report
-
-    options = ReportOptions(trials=5, protocol_bytes=200_000,
-                            headroom_trials=3) if args.quick \
-        else ReportOptions()
-    text = full_report(options, progress=lambda m: print(m, file=sys.stderr))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

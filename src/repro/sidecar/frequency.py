@@ -81,7 +81,7 @@ def retransmission_cadence(loss_ratio: float, target_missing: int) -> int:
     "The sender who configures this frequency could target a constant
     t = 20 missing packets per quACK.  If the link is relatively stable,
     the sender-side proxy could decrease the frequency" (Section 4.3):
-    the proxy's rule, and what ``repro sizing retransmission`` prints.
+    the proxy's rule, and what ``repro tables sizing`` tabulates.
     """
     if not 0.0 <= loss_ratio <= 1.0:
         raise ValueError(f"loss ratio must be in [0, 1], got {loss_ratio}")

@@ -36,6 +36,9 @@ ERROR_EXCEPTION = "exception"      # scenario raised inside the worker
 ERROR_WORKER_CRASH = "worker-crash"  # worker process died; pool rebuilt
 ERROR_TIMEOUT = "timeout"          # task exceeded task_timeout_s
 
+#: Cells :func:`format_aggregate` lists before summarising the rest.
+MAX_ROWS = 40
+
 
 @dataclass
 class CellOutcome:
@@ -103,7 +106,7 @@ class SweepAggregate:
     workers: int = 1
     wall_time_s: float = 0.0
     recorded_at: str = ""
-    schema: int = SWEEP_SCHEMA_VERSION
+    schema: int = field(init=False, default=SWEEP_SCHEMA_VERSION)
 
     @property
     def failed_cells(self) -> list[CellOutcome]:
@@ -218,9 +221,8 @@ def load_aggregate_dict(path: str) -> dict:
     return record
 
 
-def completed_results(spec: SweepSpec, partial: Mapping,
-                      source: str = "partial aggregate"
-                      ) -> dict[int, CellOutcome]:
+def completed_results(spec: SweepSpec,
+                      partial: Mapping) -> dict[int, CellOutcome]:
     """Extract resumable cells from a partial aggregate.
 
     Only ``ok`` cells are carried over -- failed cells get a fresh set
@@ -231,7 +233,7 @@ def completed_results(spec: SweepSpec, partial: Mapping,
     fingerprint = partial.get("fingerprint")
     if fingerprint != spec.fingerprint():
         raise SweepResumeError(
-            f"{source} was produced by a different sweep "
+            "partial aggregate was produced by a different sweep "
             f"(fingerprint {fingerprint!r}, expected "
             f"{spec.fingerprint()!r}); refusing to mix results")
     carried: dict[int, CellOutcome] = {}
@@ -243,7 +245,7 @@ def completed_results(spec: SweepSpec, partial: Mapping,
     return carried
 
 
-def format_aggregate(aggregate: Mapping, max_rows: int = 40) -> str:
+def format_aggregate(aggregate: Mapping) -> str:
     """Terminal summary of an aggregate dict: grid, outcomes, failures."""
     spec = aggregate.get("spec", {})
     summary = aggregate.get("summary", {})
@@ -267,7 +269,7 @@ def format_aggregate(aggregate: Mapping, max_rows: int = 40) -> str:
             f"{timing.get('workers', '?')} worker(s)")
     shown = 0
     for cell in aggregate.get("cells", ()):
-        if shown >= max_rows:
+        if shown >= MAX_ROWS:
             lines.append(f"  ... {len(aggregate['cells']) - shown} more "
                          f"cell(s) not shown")
             break

@@ -10,10 +10,10 @@ from repro.bench.frequency import (
     cc_division_sizing,
 )
 from repro.bench.tables import (
+    ARTIFACTS,
     fig5_series,
     fig6_series,
-    format_series,
-    format_table2,
+    render,
     table2_report,
     table3_report,
 )
@@ -104,9 +104,9 @@ class TestTables:
         assert rows["strawman1"].decode is not None
 
     def test_format_table2_includes_paper(self):
-        text = format_table2(table2_report(trials=2, n=60, threshold=4))
-        assert "(paper)" in text
-        assert "Power Sums" in text
+        text = render(ARTIFACTS["table2"], trials=2)
+        assert "| construction (paper) | construction (ours) |" in text
+        assert "| Power Sums | 106 us |" in text
 
     def test_fig5_series_shape(self):
         series = fig5_series(thresholds=(2, 6), bits_options=(16, 32),
@@ -121,11 +121,6 @@ class TestTables:
                              n=60, threshold=4, trials=2)
         assert set(series[32]) == {0, 2}
         assert series[32][0] < series[32][2]
-
-    def test_format_series(self):
-        text = format_series({32: {1: 10.0, 2: 20.0}}, x_label="t")
-        assert "32-bit" in text
-        assert "10.0" in text and "20.0" in text
 
     def test_table3_report_matches_module(self):
         from repro.quack.collision import collision_probability

@@ -15,8 +15,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 def test_examples_directory_contents():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "cc_division_demo.py", "ack_reduction_demo.py",
-            "innetwork_retx_demo.py", "parameter_tuning.py",
-            "reproduce_paper.py"} <= names
+            "innetwork_retx_demo.py", "parameter_tuning.py"} <= names
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in EXAMPLES.glob("*.py")))

@@ -76,35 +76,80 @@ class TestQuackCommands:
             main(["quack", "decode", "--frame", frame, "--log", "1"])
 
 
+#: Cells each artifact must print at ``--trials 3``.  Table 2's sizes,
+#: Table 3 and the Section 4.3 envelopes are analytic; the E11 survival
+#: probabilities are seeded (2 trials per cell at ``--trials 3``) and
+#: equal what the former ``repro headroom --trials 2`` printed.
+ARTIFACT_CELLS = {
+    "table2": ["| Strawman 1 (echo) | 222 us |", "| 32,000 | 31,360 |",
+               "| ~7e+06 days |", "| 272 | 272 |", "| 656 | 656 |"],
+    "table3": ["| 8 | 0.98 | 0.98 |", "| 16 | 0.015 | 0.0151 |",
+               "| 24 | 6e-05 | 5.95e-05 |", "| 32 | 2.3e-07 | 2.33e-07 |"],
+    "fig5": ["| threshold t | 16-bit (us) | 24-bit (us) | 32-bit (us) |",
+             *(f"\n| {t} | " for t in (10, 20, 30, 40, 50))],
+    "fig6": ["| missing m | 16-bit (us) | 24-bit (us) | 32-bit (us) |",
+             *(f"\n| {m} | " for m in (0, 5, 10, 15, 20))],
+    "sizing": ["| packets per RTT | ~1000 | 1000 |",
+               "| missing per RTT (threshold t) | 20 | 20 |",
+               "| quACK bytes (Strawman 1) | 82 | 82 (4000) |",
+               "| 10.93 (533.3) |", "| 80 (128) |", "| 1.60x |",
+               "| retransmission, 0.5% loss | quACK every N packets | - | 512 |",
+               "| retransmission, 10.0% loss | quACK every N packets | - | 200 |"],
+    "headroom": ["| 5 | 1.00 | 0.00 |", "| 10 | 1.00 | 0.50 |",
+                 "| 20 | 1.00 | 1.00 |", "| 40 | 1.00 | 1.00 |"],
+}
+
+
 class TestTables:
+    @pytest.mark.parametrize("which", [*ARTIFACT_CELLS, "all"])
+    def test_prints_each_artifact(self, capsys, which):
+        from repro.bench.tables import ARTIFACTS
+
+        assert list(ARTIFACTS) == list(ARTIFACT_CELLS)
+        names = list(ARTIFACTS) if which == "all" else [which]
+        code, out = run_cli(capsys, "tables", which, "--trials", "3")
+        assert code == 0
+        # One titled markdown table per artifact, in table order.
+        assert [line for line in out.splitlines()
+                if line.startswith("## ")] == [
+            f"## {ARTIFACTS[name].title}" for name in names]
+        assert out.count("\n| --- |") == len(names)
+        for name in names:
+            for cell in ARTIFACT_CELLS[name]:
+                assert cell in out, (name, cell)
+
     def test_table3(self, capsys):
         code, out = run_cli(capsys, "tables", "table3")
         assert code == 0
-        assert "paper 0.98" in out
+        assert "| bits | paper | ours |" in out
+        assert "| 8 | 0.98 | 0.98 |" in out
 
     def test_table2_quick(self, capsys):
         code, out = run_cli(capsys, "tables", "table2", "--trials", "3")
         assert code == 0
-        assert "Power Sums" in out and "Strawman 1" in out
+        assert "| Power Sums |" in out and "| Strawman 1 (echo) |" in out
 
 
 class TestSizing:
+    """The Section 4.3 envelopes, one row each in ``tables sizing``."""
+
     def test_cc_division_defaults_match_paper(self, capsys):
-        code, out = run_cli(capsys, "sizing", "cc-division")
+        code, out = run_cli(capsys, "tables", "sizing")
         assert code == 0
-        assert "packets/RTT: 1000" in out
-        assert "quACK bytes: 82" in out
+        assert "| packets per RTT | ~1000 | 1000 |" in out
+        assert "| quACK bytes (Strawman 1) | 82 | 82 (4000) |" in out
 
     def test_ack_reduction(self, capsys):
-        code, out = run_cli(capsys, "sizing", "ack-reduction")
+        code, out = run_cli(capsys, "tables", "sizing")
         assert code == 0
-        assert "1.60x" in out
+        assert ("| ack-reduction, every 32 packets | bandwidth saving "
+                "| t < n wins | 1.60x |") in out
 
     def test_retransmission(self, capsys):
-        code, out = run_cli(capsys, "sizing", "retransmission",
-                            "--loss", "0.1")
+        code, out = run_cli(capsys, "tables", "sizing")
         assert code == 0
-        assert "every 200 packets" in out
+        assert ("| retransmission, 10.0% loss | quACK every N packets "
+                "| - | 200 |") in out
 
 
 class TestExperiments:
@@ -227,15 +272,17 @@ class TestParser:
 
     def test_unknown_command(self):
         # "bench" was the legacy wall-clock store's subcommand, "profile"
-        # is now the time section of "trace".
+        # is now the time section of "trace"; "report", "sizing" and
+        # "headroom" are rows of "tables".
         for argv in (["frobnicate"], ["bench"],
-                     ["profile", "retransmission"]):
+                     ["profile", "retransmission"], ["report"],
+                     ["sizing", "cc-division"], ["headroom"]):
             with pytest.raises(SystemExit) as stop:
                 main(argv)
             assert stop.value.code == 2
 
     def test_subcommand_and_argument_counts(self):
-        """The surface shrinks with the code: 13 subcommands, and
+        """The surface shrinks with the code: 10 subcommands, and
         trace + analyze take 18 arguments where trace + profile +
         analyze took 22."""
         import argparse
@@ -243,7 +290,7 @@ class TestParser:
         subparsers = next(
             action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)).choices
-        assert len(subparsers) == 13
+        assert len(subparsers) == 10
         arguments = [action.dest for name in ("trace", "analyze")
                      for action in subparsers[name]._actions
                      if action.dest != "help"]
@@ -321,6 +368,24 @@ class TestDocumentedCommands:
                 "--telemetry", "--output", "/tmp/scale-sweep.json") in checked
         assert ("tables", "fig6") in checked  # a table2|...|fig6 synopsis
 
+    def test_every_written_down_path_exists(self):
+        """Every backticked repo path to a ``.py``/``.json`` file names a
+        file that exists (globs and placeholders are not paths)."""
+        path = re.compile(r"(?<![\w/.-])((?:benchmarks|examples|tests|src)/"
+                          r"[\w./-]*?\.(?:py|json))(?![\w/])")
+        checked, missing = set(), []
+        for source in COMMAND_SOURCES:
+            text = re.sub(r"```.*?```", "",
+                          source.read_text(encoding="utf-8"), flags=re.S)
+            for span in re.findall(r"`([^`]+)`", text):
+                for name in path.findall(span):
+                    checked.add(name)
+                    if not (REPO / name).exists():
+                        missing.append(f"{source.relative_to(REPO)}: {name}")
+        assert not missing, "\n".join(missing)
+        assert len(checked) >= 20 and "benchmarks/test_fig5_construction.py" \
+            in checked
+
 
 def documented_plans(text):
     """``{plan: is_adversarial}`` over every *plan table* in ``text``.
@@ -369,17 +434,6 @@ class TestDocumentedPlans:
     def test_plan_tables_match_list_plans(self, listed, document):
         text = (REPO / document).read_text(encoding="utf-8")
         assert documented_plans(text) == listed
-
-
-class TestHeadroom:
-    def test_headroom_table(self, capsys):
-        code, out = run_cli(capsys, "headroom", "--trials", "2",
-                            "--packets", "600")
-        assert code == 0
-        assert "random" in out and "bursty" in out
-        # Four threshold rows.
-        assert sum(1 for line in out.splitlines()
-                   if line.strip().startswith(("5 ", "10", "20", "40"))) == 4
 
 
 class TestChaos:

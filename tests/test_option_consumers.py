@@ -32,7 +32,8 @@ SRC = REPO / "src"
 #: Packages held to the rule.  Grow this list (ROADMAP item 7 keeps the
 #: count of unset options in the packages not yet on it).
 AUDITED = ("repro.chaos", "repro.obs", "repro.quack", "repro.sidecar",
-           "repro.arith", "repro.ids", "repro.netsim")
+           "repro.arith", "repro.ids", "repro.netsim", "repro.bench",
+           "repro.sweep")
 
 _ENTRY_POINT = ("keyword of a scenario entry point: the sweep-spec input "
                 "format and the frozen benchmark's call surface")
@@ -279,4 +280,6 @@ def test_the_audit_sees_options_and_call_sites():
     assert "checkpoints" in used["EmitterEndpoint"]      # via **options
     assert "kinds" in used["FaultInjector"]     # via super().__init__(kinds=)
     assert "_key" in used["Packet"]                      # via cls(...)
+    assert "stat" in used["fig6_series"]                 # repro.bench
+    assert "telemetry" in used["run_sweep"]              # repro.sweep
     assert len(ALLOWED) == 18
