@@ -2,11 +2,11 @@
 plus scheduler-core throughput (calendar queue vs binary heap).
 
 The acceptance bar from the sweep engine's design: a 32-cell sweep on
-4 workers finishes at least 2x faster than the serial run *and*
-produces a byte-identical aggregate once wall-clock fields are
-stripped.  Cells here are latency-bound (``sleep_s``) rather than
-CPU-bound so the speedup is demonstrable on single-core CI boxes; the
-determinism half of the claim is the part that is hard to get right.
+4 workers produces a byte-identical aggregate to the serial run once
+wall-clock fields are stripped, and on a box with at least 4 CPUs
+finishes at least 2x faster.  Cells are real, CPU-bound ``scale`` runs
+(the multi-tenant flow table), so the speedup is bounded by physical
+cores: with fewer than 4 the speedup is recorded but not asserted.
 
 The scheduler-throughput case drains a burst-loaded queue (many events
 pre-scheduled across a dense near horizon): the calendar queue's
@@ -15,6 +15,7 @@ on raw drain rate.
 """
 
 import json
+import os
 
 import pytest
 
@@ -25,15 +26,14 @@ from repro.sweep import SweepSpec, run_sweep, strip_timing
 # ``python -m pytest benchmarks/test_sweep_scaling.py``).
 from tests.netsim.heap_oracle import make_simulator
 
-CELL_SLEEP_S = 0.05
-
 
 @pytest.fixture(scope="module")
 def spec():
     return SweepSpec.from_dict({
-        "name": "scaling", "scenario": "selftest", "seed": 21,
-        "base": {"sleep_s": CELL_SLEEP_S, "work": 32},
-        "grid": {"a": [0, 1, 2, 3], "b": [0, 1], "c": [0, 1, 2, 3]},
+        "name": "scaling", "scenario": "scale", "seed": 21,
+        "base": {"duration_s": 0.5},
+        "grid": {"flows": [500, 1000, 1500, 2000], "churn_rate": [0.0, 0.1],
+                 "tenants": [2, 4, 8, 16]},
     })
 
 
@@ -54,7 +54,8 @@ def test_parallel_speedup_with_identical_aggregates(benchmark, spec):
     benchmark.extra_info["serial_s"] = round(serial, 3)
     benchmark.extra_info["parallel_s"] = round(parallel, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= 2.0, (serial, parallel)
+    if (os.cpu_count() or 1) >= 4:
+        assert speedup >= 2.0, (serial, parallel)
 
     stripped_serial = strip_timing(aggregates[1].to_dict())
     stripped_parallel = strip_timing(aggregates[4].to_dict())
@@ -66,8 +67,9 @@ def test_parallel_overhead_on_trivial_cells(benchmark, spec):
     """The fixed cost of the pool itself, for the docs' guidance that
     sub-millisecond cells should run serially."""
     tiny = SweepSpec.from_dict({
-        "name": "tiny", "scenario": "selftest", "seed": 21,
-        "grid": {"a": [0, 1, 2, 3]},
+        "name": "tiny", "scenario": "scale", "seed": 21,
+        "base": {"tenants": 2, "duration_s": 0.05},
+        "grid": {"flows": [4, 8, 12, 16]},
     })
 
     def run():

@@ -22,7 +22,7 @@ Subcommands:
   exported JSONL trace;
 * ``sweep``         -- expand a scenario-matrix spec into seeded cells,
   shard them across worker processes, and write one aggregate artifact
-  (exit status 1 if any cell exhausted its retries); ``--telemetry``
+  (exit status 1 if any cell failed); ``--telemetry``
   merges every worker's metrics into a sweep-wide telemetry block;
 * ``slo``           -- evaluate declarative tail-latency budgets
   (``benchmarks/slo/*.json``) against freshly run scenarios or a saved
@@ -78,6 +78,13 @@ def _parse_ids(text: str) -> list[int]:
         return [int(part, 0) for part in text.split(",") if part]
     except ValueError as exc:
         raise SystemExit(f"error: bad identifier list {text!r}: {exc}")
+
+
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 # -- quack ---------------------------------------------------------------------
@@ -549,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a scenario matrix across worker processes")
     sweep.add_argument("spec", help="sweep spec JSON file (see "
                                     "examples/sweeps/)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
+    sweep.add_argument("--workers", type=_worker_count, default=None,
+                       metavar="N",
                        help="worker processes (default: spec override, "
                             "else one per CPU; 1 = serial)")
     sweep.add_argument("--resume", default=None, metavar="PARTIAL",

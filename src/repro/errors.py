@@ -107,8 +107,7 @@ class SweepError(ReproError, ValueError):
     Base class for everything the sweep engine raises on purpose:
     malformed specs, unknown scenarios, and incompatible resume
     artifacts.  Worker-side scenario failures are *not* raised -- they
-    are retried and ultimately recorded in the aggregate's
-    ``failed_cells`` section.
+    are recorded in the aggregate's ``failed_cells`` section.
     """
 
 

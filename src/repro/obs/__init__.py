@@ -46,8 +46,8 @@ Instrumentation points follow one pattern -- guard, then emit, once::
                         reason="queue")
 
 ``schema.EVENT_METRICS`` derives ``netsim_link_dropped_total{link,reason}``
-from the event's fields; :func:`count` / :func:`gauge` / :func:`observe`
-remain for the few metrics no event field can supply (DESIGN.md §8).
+from the event's fields; :func:`count` / :func:`observe` remain for the
+few metrics no event field can supply (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ __all__ = [
     "Recorder", "FlightRecorder",
     "TRACER", "METRICS", "PROFILER", "FLIGHT",
     "enable", "enable_metrics", "disable", "reset",
-    "count", "gauge", "observe",
+    "count", "observe",
 ]
 
 #: The process-wide metrics registry.  Always writable; hot paths only
@@ -141,12 +141,6 @@ def reset() -> None:
 def count(name: str, **labels: object) -> None:
     """Increment ``name{labels}`` in the global registry."""
     METRICS.counter(name, labels=tuple(sorted(labels))).labels(**labels).inc()
-
-
-def gauge(name: str, value: float, **labels: object) -> None:
-    """Set ``name{labels}`` in the global registry."""
-    METRICS.gauge(name, labels=tuple(sorted(labels))).labels(
-        **labels).set(value)
 
 
 def observe(name: str, value: float,

@@ -309,7 +309,7 @@ class MetricsRegistry:
     def updater(self, row: Metric) -> Callable[[dict], None]:
         """Compile one ``schema.EVENT_METRICS`` row into ``update(fields)``.
 
-        The closure writes what ``obs.count/gauge/observe`` would: family
+        The closure writes what ``obs.count/observe`` would: family
         and child created on first use, label values ``str()``-ed, label
         names sorted.  Children are cached by the raw label values, so
         label fields must be strings (equal raw values share a child).

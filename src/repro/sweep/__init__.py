@@ -9,9 +9,10 @@ JSON artifact.  Guarantees, pinned by ``tests/sweep/``:
 * **determinism** -- each cell's seed derives from
   ``(sweep_seed, cell_index)``; aggregates are byte-identical across
   worker counts and completion orders once timing metadata is stripped;
-* **fault tolerance** -- crashed or over-budget tasks are retried with
-  backoff and, if they keep failing, recorded in ``failed_cells``
-  rather than aborting the sweep;
+* **one attempt per cell** -- a cell is a pure function of its
+  parameters and seed, so each runs once; a scenario that raises or a
+  worker that dies is recorded in ``failed_cells`` rather than
+  aborting the sweep;
 * **resumability** -- ``repro sweep --resume partial.json`` re-runs
   only the missing/failed cells of a matching sweep.
 

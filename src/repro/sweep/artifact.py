@@ -2,7 +2,7 @@
 
 One sweep run yields one :class:`SweepAggregate`: every cell's outcome
 (ordered by cell index, never by completion order), a ``failed_cells``
-section for tasks that exhausted their retries, and a ``timing`` block
+section for the cells that failed, and a ``timing`` block
 that quarantines everything wall-clock-dependent.  The split is load
 bearing: :func:`strip_timing` removes the quarantined fields and what
 remains is guaranteed byte-identical across worker counts and
@@ -31,27 +31,20 @@ from repro.sweep.spec import SWEEP_SCHEMA_VERSION, SweepSpec
 CELL_OK = "ok"
 CELL_FAILED = "failed"
 
-#: Failure classes the runner distinguishes (``error_kind``).
-ERROR_EXCEPTION = "exception"      # scenario raised inside the worker
-ERROR_WORKER_CRASH = "worker-crash"  # worker process died; pool rebuilt
-ERROR_TIMEOUT = "timeout"          # task exceeded task_timeout_s
-
 #: Cells :func:`format_aggregate` lists before summarising the rest.
 MAX_ROWS = 40
 
 
 @dataclass
 class CellOutcome:
-    """One cell's final state after retries."""
+    """How one cell's single run ended."""
 
     index: int
     params: dict[str, Any]
     seed: int
     status: str
-    attempts: int
     result: dict | None = None
     error: str | None = None
-    error_kind: str | None = None
     wall_time_s: float = 0.0
     #: Mergeable metrics snapshot from the worker (``--telemetry`` runs).
     telemetry: dict | None = None
@@ -66,13 +59,11 @@ class CellOutcome:
             "params": dict(self.params),
             "seed": self.seed,
             "status": self.status,
-            "attempts": self.attempts,
             "result": self.result,
             "wall_time_s": self.wall_time_s,
         }
         if self.status == CELL_FAILED:
             record["error"] = self.error
-            record["error_kind"] = self.error_kind
         if self.telemetry is not None:
             record["telemetry"] = self.telemetry
         return record
@@ -85,10 +76,8 @@ class CellOutcome:
                 params=dict(record["params"]),
                 seed=int(record["seed"]),
                 status=str(record["status"]),
-                attempts=int(record.get("attempts", 1)),
                 result=record.get("result"),
                 error=record.get("error"),
-                error_kind=record.get("error_kind"),
                 wall_time_s=float(record.get("wall_time_s", 0.0)),
                 telemetry=record.get("telemetry"),
             )
@@ -134,7 +123,6 @@ class SweepAggregate:
     def to_dict(self) -> dict:
         """The artifact: deterministic body plus a ``timing`` block."""
         cells = sorted(self.cells, key=lambda cell: cell.index)
-        retried = sum(1 for cell in cells if cell.attempts > 1)
         telemetry = self.telemetry
         # Resume can mix telemetry-bearing fresh cells with carried-over
         # cells that have none; the count makes partial coverage visible.
@@ -149,14 +137,12 @@ class SweepAggregate:
             "cells": [cell.to_dict() for cell in cells],
             "failed_cells": [
                 {"index": cell.index, "params": dict(cell.params),
-                 "error": cell.error, "error_kind": cell.error_kind,
-                 "attempts": cell.attempts}
+                 "error": cell.error}
                 for cell in cells if not cell.ok],
             "summary": {
                 "total": len(cells),
                 "ok": sum(1 for cell in cells if cell.ok),
                 "failed": sum(1 for cell in cells if not cell.ok),
-                "retried": retried,
                 **({"telemetry_cells": covered} if covered else {}),
             },
             **({"telemetry": telemetry} if telemetry is not None else {}),
@@ -176,24 +162,15 @@ class SweepAggregate:
 def strip_timing(aggregate: Mapping) -> dict:
     """The deterministic core of an aggregate dict.
 
-    Removes the ``timing`` block, per-cell wall clocks, attempt counts
-    (a pool-breaking crash can burn an attempt of innocently
-    co-scheduled cells, so attempts may vary with scheduling), and the
-    retry tally derived from them.  Two runs of the same spec must
-    compare equal under this projection whatever their worker counts.
+    Removes the ``timing`` block and the per-cell wall clocks.  Two runs
+    of the same spec must compare equal under this projection whatever
+    their worker counts.
     """
     body = {key: value for key, value in aggregate.items()
             if key != "timing"}
     body["cells"] = [
-        {key: value for key, value in cell.items()
-         if key not in ("wall_time_s", "attempts")}
+        {key: value for key, value in cell.items() if key != "wall_time_s"}
         for cell in aggregate.get("cells", ())]
-    body["failed_cells"] = [
-        {key: value for key, value in cell.items() if key != "attempts"}
-        for cell in aggregate.get("failed_cells", ())]
-    summary = dict(aggregate.get("summary", {}))
-    summary.pop("retried", None)
-    body["summary"] = summary
     return body
 
 
@@ -225,10 +202,10 @@ def completed_results(spec: SweepSpec,
                       partial: Mapping) -> dict[int, CellOutcome]:
     """Extract resumable cells from a partial aggregate.
 
-    Only ``ok`` cells are carried over -- failed cells get a fresh set
-    of attempts.  The partial must have been produced by a spec with the
-    same fingerprint (same scenario, seed, base, and grid); scheduling
-    knobs may differ.
+    Only ``ok`` cells are carried over -- failed cells run again.  The
+    partial must have been produced by a spec with the same fingerprint
+    (same scenario, seed, base, and grid); ``workers`` may differ.
+    Retry bookkeeping in records written by older versions is ignored.
     """
     fingerprint = partial.get("fingerprint")
     if fingerprint != spec.fingerprint():
@@ -260,8 +237,7 @@ def format_aggregate(aggregate: Mapping) -> str:
             f"{axis}[{len(values)}]" for axis, values in axes.items())
             or "(single cell)"),
         f"cells: {summary.get('total', 0)} total, "
-        f"{summary.get('ok', 0)} ok, {summary.get('failed', 0)} failed, "
-        f"{summary.get('retried', 0)} retried",
+        f"{summary.get('ok', 0)} ok, {summary.get('failed', 0)} failed",
     ]
     if timing:
         lines.append(
@@ -281,7 +257,7 @@ def format_aggregate(aggregate: Mapping) -> str:
             lines.append(f"  [{cell['index']:>3d}] ok      {label}")
         else:
             lines.append(f"  [{cell['index']:>3d}] FAILED  {label}  "
-                         f"({cell.get('error_kind')}: {cell.get('error')})")
+                         f"({cell.get('error')})")
     failed = aggregate.get("failed_cells", ())
     if failed:
         lines.append(f"failed cells: "

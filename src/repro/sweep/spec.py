@@ -1,9 +1,9 @@
 """Declarative sweep specs and their expansion into seeded cells.
 
 A *sweep spec* describes a scenario matrix: one scenario (an E7-E9
-protocol experiment, a chaos plan, or the engine's self-test scenario),
-a dict of fixed ``base`` parameters, and a ``grid`` of axes whose
-cartesian product generates the cells.  The JSON form::
+protocol experiment, a chaos plan, or the flow table at scale), a dict
+of fixed ``base`` parameters, and a ``grid`` of axes whose cartesian
+product generates the cells.  The JSON form::
 
     {
       "schema": 1,
@@ -15,8 +15,7 @@ cartesian product generates the cells.  The JSON form::
         "loss_rate":   [0.01, 0.02, 0.05],
         "lossy_delay": [0.002, 0.01, 0.05]
       },
-      "task_timeout_s": 120,
-      "retries": 2
+      "workers": 4
     }
 
 Expansion is deterministic: axes are ordered by name, values keep their
@@ -43,8 +42,7 @@ SWEEP_SCHEMA_VERSION = 1
 
 #: Keys a spec file may carry; anything else is a typo worth rejecting.
 _SPEC_KEYS = frozenset({
-    "schema", "name", "scenario", "seed", "base", "grid",
-    "task_timeout_s", "retries", "retry_backoff_s", "workers",
+    "schema", "name", "scenario", "seed", "base", "grid", "workers",
 })
 
 
@@ -83,9 +81,6 @@ class SweepSpec:
     grid: dict[str, tuple]
     base: dict[str, Any] = field(default_factory=dict)
     seed: int = 1
-    task_timeout_s: float | None = None
-    retries: int = 2
-    retry_backoff_s: float = 0.05
     workers: int | None = None
     schema: int = SWEEP_SCHEMA_VERSION
 
@@ -139,19 +134,6 @@ class SweepSpec:
         seed = record.get("seed", 1)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SweepSpecError("spec 'seed' must be an integer")
-        retries = record.get("retries", 2)
-        if not isinstance(retries, int) or isinstance(retries, bool) \
-                or retries < 0:
-            raise SweepSpecError("spec 'retries' must be an integer >= 0")
-        timeout = record.get("task_timeout_s")
-        if timeout is not None and (not isinstance(timeout, (int, float))
-                                    or isinstance(timeout, bool)
-                                    or timeout <= 0):
-            raise SweepSpecError("spec 'task_timeout_s' must be > 0")
-        backoff = record.get("retry_backoff_s", 0.05)
-        if not isinstance(backoff, (int, float)) or isinstance(backoff, bool) \
-                or backoff < 0:
-            raise SweepSpecError("spec 'retry_backoff_s' must be >= 0")
         workers = record.get("workers")
         if workers is not None and (not isinstance(workers, int)
                                     or isinstance(workers, bool)
@@ -159,10 +141,8 @@ class SweepSpec:
             raise SweepSpecError("spec 'workers' must be an integer >= 1")
 
         return cls(name=name, scenario=scenario, grid=clean_grid,
-                   base=dict(base), seed=seed,
-                   task_timeout_s=float(timeout) if timeout else None,
-                   retries=retries, retry_backoff_s=float(backoff),
-                   workers=workers, schema=schema)
+                   base=dict(base), seed=seed, workers=workers,
+                   schema=schema)
 
     @classmethod
     def from_json_file(cls, path: str) -> "SweepSpec":
@@ -188,18 +168,15 @@ class SweepSpec:
             "base": dict(self.base),
             "grid": {axis: list(values)
                      for axis, values in sorted(self.grid.items())},
-            "task_timeout_s": self.task_timeout_s,
-            "retries": self.retries,
-            "retry_backoff_s": self.retry_backoff_s,
             "workers": self.workers,
         }
 
     def fingerprint(self) -> str:
         """Identity of the *result-determining* part of the spec.
 
-        Scheduling knobs (workers, timeout, retries, backoff) are
-        excluded: two runs differing only in those must produce the same
-        cells, so their partial aggregates are mutually resumable.
+        The worker count is excluded: two runs differing only in it must
+        produce the same cells, so their partial aggregates are mutually
+        resumable.
         """
         payload = {
             "schema": self.schema,

@@ -34,7 +34,7 @@ from repro.obs.schema import EVENT_METRICS, EVENT_SCHEMA, STRING, Metric
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 
-#: Metrics written with ``obs.count/gauge/observe`` at their site because
+#: Metrics written with ``obs.count/observe`` at their site because
 #: their value is not a field of any event (DESIGN.md §8 says why, one
 #: by one).  Everything else is a row of ``EVENT_METRICS``.
 DIRECT_METRICS = {
@@ -42,9 +42,6 @@ DIRECT_METRICS = {
     "flowtable_flows_admitted_total",
     "flowtable_emission_latency_seconds",
     "quack_settled_in_order_total",
-    "sweep_cells_total",
-    "sweep_retries_total",
-    "sweep_workers",
     "trace_packets_total",
     "trace_health_transitions_total",
 }
@@ -65,10 +62,10 @@ def _is_tracer_emit(node: ast.Call) -> bool:
 
 
 def _is_direct_metric(node: ast.Call) -> bool:
-    """Match ``obs.count(...)`` / ``obs.gauge(...)`` / ``obs.observe(...)``."""
+    """Match ``obs.count(...)`` / ``obs.observe(...)``."""
     func = node.func
     return (isinstance(func, ast.Attribute)
-            and func.attr in ("count", "gauge", "observe")
+            and func.attr in ("count", "observe")
             and isinstance(func.value, ast.Name) and func.value.id == "obs")
 
 
@@ -182,7 +179,7 @@ def test_only_underivable_metrics_are_written_by_hand():
     sites = [(f"{path}:{line}", name)
              for path, line, name, _ in _collect_sites(_is_direct_metric)]
     assert sorted(name for _, name in sites) == sorted(DIRECT_METRICS), (
-        f"obs.count/gauge/observe calls must be exactly the direct "
+        f"obs.count/observe calls must be exactly the direct "
         f"metrics, once each; anything an event field can supply "
         f"belongs in schema.EVENT_METRICS: {sites}")
 

@@ -1,32 +1,39 @@
 """Determinism: worker count and scheduling must not leak into results.
 
-The ISSUE's contract: the same spec + seed run with ``--workers 1`` and
-``--workers 4`` produce identical aggregates modulo wall-clock fields,
-and a worker that raises mid-sweep is retried and the final aggregate
-marks the cell -- never drops it silently.
+The same spec + seed run with ``--workers 1`` and ``--workers 2`` or
+``4`` produce identical aggregates modulo wall-clock fields, and a cell
+that raises -- or whose worker dies -- is marked failed without moving
+a byte of its siblings' results.
 """
 
 import json
 
+import pytest
+
 from repro.sweep import SweepSpec, run_sweep, strip_timing
+from tests.sweep.crashing import clean_spec, crash_spec
 
 
 def _stripped(spec, **kwargs):
     return strip_timing(run_sweep(spec, **kwargs).to_dict())
 
 
+def _dump(value):
+    return json.dumps(value, sort_keys=True)
+
+
 class TestWorkerCountInvariance:
-    def test_selftest_sweep_identical_across_worker_counts(self):
+    def test_scale_grid_identical_across_workers(self):
         spec = SweepSpec.from_dict({
-            "name": "det", "scenario": "selftest", "seed": 7,
-            "grid": {"work": [8, 16, 32], "echo": ["a", "b"]},
+            "name": "det", "scenario": "scale", "seed": 7,
+            "base": {"tenants": 4, "duration_s": 0.1},
+            "grid": {"flows": [10, 40, 80], "churn_rate": [0.0, 0.5]},
         })
         serial = _stripped(spec, workers=1)
-        parallel = _stripped(spec, workers=4)
+        parallel = _stripped(spec, workers=2)
         assert serial == parallel
         # And byte-identical once serialized, not merely == as dicts.
-        assert json.dumps(serial, sort_keys=True) \
-            == json.dumps(parallel, sort_keys=True)
+        assert _dump(serial) == _dump(parallel)
 
     def test_real_scenario_sweep_identical_across_worker_counts(self):
         # A genuine netsim experiment: in-network retransmission over a
@@ -43,40 +50,43 @@ class TestWorkerCountInvariance:
 
     def test_repeated_serial_runs_identical(self):
         spec = SweepSpec.from_dict({
-            "name": "det", "scenario": "selftest", "seed": 3,
-            "grid": {"work": [4, 8]},
+            "name": "det", "scenario": "scale", "seed": 3,
+            "base": {"tenants": 2, "duration_s": 0.1},
+            "grid": {"flows": [10, 20]},
         })
         assert _stripped(spec, workers=1) == _stripped(spec, workers=1)
 
 
+def _chaos_spec(*plans):
+    return SweepSpec.from_dict({
+        "name": "det-chaos", "scenario": "chaos", "seed": 3,
+        "base": {"total_bytes": 60_000}, "grid": {"plan": list(plans)}})
+
+
 class TestFaultsDoNotPerturbResults:
-    def test_raising_worker_is_retried_and_marked(self):
-        # Cell 1 raises once, then succeeds.  Its payload must match the
-        # clean run exactly except for the retry bookkeeping, and the
-        # aggregate must mark the retry rather than hide it.
-        flaky = SweepSpec.from_dict({
-            "name": "det", "scenario": "selftest", "seed": 7,
-            "base": {"work": 8}, "grid": {"fail_attempts": [0, 1, 0]},
-            "retry_backoff_s": 0.0,
-        })
-        aggregate = run_sweep(flaky, workers=2)
-        assert aggregate.ok
-        assert aggregate.cells[1].attempts == 2
-        assert aggregate.to_dict()["summary"]["retried"] == 1
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_spares_siblings(self, workers):
+        # A real row with a bad keyword: run_plan raises on every run,
+        # so the one attempt is final.  Same indices, same cell seeds:
+        # the clean spec differs only in the middle plan.
+        broken = _stripped(_chaos_spec("blackout", "no-such-plan", "replay"),
+                           workers=workers)
+        clean = _stripped(_chaos_spec("blackout", "duplication", "replay"),
+                          workers=1)
+        assert broken["summary"] == {"total": 3, "ok": 2, "failed": 1}
+        (failure,) = broken["failed_cells"]
+        assert failure["index"] == 1
+        assert failure["error"].startswith(
+            "ValueError: unknown chaos plan 'no-such-plan'; have blackout")
+        for index in (0, 2):
+            assert _dump(broken["cells"][index]) \
+                == _dump(clean["cells"][index])
 
-    def test_hard_crash_does_not_change_sibling_results(self):
-        base = {"name": "det", "scenario": "selftest", "seed": 7,
-                "base": {"work": 8}, "retry_backoff_s": 0.0}
-        clean = SweepSpec.from_dict(
-            {**base, "grid": {"exit_attempts": [0, 0, 0, 0]}})
-        crashy = SweepSpec.from_dict(
-            {**base, "grid": {"exit_attempts": [0, 1, 0, 0]}})
-
-        clean_cells = run_sweep(clean, workers=2).cells
-        crashy_cells = run_sweep(crashy, workers=2).cells
-        for before, after in zip(clean_cells, crashy_cells):
-            assert after.status == "ok"
-            # The deterministic payload (checksum over seed+params) is
-            # unchanged by the pool breaking and rebuilding next door.
-            assert after.result["checksum"] == before.result["checksum"]
-            assert after.result["first"] == before.result["first"]
+    def test_hard_crash_does_not_change_sibling_results(self, crashing):
+        clean = run_sweep(clean_spec(), workers=2).cells
+        crashed = run_sweep(crash_spec(crashing), workers=2).cells
+        for before, after in zip(clean, crashed):
+            if after.ok:
+                # The pool breaking next door moves no finished result.
+                assert _dump(after.result) == _dump(before.result)
+        assert not crashed[3].ok

@@ -42,6 +42,14 @@ class TestRows:
         module = row.entry.partition(":")[0]
         assert callable(_resolve(f"{module}:format_result"))
 
+    def test_rows_are_the_five_with_runtime_callers(self):
+        # experiment/trace/slo call the three protocols, the chaos CLI
+        # and sweep specs the plans, the nightly scale grid the flow
+        # table; a row only the engine's own tests used would be dead.
+        assert list(SCENARIOS) == ["cc-division", "ack-reduction",
+                                   "retransmission", "chaos", "scale"]
+        assert sorted(SMALL_CELLS) == sorted(SCENARIOS)
+
     def test_cli_offers_exactly_the_registered_experiments(self):
         parser = build_parser()
         for name in EXPERIMENT_SCENARIOS:
@@ -63,8 +71,12 @@ class TestRunCell:
         derived = run_cell("chaos", SMALL_CELLS["chaos"], seed=3)
         assert (pinned["seed"], derived["seed"]) == (9, 3)
 
-    def test_only_retry_aware_rows_see_the_attempt(self):
-        assert run_cell("selftest", {"work": 2}, seed=1,
-                        attempt=4)["attempt"] == 4
-        assert [name for name, row in SCENARIOS.items()
-                if row.retry_aware] == ["selftest"]
+    @pytest.mark.parametrize("name", sorted(SMALL_CELLS))
+    def test_cells_are_pure(self, name):
+        # The premise of one attempt per cell: the same keywords and
+        # seed give the same result in one process, run after run, so a
+        # cell that failed would fail again.
+        first = run_cell(name, SMALL_CELLS[name], seed=5)
+        again = run_cell(name, SMALL_CELLS[name], seed=5)
+        assert json.dumps(first, sort_keys=True) \
+            == json.dumps(again, sort_keys=True)

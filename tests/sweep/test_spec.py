@@ -10,7 +10,7 @@ from repro.sweep import SWEEP_SCHEMA_VERSION, SweepSpec, derive_seed
 
 def minimal(**overrides):
     record = {
-        "name": "t", "scenario": "selftest",
+        "name": "t", "scenario": "scale",
         "grid": {"a": [1, 2], "b": [10, 20, 30]},
     }
     record.update(overrides)
@@ -20,7 +20,7 @@ def minimal(**overrides):
 class TestValidation:
     def test_minimal_spec_parses(self):
         spec = SweepSpec.from_dict(minimal())
-        assert spec.scenario == "selftest"
+        assert spec.scenario == "scale"
         assert spec.num_cells == 6
         assert spec.schema == SWEEP_SCHEMA_VERSION
 
@@ -58,6 +58,15 @@ class TestValidation:
         with pytest.raises(SweepSpecError):
             SweepSpec.from_dict(minimal(**{key: value}))
 
+    @pytest.mark.parametrize("key,value", [
+        ("retries", 2), ("task_timeout_s", 300), ("retry_backoff_s", 0.05),
+    ])
+    def test_retry_knobs_are_unknown_keys(self, key, value):
+        # Each cell runs once, so there is nothing to tune: even the
+        # values the example specs used to carry are typos now.
+        with pytest.raises(SweepSpecError, match="unknown key"):
+            SweepSpec.from_dict(minimal(**{key: value}))
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(minimal(seed=9)))
@@ -73,7 +82,7 @@ class TestValidation:
 class TestExpansion:
     def test_row_major_over_sorted_axes(self):
         spec = SweepSpec.from_dict({
-            "name": "t", "scenario": "selftest",
+            "name": "t", "scenario": "scale",
             # Insertion order deliberately unsorted: 'b' before 'a'.
             "grid": {"b": [10, 20], "a": [1, 2]},
             "base": {"fixed": 7},
@@ -89,10 +98,10 @@ class TestExpansion:
 
     def test_gridless_spec_is_one_cell(self):
         spec = SweepSpec.from_dict(
-            {"name": "t", "scenario": "selftest", "base": {"work": 4}})
+            {"name": "t", "scenario": "scale", "base": {"flows": 4}})
         cells = spec.cells()
         assert len(cells) == 1
-        assert cells[0].params == {"work": 4}
+        assert cells[0].params == {"flows": 4}
 
     def test_seeds_are_pure_and_distinct(self):
         spec = SweepSpec.from_dict(minimal(seed=5))
@@ -117,10 +126,14 @@ class TestExpansion:
 class TestFingerprint:
     def test_scheduling_knobs_do_not_change_identity(self):
         base = SweepSpec.from_dict(minimal(seed=3))
-        tuned = SweepSpec.from_dict(minimal(
-            seed=3, workers=8, retries=5, task_timeout_s=9,
-            retry_backoff_s=1.0))
+        tuned = SweepSpec.from_dict(minimal(seed=3, workers=8))
         assert base.fingerprint() == tuned.fingerprint()
+
+    def test_fingerprint_is_pinned(self):
+        # Aggregates written before the retry knobs went must still
+        # resume: the fingerprint covers the same fields as then.
+        assert SweepSpec.from_dict(minimal(seed=3)).fingerprint() \
+            == "2719b277af3c83ec"
 
     @pytest.mark.parametrize("change", [
         {"seed": 4}, {"scenario": "chaos"},
