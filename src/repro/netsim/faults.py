@@ -7,8 +7,9 @@ corruption, datagram duplication, scheduled loss bursts, and delay
 spikes.  An injector attaches to a :class:`~repro.netsim.link.Link`
 (``faults=`` at construction, or per-direction ``faults_up`` /
 ``faults_down`` on a :class:`~repro.netsim.topology.HopSpec`) and is
-consulted once per packet, after the loss model, at the moment the
-packet finishes serialization:
+consulted once per packet, after the loss model, as of the instant the
+packet finishes serialisation (``now`` is the departure time; the link
+asks when the packet would arrive):
 
 * the injector returns a :class:`FaultDecision`;
 * the link drops, delays, transforms, and/or duplicates accordingly,

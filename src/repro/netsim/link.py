@@ -1,34 +1,35 @@
 """Unidirectional links: bandwidth, propagation delay, FIFO queue, loss.
 
 A link serializes packets at ``bandwidth_bps``, holds at most
-``queue_packets`` datagrams waiting for the transmitter (drop-tail), then
-propagates each surviving packet after ``delay_s``.  Loss (from the
-configured :class:`~repro.netsim.loss.LossModel`) is applied on the wire,
-i.e. after a packet has consumed its serialization time -- matching a
-noisy physical hop rather than an AQM.
+``queue_packets`` datagrams waiting for (or in) the transmitter
+(drop-tail), then propagates each surviving packet after ``delay_s``.
+A packet's departure is known at enqueue, ``max(now, last departure) +
+size*8/bw``, so the link keeps only the pending departure times and
+schedules one event per packet: its arrival.  Loss (from the configured
+:class:`~repro.netsim.loss.LossModel`, drawn at enqueue -- departure
+order, as the link drains FIFO) is applied on the wire: a lost packet
+still consumes its serialization time, as on a noisy physical hop.
 
 A link optionally carries a :class:`~repro.netsim.faults.FaultInjector`
-(``faults=``), consulted after the loss model for each packet that
-finished serialization: injected drops, corruption, duplication, and
-delay spikes are applied here and counted separately from natural loss.
-
-Per-link statistics feed the experiment reports.
+(``faults=``), consulted after the loss model for each packet, as of the
+instant the packet finishes serialisation: injected drops, corruption,
+duplication, and delay spikes are applied here and counted separately
+from natural loss.  Per-link statistics feed the experiment reports.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.netsim.core import Simulator
+from repro.netsim.faults import FaultInjector
 from repro.netsim.loss import LossModel, NoLoss
 from repro.netsim.packet import Packet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses errors only)
-    from repro.netsim.faults import FaultInjector
 
 
 @dataclass
@@ -62,7 +63,7 @@ class Link:
                  loss_model: LossModel | None = None,
                  name: str = "link",
                  ecn_threshold: int | None = None,
-                 faults: "FaultInjector | None" = None) -> None:
+                 faults: FaultInjector | None = None) -> None:
         if bandwidth_bps <= 0:
             raise SimulationError(f"bandwidth must be positive, got {bandwidth_bps}")
         if delay_s < 0:
@@ -85,41 +86,62 @@ class Link:
         #: Optional fault injector (chaos harness); None = no faults.
         self.faults = faults
         self.stats = LinkStats()
-        self._queue: deque[Packet] = deque()
-        self._transmitting = False
-        # The link serializes one packet at a time, so a single reusable
-        # timer carries every end-of-serialization event: one wheel-slot
-        # insert per packet, no per-packet handle allocation.
-        self._tx_timer = sim.timer(self._finish_transmission)
+        # Departure times of the packets queued or in serialization; one
+        # leaves the backlog once its departure is strictly in the past.
+        self._departures: deque[float] = deque()
 
     # -- ingress -----------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False if the drop-tail queue rejected it."""
-        self.stats.offered += 1
-        if len(self._queue) >= self.queue_packets:
-            self.stats.dropped_queue += 1
+        stats = self.stats
+        stats.offered += 1
+        now = self.sim._now  # the clock itself, without a property call
+        departures = self._departures
+        while departures and departures[0] < now:
+            departures.popleft()
+        queued = len(departures)
+        if queued >= self.queue_packets:
+            stats.dropped_queue += 1
             if obs.TRACER.enabled:
-                self._trace_drop(packet, "queue")
+                self._trace_drop(packet, "queue", now)
             return False
-        if (self.ecn_threshold is not None
-                and len(self._queue) >= self.ecn_threshold
+        if (self.ecn_threshold is not None and queued >= self.ecn_threshold
                 and not packet.ecn_ce):
             packet.ecn_ce = True
-            self.stats.ce_marked += 1
-        self._queue.append(packet)
+            stats.ce_marked += 1
         if obs.TRACER.enabled:
-            obs.TRACER.emit("link.enqueue", self.sim.now, link=self.name,
+            obs.TRACER.emit("link.enqueue", now, link=self.name,
                             kind=packet.kind.value, size=packet.size_bytes,
-                            queue=len(self._queue), ctx=packet.trace_ctx)
-        if not self._transmitting:
-            self._start_next_transmission()
+                            queue=queued + 1, ctx=packet.trace_ctx)
+        tx_time = packet.size_bytes * 8 / self.bandwidth_bps
+        stats.busy_seconds += tx_time
+        depart = (departures[-1] if departures else now) + tx_time
+        departures.append(depart)
+        if self.loss_model.should_drop(packet):
+            stats.dropped_loss += 1
+            if obs.TRACER.enabled:
+                self._trace_drop(packet, "loss", depart)
+        elif self.faults is not None:
+            delay = self._propagation_delay()
+            self.sim.schedule_at(depart + delay, self._arrive, packet,
+                                 depart, delay)
+        else:
+            stats.delivered += 1
+            stats.bytes_delivered += packet.size_bytes
+            if obs.TRACER.enabled:
+                obs.TRACER.emit("link.deliver", depart, link=self.name,
+                                kind=packet.kind.value,
+                                size=packet.size_bytes, ctx=packet.trace_ctx)
+            self.sim.schedule_at(depart + self._propagation_delay(),
+                                 self.deliver, packet)
         return True
 
     @property
     def queue_depth(self) -> int:
         """Packets waiting for (or in) serialization."""
-        return len(self._queue)
+        return len(self._departures) - bisect_left(self._departures,
+                                                   self.sim.now)
 
     def serialization_delay(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.bandwidth_bps
@@ -131,60 +153,37 @@ class Link:
 
     # -- internals -----------------------------------------------------------
 
-    def _start_next_transmission(self) -> None:
-        packet = self._queue[0]
-        self._transmitting = True
-        tx_time = self.serialization_delay(packet.size_bytes)
-        self.stats.busy_seconds += tx_time
-        self._tx_timer.rearm(tx_time)
-
     def _propagation_delay(self) -> float:
         """Per-packet propagation delay; subclasses may add jitter."""
         return self.delay_s
 
-    def _finish_transmission(self) -> None:
-        packet = self._queue.popleft()
-        if self.loss_model.should_drop(packet):
-            self.stats.dropped_loss += 1
+    def _arrive(self, packet: Packet, depart: float, delay: float) -> None:
+        """Apply the fault injector's decision, taken as of ``depart``."""
+        decision = self.faults.on_transmit(packet, depart)
+        if decision.drop or decision.copies == 0:
+            self.stats.dropped_fault += 1
             if obs.TRACER.enabled:
-                self._trace_drop(packet, "loss")
-        else:
-            self._propagate(packet)
-        if self._queue:
-            self._start_next_transmission()
-        else:
-            self._transmitting = False
-
-    def _propagate(self, packet: Packet) -> None:
-        """Consult the fault injector, then schedule delivery."""
-        delay = self._propagation_delay()
-        copies = 1
-        if self.faults is not None:
-            decision = self.faults.on_transmit(packet, self.sim.now)
-            if decision.drop or decision.copies == 0:
-                self.stats.dropped_fault += 1
-                if obs.TRACER.enabled:
-                    self._trace_drop(packet, "fault")
-                return
-            if decision.replacement is not None:
-                packet = decision.replacement
-                self.stats.corrupted_fault += 1
-            delay += decision.extra_delay
-            copies = decision.copies
-            if copies > 1:
-                self.stats.duplicated_fault += copies - 1
-        for _ in range(copies):
+                self._trace_drop(packet, "fault", depart)
+            return
+        if decision.replacement is not None:
+            packet = decision.replacement
+            self.stats.corrupted_fault += 1
+        self.stats.duplicated_fault += decision.copies - 1
+        for _ in range(decision.copies):
             self.stats.delivered += 1
             self.stats.bytes_delivered += packet.size_bytes
             if obs.TRACER.enabled:
-                obs.TRACER.emit("link.deliver", self.sim.now, link=self.name,
+                obs.TRACER.emit("link.deliver", depart, link=self.name,
                                 kind=packet.kind.value,
-                                size=packet.size_bytes,
-                                ctx=packet.trace_ctx)
-            self.sim.schedule(delay, self.deliver, packet)
+                                size=packet.size_bytes, ctx=packet.trace_ctx)
+            if decision.extra_delay:
+                self.sim.schedule_at(depart + (delay + decision.extra_delay),
+                                     self.deliver, packet)
+            else:
+                self.deliver(packet)
 
-    def _trace_drop(self, packet: Packet, reason: str) -> None:
-        obs.TRACER.emit("link.drop", self.sim.now, link=self.name,
+    def _trace_drop(self, packet: Packet, reason: str, time: float) -> None:
+        obs.TRACER.emit("link.drop", time, link=self.name,
                         kind=packet.kind.value, size=packet.size_bytes,
                         reason=reason, ctx=packet.trace_ctx)
 

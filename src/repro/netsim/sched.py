@@ -47,7 +47,7 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 
 #: Quantum of the calendar ring: 1 ms of virtual time per bucket.
-#: Packet-scale events (serialization, propagation) land a few buckets
+#: Packet arrivals (serialization plus propagation ahead) land a few buckets
 #: apart; the recurring clocks (emission ~25 ms, PTO >= 100 ms) stay
 #: well inside the horizon.
 BUCKET_WIDTH = 1e-3

@@ -11,8 +11,9 @@ Dump layout (one JSON object per line):
 
 1. a ``{"kind": "flight-recorder", ...}`` header (reason, scenario,
    event/drop counts, implicated context id);
-2. the buffered trace events, schema-valid records exactly as a normal
-   JSONL export would write them;
+2. the buffered trace events up to the trigger's virtual time,
+   schema-valid records exactly as a normal JSONL export would write
+   them;
 3. optional caller-supplied extra records (e.g. the violated invariant
    strings);
 4. a ``{"kind": "span-tree", ...}`` record carrying the implicated
@@ -71,7 +72,8 @@ class FlightRecorder:
                 extra_records: Sequence[dict] = ()) -> str | None:
         """Write one dump; returns its path (None when disarmed).
 
-        ``events`` defaults to the live tracer's ring.  When no
+        ``events`` defaults to the live tracer's ring; records stamped
+        after ``time`` (when given) are left out.  When no
         ``implicated_ctx`` is given, the first un-delivered span in the
         buffer is elected -- the packet most likely to explain why the
         run went wrong.
@@ -82,11 +84,15 @@ class FlightRecorder:
         from repro.obs.causal import build_span_trees
 
         if events is None:
-            buffered = obs.TRACER.events
+            events = obs.TRACER.events
             dropped = obs.TRACER.sink.dropped if obs.TRACER.sink else 0
         else:
-            buffered = list(events)
             dropped = 0
+        buffered = [as_record(event) for event in events]
+        if time is not None:
+            # A record stamped after the trigger is a departure a link
+            # has scheduled but not reached: it has not happened yet.
+            buffered = [record for record in buffered if record["t"] <= time]
         window = buffered[-self.last_n:]
 
         analysis = build_span_trees(window)
@@ -118,9 +124,8 @@ class FlightRecorder:
         }
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header, allow_nan=False) + "\n")
-            for event in window:
-                handle.write(json.dumps(as_record(event), allow_nan=False)
-                             + "\n")
+            for record in window:
+                handle.write(json.dumps(record, allow_nan=False) + "\n")
             for record in extra_records:
                 handle.write(json.dumps(record, allow_nan=False) + "\n")
             if implicated is not None:

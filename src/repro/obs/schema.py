@@ -15,7 +15,8 @@ An event is also the only record of a metric update:
 :data:`EVENT_METRICS` declares, per event type, the metrics
 ``Tracer.emit`` derives from the fields it was handed.
 
-Run as a module to validate a trace file (CI does exactly this)::
+Run as a module to validate a trace file -- its records and their
+virtual-time order (CI does exactly this)::
 
     python -m repro.obs.schema trace.jsonl
 """
@@ -247,16 +248,25 @@ def validate_record(record: object) -> None:
 
 
 def validate_lines(lines: Iterable[str]) -> dict[str, int]:
-    """Validate JSONL lines; returns event counts per component."""
+    """Validate JSONL lines; returns event counts per component.
+
+    An export is in virtual-time order, so a ``t`` below the one before
+    it fails the file.
+    """
     components: dict[str, int] = {}
+    last = -math.inf
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = as_record(line)
             validate_record(record)
+            if record["t"] < last:
+                raise ObservabilityError(
+                    f"'t' went back from {last!r} to {record['t']!r}")
         except ObservabilityError as exc:
             raise ObservabilityError(f"line {number}: {exc}") from exc
+        last = record["t"]
         component = component_of(record["type"])
         components[component] = components.get(component, 0) + 1
     return components

@@ -12,10 +12,10 @@ produced it.  Events flow into a sink:
   that drops the *oldest* events once full and counts what it dropped,
   so a long simulation can always be traced with bounded memory.
 
-Export is JSONL, one event per line, ``{"t": <virtual seconds>,
-"type": "<component.event>", ...fields}``, with non-finite floats
-sanitized to ``null`` so every line is strictly valid JSON.  The event
-vocabulary and per-type required fields live in
+Export is JSONL, one event per line in virtual-time order,
+``{"t": <virtual seconds>, "type": "<component.event>", ...fields}``,
+with non-finite floats sanitized to ``null`` so every line is strictly
+valid JSON.  The event vocabulary and per-type required fields live in
 :mod:`repro.obs.schema`.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import attrgetter
 from typing import IO, Iterable
 
 from repro.obs.metrics import MetricsRegistry, json_safe
@@ -73,7 +74,13 @@ class RingSink:
 
     @property
     def events(self) -> list[TraceEvent]:
-        return list(self._events)
+        """The buffered events, stably sorted by virtual time.
+
+        A link stamps a packet's departure records when it enqueues the
+        packet, ahead of the clock, so emission order is not time order;
+        every export and flight-recorder window reads this one.
+        """
+        return sorted(self._events, key=attrgetter("time"))
 
     def __len__(self) -> int:
         return len(self._events)

@@ -145,3 +145,30 @@ class TestValidation:
         sim = Simulator()
         link = Link(sim, 20e6, 0.005, lambda p: None, name="up")
         assert "up" in repr(link) and "20.0 Mbps" in repr(link)
+
+
+class TestEventBudget:
+    def test_one_event_per_packet_per_hop(self, monkeypatch):
+        """Machine-independent pin of the simulator's per-hop cost: a
+        seed-1, 120 kB dense-ACK transfer over two hops dispatches one
+        event per packet per hop (it took 500, two per hop, when
+        serialisation ended on a timer)."""
+        from repro.sidecar import ack_reduction
+
+        made = []
+
+        class Recording(Simulator):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(ack_reduction, "Simulator", Recording)
+        result = ack_reduction.run_ack_reduction(
+            total_bytes=120_000, ack_every=2, sidecar=False, loss_rate=0.0,
+            seed=1)
+        assert result.completed
+        packets = result.server_packets_sent + result.client_acks_sent
+        assert (result.server_packets_sent, result.client_acks_sent) \
+            == (83, 42)
+        [sim] = made
+        assert sim.events_dispatched == 2 * packets == 250

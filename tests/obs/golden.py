@@ -1,12 +1,13 @@
 """Golden digests of every traced scenario (seed 1, default size).
 
 ``golden_traces.json`` pins, per scenario, the SHA-256 of the exported
-JSONL trace and -- for chaos plans -- of the sorted-key JSON of
-``result_to_dict(outcome)``.  ``tests/obs/test_runner.py`` compares each
-run against it, so "byte-identical traces" is a tier-1 assertion rather
-than something each refactor checks by hand.  A change that moves a
-trace on purpose regenerates the file in the same commit, where the
-diff shows which scenarios moved::
+JSONL trace in canonical form -- its lines sorted by ``(t, line)``, so
+the order of records within one virtual instant does not count -- and,
+for chaos plans, of the sorted-key JSON of ``result_to_dict(outcome)``.
+``tests/obs/test_runner.py`` compares each run against it, so identical
+traces are a tier-1 assertion rather than something each refactor
+checks by hand.  A change that moves a trace on purpose regenerates the
+file in the same commit, where the diff shows which scenarios moved::
 
     PYTHONPATH=src python tests/obs/golden.py --write
 
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from repro.chaos import ChaosResult, result_to_dict
 from repro.obs.runner import TraceRunResult, known_scenarios, run_traced
-from repro.obs.trace import dump_jsonl
+from repro.obs.trace import TraceEvent, dump_jsonl
 
 GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
 REPORT_GOLDEN_PATH = Path(__file__).with_name("report_golden.json")
@@ -55,11 +56,18 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def canonical_jsonl(events: list[TraceEvent]) -> str:
+    """The JSONL export with its lines sorted by ``(t, line)``."""
+    jsonl = io.StringIO()
+    dump_jsonl(events, jsonl)
+    lines = jsonl.getvalue().splitlines(keepends=True)
+    return "".join(line for _, line in sorted(
+        zip((event.time for event in events), lines)))
+
+
 def digests(result: TraceRunResult) -> dict[str, str]:
     """The pinned digests of one traced run."""
-    jsonl = io.StringIO()
-    dump_jsonl(result.events, jsonl)
-    found = {"trace_sha256": _sha256(jsonl.getvalue())}
+    found = {"trace_sha256": _sha256(canonical_jsonl(result.events))}
     if isinstance(result.outcome, ChaosResult):
         found["result_sha256"] = _sha256(
             json.dumps(result_to_dict(result.outcome), sort_keys=True))

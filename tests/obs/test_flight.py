@@ -108,6 +108,39 @@ class TestTrigger:
         assert records[0]["events"] == 1
         assert records[1]["ctx"] == 11
 
+    def test_mid_transfer_dump_stops_at_the_trigger_time(self, tmp_path):
+        """A link stamps each departure when it enqueues the packet, so
+        mid-transfer the ring already holds records from the future; a
+        dump shows only what has happened by the trigger."""
+        from repro.netsim.core import Simulator
+        from repro.netsim.node import Host
+        from repro.netsim.topology import HopSpec, build_path
+        from repro.transport.connection import (
+            ReceiverConnection,
+            SenderConnection,
+        )
+
+        obs.enable()
+        sim = Simulator()
+        server, client = Host(sim, "server"), Host(sim, "client")
+        build_path(sim, [server, client],
+                   [HopSpec(bandwidth_bps=10e6, delay_s=0.01)])
+        receiver = ReceiverConnection(sim, client, "server", 200_000)
+        SenderConnection(sim, server, "client", 200_000).start()
+        sim.run(until=0.05)
+        assert not receiver.complete
+        ring = obs.TRACER.events
+        pending = [event for event in ring if event.time > sim.now]
+        assert {event.type for event in pending} == {"link.deliver"}
+
+        obs.FLIGHT.configure(str(tmp_path), last_n=len(ring))
+        records = _read_jsonl(obs.FLIGHT.trigger("mid-transfer",
+                                                 time=sim.now))
+        window = [record for record in records[1:] if "type" in record]
+        assert records[0]["events"] == len(window) \
+            == len(ring) - len(pending)
+        assert max(record["t"] for record in window) <= sim.now
+
 
 class TestChaosIntegration:
     def test_passing_plan_writes_no_dump(self, tmp_path):

@@ -89,6 +89,12 @@ class TestValidateLines:
         with pytest.raises(ObservabilityError, match="line 1"):
             validate_lines(['{"type": "nope.nope", "t": 0}'])
 
+    def test_time_going_back_names_the_line(self):
+        lines = [json.dumps({**GOOD, "t": t}) for t in (2.0, 2.0, 1.5)]
+        with pytest.raises(ObservabilityError,
+                           match="line 3: 't' went back from 2.0 to 1.5"):
+            validate_lines(lines)
+
 
 class TestCli:
     def test_valid_file(self, tmp_path, capsys):
@@ -102,6 +108,13 @@ class TestCli:
         path.write_text('{"type": "nope.nope", "t": 0}\n')
         assert main([str(path)]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+    def test_out_of_order_file_fails(self, tmp_path, capsys):
+        path = tmp_path / "unsorted.jsonl"
+        path.write_text(json.dumps({**GOOD, "t": 1.0}) + "\n"
+                        + json.dumps({**GOOD, "t": 0.5}) + "\n")
+        assert main([str(path)]) == 1
+        assert "INVALID: line 2: 't' went back" in capsys.readouterr().err
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
