@@ -2,8 +2,8 @@
 
 :data:`~repro.bench.tables.ARTIFACTS` holds one row per artifact of the
 paper's evaluation (Tables 2 and 3, Figures 5 and 6, the Section 4.3
-envelopes, the E11 headroom extension); :func:`~repro.bench.tables.render`
-prints any of them, as ``python -m repro tables <artifact>|all`` does.
+envelopes, the E11 headroom extension); ``python -m repro tables
+<artifact>|all`` prints any of them as markdown.
 """
 
 from repro.bench.frequency import (
@@ -19,7 +19,6 @@ from repro.bench.tables import (
     Artifact,
     fig5_series,
     fig6_series,
-    render,
     table2_report,
     table3_report,
 )
@@ -42,7 +41,7 @@ from repro.bench.workloads import (
 __all__ = [
     "measure", "measure_throughput", "TimingResult",
     "make_workload", "QuackWorkload", "PAPER_N", "PAPER_T", "PAPER_B",
-    "ARTIFACTS", "Artifact", "render",
+    "ARTIFACTS", "Artifact",
     "table2_report", "table3_report", "fig5_series", "fig6_series",
     "PAPER_TABLE2", "PAPER_TABLE3",
     "cc_division_sizing", "ack_reduction_sizing",

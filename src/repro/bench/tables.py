@@ -2,9 +2,10 @@
 
 :data:`ARTIFACTS` holds one row per artifact -- Table 2, Table 3,
 Figure 5, Figure 6, the Section 4.3 frequency envelopes and the E11
-headroom extension -- and :func:`render` prints any row as a
-GitHub-markdown table with the paper's value beside ours:
-``python -m repro tables table2|table3|fig5|fig6|sizing|headroom|all``.
+headroom extension -- and :meth:`Artifact.section` lays any row out as
+a report section (:mod:`repro.obs.analyze`), a table with the paper's
+value beside ours plus a note, which ``python -m repro
+tables table2|table3|fig5|fig6|sizing|headroom|all`` prints as markdown.
 The compute functions below (``table2_report``, ``fig5_series``, ...)
 are what the rows and the pytest-benchmark files in ``benchmarks/``
 share.
@@ -30,6 +31,7 @@ from repro.bench.workloads import (
     PAPER_T,
     make_workload,
 )
+from repro.obs.analyze import Section, Table
 from repro.quack.collision import collision_probability
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
@@ -201,19 +203,20 @@ def table3_report() -> dict[int, dict[str, float]]:
 
 # -- the artifact table ------------------------------------------------------------
 
-#: ``(header, rows, note)``: what one artifact computes.
-Table = tuple[Sequence[str], list[Sequence[object]], str]
-
-
 @dataclass(frozen=True)
 class Artifact:
-    """One row of :data:`ARTIFACTS`: a title and ``trials -> Table``."""
+    """One row of :data:`ARTIFACTS`: a title and ``trials -> (table,
+    note)``."""
 
     title: str
-    compute: Callable[[int], Table]
+    compute: Callable[[int], tuple[Table, str]]
+
+    def section(self, trials: int) -> Section:
+        """The artifact computed at ``trials``: its table, then its note."""
+        return Section(self.title, list(self.compute(trials)))
 
 
-def _table2(trials: int) -> Table:
+def _table2(trials: int) -> tuple[Table, str]:
     rows = []
     for key, row in table2_report(trials=trials).items():
         paper = PAPER_TABLE2[key]
@@ -226,53 +229,54 @@ def _table2(trials: int) -> Table:
             f"{row.decode.mean_us:,.0f} us" if row.decode
             else f"~{row.decode_extrapolated_days:.1e} days",
             f"{paper['size_bits']:,}", f"{row.size_bits:,}"))
-    return (("scheme", "construction (paper)", "construction (ours)",
-             "decoding (paper)", "decoding (ours)", "size bits (paper)",
-             "size bits (ours)"), rows,
+    return (Table("", ("scheme", "construction (paper)",
+                       "construction (ours)", "decoding (paper)",
+                       "decoding (ours)", "size bits (paper)",
+                       "size bits (ours)"), rows),
             f"Mean of {trials} trials with warmup. Strawman 2's decode is "
             "extrapolated from a measured digest rate, as the paper's is.")
 
 
-def _table3(trials: int) -> Table:
-    return (("bits", "paper", "ours"),
-            [(bits, f"{row['paper']:.2g}", f"{row['ours']:.3g}")
-             for bits, row in table3_report().items()],
+def _table3(trials: int) -> tuple[Table, str]:
+    return (Table("", ("bits", "paper", "ours"),
+                  [(str(bits), f"{row['paper']:.2g}", f"{row['ours']:.3g}")
+                   for bits, row in table3_report().items()]),
             f"Closed form at n = {PAPER_N}; no trials.")
 
 
 def _curves(series: dict[int, dict[int, float]], x_label: str,
-            trials: int, claim: str) -> Table:
+            trials: int, claim: str) -> tuple[Table, str]:
     xs = sorted({x for curve in series.values() for x in curve})
-    return ((x_label, *(f"{bits}-bit (us)" for bits in series)),
-            [(x, *(f"{series[bits][x]:,.1f}" for bits in series))
-             for x in xs],
+    return (Table("", (x_label, *(f"{bits}-bit (us)" for bits in series)),
+                  [(str(x), *(f"{series[bits][x]:,.1f}" for bits in series))
+                   for x in xs]),
             f"Mean of {trials} trials per point, n = {PAPER_N}. "
             f"Paper: {claim}.")
 
 
-def _fig5(trials: int) -> Table:
+def _fig5(trials: int) -> tuple[Table, str]:
     trials = max(3, trials // 10)
     return _curves(fig5_series(trials=trials), "threshold t", trials,
                    "construction time is directly proportional to t")
 
 
-def _fig6(trials: int) -> Table:
+def _fig6(trials: int) -> tuple[Table, str]:
     trials = max(5, trials // 5)
     return _curves(fig6_series(trials=trials), "missing m", trials,
                    "decoding time is directly proportional to m, and "
                    "m = 0 takes virtually no time")
 
 
-def _sizing(trials: int) -> Table:
+def _sizing(trials: int) -> tuple[Table, str]:
     cc = frequency.cc_division_sizing()
     ack = frequency.ack_reduction_sizing()
     target = frequency.PAPER_TARGET_MISSING
     cc_name = "cc-division, 200 Mbps · 60 ms · 2%"
     ack_name = f"ack-reduction, every {ack.every_n} packets"
     rows = [
-        (cc_name, "packets per RTT", "~1000", cc.packets_per_rtt),
-        (cc_name, "missing per RTT (threshold t)", 20, cc.threshold),
-        (cc_name, "quACK bytes (Strawman 1)", 82,
+        (cc_name, "packets per RTT", "~1000", str(cc.packets_per_rtt)),
+        (cc_name, "missing per RTT (threshold t)", "20", str(cc.threshold)),
+        (cc_name, "quACK bytes (Strawman 1)", "82",
          f"{cc.quack_bytes} ({cc.strawman1_bytes})"),
         (cc_name, "overhead kbps (Strawman 1)", "-",
          f"{cc.quack_overhead_bps / 1e3:.2f} "
@@ -283,22 +287,22 @@ def _sizing(trials: int) -> Table:
          f"{ack.bandwidth_saving_factor:.2f}x"),
     ]
     rows += [(f"retransmission, {loss:.1%} loss", "quACK every N packets",
-              "-", retransmission_cadence(loss, target))
+              "-", str(retransmission_cadence(loss, target)))
              for loss in RETX_LOSSES]
-    return (("envelope", "quantity", "paper", "ours"), rows,
+    return (Table("", ("envelope", "quantity", "paper", "ours"), rows),
             "Analytic (Section 4.3); the retransmission cadence targets "
             f"{target} missing packets per quACK, clamped.")
 
 
-def _headroom(trials: int) -> Table:
+def _headroom(trials: int) -> tuple[Table, str]:
     trials = max(2, trials // 3)
     rows = []
     for threshold in HEADROOM_THRESHOLDS:
         survival = [survival_probability(threshold, HEADROOM_LOSS, burstiness,
                                          trials=trials, n=HEADROOM_PACKETS)
                     for burstiness in ("random", "bursty")]
-        rows.append((threshold, *(f"{p:.2f}" for p in survival)))
-    return (("t", "random loss", "bursty loss"), rows,
+        rows.append((str(threshold), *(f"{p:.2f}" for p in survival)))
+    return (Table("", ("t", "random loss", "bursty loss"), rows),
             f"Extension, no paper value: P(a {HEADROOM_PACKETS:,}-packet "
             f"session survives) at {HEADROOM_LOSS:.0%} average loss, one "
             f"quACK per 32 packets, {trials} seeded trials per cell.")
@@ -317,14 +321,3 @@ ARTIFACTS: dict[str, Artifact] = {
                          _headroom),
 }
 
-
-def render(artifact: Artifact, trials: int) -> str:
-    """One artifact as a titled GitHub-markdown table plus its note."""
-    header, rows, note = artifact.compute(trials)
-
-    def line(cells: Sequence[object]) -> str:
-        return "| " + " | ".join(str(cell) for cell in cells) + " |"
-
-    return "\n".join([f"## {artifact.title}", "", line(header),
-                      line(["---"] * len(header)),
-                      *(line(row) for row in rows), "", note])

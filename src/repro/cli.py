@@ -16,8 +16,8 @@ Subcommands:
   print one report -- where the time went (split over the layers the
   repo benchmark times), where the packets went, why assistance
   stopped, what the trace covers, the metrics -- optionally exporting
-  the trace as JSONL, the layer timings as a collapsed-stack flamegraph
-  (``--flame``) and a JSON snapshot (``--json``);
+  the trace as JSONL and the layer timings as a collapsed-stack
+  flamegraph (``--flame``);
 * ``analyze``       -- the same report, minus the time section, from an
   exported JSONL trace;
 * ``sweep``         -- expand a scenario-matrix spec into seeded cells,
@@ -26,14 +26,12 @@ Subcommands:
   merges every worker's metrics into a sweep-wide telemetry block;
 * ``slo``           -- evaluate declarative tail-latency budgets
   (``benchmarks/slo/*.json``) against freshly run scenarios or a saved
-  telemetry snapshot (exit status 1 when a budget is violated);
+  telemetry snapshot, optionally beside a baseline snapshot
+  (``--against``; exit status 1 when a budget is violated, 2 on a
+  malformed file);
 * ``vectors``       -- regenerate or validate the checked-in wire-format
   conformance vectors (``tests/vectors/*.json``; exit status 1 when a
-  vector is stale or fails against the implementation);
-* ``diff``          -- differential analysis of two snapshot files
-  (profile / telemetry / sweep aggregate), ranking series by
-  magnitude of relative change (exit status 1 when any series moved
-  past the threshold).
+  vector is stale or fails against the implementation).
 
 Examples::
 
@@ -57,7 +55,8 @@ Examples::
     python -m repro vectors generate
     python -m repro vectors check
     python -m repro trace retransmission --flame out.folded
-    python -m repro diff before.json after.json
+    python -m repro slo benchmarks/slo/seed_scenarios.json \\
+        --snapshot after.json --against before.json
 """
 
 from __future__ import annotations
@@ -126,11 +125,13 @@ def cmd_quack_decode(args: argparse.Namespace) -> int:
 # -- tables ----------------------------------------------------------------------
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.bench.tables import ARTIFACTS, render
+    from repro.bench.tables import ARTIFACTS
+    from repro.obs.analyze import render_markdown
 
     names = ARTIFACTS if args.which == "all" else (args.which,)
     for name in names:
-        print(render(ARTIFACTS[name], args.trials), end="\n\n", flush=True)
+        print(render_markdown([ARTIFACTS[name].section(args.trials)]),
+              end="\n\n", flush=True)
     return 0
 
 
@@ -248,11 +249,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         obs.export_jsonl(result.events, args.jsonl)
         written.append(f"{len(result.events)} events to {args.jsonl}")
     if args.flame:
-        perf.write_folded(result.profile, args.flame)
+        perf.write_folded(result.path_times, args.flame)
         written.append(f"collapsed stacks to {args.flame}")
-    if args.json:
-        perf.write_profile(result.profile, args.json)
-        written.append(f"profile snapshot to {args.json}")
     for what in written:
         print(f"wrote {what}", file=sys.stderr)
     if args.summary or not written:
@@ -265,23 +263,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-# -- diff -----------------------------------------------------------------------
-
-def cmd_diff(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
-    from repro.obs import perf
-
-    try:
-        report = perf.diff_files(args.baseline, args.current,
-                                 threshold=args.threshold,
-                                 min_abs=args.min)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(perf.format_diff(report, threshold=args.threshold, top=args.top))
-    return 0 if report.ok else 1
 
 
 # -- analyze --------------------------------------------------------------------
@@ -323,25 +304,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro.errors import ObservabilityError
     from repro.obs.aggregate import load_json, telemetry_of
+    from repro.obs.analyze import render_text
     from repro.obs.slo import (
         evaluate_budgets,
-        format_verdicts,
         load_budget_file,
         run_scenarios,
+        verdict_section,
     )
 
     say = (lambda message: None) if args.quiet \
         else (lambda message: print(message, file=sys.stderr))
     violated = False
     try:
-        snapshot = telemetry_of(load_json(args.snapshot)) \
-            if args.snapshot else None
-        for path in args.budgets:
-            doc = load_budget_file(path)
+        snapshot, against = (telemetry_of(load_json(path)) if path else None
+                             for path in (args.snapshot, args.against))
+        docs = [(path, load_budget_file(path)) for path in args.budgets]
+        for path, doc in docs:
             current = snapshot if snapshot is not None \
                 else run_scenarios(doc, progress=say)
             verdicts = evaluate_budgets(doc["budgets"], current)
-            print(format_verdicts(path, verdicts))
+            baseline = None if against is None \
+                else evaluate_budgets(doc["budgets"], against)
+            print(render_text([verdict_section(path, verdicts, baseline)]))
             if any(not verdict.ok for verdict in verdicts):
                 violated = True
     except ObservabilityError as exc:
@@ -483,10 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "failure of a plan run traced,")
     chaos.set_defaults(func=cmd_chaos)
 
+    # No abbreviations: "--json" is not a short "--jsonl".
     trace = sub.add_parser(
         "trace", help="run a scenario traced, its layers timed; print "
                       "one report: time, packets, assistance, coverage, "
-                      "metrics")
+                      "metrics", allow_abbrev=False)
     trace.add_argument("which", choices=known_scenarios())
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="export the trace events as JSON lines")
@@ -508,26 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--flame", default=None, metavar="PATH",
                        help="write collapsed-stack text (flamegraph.pl "
                             "/ speedscope input) to PATH")
-    trace.add_argument("--json", default=None, metavar="PATH",
-                       help="write the JSON profile snapshot to PATH "
-                            "(diffable with 'repro diff')")
     trace.set_defaults(func=cmd_trace)
-
-    diff = sub.add_parser(
-        "diff", help="rank series movements between two snapshot files "
-                     "(exit 1 past threshold)")
-    diff.add_argument("baseline", help="baseline snapshot JSON (profile / "
-                                       "telemetry / sweep)")
-    diff.add_argument("current", help="current snapshot JSON (same kind)")
-    diff.add_argument("--threshold", type=float, default=2.0,
-                      help="ratio past which a series counts as moved "
-                           "(must be > 1.0)")
-    diff.add_argument("--min", type=float, default=1e-9, metavar="ABS",
-                      help="noise floor: ignore series where both sides "
-                           "are below ABS")
-    diff.add_argument("--top", type=int, default=20,
-                      help="ranked series to print")
-    diff.set_defaults(func=cmd_diff)
 
     analyze = sub.add_parser(
         "analyze", help="the trace report (minus its time section) from "
@@ -582,6 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluate against a saved telemetry snapshot or "
                           "a sweep aggregate with a telemetry block, "
                           "instead of running the budget's scenarios")
+    slo.add_argument("--against", default=None, metavar="PATH",
+                     help="baseline snapshot (same forms as --snapshot): "
+                          "print each budget's value on it and the "
+                          "current/baseline ratio; the verdict reads the "
+                          "current side only")
     slo.add_argument("--quiet", action="store_true",
                      help="suppress per-scenario progress on stderr")
     slo.set_defaults(func=cmd_slo)

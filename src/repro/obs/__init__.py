@@ -4,7 +4,7 @@ Three cooperating pieces, shared by every layer of the reproduction:
 
 * :mod:`repro.obs.metrics` -- labeled ``Counter``/``Gauge``/``Histogram``
   families in a :class:`MetricsRegistry` with one (mergeable) snapshot
-  form, reset and text rendering;
+  form and reset;
 * :mod:`repro.obs.trace` -- a structured log of typed events stamped
   with virtual time, held in a capped ring buffer and exportable as
   JSONL (the vocabulary lives in :mod:`repro.obs.schema`, and so does
@@ -29,11 +29,13 @@ installs it around its run, and :func:`disable` takes it out again.
 Typical use (what ``python -m repro trace`` does)::
 
     from repro import obs
+    from repro.obs.metrics import series_rows
 
     sink = obs.enable()                 # tracing + metrics on
     ... run a scenario ...
     obs.export_jsonl(sink.events, "trace.jsonl")
-    print(obs.METRICS.render_text())
+    for series, value in series_rows(obs.METRICS.snapshot()):
+        print(series, value)
     obs.disable()
 
 Instrumentation points follow one pattern -- guard, then emit, once::

@@ -31,11 +31,7 @@ import json
 from typing import Iterable, Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import (
-    TELEMETRY_SCHEMA,
-    MetricsRegistry,
-    summarize_hist,
-)
+from repro.obs.metrics import TELEMETRY_SCHEMA, MetricsRegistry
 
 
 def load_json(path: str) -> dict:
@@ -89,34 +85,6 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
                 merged.merge_series(name, family["kind"],
                                     family["labelnames"], entry)
     return merged.snapshot()
-
-
-def flatten_telemetry(snapshot: dict) -> dict[str, float]:
-    """One scalar per series of a merged snapshot (``repro diff`` input).
-
-    Counters/gauges flatten to one sample per series; histogram series
-    flatten to their count plus exact-to-bucket p50/p99.  Keys look like
-    ``telemetry_quack_decodes_total{status=ok}`` so they stay unique per
-    label set.
-    """
-    flat: dict[str, float] = {}
-    for name, family in snapshot.get("families", {}).items():
-        for entry in family["series"]:
-            labels = entry["labels"]
-            tag = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-            base = f"telemetry_{name}" + (f"{{{tag}}}" if tag else "")
-            if "value" in entry:
-                stats = {"": entry["value"]}
-            else:
-                summary = summarize_hist(entry["hist"])
-                stats = {"_count": summary["count"], "_p50": summary["p50"],
-                         "_p99": summary["p99"]}
-            for suffix, value in stats.items():
-                if isinstance(value, bool) \
-                        or not isinstance(value, (int, float)):
-                    continue
-                flat[base + suffix] = float(value)
-    return flat
 
 
 def select_series(snapshot: dict, metric: str,

@@ -11,7 +11,7 @@ JSON-safe document -- histograms with their full bucket state, so that
 snapshots of separate processes can be merged
 (:mod:`repro.obs.aggregate`) -- and :func:`summarize_hist` is the one
 place bucket state collapses to mean / quantiles, for
-:meth:`~MetricsRegistry.render_text`, ``repro slo`` and ``repro diff``
+:func:`series_rows` (the report's metrics tables) and ``repro slo``
 alike.
 
 Naming convention (documented in DESIGN.md §8): metric names are
@@ -370,12 +370,6 @@ class MetricsRegistry:
         run in the process touched does not come back as a zero."""
         self._families.clear()
         self.updaters.clear()
-
-    def render_text(self) -> str:
-        """A terminal-friendly metrics table, one series per line."""
-        lines = [f"{series:<58s} {value}"
-                 for series, value in series_rows(self.snapshot())]
-        return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
 def series_rows(snapshot: dict) -> list[tuple[str, str]]:

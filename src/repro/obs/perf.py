@@ -1,104 +1,39 @@
-"""Performance observability: profile snapshots, flamegraphs, and diffs.
+"""The time section and the flamegraph of a traced run.
 
-This module is the export/analysis surface over the layer recorder
-(:mod:`repro.obs.layers`) and its sibling snapshots:
+``repro trace`` runs a scenario with the layer recorder
+(:mod:`repro.obs.layers`) installed, and :func:`repro.obs.runner.run_traced`
+keeps two things when the run ends: the recorder's ``path_times()`` --
+``[calls, cumulative s, self s]`` per call path, a tuple of span names
+from the root down -- and the middlebox ledger.  This module reads them:
 
-* :func:`profile_snapshot` freezes the recorder's spans per call path
-  into a schema-versioned JSON document (stamped with the git commit);
-  :func:`profile_items` folds one into the **time** section of ``repro
+* :func:`profile_items` folds them into the **time** section of ``repro
   trace``'s report, one row per layer;
-* :func:`render_folded` turns a snapshot into collapsed-stack
+* :func:`render_folded` turns the call paths into collapsed-stack
   ("folded") text -- one ``run;netsim.run;... weight`` line per call
   path, weighted by **self time in microseconds** -- the input format of
-  every flamegraph renderer (``flamegraph.pl``, speedscope, inferno);
-* :func:`diff_snapshots` is the engine behind ``repro diff <a> <b>``:
-  it flattens two snapshots of the same kind (profile / telemetry /
-  sweep aggregate) into scalar series, ranks the deltas by
-  magnitude of relative change (deterministically -- ties break on
-  name), and reports which entries moved past a ratio threshold.
+  every flamegraph renderer (``flamegraph.pl``, speedscope, inferno).
 
-Diff semantics (DESIGN.md §8): the diff is a *symmetric
-change detector*, not a regression gate -- a 3x improvement ranks as
-high as a 3x regression, because both demand an explanation.  Entries
-present on only one side rank first (their
-relative change is unbounded) but never trip the threshold on their
-own; entries where both sides are below ``min_abs`` are noise-floored
-out.
+Comparing the timings of two builds is the repo benchmark's job
+(``benchmarks/e2e/compare.py``); comparing the virtual-time telemetry
+of two runs is ``repro slo --against``'s.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import os
-import subprocess
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.errors import ObservabilityError
-from repro.obs.aggregate import flatten_telemetry, load_json, telemetry_of
 from repro.obs.analyze import Table
-from repro.obs.metrics import fmt_value
-
-#: Version stamp on profile snapshot documents.
-PROFILE_SCHEMA = 1
 
 #: The simulator's dispatch loop: its self time is event dispatch plus
 #: the timer callbacks no layer covers, so it counts as unattributed.
 DISPATCH_SPAN = "netsim.run"
 
-#: Default ratio past which a diff entry counts as "moved" (generous:
-#: profile snapshots hold wall-clock span times).
-DEFAULT_DIFF_THRESHOLD = 2.0
-
-#: Ignore entries where both sides sit below this absolute value: a
-#: span that went from 3ns to 9ns is noise, not a 3x movement.
-DEFAULT_MIN_ABS = 1e-9
+#: ``Recorder.path_times()``: call path -> ``[calls, cum s, self s]``.
+PathTimes = Mapping[tuple[str, ...], Sequence]
 
 
-# -- profile snapshots --------------------------------------------------------
-
-def git_revision(cwd: str | None = None) -> str | None:
-    """The working tree's HEAD, or ``None`` outside a repository."""
-    try:
-        output = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=cwd)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if output.returncode != 0:
-        return None
-    return output.stdout.strip() or None
-
-
-def profile_snapshot(recorder, *, scenario: str = "",
-                     seed: int | None = None,
-                     git_rev: str | None = "__detect__",
-                     flows: Mapping | None = None) -> dict:
-    """Freeze a :class:`~repro.obs.layers.Recorder`'s spans into a JSON
-    document: one record per call path (calls, cumulative and self
-    seconds), sorted by path."""
-    if git_rev == "__detect__":
-        git_rev = git_revision()
-    spans = [{"path": ";".join(path), "name": path[-1], "calls": calls,
-              "cum_s": cum_s, "self_s": self_s}
-             for path, (calls, cum_s, self_s)
-             in sorted(recorder.path_times().items())]
-    doc: dict = {
-        "kind": "profile",
-        "schema": PROFILE_SCHEMA,
-        "scenario": scenario,
-        "git_rev": git_rev,
-        "spans": spans,
-    }
-    if seed is not None:
-        doc["seed"] = seed
-    if flows:
-        doc["flows"] = dict(flows)
-    return doc
-
-
-def render_folded(snapshot: Mapping) -> str:
+def render_folded(path_times: PathTimes) -> str:
     """Collapsed-stack text: ``a;b;c <self-time-microseconds>`` lines.
 
     Weights are integer self-time microseconds (flamegraph renderers
@@ -106,36 +41,35 @@ def render_folded(snapshot: Mapping) -> str:
     so the output is deterministic for a deterministic profile.
     """
     lines = []
-    for span in snapshot.get("spans", ()):
-        weight = int(round(float(span.get("self_s", 0.0)) * 1e6))
+    for path, (_calls, _cum_s, self_s) in path_times.items():
+        weight = int(round(float(self_s) * 1e6))
         if weight > 0:
-            lines.append(f"{span['path']} {weight}")
+            lines.append(f"{';'.join(path)} {weight}")
     return "\n".join(sorted(lines))
 
 
-def profile_items(snapshot: Mapping, root: str) -> list:
-    """A profile snapshot as report items: the wall time (the ``root``
-    span's), the share of it inside a layer other than the simulator's
-    dispatch loop -- the benchmark's ``trace.attributed_share`` -- every
-    layer by self time, and the per-flow middlebox ledger."""
+def profile_items(path_times: PathTimes, flows: Mapping, root: str) -> list:
+    """A run's call paths and per-flow ledger as report items: the wall
+    time (the ``root`` span's), the share of it inside a layer other
+    than the simulator's dispatch loop -- the benchmark's
+    ``trace.attributed_share`` -- every layer by self time, and the
+    middlebox ledger (``flows``: flow -> counters)."""
     layers: dict[str, list] = {}        # name -> [self seconds, calls]
     wall = 0.0
-    for span in snapshot.get("spans", ()):
-        if span["path"] == root:
-            wall = float(span["cum_s"])
+    for path, (calls, cum_s, self_s) in sorted(path_times.items()):
+        if path == (root,):
+            wall = float(cum_s)
             continue
-        row = layers.setdefault(span["path"].rsplit(";", 1)[-1], [0.0, 0])
-        row[0] += float(span["self_s"])
-        row[1] += int(span["calls"])
+        row = layers.setdefault(path[-1], [0.0, 0])
+        row[0] += float(self_s)
+        row[1] += int(calls)
     items: list = []
     if wall > 0:
         attributed = sum(seconds for name, (seconds, _) in layers.items()
                          if name != DISPATCH_SPAN)
         items.append(
             f"wall clock: {wall * 1e3:.1f} ms, {attributed / wall:.1%} "
-            f"inside a layer other than {DISPATCH_SPAN}"
-            + (f" (commit {snapshot['git_rev']})"
-               if snapshot.get("git_rev") else ""))
+            f"inside a layer other than {DISPATCH_SPAN}")
     ranked = sorted(layers.items(), key=lambda item: (-item[1][0], item[0]))
     if ranked:
         items.append(Table(
@@ -145,8 +79,6 @@ def profile_items(snapshot: Mapping, root: str) -> list:
              for name, (seconds, calls) in ranked]))
     else:
         items.append("(no spans recorded)")
-    flows = snapshot.get("flows", {}).get("flows") \
-        if isinstance(snapshot.get("flows"), Mapping) else None
     if flows:
         items.append(Table(
             "middlebox ledger",
@@ -157,184 +89,12 @@ def profile_items(snapshot: Mapping, root: str) -> list:
     return items
 
 
-def _write(path: str, text: str) -> str:
+def write_folded(path_times: PathTimes, path: str) -> str:
+    """Persist the collapsed-stack form; returns the path."""
+    text = render_folded(path_times)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(text + ("\n" if text else ""))
     return path
-
-
-def write_profile(snapshot: Mapping, path: str) -> str:
-    """Persist a profile snapshot as JSON; returns the path."""
-    return _write(path, json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-
-
-def write_folded(snapshot: Mapping, path: str) -> str:
-    """Persist the collapsed-stack form; returns the path."""
-    text = render_folded(snapshot)
-    return _write(path, text + ("\n" if text else ""))
-
-
-# -- the diff engine ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiffEntry:
-    """One series' movement between two snapshots."""
-
-    name: str
-    baseline: float | None
-    current: float | None
-    #: ``current / baseline`` (None when undefined: a zero or missing side).
-    ratio: float | None
-    #: ``abs(log(ratio))`` -- the ranking key; ``inf`` for one-sided entries.
-    severity: float
-    #: True when the movement crossed the ratio threshold.
-    exceeded: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    """The ranked outcome of diffing two snapshots."""
-
-    kind: str
-    baseline_label: str
-    current_label: str
-    baseline_rev: str | None
-    current_rev: str | None
-    entries: tuple[DiffEntry, ...]
-
-    @property
-    def exceeded(self) -> tuple[DiffEntry, ...]:
-        return tuple(entry for entry in self.entries if entry.exceeded)
-
-    @property
-    def ok(self) -> bool:
-        return not self.exceeded
-
-
-def flatten_snapshot(doc: Mapping) -> tuple[str, dict[str, float],
-                                            str | None]:
-    """``(kind, {series name: value}, git_rev)`` for any snapshot kind.
-
-    * profile snapshots flatten each call path to its **self time**
-      (seconds) plus a ``calls:`` series per path;
-    * telemetry snapshots (and sweep aggregates carrying one) flatten
-      through :func:`repro.obs.aggregate.flatten_telemetry`.
-    """
-    kind = doc.get("kind")
-    if kind in ("telemetry", "sweep-aggregate"):
-        return "telemetry", flatten_telemetry(telemetry_of(doc)), None
-    if kind != "profile":
-        raise ObservabilityError(
-            "unrecognized snapshot: expected a profile, telemetry, or sweep "
-            "aggregate document")
-    flat = {}
-    for span in doc.get("spans", ()):
-        path = str(span.get("path", ""))
-        if not path:
-            continue
-        flat[path] = float(span.get("self_s", 0.0))
-        flat[f"calls:{path}"] = float(span.get("calls", 0))
-    rev = doc.get("git_rev")
-    return kind, flat, rev if isinstance(rev, str) else None
-
-
-def diff_flat(baseline: Mapping[str, float], current: Mapping[str, float],
-              threshold: float = DEFAULT_DIFF_THRESHOLD,
-              min_abs: float = DEFAULT_MIN_ABS) -> list[DiffEntry]:
-    """Rank every series' movement; deterministic for deterministic input.
-
-    Sorted by severity (``abs(log(ratio))``) descending, ties broken by
-    name, one-sided entries first.  ``exceeded`` is set when the ratio
-    crossed ``threshold`` in either direction; one-sided and
-    noise-floored entries never exceed; a series that is zero on both
-    sides is not an entry (it did not move, whatever ``min_abs`` is).
-    """
-    if threshold <= 1.0:
-        raise ObservabilityError(
-            f"diff threshold must be > 1.0 (a ratio), got {threshold}")
-    entries: list[DiffEntry] = []
-    for name in set(baseline) | set(current):
-        b = baseline.get(name)
-        c = current.get(name)
-        if b is None:
-            entries.append(DiffEntry(name=name, baseline=None, current=c,
-                                     ratio=None, severity=math.inf,
-                                     exceeded=False, note="only in current"))
-            continue
-        if c is None:
-            entries.append(DiffEntry(name=name, baseline=b, current=None,
-                                     ratio=None, severity=math.inf,
-                                     exceeded=False,
-                                     note="only in baseline"))
-            continue
-        if b == c == 0.0 or (abs(b) < min_abs and abs(c) < min_abs):
-            continue  # zero on both sides, or both under the noise floor
-        if b == 0.0 or c == 0.0 or (b < 0) != (c < 0):
-            entries.append(DiffEntry(
-                name=name, baseline=b, current=c, ratio=None,
-                severity=math.inf, exceeded=True,
-                note="moved across zero"))
-            continue
-        ratio = c / b
-        severity = abs(math.log(abs(ratio)))
-        exceeded = abs(ratio) > threshold or abs(ratio) < 1.0 / threshold
-        entries.append(DiffEntry(name=name, baseline=b, current=c,
-                                 ratio=ratio, severity=severity,
-                                 exceeded=exceeded))
-    entries.sort(key=lambda e: (-e.severity, e.name))
-    return entries
-
-
-def diff_files(baseline_path: str, current_path: str,
-               threshold: float = DEFAULT_DIFF_THRESHOLD,
-               min_abs: float = DEFAULT_MIN_ABS) -> DiffReport:
-    """Diff two snapshot files of one kind (the ``repro diff`` entry
-    point)."""
-    kind_b, flat_b, rev_b = flatten_snapshot(load_json(baseline_path))
-    kind_c, flat_c, rev_c = flatten_snapshot(load_json(current_path))
-    if kind_b != kind_c:
-        raise ObservabilityError(
-            f"cannot diff a {kind_b} snapshot against a {kind_c} snapshot")
-    entries = diff_flat(flat_b, flat_c, threshold=threshold,
-                        min_abs=min_abs)
-    return DiffReport(kind=kind_b, baseline_label=baseline_path,
-                      current_label=current_path, baseline_rev=rev_b,
-                      current_rev=rev_c, entries=tuple(entries))
-
-
-def format_diff(report: DiffReport,
-                threshold: float = DEFAULT_DIFF_THRESHOLD,
-                top: int = 20) -> str:
-    """Human-readable ranked diff for the terminal."""
-    def side(label: str, rev: str | None) -> str:
-        return f"{label} (commit {rev})" if rev else label
-
-    lines = [f"diff [{report.kind}]: "
-             f"{side(report.baseline_label, report.baseline_rev)} -> "
-             f"{side(report.current_label, report.current_rev)}"]
-    shown = report.entries[:top]
-    for entry in shown:
-        ratio = f"{entry.ratio:.2f}x" if entry.ratio is not None else "-"
-        marker = "MOVED" if entry.exceeded else "ok"
-        note = f"  [{entry.note}]" if entry.note else ""
-        lines.append(f"  {marker:<5s} {entry.name:<44s} "
-                     f"{fmt_value(entry.baseline):>14s} -> "
-                     f"{fmt_value(entry.current):>14s} ({ratio}){note}")
-    hidden = len(report.entries) - len(shown)
-    if hidden > 0:
-        lines.append(f"  ... {hidden} more series")
-    if not report.entries:
-        lines.append("  (no comparable series)")
-    lines.append("")
-    moved = len(report.exceeded)
-    if moved:
-        lines.append(f"FAIL: {moved} series moved past the "
-                     f"{threshold:g}x threshold")
-    else:
-        lines.append(f"OK: no series moved past the {threshold:g}x "
-                     f"threshold")
-    return "\n".join(lines)

@@ -20,7 +20,7 @@ ring buffer are reset on entry so each run's data stands alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Any
 
 from repro import obs
@@ -62,16 +62,9 @@ class TraceRunResult:
     metrics: dict
     #: The middlebox ledger (``FLOW_ACCOUNTS.snapshot()``) of the run.
     flows: dict
+    #: The layer recorder's ``path_times()`` (empty when not profiled).
+    path_times: dict
     outcome: Any
-
-    @cached_property
-    def profile(self) -> dict:
-        """The run's :func:`repro.obs.perf.profile_snapshot`, ledger
-        included.  Read off the global recorder: take it before the next
-        traced run clears that."""
-        return perf.profile_snapshot(
-            obs.PROFILER, scenario=self.scenario, seed=self.seed,
-            flows=self.flows if self.flows["flows"] else None)
 
     def missing_core_components(self) -> list[str]:
         """Core components that produced no events (should be empty).
@@ -121,6 +114,7 @@ def run_traced(scenario: str, *, seed: int = 1,
     finally:
         obs.disable()
         FLOW_ACCOUNTS.disarm()
+    path_times = obs.PROFILER.path_times() if profile else {}
     events = sink.events
     analysis = analyze(events)
     # Coverage is itself a metric (direct: a tree and a missing reason are
@@ -140,6 +134,7 @@ def run_traced(scenario: str, *, seed: int = 1,
         analysis=analysis,
         metrics=obs.METRICS.snapshot(),
         flows=FLOW_ACCOUNTS.snapshot(),
+        path_times=path_times,
         outcome=outcome,
     )
 
@@ -162,7 +157,8 @@ def run_report(result: TraceRunResult) -> list[Section]:
     missing = result.missing_core_components()
     if missing:
         items.append(f"WARNING: no events from: {', '.join(missing)}")
-    items += perf.profile_items(result.profile, ROOT_SPAN)
+    items += perf.profile_items(result.path_times, result.flows["flows"],
+                                ROOT_SPAN)
     direct = {name: family
               for name, family in result.metrics["families"].items()
               if name not in DERIVED_FAMILIES}

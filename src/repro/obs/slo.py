@@ -22,11 +22,16 @@ budget to tolerate it.
 
 Scenario runs are virtual-time deterministic, so a budget either always
 passes or always fails for a given code state -- exactly what a CI gate
-needs.
+needs.  :func:`load_budget_file` checks every entry before anything
+runs, so a malformed file is an error (``repro slo`` exit 2), never a
+verdict.  ``repro slo --against BASELINE`` evaluates each budget on a
+second snapshot too and prints it beside the current value: information
+for the reader, not a second gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,10 +42,15 @@ from repro.obs.aggregate import (
     merge_snapshots,
     select_series,
 )
+from repro.obs.analyze import Section, Table
 from repro.obs.metrics import summarize_hist
 
 #: Version stamp on budget files.
 SLO_SCHEMA = 1
+
+#: The keys a scenario entry may hold, with their types.
+SCENARIO_KEYS = {"scenario": str, "seed": int, "total_bytes": int,
+                 "loss": (int, float)}
 
 
 @dataclass
@@ -53,17 +63,54 @@ class BudgetVerdict:
     ok: bool
     detail: str = ""
 
-    def render(self) -> str:
-        mark = "ok  " if self.ok else "FAIL"
-        shown = "-" if self.observed is None else f"{self.observed:.6g}"
-        line = f"{mark}  {self.name:<46s} observed={shown:<12s} {self.limit}"
-        if self.detail:
-            line += f"  ({self.detail})"
-        return line
+
+def _check_budget(budget: object) -> None:
+    """Raise :class:`ObservabilityError` unless ``budget`` is a
+    well-formed budget entry."""
+    if not isinstance(budget, dict) or not isinstance(budget.get("name"),
+                                                      str):
+        raise ObservabilityError(
+            f"a budget must be an object with a string 'name', got "
+            f"{budget!r}")
+    bounds = [key for key in ("max", "min") if key in budget]
+    wrong = [key for key in bounds if isinstance(budget[key], bool)
+             or not isinstance(budget[key], (int, float))]
+    if ("metric" in budget) == ("ratio_of" in budget) or not isinstance(
+            budget.get("metric", budget.get("ratio_of")), str):
+        problem = "name exactly one 'metric' or 'ratio_of'"
+    elif wrong:
+        problem = f"{wrong[0]} must be a number, got {budget[wrong[0]]!r}"
+    elif not bounds:
+        problem = "neither max nor min"
+    elif "ratio_of" in budget and not (
+            isinstance(budget.get("label"), str)
+            and isinstance(budget.get("ok_values"), list)
+            and budget["ok_values"]):
+        problem = "ratio_of needs 'label' and 'ok_values'"
+    else:
+        return
+    raise ObservabilityError(f"budget {budget['name']!r}: {problem}")
+
+
+def _check_scenario(entry: object) -> None:
+    from repro.obs.runner import known_scenarios
+
+    if not isinstance(entry, dict) \
+            or entry.get("scenario") not in known_scenarios():
+        raise ObservabilityError(
+            f"{entry!r} names no scenario; have "
+            f"{', '.join(known_scenarios())}")
+    for key, value in entry.items():
+        kind = SCENARIO_KEYS.get(key)
+        if kind is None or isinstance(value, bool) \
+                or not isinstance(value, kind):
+            raise ObservabilityError(
+                f"bad {key}={value!r} (an entry holds a scenario name, an "
+                f"integer seed and total_bytes, a numeric loss)")
 
 
 def load_budget_file(path: str) -> dict:
-    """Read and structurally validate one budget document."""
+    """Read one budget document and check every entry of it."""
     doc = load_json(path)
     if doc.get("kind") != "slo-budgets":
         raise ObservabilityError(
@@ -74,8 +121,20 @@ def load_budget_file(path: str) -> dict:
         raise ObservabilityError(
             f"{path}: budget schema {schema!r} not supported "
             f"(this build reads <= {SLO_SCHEMA})")
-    if not isinstance(doc.get("budgets"), list) or not doc["budgets"]:
+    budgets, scenarios = doc.get("budgets"), doc.get("scenarios", [])
+    if not isinstance(budgets, list) or not budgets:
         raise ObservabilityError(f"{path}: no budgets declared")
+    if not isinstance(scenarios, list):
+        raise ObservabilityError(f"{path}: scenarios must be a list")
+    entries = [(f"budgets[{index}]", _check_budget, budget)
+               for index, budget in enumerate(budgets)]
+    entries += [(f"scenarios[{index}]", _check_scenario, scenario)
+                for index, scenario in enumerate(scenarios)]
+    for where, check, entry in entries:
+        try:
+            check(entry)
+        except ObservabilityError as exc:
+            raise ObservabilityError(f"{path}: {where}: {exc}") from None
     return doc
 
 
@@ -91,13 +150,9 @@ def run_scenarios(doc: dict, *,
             "evaluate against a saved telemetry snapshot instead)")
     snapshots = []
     for entry in scenarios:
-        name = entry.get("scenario")
-        if not isinstance(name, str):
-            raise ObservabilityError(f"scenario entry without a name: "
-                                     f"{entry!r}")
-        kwargs = {key: entry[key]
-                  for key in ("seed", "total_bytes", "loss")
-                  if key in entry}
+        name = entry["scenario"]
+        kwargs = {key: value for key, value in entry.items()
+                  if key != "scenario"}
         if progress is not None:
             progress(f"slo: running {name} {kwargs}")
         snapshots.append(run_traced(name, profile=False, **kwargs).metrics)
@@ -107,40 +162,32 @@ def run_scenarios(doc: dict, *,
 def evaluate_budgets(budgets: list[dict],
                      snapshot: dict) -> list[BudgetVerdict]:
     """Evaluate every budget entry against a merged telemetry snapshot."""
+    for budget in budgets:
+        _check_budget(budget)
     return [_evaluate_one(budget, snapshot) for budget in budgets]
 
 
 def _bounds(budget: dict) -> tuple[str, Callable[[float], bool]]:
-    limits = []
-    checks = []
-    if "max" in budget:
-        limits.append(f"max={budget['max']:g}")
-        checks.append(lambda value, m=budget["max"]: value <= m)
-    if "min" in budget:
-        limits.append(f"min={budget['min']:g}")
-        checks.append(lambda value, m=budget["min"]: value >= m)
-    if not checks:
-        raise ObservabilityError(
-            f"budget {budget.get('name')!r} declares neither max nor min")
-    return " ".join(limits), lambda value: all(c(value) for c in checks)
+    low, high = budget.get("min", -math.inf), budget.get("max", math.inf)
+    return (" ".join(f"{key}={budget[key]:g}" for key in ("max", "min")
+                     if key in budget),
+            lambda value: low <= value <= high)
 
 
 def _missing(budget: dict, limit: str, why: str) -> BudgetVerdict:
     allow = bool(budget.get("allow_missing"))
-    return BudgetVerdict(name=str(budget.get("name", "?")), observed=None,
+    return BudgetVerdict(name=budget["name"], observed=None,
                          limit=limit, ok=allow,
                          detail=why + ("" if allow else "; unmeasured SLOs "
                                        "fail by default"))
 
 
 def _evaluate_one(budget: dict, snapshot: dict) -> BudgetVerdict:
-    name = str(budget.get("name", "?"))
+    name = budget["name"]
     limit, within = _bounds(budget)
     if "ratio_of" in budget:
         return _evaluate_ratio(budget, name, limit, within, snapshot)
-    metric = budget.get("metric")
-    if not isinstance(metric, str):
-        raise ObservabilityError(f"budget {name!r}: no metric/ratio_of")
+    metric = budget["metric"]
     stat = str(budget.get("stat", "value"))
     entries = select_series(snapshot, metric, budget.get("labels"))
     if not entries:
@@ -173,12 +220,9 @@ def _evaluate_one(budget: dict, snapshot: dict) -> BudgetVerdict:
 def _evaluate_ratio(budget: dict, name: str, limit: str,
                     within: Callable[[float], bool],
                     snapshot: dict) -> BudgetVerdict:
-    metric = str(budget["ratio_of"])
-    label = budget.get("label")
-    ok_values = {str(v) for v in budget.get("ok_values", ())}
-    if not isinstance(label, str) or not ok_values:
-        raise ObservabilityError(
-            f"budget {name!r}: ratio_of needs 'label' and 'ok_values'")
+    metric = budget["ratio_of"]
+    label = budget["label"]
+    ok_values = {str(v) for v in budget["ok_values"]}
     entries = select_series(snapshot, metric, budget.get("labels"))
     total = sum(entry["value"] for entry in entries)
     if total <= 0:
@@ -193,11 +237,33 @@ def _evaluate_ratio(budget: dict, name: str, limit: str,
                                 f"{sorted(ok_values)}")
 
 
-def format_verdicts(source: str,
-                    verdicts: list[BudgetVerdict]) -> str:
-    failed = sum(1 for verdict in verdicts if not verdict.ok)
-    lines = [f"{source}: {len(verdicts)} budgets, "
-             + ("all within budget" if not failed
-                else f"{failed} VIOLATED")]
-    lines.extend("  " + verdict.render() for verdict in verdicts)
-    return "\n".join(lines)
+def _shown(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
+def _ratio(baseline: float | None, current: float | None) -> str:
+    if baseline is None or current is None \
+            or (baseline == 0 and current != 0):
+        return "-"
+    return f"{current / baseline if baseline else 1.0:.3g}"
+
+
+def verdict_section(title: str, current: list[BudgetVerdict],
+                    baseline: list[BudgetVerdict] | None) -> Section:
+    """One budget file's verdicts as a report section: a summary line and
+    one row per budget.  ``baseline`` -- the same budgets evaluated on
+    another snapshot -- fills the baseline and ratio columns; the
+    verdict is the current side's."""
+    failed = sum(1 for verdict in current if not verdict.ok)
+    before = [verdict.observed for verdict in baseline] if baseline \
+        else [None] * len(current)
+    rows = [(verdict.name, _shown(then), _shown(verdict.observed),
+             _ratio(then, verdict.observed), verdict.limit,
+             ("ok" if verdict.ok else "FAIL")
+             + (f" ({verdict.detail})" if verdict.detail else ""))
+            for verdict, then in zip(current, before)]
+    return Section(title, [
+        f"{len(current)} budgets, "
+        + ("all within budget" if not failed else f"{failed} VIOLATED"),
+        Table("", ("budget", "baseline", "current", "ratio", "limit",
+                   "verdict"), rows)])

@@ -17,7 +17,7 @@ singleton :data:`FLOW_ACCOUNTS` is **disarmed by default** and each
 hook site costs one attribute load plus a branch while disarmed
 (``benchmarks/test_obs_overhead.py`` pins the same guarantee for the
 tracer's guard).  A traced run (``repro trace``) arms it and
-folds the per-flow table into the profile snapshot.
+prints the per-flow table in the report's time section.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class FlowAccounts:
                       key=lambda item: (-getattr(item[1], key), item[0]))[:n]
 
     def snapshot(self) -> dict:
-        """JSON-safe ledger: the block a profile snapshot embeds."""
+        """JSON-safe ledger: what a traced run keeps of the table."""
         return {
             "kind": "flow-accounts",
             "schema": 1,

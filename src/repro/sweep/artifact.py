@@ -11,8 +11,8 @@ completion orders -- the engine's determinism contract, pinned by
 
 The artifact is designed to be fed onward:
 
-* ``repro diff a.json b.json`` ranks what moved between two
-  aggregates' telemetry blocks, ``repro slo --snapshot`` gates on one;
+* ``repro slo --snapshot`` gates on one aggregate's telemetry block,
+  and ``--against`` puts another's value beside each budget;
 * ``repro sweep --resume partial.json`` reloads one and re-runs only
   the cells that are missing or failed (:func:`completed_results`).
 """

@@ -13,12 +13,12 @@ from repro.bench.tables import (
     ARTIFACTS,
     fig5_series,
     fig6_series,
-    render,
     table2_report,
     table3_report,
 )
 from repro.bench.timing import TimingResult, measure, measure_throughput
 from repro.bench.workloads import QuackWorkload, make_workload
+from repro.obs.analyze import render_markdown
 from repro.sidecar.frequency import retransmission_cadence
 
 
@@ -104,7 +104,7 @@ class TestTables:
         assert rows["strawman1"].decode is not None
 
     def test_format_table2_includes_paper(self):
-        text = render(ARTIFACTS["table2"], trials=2)
+        text = render_markdown([ARTIFACTS["table2"].section(trials=2)])
         assert "| construction (paper) | construction (ours) |" in text
         assert "| Power Sums | 106 us |" in text
 

@@ -1,7 +1,13 @@
-"""Tests for the report's sections: each paper artifact rendered by
-:func:`repro.bench.tables.render`, as ``repro tables all`` prints them."""
+"""Tests for the report's sections: each paper artifact's section
+rendered by :func:`repro.obs.analyze.render_markdown`, as ``repro tables
+all`` prints them."""
 
-from repro.bench.tables import ARTIFACTS, render
+from repro.bench.tables import ARTIFACTS
+from repro.obs.analyze import render_markdown
+
+
+def render(artifact, trials):
+    return render_markdown([artifact.section(trials)])
 
 
 class TestSections:

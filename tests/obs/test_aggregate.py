@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs.aggregate import (
     combine_series,
-    flatten_telemetry,
     merge_snapshots,
     select_series,
 )
@@ -140,12 +139,6 @@ class TestQuantiles:
         assert series_rows(snapshot) == [
             ("events_total{kind=x}", "2"),
             ("lat_seconds", "count=3 mean=0.7 p50=0.25 p99=2 max=1.7")]
-        assert flatten_telemetry(snapshot) == {
-            "telemetry_events_total{kind=x}": 2.0,
-            "telemetry_lat_seconds_count": 3.0,
-            "telemetry_lat_seconds_p50": 0.25,
-            "telemetry_lat_seconds_p99": 2.0,
-        }
 
 
 class TestSelect:

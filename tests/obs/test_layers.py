@@ -55,7 +55,7 @@ def test_a_traced_run_times_every_layer_it_enters_and_restores_them():
             "transport.sidecar_receipt", "sidecar.tap_observe",
             "sidecar.consumer_on_quack", "quack.insert",
             "quack.wire_encode", "quack.wire_decode"} <= set(calls)
-    assert result.profile["spans"][0]["path"] == "run"
+    assert next(iter(result.path_times)) == ("run",)
     assert not obs.PROFILER.enabled
     for target, original in originals.items():
         owner, attribute = resolve(target)

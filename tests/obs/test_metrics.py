@@ -13,6 +13,7 @@ from repro.obs.metrics import (
     Metric,
     MetricsRegistry,
     json_safe,
+    series_rows,
     summarize_hist,
 )
 
@@ -159,7 +160,7 @@ class TestRegistry:
         registry.counter("x_total", labels=("a",)).labels(a="y").inc(5)
         registry.reset()
         assert registry.snapshot()["families"] == {}
-        assert "no metrics" in registry.render_text()
+        assert series_rows(registry.snapshot()) == []
         # ... and the name is free again, even with another label set.
         registry.counter("x_total").labels().inc(2)
         assert registry.snapshot()["families"]["x_total"]["series"] == [
@@ -183,11 +184,10 @@ class TestRegistry:
         series = parsed["families"]["transport_min_rtt_seconds"]["series"]
         assert series[0]["value"] is None
 
-    def test_render_text(self):
+    def test_series_rows(self):
         registry = MetricsRegistry()
         registry.counter("x_total", labels=("a",)).labels(a="y").inc(3)
-        text = registry.render_text()
-        assert "x_total{a=y}" in text and "3" in text
+        assert series_rows(registry.snapshot()) == [("x_total{a=y}", "3")]
 
-    def test_render_text_empty(self):
-        assert "no metrics" in MetricsRegistry().render_text()
+    def test_series_rows_empty(self):
+        assert series_rows(MetricsRegistry().snapshot()) == []

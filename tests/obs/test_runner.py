@@ -68,6 +68,18 @@ class TestRunTraced:
         assert 0 < outside < wall
         assert not obs.PROFILER.enabled     # taken out on the way out
 
+    def test_result_keeps_the_run_times_and_ledger(self):
+        # The time section and --flame read what the run kept, not the
+        # global recorder and ledger, which the next traced run clears.
+        first = run_traced("retransmission", seed=1, total_bytes=60_000)
+        kept = {path: list(stat) for path, stat in first.path_times.items()}
+        assert ("run",) in kept and first.flows["flows"]
+        flows = dict(first.flows["flows"])
+        run_traced("blackout", seed=1, total_bytes=60_000)
+        assert first.path_times == kept and first.flows["flows"] == flows
+        assert run_traced("retransmission", seed=1, total_bytes=60_000,
+                          profile=False).path_times == {}
+
     def test_unnegotiated_session_owes_no_quack_events(self):
         # downgrade-strip strips every HELLO: the session never
         # negotiates, so no quACK is emitted or decoded -- by design.

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, hist_quantile
+from repro.obs.metrics import MetricsRegistry, hist_quantile, series_rows
 from repro.obs.trace import (
     RingSink,
     TraceEvent,
@@ -87,14 +87,13 @@ class TestTracer:
         tracer.emit("transport.cwnd", 1.0, flow="f", cwnd=2920,
                     in_flight=0, srtt=0.05)
         tracer.emit("x.y", 1.0, a=1)  # no row: an event and nothing else
-        assert tracer.registry.render_text().splitlines() == [
-            f"{name:<58s} {value}" for name, value in (
-                ("transport_cwnd_bytes{flow=f}", "2920"),
-                ("transport_packets_sent_total{flow=f,retx=False}", "1"),
-                ("transport_packets_sent_total{flow=f,retx=True}", "3"),
-                ("transport_retransmits_total{cause=ack,flow=f}", "2"),
-                ("transport_retransmits_total{cause=pto,flow=f}", "1"),
-                ("transport_srtt_seconds{flow=f}", "0.05"))]
+        assert series_rows(tracer.registry.snapshot()) == [
+            ("transport_cwnd_bytes{flow=f}", "2920"),
+            ("transport_packets_sent_total{flow=f,retx=False}", "1"),
+            ("transport_packets_sent_total{flow=f,retx=True}", "3"),
+            ("transport_retransmits_total{cause=ack,flow=f}", "2"),
+            ("transport_retransmits_total{cause=pto,flow=f}", "1"),
+            ("transport_srtt_seconds{flow=f}", "0.05")]
         assert len(tracer.events) == 6
 
     def test_metrics_only_mode_is_emit_without_a_sink(self):

@@ -6,6 +6,7 @@ them all -- deterministically, regardless of worker count.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -72,14 +73,36 @@ class TestDeterminism:
             == json.dumps(parallel.telemetry, sort_keys=True)
 
 
-class TestDiffFlattening:
-    def test_sweep_aggregate_flattens_for_diff(self):
-        from repro.obs.perf import flatten_snapshot
 
-        aggregate = run_sweep(_retx_spec(), workers=1, telemetry=True)
-        kind, flat, _rev = flatten_snapshot(aggregate.to_dict())
-        assert kind == "telemetry"
-        assert any(name.startswith(
-            "telemetry_transport_packets_delivered_total") for name in flat)
-        assert any(name.endswith("_p99") for name in flat)
-        assert all(name.startswith("telemetry_") for name in flat)
+class TestSloAgainst:
+    def test_sweep_aggregates_side_by_side(self, capsys, tmp_path):
+        """``repro slo --snapshot B --against A`` over two aggregates: the
+        baseline column is A's value, the verdict B's alone."""
+        from repro.cli import main
+
+        paths = {}
+        for name, seed in (("a", 42), ("b", 43)):
+            paths[name] = str(tmp_path / f"{name}.json")
+            run_sweep(_retx_spec(seed), workers=1,
+                      telemetry=True).save(paths[name])
+        delivered = {
+            name: sum(entry["value"] for entry in select_series(
+                json.loads(pathlib.Path(path).read_text())["telemetry"],
+                "transport_packets_delivered_total"))
+            for name, path in paths.items()}
+        assert delivered["a"] != delivered["b"]  # two sides that differ
+        budget = tmp_path / "budget.json"
+        budget.write_text(json.dumps({
+            "kind": "slo-budgets", "schema": 1,
+            "budgets": [{"name": "delivered",
+                         "metric": "transport_packets_delivered_total",
+                         "stat": "value", "min": 1}]}))
+        for against in ("a", "b"):
+            code = main(["slo", str(budget), "--snapshot", paths["b"],
+                         "--against", paths[against]])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[-1].split()
+            ratio = delivered["b"] / delivered[against]
+            assert row == ["delivered", f"{delivered[against]:.6g}",
+                           f"{delivered['b']:.6g}", f"{ratio:.3g}",
+                           "min=1", "ok"]

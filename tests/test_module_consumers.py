@@ -162,3 +162,34 @@ def test_one_way_to_time():
                                 getattr(node.value, "attr", "")) == "PROFILER"):
                 spans.append(f"{name}:{node.lineno} PROFILER.{node.attr}")
     assert importers == [] and spans == [], importers + spans
+
+
+def test_one_way_to_compare():
+    """Two runs are compared one way per kind of number: host time by the
+    repo benchmark (``benchmarks/e2e/compare.py``), virtual-time telemetry
+    by ``repro slo --against``.  So the CLI has these nine subcommands, no
+    name in ``repro.obs.perf`` or ``repro.obs.aggregate`` starts with
+    ``diff`` or ``flatten``, and ``repro.obs`` writes JSON only as the
+    trace export and the flight recorder's dumps."""
+    import argparse
+
+    from repro.cli import build_parser
+    from repro.obs import aggregate, perf
+
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == ["analyze", "chaos", "experiment", "quack",
+                                "slo", "sweep", "tables", "trace",
+                                "vectors"]
+    found = [f"{module.__name__}.{name}" for module in (perf, aggregate)
+             for name in vars(module) if name.startswith(("diff", "flatten"))]
+    for path in sorted((SRC / "repro" / "obs").rglob("*.py")):
+        if path.name in ("trace.py", "flight.py"):
+            continue
+        found += [f"{path.name}:{node.lineno} json.{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(
+                      encoding="utf-8")))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("dump", "dumps")
+                  and getattr(node.value, "id", "") == "json"]
+    assert found == [], found
