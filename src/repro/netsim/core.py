@@ -2,14 +2,15 @@
 
 This is the substrate on which the sidecar protocols (paper, Section 2)
 are exercised: hosts, proxies, and links are processes exchanging packets
-in virtual time.  The simulator owns the clock; the event queue is the
-calendar scheduler of :mod:`repro.netsim.sched` (a two-level calendar
-queue with batched same-bucket dispatch and a slotted timer wheel for
-recurring clocks, ROADMAP item 5).
+in virtual time.  The simulator owns the clock, ``sim.now``; the event
+queue is the calendar scheduler of :mod:`repro.netsim.sched` (buckets of
+1 ms of virtual time, each dispatched as one sorted batch, the next
+non-empty one found through a heap of bucket ids), and it is the only
+writer of the clock.
 
 Virtual time is in float seconds.  Events at equal times fire in the order
 they were scheduled (a monotonic sequence number breaks ties), which keeps
-runs deterministic for a fixed seed -- see DESIGN.md section 15 for the
+runs deterministic for a fixed seed -- see DESIGN.md section 12 for the
 determinism contract and ``tests/netsim/heap_oracle.py`` for the binary
 heap the differential suites hold the calendar queue to.
 """
@@ -37,10 +38,10 @@ class Simulator:
 
     The loop keeps always-on resource counters (one integer add per
     operation): ``events_dispatched`` callbacks executed,
-    ``heap_pushes``/``heap_pops`` binary-heap operations (only the
-    calendar queue's residual heap traffic -- far-future overflow and
-    mid-batch arrivals -- so the ratio of heap ops to dispatched events
-    is the cost signature it beats a plain heap on), and
+    ``heap_pushes``/``heap_pops`` binary-heap operations on events (for
+    the calendar queue only mid-batch arrivals, so the ratio of heap ops
+    to dispatched events is the cost signature it beats a plain heap
+    on), and
     ``events_cancelled_dropped`` cancelled events discarded
     without running.  The repo benchmark reads them as
     ``netsim.heap_ops_per_event``.
@@ -57,7 +58,10 @@ class Simulator:
     def __init__(self) -> None:
         self._sched = CalendarScheduler()
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current virtual time, in seconds.  Written only by the
+        #: scheduler: as each event dispatches, and to ``until`` when a
+        #: bounded run ends.
+        self.now = 0.0
         self._running = False
         # Fused fast paths: the backend supplies one-frame closures that
         # validate, allocate the handle, and place the entry without a
@@ -65,16 +69,11 @@ class Simulator:
         self.schedule = self._sched.bind_schedule(self)
         self.schedule_at = self._sched.bind_schedule_at(self)
 
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
-
     def timer(self, callback: Callable[..., None], *args: Any) -> Timer:
         """A reusable rearm-able timer bound to ``callback(*args)``.
 
         The handle of choice for recurring clocks (emission, PTO,
-        checkpoints): one wheel-slot insert per :meth:`Timer.rearm`, the
+        checkpoints): one bucket append per :meth:`Timer.rearm`, the
         superseded arm tombstoned in place.
         """
         return Timer(self, callback, *args)
@@ -92,12 +91,9 @@ class Simulator:
             raise SimulationError("run() re-entered from inside an event callback")
         self._running = True
         try:
-            executed = self._sched.drain(self, until, max_events)
-            if until is not None and self._now < until:
-                self._now = until
+            return self._sched.drain(self, until, max_events)
         finally:
             self._running = False
-        return executed
 
     def peek_next_time(self) -> float | None:
         """Virtual time of the next live event, or None if idle."""
@@ -130,8 +126,8 @@ class Simulator:
         """The loop's always-on resource counters, as a plain dict.
 
         The four classic counters plus the calendar queue's
-        ``bucket_inserts``, ``batch_dispatches``, and
-        ``overflow_migrations``.  ``scheduler`` names the backend.
+        ``bucket_inserts`` and ``batch_dispatches``.  ``scheduler`` names
+        the backend.
         """
         stats: dict[str, Any] = {"scheduler": self._sched.name}
         stats.update(self._sched.stats())

@@ -79,6 +79,8 @@ class Link:
             raise SimulationError(
                 f"ecn_threshold must be >= 1 packet, got {ecn_threshold}")
         self.loss_model = loss_model if loss_model is not None else NoLoss()
+        # A clean hop never asks the loss model.
+        self._lossy = not isinstance(self.loss_model, NoLoss)
         self.name = name
         #: Mark CE on packets that arrive to a queue at or above this
         #: depth (a minimal AQM); None disables marking.
@@ -96,7 +98,7 @@ class Link:
         """Enqueue a packet; returns False if the drop-tail queue rejected it."""
         stats = self.stats
         stats.offered += 1
-        now = self.sim._now  # the clock itself, without a property call
+        now = self.sim.now
         departures = self._departures
         while departures and departures[0] < now:
             departures.popleft()
@@ -118,12 +120,12 @@ class Link:
         stats.busy_seconds += tx_time
         depart = (departures[-1] if departures else now) + tx_time
         departures.append(depart)
-        if self.loss_model.should_drop(packet):
+        if self._lossy and self.loss_model.should_drop(packet):
             stats.dropped_loss += 1
             if obs.TRACER.enabled:
                 self._trace_drop(packet, "loss", depart)
         elif self.faults is not None:
-            delay = self._propagation_delay()
+            delay = self.delay_s
             self.sim.schedule_at(depart + delay, self._arrive, packet,
                                  depart, delay)
         else:
@@ -133,8 +135,7 @@ class Link:
                 obs.TRACER.emit("link.deliver", depart, link=self.name,
                                 kind=packet.kind.value,
                                 size=packet.size_bytes, ctx=packet.trace_ctx)
-            self.sim.schedule_at(depart + self._propagation_delay(),
-                                 self.deliver, packet)
+            self.sim.schedule_at(depart + self.delay_s, self.deliver, packet)
         return True
 
     @property
@@ -152,10 +153,6 @@ class Link:
         return self.delay_s
 
     # -- internals -----------------------------------------------------------
-
-    def _propagation_delay(self) -> float:
-        """Per-packet propagation delay; subclasses may add jitter."""
-        return self.delay_s
 
     def _arrive(self, packet: Packet, depart: float, delay: float) -> None:
         """Apply the fault injector's decision, taken as of ``depart``."""

@@ -35,19 +35,24 @@ class Node(ABC):
     element), so the hierarchy is ``__slots__``-based.
     """
 
-    __slots__ = ("sim", "name", "links", "routes")
+    __slots__ = ("sim", "name", "links", "routes", "_next_link")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         self.links: dict[str, Link] = {}
         self.routes: dict[str, str] = {}
+        #: Destination -> outgoing link, filled on first use and dropped
+        #: whenever a link or route changes.
+        self._next_link: dict[str, Link] = {}
 
     def attach_link(self, neighbor: str, link: Link) -> None:
         self.links[neighbor] = link
+        self._next_link.clear()
 
     def add_route(self, destination: str, next_hop: str) -> None:
         self.routes[destination] = next_hop
+        self._next_link.clear()
 
     def send(self, packet: Packet, via: str | None = None) -> bool:
         """Route a locally-originated (or forwarded) packet one hop on.
@@ -55,21 +60,31 @@ class Node(ABC):
         ``via`` pins the first hop (multipath senders steering a packet
         onto a specific path); otherwise the routing table decides.
         """
-        if packet.dst == self.name:
+        if via is not None:
+            return self._link(packet.dst, via).send(packet)
+        try:
+            link = self._next_link[packet.dst]
+        except KeyError:
+            link = self._next_link[packet.dst] = self._link(packet.dst, None)
+        return link.send(packet)
+
+    def _link(self, destination: str, via: str | None) -> Link:
+        """The link toward ``destination`` (first hop ``via`` if given)."""
+        if destination == self.name:
             raise SimulationError(f"{self.name} tried to send a packet to itself")
-        next_hop = via if via is not None else self.routes.get(packet.dst)
+        next_hop = via if via is not None else self.routes.get(destination)
         if next_hop is None:
             raise SimulationError(
-                f"{self.name} has no route to {packet.dst!r} "
+                f"{self.name} has no route to {destination!r} "
                 f"(routes: {sorted(self.routes)})"
             )
         link = self.links.get(next_hop)
         if link is None:
             raise SimulationError(
-                f"{self.name} routes {packet.dst!r} via {next_hop!r} but has "
-                f"no link to it"
+                f"{self.name} routes {destination!r} via {next_hop!r} but "
+                f"has no link to it"
             )
-        return link.send(packet)
+        return link
 
     @abstractmethod
     def receive(self, packet: Packet) -> None:
@@ -89,12 +104,14 @@ class Host(Node):
 
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
-        self._handlers: dict[PacketKind, list[Callable[[Packet], None]]] = {}
+        #: Handlers by ``PacketKind.index``: an int key hashes the same
+        #: in every process without the Python-level ``Enum.__hash__``.
+        self._handlers: dict[int, list[Callable[[Packet], None]]] = {}
         self.received_count = 0
 
     def add_handler(self, kind: PacketKind,
                     handler: Callable[[Packet], None]) -> None:
-        self._handlers.setdefault(kind, []).append(handler)
+        self._handlers.setdefault(kind.index, []).append(handler)
 
     def receive(self, packet: Packet) -> None:
         if packet.dst != self.name:
@@ -102,11 +119,12 @@ class Host(Node):
                 f"host {self.name} received a packet addressed to {packet.dst}"
             )
         self.received_count += 1
-        handlers = self._handlers.get(packet.kind, ())
-        if not handlers:
+        try:
+            handlers = self._handlers[packet.kind.index]
+        except KeyError:
             raise SimulationError(
                 f"host {self.name} has no handler for {packet.kind.value!r} packets"
-            )
+            ) from None
         for handler in handlers:
             handler(packet)
 
@@ -138,16 +156,21 @@ class Router(Node):
         self.taps.append(tap)
 
     def receive(self, packet: Packet) -> None:
-        if packet.dst == self.name:
-            # Sidecar-protocol traffic terminates at the proxy itself.
-            for tap in self.taps:
-                tap(packet)
-            return
         for tap in self.taps:
             tap(packet)
+        dst = packet.dst
+        if dst == self.name:
+            return  # sidecar-protocol traffic terminates at the proxy itself
         if self.policy is not None and not self.policy.on_packet(packet):
             return  # the policy took custody and will emit() later
-        self.emit(packet)
+        # emit(), inlined: a forwarded packet costs this frame and the
+        # link's.
+        self.forwarded_count += 1
+        try:
+            link = self._next_link[dst]
+        except KeyError:
+            link = self._next_link[dst] = self._link(dst, None)
+        link.send(packet)
 
     def emit(self, packet: Packet) -> bool:
         """Forward a packet toward its destination now."""

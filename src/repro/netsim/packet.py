@@ -60,6 +60,11 @@ class PacketKind(Enum):
     QUACK = "quack"
     CONTROL = "control"
 
+    def __init__(self, value: str) -> None:
+        #: Declaration position: a dispatch key whose hash is the same in
+        #: every process and needs no Python-level ``Enum.__hash__`` call.
+        self.index = len(type(self).__members__)
+
 
 @dataclass(slots=True)
 class Packet:

@@ -1,41 +1,29 @@
 """The simulator's event queue: a calendar scheduler and its timer handle.
 
 :class:`CalendarScheduler` is the one backend behind
-:class:`~repro.netsim.core.Simulator`: a two-level calendar queue built
-for the million-flow scale goals (ROADMAP items 2 and 5) -- a ring of
-near-horizon buckets keyed by quantized virtual time plus a far-future
-overflow heap.  Inserts inside the horizon are an O(1) list append;
-whole buckets are dequeued and dispatched as one sorted batch instead
-of popping events one at a time; cancellation is an O(1) tombstone
-swept lazily at dispatch.
+:class:`~repro.netsim.core.Simulator`: a calendar queue whose buckets
+are keyed by quantized virtual time, ``int(time / BUCKET_WIDTH)``.  An
+insert is a list append into its bucket; a whole bucket is dequeued,
+sorted by ``(time, seq)`` and dispatched as one batch; cancellation is
+an O(1) tombstone swept at dispatch.  The next bucket comes from a small
+heap of the ids of the non-empty buckets, so empty stretches of virtual
+time cost nothing and a far-future event is an ordinary bucket.
 
-**Determinism contract** (DESIGN.md section 15).  Events dispatch in
+**Determinism contract** (DESIGN.md section 12).  Events dispatch in
 strictly increasing ``(time, seq)`` order, where ``seq`` is a monotone
 sequence number assigned at ``schedule()`` time -- equal-time events
-fire in the order they were scheduled.  Bucket quantization uses
-``int(time / BUCKET_WIDTH)``, which is monotone non-decreasing in
-``time``, so bucketing can never reorder two events: it only decides
-*which batch* an event is sorted into, and every batch is sorted by the
-``(time, seq)`` key a plain binary heap would use.  That heap lives in
-``tests/netsim/heap_oracle.py`` as the differential oracle: callbacks
-run in the same order, consume sequence numbers in the same order, and
-drive the RNGs identically, so traces are byte-identical against it
-(``tests/netsim/test_scheduler_differential.py``).
-
-The calendar queue's structural invariant: the ring window covers
-absolute bucket indices ``[base, base + slots)``; events beyond it live
-in the overflow heap and *migrate* into the ring when the window
-advances past their bucket.  ``base`` only advances when a bucket is
-committed for dispatch, and a bucket is only committed when its earliest
-live event is actually due -- which keeps ``base`` at or behind
-``bucket(now)`` whenever a callback (the only code that can insert
-events mid-drain) runs, so no event can ever be scheduled behind the
-window.
+fire in the order they were scheduled.  Bucketing is monotone in
+``time``, so it only decides *which batch* an event is sorted into, and
+every batch is sorted by the key a plain binary heap would use.  That
+heap lives in ``tests/netsim/heap_oracle.py`` as the differential
+oracle: callbacks run in the same order, consume sequence numbers in the
+same order and drive the RNGs identically, so traces are byte-identical
+against it (``tests/netsim/test_scheduler_differential.py``).
 
 :class:`Timer` is the reusable handle the recurring clocks (quACK
 emission, PTO, checkpoints, health staleness probes) arm themselves
-with: one wheel-slot insert per rearm, the superseded arm left behind as
-a tombstone -- no heap churn, no per-rearm handle allocation.
+with: one bucket append per rearm, the superseded arm left behind as a
+tombstone -- no heap churn, no per-rearm handle allocation.
 """
 
 from __future__ import annotations
@@ -46,16 +34,14 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 
-#: Quantum of the calendar ring: 1 ms of virtual time per bucket.
-#: Packet arrivals (serialization plus propagation ahead) land a few buckets
-#: apart; the recurring clocks (emission ~25 ms, PTO >= 100 ms) stay
-#: well inside the horizon.
+#: Quantum of the calendar: 1 ms of virtual time per bucket.  Packet
+#: arrivals (serialization plus propagation ahead) land a few buckets
+#: apart; events closer than this share one sorted batch.
 BUCKET_WIDTH = 1e-3
 
-#: Ring size: 512 buckets x 1 ms = a 0.512 s near horizon.
-WHEEL_SLOTS = 512
-
 _UNLIMITED = sys.maxsize
+
+_Entry = tuple[float, int, "EventHandle"]
 
 
 class EventHandle:
@@ -91,7 +77,7 @@ class Timer:
     A periodic clock (emission tick, PTO, checkpoint) holds one
     :class:`Timer` for its whole life and calls :meth:`rearm` each
     period; the previous arm (if still pending) is tombstoned in place.
-    Each rearm is one wheel-slot insert; there is no per-rearm heap push
+    Each rearm is one bucket append; there is no per-rearm heap push
     and no cancelled-entry heap pop.
     Rearming from inside the timer's own callback is the normal case.
     """
@@ -152,58 +138,40 @@ class Timer:
 
 
 class CalendarScheduler:
-    """Two-level calendar queue: near-horizon ring + far-future overflow.
+    """Calendar queue: buckets by absolute id, the non-empty ids on a heap.
 
-    * **Ring**: :data:`WHEEL_SLOTS` buckets of :data:`BUCKET_WIDTH`
-      seconds each,
-      covering absolute bucket indices ``[base, base + slots)``.  Insert
-      is an O(1) ``list.append``; a whole bucket is dequeued at once,
-      sorted by ``(time, seq)``, and dispatched as a batch.
-    * **Overflow heap**: events whose bucket lies beyond the ring window.
-      When the window advances past an overflow event's bucket, the event
-      migrates into its ring slot (still ahead of dispatch, so migration
-      can never reorder).
+    * **Buckets**: a dict from bucket id (``int(time / BUCKET_WIDTH)``)
+      to an unsorted list of ``(time, seq, event)`` entries.  Insert is
+      an O(1) ``list.append``; a new bucket also pushes its id.
+    * **Bucket-id heap**: the ids of the non-empty buckets; its head is
+      the next bucket to run, however far ahead it lies.
     * **Active-bucket side heap**: events scheduled *into the bucket
-      currently being dispatched* (zero-delay chains, same-tick rearms)
-      go to a small heap merged with the sorted batch, preserving exact
-      ``(time, seq)`` order.
+      being dispatched* (zero-delay chains, same-tick rearms) go to a
+      small heap merged with the sorted batch, preserving exact
+      ``(time, seq)`` order.  ``heap_pushes``/``heap_pops`` count it.
 
     Cancellation tombstones in place; tombstones are swept (and counted
-    in ``events_cancelled_dropped``) when a sweep, peek, or batch drain
-    encounters them.
+    in ``events_cancelled_dropped``) when a peek or a batch drain meets
+    them.
     """
 
     name = "calendar"
 
     def __init__(self) -> None:
-        self._width = BUCKET_WIDTH
-        self._slots = WHEEL_SLOTS
-        self._ring: list[list[tuple[float, int, EventHandle]]] = \
-            [[] for _ in range(self._slots)]
-        self._ring_count = 0
-        self._overflow: list[tuple[float, int, EventHandle]] = []
-        #: Lowest absolute bucket index the ring window covers.
-        self._base = 0
-        #: One past the highest bucket the window covers (base + slots).
-        self._fence = self._slots
-        #: Lowest bucket that may hold a ring entry (scan start hint).
-        self._scan_from = 0
-        #: Absolute index of the bucket being dispatched, -1 when idle.
+        self._buckets: dict[int, list[_Entry]] = {}
+        self._ids: list[int] = []
+        #: Id of the bucket being dispatched, -1 outside :meth:`drain`.
         self._active = -1
-        self._batch: list[tuple[float, int, EventHandle]] = []
-        self._batch_pos = 0
-        self._extra: list[tuple[float, int, EventHandle]] = []
+        self._extra: list[_Entry] = []
         self.events_dispatched = 0
         self.events_cancelled_dropped = 0
-        #: Residual binary-heap traffic (overflow + active-bucket merge).
+        #: Active-bucket side-heap traffic.
         self.heap_pushes = 0
         self.heap_pops = 0
-        #: O(1) wheel-slot appends (the calendar-queue fast path).
+        #: O(1) bucket appends (the calendar-queue fast path).
         self.bucket_inserts = 0
         #: Whole-bucket batch dequeues.
         self.batch_dispatches = 0
-        #: Far-future events that migrated overflow -> ring.
-        self.overflow_migrations = 0
 
     # -- insert ---------------------------------------------------------------
 
@@ -211,41 +179,34 @@ class CalendarScheduler:
         """Fused validate+allocate+insert closure for ``sim.schedule``.
 
         Bound as an instance attribute on the simulator: the scheduling
-        hot path runs in one frame with cell-variable lookups.  The
-        active bucket is always inside the fence, so one window compare
-        routes the common case straight to a ring append; an event for
-        the bucket currently being dispatched goes to the side heap so
+        hot path runs in one frame with cell-variable lookups.  An event
+        for the bucket being dispatched goes to the side heap so
         ``(time, seq)`` order survives mid-batch arrivals.
         """
         seq_next = sim._seq.__next__
-        width = self._width
-        slots = self._slots
-        ring = self._ring
+        buckets = self._buckets
+        ids = self._ids
         extra = self._extra
-        overflow = self._overflow
 
         def schedule(delay: float, callback: Callable[..., None],
                      *args: Any) -> EventHandle:
             if delay < 0:
                 raise SimulationError(
                     f"cannot schedule into the past: delay={delay}")
-            time = sim._now + delay
+            time = sim.now + delay
             seq = seq_next()
             event = EventHandle(time, seq, callback, args)
-            idx = int(time / width)
-            if idx < self._fence:
-                if idx == self._active:
-                    heappush(extra, (time, seq, event))
-                    self.heap_pushes += 1
-                else:
-                    ring[idx % slots].append((time, seq, event))
-                    self._ring_count += 1
-                    self.bucket_inserts += 1
-                    if idx < self._scan_from:
-                        self._scan_from = idx
-            else:
-                heappush(overflow, (time, seq, event))
+            idx = int(time / BUCKET_WIDTH)
+            if idx == self._active:
+                heappush(extra, (time, seq, event))
                 self.heap_pushes += 1
+            else:
+                if idx in buckets:
+                    buckets[idx].append((time, seq, event))
+                else:
+                    buckets[idx] = [(time, seq, event)]
+                    heappush(ids, idx)
+                self.bucket_inserts += 1
             return event
 
         return schedule
@@ -253,200 +214,137 @@ class CalendarScheduler:
     def bind_schedule_at(self, sim: Any) -> Callable[..., EventHandle]:
         """Fused absolute-time variant of :meth:`bind_schedule`."""
         seq_next = sim._seq.__next__
-        width = self._width
-        slots = self._slots
-        ring = self._ring
+        buckets = self._buckets
+        ids = self._ids
         extra = self._extra
-        overflow = self._overflow
 
         def schedule_at(time: float, callback: Callable[..., None],
                         *args: Any) -> EventHandle:
-            now = sim._now
+            now = sim.now
             if time < now:
                 raise SimulationError(
                     f"cannot schedule at {time:.9f}, "
                     f"current time is {now:.9f}")
             seq = seq_next()
             event = EventHandle(time, seq, callback, args)
-            idx = int(time / width)
-            if idx < self._fence:
-                if idx == self._active:
-                    heappush(extra, (time, seq, event))
-                    self.heap_pushes += 1
-                else:
-                    ring[idx % slots].append((time, seq, event))
-                    self._ring_count += 1
-                    self.bucket_inserts += 1
-                    if idx < self._scan_from:
-                        self._scan_from = idx
-            else:
-                heappush(overflow, (time, seq, event))
+            idx = int(time / BUCKET_WIDTH)
+            if idx == self._active:
+                heappush(extra, (time, seq, event))
                 self.heap_pushes += 1
+            else:
+                if idx in buckets:
+                    buckets[idx].append((time, seq, event))
+                else:
+                    buckets[idx] = [(time, seq, event)]
+                    heappush(ids, idx)
+                self.bucket_inserts += 1
             return event
 
         return schedule_at
-
-    # -- batch selection --------------------------------------------------------
-
-    def _find_nonempty(self) -> int:
-        """Lowest ring bucket holding entries (``_ring_count`` > 0)."""
-        ring = self._ring
-        slots = self._slots
-        idx = self._scan_from
-        while not ring[idx % slots]:
-            idx += 1
-        self._scan_from = idx
-        return idx
-
-    def _migrate(self, base: int) -> None:
-        """Pull overflow events whose bucket entered the ring window."""
-        overflow = self._overflow
-        if not overflow:
-            return
-        width = self._width
-        fence = base + self._slots
-        ring = self._ring
-        slots = self._slots
-        migrated = 0
-        while overflow:
-            head = overflow[0]
-            idx = int(head[0] / width)
-            if idx >= fence:
-                break
-            heappop(overflow)
-            self.heap_pops += 1
-            ring[idx % slots].append(head)
-            self._ring_count += 1
-            migrated += 1
-            if idx < self._scan_from:
-                self._scan_from = idx
-        self.overflow_migrations += migrated
-
-    def _next_batch(self, horizon: float) -> bool:
-        """Commit the next due bucket as the active batch.
-
-        Commits (advances ``base``, migrates overflow, extracts and sorts
-        the slot) only when the bucket's earliest entry is at or before
-        ``horizon`` -- a not-yet-due bucket is left untouched so the
-        window never advances ahead of the clock across ``run(until=)``
-        boundaries.  Returns False when nothing is due.
-        """
-        width = self._width
-        while True:
-            if self._ring_count:
-                idx = self._find_nonempty()
-                slot = self._ring[idx % self._slots]
-                first = min(slot)
-                if first[0] > horizon:
-                    return False
-            else:
-                overflow = self._overflow
-                while overflow and overflow[0][2].cancelled:
-                    heappop(overflow)
-                    self.heap_pops += 1
-                    self.events_cancelled_dropped += 1
-                if not overflow:
-                    return False
-                if overflow[0][0] > horizon:
-                    return False
-                idx = int(overflow[0][0] / width)
-            # Commit: advance the window, migrate newly-covered overflow
-            # events (including into bucket ``idx`` itself), then take
-            # the whole bucket as one sorted batch.
-            self._base = idx
-            self._fence = idx + self._slots
-            self._migrate(idx)
-            slot = self._ring[idx % self._slots]
-            self._ring[idx % self._slots] = []
-            self._ring_count -= len(slot)
-            self._scan_from = idx + 1
-            if not slot:  # pragma: no cover - overflow path always migrates
-                continue
-            slot.sort()
-            self._batch = slot
-            self._batch_pos = 0
-            self._active = idx
-            self.batch_dispatches += 1
-            return True
 
     # -- drain ----------------------------------------------------------------
 
     def drain(self, sim: Any, until: float | None,
               max_events: int | None) -> int:
+        """Run due events in ``(time, seq)`` order; the clock's only writer.
+
+        Takes the lowest bucket out as a sorted batch once its earliest
+        entry is due, and stops at the first live event past ``until``
+        (the clock then reads ``until``) or after ``max_events``
+        callbacks.  What a batch leaves goes back as an ordinary bucket,
+        so between runs every pending event sits in a bucket and a later
+        ``schedule()`` into it is an append like any other.
+        """
         horizon = until if until is not None else float("inf")
         limit = max_events if max_events is not None else _UNLIMITED
+        buckets = self._buckets
+        ids = self._ids
+        extra = self._extra
         executed = 0
         dropped = 0
         extra_pops = 0
-        extra = self._extra
-        suspended = False
-        while True:
-            if self._active < 0 and not self._next_batch(horizon):
+        while ids:
+            idx = ids[0]
+            batch = buckets[idx]
+            batch.sort()
+            if batch[0][0] > horizon:
                 break
-            batch = self._batch
-            pos = self._batch_pos
+            heappop(ids)
+            del buckets[idx]
+            self._active = idx
+            self.batch_dispatches += 1
+            pos = 0
             size = len(batch)
-            while True:
-                # Fast path: no mid-batch arrivals pending, so the head
-                # is simply the next entry of the sorted batch.
-                while pos < size and not extra:
-                    entry = batch[pos]
-                    event = entry[2]
-                    if event.cancelled:
+            suspended = False
+            try:
+                while True:
+                    # Fast path: no mid-batch arrivals pending, so the
+                    # head is simply the next entry of the sorted batch.
+                    while pos < size and not extra:
+                        entry = batch[pos]
+                        event = entry[2]
+                        if event.cancelled:
+                            pos += 1
+                            dropped += 1
+                            continue
+                        time = entry[0]
+                        if time > horizon or executed >= limit:
+                            suspended = True
+                            break
                         pos += 1
-                        dropped += 1
-                        continue
-                    time = entry[0]
-                    if time > horizon or executed >= limit:
-                        suspended = True
+                        sim.now = time
+                        event.callback(*event.args)
+                        executed += 1
+                    if suspended:
                         break
-                    pos += 1
-                    sim._now = time
-                    event.callback(*event.args)
-                    executed += 1
-                if suspended:
-                    break
-                # Merge path: head = min of the batch remainder and the
-                # side heap of mid-batch arrivals.
-                if pos < size:
-                    entry = batch[pos]
-                    if extra and extra[0] < entry:
+                    # Merge path: head = min of the batch remainder and
+                    # the side heap of mid-batch arrivals.
+                    if pos < size:
+                        entry = batch[pos]
+                        if extra and extra[0] < entry:
+                            entry = extra[0]
+                            from_extra = True
+                        else:
+                            from_extra = False
+                    elif extra:
                         entry = extra[0]
                         from_extra = True
                     else:
-                        from_extra = False
-                elif extra:
-                    entry = extra[0]
-                    from_extra = True
-                else:
-                    break  # bucket exhausted
-                event = entry[2]
-                if event.cancelled:
+                        break  # bucket exhausted
+                    event = entry[2]
+                    if event.cancelled:
+                        if from_extra:
+                            heappop(extra)
+                            extra_pops += 1
+                        else:
+                            pos += 1
+                        dropped += 1
+                        continue
+                    if entry[0] > horizon or executed >= limit:
+                        suspended = True
+                        break
                     if from_extra:
                         heappop(extra)
                         extra_pops += 1
                     else:
                         pos += 1
-                    dropped += 1
-                    continue
-                if entry[0] > horizon or executed >= limit:
-                    suspended = True
-                    break
-                if from_extra:
-                    heappop(extra)
-                    extra_pops += 1
-                else:
-                    pos += 1
-                sim._now = entry[0]
-                event.callback(*event.args)
-                executed += 1
-            self._batch_pos = pos
+                    sim.now = entry[0]
+                    event.callback(*event.args)
+                    executed += 1
+            finally:
+                # Whatever the batch did not run -- a suspension or a
+                # raising callback -- becomes an ordinary bucket again.
+                self._active = -1
+                if pos < size or extra:
+                    rest = batch[pos:]
+                    rest += extra
+                    extra.clear()
+                    buckets[idx] = rest
+                    heappush(ids, idx)
             if suspended:
                 break
-            # Batch complete: retire it and move to the next bucket.
-            self._active = -1
-            self._batch = []
-            self._batch_pos = 0
+        if until is not None and sim.now < until:
+            sim.now = until
         self.events_dispatched += executed
         self.events_cancelled_dropped += dropped
         self.heap_pops += extra_pops
@@ -455,71 +353,25 @@ class CalendarScheduler:
     # -- introspection -----------------------------------------------------------
 
     def peek_time(self) -> float | None:
-        """Virtual time of the next live event (sweeps tombstones).
-
-        Never advances the window: suspended ``run(until=)`` loops peek
-        between chunks, and committing here could move ``base`` ahead of
-        buckets that future ``schedule()`` calls still target.
-        """
-        best: tuple[float, int, EventHandle] | None = None
-        if self._active >= 0:
-            batch = self._batch
-            pos = self._batch_pos
-            size = len(batch)
-            while pos < size and batch[pos][2].cancelled:
-                pos += 1
-                self.events_cancelled_dropped += 1
-            self._batch_pos = pos
-            extra = self._extra
-            while extra and extra[0][2].cancelled:
-                heappop(extra)
-                self.heap_pops += 1
-                self.events_cancelled_dropped += 1
-            if pos < size:
-                best = batch[pos]
-            if extra and (best is None or extra[0] < best):
-                best = extra[0]
-            if best is not None:
-                return best[0]
-            # The suspended batch was all tombstones: retire it.
-            self._active = -1
-            self._batch = []
-            self._batch_pos = 0
-        if self._ring_count:
-            ring = self._ring
-            slots = self._slots
-            idx = self._scan_from
-            for _ in range(slots + 1):
-                slot = ring[idx % slots]
-                if slot:
-                    live = [e for e in slot if not e[2].cancelled]
-                    dead = len(slot) - len(live)
-                    if dead:
-                        ring[idx % slots] = live
-                        self._ring_count -= dead
-                        self.events_cancelled_dropped += dead
-                    if live:
-                        self._scan_from = idx
-                        return min(live)[0]
-                if not self._ring_count:
-                    break
-                idx += 1
-                self._scan_from = idx
-        overflow = self._overflow
-        while overflow and overflow[0][2].cancelled:
-            heappop(overflow)
-            self.heap_pops += 1
-            self.events_cancelled_dropped += 1
-        return overflow[0][0] if overflow else None
+        """Virtual time of the next live event (sweeps tombstones)."""
+        buckets = self._buckets
+        ids = self._ids
+        while ids:
+            idx = ids[0]
+            bucket = buckets[idx]
+            live = [entry for entry in bucket if not entry[2].cancelled]
+            if len(live) < len(bucket):
+                self.events_cancelled_dropped += len(bucket) - len(live)
+                buckets[idx] = live
+            if live:
+                return min(live)[0]
+            heappop(ids)
+            del buckets[idx]
+        return None
 
     def pending(self) -> int:
-        live = sum(1 for e in self._batch[self._batch_pos:]
-                   if not e[2].cancelled)
-        live += sum(1 for e in self._extra if not e[2].cancelled)
-        for slot in self._ring:
-            live += sum(1 for e in slot if not e[2].cancelled)
-        live += sum(1 for e in self._overflow if not e[2].cancelled)
-        return live
+        return sum(1 for bucket in self._buckets.values() for entry in bucket
+                   if not entry[2].cancelled)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -529,6 +381,4 @@ class CalendarScheduler:
             "events_cancelled_dropped": self.events_cancelled_dropped,
             "bucket_inserts": self.bucket_inserts,
             "batch_dispatches": self.batch_dispatches,
-            "overflow_migrations": self.overflow_migrations,
         }
-

@@ -163,7 +163,7 @@ class EmitterEndpoint(_Endpoint):
         interval = policy.interval_hint()
         if interval is not None:
             # The emission clock lives on one reusable timer for the
-            # endpoint's whole life (one wheel-slot insert per tick).
+            # endpoint's whole life (one bucket append per tick).
             self._tick_timer = sim.timer(self._tick, interval)
             self._tick_timer.rearm(interval)
 

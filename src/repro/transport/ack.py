@@ -27,19 +27,18 @@ class AckTracker:
     def __init__(self, max_ranges: int = 32) -> None:
         self.received = RangeSet()
         self.max_ranges = max_ranges
+        #: Largest packet number received (None before the first).
+        self.largest: int | None = None
         self._new_since_last_ack = 0
 
     def on_packet(self, packet_number: int) -> bool:
         """Record an arrival; returns False for duplicates."""
-        if packet_number in self.received:
+        if not self.received.add_range(packet_number, packet_number):
             return False
-        self.received.add(packet_number)
+        if self.largest is None or packet_number > self.largest:
+            self.largest = packet_number
         self._new_since_last_ack += 1
         return True
-
-    @property
-    def largest(self) -> int | None:
-        return self.received.max_value
 
     @property
     def pending_ack_count(self) -> int:
@@ -48,9 +47,7 @@ class AckTracker:
 
     def ack_ranges(self) -> tuple[tuple[int, int], ...]:
         """Most recent ranges first, truncated to ``max_ranges``."""
-        ranges = list(self.received.ranges)
-        ranges.reverse()
-        return tuple(ranges[:self.max_ranges])
+        return self.received.highest(self.max_ranges)
 
     def mark_acked(self) -> None:
         """Reset the since-last-ACK counter (an ACK has been emitted)."""

@@ -592,7 +592,7 @@ class SenderConnection:
         self._arm_pto()
 
     def _check_completion(self) -> None:
-        if self.complete:
+        if self.completed_at is not None:
             return
         if self.chunk_source is not None:
             # Multipath subflow: done when the shared stream is exhausted
@@ -602,9 +602,9 @@ class SenderConnection:
                     and self.bytes_in_flight == 0
                     and len(self.acked_offsets) == len(self.assigned_offsets))
         else:
-            done = (self.total_bytes > 0
-                    and self.acked_offsets.covers_contiguously(
-                        0, self.total_bytes - 1))
+            # Every offset is below ``total_bytes``: a full count is
+            # complete coverage.
+            done = self.acked_offsets.count == self.total_bytes
         if done:
             self.completed_at = self.sim.now
             if obs.TRACER.enabled:
@@ -682,29 +682,31 @@ class ReceiverConnection:
         if not isinstance(frame, DataFrame):
             raise TransportError(f"expected DataFrame, got {type(frame).__name__}")
         self.stats.packets_received += 1
-        if packet.ecn_ce:
-            self.ce_count += 1
-        is_new = self.tracker.on_packet(frame.packet_number)
-        if not is_new:
+        tracker = self.tracker
+        if not tracker.on_packet(frame.packet_number):
             self.stats.duplicate_packets += 1
             return
+        if packet.ecn_ce:
+            # Per packet number, not per datagram: a duplicated CE-marked
+            # packet is one congestion signal (RFC 9000 section 13.4.1).
+            self.ce_count += 1
         if obs.TRACER.enabled:
             obs.TRACER.emit("transport.deliver", self.sim.now,
                             flow=self.flow_id, pn=frame.packet_number,
                             ctx=packet.trace_ctx)
-        before = len(self.received_offsets)
+        received = self.received_offsets
         if frame.length > 0:
-            self.received_offsets.add_range(frame.offset,
-                                            frame.offset + frame.length - 1)
-        new_bytes = len(self.received_offsets) - before
-        if new_bytes:
-            self.stats.bytes_received += new_bytes
-            self.monitor.record_delivery(new_bytes, self.sim.now)
-        out_of_order = (self.tracker.largest is not None
-                        and frame.packet_number != self.tracker.largest)
-        gap_below = bool(self.received_offsets.missing_below(frame.offset))
-        self._maybe_ack(out_of_order or gap_below)
-        self._check_completion()
+            new_bytes = received.add_range(frame.offset,
+                                           frame.offset + frame.length - 1)
+            if new_bytes:
+                self.stats.bytes_received += new_bytes
+                self.monitor.record_delivery(new_bytes, self.sim.now)
+        self._maybe_ack(frame.packet_number != tracker.largest
+                        or received.has_gap_below(frame.offset))
+        # Every offset is below ``total_bytes``, so a full count is
+        # complete coverage.
+        if self.completed_at is None and received.count == self.total_bytes > 0:
+            self._complete()
 
     def _maybe_ack(self, out_of_order: bool) -> None:
         if self.ack_policy.should_ack_immediately(
@@ -741,16 +743,13 @@ class ReceiverConnection:
         self.stats.acks_sent += 1
         self.host.send(packet, via=self.via)
 
-    def _check_completion(self) -> None:
-        if self.complete or self.total_bytes == 0:
-            return
-        if self.received_offsets.covers_contiguously(0, self.total_bytes - 1):
-            self.completed_at = self.sim.now
-            self.monitor.record_completion(self.sim.now)
-            # Flush a final ACK so the sender can finish too.
-            self._send_ack()
-            if self.on_complete is not None:
-                self.on_complete(self.sim.now)
+    def _complete(self) -> None:
+        self.completed_at = self.sim.now
+        self.monitor.record_completion(self.sim.now)
+        # Flush a final ACK so the sender can finish too.
+        self._send_ack()
+        if self.on_complete is not None:
+            self.on_complete(self.sim.now)
 
 
 def run_transfer(sim: Simulator, sender: SenderConnection,

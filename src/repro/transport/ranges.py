@@ -15,23 +15,27 @@ from typing import Iterable, Iterator
 class RangeSet:
     """A set of ints as sorted disjoint inclusive ranges."""
 
-    __slots__ = ("_ranges", "_count")
+    __slots__ = ("_ranges", "count")
 
     def __init__(self, ranges: Iterable[tuple[int, int]] = ()) -> None:
         self._ranges: list[tuple[int, int]] = []
-        #: Integers covered, maintained by every mutation so that
-        #: ``len()`` is O(1) (both endpoints ask per packet).
-        self._count = 0
+        #: Integers covered (read-only; ``len()`` is the same number),
+        #: maintained by every mutation so that both endpoints can test
+        #: completion per packet without a search.
+        self.count = 0
         for lo, hi in ranges:
             self.add_range(lo, hi)
 
     # -- mutation ---------------------------------------------------------
 
-    def add(self, value: int) -> None:
-        self.add_range(value, value)
+    def add(self, value: int) -> int:
+        return self.add_range(value, value)
 
-    def add_range(self, lo: int, hi: int) -> None:
-        """Insert the inclusive range [lo, hi], merging neighbours."""
+    def add_range(self, lo: int, hi: int) -> int:
+        """Insert the inclusive range [lo, hi], merging neighbours.
+
+        Returns how many integers were not yet present (0: all were).
+        """
         if lo > hi:
             raise ValueError(f"inverted range [{lo}, {hi}]")
         ranges = self._ranges
@@ -41,11 +45,14 @@ class RangeSet:
                 # In-order arrival: only the top range can be involved.
                 if lo > last_hi + 1:
                     ranges.append((lo, hi))
-                    self._count += hi - lo + 1
+                    added = hi - lo + 1
                 elif hi > last_hi:
                     ranges[-1] = (last_lo, hi)
-                    self._count += hi - last_hi
-                return
+                    added = hi - last_hi
+                else:
+                    return 0
+                self.count += added
+                return added
         # Find the window of existing ranges that touch [lo-1, hi+1].
         i = bisect.bisect_left(ranges, (lo,)) - 1
         if i >= 0 and ranges[i][1] >= lo - 1:
@@ -64,7 +71,9 @@ class RangeSet:
             absorbed += old_hi - old_lo + 1
             j += 1
         ranges[start:j] = [(new_lo, new_hi)]
-        self._count += new_hi - new_lo + 1 - absorbed
+        added = new_hi - new_lo + 1 - absorbed
+        self.count += added
+        return added
 
     def add_new(self, ranges: Iterable[tuple[int, int]],
                 below: int | None = None) -> list[tuple[int, int]]:
@@ -125,7 +134,7 @@ class RangeSet:
             mine[k + 1:end] = [(new_lo, new_hi)]
             j = k + 1
             for piece_lo, piece_hi in reversed(pieces):
-                self._count += piece_hi - piece_lo + 1
+                self.count += piece_hi - piece_lo + 1
                 fresh.append((piece_lo, piece_hi))
         return fresh
 
@@ -137,7 +146,7 @@ class RangeSet:
 
     def __len__(self) -> int:
         """Total count of integers covered."""
-        return self._count
+        return self.count
 
     def __bool__(self) -> bool:
         return bool(self._ranges)
@@ -166,24 +175,20 @@ class RangeSet:
         return (i >= 0 and self._ranges[i][0] <= lo
                 and self._ranges[i][1] >= hi)
 
-    def missing_below(self, ceiling: int) -> list[tuple[int, int]]:
-        """Inclusive gaps in [min_value, ceiling] not covered by the set.
+    def has_gap_below(self, ceiling: int) -> bool:
+        """True if some integer in [min_value, ceiling] is missing.
 
-        Gaps are reported between the set's smallest element and
-        ``ceiling``; values below the smallest element are not considered
-        missing (nothing is known about them).
+        Nothing is known below the smallest element, so that is not a
+        gap.  Ranges never touch, so the answer is whether the lowest
+        range ends before ``ceiling``.
         """
-        gaps: list[tuple[int, int]] = []
-        previous_hi: int | None = None
-        for lo, hi in self._ranges:
-            if lo > ceiling:
-                break
-            if previous_hi is not None and lo > previous_hi + 1:
-                gaps.append((previous_hi + 1, min(lo - 1, ceiling)))
-            previous_hi = hi
-        if previous_hi is not None and previous_hi < ceiling:
-            gaps.append((previous_hi + 1, ceiling))
-        return gaps
+        ranges = self._ranges
+        return ranges[0][1] < ceiling if ranges else False
+
+    def highest(self, count: int) -> tuple[tuple[int, int], ...]:
+        """The ``count`` highest ranges, highest first (an ACK frame's
+        order), copying no others."""
+        return tuple(reversed(self._ranges[-count:])) if count > 0 else ()
 
     def __repr__(self) -> str:
         inner = ", ".join(f"[{lo},{hi}]" for lo, hi in self._ranges)

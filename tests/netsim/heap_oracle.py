@@ -70,7 +70,7 @@ class HeapScheduler:
             if delay < 0:
                 raise SimulationError(
                     f"cannot schedule into the past: delay={delay}")
-            time = sim._now + delay
+            time = sim.now + delay
             seq = seq_next()
             event = EventHandle(time, seq, callback, args)
             heappush(heap, (time, seq, event))
@@ -86,7 +86,7 @@ class HeapScheduler:
 
         def schedule_at(time: float, callback: Callable[..., None],
                         *args: Any) -> EventHandle:
-            now = sim._now
+            now = sim.now
             if time < now:
                 raise SimulationError(
                     f"cannot schedule at {time:.9f}, "
@@ -128,9 +128,11 @@ class HeapScheduler:
             heappop(heap)
             self.heap_pops += 1
             event = entry[2]
-            sim._now = entry[0]
+            sim.now = entry[0]
             event.callback(*event.args)
             executed += 1
+        if until is not None and sim.now < until:
+            sim.now = until
         self.events_dispatched += executed
         return executed
 

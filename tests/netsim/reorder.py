@@ -52,8 +52,16 @@ class JitterLink(Link):
         self.jitter_s = jitter_s
         self.rng = rng if rng is not None else random.Random(0x71772)
 
-    def _propagation_delay(self) -> float:
-        return self.delay_s + self.rng.uniform(0.0, self.jitter_s)
+    def send(self, packet: Packet) -> bool:
+        """Send with this packet's own propagation delay (one draw per
+        packet offered, dropped ones included): the base link reads
+        ``delay_s`` when it schedules the arrival."""
+        base = self.delay_s
+        self.delay_s = base + self.rng.uniform(0.0, self.jitter_s)
+        try:
+            return super().send(packet)
+        finally:
+            self.delay_s = base
 
     def __repr__(self) -> str:
         return (f"JitterLink({self.name}, {self.bandwidth_bps / 1e6:.1f} Mbps, "

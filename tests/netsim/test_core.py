@@ -298,15 +298,14 @@ class TestCalendarResourceCounters:
         assert stats["batch_dispatches"] == 1
 
     def test_far_future_events_overflow_then_migrate(self):
+        # Named for the overflow heap the queue once had: a far event is
+        # an ordinary bucket, and fires in order.
         sim = Simulator()
         fired = []
         sim.schedule(0.001, fired.append, "near")
-        sim.schedule(30.0, fired.append, "far")  # beyond the ring horizon
+        sim.schedule(30.0, fired.append, "far")  # 30,000 buckets ahead
         sim.run()
         assert fired == ["near", "far"]
-        stats = sim.resource_stats()
-        assert stats["heap_pushes"] == 1  # only the far event
-        assert stats["overflow_migrations"] == 1
 
     def test_cancelled_events_counted(self):
         sim = Simulator()

@@ -172,3 +172,32 @@ class TestEventBudget:
             == (83, 42)
         [sim] = made
         assert sim.events_dispatched == 2 * packets == 250
+
+    def test_call_budget_per_packet(self):
+        """Interpreter work on the per-packet path, pinned the same way:
+        the same transfer under cProfile, counting calls into functions
+        defined in ``repro`` only (builtins and the standard library
+        vary across Python versions): 33.2 calls per packet, with 5%
+        headroom."""
+        import cProfile
+        import os
+        import pstats
+
+        import repro
+        from repro.sidecar import ack_reduction
+
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            result = ack_reduction.run_ack_reduction(
+                total_bytes=120_000, ack_every=2, sidecar=False,
+                loss_rate=0.0, seed=1)
+        finally:
+            profile.disable()
+        package = os.path.dirname(repro.__file__) + os.sep
+        calls = sum(entry[1] for (filename, _line, _name), entry
+                    in pstats.Stats(profile).stats.items()
+                    if filename.startswith(package))
+        packets = result.server_packets_sent + result.client_acks_sent
+        assert packets == 125
+        assert calls / packets <= 33.2 * 1.05, calls / packets

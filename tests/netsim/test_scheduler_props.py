@@ -4,8 +4,8 @@ The differential suite proves heap == calendar on the *real* workloads;
 this suite attacks the backends with randomized interleavings of
 schedule / schedule_at / cancel / timer-rearm / partial-run operations
 that no scenario would naturally produce -- bucket-boundary times,
-cancel-then-reschedule churn, far-future jumps in and out of the
-overflow heap.
+cancel-then-reschedule churn, far-future jumps over long empty
+stretches, suspensions in the middle of a bucket.
 
 Properties:
 
@@ -19,18 +19,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.sched import BUCKET_WIDTH, WHEEL_SLOTS
+from repro.netsim.sched import BUCKET_WIDTH
 from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 WIDTH = BUCKET_WIDTH
-HORIZON = BUCKET_WIDTH * WHEEL_SLOTS
+#: A far-future distance: this many buckets, most of them empty.
+FAR = 512
+HORIZON = BUCKET_WIDTH * FAR
 
 # Delays chosen to stress every placement class: zero-delay chains,
-# sub-bucket, exact bucket boundaries, mid-window, and past the ring
-# horizon (the overflow heap).
+# sub-bucket, exact bucket boundaries, a few buckets ahead, and far
+# ahead across long runs of empty buckets.
 DELAYS = st.sampled_from([
     0.0, WIDTH / 10, WIDTH / 2,
     WIDTH, WIDTH * 1.5, WIDTH * 2,
@@ -159,3 +161,62 @@ def test_chunked_run_equals_single_run(delays, chunk):
     for scheduler in ("heap", "calendar"):
         assert run_all_at_once(scheduler) == reference, scheduler
         assert run_chunked(scheduler) == reference, scheduler
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    offsets=st.lists(st.integers(min_value=0, max_value=9), min_size=2,
+                     max_size=12),
+    cut=st.integers(min_value=0, max_value=9),
+    late=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                  max_size=4),
+)
+def test_suspend_mid_bucket_then_schedule_into_it(offsets, cut, late):
+    """``run(until=)`` stops inside a bucket; events scheduled into that
+    bucket afterwards take their ``(time, seq)`` place among the rest."""
+    bucket = 7 * WIDTH
+    step = WIDTH / 10
+
+    def run(scheduler):
+        sim = make_simulator(scheduler)
+        fired = []
+        for index, offset in enumerate(offsets):
+            sim.schedule_at(bucket + offset * step, fired.append, index)
+        sim.run(until=bucket + cut * step)
+        for index, offset in enumerate(late):
+            sim.schedule_at(max(bucket + offset * step, sim.now),
+                            fired.append, f"late{index}")
+        sim.run()
+        return fired
+
+    assert run("calendar") == run("heap")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    offsets=st.lists(st.integers(min_value=0, max_value=19), min_size=2,
+                     max_size=12),
+    limit=st.integers(min_value=1, max_value=12),
+    late=st.lists(st.integers(min_value=0, max_value=19), min_size=1,
+                  max_size=4),
+)
+def test_stop_after_max_events_then_schedule_behind_the_batch(offsets, limit,
+                                                             late):
+    """``run(max_events=)`` can stop with the next bucket's events still
+    pending while the clock is in an earlier bucket; an event scheduled
+    there afterwards fires before them."""
+    step = WIDTH / 10
+
+    def run(scheduler):
+        sim = make_simulator(scheduler)
+        fired = []
+        for index, offset in enumerate(sorted(offsets)):
+            sim.schedule_at(6 * WIDTH + offset * step, fired.append, index)
+        sim.run(max_events=limit)
+        for index, offset in enumerate(late):
+            sim.schedule_at(max(6 * WIDTH + offset * step, sim.now),
+                            fired.append, f"late{index}")
+        sim.run()
+        return fired
+
+    assert run("calendar") == run("heap")

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim.sched import BUCKET_WIDTH, WHEEL_SLOTS
+from repro.netsim.sched import BUCKET_WIDTH
 from tests.netsim.heap_oracle import make_simulator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 WIDTH = BUCKET_WIDTH
-HORIZON = WIDTH * WHEEL_SLOTS
+#: A far-future distance: 512 buckets ahead.
+HORIZON = WIDTH * 512
 
-# Arm delays spanning every placement class of the wheel: sub-bucket,
-# boundary, mid-ring, and the overflow heap past the horizon.
+# Arm delays spanning every placement class of the calendar: sub-bucket,
+# boundary, a few buckets ahead, and far ahead.
 ARM_DELAYS = st.sampled_from([
     WIDTH / 2, WIDTH, WIDTH * 3, HORIZON / 2, HORIZON, HORIZON * 1.5])
 

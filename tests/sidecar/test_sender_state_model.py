@@ -109,11 +109,27 @@ class OutboxHost(_Outbox, Host):
         self.stamp = int
 
 
-class OutboxRouter(_Outbox, Router):
+class OutboxRouter(Router):
+    """A router whose every outgoing hop is the outbox: it forwards
+    through its links, not through ``send``."""
+
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.outbox = []
         self.stamp = int
+        for neighbor in ("server", "client"):
+            self.attach_link(neighbor, _OutboxLink(self))
+            self.add_route(neighbor, neighbor)
+
+
+class _OutboxLink:
+    """Stands in for a link: what goes on it lands in the node's outbox."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def send(self, packet):
+        return _Outbox.send(self.node, packet)
 
 
 class SenderSideMachine(RuleBasedStateMachine):

@@ -11,7 +11,7 @@ import pytest
 from repro.netsim.core import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Host
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
@@ -104,3 +104,32 @@ class TestEndToEndEcn:
         sender, receiver = self.make(ecn_threshold=8)
         # Many more ACKs arrived than congestion events occurred.
         assert sender.stats.acks_received > 5 * sender.cc.congestion_events
+
+
+class TestReceiverCeCount:
+    def test_duplicated_ce_packet_counts_once(self):
+        """RFC 9000 section 13.4.1: CE marks are counted per packet
+        number, so a network duplicate of a marked packet adds none."""
+        from repro.transport.frames import HEADER_BYTES, DataFrame
+
+        sim = Simulator()
+        server, client = Host(sim, "server"), Host(sim, "client")
+        build_path(sim, [server, client],
+                   [HopSpec(bandwidth_bps=10e6, delay_s=0.01)])
+        server.add_handler(PacketKind.ACK, lambda packet: None)
+        receiver = ReceiverConnection(sim, client, "server", 10_000)
+
+        def data(packet_number, offset):
+            packet = Packet.sealed(
+                "server", "client", HEADER_BYTES + 1000, key=receiver.key,
+                payload=DataFrame(packet_number=packet_number, offset=offset,
+                                  length=1000, fin=False))
+            packet.ecn_ce = True
+            return packet
+
+        marked = data(0, 0)
+        client.receive(marked)
+        client.receive(marked)  # the network duplicated it
+        client.receive(data(1, 1000))
+        assert receiver.stats.duplicate_packets == 1
+        assert receiver.ce_count == 2

@@ -81,6 +81,38 @@ class TestAddAndMerge:
             assert (v in rs) == (v in model)
 
 
+def missing_below(rs, ceiling):
+    """The gaps in [min_value, ceiling], as ``RangeSet.missing_below``
+    listed them before ``has_gap_below`` replaced it."""
+    gaps = []
+    previous_hi = None
+    for lo, hi in rs:
+        if lo > ceiling:
+            break
+        if previous_hi is not None and lo > previous_hi + 1:
+            gaps.append((previous_hi + 1, min(lo - 1, ceiling)))
+        previous_hi = hi
+    if previous_hi is not None and previous_hi < ceiling:
+        gaps.append((previous_hi + 1, ceiling))
+    return gaps
+
+
+class TestCountingAndGaps:
+    @given(ops=range_ops, probes=st.lists(st.integers(0, 220), max_size=20))
+    @settings(max_examples=150)
+    def test_model_based(self, ops, probes):
+        """``add_range`` returns the change in ``len()``; ``has_gap_below``
+        answers what the gap list it replaced answered."""
+        rs = RangeSet()
+        for lo, width in ops:
+            before = len(rs)
+            assert rs.add_range(lo, lo + width) == len(rs) - before
+            assert rs.count == len(rs)
+            for probe in probes:
+                assert rs.has_gap_below(probe) \
+                    == bool(missing_below(rs, probe))
+
+
 def assert_well_formed(rs, model):
     flat = list(rs.ranges)
     assert {v for lo, hi in flat for v in range(lo, hi + 1)} == model
@@ -198,13 +230,22 @@ class TestQueries:
 
     def test_missing_below(self):
         rs = RangeSet([(0, 3), (6, 8), (12, 12)])
-        assert rs.missing_below(12) == [(4, 5), (9, 11)]
-        assert rs.missing_below(14) == [(4, 5), (9, 11), (13, 14)]
-        assert rs.missing_below(3) == []
-        assert rs.missing_below(4) == [(4, 4)]
+        assert rs.has_gap_below(12)
+        assert rs.has_gap_below(14)
+        assert not rs.has_gap_below(3)
+        assert rs.has_gap_below(4)
+        # Nothing below the smallest element counts as missing.
+        assert not RangeSet([(5, 9)]).has_gap_below(2)
 
     def test_missing_below_empty_set(self):
-        assert RangeSet().missing_below(10) == []
+        assert not RangeSet().has_gap_below(10)
+
+    def test_highest(self):
+        rs = RangeSet([(0, 1), (5, 6), (10, 10)])
+        assert rs.highest(2) == ((10, 10), (5, 6))
+        assert rs.highest(5) == ((10, 10), (5, 6), (0, 1))
+        assert rs.highest(0) == ()
+        assert RangeSet().highest(3) == ()
 
     def test_equality(self):
         assert RangeSet([(1, 3)]) == RangeSet([(1, 2), (3, 3)])
