@@ -110,10 +110,18 @@ class PrimeField:
         """Reduce a batch of integers into ``[0, p)``.
 
         Returns a ``uint64`` array for vectorizable moduli, otherwise an
-        ``object`` array of Python ints (exact, but slower).
+        ``object`` array of Python ints (exact, but slower).  Either way
+        the residues are those of Python's ``%``, for any integer.
         """
         if self._vectorized:
-            arr = np.asarray(values, dtype=np.uint64)
+            if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+                return (values.astype(np.int64) % self.modulus) \
+                    .astype(np.uint64)
+            try:
+                arr = np.asarray(values, dtype=np.uint64)
+            except OverflowError:   # negative, or 2**64 and past
+                arr = np.array([int(v) % self.modulus for v in values],
+                               dtype=np.uint64)
             return arr % np.uint64(self.modulus)
         # Exact path: force Python ints element-wise.  (A plain
         # object-array modulo would let numpy coerce uint64 scalars

@@ -195,12 +195,16 @@ def _encode_power_sum(quack: PowerSumQuack,
     if include_count:
         parts.append(quack.count.to_bytes(_bytes_for_bits(quack.count_bits),
                                           "big"))
+    modulus = quack.field.modulus
+    sums = quack._sums
+    for i in range(quack.threshold):    # reduced in place, as every read
+        sums[i] %= modulus
     width = _bytes_for_bits(quack.bits)
     layout = _sums_layout(quack.threshold, width)
     if layout is not None:
-        parts.append(layout.pack(*quack._sums))
+        parts.append(layout.pack(*sums))
     else:
-        parts.extend(value.to_bytes(width, "big") for value in quack._sums)
+        parts.extend(value.to_bytes(width, "big") for value in sums)
     return QuackScheme.POWER_SUM, flags, b"".join(parts)
 
 

@@ -19,12 +19,15 @@ and ``profile`` (the flow-accounts table; not its wall-clock columns),
 as ``[block, value, ...]`` with the block (heading) the line was printed
 under.  It was written by ``golden.py --write-report`` at the commit
 that added it, from surfaces that no longer exist, so it is not
-regenerated.  One edit since: the ``profile`` header facts, once the
+regenerated.  Two edits since: the ``profile`` header facts, once the
 call paths of the in-code profiler, are the layers of the time section
 that replaced it (the quACK and arithmetic layers) with their calls;
-``tests/obs/test_report_golden.py`` finds every line of it in the
-report.  A change that moves one of these traces on purpose drops the
-scenario from the file: what it proves is that nothing printed was lost.
+and the ``quack.insert`` calls dropped to the identifiers folded one at
+a time, once ``insert_many`` stopped calling ``insert`` below its
+crossover.  ``tests/obs/test_report_golden.py`` finds every line of it
+in the report.  A change that moves one of these traces on purpose drops
+the scenario from the file: what it proves is that nothing printed was
+lost.
 """
 
 from __future__ import annotations

@@ -91,26 +91,36 @@ class TestInsertRemove:
         bulk.insert_many(values)
         assert loop == bulk
 
-    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1000])
-    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("size", [0, 1, BATCH_CROSSOVER - 1,
+                                      BATCH_CROSSOVER, BATCH_CROSSOVER + 1,
+                                      1000])
+    @pytest.mark.parametrize("bits", [16, 32, 64])
     def test_insert_many_equals_loop_on_both_sides_of_the_crossover(
             self, size, bits):
         """The scalar loop below ``BATCH_CROSSOVER``, numpy from there
         on: same sums and same wrapped count, whatever the input is --
-        identifiers at and past ``p`` and past ``2**63`` included."""
-        assert BATCH_CROSSOVER == 16
+        identifiers at and past ``p``, past ``2**63`` and ``2**64``, and
+        negative ones included."""
         rng = random.Random(size)
         p = field_for_bits(bits).modulus
-        edge = [p, p + 1, 2 ** bits - 1, 2 ** (bits - 1), 0]
+        edge = [p, p + 1, 2 ** bits - 1, 2 ** (bits - 1), 0,
+                2 ** 64, 2 ** 64 + p + 3, -1, -p - 2, 2 ** 80 + 5]
         values = (edge + [rng.getrandbits(bits) for _ in range(size)])[:size]
         loop = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
         for value in values:
             loop.insert(value)
         assert loop.count == size % 512        # 1,000 wraps the count
-        for shape in (list, tuple, iter, lambda v: (x for x in v),
-                      lambda v: np.array(v, dtype=np.uint64)):
+        for shape in (list, tuple, iter, lambda v: (x for x in v)):
             bulk = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
             bulk.insert_many(shape(values))
+            assert bulk == loop
+        for dtype, low in ((np.uint64, 0), (np.int64, -2 ** 63)):
+            cast = [(v - low) % 2 ** 64 + low for v in values]
+            loop = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
+            for value in cast:
+                loop.insert(value)
+            bulk = PowerSumQuack(threshold=5, bits=bits, count_bits=9)
+            bulk.insert_many(np.array(cast, dtype=dtype))
             assert bulk == loop
 
     def test_insert_many_accepts_numpy(self):

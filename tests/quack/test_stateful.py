@@ -9,6 +9,7 @@ state bugs in the cumulative accumulators.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -18,55 +19,154 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.quack.power_sum import PowerSumQuack
+from repro.quack import wire
+from repro.quack.power_sum import BATCH_CROSSOVER, PowerSumQuack
 from repro.transport.ranges import RangeSet
 
-identifiers = st.integers(min_value=0, max_value=2 ** 32 - 1)
+THRESHOLDS = (1, 2, 3, 4, 5, 20)
+WIDTHS = (16, 24, 32, 64)
+
+
+def eager_fold(sums, identifier, modulus, sign=1):
+    """The reference fold: every power and every sum reduced at once."""
+    x = identifier % modulus
+    power = x
+    for i in range(len(sums)):
+        sums[i] = (sums[i] + sign * power) % modulus
+        power = power * x % modulus
+
+
+def reference_quack(threshold, bits, sums, count):
+    """A quACK holding the reference's reduced sums and count."""
+    quack = PowerSumQuack(threshold, bits)
+    quack._sums = list(sums)
+    quack._count = count
+    return quack
 
 
 class PowerSumMachine(RuleBasedStateMachine):
-    """Insert/remove/copy/subtract against a Counter model."""
+    """Every fold path against :func:`eager_fold`, for each threshold and
+    width: ``insert``, ``remove`` (of present and absent identifiers)
+    and ``insert_many`` on both sides of ``BATCH_CROSSOVER``, with
+    identifiers at and past ``p``.  ``read`` is checked after every
+    step; ``unread`` folds the same and is checked only by its own rule,
+    so its sums stay unreduced across many folds."""
 
-    def __init__(self):
-        super().__init__()
-        self.quack = PowerSumQuack(threshold=6, count_bits=16)
+    @initialize(threshold=st.sampled_from(THRESHOLDS),
+                bits=st.sampled_from(WIDTHS))
+    def setup(self, threshold, bits):
+        self.threshold, self.bits = threshold, bits
+        self.read = PowerSumQuack(threshold, bits)
+        self.unread = PowerSumQuack(threshold, bits)
+        self.modulus = self.read.field.modulus
+        self.sums = [0] * threshold
+        self.count = 0
         self.model: Counter = Counter()
-        self.removed_extra = 0
 
-    @rule(identifier=identifiers)
-    def insert(self, identifier):
-        self.quack.insert(identifier)
-        self.model[identifier] += 1
+    @property
+    def quacks(self):
+        return (self.read, self.unread)
 
-    @rule(identifier=identifiers)
-    def insert_via_bulk(self, identifier):
-        self.quack.insert_many([identifier, identifier])
-        self.model[identifier] += 2
+    def draw_identifier(self, data):
+        p = self.modulus
+        return data.draw(st.one_of(
+            st.integers(min_value=0, max_value=2 ** self.bits - 1),
+            st.integers(min_value=p, max_value=2 ** self.bits - 1),
+            st.sampled_from((0, p, p + 1, 2 * p, 2 ** self.bits - 1)),
+            st.integers(min_value=2 ** self.bits, max_value=2 ** 72)))
+
+    def fold(self, identifiers, sign=1):
+        for identifier in identifiers:
+            eager_fold(self.sums, identifier, self.modulus, sign)
+            self.model[identifier] += sign
+        self.count = (self.count + sign * len(identifiers)) % (1 << 16)
 
     @rule(data=st.data())
-    def remove_present(self, data):
-        present = [k for k, v in self.model.items() if v > 0]
-        if not present:
-            return
-        identifier = data.draw(st.sampled_from(present))
-        self.quack.remove(identifier)
-        self.model[identifier] -= 1
+    def insert(self, data):
+        identifier = self.draw_identifier(data)
+        for quack in self.quacks:
+            quack.insert(identifier)
+        self.fold([identifier])
+
+    @rule(data=st.data(), present=st.booleans())
+    def remove(self, data, present):
+        held = sorted(k for k, v in self.model.items() if v > 0)
+        identifier = data.draw(st.sampled_from(held)) if present and held \
+            else self.draw_identifier(data)
+        for quack in self.quacks:
+            quack.remove(identifier)
+        self.fold([identifier], sign=-1)
+
+    @rule(data=st.data(), many=st.booleans())
+    def insert_many(self, data, many):
+        size = data.draw(
+            st.integers(BATCH_CROSSOVER, BATCH_CROSSOVER + 8) if many
+            else st.integers(0, BATCH_CROSSOVER - 1))
+        batch = [self.draw_identifier(data) for _ in range(size)]
+        for quack in self.quacks:
+            quack.insert_many(batch)
+        self.fold(batch)
+
+    def check(self, quack):
+        """Each reader on its own copy (``copy`` keeps the sums as they
+        are), so every one of them meets the unreduced state; then
+        ``power_sums`` on the quACK itself."""
+        reference = reference_quack(self.threshold, self.bits, self.sums,
+                                    self.count)
+        assert quack.count == self.count
+        assert wire.encode(quack.copy()) == wire.encode(reference)
+        assert quack.copy() == reference and reference == quack.copy()
+        for delta in (quack.copy() - reference, reference - quack.copy(),
+                      quack - quack.copy()):
+            assert delta.count == 0
+            assert delta.power_sums == (0,) * self.threshold
+        assert quack.power_sums == tuple(self.sums)
 
     @invariant()
-    def count_matches_model(self):
-        assert self.quack.count == sum(self.model.values()) % (1 << 16)
+    def read_matches_the_reference(self):
+        self.check(self.read)
+
+    @rule()
+    def read_the_unread(self):
+        self.check(self.unread)
 
     @invariant()
-    def power_sums_match_reference(self):
-        reference = PowerSumQuack(threshold=6, count_bits=16)
-        reference.insert_many(list(self.model.elements()))
-        assert self.quack.power_sums == reference.power_sums
+    def reference_is_the_model(self):
+        """The reference fold is the power sums of the model multiset
+        (a negative multiplicity is an identifier removed while absent)."""
+        sums = [0] * self.threshold
+        for identifier, multiplicity in self.model.items():
+            x = identifier % self.modulus
+            for k in range(self.threshold):
+                sums[k] += multiplicity * pow(x, k + 1, self.modulus)
+        assert [s % self.modulus for s in sums] == self.sums
 
-    @invariant()
-    def self_difference_is_empty(self):
-        delta = self.quack - self.quack
-        assert delta.count == 0
-        assert all(s == 0 for s in delta.power_sums)
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_twenty_thousand_folds_without_a_read(threshold, bits):
+    """20,000 folds between two reads: every path's unreduced sums read
+    back as the reference's, on the wire as well as in ``power_sums``."""
+    rng = random.Random(threshold * 100 + bits)
+    quack = PowerSumQuack(threshold, bits)
+    p = quack.field.modulus
+    sums, count = [0] * threshold, 0
+    identifiers = [rng.getrandbits(bits + 1) for _ in range(20_000)]
+    for start in range(0, len(identifiers), 1000):
+        chunk = identifiers[start:start + 1000]
+        for identifier in chunk[:600]:
+            quack.insert(identifier)
+        for identifier in chunk[600:700]:
+            quack.remove(identifier)
+        quack.insert_many(chunk[700:705])
+        quack.insert_many(chunk[705:])
+        for index, identifier in enumerate(chunk):
+            eager_fold(sums, identifier, p, -1 if 600 <= index < 700 else 1)
+        count += len(chunk) - 200
+    reference = reference_quack(threshold, bits, sums, count % (1 << 16))
+    assert wire.encode(quack) == wire.encode(reference)
+    assert quack.power_sums == tuple(sums)
+    assert quack == reference
 
 
 class QuackSessionMachine(RuleBasedStateMachine):
@@ -173,7 +273,7 @@ class RangeSetMachine(RuleBasedStateMachine):
 
 
 TestPowerSumMachine = PowerSumMachine.TestCase
-TestPowerSumMachine.settings = settings(max_examples=25,
+TestPowerSumMachine.settings = settings(max_examples=60,
                                         stateful_step_count=30,
                                         deadline=None)
 

@@ -105,11 +105,15 @@ class TestPowerSumLayout:
         q.insert_many([3, 17])
         bad = 2 ** bits - 1 - position      # >= p for every width here
         assert bad >= q.field.modulus
-        q._sums[position] = bad
-        q._sums[3] = 2 ** bits - 1
+        frame = bytearray(wire.encode(q))
+        width = (bits + 7) // 8
+        sums_at = len(frame) - q.threshold * width
+        for slot, value in ((position, bad), (3, 2 ** bits - 1)):
+            at = sums_at + slot * width
+            frame[at:at + width] = value.to_bytes(width, "big")
         with pytest.raises(WireFormatError,
                            match=f"power sum {bad} is not a residue"):
-            wire.decode(wire.encode(q))
+            wire.decode(bytes(frame))
 
     def test_layout_cache_is_bounded(self):
         """Both cache keys come off the wire: frames naming hundreds of

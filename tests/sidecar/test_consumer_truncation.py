@@ -22,7 +22,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import obs
-from repro.quack.power_sum import BATCH_CROSSOVER, PowerSumQuack
+from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar import consumer as consumer_module
 from repro.sidecar.ack_reduction import run_ack_reduction
 from repro.sidecar.agents import DEFAULT_THRESHOLD
@@ -305,9 +305,9 @@ def work(monkeypatch):
     def counting_updates(function, many=False):
         def counted(quack, argument):
             if any(quack is consumer._head for consumer in consumers):
-                if many:    # below the crossover it loops ``insert``
+                if many:    # every identifier, on either side of the crossover
                     argument = list(argument)
-                    folded = len(argument) * (len(argument) >= BATCH_CROSSOVER)
+                    folded = len(argument)
                 else:
                     folded = 1
                 work["updates"] += folded
