@@ -18,10 +18,10 @@ import random
 from bisect import bisect_right
 
 from repro import obs
-from repro.netsim import BernoulliLoss, Host, HopSpec, Simulator, build_path
+from repro.netsim import BernoulliLoss, HopSpec
 from repro.obs.analyze import analyze, ascii_chart
 from repro.transport import BbrLite, Cubic, NewReno
-from repro.transport.connection import ReceiverConnection, SenderConnection
+from repro.transport.connection import Transfer
 
 TOTAL = 1_500_000
 LOSS = 0.03
@@ -29,19 +29,15 @@ STEP_S = 0.05
 
 
 def run(controller_factory, pacing):
-    sim = Simulator()
-    server, client = Host(sim, "server"), Host(sim, "client")
-    build_path(sim, [server, client],
-               [HopSpec(bandwidth_bps=20e6, delay_s=0.02, queue_packets=64,
-                        loss_up=BernoulliLoss(LOSS, random.Random(7)))])
-    receiver = ReceiverConnection(sim, client, "server", TOTAL)
-    sender = SenderConnection(sim, server, "client", TOTAL,
-                              cc=controller_factory(), pacing=pacing)
+    transfer = Transfer(TOTAL, [], [
+        HopSpec(bandwidth_bps=20e6, delay_s=0.02, queue_packets=64,
+                loss_up=BernoulliLoss(LOSS, random.Random(7)))])
+    sender, receiver = transfer.sender, transfer.receiver
+    sender.cc, sender.pacing = controller_factory(), pacing
     obs.reset()
     sink = obs.enable()
     try:
-        sender.start()
-        sim.run(until=60)
+        transfer.run(slice_s=1.0, deadline_s=60)
     finally:
         obs.disable()
     return sender, receiver, analyze(sink.events).points[sender.flow_id]

@@ -54,7 +54,6 @@ from repro.chaos.overload import (
     OverloadSpec,
     TenantBurst,
 )
-from repro.netsim.core import Simulator
 from repro.netsim.faults import (
     SIDECAR_KINDS,
     Blackout,
@@ -64,9 +63,7 @@ from repro.netsim.faults import (
     Duplication,
     FaultInjector,
 )
-from repro.netsim.node import Host, Router
-from repro.netsim.packet import reset_packet_uids
-from repro.netsim.topology import HopSpec, build_path
+from repro.netsim.topology import HopSpec
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
 from repro.sidecar.defense import DefenseConfig
 from repro.sidecar.flowtable import FlowTable, FlowTableTap
@@ -74,11 +71,7 @@ from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthState, HealthTransition
 from repro.sidecar.negotiate import Capabilities, NegotiateConfig
 from repro.sidecar.snapshot import CheckpointStore
-from repro.transport.connection import (
-    ReceiverConnection,
-    SenderConnection,
-    run_transfer,
-)
+from repro.transport.connection import Transfer
 
 #: Default transfer: ~876 KB, about 1.5 s at ``BANDWIDTH_BPS``.
 DEFAULT_TOTAL = 1460 * 600
@@ -308,27 +301,6 @@ class ChaosResult:
         return not self.violations()
 
 
-def _canonical_path(total_bytes: int, setup: ChaosSetup):
-    """Server -> proxy -> client with one transfer on it, not yet started.
-
-    ``setup``'s injectors ride the server<->proxy hop.
-    """
-    reset_packet_uids()
-    sim = Simulator()
-    server = Host(sim, "server")
-    proxy = Router(sim, "proxy")
-    client = Host(sim, "client")
-    topology = build_path(
-        sim, [server, proxy, client],
-        [HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
-                 faults_up=setup.faults_toward_client,
-                 faults_down=setup.faults_toward_server),
-         HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
-    receiver = ReceiverConnection(sim, client, "server", total_bytes)
-    sender = SenderConnection(sim, server, "client", total_bytes)
-    return sim, proxy, topology, sender, receiver
-
-
 @functools.lru_cache(maxsize=None)
 def unassisted_baseline(total_bytes: int) -> float:
     """Duration of the same transfer with no sidecar (and no faults).
@@ -347,15 +319,15 @@ def unassisted_baseline(total_bytes: int) -> float:
     was_tracing = obs.TRACER.enabled
     obs.TRACER.enabled = False
     try:
-        # The same path under the empty setup: no faults, and no
-        # sidecar agents attached before the transfer starts.
-        sim, _, _, sender, receiver = _canonical_path(total_bytes,
-                                                      ChaosSetup())
-        run_transfer(sim, sender, receiver, slice_s=SLICE_S,
-                     deadline_s=DEADLINE_S)
+        # The same path with no faults, and no sidecar agents attached
+        # before the transfer starts.
+        transfer = Transfer(total_bytes, ["proxy"], [
+            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S),
+            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
+        transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
     finally:
         obs.TRACER.enabled = was_tracing
-    return sim.now
+    return transfer.sim.now
 
 
 def run_chaos_transfer(setup: ChaosSetup, *,
@@ -383,11 +355,18 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         defense = DefenseConfig()
     baseline_duration = None
     if defense is not None or setup.overload is not None:
-        # Measured first (and memoized) so the packet-uid reset below
-        # keeps the main run byte-identical with or without a baseline.
+        # Measured first (and memoized) so the packet-uid reset of the
+        # main run's ``Transfer`` keeps it byte-identical with or
+        # without a baseline.
         baseline_duration = unassisted_baseline(total_bytes)
-    sim, proxy, topology, sender, receiver = _canonical_path(
-        total_bytes, setup)
+    # ``setup``'s injectors ride the server<->proxy hop.
+    transfer = Transfer(total_bytes, ["proxy"], [
+        HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
+                faults_up=setup.faults_toward_client,
+                faults_down=setup.faults_toward_server),
+        HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
+    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
+    proxy, = transfer.routers
     consumer_negotiate = emitter_negotiate = None
     if setup.negotiate:
         consumer_negotiate = NegotiateConfig(capabilities=Capabilities())
@@ -428,8 +407,7 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         for driver in setup.overload.drivers:
             driver.arm(sim, table, tap)
 
-    completed = run_transfer(sim, sender, receiver, slice_s=SLICE_S,
-                             deadline_s=DEADLINE_S)
+    completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
     duration = sim.now
     # Health is judged at completion time: once the transfer is done,
     # quACKs legitimately stop, so anything later would read as "stale".
@@ -495,7 +473,8 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         link_drops=sum(
             link.stats.dropped_queue + link.stats.dropped_loss
             + link.stats.dropped_fault
-            for link in topology.links_up + topology.links_down),
+            for link in transfer.topology.links_up
+            + transfer.topology.links_down),
         baseline_slack_s=baseline_slack,
         flowtable=table.stats_dict() if table is not None else None,
         overload_drivers={type(driver).__name__: driver.stats

@@ -33,13 +33,13 @@ def reset_packet_uids() -> None:
 
     Packet uids are allocated from a module-level counter, which is the
     one piece of state an experiment inherits from whatever ran before
-    it in the same process.  The experiment entry points
-    (``run_cc_division``, ``run_ack_reduction``, ``run_retransmission``,
-    the chaos harness) call this on entry so that a run's uid sequence
-    -- and therefore its netsim trace -- is a pure function of the run's
-    own parameters, which is what makes farming runs out to worker
-    processes (:mod:`repro.sweep`) reproducible regardless of how many
-    tasks a worker has already executed.
+    it in the same process.  Its one caller is
+    :class:`~repro.transport.connection.Transfer`, which every scenario
+    opens its run through, so that a run's uid sequence -- and therefore
+    its netsim trace -- is a pure function of the run's own parameters,
+    which is what makes farming runs out to worker processes
+    (:mod:`repro.sweep`) reproducible regardless of how many tasks a
+    worker has already executed.
     """
     global _packet_ids
     _packet_ids = itertools.count()

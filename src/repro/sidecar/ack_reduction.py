@@ -26,11 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss
-from repro.netsim.node import Host, Router
-from repro.netsim.packet import reset_packet_uids
-from repro.netsim.topology import HopSpec, build_path
+from repro.netsim.topology import HopSpec
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
     ProxyEmitterTap,
@@ -38,11 +35,7 @@ from repro.sidecar.agents import (
 )
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.ack import AckFrequencyPolicy
-from repro.transport.connection import (
-    ReceiverConnection,
-    SenderConnection,
-    run_transfer,
-)
+from repro.transport.connection import ReceiverConnection, Transfer
 
 #: Section 4.3: "the receiver could quACK e.g. every n = 32 packets";
 #: we default the *client's* thinned ACK cadence to the same figure.
@@ -87,37 +80,26 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
     Pure in its arguments (all state, including packet uids, is created
     per call) so :mod:`repro.sweep` can shard runs across processes.
     """
-    reset_packet_uids()
-    sim = Simulator()
-    server = Host(sim, "server")
-    proxy = Router(sim, "proxy")
-    client = Host(sim, "client")
     rng = random.Random(seed)
-    build_path(sim, [server, proxy, client], [
+    # The client starts at QUIC's stock cadence; a thinner cadence is
+    # negotiated in-band with the ACK-frequency extension frame, exactly
+    # as Section 2.2 prescribes ("The client can also transmit fewer ACKs
+    # using the proposed ACK frequency extension in QUIC").
+    transfer = Transfer(total_bytes, ["proxy"], [
         HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
                 delay_s=server_proxy_delay),
         HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
                 delay_s=proxy_client_delay,
                 loss_up=BernoulliLoss(loss_rate, random.Random(rng.random()))),
-    ])
-
-    flow_id = "flow0"
-    # The client starts at QUIC's stock cadence; a thinner cadence is
-    # negotiated in-band with the ACK-frequency extension frame, exactly
-    # as Section 2.2 prescribes ("The client can also transmit fewer ACKs
-    # using the proposed ACK frequency extension in QUIC").
-    receiver = ReceiverConnection(sim, client, "server", total_bytes,
-                                  flow_id=flow_id,
-                                  ack_policy=AckFrequencyPolicy())
-    sender = SenderConnection(sim, server, "client", total_bytes,
-                              flow_id=flow_id)
+    ], ack_policy=AckFrequencyPolicy())
+    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
 
     proxy_tap: ProxyEmitterTap | None = None
     server_sidecar: ServerSidecar | None = None
     if sidecar:
         proxy_tap = ProxyEmitterTap(
-            sim, proxy, server="server", client="client", flow_id=flow_id,
-            policy=PacketCountFrequency(quack_every), threshold=threshold)
+            sim, transfer.routers[0], server="server", client="client",
+            flow_id="flow0", policy=PacketCountFrequency(quack_every), threshold=threshold)
         # Window movement only: losses decoded from proxy quACKs are not
         # acted on (retransmission stays with the e2e ACKs / PTO).
         server_sidecar = ServerSidecar(sim, sender, threshold=threshold,
@@ -128,8 +110,7 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
         # registered its send listener, so the frame is logged too).
         sender.request_ack_frequency(ack_every=ack_every, max_delay_s=0.05)
 
-    run_transfer(sim, sender, receiver, slice_s=0.5,
-                 deadline_s=max_sim_seconds)
+    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     ack_bytes = receiver.stats.acks_sent * ReceiverConnection.ACK_BASE_BYTES

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss, LossModel
-from repro.netsim.node import Host, Router
-from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
+from repro.netsim.node import Router
+from repro.netsim.packet import Packet, PacketKind
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
     ConsumerEndpoint,
@@ -48,13 +48,9 @@ from repro.sidecar.agents import (
 )
 from repro.sidecar.consumer import QuackFeedback
 from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
-from repro.netsim.topology import HopSpec, build_path
+from repro.netsim.topology import HopSpec
 from repro.transport.cc.fixed import AimdRate
-from repro.transport.connection import (
-    ReceiverConnection,
-    SenderConnection,
-    run_transfer,
-)
+from repro.transport.connection import SenderConnection, Transfer
 from repro.transport.rtt import RttEstimator
 
 #: The proxy quACKs every this many forwarded packets to the server.
@@ -251,26 +247,17 @@ def run_cc_division(total_bytes: int = 1_500_000,
     process -- the property :mod:`repro.sweep` relies on to shard runs
     across workers.
     """
-    reset_packet_uids()
-    sim = Simulator()
-    server = Host(sim, "server")
-    proxy = Router(sim, "proxy")
-    client = Host(sim, "client")
     rng = random.Random(seed)
-    build_path(sim, [server, proxy, client], [
+    transfer = Transfer(total_bytes, ["proxy"], [
         HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
                 delay_s=server_proxy_delay),
         HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
                 delay_s=proxy_client_delay,
                 loss_up=make_loss_model(loss_rate, loss_process,
                                         random.Random(rng.random()))),
-    ])
-
+    ], cc_from_acks=not sidecar)
+    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
     flow_id = "flow0"
-    receiver = ReceiverConnection(sim, client, "server", total_bytes,
-                                  flow_id=flow_id)
-    sender = SenderConnection(sim, server, "client", total_bytes,
-                              flow_id=flow_id, cc_from_acks=not sidecar)
 
     proxy_agent: PacingProxy | None = None
     server_sidecar: ServerSidecar | None = None
@@ -278,20 +265,19 @@ def run_cc_division(total_bytes: int = 1_500_000,
     if sidecar:
         segment_rtt = 2 * proxy_client_delay
         client_agent = HostEmitterAgent(
-            sim, client, peer="proxy", flow_id=flow_id,
+            sim, receiver.host, peer="proxy", flow_id=flow_id,
             policy=IntervalFrequency(max(segment_rtt, 0.005)),
             threshold=threshold)
         controller = (proxy_controller_factory()
                       if proxy_controller_factory is not None else None)
-        proxy_agent = PacingProxy(sim, proxy, server="server",
+        proxy_agent = PacingProxy(sim, transfer.routers[0], server="server",
                                   client="client", flow_id=flow_id,
                                   threshold=threshold,
                                   controller=controller)
         server_sidecar = ServerSidecar(sim, sender, threshold=threshold,
                                        grace=2, congestive_loss=True)
 
-    run_transfer(sim, sender, receiver, slice_s=0.5,
-                 deadline_s=max_sim_seconds)
+    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     goodput = receiver.monitor.goodput_bps(completion)

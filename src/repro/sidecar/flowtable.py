@@ -44,7 +44,6 @@ from heapq import heapify, heappop, heappush, heapreplace
 from repro import obs
 from repro.obs import LATENCY_BUCKETS
 from repro.netsim.core import Simulator
-from repro.netsim.packet import reset_packet_uids
 from repro.sidecar.accounting import FLOW_ACCOUNTS
 from repro.sidecar.agents import ProxyEmitterTap
 from repro.sidecar.emitter import QuackEmitter
@@ -592,7 +591,6 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
     if flows < 1 or tenants < 1 or packets_per_flow < 0:
         raise ValueError("flows/tenants must be >= 1 and "
                          "packets_per_flow >= 0")
-    reset_packet_uids()
     sim = Simulator()
     config = FlowTableConfig(
         shards=16,

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from repro.netsim.core import Simulator
 from repro.sidecar.cc_division import make_loss_model
 from repro import obs
-from repro.netsim.node import Host, Router
-from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
-from repro.netsim.topology import HopSpec, build_path
+from repro.netsim.node import Router
+from repro.netsim.packet import Packet, PacketKind
+from repro.netsim.topology import HopSpec
 from repro.sidecar.agents import (
     DEFAULT_THRESHOLD,
     ConsumerEndpoint,
@@ -39,11 +39,7 @@ from repro.sidecar.agents import (
 from repro.sidecar.consumer import QuackFeedback
 from repro.sidecar.frequency import AdaptiveFrequency, retransmission_cadence
 from repro.sidecar.protocol import ConfigMessage
-from repro.transport.connection import (
-    ReceiverConnection,
-    SenderConnection,
-    run_transfer,
-)
+from repro.transport.connection import Transfer
 
 
 #: The retuned cadence aims at this many losses per quACK.
@@ -187,27 +183,17 @@ def run_retransmission(total_bytes: int = 1_500_000,
     Pure in its arguments (all state, including packet uids, is created
     per call) so :mod:`repro.sweep` can shard runs across processes.
     """
-    reset_packet_uids()
-    sim = Simulator()
-    server = Host(sim, "server")
-    p1 = Router(sim, "p1")
-    p2 = Router(sim, "p2")
-    client = Host(sim, "client")
     rng = random.Random(seed)
-    build_path(sim, [server, p1, p2, client], [
+    transfer = Transfer(total_bytes, ["p1", "p2"], [
         HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=server_p1_delay),
         HopSpec(bandwidth_bps=lossy_mbps * 1e6, delay_s=lossy_delay,
                 loss_up=make_loss_model(loss_rate, loss_process,
                                         random.Random(rng.random()))),
         HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=p2_client_delay),
-    ])
-
+    ], reorder_threshold=reorder_threshold)
+    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
+    p1, p2 = transfer.routers
     flow_id = "flow0"
-    receiver = ReceiverConnection(sim, client, "server", total_bytes,
-                                  flow_id=flow_id)
-    sender = SenderConnection(sim, server, "client", total_bytes,
-                              flow_id=flow_id,
-                              reorder_threshold=reorder_threshold)
 
     sender_proxy: SenderSideRetxProxy | None = None
     receiver_proxy: ProxyEmitterTap | None = None
@@ -220,8 +206,7 @@ def run_retransmission(total_bytes: int = 1_500_000,
             sim, p2, server="p1", client="client", flow_id=flow_id,
             policy=AdaptiveFrequency(initial_every=8), threshold=threshold)
 
-    run_transfer(sim, sender, receiver, slice_s=0.5,
-                 deadline_s=max_sim_seconds)
+    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
     return RetransmissionResult(

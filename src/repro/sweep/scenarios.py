@@ -10,8 +10,9 @@ Worker processes import this module by name and call :func:`run_cell`,
 so everything here must be picklable and free of module-global mutable
 state.  Each entry point is a pure function: the same keywords produce
 the same outcome in any process, which is the contract the sweep
-engine's determinism guarantee rests on (the entry points reset the one
-process-wide counter, packet uids, themselves).
+engine's determinism guarantee rests on (the one process-wide counter,
+packet uids, restarts in :class:`~repro.transport.connection.Transfer`,
+which every run that sends packets opens through).
 
 Registered scenarios:
 

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.errors import TransportError
 from repro.ids import IdentifierFactory
 from repro.netsim.core import EventHandle, Simulator
-from repro.netsim.node import Host
-from repro.netsim.packet import Packet, PacketKind
+from repro.netsim.node import Host, Router
+from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
+from repro.netsim.topology import HopSpec, build_path
 from repro.netsim.trace import FlowMonitor
 from repro.transport.ack import (
     DEFAULT_MAX_ACK_DELAY,
@@ -752,22 +753,52 @@ class ReceiverConnection:
             self.on_complete(self.sim.now)
 
 
-def run_transfer(sim: Simulator, sender: SenderConnection,
-                 receiver: ReceiverConnection, *, slice_s: float,
-                 deadline_s: float) -> bool:
-    """Start ``sender`` and run ``sim`` until the transfer completes.
+class Transfer:
+    """One transfer of ``total_bytes`` from ``server`` to ``client``
+    across the named routers: the assembly every scenario opens its run
+    through.
 
-    Returns whether it did.  Recurring sidecar timers keep the event
-    queue alive after the last byte, so a bare ``sim.run()`` would not
-    return: run in ``slice_s`` slices and stop at the first slice
-    boundary where both ends are complete, the queue is empty, or
-    ``deadline_s`` has passed.
+    ``hops`` are the links of the chain ``server -> routers -> client``,
+    one per adjacent pair.  The receiver is built before the sender, and
+    the sender is not started: callers attach their sidecar agents to
+    ``routers``, ``sender`` and ``receiver`` in between.  Building one
+    restarts the process-wide packet-uid sequence, so a run's uids --
+    and with them its trace -- are a pure function of its own arguments,
+    whatever ran before it in the process.
     """
-    sender.start()
-    while sim.now < deadline_s:
-        sim.run(until=min(sim.now + slice_s, deadline_s))
-        if sender.complete and receiver.complete:
-            break
-        if sim.peek_next_time() is None:
-            break
-    return sender.complete and receiver.complete
+
+    def __init__(self, total_bytes: int, routers: Sequence[str],
+                 hops: Sequence[HopSpec], *,
+                 ack_policy: AckFrequencyPolicy | None = None,
+                 cc_from_acks: bool = True,
+                 reorder_threshold: int = PACKET_REORDER_THRESHOLD) -> None:
+        reset_packet_uids()
+        self.sim = sim = Simulator()
+        server = Host(sim, "server")
+        self.routers = [Router(sim, name) for name in routers]
+        client = Host(sim, "client")
+        self.topology = build_path(sim, [server, *self.routers, client], hops)
+        self.receiver = ReceiverConnection(sim, client, "server", total_bytes,
+                                           ack_policy=ack_policy)
+        self.sender = SenderConnection(
+            sim, server, "client", total_bytes, cc_from_acks=cc_from_acks,
+            reorder_threshold=reorder_threshold)
+
+    def run(self, *, slice_s: float, deadline_s: float) -> bool:
+        """Start the sender and run until the transfer completes.
+
+        Returns whether it did.  Recurring sidecar timers keep the event
+        queue alive after the last byte, so a bare ``sim.run()`` would
+        not return: run in ``slice_s`` slices and stop at the first
+        slice boundary where both ends are complete, the queue is empty,
+        or ``deadline_s`` has passed.
+        """
+        sim, sender, receiver = self.sim, self.sender, self.receiver
+        sender.start()
+        while sim.now < deadline_s:
+            sim.run(until=min(sim.now + slice_s, deadline_s))
+            if sender.complete and receiver.complete:
+                break
+            if sim.peek_next_time() is None:
+                break
+        return sender.complete and receiver.complete

@@ -154,6 +154,7 @@ class TestEventBudget:
         event per packet per hop (it took 500, two per hop, when
         serialisation ended on a timer)."""
         from repro.sidecar import ack_reduction
+        from repro.transport import connection
 
         made = []
 
@@ -162,7 +163,8 @@ class TestEventBudget:
                 super().__init__()
                 made.append(self)
 
-        monkeypatch.setattr(ack_reduction, "Simulator", Recording)
+        # Every scenario builds its simulator in ``Transfer``.
+        monkeypatch.setattr(connection, "Simulator", Recording)
         result = ack_reduction.run_ack_reduction(
             total_bytes=120_000, ack_every=2, sidecar=False, loss_rate=0.0,
             seed=1)

@@ -10,7 +10,7 @@ import pytest
 from repro.netsim.faults import Corruption
 from repro.netsim.packet import PacketKind
 from repro.netsim.topology import build_path
-from repro.sidecar import cc_division, retransmission
+from repro.transport import connection
 from repro.sidecar.ack_reduction import run_ack_reduction
 from repro.sidecar.cc_division import run_cc_division
 from repro.sidecar.retransmission import run_retransmission
@@ -187,8 +187,8 @@ class TestProbeTimeoutOutlivesQuackRelease:
 class TestCorruptQuackChannel:
     """A corrupt quACK costs one datagram of assistance, never the run.
 
-    The scenarios build their own links, so the injector goes in through
-    the ``build_path`` name each scenario module calls: the lossy hop's
+    The scenarios build their links through ``Transfer``, so the injector
+    goes in through the ``build_path`` name it calls: the lossy hop's
     reverse direction -- the one the proxy-bound quACKs travel -- gets a
     :class:`Corruption` restricted to ``PacketKind.QUACK``.  At 5% the
     gap a dropped snapshot leaves stays inside the threshold; at 10% and
@@ -197,22 +197,21 @@ class TestCorruptQuackChannel:
     """
 
     @staticmethod
-    def _corrupt_quacks_on_lossy_hop(monkeypatch, module, rate=0.05):
+    def _corrupt_quacks_on_lossy_hop(monkeypatch, rate=0.05):
         injector = Corruption(rate, seed=5, kinds=[PacketKind.QUACK])
 
         def build(sim, nodes, hops):
             hops[1].faults_down = injector  # the lossy hop in both paths
             return build_path(sim, nodes, hops)
 
-        monkeypatch.setattr(module, "build_path", build)
+        monkeypatch.setattr(connection, "build_path", build)
         return injector
 
     @pytest.mark.parametrize("rate,seed", [
         (0.05, 3), (0.10, 1), (0.10, 2), (0.10, 3), (0.10, 4), (0.10, 5),
         (0.20, 3)])
     def test_cc_division_completes(self, monkeypatch, rate, seed):
-        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch,
-                                                     cc_division, rate)
+        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch, rate)
         result = run_cc_division(total_bytes=1_500_000, seed=seed)
         stats = result.proxy_stats
         assert result.completed
@@ -223,8 +222,7 @@ class TestCorruptQuackChannel:
         assert (stats.resets_initiated > 0) == (rate > 0.05)
 
     def test_retransmission_completes(self, monkeypatch):
-        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch,
-                                                     retransmission)
+        injector = self._corrupt_quacks_on_lossy_hop(monkeypatch)
         result = run_retransmission(total_bytes=TOTAL, seed=3)
         assert injector.stats.corrupted > 0
         assert result.completed
