@@ -324,10 +324,10 @@ def unassisted_baseline(total_bytes: int) -> float:
         transfer = Transfer(total_bytes, ["proxy"], [
             HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S),
             HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
-        transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
+        completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
     finally:
         obs.TRACER.enabled = was_tracing
-    return transfer.sim.now
+    return transfer.receiver.completed_at if completed else transfer.sim.now
 
 
 def run_chaos_transfer(setup: ChaosSetup, *,
@@ -408,7 +408,9 @@ def run_chaos_transfer(setup: ChaosSetup, *,
             driver.arm(sim, table, tap)
 
     completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
-    duration = sim.now
+    # The run stops at a slice boundary; the receiver's completion time
+    # is what the baseline comparison can resolve a slowdown against.
+    duration = receiver.completed_at if completed else sim.now
     # Health is judged at completion time: once the transfer is done,
     # quACKs legitimately stop, so anything later would read as "stale".
     health_final = sidecar.health_state

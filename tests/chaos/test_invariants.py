@@ -21,6 +21,7 @@ from repro.chaos import (
     run_chaos_transfer,
     run_plan,
 )
+from repro.chaos.harness import SLICE_S
 from repro.netsim.faults import SIDECAR_KINDS, Blackout
 from repro.sidecar.health import HealthConfig, HealthState
 
@@ -129,6 +130,23 @@ class TestBlackoutDegradationLadder:
         deadline = blackout_end + self.HEALTH.probation + 0.15
         assert healthy[0].time <= deadline
         assert blackout_result.health_final is HealthState.HEALTHY
+
+
+class TestGoodputFloor:
+    """Goodput is judged on the receivers' completion times, not on the
+    slice boundary at which the run loop notices completion."""
+
+    def test_sub_slice_slowdown_is_a_violation(self):
+        # Checkpoints arm the defense, and with it the baseline.  A 20 ms
+        # blackout of the DATA direction makes the receiver finish about
+        # 16 ms after the unassisted one: inside the same 0.25 s slice.
+        result = run_chaos_transfer(ChaosSetup(
+            checkpoint_interval_s=0.02,
+            faults_toward_client=Blackout([(0.5, 0.52)])), seed=SEED)
+        assert result.completed
+        assert 0 < result.duration_s - result.baseline_duration_s < SLICE_S
+        assert any("below the unassisted baseline" in problem
+                   for problem in result.violations())
 
 
 class TestHarnessPlumbing:

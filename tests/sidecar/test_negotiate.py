@@ -326,7 +326,9 @@ class TestVersionSwitch:
 
     def test_switch_cost_is_pinned(self, plans):
         result = plans["version-switch"]
-        assert result.duration_s == pytest.approx(1.5, rel=1e-12)
+        # The receiver's completion time: 77 us after the unassisted
+        # baseline's 1.455792 s.
+        assert result.duration_s == pytest.approx(1.4558688, rel=1e-12)
         assert result.retransmitted_packets == 45
 
 
