@@ -150,8 +150,10 @@ class Recorder:
                     setattr(loaded, key, replacement)
 
     def install(self) -> None:
+        """Wrap every span target; a recording starts with no spans."""
         if self.enabled:
             return
+        self.clear()
         for name, targets in LAYERS.items():
             for target in targets:
                 owner, attribute = resolve(target)

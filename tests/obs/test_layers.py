@@ -62,6 +62,16 @@ def test_a_traced_run_times_every_layer_it_enters_and_restores_them():
         assert vars(owner)[attribute] is original, target
 
 
+def test_install_starts_a_recording_with_no_spans():
+    """A finished run's spans stay readable after it, but the next
+    ``install()`` starts from none (the sidecar truncation suite installs
+    by hand after whatever ran before it in the process)."""
+    run_traced("ack-reduction", seed=1, total_bytes=30_000)
+    assert obs.PROFILER.path_times()
+    obs.PROFILER.install()
+    assert obs.PROFILER.path_times() == {}
+
+
 #: Run in a fresh interpreter: a traced run whose plan imports a module
 #: the process had not loaded (it binds ``decode_delta`` by ``from x
 #: import f`` while the wrappers are in), then a traced run that raises;
