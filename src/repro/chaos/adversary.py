@@ -26,11 +26,12 @@ Four adversaries, one per attack family of the threat model:
   one.
 
 All of them subclass :class:`~repro.netsim.faults.FaultInjector` and
-carry ``adversarial = True``, which the chaos harness uses to keep
-tampering out of the corruption ledger (a forgery is *designed* not to
-be classifiable as corruption) and to assert the defense invariants:
-the transfer still completes at no less than unassisted-baseline
-goodput, and the lying sidecar lands in QUARANTINED.
+carry ``adversarial = True``, which makes a chaos setup that holds one
+adversarial: the harness keeps its tampering out of the corruption
+ledger (a forgery is *designed* not to be classifiable as corruption)
+and asserts the defense invariants: the transfer still completes at no
+less than unassisted-baseline goodput, and the lying sidecar lands in
+QUARANTINED.
 """
 
 from __future__ import annotations

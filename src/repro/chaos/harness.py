@@ -108,8 +108,8 @@ class ChaosSetup:
     injector instance may serve both.  ``crashes`` wipe the proxy
     emitter at fixed times.
 
-    ``adversarial`` marks setups whose injectors *lie* rather than
-    break; the harness then checks the defense invariants.
+    A setup is ``adversarial`` when one of its injectors *lies* rather
+    than breaks; the harness then checks the defense invariants.
     ``checkpoint_interval_s`` arms emitter checkpoint/restore with a
     :class:`~repro.sidecar.snapshot.CheckpointStore` so crashes heal
     through the resume handshake instead of the reset protocol.  The
@@ -122,7 +122,6 @@ class ChaosSetup:
     faults_toward_client: FaultInjector | None = None
     faults_toward_server: FaultInjector | None = None
     crashes: MiddleboxCrash | None = None
-    adversarial: bool = False
     checkpoint_interval_s: float | None = None
     #: Arm the HELLO/HELLO-ACK capability handshake on both agents.
     #: ``emitter_capabilities`` overrides the emitter's defaults
@@ -143,6 +142,25 @@ class ChaosSetup:
     expect_wire_version: int | None = None
     #: Zero resets, and with them zero spurious retransmits.
     expect_no_resets: bool = False
+
+    @property
+    def injectors(self) -> list[FaultInjector]:
+        """The fault injectors, each once (one may serve both ways)."""
+        return list(dict.fromkeys(
+            injector for injector in (self.faults_toward_client,
+                                      self.faults_toward_server)
+            if injector is not None))
+
+    @property
+    def liars(self) -> list[FaultInjector]:
+        """The injectors that lie: every :mod:`repro.chaos.adversary`
+        class carries ``adversarial = True``."""
+        return [injector for injector in self.injectors
+                if getattr(injector, "adversarial", False)]
+
+    @property
+    def adversarial(self) -> bool:
+        return bool(self.liars)
 
 
 @dataclass
@@ -419,18 +437,13 @@ def run_chaos_transfer(setup: ChaosSetup, *,
     # re-announcing the epoch until the emitter demonstrably adopted it).
     sim.run(until=sim.now + DRAIN_S)
 
-    # One injector instance may serve both directions; count it once.
-    injectors = list(dict.fromkeys(
-        injector for injector in (setup.faults_toward_client,
-                                  setup.faults_toward_server)
-        if injector is not None))
     # An adversary's replacements are checksum-valid forgeries, not
     # corruption: they must never satisfy (nor trip) the wire-error
     # classification invariant, so they are tallied separately.  An
     # adversary's *drops* are tampering too (targeted suppression --
     # e.g. stripping capability offers), unlike a fault injector's
     # indiscriminate loss.
-    liars = [i for i in injectors if getattr(i, "adversarial", False)]
+    injectors, liars = setup.injectors, setup.liars
     # Negotiation (and switch) control traffic shares the forward link
     # with DATA; its serialization time is time the baseline never
     # spent, so the goodput floor is allowed exactly that much slack.
@@ -522,10 +535,10 @@ class ChaosPlan:
         return self.build(0).overload is not None
 
 
-def _both_ways(injector: FaultInjector, **setup: Any) -> ChaosSetup:
+def _both_ways(injector: FaultInjector) -> ChaosSetup:
     """One injector instance on both directions of the sidecar hop."""
     return ChaosSetup(faults_toward_client=injector,
-                      faults_toward_server=injector, **setup)
+                      faults_toward_server=injector)
 
 
 #: Built-in scenarios: one per injector family, one per adversary, the
@@ -565,25 +578,21 @@ PLANS: Mapping[str, ChaosPlan] = {
     "lying-count": ChaosPlan(
         "adversary inflates quACK counts; caught by plausibility gates",
         lambda seed: ChaosSetup(
-            faults_toward_server=LyingCountAdversary(inflation=25),
-            adversarial=True)),
+            faults_toward_server=LyingCountAdversary(inflation=25))),
     "forged-power-sum": ChaosPlan(
         "adversary forges power sums under honest counts; quarantined",
         lambda seed: ChaosSetup(
-            faults_toward_server=ForgedPowerSumAdversary(seed=seed),
-            adversarial=True)),
+            faults_toward_server=ForgedPowerSumAdversary(seed=seed))),
     "replay": ChaosPlan(
         "adversary replays a captured snapshot between honest ones",
         lambda seed: ChaosSetup(
-            faults_toward_server=ReplayAdversary(stride=2),
-            adversarial=True)),
+            faults_toward_server=ReplayAdversary(stride=2))),
     # The threshold must match the harness's emitter so the forgery is
     # structurally perfect; both directions carry the same instance (it
     # observes DATA toward the client, tampers quACKs toward the server).
     "equivocation": ChaosPlan(
         "adversary answers with another session's accumulator",
-        lambda seed: _both_ways(EquivocationAdversary(threshold=THRESHOLD),
-                                adversarial=True)),
+        lambda seed: _both_ways(EquivocationAdversary(threshold=THRESHOLD))),
     # The cross-version matrix's hard cell: a v2 consumer offering 1..2
     # meets an emitter that only speaks v1; they must agree on v1 and
     # the transfer must still complete, assisted.
@@ -613,13 +622,11 @@ PLANS: Mapping[str, ChaosPlan] = {
     "downgrade-strip": ChaosPlan(
         "adversary strips capability offers; quarantined, goodput holds",
         lambda seed: ChaosSetup(
-            negotiate=True, faults_toward_client=HelloStripAdversary(),
-            adversarial=True)),
+            negotiate=True, faults_toward_client=HelloStripAdversary())),
     "downgrade-rewrite": ChaosPlan(
         "adversary rewrites offers to pin v1; transcript hash catches it",
         lambda seed: ChaosSetup(
-            negotiate=True, faults_toward_client=HelloRewriteAdversary(),
-            adversarial=True)),
+            negotiate=True, faults_toward_client=HelloRewriteAdversary())),
     # Background load fills the table to its high-water mark; a burst
     # tenant then floods twice the table's capacity.  Admission control
     # must reject the flood while the primary transfer keeps assistance.
@@ -664,8 +671,7 @@ PLANS: Mapping[str, ChaosPlan] = {
                 drivers=[BackgroundLoad(tenants=4, flows_per_tenant=15,
                                         seed=seed)],
                 expect_sheds=True),
-            faults_toward_server=LyingCountAdversary(inflation=25),
-            adversarial=True)),
+            faults_toward_server=LyingCountAdversary(inflation=25))),
 }
 
 
