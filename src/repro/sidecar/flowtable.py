@@ -2,8 +2,8 @@
 
 One sidecar process on a proxy tap serves *many* flows (ROADMAP item 2:
 100k-1M concurrent flows per middlebox).  This module is that shared
-process: a hash-sharded table of :class:`~repro.sidecar.emitter.
-QuackEmitter` banks keyed by tenant, with the three overload behaviors a
+process: a table of :class:`~repro.sidecar.emitter.QuackEmitter` banks
+keyed by tenant, with the three overload behaviors a
 production middlebox needs and the paper's deployment story assumes --
 
 * **per-tenant memory budgets**, metered in the same ``bank_bytes`` the
@@ -25,18 +25,16 @@ the unassisted baseline with zero spurious retransmits; a re-admitted
 flow re-enters through the ``RECOVERING`` probation, never straight to
 ``HEALTHY``.  The chaos plans in :mod:`repro.chaos` check exactly this.
 
-Everything here is deterministic: sharding is CRC-32 (never the salted
-builtin ``hash``), every eviction/shed ordering carries an explicit
-total order with the flow key as tie-break, and :func:`run_scale` -- the
-``scale`` sweep scenario -- drives the table from a seeded RNG in
-virtual time only, so sweep results are byte-identical across worker
-counts.
+Everything here is deterministic: every eviction/shed ordering carries
+an explicit total order with the flow key as tie-break, and
+:func:`run_scale` -- the ``scale`` sweep scenario -- drives the table
+from a seeded RNG in virtual time only, so sweep results are
+byte-identical across worker counts.
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
@@ -58,7 +56,6 @@ class FlowTableConfig:
     water and stops once it is back at or below the low water.
     """
 
-    shards: int = 8
     max_flows: int = 1024
     tenant_budget_bytes: int = 64 * 1024
     shed_high_water: float = 0.90
@@ -70,8 +67,6 @@ class FlowTableConfig:
     bits: int = 32
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.max_flows < 1:
             raise ValueError(f"max_flows must be >= 1, got {self.max_flows}")
         if self.tenant_budget_bytes < 1:
@@ -143,8 +138,6 @@ class FlowTable:
         self.sim = sim
         self.config = config if config is not None else FlowTableConfig()
         self.stats = FlowTableStats()
-        self._shards: list[dict[str, FlowRecord]] = [
-            {} for _ in range(self.config.shards)]
         self._tenants: dict[str, dict[str, FlowRecord]] = {}
         self._tenant_bank: dict[str, int] = {}
         self._bank_total = 0
@@ -165,7 +158,7 @@ class FlowTable:
 
     @property
     def flows(self) -> int:
-        """Currently resident flows across all shards."""
+        """Currently resident flows across all tenants."""
         return self._flow_count
 
     @property
@@ -180,15 +173,9 @@ class FlowTable:
         return self._tenant_bank.get(tenant, 0)
 
     def get(self, tenant: str, flow_id: str) -> FlowRecord | None:
-        return self._shard(tenant).get(f"{tenant}/{flow_id}")
+        return self._tenants.get(tenant, {}).get(f"{tenant}/{flow_id}")
 
     # -- admission --------------------------------------------------------
-
-    def _shard(self, tenant: str) -> dict[str, FlowRecord]:
-        # CRC-32, not hash(): sharding must be stable across processes
-        # for sweep results to be byte-identical across worker counts.
-        index = zlib.crc32(tenant.encode("utf-8")) % self.config.shards
-        return self._shards[index]
 
     def _tenant_budget(self, tenant: str) -> int:
         return self._budget_override.get(tenant,
@@ -207,8 +194,7 @@ class FlowTable:
         """
         now = self.sim.now
         key = f"{tenant}/{flow_id}"
-        shard = self._shard(tenant)
-        existing = shard.get(key)
+        existing = self._tenants.get(tenant, {}).get(key)
         if existing is not None:
             return existing
         if self._flow_count >= self.config.max_flows:
@@ -230,7 +216,6 @@ class FlowTable:
             return self._reject(tenant, flow_id)
         record = FlowRecord(tenant, flow_id, key, emitter, bank, now,
                             on_emit, on_evict)
-        shard[key] = record
         self._tenants.setdefault(tenant, {})[key] = record
         heap = self._lru_heaps.get(tenant)
         if heap is not None:
@@ -364,7 +349,6 @@ class FlowTable:
 
     def _remove(self, record: FlowRecord, reason: str) -> None:
         record.live = False
-        self._shard(record.tenant).pop(record.flow_key, None)
         tenant_records = self._tenants.get(record.tenant)
         if tenant_records is not None:
             tenant_records.pop(record.flow_key, None)
@@ -428,8 +412,8 @@ class FlowTable:
         idle: list[FlowRecord] = []
         low: list[FlowRecord] = []
         active: list[FlowRecord] = []
-        for shard in self._shards:
-            for record in shard.values():
+        for records in self._tenants.values():
+            for record in records.values():
                 if now - record.last_activity > self.config.idle_after_s:
                     idle.append(record)
                 elif record.observed < self.config.low_traffic_observed:
@@ -593,7 +577,6 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
                          "packets_per_flow >= 0")
     sim = Simulator()
     config = FlowTableConfig(
-        shards=16,
         max_flows=max_flows if max_flows is not None else max(2 * flows, 16),
         tenant_budget_bytes=(
             tenant_budget_bytes if tenant_budget_bytes is not None

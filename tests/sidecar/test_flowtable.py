@@ -35,7 +35,6 @@ class TestConfigValidation:
         FlowTableConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"shards": 0},
         {"max_flows": 0},
         {"tenant_budget_bytes": 0},
         {"shed_low_water": 0.0},
