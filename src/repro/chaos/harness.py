@@ -319,6 +319,15 @@ class ChaosResult:
         return not self.violations()
 
 
+def _hops(setup: ChaosSetup) -> list[HopSpec]:
+    """The canonical path's two hops; ``setup``'s injectors ride the
+    server<->proxy hop."""
+    return [HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
+                    faults_up=setup.faults_toward_client,
+                    faults_down=setup.faults_toward_server),
+            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)]
+
+
 @functools.lru_cache(maxsize=None)
 def unassisted_baseline(total_bytes: int) -> float:
     """Duration of the same transfer with no sidecar (and no faults).
@@ -337,11 +346,9 @@ def unassisted_baseline(total_bytes: int) -> float:
     was_tracing = obs.TRACER.enabled
     obs.TRACER.enabled = False
     try:
-        # The same path with no faults, and no sidecar agents attached
-        # before the transfer starts.
-        transfer = Transfer(total_bytes, ["proxy"], [
-            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S),
-            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
+        # The same path under the empty setup: no faults, and no
+        # sidecar agents attached before the transfer starts.
+        transfer = Transfer(total_bytes, ["proxy"], _hops(ChaosSetup()))
         completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
     finally:
         obs.TRACER.enabled = was_tracing
@@ -377,12 +384,7 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         # main run's ``Transfer`` keeps it byte-identical with or
         # without a baseline.
         baseline_duration = unassisted_baseline(total_bytes)
-    # ``setup``'s injectors ride the server<->proxy hop.
-    transfer = Transfer(total_bytes, ["proxy"], [
-        HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
-                faults_up=setup.faults_toward_client,
-                faults_down=setup.faults_toward_server),
-        HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)])
+    transfer = Transfer(total_bytes, ["proxy"], _hops(setup))
     sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
     proxy, = transfer.routers
     consumer_negotiate = emitter_negotiate = None

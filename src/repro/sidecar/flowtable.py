@@ -3,8 +3,8 @@
 One sidecar process on a proxy tap serves *many* flows (ROADMAP item 2:
 100k-1M concurrent flows per middlebox).  This module is that shared
 process: a table of :class:`~repro.sidecar.emitter.QuackEmitter` banks
-keyed by tenant, with the three overload behaviors a
-production middlebox needs and the paper's deployment story assumes --
+keyed by tenant, with the three overload behaviors a production
+middlebox needs and the paper's deployment story assumes --
 
 * **per-tenant memory budgets**, metered in the same ``bank_bytes`` the
   :data:`~repro.sidecar.accounting.FLOW_ACCOUNTS` ledger measures: a
