@@ -10,7 +10,7 @@ why that is the right call for the wire (size) and where the IBLT wins
 import pytest
 
 from repro.bench.workloads import make_workload
-from repro.ids import sample_unique_identifiers
+from repro.ids.identifiers import sample_unique_identifiers
 from repro.quack.iblt import IbltQuack
 from repro.quack.power_sum import PowerSumQuack
 

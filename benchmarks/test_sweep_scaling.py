@@ -21,7 +21,9 @@ import pytest
 
 from repro.bench.timing import measure, measure_staged
 from repro.netsim.core import Simulator
-from repro.sweep import SweepSpec, run_sweep, strip_timing
+from repro.sweep.artifact import strip_timing
+from repro.sweep.runner import run_sweep
+from repro.sweep.spec import SweepSpec
 # The heap oracle lives with the tests (run from the repository root:
 # ``python -m pytest benchmarks/test_sweep_scaling.py``).
 from tests.netsim.heap_oracle import make_simulator

@@ -18,9 +18,12 @@ import random
 from bisect import bisect_right
 
 from repro import obs
-from repro.netsim import BernoulliLoss, HopSpec
+from repro.netsim.loss import BernoulliLoss
+from repro.netsim.topology import HopSpec
 from repro.obs.analyze import analyze, ascii_chart
-from repro.transport import BbrLite, Cubic, NewReno
+from repro.transport.cc.bbr import BbrLite
+from repro.transport.cc.cubic import Cubic
+from repro.transport.cc.newreno import NewReno
 from repro.transport.connection import Transfer
 
 TOTAL = 1_500_000

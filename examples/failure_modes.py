@@ -20,7 +20,8 @@ Run::
 
 import random
 
-from repro.quack import DecodeStatus, PowerSumQuack
+from repro.quack.base import DecodeStatus
+from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar.consumer import QuackConsumer
 
 P32 = 4_294_967_291
@@ -50,7 +51,7 @@ def collisions() -> None:
     print(f"determinate missing: {list(result.missing) or 'none'}")
     for group, count in result.indeterminate:
         print(f"indeterminate: {count} of candidates {list(group)}")
-    from repro.quack import collision_probability
+    from repro.quack.collision import collision_probability
     print(f"(probability of this at n=1000, b=32: "
           f"{collision_probability(1000, 32):.2g} -- Table 3)\n")
 
@@ -85,7 +86,7 @@ def desync_and_reset() -> None:
 
 def chaos_failures() -> None:
     print("\n== 4. infrastructure failures (chaos harness) ==")
-    from repro.chaos import format_result, run_plan
+    from repro.chaos.harness import format_result, run_plan
 
     print("-- middlebox crash/restart: the accumulator is wiped twice "
           "mid-flow;")

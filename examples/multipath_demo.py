@@ -17,14 +17,10 @@ Run::
 
 import random
 
-from repro.netsim import (
-    BernoulliLoss,
-    HopSpec,
-    Host,
-    Router,
-    Simulator,
-    build_parallel_paths,
-)
+from repro.netsim.core import Simulator
+from repro.netsim.loss import BernoulliLoss
+from repro.netsim.node import Host, Router
+from repro.netsim.topology import HopSpec, build_parallel_paths
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.transport.multipath import MultipathTransfer, PathSpec

@@ -15,9 +15,11 @@ exactly which packets are missing.  Run::
 
 import random
 
-from repro import DecodeStatus, PowerSumQuack, decode_frame, encode_frame
-from repro.ids import IdentifierFactory
-from repro.quack import EchoQuack
+from repro.ids.identifiers import IdentifierFactory
+from repro.quack import wire
+from repro.quack.base import DecodeStatus
+from repro.quack.power_sum import PowerSumQuack
+from repro.quack.strawman import EchoQuack
 
 
 def main() -> None:
@@ -42,13 +44,13 @@ def main() -> None:
     for identifier in received:
         quack.insert(identifier)  # ~one multiply-add per power sum
 
-    frame = encode_frame(quack)
+    frame = wire.encode(quack)
     print(f"quACK wire size: {len(frame)} bytes "
           f"(payload {quack.wire_size_bits() // 8} bytes; an echo of all "
           f"received ids would be {EchoQuack(32).bits * len(received) // 8})")
 
     # --- sender side: decode ---------------------------------------------------
-    received_quack = decode_frame(frame)
+    received_quack = wire.decode(frame)
     result = received_quack.decode(sent)
     assert result.status is DecodeStatus.OK
     missing_positions = sorted(sent.index(identifier)

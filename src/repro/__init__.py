@@ -19,8 +19,8 @@ QUIC-like E2E-encrypted transport:
 
 Quickstart (the Fig. 2 interface)::
 
-    from repro import PowerSumQuack
-    from repro.ids import random_identifiers
+    from repro.ids.identifiers import random_identifiers
+    from repro.quack.power_sum import PowerSumQuack
 
     sent = random_identifiers(1000, bits=32)
     quack = PowerSumQuack(threshold=20, bits=32)
@@ -28,48 +28,3 @@ Quickstart (the Fig. 2 interface)::
     result = quack.decode(sent.tolist())  # sender decodes
     assert sorted(result.missing) == sorted(int(x) for x in sent[-5:])
 """
-
-from repro.errors import (
-    DecodeError,
-    InconsistentQuackError,
-    QuackError,
-    ReproError,
-    SimulationError,
-    ThresholdExceededError,
-    TransportError,
-    WireFormatError,
-)
-from repro.quack import (
-    DecodeResult,
-    DecodeStatus,
-    EchoQuack,
-    HashQuack,
-    PowerSumQuack,
-    collision_probability,
-    decode_delta,
-    decode_frame,
-    encode_frame,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "PowerSumQuack",
-    "EchoQuack",
-    "HashQuack",
-    "DecodeResult",
-    "DecodeStatus",
-    "decode_delta",
-    "encode_frame",
-    "decode_frame",
-    "collision_probability",
-    "ReproError",
-    "QuackError",
-    "DecodeError",
-    "ThresholdExceededError",
-    "InconsistentQuackError",
-    "WireFormatError",
-    "SimulationError",
-    "TransportError",
-]

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.bench.workloads import PAPER_B
-from repro.ids import IdentifierFactory
+from repro.ids.identifiers import IdentifierFactory
 from repro.netsim.loss import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.netsim.packet import Packet
 from repro.quack.base import DecodeStatus

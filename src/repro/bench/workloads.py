@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ids import random_identifiers
+from repro.ids.identifiers import random_identifiers
 
 #: The paper's running configuration (Sections 1 and 4.1).
 PAPER_N = 1000

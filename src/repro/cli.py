@@ -66,6 +66,7 @@ import contextlib
 import sys
 from typing import Sequence
 
+from repro.errors import ArithmeticDomainError, WireFormatError
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
 
@@ -79,18 +80,28 @@ def _parse_ids(text: str) -> list[int]:
         raise SystemExit(f"error: bad identifier list {text!r}: {exc}")
 
 
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _loss_rate(text: str) -> float:
+    rate = float(text)
+    if not 0.0 <= rate < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {rate}")
+    return rate
 
 
 # -- quack ---------------------------------------------------------------------
 
 def cmd_quack_encode(args: argparse.Namespace) -> int:
-    quack = PowerSumQuack(threshold=args.threshold, bits=args.bits,
-                          count_bits=args.count_bits)
+    try:
+        quack = PowerSumQuack(threshold=args.threshold, bits=args.bits,
+                              count_bits=args.count_bits)
+    except ArithmeticDomainError as exc:
+        raise SystemExit(f"error: {exc}")
     quack.insert_many(_parse_ids(args.ids))
     frame = wire.encode(quack)
     print(frame.hex())
@@ -105,7 +116,10 @@ def cmd_quack_decode(args: argparse.Namespace) -> int:
         frame = bytes.fromhex(args.frame)
     except ValueError as exc:
         raise SystemExit(f"error: frame is not valid hex: {exc}")
-    quack = wire.decode(frame)
+    try:
+        quack = wire.decode(frame)
+    except WireFormatError as exc:
+        raise SystemExit(f"error: frame does not decode: {exc}")
     if not isinstance(quack, PowerSumQuack):
         raise SystemExit("error: frame does not hold a power-sum quACK")
     log = _parse_ids(args.log)
@@ -153,7 +167,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # -- chaos ----------------------------------------------------------------------
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import PLANS, format_result, run_plan
+    from repro.chaos.harness import PLANS, format_result, run_plan
 
     if args.list_plans:
         width = max(len(name) for name in PLANS)
@@ -232,10 +246,10 @@ def _flight_recorder(args: argparse.Namespace):
 # -- trace ----------------------------------------------------------------------
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.obs import perf
     from repro.obs.analyze import analyze, render_text
     from repro.obs.runner import run_report, run_traced
+    from repro.obs.trace import export_jsonl
 
     result = run_traced(args.which, seed=args.seed, total_bytes=args.total,
                         loss=args.loss, capacity=args.capacity)
@@ -246,7 +260,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         result.analysis = analyze(result.events)
     written = []
     if args.jsonl:
-        obs.export_jsonl(result.events, args.jsonl)
+        export_jsonl(result.events, args.jsonl)
         written.append(f"{len(result.events)} events to {args.jsonl}")
     if args.flame:
         perf.write_folded(result.path_times, args.flame)
@@ -338,12 +352,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.errors import SweepError
-    from repro.sweep import (
-        SweepSpec,
-        format_aggregate,
-        load_aggregate_dict,
-        run_sweep,
-    )
+    from repro.sweep.artifact import format_aggregate, load_aggregate_dict
+    from repro.sweep.runner import run_sweep
+    from repro.sweep.spec import SweepSpec
 
     try:
         spec = SweepSpec.from_json_file(args.spec)
@@ -412,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = quack_sub.add_parser("encode", help="received ids -> hex frame")
     enc.add_argument("--ids", default="", help="comma-separated identifiers")
-    enc.add_argument("--threshold", type=int, default=20)
-    enc.add_argument("--bits", type=int, default=32)
-    enc.add_argument("--count-bits", type=int, default=16)
+    enc.add_argument("--threshold", type=_positive, default=20)
+    enc.add_argument("--bits", type=_positive, default=32)
+    enc.add_argument("--count-bits", type=_positive, default=16)
     enc.set_defaults(func=cmd_quack_encode)
 
     dec = quack_sub.add_parser("decode", help="hex frame + log -> missing")
@@ -441,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment",
                                 help="run a protocol scenario (E7-E9)")
     experiment.add_argument("which", choices=EXPERIMENT_SCENARIOS)
-    experiment.add_argument("--total", type=int, default=1_000_000)
-    experiment.add_argument("--loss", type=float, default=0.02)
+    experiment.add_argument("--total", type=_positive, default=1_000_000)
+    experiment.add_argument("--loss", type=_loss_rate, default=0.02)
     experiment.add_argument("--seed", type=int, default=1)
-    experiment.add_argument("--every", type=int, default=32,
+    experiment.add_argument("--every", type=_positive, default=32,
                             help="client ACK cadence (ack-reduction)")
     experiment.add_argument("--reorder-threshold", type=int, default=64,
                             help="server loss tolerance (retransmission)")
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the chaos plans with descriptions")
     chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--total", type=int, default=1460 * 600,
+    chaos.add_argument("--total", type=_positive, default=1460 * 600,
                        help="transfer size in bytes")
     _add_flight_arguments(chaos, "the last trace events plus the "
                           "implicated packet's span tree, on any invariant "
@@ -479,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the report (default when nothing is "
                             "written to a file)")
     trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--total", type=int, default=200_000,
+    trace.add_argument("--total", type=_positive, default=200_000,
                        help="transfer size in bytes")
-    trace.add_argument("--loss", type=float, default=0.02,
+    trace.add_argument("--loss", type=_loss_rate, default=0.02,
                        help="loss rate (experiment scenarios)")
-    trace.add_argument("--capacity", type=int, default=65536,
+    trace.add_argument("--capacity", type=_positive, default=65536,
                        help="trace ring-buffer capacity in events")
     trace.add_argument("--filter", action="append", default=[],
                        metavar="PREFIX",
@@ -522,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a scenario matrix across worker processes")
     sweep.add_argument("spec", help="sweep spec JSON file (see "
                                     "examples/sweeps/)")
-    sweep.add_argument("--workers", type=_worker_count, default=None,
+    sweep.add_argument("--workers", type=_positive, default=None,
                        metavar="N",
                        help="worker processes (default: spec override, "
                             "else one per CPU; 1 = serial)")

@@ -7,15 +7,3 @@ models that extraction as a keyed PRF over the packet number -- both ends
 of a *connection* observe the same ciphertext, hence the same identifier,
 while an observer without the ciphertext sees uniformly random values.
 """
-
-from repro.ids.identifiers import (
-    IdentifierFactory,
-    random_identifiers,
-    sample_unique_identifiers,
-)
-
-__all__ = [
-    "IdentifierFactory",
-    "random_identifiers",
-    "sample_unique_identifiers",
-]

@@ -30,10 +30,11 @@ Typical use (what ``python -m repro trace`` does)::
 
     from repro import obs
     from repro.obs.metrics import series_rows
+    from repro.obs.trace import export_jsonl
 
     sink = obs.enable()                 # tracing + metrics on
     ... run a scenario ...
-    obs.export_jsonl(sink.events, "trace.jsonl")
+    export_jsonl(sink.events, "trace.jsonl")
     for series, value in series_rows(obs.METRICS.snapshot()):
         print(series, value)
     obs.disable()
@@ -57,34 +58,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    json_safe,
-)
 from repro.obs.layers import Recorder
-from repro.obs.trace import (
-    RingSink,
-    TraceEvent,
-    Tracer,
-    dump_jsonl,
-    export_jsonl,
-)
-
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry",
-    "DEFAULT_BUCKETS", "LATENCY_BUCKETS", "json_safe",
-    "TraceEvent", "RingSink", "Tracer", "dump_jsonl", "export_jsonl",
-    "Recorder", "FlightRecorder",
-    "TRACER", "METRICS", "PROFILER", "FLIGHT",
-    "enable", "enable_metrics", "disable", "reset",
-    "count", "observe",
-]
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.trace import RingSink, Tracer
 
 #: The process-wide metrics registry.  Always writable; hot paths only
 #: touch it behind ``TRACER.enabled`` so disabled runs skip it entirely.

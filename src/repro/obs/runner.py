@@ -24,7 +24,7 @@ from functools import partial
 from typing import Any
 
 from repro import obs
-from repro.chaos import PLANS, run_plan
+from repro.chaos.harness import PLANS, run_plan
 from repro.errors import ObservabilityError
 from repro.obs import perf
 from repro.obs.analyze import Section, Table, TraceAnalysis, analyze

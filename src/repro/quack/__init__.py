@@ -12,39 +12,6 @@ Public surface:
   :func:`~repro.quack.wire.decode`);
 * :mod:`~repro.quack.collision` -- collision-probability analytics (Table 3).
 
-:mod:`repro.quack.iblt` (the E10 IBLT ablation) is imported by module
-path, not from here: no runtime path uses it, so importing the package
-does not load it.
+:mod:`repro.quack.iblt` holds the E10 IBLT ablation; no runtime path
+uses it.
 """
-
-from repro.quack.bank import QuackBank
-from repro.quack.base import DecodeResult, DecodeStatus, Quack, QuackScheme
-from repro.quack.collision import (
-    collision_probability,
-    expected_collisions,
-    monte_carlo_collision_rate,
-    table3_row,
-)
-from repro.quack.decoder import decode_delta
-from repro.quack.power_sum import PowerSumQuack
-from repro.quack.strawman import EchoQuack, HashQuack
-from repro.quack.wire import decode as decode_frame
-from repro.quack.wire import encode as encode_frame
-
-__all__ = [
-    "Quack",
-    "QuackScheme",
-    "DecodeResult",
-    "DecodeStatus",
-    "PowerSumQuack",
-    "QuackBank",
-    "decode_delta",
-    "EchoQuack",
-    "HashQuack",
-    "encode_frame",
-    "decode_frame",
-    "collision_probability",
-    "expected_collisions",
-    "monte_carlo_collision_rate",
-    "table3_row",
-]

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 
 from repro import obs
-from repro.obs import LATENCY_BUCKETS
 from repro.netsim.core import Simulator
+from repro.obs.metrics import LATENCY_BUCKETS
 from repro.sidecar.accounting import FLOW_ACCOUNTS
 from repro.sidecar.agents import ProxyEmitterTap
 from repro.sidecar.emitter import QuackEmitter

@@ -18,7 +18,8 @@ JSON artifact.  Guarantees, pinned by ``tests/sweep/``:
 
 Quick start::
 
-    from repro.sweep import SweepSpec, run_sweep
+    from repro.sweep.runner import run_sweep
+    from repro.sweep.spec import SweepSpec
 
     spec = SweepSpec.from_dict({
         "name": "retx", "scenario": "retransmission", "seed": 7,
@@ -28,31 +29,3 @@ Quick start::
     aggregate = run_sweep(spec, workers=4)
     aggregate.save("sweep.json")
 """
-
-from repro.sweep.artifact import (
-    CELL_FAILED,
-    CELL_OK,
-    CellOutcome,
-    SweepAggregate,
-    completed_results,
-    format_aggregate,
-    load_aggregate_dict,
-    strip_timing,
-)
-from repro.sweep.runner import default_workers, run_sweep
-from repro.sweep.scenarios import SCENARIOS, known_scenarios, run_cell
-from repro.sweep.spec import (
-    SWEEP_SCHEMA_VERSION,
-    SweepCell,
-    SweepSpec,
-    derive_seed,
-)
-
-__all__ = [
-    "SweepSpec", "SweepCell", "derive_seed", "SWEEP_SCHEMA_VERSION",
-    "SweepAggregate", "CellOutcome", "CELL_OK", "CELL_FAILED",
-    "strip_timing", "load_aggregate_dict", "completed_results",
-    "format_aggregate",
-    "run_sweep", "default_workers",
-    "SCENARIOS", "known_scenarios", "run_cell",
-]

@@ -80,8 +80,8 @@ SCENARIOS: dict[str, Scenario] = {
         "repro.sidecar.retransmission:run_retransmission",
         assist="innet_retx",
         flags={"reorder_threshold": "reorder_threshold"}),
-    "chaos": Scenario("repro.chaos:run_plan",
-                      to_dict="repro.chaos:result_to_dict"),
+    "chaos": Scenario("repro.chaos.harness:run_plan",
+                      to_dict="repro.chaos.harness:result_to_dict"),
     "scale": Scenario("repro.sidecar.flowtable:run_scale",
                       to_dict="builtins:dict"),
 }

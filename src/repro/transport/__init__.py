@@ -11,48 +11,3 @@ Public surface:
 * :class:`~repro.transport.ranges.RangeSet`,
   :class:`~repro.transport.rtt.RttEstimator` utilities.
 """
-
-from repro.transport.ack import AckFrequencyPolicy, AckTracker
-from repro.transport.cc import AimdRate, BbrLite, Cubic, FixedWindow, NewReno
-from repro.transport.connection import (
-    ReceiverConnection,
-    SenderConnection,
-    SentPacketRecord,
-)
-from repro.transport.multipath import (
-    MultipathTransfer,
-    PathSpec,
-    SharedStream,
-)
-from repro.transport.frames import (
-    DEFAULT_MSS,
-    HEADER_BYTES,
-    AckFrame,
-    AckFrequencyFrame,
-    DataFrame,
-)
-from repro.transport.ranges import RangeSet
-from repro.transport.rtt import RttEstimator
-
-__all__ = [
-    "SenderConnection",
-    "ReceiverConnection",
-    "SentPacketRecord",
-    "NewReno",
-    "Cubic",
-    "BbrLite",
-    "FixedWindow",
-    "AimdRate",
-    "AckFrequencyPolicy",
-    "AckTracker",
-    "AckFrame",
-    "AckFrequencyFrame",
-    "DataFrame",
-    "MultipathTransfer",
-    "PathSpec",
-    "SharedStream",
-    "RangeSet",
-    "RttEstimator",
-    "DEFAULT_MSS",
-    "HEADER_BYTES",
-]

@@ -1,24 +1,1 @@
 """Pluggable congestion controllers for the paranoid transport."""
-
-from repro.transport.cc.base import (
-    DEFAULT_DATAGRAM,
-    INITIAL_WINDOW_PACKETS,
-    MIN_WINDOW_PACKETS,
-    CongestionController,
-)
-from repro.transport.cc.bbr import BbrLite
-from repro.transport.cc.cubic import Cubic
-from repro.transport.cc.fixed import AimdRate, FixedWindow
-from repro.transport.cc.newreno import NewReno
-
-__all__ = [
-    "CongestionController",
-    "NewReno",
-    "Cubic",
-    "BbrLite",
-    "FixedWindow",
-    "AimdRate",
-    "DEFAULT_DATAGRAM",
-    "INITIAL_WINDOW_PACKETS",
-    "MIN_WINDOW_PACKETS",
-]

@@ -34,12 +34,13 @@ from typing import Callable, Sequence
 
 from repro import obs
 from repro.errors import TransportError
-from repro.ids import IdentifierFactory
+from repro.ids.identifiers import IdentifierFactory
 from repro.netsim.core import EventHandle, Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
 from repro.netsim.trace import FlowMonitor
+from repro.obs.metrics import LATENCY_BUCKETS
 from repro.transport.ack import (
     DEFAULT_MAX_ACK_DELAY,
     AckFrequencyPolicy,
@@ -543,7 +544,7 @@ class SenderConnection:
             # is a field of ``transport.loss``.
             obs.observe("transport_detect_latency_seconds",
                         now - record.time_sent,
-                        buckets=obs.LATENCY_BUCKETS,
+                        buckets=LATENCY_BUCKETS,
                         cause=RETRANSMIT_CAUSES.get(trigger, trigger))
         if not record.retired:
             record.retired = True

@@ -11,7 +11,7 @@ assistance within one handshake delivery instead of a reset.
 
 import pytest
 
-from repro.chaos import PLANS, format_result, run_plan
+from repro.chaos.harness import PLANS, format_result, run_plan
 from repro.sidecar.health import HealthState
 
 SEED = 1

@@ -13,15 +13,15 @@ import pathlib
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.harness import (
     PLANS,
+    SLICE_S,
     ChaosSetup,
-    MiddleboxCrash,
     format_result,
     run_chaos_transfer,
     run_plan,
 )
-from repro.chaos.harness import SLICE_S
+from repro.chaos.injectors import MiddleboxCrash
 from repro.netsim.faults import SIDECAR_KINDS, Blackout
 from repro.sidecar.health import HealthConfig, HealthState
 

@@ -11,17 +11,15 @@ zero spurious retransmits; a re-admitted flow re-enters through
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.harness import (
     DEFAULT_TOTAL,
     PLANS,
-    BackgroundLoad,
     ChaosSetup,
-    MemoryClamp,
-    OverloadSpec,
     format_result,
     run_chaos_transfer,
     run_plan,
 )
+from repro.chaos.overload import BackgroundLoad, MemoryClamp, OverloadSpec
 from repro.sidecar.health import HealthState
 
 SEED = 1

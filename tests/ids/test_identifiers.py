@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.ids import (
+from repro.ids.identifiers import (
     IdentifierFactory,
     random_identifiers,
     sample_unique_identifiers,

@@ -29,10 +29,12 @@ import os
 import pytest
 
 from repro import obs
-from repro.chaos import PLANS
+from repro.chaos.harness import PLANS
 from repro.obs.runner import EXPERIMENT_SCENARIOS, run_traced
 from repro.obs.trace import dump_jsonl
-from repro.sweep import SweepSpec, run_sweep, strip_timing
+from repro.sweep.artifact import strip_timing
+from repro.sweep.runner import run_sweep
+from repro.sweep.spec import SweepSpec
 from tests.netsim.heap_oracle import backend
 
 SWEEP_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,

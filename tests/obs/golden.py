@@ -38,7 +38,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.chaos import ChaosResult, result_to_dict
+from repro.chaos.harness import ChaosResult, result_to_dict
 from repro.obs.runner import TraceRunResult, known_scenarios, run_traced
 from repro.obs.trace import TraceEvent, dump_jsonl
 

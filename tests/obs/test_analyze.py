@@ -342,8 +342,8 @@ class TestUnattributed:
 class TestEndToEnd:
     def test_real_run_fully_attributed(self, tmp_path):
         """Every retransmit in a live lossy run gets a known cause."""
-        from repro.obs import export_jsonl
         from repro.obs.runner import run_traced
+        from repro.obs.trace import export_jsonl
 
         result = run_traced("retransmission", seed=1, total_bytes=200_000)
         path = tmp_path / "trace.jsonl"

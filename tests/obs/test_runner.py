@@ -9,6 +9,7 @@ from repro.errors import ObservabilityError
 from repro.obs.analyze import Table, render_text
 from repro.obs.runner import known_scenarios, run_report, run_traced
 from repro.obs.schema import validate_file, validate_record
+from repro.obs.trace import export_jsonl
 from tests.obs.golden import digests, load_golden
 
 
@@ -95,7 +96,7 @@ class TestRunTraced:
         repeats exactly, including the first (cold-memo) run of a plan
         that measures the unassisted baseline, and matches the digests
         checked in as ``golden_traces.json``."""
-        from repro.chaos import unassisted_baseline
+        from repro.chaos.harness import unassisted_baseline
 
         unassisted_baseline.cache_clear()
         first = run_traced(scenario, seed=1)
@@ -126,7 +127,7 @@ class TestRunTraced:
     def test_jsonl_export_validates(self, tmp_path):
         result = run_traced("ack-reduction", seed=2, total_bytes=60_000)
         path = tmp_path / "trace.jsonl"
-        obs.export_jsonl(result.events, str(path))
+        export_jsonl(result.events, str(path))
         components = validate_file(str(path))
         for name in ("link", "transport", "quack", "sidecar"):
             assert components.get(name, 0) > 0

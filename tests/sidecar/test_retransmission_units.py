@@ -46,7 +46,7 @@ def build_segment(loss_ordinals=frozenset(), quack_every=4,
 
 def send_data(sim, server, count, start=0, size=1000):
     factory_key = b"retx-test"
-    from repro.ids import IdentifierFactory
+    from repro.ids.identifiers import IdentifierFactory
     factory = IdentifierFactory(factory_key)
     for i in range(start, start + count):
         packet = Packet(src="server", dst="client", size_bytes=size,

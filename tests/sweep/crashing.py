@@ -11,7 +11,7 @@ import os
 import time
 
 from repro.sidecar.flowtable import run_scale
-from repro.sweep import SweepSpec
+from repro.sweep.spec import SweepSpec
 
 SEED = 11
 BASE = {"tenants": 2, "duration_s": 0.1}

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
-from repro.sweep import SweepSpec, run_sweep, strip_timing
+from repro.sweep.artifact import strip_timing
+from repro.sweep.runner import run_sweep
+from repro.sweep.spec import SweepSpec
 from tests.sweep.crashing import clean_spec, crash_spec
 
 

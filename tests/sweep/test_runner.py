@@ -7,17 +7,16 @@ import pytest
 
 from repro.cli import main
 from repro.errors import SweepResumeError
-from repro.sweep import (
+from repro.sweep.artifact import (
     CELL_FAILED,
     CELL_OK,
-    SweepSpec,
     completed_results,
     format_aggregate,
     load_aggregate_dict,
-    run_sweep,
     strip_timing,
 )
-from repro.sweep.runner import POOL_BROKEN
+from repro.sweep.runner import POOL_BROKEN, run_sweep
+from repro.sweep.spec import SweepSpec
 from tests.sweep.crashing import clean_spec, crash_spec
 
 #: An aggregate written while the engine still retried (``attempts``,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import SweepSpecError
-from repro.sweep import SWEEP_SCHEMA_VERSION, SweepSpec, derive_seed
+from repro.sweep.spec import SWEEP_SCHEMA_VERSION, SweepSpec, derive_seed
 
 
 def minimal(**overrides):

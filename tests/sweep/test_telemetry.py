@@ -12,8 +12,9 @@ import pytest
 
 from repro import obs
 from repro.obs.aggregate import select_series
-from repro.sweep import SweepSpec, run_sweep, strip_timing
-from repro.sweep.artifact import CellOutcome
+from repro.sweep.artifact import CellOutcome, strip_timing
+from repro.sweep.runner import run_sweep
+from repro.sweep.spec import SweepSpec
 
 
 @pytest.fixture(autouse=True)

@@ -76,6 +76,44 @@ class TestQuackCommands:
             main(["quack", "decode", "--frame", frame, "--log", "1"])
 
 
+class TestOutOfRangeInput:
+    """Input the library refuses ends in one error line, not a traceback:
+    argparse rejects an out-of-range flag (exit 2), and a quACK the
+    library cannot build or a frame it cannot parse is an ``error:``
+    line."""
+
+    @pytest.mark.parametrize("argv", [
+        "quack encode --ids 1 --threshold 0",
+        "quack encode --ids 1 --bits 0",
+        "quack encode --ids 1 --count-bits 0",
+        "trace blackout --capacity 0",
+        "experiment cc-division --total 0",
+        "trace cc-division --total 0",
+        "chaos blackout --total 0",
+        "experiment ack-reduction --every 0",
+        "experiment cc-division --loss 1.5",
+        "trace cc-division --loss -0.1",
+    ])
+    def test_flag_out_of_range_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv.split())
+        assert stop.value.code == 2
+        flag = argv.split()[-2]
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("quack decode --frame 00ff --log 1", "frame too short"),
+        ("quack encode --ids 1 --bits 1", "need at least 2 bits"),
+        ("quack encode --ids 1 --threshold 20 --count-bits 3",
+         "count_bits=3 cannot express"),
+    ])
+    def test_library_refusal_is_an_error_line(self, argv, message):
+        with pytest.raises(SystemExit) as stop:
+            main(argv.split())
+        assert str(stop.value.code).startswith("error: ")
+        assert message in str(stop.value.code)
+
+
 #: Cells each artifact must print at ``--trials 3``.  Table 2's sizes,
 #: Table 3 and the Section 4.3 envelopes are analytic; the E11 survival
 #: probabilities are seeded (2 trials per cell at ``--trials 3``) and
@@ -438,7 +476,7 @@ class TestDocumentedPlans:
         return {row[0]: row[1] == "*" for row in rows}
 
     def test_list_plans_is_the_registry(self, listed):
-        from repro.chaos import PLANS
+        from repro.chaos.harness import PLANS
 
         assert listed == {name: plan.adversarial
                           for name, plan in PLANS.items()}
