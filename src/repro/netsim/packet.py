@@ -13,6 +13,15 @@ on their contents" (Section 2).  Concretely:
   it would be the simulation equivalent of breaking the encryption, so
   :meth:`Packet.protected_payload` enforces a capability check: callers
   must present the connection key.
+
+A :class:`Packet` is built once per datagram, the highest-volume
+allocation in any run.  It is slotted and not frozen: on-path elements
+set its ECN mark, and a frozen ``__init__`` would store every field
+through ``object.__setattr__``, about twice the cost of a slotted
+store.  :meth:`Packet.sealed` builds it with one positional call, which
+``tests/test_datagram_objects.py`` holds to a keyword-built packet
+field by field; ``tests/test_datagram_immutability.py`` holds the
+sealed frames unchanged over whole runs.
 """
 
 from __future__ import annotations
@@ -121,9 +130,10 @@ class Packet:
                identifier: int | None = None, flow_id: str = "flow0",
                created_at: float = 0.0) -> "Packet":
         """Build a packet whose payload only holders of ``key`` can read."""
-        return cls(src=src, dst=dst, size_bytes=size_bytes, kind=kind,
-                   identifier=identifier, flow_id=flow_id,
-                   created_at=created_at, _protected=payload, _key=key)
+        # Positional, in field order (ecn_ce and the sidecar payload at
+        # their defaults): a keyword call costs twice as much per datagram.
+        return cls(src, dst, size_bytes, kind, identifier, flow_id,
+                   created_at, False, None, payload, key)
 
     def with_payload(self, payload: Any,
                      size_bytes: int | None = None) -> "Packet":

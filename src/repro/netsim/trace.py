@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliverySample:
     time: float
     cumulative_bytes: int

@@ -53,7 +53,7 @@ from repro.quack.power_sum import PowerSumQuack
 DECODE_METHOD = "auto"
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     """One unresolved sent packet."""
 
@@ -63,7 +63,7 @@ class LogEntry:
     strikes: int = field(default=0, init=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class QuackFeedback:
     """What one quACK told the sender.
 

@@ -55,7 +55,7 @@ _ABSENT = 0xFFFFFFFF
 TRANSCRIPT_BYTES = 32
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuackMessage:
     """One quACK snapshot, serialized with :mod:`repro.quack.wire`, of
     the cumulative state of ``epoch`` (:mod:`repro.sidecar.reset`:

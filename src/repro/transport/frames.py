@@ -10,11 +10,19 @@ The frame set is the minimal QUIC-like vocabulary the sidecar scenarios
 need: stream data, ACKs with ranges, and the ACK-frequency update from
 the QUIC extension the paper cites for ACK reduction (Section 2.2,
 draft-ietf-quic-ack-frequency).
+
+A frame is built once per datagram, so the classes are
+``slots=True`` and not ``frozen=True``: a frozen ``__init__`` stores
+every field through ``object.__setattr__``, about twice the cost of a
+slotted store.  Frames are still never mutated after they are built;
+``tests/test_datagram_immutability.py`` checks that over whole assisted
+runs, and ``tests/test_datagram_objects.py`` keeps these classes (and
+the other per-datagram objects) slotted and unfrozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Bytes of transport + IP/UDP header overhead per packet in the simulation.
 HEADER_BYTES = 40
@@ -24,7 +32,7 @@ HEADER_BYTES = 40
 DEFAULT_MSS = 1460
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataFrame:
     """A chunk of the (single) stream: ``[offset, offset+length)``.
 
@@ -39,7 +47,7 @@ class DataFrame:
     fin: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckFrame:
     """Acknowledgment with ranges, as observed by the receiver.
 
@@ -55,7 +63,7 @@ class AckFrame:
     packet_number: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckFrequencyFrame:
     """Sender's request to slow the peer's ACK cadence (QUIC extension).
 
