@@ -57,7 +57,7 @@ def main() -> None:
         steps = int((times[-1] - times[0]) / STEP_S) + 1
         held = [cwnd[bisect_right(times, times[0] + STEP_S * i) - 1]
                 for i in range(steps)]
-        goodput = receiver.monitor.goodput_bps(receiver.completed_at)
+        goodput = receiver.goodput_bps()
         print(ascii_chart(
             [value / sender.cc.datagram_bytes for value in held],
             width=72, height=8,

@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser(
         "tables", help="regenerate paper artifacts as markdown tables")
     tables.add_argument("which", choices=(*ARTIFACTS, "all"))
-    tables.add_argument("--trials", type=int, default=30,
+    tables.add_argument("--trials", type=_positive, default=30,
                         help="timing trials; each artifact derives its "
                              "own count from it")
     tables.set_defaults(func=cmd_tables)
@@ -457,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int, default=1)
     experiment.add_argument("--every", type=_positive, default=32,
                             help="client ACK cadence (ack-reduction)")
-    experiment.add_argument("--reorder-threshold", type=int, default=64,
+    experiment.add_argument("--reorder-threshold", type=_positive,
+                            default=64,
                             help="server loss tolerance (retransmission)")
     experiment.add_argument("--no-sidecar", action="store_true",
                             help="run the baseline without assistance")
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FLOW",
                          help="restrict connection sections to this flow "
                               "(repeatable)")
-    analyze.add_argument("--width", type=int, default=72,
+    analyze.add_argument("--width", type=_positive, default=72,
                          help="chart width in characters")
     analyze.add_argument("--filter", action="append", default=[],
                          metavar="PREFIX",

@@ -8,7 +8,5 @@ Public surface:
   :mod:`repro.netsim.loss`;
 * :class:`~repro.netsim.node.Host`, :class:`~repro.netsim.node.Router`;
 * :func:`~repro.netsim.topology.build_path`,
-  :class:`~repro.netsim.topology.HopSpec`;
-* :class:`~repro.netsim.trace.FlowMonitor`, the per-transfer progress
-  monitor.
+  :class:`~repro.netsim.topology.HopSpec`.
 """

@@ -35,13 +35,15 @@ class Node(ABC):
     element), so the hierarchy is ``__slots__``-based.
     """
 
-    __slots__ = ("sim", "name", "links", "routes", "_next_link")
+    __slots__ = ("sim", "name", "links", "routes", "pins", "_next_link")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         self.links: dict[str, Link] = {}
         self.routes: dict[str, str] = {}
+        #: Flow id -> next hop, ahead of ``routes`` (see :meth:`pin`).
+        self.pins: dict[str, str] = {}
         #: Destination -> outgoing link, filled on first use and dropped
         #: whenever a link or route changes.
         self._next_link: dict[str, Link] = {}
@@ -54,14 +56,17 @@ class Node(ABC):
         self.routes[destination] = next_hop
         self._next_link.clear()
 
-    def send(self, packet: Packet, via: str | None = None) -> bool:
-        """Route a locally-originated (or forwarded) packet one hop on.
+    def pin(self, flow_id: str, next_hop: str) -> None:
+        """Let :meth:`send` put ``flow_id``'s packets on the link to
+        ``next_hop``, whatever the routing table says."""
+        self.pins[flow_id] = next_hop
 
-        ``via`` pins the first hop (multipath senders steering a packet
-        onto a specific path); otherwise the routing table decides.
-        """
-        if via is not None:
-            return self._link(packet.dst, via).send(packet)
+    def send(self, packet: Packet) -> bool:
+        """Route a locally-originated (or emitted) packet one hop on."""
+        if self.pins:
+            next_hop = self.pins.get(packet.flow_id)
+            if next_hop is not None:
+                return self._link(packet.dst, next_hop).send(packet)
         try:
             link = self._next_link[packet.dst]
         except KeyError:

@@ -135,9 +135,9 @@ def build_parallel_paths(sim: Simulator, left: Node, right: Node,
 
     Each entry of ``middles``/``hops`` becomes an independent
     left -- middle_i -- right chain (``hops[i]`` gives the two HopSpecs).
-    Default routes between the endpoints go via the *first* path;
-    multipath senders steer onto other paths with ``send(packet,
-    via=...)`` (see :mod:`repro.transport.multipath`).
+    Default routes between the endpoints go via the *first* path; a
+    flow steers onto another by :meth:`~repro.netsim.node.Node.pin` at
+    each endpoint (see :mod:`repro.transport.multipath`).
 
     Returns one :class:`PathTopology` per path (sharing the endpoint
     nodes).

@@ -121,7 +121,7 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
         ack_every=ack_every,
         completed=receiver.complete,
         completion_time=completion,
-        goodput_bps=receiver.monitor.goodput_bps(completion),
+        goodput_bps=receiver.goodput_bps(),
         client_acks_sent=receiver.stats.acks_sent,
         client_ack_bytes=ack_bytes,
         proxy_quacks_sent=quack_count,

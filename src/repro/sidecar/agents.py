@@ -175,6 +175,10 @@ class EmitterEndpoint(_Endpoint):
         return QuackEmitter(self.threshold, self.bits, policy=self.policy,
                             flow=self._ledger_key)
 
+    def _replace_emitter(self) -> None:
+        """Start over on an empty accumulator (reset, crash, HELLO)."""
+        self.emitter = self._fresh_emitter()
+
     # -- observe and emit --------------------------------------------------------
 
     def on_data(self, packet: Packet) -> None:
@@ -224,7 +228,7 @@ class EmitterEndpoint(_Endpoint):
                 # accumulator is empty; once identifiers are folded in,
                 # rebuilding it would orphan them in the peer's log.
                 self.threshold, self.bits = ack.threshold, ack.bits
-                self.emitter = self._fresh_emitter()
+                self._replace_emitter()
             self._trace("sidecar.negotiated", role="emitter",
                         version=ack.version, features=ack.features)
         self.hello_acks_sent += 1
@@ -263,7 +267,7 @@ class EmitterEndpoint(_Endpoint):
         elif verdict == "new":
             self.epoch = epoch
             self.resets_applied += 1
-            self.emitter = self._fresh_emitter()
+            self._replace_emitter()
 
     def crash_restart(self) -> None:
         """Simulate a middlebox crash/restart: all volatile state is lost.
@@ -276,7 +280,7 @@ class EmitterEndpoint(_Endpoint):
         """
         self.restarts += 1
         self.epoch = 0
-        self.emitter = self._fresh_emitter()
+        self._replace_emitter()
         self.session = Session(armed=self.negotiate_config is not None)
         blob = self.checkpoints.load() if self.checkpoints is not None \
             else None

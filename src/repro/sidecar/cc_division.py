@@ -280,12 +280,11 @@ def run_cc_division(total_bytes: int = 1_500_000,
     transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
 
     completion = receiver.completed_at
-    goodput = receiver.monitor.goodput_bps(completion)
     return CcDivisionResult(
         sidecar_enabled=sidecar,
         completed=receiver.complete,
         completion_time=completion,
-        goodput_bps=goodput,
+        goodput_bps=receiver.goodput_bps(),
         server_packets_sent=sender.stats.packets_sent,
         server_retransmissions=sender.stats.retransmitted_packets,
         server_cwnd_final=sender.cc.cwnd_packets,

@@ -233,6 +233,21 @@ class FlowTable:
             obs.count("flowtable_flows_admitted_total")
         return record
 
+    def swap_emitter(self, record: FlowRecord, emitter: QuackEmitter) -> None:
+        """Put a fresh ``emitter`` in a live ``record`` (its owner reset,
+        crashed or renegotiated), keeping the tenant's bytes equal to
+        its resident banks."""
+        emitter.flow = record.flow_key
+        bank = (emitter.quack.wire_size_bits() + 7) // 8
+        change = bank - record.bank_bytes
+        record.emitter = emitter
+        record.bank_bytes = bank
+        record.due = False
+        self._tenant_bank[record.tenant] += change
+        self._bank_total += change
+        self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
+                                         self._bank_total)
+
     def _reject(self, tenant: str, flow_id: str) -> None:
         self.stats.flows_rejected += 1
         if obs.TRACER.enabled:
@@ -526,14 +541,12 @@ class FlowTableTap(ProxyEmitterTap):
         self.readmissions += 1
         return True
 
-    def _apply_reset(self, epoch: int) -> None:
-        super()._apply_reset(epoch)
-        # A reset replaced self.emitter; re-point the shared record at
-        # the fresh accumulator so batching keeps working.
-        if (self._record is not None and self._record.live
-                and self._record.emitter is not self.emitter):
-            self._record.emitter = self.emitter
-            self._record.due = False
+    def _replace_emitter(self) -> None:
+        super()._replace_emitter()
+        # The table folds and emits through a live record (rejoin()
+        # admits an evicted flow afresh).
+        if self._record is not None and self._record.live:
+            self.table.swap_emitter(self._record, self.emitter)
 
     def fault_counters(self) -> dict:
         counters = super().fault_counters()

@@ -213,7 +213,7 @@ def run_retransmission(total_bytes: int = 1_500_000,
         innet_retx_enabled=innet_retx,
         completed=receiver.complete,
         completion_time=completion,
-        goodput_bps=receiver.monitor.goodput_bps(completion),
+        goodput_bps=receiver.goodput_bps(),
         server_packets_sent=sender.stats.packets_sent,
         server_retransmissions=sender.stats.retransmitted_packets,
         server_congestion_events=sender.cc.congestion_events,

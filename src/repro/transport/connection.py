@@ -39,7 +39,6 @@ from repro.netsim.core import EventHandle, Simulator
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind, reset_packet_uids
 from repro.netsim.topology import HopSpec, build_path
-from repro.netsim.trace import FlowMonitor
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.transport.ack import (
     DEFAULT_MAX_ACK_DELAY,
@@ -119,9 +118,7 @@ class SenderConnection:
                  flow_id: str = "flow0",
                  cc_from_acks: bool = True,
                  reorder_threshold: int = PACKET_REORDER_THRESHOLD,
-                 pacing: bool = False,
-                 chunk_source: "ChunkSource | None" = None,
-                 via: str | None = None) -> None:
+                 pacing: bool = False) -> None:
         if total_bytes <= 0:
             raise TransportError(f"total_bytes must be positive, got {total_bytes}")
         self.sim = sim
@@ -146,13 +143,6 @@ class SenderConnection:
         #: ``pacing_rate_bps(rtt)`` when it has one (AimdRate, BbrLite),
         #: otherwise from cwnd/srtt with the usual slow-start headroom.
         self.pacing = pacing
-        #: Multipath support: when set, fresh data chunks are pulled from
-        #: this shared source (several subflows striping one stream)
-        #: instead of the linear offset counter, and completion means
-        #: "everything *this* subflow pulled is acknowledged".
-        self.chunk_source = chunk_source
-        #: Pin the first hop (path steering for multipath subflows).
-        self.via = via
 
         self.rtt = RttEstimator()
         self.sent: dict[int, SentPacketRecord] = {}
@@ -160,7 +150,6 @@ class SenderConnection:
         #: frame is diffed against it and only what it adds is visited.
         self.acked_numbers = RangeSet()
         self.acked_offsets = RangeSet()
-        self.assigned_offsets = RangeSet()  # chunks this subflow owns
         self.bytes_in_flight = 0
         self.stats = SenderStats()
         self.completed_at: float | None = None
@@ -260,7 +249,7 @@ class SenderConnection:
         if obs.TRACER.enabled:
             packet.trace_ctx = packet.uid
             record.trace_ctx = packet.uid
-        self.host.send(packet, via=self.via)
+        self.host.send(packet)
         for listener in self._send_listeners:
             listener(record)
 
@@ -362,12 +351,6 @@ class SenderConnection:
         if self._retx_queue:
             offset, length, cause, latency, parent_ctx = self._retx_queue.popleft()
             return offset, length, (cause, latency, parent_ctx)
-        if self.chunk_source is not None:
-            chunk = self.chunk_source.next_chunk()
-            if chunk is None:
-                return None
-            offset, length = chunk
-            return offset, length, None
         if self._next_offset < self.total_bytes:
             length = min(self.mss, self.total_bytes - self._next_offset)
             offset = self._next_offset
@@ -380,8 +363,6 @@ class SenderConnection:
         """Return an unsent chunk to the front of its queue."""
         if retx is not None:
             self._retx_queue.appendleft((offset, length, *retx))
-        elif self.chunk_source is not None:
-            self.chunk_source.push_back(offset, length)
         else:
             self._next_offset = offset  # it was fresh data; rewind
 
@@ -408,8 +389,6 @@ class SenderConnection:
         )
         self.sent[pn] = record
         self._outstanding += 1
-        if length > 0:
-            self.assigned_offsets.add_range(offset, offset + length - 1)
         self.bytes_in_flight += size
         self.stats.packets_sent += 1
         self.stats.bytes_sent += size
@@ -433,7 +412,7 @@ class SenderConnection:
                 obs.TRACER.emit("transport.send", self.sim.now,
                                 flow=self.flow_id, pn=pn, size=size,
                                 ctx=packet.uid)
-        self.host.send(packet, via=self.via)
+        self.host.send(packet)
         for listener in self._send_listeners:
             listener(record)
         return record
@@ -594,25 +573,17 @@ class SenderConnection:
         self._arm_pto()
 
     def _check_completion(self) -> None:
-        if self.completed_at is not None:
-            return
-        if self.chunk_source is not None:
-            # Multipath subflow: done when the shared stream is exhausted
-            # and everything this subflow ever transmitted is acked.
-            done = (self.chunk_source.exhausted()
-                    and not self._retx_queue
-                    and self.bytes_in_flight == 0
-                    and len(self.acked_offsets) == len(self.assigned_offsets))
-        else:
-            # Every offset is below ``total_bytes``: a full count is
-            # complete coverage.
-            done = self.acked_offsets.count == self.total_bytes
-        if done:
-            self.completed_at = self.sim.now
-            if obs.TRACER.enabled:
-                obs.TRACER.emit("transport.complete", self.sim.now,
-                                flow=self.flow_id, bytes=self.total_bytes)
-            self._pto_timer.cancel()
+        # Offsets are below ``total_bytes``: a full count is full coverage.
+        if (self.completed_at is None
+                and self.acked_offsets.count == self.total_bytes):
+            self._finish()
+
+    def _finish(self) -> None:
+        self.completed_at = self.sim.now
+        if obs.TRACER.enabled:
+            obs.TRACER.emit("transport.complete", self.sim.now,
+                            flow=self.flow_id, bytes=self.total_bytes)
+        self._pto_timer.cancel()
 
 
 @dataclass
@@ -634,11 +605,7 @@ class ReceiverConnection:
                  total_bytes: int,
                  key: bytes = b"connection-key",
                  flow_id: str = "flow0",
-                 ack_policy: AckFrequencyPolicy | None = None,
-                 monitor: FlowMonitor | None = None,
-                 on_complete: Callable[[float], None] | None = None,
-                 received_offsets: RangeSet | None = None,
-                 via: str | None = None) -> None:
+                 ack_policy: AckFrequencyPolicy | None = None) -> None:
         self.sim = sim
         self.host = host
         self.peer = peer
@@ -647,18 +614,14 @@ class ReceiverConnection:
         self.flow_id = flow_id
         self.ack_policy = ack_policy if ack_policy is not None \
             else AckFrequencyPolicy()
-        self.monitor = monitor if monitor is not None else FlowMonitor(flow_id)
-        self.on_complete = on_complete
-        #: Pin the first hop for ACKs (multipath: keep feedback on-path).
-        self.via = via
 
         self.tracker = AckTracker()
-        #: Byte ranges received.  Multipath receivers share one RangeSet
-        #: across the subflows reassembling the same stream.
-        self.received_offsets = received_offsets \
-            if received_offsets is not None else RangeSet()
+        #: Byte ranges received.
+        self.received_offsets = RangeSet()
         self.stats = ReceiverStats()
         self.completed_at: float | None = None
+        #: When the last new byte arrived (None until one does).
+        self.last_delivery_at: float | None = None
         #: Cumulative count of CE-marked data packets, echoed in ACKs
         #: (the ECN role e2e ACKs keep even under ACK reduction, §2.2).
         self.ce_count = 0
@@ -671,6 +634,13 @@ class ReceiverConnection:
     @property
     def complete(self) -> bool:
         return self.completed_at is not None
+
+    def goodput_bps(self) -> float:
+        """Bytes received over the time of the last delivery, in bit/s
+        (0.0 before anything is delivered)."""
+        if self.last_delivery_at is None:
+            return 0.0
+        return 8 * self.stats.bytes_received / self.last_delivery_at
 
     # -- receiving ----------------------------------------------------------
 
@@ -702,7 +672,7 @@ class ReceiverConnection:
                                            frame.offset + frame.length - 1)
             if new_bytes:
                 self.stats.bytes_received += new_bytes
-                self.monitor.record_delivery(new_bytes, self.sim.now)
+                self.last_delivery_at = self.sim.now
         self._maybe_ack(frame.packet_number != tracker.largest
                         or received.has_gap_below(frame.offset))
         # Every offset is below ``total_bytes``, so a full count is
@@ -743,15 +713,12 @@ class ReceiverConnection:
         )
         self.tracker.mark_acked()
         self.stats.acks_sent += 1
-        self.host.send(packet, via=self.via)
+        self.host.send(packet)
 
     def _complete(self) -> None:
         self.completed_at = self.sim.now
-        self.monitor.record_completion(self.sim.now)
         # Flush a final ACK so the sender can finish too.
         self._send_ack()
-        if self.on_complete is not None:
-            self.on_complete(self.sim.now)
 
 
 class Transfer:

@@ -2,19 +2,18 @@
 
 The paper's Section 5 asks "how would a proxy interact with multipath
 transport protocols?"  To make that question concrete and runnable, this
-module provides an MPTCP/MPQUIC-flavored multipath layer on top of the
-existing endpoints:
+module provides an MPTCP/MPQUIC-flavored multipath layer beside the
+single-path endpoints of :mod:`repro.transport.connection`:
 
 * :class:`SharedStream` -- the chunk allocator.  Subflows *pull* chunks
   as their congestion windows open (pull-based scheduling: a fast path
   naturally claims more of the stream), and return unsent chunks on
   window pressure.
-* :class:`MultipathTransfer` -- wires one
-  :class:`~repro.transport.connection.SenderConnection` per path (each
-  with its own congestion controller, packet-number space, identifier
-  key, and pinned first hop) against one
-  :class:`~repro.transport.connection.ReceiverConnection` per path that
-  all share the reassembly state and flow monitor.
+* :class:`SubflowSender` / :class:`SubflowReceiver` -- endpoints that
+  pull from the shared stream and reassemble into one shared range set.
+* :class:`MultipathTransfer` -- one subflow per path (own congestion
+  controller, packet numbers and identifier key), pinned to its path at
+  both hosts (:meth:`~repro.netsim.node.Node.pin`).
 
 Each subflow is an ordinary paranoid connection with its own flow id, so
 the sidecar machinery composes per path without modification: a proxy on
@@ -27,11 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import TransportError
 from repro.netsim.core import Simulator
 from repro.netsim.node import Host
-from repro.netsim.trace import FlowMonitor
 from repro.transport.connection import ReceiverConnection, SenderConnection
 from repro.transport.frames import DEFAULT_MSS
 from repro.transport.ranges import RangeSet
@@ -47,28 +46,75 @@ class SharedStream:
         self.mss = mss
         self._next_offset = 0
         self._returned: deque[tuple[int, int]] = deque()
-        self.chunks_handed_out = 0
 
     def next_chunk(self) -> tuple[int, int] | None:
         """Hand out the next chunk (returned chunks take precedence)."""
         if self._returned:
-            self.chunks_handed_out += 1
             return self._returned.popleft()
         if self._next_offset >= self.total_bytes:
             return None
         length = min(self.mss, self.total_bytes - self._next_offset)
         offset = self._next_offset
         self._next_offset += length
-        self.chunks_handed_out += 1
         return offset, length
 
     def push_back(self, offset: int, length: int) -> None:
         """A subflow could not send a pulled chunk; re-offer it."""
         self._returned.appendleft((offset, length))
-        self.chunks_handed_out -= 1
 
     def exhausted(self) -> bool:
         return not self._returned and self._next_offset >= self.total_bytes
+
+
+class SubflowSender(SenderConnection):
+    """A sender whose fresh data is pulled from a :class:`SharedStream`;
+    ``assigned_offsets`` is every byte it has put on the wire."""
+
+    def __init__(self, sim: Simulator, host: Host, peer: str,
+                 total_bytes: int, stream: SharedStream, **kwargs) -> None:
+        super().__init__(sim, host, peer, total_bytes, **kwargs)
+        self.stream = stream
+        self.assigned_offsets = RangeSet()
+
+    def _next_chunk(self):
+        if self._retx_queue:
+            return super()._next_chunk()
+        chunk = self.stream.next_chunk()
+        return None if chunk is None else (*chunk, None)
+
+    def _push_back_chunk(self, offset, length, retx) -> None:
+        if retx is None:
+            self.stream.push_back(offset, length)
+        else:
+            super()._push_back_chunk(offset, length, retx)
+
+    def _transmit(self, offset, length, retx=None):
+        if length > 0:
+            self.assigned_offsets.add_range(offset, offset + length - 1)
+        return super()._transmit(offset, length, retx)
+
+    def _check_completion(self) -> None:
+        # Done when the shared stream is exhausted and everything this
+        # subflow ever transmitted is acked.
+        if (self.completed_at is None and self.stream.exhausted()
+                and not self._retx_queue and self.bytes_in_flight == 0
+                and len(self.acked_offsets) == len(self.assigned_offsets)):
+            self._finish()
+
+
+class SubflowReceiver(ReceiverConnection):
+    """Reassembles into the shared ``received``; calls ``on_complete``."""
+
+    def __init__(self, sim: Simulator, host: Host, peer: str,
+                 total_bytes: int, received: RangeSet,
+                 on_complete: Callable[[float], None], **kwargs) -> None:
+        super().__init__(sim, host, peer, total_bytes, **kwargs)
+        self.received_offsets = received
+        self.on_complete = on_complete
+
+    def _complete(self) -> None:
+        super()._complete()
+        self.on_complete(self.sim.now)
 
 
 @dataclass(frozen=True)
@@ -90,8 +136,8 @@ class SubflowHandle:
     """The endpoints of one path's subflow."""
 
     flow_id: str
-    sender: SenderConnection
-    receiver: ReceiverConnection
+    sender: SubflowSender
+    receiver: SubflowReceiver
 
 
 class MultipathTransfer:
@@ -105,21 +151,20 @@ class MultipathTransfer:
         self.total_bytes = total_bytes
         self.stream = SharedStream(total_bytes)
         self.received = RangeSet()
-        self.monitor = FlowMonitor("multipath")
         self.completed_at: float | None = None
         self.subflows: list[SubflowHandle] = []
         for index, path in enumerate(paths):
             flow_id = f"mp-{index}"
             key = f"multipath-key-{index}".encode()
-            receiver = ReceiverConnection(
-                sim, client, server.name, total_bytes, key=key,
-                flow_id=flow_id, monitor=self.monitor,
-                received_offsets=self.received,
-                on_complete=self._subflow_done,
-                via=path.via_reverse)
-            sender = SenderConnection(
-                sim, server, client.name, total_bytes, key=key,
-                flow_id=flow_id, chunk_source=self.stream, via=path.via)
+            server.pin(flow_id, path.via)
+            if path.via_reverse is not None:
+                client.pin(flow_id, path.via_reverse)
+            receiver = SubflowReceiver(
+                sim, client, server.name, total_bytes, self.received,
+                self._subflow_done, key=key, flow_id=flow_id)
+            sender = SubflowSender(
+                sim, server, client.name, total_bytes, self.stream, key=key,
+                flow_id=flow_id)
             self.subflows.append(SubflowHandle(flow_id, sender, receiver))
 
     def start(self) -> None:
@@ -138,7 +183,11 @@ class MultipathTransfer:
 
     @property
     def goodput_bps(self) -> float:
-        return self.monitor.goodput_bps(self.completed_at)
+        """The stream's bytes received over the latest delivery on any
+        subflow, in bit/s (0.0 before anything is delivered)."""
+        latest = max(sub.receiver.last_delivery_at or 0.0
+                     for sub in self.subflows)
+        return 8 * len(self.received) / latest if latest else 0.0
 
     def bytes_by_subflow(self) -> dict[str, int]:
         """How much of the stream each path carried (sent, minus retx)."""

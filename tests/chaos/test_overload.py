@@ -19,7 +19,9 @@ from repro.chaos.harness import (
     run_chaos_transfer,
     run_plan,
 )
+from repro.chaos.injectors import MiddleboxCrash
 from repro.chaos.overload import BackgroundLoad, MemoryClamp, OverloadSpec
+from repro.sidecar.flowtable import FlowTableTap
 from repro.sidecar.health import HealthState
 
 SEED = 1
@@ -130,3 +132,45 @@ class TestEvictionReadmission:
         assert result.emitter_counters["evictions"] >= 1
         assert result.emitter_counters["readmissions"] >= 1
         assert result.emitter_counters["assisted"]
+
+
+class TestCrashInTheTable:
+    """A crash wipes the tap's accumulator in the table too: the table
+    folds into the fresh one, so the server sees the count regress."""
+
+    @pytest.fixture(scope="class")
+    def crashed(self):
+        #: (after a crash, folded into the tap's own emitter), per packet.
+        folds = []
+        on_data = FlowTableTap.on_data
+
+        def recording(tap, packet):
+            if tap.assisted:
+                folds.append((tap.restarts > 0,
+                              tap._record.emitter is tap.emitter))
+            on_data(tap, packet)
+
+        setup = ChaosSetup(
+            name="crash-in-table", crashes=MiddleboxCrash(times=(0.4,)),
+            overload=OverloadSpec(drivers=[BackgroundLoad(seed=SEED)]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FlowTableTap, "on_data", recording)
+            result = run_chaos_transfer(setup, seed=SEED, total_bytes=TOTAL)
+        return result, folds
+
+    def test_every_observation_after_the_crash_lands_in_the_tap(self,
+                                                                 crashed):
+        _, folds = crashed
+        after = [same for restarted, same in folds if restarted]
+        assert len(after) > 100
+        assert all(after)
+
+    def test_the_server_notices_the_restart(self, crashed):
+        result, _ = crashed
+        assert result.crashes == 1
+        assert result.server_counters["restarts_detected"] >= 1
+
+    def test_invariants_hold(self, crashed):
+        result, _ = crashed
+        assert result.completed
+        assert result.violations() == [], format_result(result)

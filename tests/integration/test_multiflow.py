@@ -76,8 +76,7 @@ class TestTwoPlainFlows:
         assert rb.stats.packets_received <= sb.stats.packets_sent
 
     def test_rough_fairness(self, flows):
-        goodputs = [r.monitor.goodput_bps(r.completed_at)
-                    for _, r, _ in flows.values()]
+        goodputs = [r.goodput_bps() for _, r, _ in flows.values()]
         assert max(goodputs) < 3 * min(goodputs)
 
     def test_bottleneck_respected(self, flows):

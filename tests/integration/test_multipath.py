@@ -11,8 +11,6 @@ import random
 
 import pytest
 
-pytestmark = pytest.mark.slow
-
 from repro.errors import TransportError
 from repro.netsim.core import Simulator
 from repro.netsim.loss import BernoulliLoss
@@ -24,7 +22,10 @@ from repro.transport.multipath import (
     MultipathTransfer,
     PathSpec,
     SharedStream,
+    SubflowReceiver,
+    SubflowSender,
 )
+from repro.transport.ranges import RangeSet
 
 TOTAL = 1_000_000
 
@@ -74,6 +75,27 @@ class TestSharedStream:
     def test_validation(self):
         with pytest.raises(TransportError):
             SharedStream(0)
+
+
+class TestSubflowEndpoints:
+    def test_receiver_calls_back_on_completion(self):
+        sim = Simulator()
+        server, client = Host(sim, "server"), Host(sim, "client")
+        build_parallel_paths(sim, server, client, [Router(sim, "p0")], [
+            (HopSpec(bandwidth_bps=10e6, delay_s=0.01),
+             HopSpec(bandwidth_bps=10e6, delay_s=0.01))])
+        done = []
+        received = RangeSet()
+        receiver = SubflowReceiver(sim, client, "server", 100_000, received,
+                                   done.append)
+        sender = SubflowSender(sim, server, "client", 100_000,
+                               SharedStream(100_000))
+        sender.start()
+        sim.run(until=30)
+        assert done == [receiver.completed_at]
+        assert receiver.received_offsets is received
+        assert len(received) == 100_000
+        assert sender.completed_at >= receiver.completed_at
 
 
 class TestMultipathTransfer:

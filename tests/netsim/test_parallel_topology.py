@@ -1,4 +1,4 @@
-"""Tests for the parallel-paths topology builder and path-pinned sends."""
+"""Tests for the parallel-paths topology builder and per-flow pins."""
 
 import pytest
 
@@ -44,23 +44,28 @@ class TestBuildParallelPaths:
         sim, left, right, middles, topos = build()
         got = []
         right.add_handler(PacketKind.DATA, lambda p: got.append(sim.now))
-        left.send(Packet(src="left", dst="right", size_bytes=100), via="m1")
+        left.pin("f1", "m1")
+        left.send(Packet(src="left", dst="right", size_bytes=100,
+                         flow_id="f1"))
+        # Other flows still follow the routing table.
+        left.send(Packet(src="left", dst="right", size_bytes=100))
         sim.run()
-        # Path 1 delays: 20 ms + 20 ms.
-        assert got and got[0] > 0.04
+        # Path 0 delays: 10 ms + 10 ms; path 1's: 20 ms + 20 ms.
+        assert len(got) == 2 and got[0] < 0.03 and got[1] > 0.04
 
     def test_via_unknown_neighbor_rejected(self):
         sim, left, right, middles, topos = build()
+        left.pin("flow0", "nowhere")
         with pytest.raises(SimulationError, match="no link"):
-            left.send(Packet(src="left", dst="right", size_bytes=10),
-                      via="nowhere")
+            left.send(Packet(src="left", dst="right", size_bytes=10))
 
     def test_reverse_direction_steering(self):
         sim, left, right, middles, topos = build()
         got = []
         left.add_handler(PacketKind.ACK, lambda p: got.append(sim.now))
+        right.pin("flow0", "m1")
         right.send(Packet(src="right", dst="left", size_bytes=50,
-                          kind=PacketKind.ACK), via="m1")
+                          kind=PacketKind.ACK))
         sim.run()
         assert got and got[0] > 0.04
 

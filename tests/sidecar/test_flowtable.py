@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim.core import Simulator
 from repro.sidecar.accounting import FLOW_ACCOUNTS
+from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.flowtable import (
     FlowTable,
     FlowTableConfig,
@@ -71,6 +72,23 @@ class TestAdmission:
         assert table.tenant_bank_bytes("t0") == 2 * BANK
         assert table.tenant_bank_bytes("t1") == BANK
         assert table.total_bank_bytes() == 3 * BANK
+
+    def test_swapped_emitter_is_folded_and_accounted(self):
+        # A reset, crash or renegotiation hands the record a fresh
+        # accumulator, possibly of another size.
+        _, table = make_table()
+        record = table.admit("t0", "f0")
+        table.admit("t0", "f1")
+        table.observe(record, 7)
+        wider = QuackEmitter(8, 32)
+        table.swap_emitter(record, wider)
+        table.observe(record, 9)
+        assert record.emitter is wider and wider.flow == "t0/f0"
+        assert wider.quack.count == 1
+        assert record.bank_bytes == (wider.quack.wire_size_bits() + 7) // 8
+        assert record.bank_bytes > BANK
+        assert table.tenant_bank_bytes("t0") == record.bank_bytes + BANK
+        assert table.total_bank_bytes() == record.bank_bytes + BANK
 
     def test_newcomer_bigger_than_budget_rejected(self):
         _, table = make_table(tenant_budget_bytes=BANK - 1)

@@ -97,7 +97,7 @@ class _Outbox:
     round to routing the packet.
     """
 
-    def send(self, packet, via=None):
+    def send(self, packet):
         self.outbox.append((self.sim.now, self.stamp(), packet))
         return True
 

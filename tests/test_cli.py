@@ -93,6 +93,11 @@ class TestOutOfRangeInput:
         "experiment ack-reduction --every 0",
         "experiment cc-division --loss 1.5",
         "trace cc-division --loss -0.1",
+        "analyze trace.jsonl --width 0",
+        "tables fig5 --trials 0",
+        "tables fig5 --trials -3",
+        "experiment retransmission --reorder-threshold 0",
+        "experiment retransmission --reorder-threshold -5",
     ])
     def test_flag_out_of_range_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:

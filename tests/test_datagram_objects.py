@@ -21,7 +21,6 @@ import pytest
 
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.sched import EventHandle
-from repro.netsim.trace import DeliverySample
 from repro.quack.base import DecodeStatus
 from repro.sidecar.consumer import LogEntry, QuackFeedback
 from repro.sidecar.protocol import QuackMessage
@@ -40,7 +39,6 @@ INSTANCES = [
     QuackMessage(frame=b"\x01", flow_id="flow0"),
     LogEntry(7, 1, 0.0),
     QuackFeedback(status=DecodeStatus.OK),
-    DeliverySample(0.0, 1460),
 ]
 
 

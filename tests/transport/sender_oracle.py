@@ -22,6 +22,7 @@ from repro.errors import TransportError
 from repro.netsim.packet import Packet
 from repro.transport.connection import SenderConnection, SentPacketRecord
 from repro.transport.frames import AckFrame
+from repro.transport.multipath import SubflowSender
 from repro.transport.ranges import RangeSet
 
 
@@ -139,8 +140,17 @@ def audit_sender(sender: SenderConnection) -> None:
     """What a sender's bookkeeping must conserve, between any two events."""
     records = sender.sent.values()
     flow = sender.flow_id
-    for name in ("acked_numbers", "acked_offsets", "assigned_offsets"):
+    for name in ("acked_numbers", "acked_offsets"):
         _audit_rangeset(f"{flow}.{name}", getattr(sender, name))
+    sent_bytes = RangeSet()
+    for record in records:
+        if record.length:
+            sent_bytes.add_range(record.offset,
+                                 record.offset + record.length - 1)
+    if isinstance(sender, SubflowSender):
+        _audit_rangeset(f"{flow}.assigned_offsets", sender.assigned_offsets)
+        assert sender.assigned_offsets.ranges == sent_bytes.ranges, \
+            f"{flow}: assigned_offsets is not the bytes of the sent records"
 
     in_flight = sum(r.size_bytes for r in records if not r.retired)
     assert sender.bytes_in_flight == in_flight, \
@@ -157,7 +167,7 @@ def audit_sender(sender: SenderConnection) -> None:
                 f"{flow}: acked pn {pn} left its bytes un-acked"
     # acked is a subset of sent, in bytes and in packet numbers.
     for lo, hi in sender.acked_offsets:
-        assert sender.assigned_offsets.covers_contiguously(lo, hi), \
+        assert sent_bytes.covers_contiguously(lo, hi), \
             f"{flow}: bytes [{lo},{hi}] acked but never sent"
     acked = [r.packet_number for r in records if r.acked]
     assert sender._largest_acked == (max(acked) if acked else None)
@@ -167,7 +177,7 @@ def audit_sender(sender: SenderConnection) -> None:
         assert fires_at is not None and fires_at >= sender.sim.now, \
             f"{flow}: {outstanding} packets neither acked nor lost and " \
             f"no probe timeout armed"
-    if sender.complete and sender.chunk_source is None:
+    if sender.complete and not isinstance(sender, SubflowSender):
         assert sender.acked_offsets.covers_contiguously(
             0, sender.total_bytes - 1)
 

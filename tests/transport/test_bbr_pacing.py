@@ -48,7 +48,7 @@ class TestBbrModel:
 
     def test_good_utilization_on_clean_path(self):
         _, receiver = run_transfer(BbrLite())
-        goodput = receiver.monitor.goodput_bps(receiver.completed_at)
+        goodput = receiver.goodput_bps()
         assert goodput > 0.6 * BOTTLENECK_BPS
 
     def test_loss_agnostic_where_newreno_collapses(self):
@@ -56,10 +56,8 @@ class TestBbrModel:
         lossy segment keeps the pipe full where AIMD cannot."""
         _, reno_receiver = run_transfer(NewReno(), loss=0.05)
         _, bbr_receiver = run_transfer(BbrLite(), loss=0.05)
-        reno_goodput = reno_receiver.monitor.goodput_bps(
-            reno_receiver.completed_at)
-        bbr_goodput = bbr_receiver.monitor.goodput_bps(
-            bbr_receiver.completed_at)
+        reno_goodput = reno_receiver.goodput_bps()
+        bbr_goodput = bbr_receiver.goodput_bps()
         assert bbr_goodput > 4 * reno_goodput
 
     def test_startup_exits(self):

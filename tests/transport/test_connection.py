@@ -63,16 +63,25 @@ class TestCleanTransfer:
         with pytest.raises(TransportError):
             SenderConnection(sim, host, "peer", total_bytes=0)
 
-    def test_completion_callbacks(self):
-        # The receiver calls back (a multipath transfer's hook); the
-        # sender records when its last byte was acknowledged.
-        done = []
+    def test_sender_completes_after_receiver(self):
+        # The sender records when its last byte was acknowledged.
         sim, sender, receiver, _ = make_pair()
-        receiver.on_complete = done.append
         sender.start()
         sim.run(until=30)
-        assert done == [receiver.completed_at]
         assert sender.completed_at >= receiver.completed_at
+
+    def test_goodput_is_bytes_over_the_last_delivery(self):
+        sim, sender, receiver, _ = make_pair()
+        assert receiver.goodput_bps() == 0.0  # nothing delivered yet
+        sender.start()
+        sim.run(until=0.05)
+        assert 0 < receiver.stats.bytes_received < 100_000
+        assert receiver.last_delivery_at <= sim.now
+        assert receiver.goodput_bps() == \
+            8 * receiver.stats.bytes_received / receiver.last_delivery_at
+        sim.run(until=30)
+        assert receiver.last_delivery_at == receiver.completed_at
+        assert receiver.goodput_bps() == 8 * 100_000 / receiver.completed_at
 
     def test_window_limits_inflight(self):
         sim, sender, receiver, _ = make_pair(
@@ -269,7 +278,7 @@ class TestThroughHopPath:
         sim.run(until=30)
         assert receiver.complete
         # Goodput bounded by the narrow hop.
-        assert receiver.monitor.goodput_bps() < 10e6
+        assert receiver.goodput_bps() < 10e6
 
 
 class TestRetransmitAttribution:

@@ -33,19 +33,24 @@ from repro.transport.cc.cubic import Cubic
 from repro.transport.cc.fixed import FixedWindow
 from repro.transport.connection import SenderConnection
 from repro.transport.frames import AckFrame, DataFrame
-from repro.transport.multipath import SharedStream
+from repro.transport.multipath import SharedStream, SubflowSender
 from repro.transport.ranges import RangeSet
 from tests.transport.sender_oracle import ReferenceSender, audit_sender
 
 MSS = 1460
 MAX_RANGES = 32  # AckTracker's truncation
 
+#: A multipath subflow (chunks from a shared stream, its own completion
+#: rule) processing ACKs, losses and probes by the full scans.
+ReferenceSubflowSender = type("ReferenceSubflowSender",
+                              (ReferenceSender, SubflowSender), {})
+
 
 class World:
     """One sender on a one-hop path; the client records DATA arrivals."""
 
-    def __init__(self, sender_class, total_bytes, *, multipath=False,
-                 cc=None, **sender_kwargs):
+    def __init__(self, sender_class, total_bytes, *, cc=None,
+                 **sender_kwargs):
         self.sim = Simulator()
         server, client = Host(self.sim, "server"), Host(self.sim, "client")
         build_path(self.sim, [server, client],
@@ -54,8 +59,8 @@ class World:
         #: (time, packet number) of every DataFrame that reached the client.
         self.arrived: list[tuple[float, int]] = []
         client.add_handler(PacketKind.DATA, self._on_data)
-        if multipath:
-            sender_kwargs["chunk_source"] = SharedStream(total_bytes, MSS)
+        if issubclass(sender_class, SubflowSender):
+            sender_kwargs["stream"] = SharedStream(total_bytes, MSS)
         self.sender = sender_class(self.sim, server, "client", total_bytes,
                                    cc=cc() if cc is not None else None,
                                    **sender_kwargs)
@@ -75,11 +80,10 @@ class World:
 def snapshot(world: World) -> dict:
     sender = world.sender
     rtt = sender.rtt
-    return {
+    state = {
         "records": dict(sender.sent),
         "bytes_in_flight": sender.bytes_in_flight,
         "acked_offsets": sender.acked_offsets.ranges,
-        "assigned_offsets": sender.assigned_offsets.ranges,
         "retx_queue": list(sender._retx_queue),
         "cc": dict(vars(sender.cc)),
         "rtt": (rtt.srtt, rtt.rttvar, rtt.min_rtt, rtt.latest, rtt.has_sample),
@@ -94,6 +98,9 @@ def snapshot(world: World) -> dict:
         "now": world.sim.now,
         "arrived": list(world.arrived),
     }
+    if isinstance(sender, SubflowSender):
+        state["assigned_offsets"] = sender.assigned_offsets.ranges
+    return state
 
 
 def assert_same_state(new: World, old: World, step) -> None:
@@ -109,12 +116,13 @@ def assert_same_state(new: World, old: World, step) -> None:
 
 
 def run_schedule(seed, steps, seen, *, sender_class=SenderConnection,
-                 packets=150, drop=0.08, **config):
+                 reference_class=ReferenceSender, packets=150, drop=0.08,
+                 **config):
     """One seeded conversation; asserts after every step."""
     rng = random.Random(seed)
     total_bytes = packets * MSS - 17
     new = World(sender_class, total_bytes, **config)
-    old = World(ReferenceSender, total_bytes, **config)
+    old = World(reference_class, total_bytes, **config)
     worlds = (new, old)
     received = RangeSet()       # what the client would acknowledge
     taken = 0                   # arrivals already decided on
@@ -251,7 +259,7 @@ CONFIGS = [
     dict(),
     dict(cc_from_acks=False),
     dict(reorder_threshold=64, drop=0.15),
-    dict(multipath=True),
+    dict(sender_class=SubflowSender, reference_class=ReferenceSubflowSender),
     dict(pacing=True, cc=Cubic),
     dict(cc=lambda: FixedWindow(60, MSS + 40), drop=0.3, packets=250),
 ]
