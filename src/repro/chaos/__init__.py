@@ -2,8 +2,9 @@
 
 The netsim layer provides the generic injectors
 (:mod:`repro.netsim.faults`); this package adds the sidecar-aware pieces
-(:mod:`repro.chaos.injectors`) and the scenario runner with invariant
-checks (:mod:`repro.chaos.harness`).  Quick start::
+(:mod:`repro.chaos.injectors`) and the scenarios with invariant checks
+(:mod:`repro.chaos.harness`), overlays on the rows of
+:mod:`repro.sidecar.path`.  Quick start::
 
     from repro.chaos.harness import run_plan
     result = run_plan("blackout", seed=1)

@@ -1,13 +1,14 @@
 """The chaos harness: scripted adverse scenarios with invariant checks.
 
-One canonical assisted transfer -- server -> proxy -> client with a
-:class:`~repro.sidecar.agents.ProxyEmitterTap` quACKing back to a
-:class:`~repro.sidecar.agents.ServerSidecar` -- runs under a
-:class:`ChaosSetup`: fault injectors on the sidecar channel plus
-scheduled middlebox crashes.  The harness collects everything a
-robustness argument needs into a :class:`ChaosResult` and checks the
-paper's core promise as machine-verifiable invariants
-(:meth:`ChaosResult.violations`):
+A :class:`ChaosSetup` says what goes wrong -- fault injectors on the
+sidecar channel, scheduled middlebox crashes, flow-table overload, a
+version switch -- and what must hold.  It is an *overlay* on a row of
+the assisted path (:mod:`repro.sidecar.path`, where rows and overlays
+are described), which the path's builder applies once;
+:func:`run_chaos_transfer` runs a setup on the canonical row.  The
+harness collects everything a robustness argument needs into a
+:class:`ChaosResult` and checks the paper's core promise as
+machine-verifiable invariants (:meth:`ChaosResult.violations`):
 
 * the base transport delivered every byte end-to-end;
 * emitter and consumer epochs converged;
@@ -16,11 +17,11 @@ paper's core promise as machine-verifiable invariants
 
 Adversarial plans (built on :mod:`repro.chaos.adversary`) add the
 defense invariants: the transfer still completes at no less than the
-*unassisted baseline* goodput (measured by running the same transfer
-with no sidecar at all), the lying sidecar lands in QUARANTINED, and no
-quACK-decoded loss touches the sender after the quarantine verdict.
-The ``crash-resume`` plan exercises checkpoint/restore instead: crashes
-heal through the resume handshake with zero resets.
+*unassisted baseline* goodput (the same row with its agents off), the
+lying sidecar lands in QUARANTINED, and no quACK-decoded loss touches
+the sender after the quarantine verdict.  The ``crash-resume`` plan
+exercises checkpoint/restore instead: crashes heal through the resume
+handshake with zero resets.
 
 Named plans (:data:`PLANS`: one row each -- name, one-line description,
 setup builder) make scenarios replayable from tests, the CLI
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro import obs
@@ -47,7 +48,6 @@ from repro.chaos.adversary import (
 )
 from repro.chaos.injectors import MiddleboxCrash, sidecar_corrupter
 from repro.chaos.overload import (
-    PRIMARY_TENANT,
     BackgroundLoad,
     ChurnStorm,
     MemoryClamp,
@@ -63,36 +63,19 @@ from repro.netsim.faults import (
     Duplication,
     FaultInjector,
 )
-from repro.netsim.topology import HopSpec
-from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
-from repro.sidecar.defense import DefenseConfig
-from repro.sidecar.flowtable import FlowTable, FlowTableTap
-from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthState, HealthTransition
-from repro.sidecar.negotiate import Capabilities, NegotiateConfig
-from repro.sidecar.snapshot import CheckpointStore
+from repro.sidecar.negotiate import Capabilities
+from repro.sidecar.path import (
+    THRESHOLD,
+    Agents,
+    canonical_row,
+    completion_time,
+    run_row,
+)
 from repro.transport.connection import Transfer
 
-#: Default transfer: ~876 KB, about 1.5 s at ``BANDWIDTH_BPS``.
+#: Default transfer: ~876 KB, about 1.5 s on the canonical path.
 DEFAULT_TOTAL = 1460 * 600
-
-#: The canonical path: two identical hops, server -> proxy -> client.
-BANDWIDTH_BPS = 5e6
-DELAY_S = 0.005
-
-#: The canonical session: the proxy quACKs every ``QUACK_EVERY`` packets
-#: with threshold ``THRESHOLD``; the server resets the session after
-#: ``RESET_AFTER_FAILURES`` straight decode failures and lets the pipe
-#: settle for ``SETTLE_TIME_S`` around a reset.
-QUACK_EVERY = 4
-THRESHOLD = 16
-RESET_AFTER_FAILURES = 3
-SETTLE_TIME_S = 0.1
-
-#: A run is checked for completion every ``SLICE_S`` virtual seconds and
-#: abandoned (an invariant violation) at ``DEADLINE_S``.
-SLICE_S = 0.25
-DEADLINE_S = 60.0
 
 #: Virtual seconds the simulation keeps running after completion.
 DRAIN_S = 3.0
@@ -100,13 +83,13 @@ DRAIN_S = 3.0
 
 @dataclass
 class ChaosSetup:
-    """What goes wrong: injectors per direction plus process crashes.
+    """What goes wrong: an overlay on one row of the assisted path.
 
-    ``faults_toward_client`` rides the server->proxy->client links (the
-    direction reset/config handshakes travel); ``faults_toward_server``
-    rides client->proxy->server (the direction quACKs travel).  The same
-    injector instance may serve both.  ``crashes`` wipe the proxy
-    emitter at fixed times.
+    ``faults_toward_client`` rides the row's sidecar hop in the
+    server-to-client direction (the one reset/config handshakes
+    travel); ``faults_toward_server`` rides its reverse (the one quACKs
+    travel).  The same injector instance may serve both.  ``crashes``
+    wipe the row's emitter at fixed times.
 
     A setup is ``adversarial`` when one of its injectors *lies* rather
     than breaks; the harness then checks the defense invariants.
@@ -143,6 +126,11 @@ class ChaosSetup:
     #: Zero resets, and with them zero spurious retransmits.
     expect_no_resets: bool = False
 
+    def __post_init__(self) -> None:
+        if self.version_switch_at is not None and not self.negotiate:
+            raise ValueError(
+                "version_switch_at needs negotiation armed on the setup")
+
     @property
     def injectors(self) -> list[FaultInjector]:
         """The fault injectors, each once (one may serve both ways)."""
@@ -161,6 +149,148 @@ class ChaosSetup:
     @property
     def adversarial(self) -> bool:
         return bool(self.liars)
+
+    @property
+    def defended(self) -> bool:
+        """Is there something for the plausibility defense to vet?"""
+        return (self.adversarial or self.negotiate
+                or self.checkpoint_interval_s is not None)
+
+    @property
+    def wants_baseline(self) -> bool:
+        """The goodput floor is checked with the defense armed or the
+        flow table under overload."""
+        return self.defended or self.overload is not None
+
+    def arm(self, transfer: Transfer, agents: Agents | None) -> None:
+        """After the row attached its agents: the version switch, the
+        crashes on its emitter, the overload drivers on its table.
+
+        The defense, negotiation, checkpoints and flow table are built
+        into the agents by :func:`~repro.sidecar.path.canonical_row`
+        alone; a setup that needs one the agents lack is refused.
+        """
+        if agents is None:
+            raise ValueError(f"setup {self.name!r} needs the row's agents on")
+        lacking = [what for what, wanted, armed in (
+            ("the defense", self.defended, agents.consumer.ledger),
+            ("negotiation", self.negotiate, agents.consumer.handshake),
+            ("checkpoints", self.checkpoint_interval_s is not None,
+             agents.emitter.checkpoints),
+            ("a flow table", self.overload is not None,
+             getattr(agents.emitter, "table", None)),
+        ) if wanted and armed is None]
+        if lacking:
+            raise ValueError(f"setup {self.name!r} needs {', '.join(lacking)}"
+                             f", which the row's agents lack")
+        sim = transfer.sim
+        if self.version_switch_at is not None:
+            sim.schedule(self.version_switch_at,
+                         agents.consumer.request_version_switch, 2)  # v1 -> v2
+        if self.crashes is not None:
+            self.crashes.arm(sim, agents.emitter)
+        if self.overload is not None:
+            for driver in self.overload.drivers:
+                driver.arm(sim, agents.emitter.table, agents.emitter)
+
+    def verdict(self, seed: int, baseline: float | None,
+                transfer: Transfer, agents: Agents) -> ChaosResult:
+        """What the stopped run did (a row's ``read``, with the run's
+        ``seed`` and unassisted ``baseline`` duration bound), read after
+        a ``DRAIN_S`` drain that lets in-flight handshakes (reset
+        retries) converge the epochs.
+
+        Health is judged at completion time: once the transfer is done,
+        quACKs legitimately stop, so anything later would read as
+        "stale".
+        """
+        sim, sender, receiver = transfer.sim, transfer.sender, \
+            transfer.receiver
+        tap, sidecar = agents.emitter, agents.consumer
+        completed = sender.complete and receiver.complete
+        # The run stops at a slice boundary; the receiver's completion
+        # time is what the baseline comparison can resolve a slowdown
+        # against.
+        duration = completion_time(transfer, agents)
+        health_final = sidecar.health_state
+        transitions = list(sidecar.monitor.stats.transitions) \
+            if sidecar.monitor is not None else []
+        sim.run(until=sim.now + DRAIN_S)
+
+        # An adversary's replacements are checksum-valid forgeries, not
+        # corruption: they must never satisfy (nor trip) the wire-error
+        # classification invariant, so they are tallied separately.  An
+        # adversary's *drops* are tampering too (targeted suppression --
+        # e.g. stripping capability offers), unlike a fault injector's
+        # indiscriminate loss.
+        injectors, liars = self.injectors, self.liars
+        # Negotiation (and switch) control traffic shares the server's
+        # link with DATA; its serialization time is time the baseline
+        # never spent, so the goodput floor is allowed exactly that much
+        # slack.
+        baseline_slack = 0.0
+        if self.negotiate:
+            baseline_slack = (8 * (sidecar.handshake_bytes + 256)
+                              / transfer.topology.links_up[0].bandwidth_bps
+                              ) + 2e-3
+        table = getattr(tap, "table", None)
+        result = ChaosResult(
+            setup=self,
+            seed=seed,
+            total_bytes=receiver.total_bytes,
+            completed=completed,
+            duration_s=duration,
+            bytes_received=receiver.stats.bytes_received,
+            emitter_epoch=tap.epoch,
+            server_epoch=sidecar.epoch,
+            health_final=health_final,
+            health_transitions=transitions,
+            server_counters=sidecar.fault_counters(),
+            emitter_counters=tap.fault_counters(),
+            injector_stats={i.name: i.stats for i in injectors},
+            crashes=self.crashes.crashes if self.crashes is not None else 0,
+            faults_dropped=sum(i.stats.dropped for i in injectors),
+            faults_corrupted=sum(i.stats.corrupted for i in injectors
+                                 if i not in liars),
+            faults_duplicated=sum(i.stats.duplicated for i in injectors),
+            wire_errors_seen=sidecar.stats.wire_errors,
+            control_corruptions_seen=tap.corrupt_frames,
+            faults_tampered=sum(i.stats.corrupted + i.stats.dropped
+                                for i in liars),
+            signals_by_kind=sidecar.ledger.by_kind()
+            if sidecar.ledger is not None else {},
+            quarantined_at=next(
+                (hop.time for hop in transitions
+                 if hop.new is HealthState.QUARANTINED), None),
+            last_loss_applied_at=sidecar.last_loss_applied_at,
+            baseline_duration_s=baseline,
+            negotiated_version=sidecar.negotiated_version,
+            handshake_bytes=sidecar.handshake_bytes,
+            assistance_started_s=sidecar.assistance_started_at,
+            retransmitted_packets=sender.stats.retransmitted_packets,
+            link_drops=sum(
+                link.stats.dropped_queue + link.stats.dropped_loss
+                + link.stats.dropped_fault
+                for link in transfer.topology.links_up
+                + transfer.topology.links_down),
+            baseline_slack_s=baseline_slack,
+            flowtable=table.stats_dict() if table is not None else None,
+            overload_drivers={type(driver).__name__: driver.stats
+                              for driver in self.overload.drivers}
+            if self.overload is not None else {},
+        )
+        if obs.FLIGHT.armed:
+            violations = result.violations()
+            if violations:
+                # Snapshot the trace ring (and the implicated packet's
+                # span tree) the moment the failure is known, before the
+                # caller's next run overwrites the evidence.
+                obs.FLIGHT.trigger(
+                    "invariant-failure", scenario=self.name, time=sim.now,
+                    detail=f"{len(violations)} invariant violation(s)",
+                    extra_records=[{"kind": "invariant-violation",
+                                    "text": text} for text in violations])
+        return result
 
 
 @dataclass
@@ -319,197 +449,35 @@ class ChaosResult:
         return not self.violations()
 
 
-def _hops(setup: ChaosSetup) -> list[HopSpec]:
-    """The canonical path's two hops; ``setup``'s injectors ride the
-    server<->proxy hop."""
-    return [HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S,
-                    faults_up=setup.faults_toward_client,
-                    faults_down=setup.faults_toward_server),
-            HopSpec(bandwidth_bps=BANDWIDTH_BPS, delay_s=DELAY_S)]
-
-
-@functools.lru_cache(maxsize=None)
-def unassisted_baseline(total_bytes: int) -> float:
-    """Duration of the same transfer with no sidecar (and no faults).
-
-    The adversarial plans attack only the sidecar channel, which an
-    unassisted connection does not have, so this is the floor the
-    defense must hold: assistance under attack may never complete later
-    than never having had assistance at all.  Deterministic, so the
-    result is memoized per transfer size.
-
-    The baseline is the harness's yardstick, not part of the scenario
-    (it even reuses the scenario's ``flow0`` and link names), so it runs
-    with tracing and metrics suspended: a traced plan records the same
-    events whether or not the memo was warm.
-    """
-    was_tracing = obs.TRACER.enabled
-    obs.TRACER.enabled = False
-    try:
-        # The same path under the empty setup: no faults, and no
-        # sidecar agents attached before the transfer starts.
-        transfer = Transfer(total_bytes, ["proxy"], _hops(ChaosSetup()))
-        completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
-    finally:
-        obs.TRACER.enabled = was_tracing
-    return transfer.receiver.completed_at if completed else transfer.sim.now
-
-
 def run_chaos_transfer(setup: ChaosSetup, *,
                        seed: int = 1,
                        total_bytes: int = DEFAULT_TOTAL,
                        health: HealthConfig | None = None) -> ChaosResult:
-    """Run the canonical assisted transfer under ``setup``.
+    """Run the canonical row (:func:`~repro.sidecar.path.canonical_row`)
+    under ``setup``.
 
     ``health`` defaults to a ladder tuned to the scenario's timescales
-    (staleness after 0.25 s, probation 0.25 s).  After completion the
-    simulation drains for ``DRAIN_S`` so in-flight handshakes (reset
-    retries) can converge the epochs.
-
-    Setups with the defense armed or a flow table under ``overload``
-    additionally measure the unassisted baseline so the result can
-    answer the robustness question: did assistance under pressure ever
-    cost goodput?
+    (staleness after 0.25 s, probation 0.25 s).  Setups with the defense
+    armed or a flow table under ``overload`` also measure the unassisted
+    baseline, so the result can answer the robustness question: did
+    assistance under pressure ever cost goodput?
     """
     if health is None:
         health = HealthConfig(degrade_after=2, e2e_only_after=6,
                               stale_after=0.25, probation=0.25)
-    defense = None
-    if (setup.adversarial or setup.negotiate
-            or setup.checkpoint_interval_s is not None):
-        defense = DefenseConfig()
-    baseline_duration = None
-    if defense is not None or setup.overload is not None:
-        # Measured first (and memoized) so the packet-uid reset of the
-        # main run's ``Transfer`` keeps it byte-identical with or
-        # without a baseline.
-        baseline_duration = unassisted_baseline(total_bytes)
-    transfer = Transfer(total_bytes, ["proxy"], _hops(setup))
-    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
-    proxy, = transfer.routers
-    consumer_negotiate = emitter_negotiate = None
-    if setup.negotiate:
-        consumer_negotiate = NegotiateConfig(capabilities=Capabilities())
-        emitter_negotiate = NegotiateConfig(
-            capabilities=setup.emitter_capabilities or Capabilities())
-    tap_kwargs = dict(
-        server="server", client="client", flow_id="flow0",
-        policy=PacketCountFrequency(QUACK_EVERY), threshold=THRESHOLD,
-        negotiate=emitter_negotiate)
-    if setup.checkpoint_interval_s is not None:
-        tap_kwargs.update(checkpoints=CheckpointStore(),
-                          checkpoint_interval_s=setup.checkpoint_interval_s)
-    table = None
-    if setup.overload is not None:
-        # The primary transfer shares one flow table with the overload
-        # drivers' tenants; its emission rides the table's batch timer.
-        table = FlowTable(sim, setup.overload.table_config())
-        tap = FlowTableTap(sim, proxy, table=table, tenant=PRIMARY_TENANT,
-                           **tap_kwargs)
-    else:
-        tap = ProxyEmitterTap(sim, proxy, **tap_kwargs)
-    sidecar = ServerSidecar(sim, sender, threshold=THRESHOLD, grace=2,
-                            apply_losses=True, congestive_loss=False,
-                            reset_after_failures=RESET_AFTER_FAILURES,
-                            settle_time=SETTLE_TIME_S, health=health,
-                            defense=defense,
-                            negotiate=consumer_negotiate,
-                            peer="proxy" if setup.negotiate else None)
-    if setup.version_switch_at is not None:
-        if not setup.negotiate:
-            raise ValueError(
-                "version_switch_at needs negotiation armed on the setup")
-        sim.schedule(setup.version_switch_at,
-                     sidecar.request_version_switch, 2)  # v1 -> v2
-    if setup.crashes is not None:
-        setup.crashes.arm(sim, tap)
-    if setup.overload is not None:
-        for driver in setup.overload.drivers:
-            driver.arm(sim, table, tap)
-
-    completed = transfer.run(slice_s=SLICE_S, deadline_s=DEADLINE_S)
-    # The run stops at a slice boundary; the receiver's completion time
-    # is what the baseline comparison can resolve a slowdown against.
-    duration = receiver.completed_at if completed else sim.now
-    # Health is judged at completion time: once the transfer is done,
-    # quACKs legitimately stop, so anything later would read as "stale".
-    health_final = sidecar.health_state
-    transitions = list(sidecar.monitor.stats.transitions)
-    # Let straggling handshakes converge (the reset retry timer keeps
-    # re-announcing the epoch until the emitter demonstrably adopted it).
-    sim.run(until=sim.now + DRAIN_S)
-
-    # An adversary's replacements are checksum-valid forgeries, not
-    # corruption: they must never satisfy (nor trip) the wire-error
-    # classification invariant, so they are tallied separately.  An
-    # adversary's *drops* are tampering too (targeted suppression --
-    # e.g. stripping capability offers), unlike a fault injector's
-    # indiscriminate loss.
-    injectors, liars = setup.injectors, setup.liars
-    # Negotiation (and switch) control traffic shares the forward link
-    # with DATA; its serialization time is time the baseline never
-    # spent, so the goodput floor is allowed exactly that much slack.
-    baseline_slack = 0.0
-    if setup.negotiate:
-        baseline_slack = (8 * (sidecar.handshake_bytes + 256)
-                          / BANDWIDTH_BPS) + 2e-3
-    result = ChaosResult(
-        setup=setup,
-        seed=seed,
-        total_bytes=total_bytes,
-        completed=completed,
-        duration_s=duration,
-        bytes_received=receiver.stats.bytes_received,
-        emitter_epoch=tap.epoch,
-        server_epoch=sidecar.epoch,
-        health_final=health_final,
-        health_transitions=transitions,
-        server_counters=sidecar.fault_counters(),
-        emitter_counters=tap.fault_counters(),
-        injector_stats={i.name: i.stats for i in injectors},
-        crashes=setup.crashes.crashes if setup.crashes is not None else 0,
-        faults_dropped=sum(i.stats.dropped for i in injectors),
-        faults_corrupted=sum(i.stats.corrupted for i in injectors
-                             if i not in liars),
-        faults_duplicated=sum(i.stats.duplicated for i in injectors),
-        wire_errors_seen=sidecar.stats.wire_errors,
-        control_corruptions_seen=tap.corrupt_frames,
-        faults_tampered=sum(i.stats.corrupted + i.stats.dropped
-                            for i in liars),
-        signals_by_kind=sidecar.ledger.by_kind()
-        if sidecar.ledger is not None else {},
-        quarantined_at=next(
-            (hop.time for hop in transitions
-             if hop.new is HealthState.QUARANTINED), None),
-        last_loss_applied_at=sidecar.last_loss_applied_at,
-        baseline_duration_s=baseline_duration,
-        negotiated_version=sidecar.negotiated_version,
-        handshake_bytes=sidecar.handshake_bytes,
-        assistance_started_s=sidecar.assistance_started_at,
-        retransmitted_packets=sender.stats.retransmitted_packets,
-        link_drops=sum(
-            link.stats.dropped_queue + link.stats.dropped_loss
-            + link.stats.dropped_fault
-            for link in transfer.topology.links_up
-            + transfer.topology.links_down),
-        baseline_slack_s=baseline_slack,
-        flowtable=table.stats_dict() if table is not None else None,
-        overload_drivers={type(driver).__name__: driver.stats
-                          for driver in setup.overload.drivers}
-        if setup.overload is not None else {},
-    )
-    if obs.FLIGHT.armed:
-        violations = result.violations()
-        if violations:
-            # Snapshot the trace ring (and the implicated packet's span
-            # tree) the moment the failure is known, before the caller's
-            # next run overwrites the evidence.
-            obs.FLIGHT.trigger(
-                "invariant-failure", scenario=setup.name, time=sim.now,
-                detail=f"{len(violations)} invariant violation(s)",
-                extra_records=[{"kind": "invariant-violation", "text": text}
-                               for text in violations])
-    return result
+    baseline = None
+    if setup.wants_baseline:
+        # The yardstick, not part of the scenario: untraced, and before
+        # the main run's Transfer restarts the packet uids.
+        was_tracing, obs.TRACER.enabled = obs.TRACER.enabled, False
+        try:
+            baseline = run_row(
+                canonical_row(setup, total_bytes, health, False), None)
+        finally:
+            obs.TRACER.enabled = was_tracing
+    row = canonical_row(setup, total_bytes, health, True)
+    row.read = partial(setup.verdict, seed, baseline)
+    return run_row(row, setup)
 
 
 # -- named plans ----------------------------------------------------------------

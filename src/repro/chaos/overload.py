@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 from repro.netsim.core import Simulator
 from repro.sidecar.flowtable import FlowRecord, FlowTable, FlowTableConfig
+from repro.sidecar.path import PRIMARY_TENANT
 
 #: Off the batch-interval grid, so driver traffic lands between sweeps.
 DRIVER_TICK_S = 0.0077
-
-#: The tenant the harness's own transfer is admitted under.
-PRIMARY_TENANT = "primary"
 
 
 class _Driver:
@@ -211,12 +209,12 @@ class OverloadSpec:
     """The table's capacity plus the overload drivers to arm against it.
 
     Attached to a :class:`~repro.chaos.harness.ChaosSetup`, this makes
-    the harness route its proxy tap through a shared
-    :class:`~repro.sidecar.flowtable.FlowTable` (tenant ``primary``)
-    and arm every driver against that table.  The ``expect_*`` flags
-    become invariants: the corresponding table counter must be nonzero
-    or the run is a violation (an overload plan that never overloads
-    proves nothing).
+    the canonical row (:func:`~repro.sidecar.path.canonical_row`) put
+    its proxy tap in a shared :class:`~repro.sidecar.flowtable.FlowTable`
+    (tenant ``primary``), and the setup arm every driver against it.
+    The ``expect_*`` flags become invariants: the corresponding table
+    counter must be nonzero or the run is a violation (an overload plan
+    that never overloads proves nothing).
     """
 
     #: What the plans' expectations were tuned against; the flow table's

@@ -8,7 +8,8 @@ The three protocols of the paper's Table 1, built on the quACK:
 * :mod:`repro.sidecar.retransmission` -- in-network retransmission
   (Section 2.3, E9);
 
-plus the shared session machinery:
+each a row of one assisted path (:mod:`repro.sidecar.path`), plus the
+shared session machinery:
 
 * :class:`~repro.sidecar.emitter.QuackEmitter` /
   :class:`~repro.sidecar.consumer.QuackConsumer` -- the receiver-side and

@@ -13,8 +13,9 @@ them (and off the PTO), exactly as the paper prescribes ("the server can
 still rely on quACKs in most cases, and use the less frequent end-to-end
 ACKs when retransmission is necessary").
 
-:func:`run_ack_reduction` (experiment E8) runs one transfer in a given
-configuration; the bench sweeps three:
+:func:`ack_reduction_row` is experiment E8 as a row of
+:mod:`repro.sidecar.path`; :func:`run_ack_reduction` runs one transfer
+in a given configuration, and the bench sweeps three:
 
 * dense client ACKs, no sidecar (the status quo baseline);
 * sparse client ACKs, no sidecar (naive ACK thinning -- hurts);
@@ -34,7 +35,7 @@ from repro.sidecar.agents import (
     ServerSidecar,
 )
 from repro.sidecar.frequency import PacketCountFrequency
-from repro.transport.ack import AckFrequencyPolicy
+from repro.sidecar.path import Agents, Row, run_row
 from repro.transport.connection import ReceiverConnection, Transfer
 
 #: Section 4.3: "the receiver could quACK e.g. every n = 32 packets";
@@ -75,62 +76,72 @@ def run_ack_reduction(total_bytes: int = 1_500_000,
                       seed: int = 1,
                       threshold: int = DEFAULT_THRESHOLD,
                       max_sim_seconds: float = 120.0) -> AckReductionResult:
-    """E8: one transfer with a chosen client-ACK cadence, +/- sidecar.
+    """E8: one transfer with a chosen client-ACK cadence, +/- sidecar."""
+    return run_row(ack_reduction_row(**locals()), None)
 
-    Pure in its arguments (all state, including packet uids, is created
-    per call) so :mod:`repro.sweep` can shard runs across processes.
-    """
-    rng = random.Random(seed)
-    # The client starts at QUIC's stock cadence; a thinner cadence is
-    # negotiated in-band with the ACK-frequency extension frame, exactly
-    # as Section 2.2 prescribes ("The client can also transmit fewer ACKs
-    # using the proposed ACK frequency extension in QUIC").
-    transfer = Transfer(total_bytes, ["proxy"], [
-        HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
-                delay_s=server_proxy_delay),
-        HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
-                delay_s=proxy_client_delay,
-                loss_up=BernoulliLoss(loss_rate, random.Random(rng.random()))),
-    ], ack_policy=AckFrequencyPolicy())
-    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
 
-    proxy_tap: ProxyEmitterTap | None = None
-    server_sidecar: ServerSidecar | None = None
-    if sidecar:
-        proxy_tap = ProxyEmitterTap(
-            sim, transfer.routers[0], server="server", client="client",
-            flow_id="flow0", policy=PacketCountFrequency(quack_every), threshold=threshold)
-        # Window movement only: losses decoded from proxy quACKs are not
-        # acted on (retransmission stays with the e2e ACKs / PTO).
-        server_sidecar = ServerSidecar(sim, sender, threshold=threshold,
-                                       grace=2, apply_losses=False)
+def ack_reduction_row(*, total_bytes, ack_every, sidecar, quack_every,
+                      server_proxy_mbps, server_proxy_delay,
+                      proxy_client_mbps, proxy_client_delay, loss_rate, seed,
+                      threshold, max_sim_seconds) -> Row:
+    """E8's row, from :func:`run_ack_reduction`'s keywords."""
 
-    if ack_every != 2:
-        # Negotiate the thinner cadence in-band (after the sidecar has
-        # registered its send listener, so the frame is logged too).
-        sender.request_ack_frequency(ack_every=ack_every, max_delay_s=0.05)
+    def hops() -> list[HopSpec]:
+        return [
+            HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
+                    delay_s=server_proxy_delay),
+            HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
+                    delay_s=proxy_client_delay,
+                    loss_up=BernoulliLoss(loss_rate, random.Random(
+                        random.Random(seed).random()))),
+        ]
 
-    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
+    def attach(transfer: Transfer) -> Agents | None:
+        agents = None
+        if sidecar:
+            tap = ProxyEmitterTap(
+                transfer.sim, transfer.routers[0], server="server",
+                client="client", flow_id="flow0",
+                policy=PacketCountFrequency(quack_every), threshold=threshold)
+            # Window movement only: losses decoded from proxy quACKs are
+            # not acted on (retransmission stays with the e2e ACKs / PTO).
+            server = ServerSidecar(transfer.sim, transfer.sender,
+                                   threshold=threshold, grace=2,
+                                   apply_losses=False)
+            agents = Agents(tap, server)
+        # The client starts at QUIC's stock cadence; a thinner cadence is
+        # negotiated in-band with the ACK-frequency extension frame,
+        # exactly as Section 2.2 prescribes ("The client can also transmit
+        # fewer ACKs using the proposed ACK frequency extension in QUIC")
+        # -- after the sidecar has registered its send listener, so the
+        # frame is logged too.
+        if ack_every != 2:
+            transfer.sender.request_ack_frequency(ack_every=ack_every,
+                                                  max_delay_s=0.05)
+        return agents
 
-    completion = receiver.completed_at
-    ack_bytes = receiver.stats.acks_sent * ReceiverConnection.ACK_BASE_BYTES
-    quack_count = proxy_tap.quacks_sent if proxy_tap else 0
-    quack_bytes = (proxy_tap.emitter.stats.emitted_bytes if proxy_tap else 0)
-    return AckReductionResult(
-        sidecar_enabled=sidecar,
-        ack_every=ack_every,
-        completed=receiver.complete,
-        completion_time=completion,
-        goodput_bps=receiver.goodput_bps(),
-        client_acks_sent=receiver.stats.acks_sent,
-        client_ack_bytes=ack_bytes,
-        proxy_quacks_sent=quack_count,
-        quack_bytes=quack_bytes,
-        server_packets_sent=sender.stats.packets_sent,
-        server_retransmissions=sender.stats.retransmitted_packets,
-        server_sidecar_failures=(server_sidecar.stats.decode_failures
-                                 if server_sidecar else 0),
-    )
+    def read(transfer: Transfer, agents: Agents | None) -> AckReductionResult:
+        sender, receiver = transfer.sender, transfer.receiver
+        return AckReductionResult(
+            sidecar_enabled=sidecar,
+            ack_every=ack_every,
+            completed=receiver.complete,
+            completion_time=receiver.completed_at,
+            goodput_bps=receiver.goodput_bps(),
+            client_acks_sent=receiver.stats.acks_sent,
+            client_ack_bytes=(receiver.stats.acks_sent
+                              * ReceiverConnection.ACK_BASE_BYTES),
+            proxy_quacks_sent=agents.emitter.quacks_sent if agents else 0,
+            quack_bytes=(agents.emitter.emitter.stats.emitted_bytes
+                         if agents else 0),
+            server_packets_sent=sender.stats.packets_sent,
+            server_retransmissions=sender.stats.retransmitted_packets,
+            server_sidecar_failures=(agents.consumer.stats.decode_failures
+                                     if agents else 0),
+        )
+
+    return Row(total_bytes, ["proxy"], hops, sidecar_hop=0, attach=attach,
+               read=read, slice_s=0.5, deadline_s=max_sim_seconds)
 
 
 def format_result(result: AckReductionResult) -> str:

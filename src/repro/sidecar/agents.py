@@ -451,6 +451,10 @@ class ConsumerEndpoint(_Endpoint):
             self._staleness_timer = sim.timer(self._check_staleness, interval)
             self._staleness_timer.rearm(interval)
         self.session = Session(armed=negotiate is not None)
+        #: When a quACK-decoded loss last reached a sender (the chaos
+        #: invariant "no induced signals after quarantine" reads it);
+        #: only :class:`ServerSidecar` hands losses to one.
+        self.last_loss_applied_at: float | None = None
         self.handshake_bytes = 0
         #: When assistance became possible: 0.0 un-negotiated, else the
         #: HELLO-ACK's arrival (the negotiation-overhead benchmark).
@@ -823,9 +827,6 @@ class ServerSidecar(ConsumerEndpoint):
         self.sender = sender
         self.congestive_loss = congestive_loss
         self.apply_losses = apply_losses
-        #: When a quACK-decoded loss last reached the sender (the chaos
-        #: invariant "no induced signals after quarantine" reads it).
-        self.last_loss_applied_at: float | None = None
         #: Was congestion control divided at construction?  Then the
         #: ladder moves it between the sidecar and the e2e ACKs.
         self._cc_divided = not sender.cc_from_acks

@@ -22,10 +22,9 @@ role; quACK-on-forward gives natural backpressure -- the server's window
 only grows as fast as the proxy drains, and proxy buffer overflow shows
 up as missing packets, i.e. as congestion on the server's segment.
 
-:func:`run_cc_division` builds the full scenario (server -- proxy --
-client, clean fast first segment, lossy second) and reports completion
-time and goodput with the sidecar enabled or disabled (the end-to-end
-baseline of experiment E7).
+:func:`cc_division_row` is experiment E7 (server -- proxy -- client,
+clean fast first segment, lossy second) as a row of
+:mod:`repro.sidecar.path`; :func:`run_cc_division` runs it.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ from repro.sidecar.agents import (
 )
 from repro.sidecar.consumer import QuackFeedback
 from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
+from repro.sidecar.path import Agents, Row, run_row
 from repro.netsim.topology import HopSpec
 from repro.transport.cc.fixed import AimdRate
-from repro.transport.connection import SenderConnection, Transfer
+from repro.transport.connection import Transfer
 from repro.transport.rtt import RttEstimator
 
 #: The proxy quACKs every this many forwarded packets to the server.
@@ -240,59 +240,65 @@ def run_cc_division(total_bytes: int = 1_500_000,
     With the sidecar disabled the run is a plain end-to-end transfer whose
     congestion controller conflates the lossy access hop with congestion;
     with it enabled, congestion control is divided at the proxy.
-
-    The run is a pure function of its arguments: every piece of state it
-    touches (simulator, hosts, proxies, RNGs, packet uids) is created
-    here, so identical arguments reproduce identical results in any
-    process -- the property :mod:`repro.sweep` relies on to shard runs
-    across workers.
     """
-    rng = random.Random(seed)
-    transfer = Transfer(total_bytes, ["proxy"], [
-        HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
-                delay_s=server_proxy_delay),
-        HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
-                delay_s=proxy_client_delay,
-                loss_up=make_loss_model(loss_rate, loss_process,
-                                        random.Random(rng.random()))),
-    ], cc_from_acks=not sidecar)
-    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
-    flow_id = "flow0"
+    return run_row(cc_division_row(**locals()), None)
 
-    proxy_agent: PacingProxy | None = None
-    server_sidecar: ServerSidecar | None = None
-    client_agent: HostEmitterAgent | None = None
-    if sidecar:
-        segment_rtt = 2 * proxy_client_delay
-        client_agent = HostEmitterAgent(
-            sim, receiver.host, peer="proxy", flow_id=flow_id,
-            policy=IntervalFrequency(max(segment_rtt, 0.005)),
+
+def cc_division_row(*, total_bytes, server_proxy_mbps, server_proxy_delay,
+                    proxy_client_mbps, proxy_client_delay, loss_rate,
+                    sidecar, seed, threshold, proxy_controller_factory,
+                    loss_process, max_sim_seconds) -> Row:
+    """E7's row, from :func:`run_cc_division`'s keywords."""
+    server = None  # the server's sidecar, once attached
+
+    def hops() -> list[HopSpec]:
+        return [
+            HopSpec(bandwidth_bps=server_proxy_mbps * 1e6,
+                    delay_s=server_proxy_delay),
+            HopSpec(bandwidth_bps=proxy_client_mbps * 1e6,
+                    delay_s=proxy_client_delay,
+                    loss_up=make_loss_model(
+                        loss_rate, loss_process,
+                        random.Random(random.Random(seed).random()))),
+        ]
+
+    def attach(transfer: Transfer) -> Agents | None:
+        nonlocal server
+        if not sidecar:
+            return None
+        sim, sender = transfer.sim, transfer.sender
+        sender.cc_from_acks = False
+        client = HostEmitterAgent(
+            sim, transfer.receiver.host, peer="proxy", flow_id="flow0",
+            policy=IntervalFrequency(max(2 * proxy_client_delay, 0.005)),
             threshold=threshold)
         controller = (proxy_controller_factory()
                       if proxy_controller_factory is not None else None)
-        proxy_agent = PacingProxy(sim, transfer.routers[0], server="server",
-                                  client="client", flow_id=flow_id,
-                                  threshold=threshold,
-                                  controller=controller)
-        server_sidecar = ServerSidecar(sim, sender, threshold=threshold,
-                                       grace=2, congestive_loss=True)
+        proxy = PacingProxy(sim, transfer.routers[0], server="server",
+                            client="client", flow_id="flow0",
+                            threshold=threshold, controller=controller)
+        server = ServerSidecar(sim, sender, threshold=threshold, grace=2,
+                               congestive_loss=True)
+        return Agents(client, proxy)
 
-    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
+    def read(transfer: Transfer, agents: Agents | None) -> CcDivisionResult:
+        sender, receiver = transfer.sender, transfer.receiver
+        return CcDivisionResult(
+            sidecar_enabled=sidecar,
+            completed=receiver.complete,
+            completion_time=receiver.completed_at,
+            goodput_bps=receiver.goodput_bps(),
+            server_packets_sent=sender.stats.packets_sent,
+            server_retransmissions=sender.stats.retransmitted_packets,
+            server_cwnd_final=sender.cc.cwnd_packets,
+            client_quacks=agents.emitter.quacks_sent if agents else 0,
+            proxy_stats=agents.consumer.stats if agents else None,
+            server_sidecar_failures=(server.stats.decode_failures
+                                     if agents else 0),
+        )
 
-    completion = receiver.completed_at
-    return CcDivisionResult(
-        sidecar_enabled=sidecar,
-        completed=receiver.complete,
-        completion_time=completion,
-        goodput_bps=receiver.goodput_bps(),
-        server_packets_sent=sender.stats.packets_sent,
-        server_retransmissions=sender.stats.retransmitted_packets,
-        server_cwnd_final=sender.cc.cwnd_packets,
-        client_quacks=client_agent.quacks_sent if client_agent else 0,
-        proxy_stats=proxy_agent.stats if proxy_agent else None,
-        server_sidecar_failures=(server_sidecar.stats.decode_failures
-                                 if server_sidecar else 0),
-    )
+    return Row(total_bytes, ["proxy"], hops, sidecar_hop=1, attach=attach,
+               read=read, slice_s=0.5, deadline_s=max_sim_seconds)
 
 
 def format_result(result: CcDivisionResult) -> str:

@@ -13,10 +13,10 @@ benefit materializes "when the RTT between the two routers is
 significantly smaller than the end-to-end RTT" because local repair beats
 an end-to-end retransmission by that RTT ratio.
 
-:func:`run_retransmission` (experiment E9) runs a transfer across
-server -- p1 -- p2 -- client where p1--p2 is the short lossy hop, with the
-retransmitter on/off, and reports completion time, goodput, and how many
-repairs were local vs end-to-end.
+:func:`retransmission_row` is experiment E9 (server -- p1 -- p2 --
+client, p1--p2 the short lossy hop) as a row of
+:mod:`repro.sidecar.path`; :func:`run_retransmission` runs it with the
+retransmitter on or off and reports how many repairs were local.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.sidecar.agents import (
 )
 from repro.sidecar.consumer import QuackFeedback
 from repro.sidecar.frequency import AdaptiveFrequency, retransmission_cadence
+from repro.sidecar.path import Agents, Row, run_row
 from repro.sidecar.protocol import ConfigMessage
 from repro.transport.connection import Transfer
 
@@ -179,51 +180,62 @@ def run_retransmission(total_bytes: int = 1_500_000,
     ``reorder_threshold`` is the server's loss-detection tolerance: 3 is
     the unchanged QUIC host of the paper; larger values model a host that
     waits long enough for local repair to win (the E9 ablation).
-
-    Pure in its arguments (all state, including packet uids, is created
-    per call) so :mod:`repro.sweep` can shard runs across processes.
     """
-    rng = random.Random(seed)
-    transfer = Transfer(total_bytes, ["p1", "p2"], [
-        HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=server_p1_delay),
-        HopSpec(bandwidth_bps=lossy_mbps * 1e6, delay_s=lossy_delay,
-                loss_up=make_loss_model(loss_rate, loss_process,
-                                        random.Random(rng.random()))),
-        HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=p2_client_delay),
-    ], reorder_threshold=reorder_threshold)
-    sim, sender, receiver = transfer.sim, transfer.sender, transfer.receiver
-    p1, p2 = transfer.routers
-    flow_id = "flow0"
+    return run_row(retransmission_row(**locals()), None)
 
-    sender_proxy: SenderSideRetxProxy | None = None
-    receiver_proxy: ProxyEmitterTap | None = None
-    if innet_retx:
-        sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
-                                           client="client", flow_id=flow_id,
-                                           threshold=threshold)
+
+def retransmission_row(*, total_bytes, edge_mbps, server_p1_delay,
+                       lossy_mbps, lossy_delay, p2_client_delay, loss_rate,
+                       innet_retx, reorder_threshold, seed, threshold,
+                       loss_process, max_sim_seconds) -> Row:
+    """E9's row, from :func:`run_retransmission`'s keywords."""
+
+    def hops() -> list[HopSpec]:
+        return [
+            HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=server_p1_delay),
+            HopSpec(bandwidth_bps=lossy_mbps * 1e6, delay_s=lossy_delay,
+                    loss_up=make_loss_model(
+                        loss_rate, loss_process,
+                        random.Random(random.Random(seed).random()))),
+            HopSpec(bandwidth_bps=edge_mbps * 1e6, delay_s=p2_client_delay),
+        ]
+
+    def attach(transfer: Transfer) -> Agents | None:
+        transfer.sender.reorder_threshold = reorder_threshold
+        if not innet_retx:
+            return None
+        p1, p2 = transfer.routers
+        retx = SenderSideRetxProxy(transfer.sim, p1, peer_proxy="p2",
+                                   client="client", flow_id="flow0",
+                                   threshold=threshold)
         # The quACKing proxy (left-hand side of Fig. 4), retuned by p1.
-        receiver_proxy = ProxyEmitterTap(
-            sim, p2, server="p1", client="client", flow_id=flow_id,
+        tap = ProxyEmitterTap(
+            transfer.sim, p2, server="p1", client="client", flow_id="flow0",
             policy=AdaptiveFrequency(initial_every=8), threshold=threshold)
+        return Agents(tap, retx)
 
-    transfer.run(slice_s=0.5, deadline_s=max_sim_seconds)
+    def read(transfer: Transfer, agents: Agents | None) \
+            -> RetransmissionResult:
+        sender, receiver = transfer.sender, transfer.receiver
+        return RetransmissionResult(
+            innet_retx_enabled=innet_retx,
+            completed=receiver.complete,
+            completion_time=receiver.completed_at,
+            goodput_bps=receiver.goodput_bps(),
+            server_packets_sent=sender.stats.packets_sent,
+            server_retransmissions=sender.stats.retransmitted_packets,
+            server_congestion_events=sender.cc.congestion_events,
+            proxy_retransmissions=(agents.consumer.stats.retransmitted
+                                   if agents else 0),
+            proxy_quacks=agents.emitter.quacks_sent if agents else 0,
+            proxy_decode_failures=(agents.consumer.stats.decode_failures
+                                   if agents else 0),
+            client_duplicates=receiver.stats.duplicate_packets,
+        )
 
-    completion = receiver.completed_at
-    return RetransmissionResult(
-        innet_retx_enabled=innet_retx,
-        completed=receiver.complete,
-        completion_time=completion,
-        goodput_bps=receiver.goodput_bps(),
-        server_packets_sent=sender.stats.packets_sent,
-        server_retransmissions=sender.stats.retransmitted_packets,
-        server_congestion_events=sender.cc.congestion_events,
-        proxy_retransmissions=(sender_proxy.stats.retransmitted
-                               if sender_proxy else 0),
-        proxy_quacks=receiver_proxy.quacks_sent if receiver_proxy else 0,
-        proxy_decode_failures=(sender_proxy.stats.decode_failures
-                               if sender_proxy else 0),
-        client_duplicates=receiver.stats.duplicate_packets,
-    )
+    return Row(total_bytes, ["p1", "p2"], hops, sidecar_hop=1,
+               attach=attach, read=read, slice_s=0.5,
+               deadline_s=max_sim_seconds)
 
 
 def format_result(result: RetransmissionResult) -> str:

@@ -117,7 +117,6 @@ class SenderConnection:
                  key: bytes = b"connection-key",
                  flow_id: str = "flow0",
                  cc_from_acks: bool = True,
-                 reorder_threshold: int = PACKET_REORDER_THRESHOLD,
                  pacing: bool = False) -> None:
         if total_bytes <= 0:
             raise TransportError(f"total_bytes must be positive, got {total_bytes}")
@@ -137,7 +136,7 @@ class SenderConnection:
         #: Packet-number reordering tolerance before declaring loss.  A
         #: host cooperating with an in-network retransmitter may raise it
         #: to give local repair time to win (experiment E9's ablation).
-        self.reorder_threshold = reorder_threshold
+        self.reorder_threshold = PACKET_REORDER_THRESHOLD
         #: Space transmissions at the pacing rate instead of bursting the
         #: whole window.  The rate comes from the congestion controller's
         #: ``pacing_rate_bps(rtt)`` when it has one (AimdRate, BbrLite),
@@ -604,16 +603,15 @@ class ReceiverConnection:
     def __init__(self, sim: Simulator, host: Host, peer: str,
                  total_bytes: int,
                  key: bytes = b"connection-key",
-                 flow_id: str = "flow0",
-                 ack_policy: AckFrequencyPolicy | None = None) -> None:
+                 flow_id: str = "flow0") -> None:
         self.sim = sim
         self.host = host
         self.peer = peer
         self.total_bytes = total_bytes
         self.key = key
         self.flow_id = flow_id
-        self.ack_policy = ack_policy if ack_policy is not None \
-            else AckFrequencyPolicy()
+        #: QUIC's stock cadence until an ACK_FREQUENCY frame moves it.
+        self.ack_policy = AckFrequencyPolicy()
 
         self.tracker = AckTracker()
         #: Byte ranges received.
@@ -724,33 +722,28 @@ class ReceiverConnection:
 class Transfer:
     """One transfer of ``total_bytes`` from ``server`` to ``client``
     across the named routers: the assembly every scenario opens its run
-    through.
+    through (in the library, by :func:`repro.sidecar.path.run_row`).
 
     ``hops`` are the links of the chain ``server -> routers -> client``,
     one per adjacent pair.  The receiver is built before the sender, and
-    the sender is not started: callers attach their sidecar agents to
-    ``routers``, ``sender`` and ``receiver`` in between.  Building one
+    the sender is not started: callers configure the endpoints and
+    attach their sidecar agents to ``routers``, ``sender`` and
+    ``receiver`` in between.  Building one
     restarts the process-wide packet-uid sequence, so a run's uids --
     and with them its trace -- are a pure function of its own arguments,
     whatever ran before it in the process.
     """
 
     def __init__(self, total_bytes: int, routers: Sequence[str],
-                 hops: Sequence[HopSpec], *,
-                 ack_policy: AckFrequencyPolicy | None = None,
-                 cc_from_acks: bool = True,
-                 reorder_threshold: int = PACKET_REORDER_THRESHOLD) -> None:
+                 hops: Sequence[HopSpec]) -> None:
         reset_packet_uids()
         self.sim = sim = Simulator()
         server = Host(sim, "server")
         self.routers = [Router(sim, name) for name in routers]
         client = Host(sim, "client")
         self.topology = build_path(sim, [server, *self.routers, client], hops)
-        self.receiver = ReceiverConnection(sim, client, "server", total_bytes,
-                                           ack_policy=ack_policy)
-        self.sender = SenderConnection(
-            sim, server, "client", total_bytes, cc_from_acks=cc_from_acks,
-            reorder_threshold=reorder_threshold)
+        self.receiver = ReceiverConnection(sim, client, "server", total_bytes)
+        self.sender = SenderConnection(sim, server, "client", total_bytes)
 
     def run(self, *, slice_s: float, deadline_s: float) -> bool:
         """Start the sender and run until the transfer completes.

@@ -15,7 +15,6 @@ import pytest
 
 from repro.chaos.harness import (
     PLANS,
-    SLICE_S,
     ChaosSetup,
     format_result,
     run_chaos_transfer,
@@ -24,6 +23,7 @@ from repro.chaos.harness import (
 from repro.chaos.injectors import MiddleboxCrash
 from repro.netsim.faults import SIDECAR_KINDS, Blackout
 from repro.sidecar.health import HealthConfig, HealthState
+from repro.sidecar.path import SLICE_S
 
 SEED = 1
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -153,6 +153,11 @@ class TestHarnessPlumbing:
     def test_unknown_plan_is_an_error(self):
         with pytest.raises(ValueError, match="unknown chaos plan"):
             run_plan("nope", seed=SEED)
+
+    def test_version_switch_without_negotiation_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="needs negotiation"):
+            ChaosSetup(version_switch_at=0.6)
+        assert ChaosSetup(negotiate=True, version_switch_at=0.6).negotiate
 
     def test_result_carries_the_setup_it_ran(self, results):
         result = results["version-switch"]

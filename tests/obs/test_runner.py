@@ -93,12 +93,9 @@ class TestRunTraced:
     @pytest.mark.parametrize("scenario", known_scenarios())
     def test_same_process_runs_are_identical(self, scenario):
         """The whole observable surface -- events and metrics text --
-        repeats exactly, including the first (cold-memo) run of a plan
-        that measures the unassisted baseline, and matches the digests
-        checked in as ``golden_traces.json``."""
-        from repro.chaos.harness import unassisted_baseline
-
-        unassisted_baseline.cache_clear()
+        repeats exactly, the untraced unassisted baseline a plan measures
+        first included, and matches the digests checked in as
+        ``golden_traces.json``."""
         first = run_traced(scenario, seed=1)
         second = run_traced(scenario, seed=1)
         assert [event.to_dict() for event in first.events] \

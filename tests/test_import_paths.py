@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
@@ -126,19 +128,39 @@ def test_importers_name_the_defining_module():
     assert problems == [], problems
 
 
-def test_a_module_loads_only_what_it_imports():
-    """``repro.sidecar.accounting`` imports nothing from ``repro`` at
-    module level, so a fresh interpreter that imports it loads its two
-    packages and itself (it loaded 62 ``repro`` modules when the
-    packages re-exported their contents)."""
+def _loaded(module: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after importing
+    ``module``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.sidecar.accounting\n"
+         f"import sys, {module}\n"
          "print(*sorted(name for name in sys.modules\n"
          "              if name.partition('.')[0] == 'repro'))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert set(out.split()) == {"repro", "repro.sidecar",
-                                "repro.sidecar.accounting"}
+    return set(out.split())
+
+
+def test_a_module_loads_only_what_it_imports():
+    """``repro.sidecar.accounting`` imports nothing from ``repro`` at
+    module level, so a fresh interpreter that imports it loads its two
+    packages and itself (it loaded 62 ``repro`` modules when the
+    packages re-exported their contents)."""
+    assert _loaded("repro.sidecar.accounting") == {
+        "repro", "repro.sidecar", "repro.sidecar.accounting"}
+
+
+@pytest.mark.parametrize("module", ["repro.sidecar.cc_division",
+                                    "repro.sidecar.ack_reduction",
+                                    "repro.sidecar.retransmission"])
+def test_a_protocol_row_loads_no_harness(module):
+    """The frozen benchmark imports the three protocol modules at launch
+    (``setup_s`` times it): their rows' builder must not pull in the
+    chaos harness or the trace runner."""
+    loaded = _loaded(module)
+    assert module in loaded
+    assert sorted(name for name in loaded if name == "repro.chaos"
+                  or name.startswith("repro.chaos.")
+                  or name == "repro.obs.runner") == []

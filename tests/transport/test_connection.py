@@ -10,14 +10,12 @@ from repro.netsim.loss import BernoulliLoss, DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import PacketKind
 from repro.netsim.topology import HopSpec, build_path
-from repro.transport.ack import AckFrequencyPolicy
 from repro.transport.cc.fixed import FixedWindow
 from repro.transport.connection import ReceiverConnection, SenderConnection
 from repro.transport.frames import HEADER_BYTES
 
 
-def make_pair(total_bytes=100_000, hops=None, sender_kwargs=None,
-              receiver_kwargs=None):
+def make_pair(total_bytes=100_000, hops=None, sender_kwargs=None):
     sim = Simulator()
     server, client = Host(sim, "server"), Host(sim, "client")
     nodes = [server, client]
@@ -26,8 +24,7 @@ def make_pair(total_bytes=100_000, hops=None, sender_kwargs=None,
     if len(hops) == 2:
         nodes = [server, Router(sim, "mid"), client]
     topo = build_path(sim, nodes, hops)
-    receiver = ReceiverConnection(sim, client, "server", total_bytes,
-                                  **(receiver_kwargs or {}))
+    receiver = ReceiverConnection(sim, client, "server", total_bytes)
     sender = SenderConnection(sim, server, "client", total_bytes,
                               **(sender_kwargs or {}))
     return sim, sender, receiver, topo
@@ -158,10 +155,8 @@ class TestAckFrequency:
     def test_sparse_acks_reduce_ack_count(self):
         results = {}
         for every in (2, 16):
-            sim, sender, receiver, _ = make_pair(
-                total_bytes=300_000,
-                receiver_kwargs={"ack_policy": AckFrequencyPolicy(
-                    ack_every=every, max_delay_s=0.05)})
+            sim, sender, receiver, _ = make_pair(total_bytes=300_000)
+            receiver.ack_policy.update(ack_every=every, max_delay_s=0.05)
             sender.start()
             sim.run(until=60)
             assert receiver.complete
@@ -179,9 +174,8 @@ class TestAckFrequency:
         sim, sender, receiver, _ = make_pair(
             total_bytes=1460 * 30,
             hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                          loss_up=DeterministicLoss({2}))],
-            receiver_kwargs={"ack_policy": AckFrequencyPolicy(
-                ack_every=64, max_delay_s=0.2)})
+                          loss_up=DeterministicLoss({2}))])
+        receiver.ack_policy.update(ack_every=64, max_delay_s=0.2)
         sender.start()
         sim.run(until=0.1)
         # The gap after the dropped packet must have forced an early ACK.

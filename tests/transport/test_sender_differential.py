@@ -31,7 +31,7 @@ from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.transport.cc.cubic import Cubic
 from repro.transport.cc.fixed import FixedWindow
-from repro.transport.connection import SenderConnection
+from repro.transport.connection import PACKET_REORDER_THRESHOLD, SenderConnection
 from repro.transport.frames import AckFrame, DataFrame
 from repro.transport.multipath import SharedStream, SubflowSender
 from repro.transport.ranges import RangeSet
@@ -50,6 +50,7 @@ class World:
     """One sender on a one-hop path; the client records DATA arrivals."""
 
     def __init__(self, sender_class, total_bytes, *, cc=None,
+                 reorder_threshold=PACKET_REORDER_THRESHOLD,
                  **sender_kwargs):
         self.sim = Simulator()
         server, client = Host(self.sim, "server"), Host(self.sim, "client")
@@ -64,6 +65,7 @@ class World:
         self.sender = sender_class(self.sim, server, "client", total_bytes,
                                    cc=cc() if cc is not None else None,
                                    **sender_kwargs)
+        self.sender.reorder_threshold = reorder_threshold
 
     def _on_data(self, packet: Packet) -> None:
         frame = packet.protected_payload(self.sender.key)
