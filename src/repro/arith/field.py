@@ -37,7 +37,7 @@ class PrimeField:
     implies is part of the quACK's documented collision probability.
     """
 
-    __slots__ = ("modulus", "bits", "_vectorized", "_small_inverses")
+    __slots__ = ("modulus", "bits", "vectorized", "_small_inverses")
 
     def __init__(self, modulus: int) -> None:
         if not is_prime(modulus):
@@ -46,7 +46,7 @@ class PrimeField:
         #: Number of bits needed to store a reduced element.
         self.bits = modulus.bit_length()
         #: Whether batch operations may use uint64 intermediate products.
-        self._vectorized = modulus < _UINT64_SAFE_MODULUS
+        self.vectorized = modulus < _UINT64_SAFE_MODULUS
         #: ``_small_inverses[i] == inv(i)`` for the 1 <= i it holds so far.
         self._small_inverses = [0, 1]
 
@@ -113,7 +113,7 @@ class PrimeField:
         ``object`` array of Python ints (exact, but slower).  Either way
         the residues are those of Python's ``%``, for any integer.
         """
-        if self._vectorized:
+        if self.vectorized:
             if isinstance(values, np.ndarray) and values.dtype.kind == "i":
                 return (values.astype(np.int64) % self.modulus) \
                     .astype(np.uint64)
@@ -133,13 +133,13 @@ class PrimeField:
 
     def batch_mul(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Elementwise product of reduced arrays (or array-by-scalar)."""
-        if self._vectorized:
+        if self.vectorized:
             return (a * np.uint64(b) if np.isscalar(b) or isinstance(b, int)
                     else a * b) % np.uint64(self.modulus)
         return (a * b) % self.modulus
 
     def batch_add(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-        if self._vectorized:
+        if self.vectorized:
             return (a + (np.uint64(b) if isinstance(b, int) else b)) \
                 % np.uint64(self.modulus)
         return (a + b) % self.modulus
@@ -157,7 +157,7 @@ class PrimeField:
             return [0] * num_sums
         sums: list[int] = []
         powers = reduced.copy()
-        if self._vectorized:
+        if self.vectorized:
             # Each power is < 2**32, so a uint64 accumulator holds the sum
             # of up to 2**32 terms without overflow.
             modulus = np.uint64(self.modulus)
@@ -181,7 +181,7 @@ class PrimeField:
         candidate roots than to solve the roots directly").
         """
         pts = self.reduce_array(points)
-        if self._vectorized:
+        if self.vectorized:
             modulus = np.uint64(self.modulus)
             acc = np.full(pts.shape, np.uint64(0))
             for coeff in coefficients_high_to_low:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arith.field import PrimeField
+from repro.arith.field import PrimeField, field_for_bits
 from repro.arith.polynomial import Poly
 from repro.arith.roots import (
+    VECTOR_CROSSOVER,
     deflate_root,
     find_all_roots,
     roots_among_candidates,
@@ -68,6 +69,20 @@ class TestRootsAmongCandidates:
         mask = roots_among_candidates(Poly.one(F),
                                       np.array([0, 1, 2], dtype=np.uint64))
         assert not mask.any()
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("count", [VECTOR_CROSSOVER - 1,
+                                       VECTOR_CROSSOVER])
+    def test_plain_and_numpy_horner_agree(self, bits, count):
+        # Below the crossover Horner runs on Python ints, also for uint64
+        # candidates, whose products would wrap in a 64-bit field.
+        field = field_for_bits(bits)
+        rng = random.Random(count)
+        points = [rng.getrandbits(64) for _ in range(count)]
+        f = Poly.from_roots(field, points[::7])
+        expected = [f(x) == 0 for x in points]
+        for candidates in (points, np.array(points, dtype=np.uint64)):
+            assert roots_among_candidates(f, candidates).tolist() == expected
 
 
 class TestFindAllRoots:

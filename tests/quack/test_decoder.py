@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import make_workload
 from repro.errors import (
     ArithmeticDomainError,
     InconsistentQuackError,
@@ -115,6 +116,21 @@ class TestHappyPath:
         result = decode_delta(delta, sent)
         assert result.ok
         assert list(result.missing) == [raw]
+
+
+class TestNumpyLog:
+    @pytest.mark.parametrize("n", [50, 1000])
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_uint64_log_decodes_to_plain_ints(self, bits, n):
+        # make_workload's logs are uint64 arrays, whose scalars wrap
+        # modulo 2**64 when negated during deflation.
+        made = make_workload(n=n, num_missing=5, bits=bits, seed=4)
+        receiver = PowerSumQuack(8, bits)
+        receiver.insert_many(made.received)
+        result = receiver.decode(made.sent)
+        assert result.ok
+        assert result.missing == made.missing
+        assert all(type(x) is int for x in result.missing)
 
 
 class TestCollisions:
