@@ -61,8 +61,11 @@ def test_metric3_decode_under_bound(benchmark, paper_workload):
     assert result.ok and result.num_missing == 20
     benchmark.extra_info["paper_upper_us"] = 100
     # CPython is slower than the paper's 100 us C++ bound; we assert a
-    # Python-scale sanity bound instead and report the ratio.
-    assert benchmark.stats.stats.mean < 0.1  # < 100 ms
+    # Python-scale sanity bound instead and report the ratio.  Timed
+    # apart from ``benchmark``, whose stats are absent under
+    # ``--benchmark-disable``.
+    timing = measure(lambda: quack.decode(log), trials=5, warmup=1)
+    assert timing.mean < 0.1  # < 100 ms
 
 
 def test_metric4_indeterminate_rate(benchmark):

@@ -60,7 +60,7 @@ def test_ack_reduction_requires_t_below_n(benchmark):
 
 @pytest.mark.parametrize("loss,expected", [
     (0.10, 200),    # 20 / 0.10
-    (0.02, 512),    # clamped to max_every
+    (0.02, 512),    # clamped to MAX_EVERY
     (0.50, 40),
     (0.0, 512),     # lossless: slowest cadence
 ])

@@ -33,8 +33,12 @@ STEP_S = 0.05
 
 def run(controller_factory, pacing):
     transfer = Transfer(TOTAL, [], [
-        HopSpec(bandwidth_bps=20e6, delay_s=0.02, queue_packets=64,
+        HopSpec(bandwidth_bps=20e6, delay_s=0.02,
                 loss_up=BernoulliLoss(LOSS, random.Random(7)))])
+    # A shallow 64-packet buffer, which loss-based control overflows.
+    topology = transfer.topology
+    for link in topology.links_up + topology.links_down:
+        link.queue_packets = 64
     sender, receiver = transfer.sender, transfer.receiver
     sender.cc, sender.pacing = controller_factory(), pacing
     obs.reset()

@@ -58,17 +58,17 @@ def collisions() -> None:
 
 def desync_and_reset() -> None:
     print("== 3. desynchronized session and reset ==")
-    consumer = QuackConsumer(threshold=4, grace=1,
-                             trailing_in_transit=False)
+    consumer = QuackConsumer(threshold=4, grace=1)
     receiver = PowerSumQuack(4)
-    # The consumer wrongly declares a delayed packet lost...
+    # 222 overtakes 111, so the consumer wrongly declares 111 lost
+    # (it is missing, and not at the tail where packets are in transit)...
     consumer.record_send(111, "pkt-111", now=0.0)
-    feedback = consumer.on_quack(receiver.copy(), now=1.0)
+    consumer.record_send(222, "pkt-222", now=1.0)
+    receiver.insert(222)
+    feedback = consumer.on_quack(receiver.copy(), now=2.0)
     print(f"declared lost prematurely: {feedback.lost}")
     # ...and then it arrives after all:
     receiver.insert(111)
-    consumer.record_send(222, "pkt-222", now=2.0)
-    receiver.insert(222)
     poisoned = consumer.on_quack(receiver.copy(), now=3.0)
     print(f"next decode: {poisoned.status.value} "
           f"(the cumulative states disagree forever)")

@@ -40,8 +40,8 @@ def run(with_sidecars: bool):
          HopSpec(bandwidth_bps=10e6, delay_s=0.03)),
     ])
     transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                 [PathSpec("p0", "p0"),
-                                  PathSpec("p1", "p1")])
+                                 [PathSpec("p0"),
+                                  PathSpec("p1")])
     sidecars = []
     if with_sidecars:
         for proxy, subflow in zip((p0, p1), transfer.subflows):

@@ -138,12 +138,6 @@ class PrimeField:
                     else a * b) % np.uint64(self.modulus)
         return (a * b) % self.modulus
 
-    def batch_add(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-        if self.vectorized:
-            return (a + (np.uint64(b) if isinstance(b, int) else b)) \
-                % np.uint64(self.modulus)
-        return (a + b) % self.modulus
-
     def batch_power_sums(self, values: Iterable[int] | np.ndarray,
                          num_sums: int) -> list[int]:
         """Compute the first ``num_sums`` power sums of ``values``.

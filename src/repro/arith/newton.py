@@ -56,32 +56,21 @@ def power_sums_to_elementary(field: PrimeField,
 
 
 def elementary_to_power_sums(field: PrimeField,
-                             elementary: Sequence[int],
-                             num_sums: int | None = None) -> list[int]:
-    """Inverse direction: recover ``d_1..d_k`` from ``e_1..e_m``.
-
-    ``num_sums`` defaults to ``len(elementary)``; it may exceed it, in
-    which case ``e_i = 0`` for ``i > m`` (the multiset has only m
-    elements), matching the recurrence
+                             elementary: Sequence[int]) -> list[int]:
+    """Inverse direction: recover ``d_1..d_m`` from ``e_1..e_m``, by
 
         d_i = (-1)**(i-1) * i * e_i
               + sum_{k=1..i-1} (-1)**(k-1) * e_k * d_{i-k}.
     """
     p = field.modulus
-    m = len(elementary)
-    k_max = num_sums if num_sums is not None else m
     e = [1] + [x % p for x in elementary]
-
-    def e_at(i: int) -> int:
-        return e[i] if i <= m else 0
-
     d: list[int] = []
-    for i in range(1, k_max + 1):
-        acc = (i * e_at(i)) % p
+    for i in range(1, len(e)):
+        acc = (i * e[i]) % p
         if i % 2 == 0:
             acc = (-acc) % p
         for k in range(1, i):
-            term = (e_at(k) * d[i - k - 1]) % p
+            term = (e[k] * d[i - k - 1]) % p
             acc = (acc + term) % p if k % 2 == 1 else (acc - term) % p
         d.append(acc)
     return d

@@ -59,10 +59,11 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field: PrimeField, degree: int, coeff: int = 1) -> "Poly":
+    def monomial(cls, field: PrimeField, degree: int) -> "Poly":
+        """``x**degree``."""
         if degree < 0:
             raise ArithmeticDomainError(f"monomial degree must be >= 0, got {degree}")
-        return cls(field, [0] * degree + [coeff])
+        return cls(field, [0] * degree + [1])
 
     @classmethod
     def from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "Poly":
@@ -184,11 +185,6 @@ class Poly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def derivative(self) -> "Poly":
-        p = self.field.modulus
-        return Poly(self.field,
-                    [(i * c) % p for i, c in enumerate(self.coeffs)][1:])
 
     # -- modular exponentiation ----------------------------------------------
 

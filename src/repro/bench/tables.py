@@ -78,16 +78,16 @@ class SchemeRow:
     size_bits: int
 
 
-def table2_report(n: int = PAPER_N, threshold: int = PAPER_T,
-                  trials: int = 100) -> dict[str, SchemeRow]:
-    """Rerun Table 2: the two strawmen vs the power-sum quACK.
+def table2_report(trials: int = 100) -> dict[str, SchemeRow]:
+    """Rerun Table 2 at the paper's n and t: the two strawmen vs the
+    power-sum quACK.
 
     Strawman 2's decode is *extrapolated* from a measured small-instance
     digest rate (the paper's ~7e+06 days entry is likewise an estimate --
     C(1000, 20) subsets cannot be enumerated); the probe instance is
     :data:`STRAWMAN2_PROBE`.
     """
-    workload = make_workload(n, threshold, PAPER_B, SEED)
+    workload = make_workload(PAPER_N, PAPER_T, PAPER_B, SEED)
     received = workload.received.tolist()
     log = workload.sent.tolist()
 
@@ -98,7 +98,7 @@ def table2_report(n: int = PAPER_N, threshold: int = PAPER_T,
 
     echo = build(EchoQuack(PAPER_B))
     hash_quack = build(HashQuack(PAPER_B))
-    power = build(PowerSumQuack(threshold, PAPER_B, PAPER_COUNT_BITS))
+    power = build(PowerSumQuack(PAPER_T, PAPER_B, PAPER_COUNT_BITS))
 
     probe = make_workload(*STRAWMAN2_PROBE, PAPER_B, SEED)
     probe_quack = HashQuack(PAPER_B, max_subsets=10_000_000)
@@ -123,12 +123,12 @@ def table2_report(n: int = PAPER_N, threshold: int = PAPER_T,
                                  trials=trials),
             decode=None,
             decode_extrapolated_days=HashQuack.estimate_decode_seconds(
-                n, threshold, digests_per_second) / 86_400,
+                PAPER_N, PAPER_T, digests_per_second) / 86_400,
             size_bits=hash_quack.wire_size_bits()),
         "power_sum": SchemeRow(
             scheme="Power Sums",
             construction=measure(lambda: build(PowerSumQuack(
-                threshold, PAPER_B, PAPER_COUNT_BITS)), trials=trials),
+                PAPER_T, PAPER_B, PAPER_COUNT_BITS)), trials=trials),
             decode=measure(lambda: power.decode(log), trials=trials),
             decode_extrapolated_days=None,
             size_bits=power.wire_size_bits()),
@@ -163,10 +163,10 @@ def fig5_series(thresholds: Sequence[int] = tuple(range(10, 51, 10)),
 
 def fig6_series(missing_counts: Sequence[int] = (0, 5, 10, 15, 20),
                 bits_options: Sequence[int] = (16, 24, 32),
-                n: int = PAPER_N, threshold: int = PAPER_T,
-                trials: int = 50,
+                n: int = PAPER_N, trials: int = 50,
                 stat: str = "mean") -> dict[int, dict[int, float]]:
-    """Figure 6: decoding time (us) vs number of missing packets.
+    """Figure 6: decoding time (us) vs number of missing packets, at the
+    paper's threshold.
 
     Returns ``{bits: {m: us}}``.  The paper's claims: decoding time is
     "directly proportional to m", and zero missing packets "takes
@@ -179,9 +179,9 @@ def fig6_series(missing_counts: Sequence[int] = (0, 5, 10, 15, 20),
         per_bits: dict[int, float] = {}
         for m in missing_counts:
             workload = make_workload(n, m, bits, SEED)
-            receiver = PowerSumQuack(threshold, bits)
+            receiver = PowerSumQuack(PAPER_T, bits)
             receiver.insert_many(workload.received)
-            sender = PowerSumQuack(threshold, bits)
+            sender = PowerSumQuack(PAPER_T, bits)
             sender.insert_many(workload.sent)
             delta = sender - receiver
             log = workload.sent.tolist()

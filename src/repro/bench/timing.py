@@ -32,10 +32,6 @@ class TimingResult:
     def mean_us(self) -> float:
         return self.mean * 1e6
 
-    @property
-    def mean_ns(self) -> float:
-        return self.mean * 1e9
-
     def __str__(self) -> str:
         return (f"{self.mean_us:,.1f} us (median {self.median * 1e6:,.1f}, "
                 f"+/- {self.stdev * 1e6:,.1f}, n={self.trials})")
@@ -91,10 +87,10 @@ def measure_staged(setup: Callable[[], object],
 
 
 def measure_throughput(fn: Callable[[], object], items_per_call: int,
-                       trials: int = 20, warmup: int = 2) -> float:
+                       trials: int = 20) -> float:
     """Items processed per second (e.g. digests/s for the Strawman 2
-    extrapolation)."""
-    result = measure(fn, trials=trials, warmup=warmup)
+    extrapolation), after two warmup calls."""
+    result = measure(fn, trials=trials, warmup=2)
     if result.mean <= 0:
         return math.inf
     return items_per_call / result.mean

@@ -2,11 +2,12 @@
 
 Section 3.2: "Receivers select t based on the communication frequency,
 and the estimated bandwidth usage and loss rate on the link."  This
-module makes that selection quantitative.  It synthesizes packet traces
-under several arrival processes (CBR, Poisson, bursty on/off) and loss
-processes (Bernoulli, Gilbert-Elliott), then drives an emitter/consumer
-session over the trace *without* the full simulator, reporting whether
-the threshold ever overflowed and what was decoded.
+module makes that selection quantitative.  It synthesizes constant-rate
+packet traces under a loss process (Bernoulli, Gilbert-Elliott), then
+drives an emitter/consumer session over the trace *without* the full
+simulator, reporting whether the threshold ever overflowed and what was
+decoded.  Poisson and bursty on/off arrival generators sit beside the
+constant-rate one.
 
 The headline use is :func:`survival_probability`: for a given loss
 process and quACK cadence, how often does a session with threshold ``t``
@@ -29,9 +30,8 @@ from repro.sidecar.consumer import QuackConsumer
 from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import PacketCountFrequency
 
-#: Arrival rate and on/off period means of every synthesized trace.
+#: Arrival rate of every synthesized trace.
 RATE_PPS = 1000.0
-ON_S = OFF_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,11 @@ def onoff_arrivals(n: int, rate_pps: float, on_s: float, off_s: float,
     return times
 
 
-def synthesize_trace(n: int, arrival: str = "cbr",
-                     loss: LossModel | None = None,
+def synthesize_trace(n: int, loss: LossModel | None = None,
                      seed: int = 0) -> PacketTrace:
-    """Build a trace: arrival process x loss process x identifiers."""
+    """Build a trace: constant-rate arrivals x loss process x identifiers."""
     rng = random.Random(seed)
-    if arrival == "cbr":
-        times = cbr_arrivals(n, RATE_PPS)
-    elif arrival == "poisson":
-        times = poisson_arrivals(n, RATE_PPS, rng)
-    elif arrival == "onoff":
-        times = onoff_arrivals(n, RATE_PPS, ON_S, OFF_S, rng)
-    else:
-        raise ValueError(f"unknown arrival process {arrival!r}")
+    times = cbr_arrivals(n, RATE_PPS)
     model = loss if loss is not None \
         else BernoulliLoss(0.0, random.Random(rng.random()))
     probe = Packet(src="t", dst="t", size_bytes=1500)
@@ -139,8 +131,8 @@ class SessionOutcome:
     max_outstanding: int = field(init=False, default=0)
 
 
-def run_session(trace: PacketTrace, threshold: int, quack_every: int = 32,
-                grace: int = 1) -> SessionOutcome:
+def run_session(trace: PacketTrace, threshold: int,
+                quack_every: int = 32) -> SessionOutcome:
     """Drive one emitter/consumer pair over a trace (no simulator).
 
     The sender logs every packet at its timestamp; the receiver observes
@@ -148,7 +140,7 @@ def run_session(trace: PacketTrace, threshold: int, quack_every: int = 32,
     A decode failure of any kind marks the session as not survived
     (a real deployment would reset; we measure how often that happens).
     """
-    consumer = QuackConsumer(threshold, PAPER_B, grace=grace)
+    consumer = QuackConsumer(threshold, PAPER_B)
     emitter = QuackEmitter(threshold, PAPER_B,
                            policy=PacketCountFrequency(quack_every))
     outcome = SessionOutcome()

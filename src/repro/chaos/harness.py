@@ -80,6 +80,11 @@ DEFAULT_TOTAL = 1460 * 600
 #: Virtual seconds the simulation keeps running after completion.
 DRAIN_S = 3.0
 
+#: The health ladder every chaos run uses, tuned to the scenarios'
+#: timescales (staleness after 0.25 s, probation 0.25 s).
+HEALTH = HealthConfig(degrade_after=2, e2e_only_after=6,
+                      stale_after=0.25, probation=0.25)
+
 
 @dataclass
 class ChaosSetup:
@@ -451,20 +456,15 @@ class ChaosResult:
 
 def run_chaos_transfer(setup: ChaosSetup, *,
                        seed: int = 1,
-                       total_bytes: int = DEFAULT_TOTAL,
-                       health: HealthConfig | None = None) -> ChaosResult:
+                       total_bytes: int = DEFAULT_TOTAL) -> ChaosResult:
     """Run the canonical row (:func:`~repro.sidecar.path.canonical_row`)
-    under ``setup``.
+    under ``setup``, with the :data:`HEALTH` ladder.
 
-    ``health`` defaults to a ladder tuned to the scenario's timescales
-    (staleness after 0.25 s, probation 0.25 s).  Setups with the defense
-    armed or a flow table under ``overload`` also measure the unassisted
-    baseline, so the result can answer the robustness question: did
-    assistance under pressure ever cost goodput?
+    Setups with the defense armed or a flow table under ``overload``
+    also measure the unassisted baseline, so the result can answer the
+    robustness question: did assistance under pressure ever cost
+    goodput?
     """
-    if health is None:
-        health = HealthConfig(degrade_after=2, e2e_only_after=6,
-                              stale_after=0.25, probation=0.25)
     baseline = None
     if setup.wants_baseline:
         # The yardstick, not part of the scenario: untraced, and before
@@ -472,10 +472,10 @@ def run_chaos_transfer(setup: ChaosSetup, *,
         was_tracing, obs.TRACER.enabled = obs.TRACER.enabled, False
         try:
             baseline = run_row(
-                canonical_row(setup, total_bytes, health, False), None)
+                canonical_row(setup, total_bytes, HEALTH, False), None)
         finally:
             obs.TRACER.enabled = was_tracing
-    row = canonical_row(setup, total_bytes, health, True)
+    row = canonical_row(setup, total_bytes, HEALTH, True)
     row.read = partial(setup.verdict, seed, baseline)
     return run_row(row, setup)
 

@@ -123,7 +123,7 @@ def cmd_quack_decode(args: argparse.Namespace) -> int:
     if not isinstance(quack, PowerSumQuack):
         raise SystemExit("error: frame does not hold a power-sum quACK")
     log = _parse_ids(args.log)
-    result = quack.decode(log, method=args.method)
+    result = quack.decode(log)
     if not result.ok:
         print(f"decode failed: {result.status.value} "
               f"({result.num_missing} packets reported missing)")
@@ -432,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--frame", required=True, help="hex-encoded frame")
     dec.add_argument("--log", required=True,
                      help="comma-separated sent identifiers")
-    dec.add_argument("--method", default="auto",
-                     choices=("auto", "candidates", "factor"))
     dec.set_defaults(func=cmd_quack_decode)
 
     from repro.bench.tables import ARTIFACTS

@@ -5,9 +5,8 @@ Every exception raised intentionally by this library derives from
 ``except`` clause.  Sub-families mirror the package layout:
 
 * :class:`ArithmeticDomainError` -- misuse of the finite-field layer;
-* :class:`QuackError` -- failures of quACK construction or decoding, with
-  the concrete decode failures the paper describes in Section 3.2
-  (threshold exceeded, count wraparound that makes the system unsolvable);
+* :class:`QuackError` -- failures of quACK construction or decoding
+  (the power-sum decoder reports its Section 3.2 failures as statuses);
 * :class:`SimulationError` -- misconfiguration of the discrete-event
   simulator or the protocol agents that run on it.
 """
@@ -35,23 +34,6 @@ class QuackError(ReproError):
 
 class DecodeError(QuackError):
     """A quACK could not be decoded into a set of missing packets."""
-
-
-class ThresholdExceededError(DecodeError):
-    """More packets are missing than the quACK's threshold ``t`` can encode.
-
-    Section 3.2 of the paper: "If t < m, decoding fails because there are
-    not enough equations to solve."  Section 3.3: the parties "must reset
-    the connection if they wish to use the quACK."
-    """
-
-    def __init__(self, missing: int, threshold: int) -> None:
-        super().__init__(
-            f"{missing} packets are missing but the quACK only carries "
-            f"{threshold} power sums; the sidecar session must be reset"
-        )
-        self.missing = missing
-        self.threshold = threshold
 
 
 class InconsistentQuackError(DecodeError):

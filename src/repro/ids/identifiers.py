@@ -50,17 +50,17 @@ class IdentifierFactory:
         ).digest()
         return int.from_bytes(digest, "big") & self._mask
 
-    def identifiers(self, count: int, start: int = 0) -> np.ndarray:
-        """Identifiers of ``count`` consecutive packet numbers, as uint64."""
+    def identifiers(self, count: int) -> np.ndarray:
+        """Identifiers of packet numbers ``0..count-1``, as uint64."""
         values = np.fromiter(
-            (self.identifier(start + i) for i in range(count)),
+            (self.identifier(i) for i in range(count)),
             dtype=np.uint64, count=count,
         )
         return values
 
-    def stream(self, start: int = 0) -> Iterator[int]:
-        """An endless iterator of identifiers from ``start`` upward."""
-        packet_number = start
+    def stream(self) -> Iterator[int]:
+        """An endless iterator of identifiers from packet number 0 up."""
+        packet_number = 0
         while True:
             yield self.identifier(packet_number)
             packet_number += 1

@@ -154,13 +154,12 @@ class Blackout(FaultInjector):
         return FaultDecision.none()
 
 
-def flip_frame_bits(frame: bytes, rng: random.Random,
-                    max_flips: int = 3) -> bytes:
-    """Flip 1..max_flips random bits of ``frame`` (never a no-op)."""
+def flip_frame_bits(frame: bytes, rng: random.Random) -> bytes:
+    """Flip 1..3 random bits of ``frame`` (never a no-op)."""
     if not frame:
         return frame
     data = bytearray(frame)
-    flips = min(rng.randint(1, max_flips), len(data) * 8)
+    flips = min(rng.randint(1, 3), len(data) * 8)
     # Distinct positions: an even number of flips of the same bit would
     # silently undo itself.
     for position in rng.sample(range(len(data) * 8), flips):
@@ -212,22 +211,19 @@ class Corruption(FaultInjector):
 
 
 class Duplication(FaultInjector):
-    """Deliver a fraction of packets more than once (seeded)."""
+    """Deliver a fraction of packets twice (seeded)."""
 
-    def __init__(self, rate: float, seed: int = 0, copies: int = 2,
+    def __init__(self, rate: float, seed: int = 0,
                  kinds: Iterable[PacketKind] | None = None) -> None:
         if not 0 <= rate <= 1:
             raise SimulationError(f"duplication rate must be in [0,1], got {rate}")
-        if copies < 2:
-            raise SimulationError(f"duplication needs >= 2 copies, got {copies}")
         super().__init__(kinds=kinds)
         self.rate = rate
-        self.copies = copies
         self.rng = random.Random(seed)
 
     def _decide(self, packet: Packet, now: float) -> FaultDecision:
         if self.rng.random() < self.rate:
-            return FaultDecision(copies=self.copies)
+            return FaultDecision(copies=2)
         return FaultDecision.none()
 
 

@@ -144,14 +144,6 @@ class Link:
         return len(self._departures) - bisect_left(self._departures,
                                                    self.sim.now)
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        return size_bytes * 8 / self.bandwidth_bps
-
-    @property
-    def rtt_contribution(self) -> float:
-        """One-way propagation delay (serialization excluded)."""
-        return self.delay_s
-
     # -- internals -----------------------------------------------------------
 
     def _arrive(self, packet: Packet, depart: float, delay: float) -> None:

@@ -106,16 +106,6 @@ class Timer:
         self._event = self._sim.schedule(delay, self._callback, *self._args)
         return self._event
 
-    def rearm_at(self, time: float) -> EventHandle:
-        """Like :meth:`rearm`, at an absolute virtual time."""
-        event = self._event
-        if event is not None:
-            event.cancelled = True
-        self.rearms += 1
-        self._event = self._sim.schedule_at(time, self._callback,
-                                            *self._args)
-        return self._event
-
     def cancel(self) -> None:
         """Tombstone the pending arm, if any (idempotent)."""
         event = self._event

@@ -4,8 +4,7 @@ Every experiment in the paper runs on a *path*: client -- proxy -- server
 (Figs. 1b, 3) or client -- proxy -- proxy -- server (Fig. 4, in-network
 retransmission).  :func:`build_path` wires an arbitrary chain of nodes
 with per-hop link parameters and installs chain routing; the convenience
-dataclass :class:`HopSpec` bundles one hop's characteristics, possibly
-asymmetric between the two directions.
+dataclass :class:`HopSpec` bundles one hop's characteristics.
 """
 
 from __future__ import annotations
@@ -20,37 +19,30 @@ from repro.netsim.link import Link
 from repro.netsim.loss import LossModel, NoLoss
 from repro.netsim.node import Node
 
+#: Drop-tail queue of each direction of a hop, packets.
+HOP_QUEUE_PACKETS = 256
+
 
 @dataclass
 class HopSpec:
-    """Link parameters for one hop of a path (both directions).
+    """Link parameters for one hop of a path.
 
-    ``*_up`` describes the left-to-right direction (toward the last node,
+    Both directions share the rate, delay and queue depth.  ``*_up``
+    describes the left-to-right direction (toward the last node,
     conventionally the client-to-server or server-ward direction as the
-    caller prefers); ``*_down`` the reverse.  Unset downstream values
-    mirror the upstream ones.
+    caller prefers); ``*_down`` the reverse, whose packets are never
+    lost on the wire.
     """
 
     bandwidth_bps: float = 100e6
     delay_s: float = 0.01
-    queue_packets: int = 256
     loss_up: LossModel | None = None
-    loss_down: LossModel | None = None
-    bandwidth_down_bps: float | None = None
-    delay_down_s: float | None = None
     #: Queue depth at which the hop CE-marks packets (both directions);
     #: None disables ECN marking.
     ecn_threshold: int | None = None
     #: Chaos-harness fault injectors, one per direction; None = no faults.
     faults_up: FaultInjector | None = None
     faults_down: FaultInjector | None = None
-
-    def down_bandwidth(self) -> float:
-        return self.bandwidth_down_bps if self.bandwidth_down_bps is not None \
-            else self.bandwidth_bps
-
-    def down_delay(self) -> float:
-        return self.delay_down_s if self.delay_down_s is not None else self.delay_s
 
 
 @dataclass
@@ -61,21 +53,6 @@ class PathTopology:
     nodes: list[Node]
     links_up: list[Link] = field(default_factory=list, init=False)
     links_down: list[Link] = field(default_factory=list, init=False)
-
-    def node_named(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise SimulationError(f"no node named {name!r} on the path")
-
-    def one_way_delay(self) -> float:
-        """End-to-end propagation delay, left to right (no queueing)."""
-        return sum(link.delay_s for link in self.links_up)
-
-    def base_rtt(self) -> float:
-        """Propagation RTT of the full path (no queueing/serialization)."""
-        return (sum(link.delay_s for link in self.links_up)
-                + sum(link.delay_s for link in self.links_down))
 
 
 def build_path(sim: Simulator, nodes: Sequence[Node],
@@ -100,15 +77,13 @@ def build_path(sim: Simulator, nodes: Sequence[Node],
     for i, hop in enumerate(hops):
         left, right = nodes[i], nodes[i + 1]
         up = Link(sim, hop.bandwidth_bps, hop.delay_s, right.receive,
-                  queue_packets=hop.queue_packets,
+                  queue_packets=HOP_QUEUE_PACKETS,
                   loss_model=hop.loss_up if hop.loss_up is not None else NoLoss(),
                   name=f"{left.name}->{right.name}",
                   ecn_threshold=hop.ecn_threshold,
                   faults=hop.faults_up)
-        down = Link(sim, hop.down_bandwidth(), hop.down_delay(), left.receive,
-                    queue_packets=hop.queue_packets,
-                    loss_model=hop.loss_down if hop.loss_down is not None
-                    else NoLoss(),
+        down = Link(sim, hop.bandwidth_bps, hop.delay_s, left.receive,
+                    queue_packets=HOP_QUEUE_PACKETS, loss_model=NoLoss(),
                     name=f"{right.name}->{left.name}",
                     ecn_threshold=hop.ecn_threshold,
                     faults=hop.faults_down)

@@ -112,8 +112,8 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    def dec(self) -> None:
+        self.value -= 1.0
 
     def snapshot(self) -> float:
         return self.value
@@ -299,8 +299,9 @@ class MetricsRegistry:
     def counter(self, name: str, labels: Sequence[str] = ()) -> MetricFamily:
         return self._family(name, "counter", labels)
 
-    def gauge(self, name: str, labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "gauge", labels)
+    def gauge(self, name: str) -> MetricFamily:
+        """An unlabelled gauge family."""
+        return self._family(name, "gauge", ())
 
     def histogram(self, name: str, labels: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> MetricFamily:

@@ -6,8 +6,8 @@ whose count is the wrapped number of missing packets ``m`` (Section 3.2).
 Decoding then proceeds:
 
 1. ``m == 0`` with all-zero sums -> nothing is missing;
-2. ``m > t`` -> :class:`~repro.errors.ThresholdExceededError` (not enough
-   equations; the session must reset);
+2. ``m > t`` -> ``THRESHOLD_EXCEEDED`` (not enough equations; the
+   session must reset);
 3. otherwise, Newton's identities turn the first ``m`` power sums into the
    monic polynomial whose roots (with multiplicity) are the missing
    identifiers, and a root-finding strategy recovers them:
@@ -15,8 +15,7 @@ Decoding then proceeds:
    * ``"candidates"`` -- evaluate the polynomial at every distinct residue
      in the sender's log; best for small logs (Section 4.2);
    * ``"factor"`` -- factor the polynomial directly, cost independent of
-     the log length ``n`` (Section 4.3);
-   * ``"auto"`` -- pick by a crossover heuristic.
+     the log length ``n`` (Section 4.3).
 
 Identifier collisions (two distinct log entries sharing a residue mod p)
 produce *indeterminate groups* in the result rather than silently guessing.
@@ -45,101 +44,61 @@ from repro.arith.roots import (
     find_all_roots,
     roots_among_candidates,
 )
-from repro.errors import (
-    ArithmeticDomainError,
-    InconsistentQuackError,
-    ThresholdExceededError,
-)
+from repro.errors import ArithmeticDomainError
 from repro.quack.base import DecodeResult, DecodeStatus
 from repro.quack.power_sum import PowerSumQuack
 
-#: With more log entries than this per missing packet, "auto" switches to
-#: direct factorization (whose cost does not grow with the log).
-AUTO_FACTOR_LOG_FACTOR = 2048
-
 
 def decode_delta(delta: PowerSumQuack, sent_log: Sequence[int],
-                 method: str = "auto",
-                 raise_on_failure: bool = False) -> DecodeResult:
+                 method: str = "candidates") -> DecodeResult:
     """Decode a difference quACK against the sender's log.
 
     Args:
         delta: ``sent_quack - received_quack``.
         sent_log: the identifiers the sender transmitted and has not yet
             retired, in any order, duplicates allowed.
-        method: ``"candidates"``, ``"factor"``, or ``"auto"``.
-        raise_on_failure: raise :class:`ThresholdExceededError` /
-            :class:`InconsistentQuackError` instead of returning a result
-            with a failure status.
+        method: ``"candidates"`` or ``"factor"``.
 
     Returns:
         A :class:`DecodeResult`; ``result.missing`` are identifiers drawn
-        from ``sent_log``.
+        from ``sent_log``.  A threshold overrun or an inconsistent
+        difference is a failure status, not an exception.
     """
-    if method not in ("auto", "candidates", "factor"):
+    if method not in ("candidates", "factor"):
         raise ArithmeticDomainError(
-            f"unknown decode method {method!r}; expected 'auto', "
-            f"'candidates', or 'factor'"
+            f"unknown decode method {method!r}; expected 'candidates' "
+            f"or 'factor'"
         )
     if isinstance(sent_log, np.ndarray):
         sent_log = sent_log.tolist()   # numpy scalars wrap in the arithmetic
     m = delta.count
-    failure: Exception | None = None
-    result: DecodeResult | None = None
-
     if m == 0:
-        if any(delta.power_sums):
-            failure = InconsistentQuackError(
-                "count difference is zero but power sums are not; the "
-                "counter wrapped a full cycle or the quACKs are unrelated"
-            )
-        else:
-            result = DecodeResult()
-    elif m > delta.threshold:
-        failure = ThresholdExceededError(m, delta.threshold)
-    elif m > len(sent_log):
-        failure = InconsistentQuackError(
-            f"{m} packets reported missing but the log only holds "
-            f"{len(sent_log)}; the count difference wrapped around"
-        )
+        # Zero count with nonzero sums: the counter wrapped a full cycle
+        # or the quACKs are unrelated.
+        return (DecodeResult(status=DecodeStatus.INCONSISTENT,
+                             num_missing=m)
+                if any(delta.power_sums) else DecodeResult())
+    if m > delta.threshold:
+        return DecodeResult(status=DecodeStatus.THRESHOLD_EXCEEDED,
+                            num_missing=m)
+    if m > len(sent_log):
+        # More missing than the log holds: the count difference wrapped.
+        return DecodeResult(status=DecodeStatus.INCONSISTENT, num_missing=m)
 
-    if failure is None and result is None:
-        field = delta.field
-        poly = polynomial_from_power_sums(field, delta.power_sums[:m])
-        residues = (field.reduce_array(sent_log)
-                    if field.vectorized and len(sent_log) >= VECTOR_CROSSOVER
-                    else [x % field.modulus for x in sent_log])
-        root_counts = _find_roots(poly, residues, _resolve_method(method, m, sent_log))
-        if sum(root_counts.values()) != m:
-            failure = InconsistentQuackError(
-                "the power-sum polynomial does not split into linear "
-                "factors over the field; the quACK difference is corrupt "
-                "or its count wrapped around"
-            )
-        else:
-            result = _match_roots_to_log(root_counts, sent_log, residues, m)
-            if result is None:
-                failure = InconsistentQuackError(
-                    "decoded identifiers are not present (often enough) in "
-                    "the sender log; the quACKs belong to different sessions"
-                )
-
-    if failure is not None:
-        if raise_on_failure:
-            raise failure
-        status = (DecodeStatus.THRESHOLD_EXCEEDED
-                  if isinstance(failure, ThresholdExceededError)
-                  else DecodeStatus.INCONSISTENT)
-        return DecodeResult(status=status, num_missing=m)
-    assert result is not None
+    field = delta.field
+    poly = polynomial_from_power_sums(field, delta.power_sums[:m])
+    residues = (field.reduce_array(sent_log)
+                if field.vectorized and len(sent_log) >= VECTOR_CROSSOVER
+                else [x % field.modulus for x in sent_log])
+    root_counts = _find_roots(poly, residues, method)
+    # A polynomial that does not split into linear factors, or roots
+    # the log cannot cover: a corrupt difference, a wrapped count, or
+    # quACKs from different sessions.
+    result = (_match_roots_to_log(root_counts, sent_log, residues, m)
+              if sum(root_counts.values()) == m else None)
+    if result is None:
+        return DecodeResult(status=DecodeStatus.INCONSISTENT, num_missing=m)
     return result
-
-
-def _resolve_method(method: str, m: int, sent_log: Sequence[int]) -> str:
-    if method != "auto":
-        return method
-    return "factor" if len(sent_log) > AUTO_FACTOR_LOG_FACTOR * max(m, 1) \
-        else "candidates"
 
 
 def _find_roots(poly: Poly, residues: np.ndarray | list[int],

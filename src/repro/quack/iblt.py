@@ -40,7 +40,7 @@ _MASK32 = (1 << 32) - 1
 #: overhead, but quACK-sized tables (tens of cells) need more headroom:
 #: empirically, 2.0x with k=4 succeeds on >99% of at-capacity differences
 #: (see tests/quack/test_iblt.py::test_success_rate_at_capacity).
-DEFAULT_CELLS_PER_DIFF = 2.0
+CELLS_PER_DIFF = 2.0
 
 #: Number of hash functions (partitioned: one cell per partition).
 DEFAULT_HASH_COUNT = 4
@@ -66,7 +66,6 @@ class IbltQuack(Quack):
             beyond it.
         bits: identifier width, for wire-size accounting (identifiers are
             stored as full 64-bit sums internally).
-        cells_per_diff: table size multiplier.
         hash_count: number of partitions ``k``.
         salt: seeds the cell-index/checksum hash; both ends of a session
             must use the same value.
@@ -76,21 +75,17 @@ class IbltQuack(Quack):
     # registered in the wire format; the IBLT is an in-library extension.
 
     def __init__(self, threshold: int, bits: int = 32,
-                 cells_per_diff: float = DEFAULT_CELLS_PER_DIFF,
                  hash_count: int = DEFAULT_HASH_COUNT,
                  salt: bytes = b"iblt-quack") -> None:
         if threshold < 1:
             raise ArithmeticDomainError(f"threshold must be >= 1, got {threshold}")
         if hash_count < 2:
             raise ArithmeticDomainError(f"need >= 2 hash functions, got {hash_count}")
-        if cells_per_diff <= 1.0:
-            raise ArithmeticDomainError(
-                f"cells_per_diff must exceed 1.0, got {cells_per_diff}")
         self.threshold = threshold
         self.bits = bits
         self.hash_count = hash_count
         self.salt = salt
-        per_partition = max(2, int(round(threshold * cells_per_diff
+        per_partition = max(2, int(round(threshold * CELLS_PER_DIFF
                                          / hash_count)) + 1)
         self.partition_size = per_partition
         self.cells = [_Cell() for _ in range(per_partition * hash_count)]

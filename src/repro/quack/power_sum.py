@@ -228,20 +228,18 @@ class PowerSumQuack(Quack):
 
     # -- decoding ---------------------------------------------------------------
 
-    def decode(self, sent_log: Sequence[int],
-               method: str = "auto") -> DecodeResult:
+    def decode(self, sent_log: Sequence[int]) -> DecodeResult:
         """One-shot decode: treat ``self`` as the receiver's quACK.
 
         Builds the sender's power sums from ``sent_log``, subtracts, and
-        decodes.  ``method`` selects the root-finding strategy; see
-        :func:`repro.quack.decoder.decode_delta`.
+        decodes (:func:`repro.quack.decoder.decode_delta`).
         """
         from repro.quack.decoder import decode_delta  # cycle-free at runtime
 
         sender = PowerSumQuack(self.threshold, self.bits, self.count_bits,
                                field=self.field)
         sender.insert_many(sent_log)
-        return decode_delta(sender - self, sent_log, method=method)
+        return decode_delta(sender - self, sent_log)
 
     def __eq__(self, other: object) -> bool:
         if not (isinstance(other, PowerSumQuack)

@@ -49,7 +49,12 @@ from repro.sidecar.defense import (
 from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import AdaptiveFrequency, FrequencyPolicy
 from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
-from repro.sidecar.negotiate import Initiator, NegotiateConfig, Session
+from repro.sidecar.negotiate import (
+    OFFER_RETRY_S,
+    Initiator,
+    NegotiateConfig,
+    Session,
+)
 from repro.sidecar.protocol import (
     ConfigMessage,
     ControlMessage,
@@ -443,7 +448,7 @@ class ConsumerEndpoint(_Endpoint):
         if defense is not None:
             self.validator = PlausibilityValidator(
                 defense, threshold, count_bits, flow_id)
-            self.ledger = QuarantineLedger.from_config(defense)
+            self.ledger = QuarantineLedger()
             health = health if health is not None else HealthConfig()
         if health is not None:
             self.monitor = HealthMonitor(health)
@@ -656,7 +661,7 @@ class ConsumerEndpoint(_Endpoint):
         self._trace("sidecar.hello", max_version=offer.max_version,
                     attempt=self.stats.hellos_sent)
         node.send(packet)
-        self._hello_timer.rearm(self.handshake.config.retry_s)
+        self._hello_timer.rearm(OFFER_RETRY_S)
 
     def _hello_retry(self) -> None:
         if self.session.ready or self.quarantined:

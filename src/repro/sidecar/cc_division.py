@@ -59,6 +59,8 @@ QUACK_TO_SERVER_EVERY = 8
 #: this many undecodable client quACKs in a row, draining this long.
 RESET_AFTER_FAILURES = 3
 SETTLE_TIME_S = 0.1
+#: Packets the proxy holds in custody; past it, arrivals are dropped.
+BUFFER_PACKETS = 512
 
 
 @dataclass
@@ -85,14 +87,12 @@ class PacingProxy(ConsumerEndpoint):
     def __init__(self, sim: Simulator, router: Router, server: str,
                  client: str, flow_id: str,
                  threshold: int = DEFAULT_THRESHOLD,
-                 buffer_packets: int = 512,
                  controller=None) -> None:
         super().__init__(sim, router, flow_id, PacingProxyStats(), threshold,
                          reset_after_failures=RESET_AFTER_FAILURES,
                          settle_time=SETTLE_TIME_S, peer=client)
         self.router = router
         self.client = client
-        self.buffer_packets = buffer_packets
 
         # Downstream (proxy->client) congestion state, fed by client
         # quACKs.  Any CongestionController works here -- "a different
@@ -123,7 +123,7 @@ class PacingProxy(ConsumerEndpoint):
                 or packet.dst != self.client
                 or packet.flow_id != self.flow_id):
             return True  # not ours: forward immediately
-        if len(self._buffer) >= self.buffer_packets:
+        if len(self._buffer) >= BUFFER_PACKETS:
             self.stats.buffer_drops += 1
             return False  # custody taken... straight to the floor
         self._buffer.append(packet)

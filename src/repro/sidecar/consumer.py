@@ -49,9 +49,6 @@ from repro.quack.base import DecodeStatus
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
 
-#: How ``decode_delta`` finds the missing identifiers.
-DECODE_METHOD = "auto"
-
 
 @dataclass(slots=True)
 class LogEntry:
@@ -102,7 +99,7 @@ class QuackConsumer:
     """Sender-side quACK session state."""
 
     def __init__(self, threshold: int, bits: int = 32,
-                 grace: int = 1, trailing_in_transit: bool = True) -> None:
+                 grace: int = 1) -> None:
         if grace < 1:
             raise ValueError(f"grace must be >= 1 quACK, got {grace}")
         # Power sums and wrapped count of everything sent and not written
@@ -111,7 +108,6 @@ class QuackConsumer:
         self._head = PowerSumQuack(threshold, bits)
         self._boundary = 0
         self.grace = grace
-        self.trailing_in_transit = trailing_in_transit
         self.log: list[LogEntry] = []
         self.stats = ConsumerStats()
         # Recently *confirmed* identifiers, kept for resume reconciliation:
@@ -207,8 +203,7 @@ class QuackConsumer:
         kept = self.log
         in_transit = 0
         if m_total > self.threshold:
-            if (self.trailing_in_transit and not self._reconcile_pending
-                    and not self._aliased):
+            if not self._reconcile_pending and not self._aliased:
                 feedback = self._settle_in_order(theirs, m_total, now)
                 if feedback is not None:
                     return feedback
@@ -219,8 +214,7 @@ class QuackConsumer:
             in_transit = drop
 
         delta = self._head_at(len(kept)) - theirs
-        result = decode_delta(delta, [e.identifier for e in kept] + recent,
-                              method=DECODE_METHOD)
+        result = decode_delta(delta, [e.identifier for e in kept] + recent)
         if not result.ok:
             self.stats.quacks_failed += 1
             self._trace_decode(now, result.status, result.num_missing)
@@ -257,10 +251,9 @@ class QuackConsumer:
                                  reconciled=reconciled)
         # Trailing continuous run of missing entries is in transit.
         tail_start = len(kept)
-        if self.trailing_in_transit:
-            while tail_start > 0 and marks[tail_start - 1]:
-                tail_start -= 1
-            feedback.in_transit += len(kept) - tail_start
+        while tail_start > 0 and marks[tail_start - 1]:
+            tail_start -= 1
+        feedback.in_transit += len(kept) - tail_start
 
         survivors: list[LogEntry] = []
         p = head.field.modulus

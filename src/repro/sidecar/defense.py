@@ -103,6 +103,13 @@ class AdversarialSignal:
 #: replayed.
 RESTART_MARGIN_THRESHOLDS = 4
 
+#: The rate gate's sliding window, seconds.
+RATE_WINDOW_S = 0.05
+
+#: Quarantine: this many signals inside :data:`SIGNAL_WINDOW_S` seconds.
+QUARANTINE_AFTER = 3
+SIGNAL_WINDOW_S = 5.0
+
 
 def count_lead(count: int, reference: int, modulus: int) -> int:
     """How far ``count`` runs ahead of ``reference`` on the c-bit circle
@@ -144,22 +151,13 @@ def resume_implausibility(epoch: int, count: int, current_epoch: int,
 
 @dataclass
 class DefenseConfig:
-    """Thresholds of the rate gate and the quarantine ledger."""
+    """Arms the plausibility gates and the quarantine ledger."""
 
     #: Rate gate: more than ``rate_max`` snapshots inside
-    #: ``rate_window_s`` seconds trips RATE_ANOMALY.  None disables.
+    #: :data:`RATE_WINDOW_S` seconds trips RATE_ANOMALY.  None disables.
     rate_max: int | None = None
-    rate_window_s: float = 0.05
-    #: Ledger: this many signals within ``signal_window_s`` -> quarantine.
-    quarantine_after: int = 3
-    signal_window_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}")
-        if self.signal_window_s <= 0 or self.rate_window_s <= 0:
-            raise ValueError("signal/rate windows must be positive")
         if self.rate_max is not None and self.rate_max < 1:
             raise ValueError(f"rate_max must be >= 1, got {self.rate_max}")
 
@@ -255,15 +253,14 @@ class PlausibilityValidator:
     def _check_rate(self, now: float) -> AdversarialSignal | None:
         if self.config.rate_max is None:
             return None
-        window = self.config.rate_window_s
         arrivals = self._arrivals
         arrivals.append(now)
-        while arrivals and arrivals[0] <= now - window:
+        while arrivals and arrivals[0] <= now - RATE_WINDOW_S:
             arrivals.popleft()
         if len(arrivals) > self.config.rate_max:
             return self._signal(
                 now, SignalKind.RATE_ANOMALY,
-                f"{len(arrivals)} snapshots inside {window} s "
+                f"{len(arrivals)} snapshots inside {RATE_WINDOW_S} s "
                 f"(max {self.config.rate_max})",
                 len(arrivals), self.config.rate_max)
         return None
@@ -341,14 +338,13 @@ class QuarantineLedger:
 
     The ledger is append-only evidence: every signal is kept (the audit
     trail chaos tests and ``repro analyze`` read), and once
-    ``quarantine_after`` signals land inside ``signal_window_s`` the
-    ledger's verdict flips.  It lasts as long as the ladder's QUARANTINED
-    rung: once the health ladder has re-admitted the channel (probation
-    is its business) a signal is judged against the window afresh.
+    :data:`QUARANTINE_AFTER` signals land inside :data:`SIGNAL_WINDOW_S`
+    the ledger's verdict flips.  It lasts as long as the ladder's
+    QUARANTINED rung: once the health ladder has re-admitted the channel
+    (probation is its business) a signal is judged against the window
+    afresh.
     """
 
-    quarantine_after: int = 3
-    signal_window_s: float = 5.0
     signals: list[AdversarialSignal] = field(default_factory=list,
                                              init=False)
     quarantined_at: float | None = field(default=None, init=False)
@@ -356,20 +352,15 @@ class QuarantineLedger:
     #: ``signals[_fresh_from:]`` arrived since the last re-admission.
     _fresh_from: int = field(default=0, init=False)
 
-    @classmethod
-    def from_config(cls, config: DefenseConfig) -> "QuarantineLedger":
-        return cls(quarantine_after=config.quarantine_after,
-                   signal_window_s=config.signal_window_s)
-
     def record(self, signal: AdversarialSignal) -> bool:
         """Ledger one signal; True when this one trips quarantine."""
         self.signals.append(signal)
         if self.quarantined_at is not None:
             return False
-        horizon = signal.time - self.signal_window_s
+        horizon = signal.time - SIGNAL_WINDOW_S
         recent = sum(1 for s in self.signals[self._fresh_from:]
                      if s.time > horizon)
-        if recent >= self.quarantine_after:
+        if recent >= QUARANTINE_AFTER:
             self.quarantined_at = signal.time
             self.quarantines += 1
             return True

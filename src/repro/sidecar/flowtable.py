@@ -47,22 +47,29 @@ from repro.sidecar.agents import ProxyEmitterTap
 from repro.sidecar.emitter import QuackEmitter
 
 
+#: Shedding starts when occupancy exceeds this fraction of ``max_flows``.
+SHED_HIGH_WATER = 0.90
+
+#: A flow with no activity for this long is shed first, seconds.
+IDLE_AFTER_S = 0.1
+
+#: A flow that has observed fewer packets than this is shed next.
+LOW_TRAFFIC_OBSERVED = 8
+
+
 @dataclass(slots=True)
 class FlowTableConfig:
     """Sizing and policy knobs for one shared flow table.
 
-    ``shed_high_water``/``shed_low_water`` are fractions of
-    ``max_flows``: shedding starts when occupancy exceeds the high
-    water and stops once it is back at or below the low water.
+    ``shed_low_water`` is a fraction of ``max_flows``: shedding, which
+    starts when occupancy exceeds :data:`SHED_HIGH_WATER` of it, stops
+    once occupancy is back at or below the low water.
     """
 
     max_flows: int = 1024
     tenant_budget_bytes: int = 64 * 1024
-    shed_high_water: float = 0.90
     shed_low_water: float = 0.75
     batch_interval_s: float = 0.005
-    idle_after_s: float = 0.1
-    low_traffic_observed: int = 8
     threshold: int = 4
     bits: int = 32
 
@@ -72,10 +79,10 @@ class FlowTableConfig:
         if self.tenant_budget_bytes < 1:
             raise ValueError("tenant_budget_bytes must be >= 1, got "
                              f"{self.tenant_budget_bytes}")
-        if not 0.0 < self.shed_low_water <= self.shed_high_water <= 1.0:
+        if not 0.0 < self.shed_low_water <= SHED_HIGH_WATER:
             raise ValueError(
-                "need 0 < shed_low_water <= shed_high_water <= 1, got "
-                f"{self.shed_low_water}/{self.shed_high_water}")
+                f"need 0 < shed_low_water <= {SHED_HIGH_WATER}, got "
+                f"{self.shed_low_water}")
         if self.batch_interval_s <= 0:
             raise ValueError("batch_interval_s must be > 0, got "
                              f"{self.batch_interval_s}")
@@ -286,8 +293,7 @@ class FlowTable:
         if self._closed:
             return
         self.flush()
-        if self._flow_count > self.config.shed_high_water \
-                * self.config.max_flows:
+        if self._flow_count > SHED_HIGH_WATER * self.config.max_flows:
             self._shed(self.sim.now)
         self._batch_timer.rearm(self.config.batch_interval_s)
 
@@ -429,9 +435,9 @@ class FlowTable:
         active: list[FlowRecord] = []
         for records in self._tenants.values():
             for record in records.values():
-                if now - record.last_activity > self.config.idle_after_s:
+                if now - record.last_activity > IDLE_AFTER_S:
                     idle.append(record)
-                elif record.observed < self.config.low_traffic_observed:
+                elif record.observed < LOW_TRAFFIC_OBSERVED:
                     low.append(record)
                 else:
                     active.append(record)

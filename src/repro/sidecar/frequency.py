@@ -96,20 +96,18 @@ class AdaptiveFrequency(PacketCountFrequency):
     Starts from an initial packet count and accepts retuning from the
     *sender-side* proxy, which "determines the loss ratio, and can
     configure the communication frequency accordingly" (Section 2.3,
-    :func:`retransmission_cadence`), within ``[min_every, max_every]``.
+    :func:`retransmission_cadence`), within
+    ``[MIN_EVERY, MAX_EVERY]``.
     """
 
-    def __init__(self, initial_every: int = 16, min_every: int = MIN_EVERY,
-                 max_every: int = MAX_EVERY) -> None:
-        if not 1 <= min_every <= initial_every <= max_every:
+    def __init__(self, initial_every: int = 16) -> None:
+        if not MIN_EVERY <= initial_every <= MAX_EVERY:
             raise ValueError(
-                f"need 1 <= min_every <= initial_every <= max_every, got "
-                f"{min_every}, {initial_every}, {max_every}"
+                f"need {MIN_EVERY} <= initial_every <= {MAX_EVERY}, got "
+                f"{initial_every}"
             )
         super().__init__(initial_every)
-        self.min_every = min_every
-        self.max_every = max_every
 
     def configure(self, every_n: int) -> None:
         """Adopt the cadence a peer asked for, within this policy's bounds."""
-        self.every_n = max(self.min_every, min(self.max_every, every_n))
+        self.every_n = max(MIN_EVERY, min(MAX_EVERY, every_n))

@@ -32,7 +32,7 @@ accident:
     signal from this sidecar can be trusted.  Terminal until probation:
     unlike E2E_ONLY -- which re-enters RECOVERING on the first decodable
     quACK -- a quarantined channel must first sustain
-    ``quarantine_probation`` seconds of *clean* decodes before it is
+    :data:`QUARANTINE_PROBATION_S` seconds of *clean* decodes before it is
     even allowed onto the RECOVERING rung (and then serves the normal
     probation on top).  Staleness cannot lift it and any failure or
     fresh violation restarts the clock.
@@ -52,6 +52,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro import obs
+
+#: Clean seconds a QUARANTINED channel must sustain before it may
+#: re-enter RECOVERING (re-entry is deliberately slower than the failure
+#: path's: E2E_ONLY recovers on the first decodable quACK).
+QUARANTINE_PROBATION_S = 1.0
 
 
 class HealthState(Enum):
@@ -87,10 +92,6 @@ class HealthConfig:
     e2e_only_after: int = 5      # consecutive failures -> E2E_ONLY
     stale_after: float = 1.0     # seconds without a decodable quACK
     probation: float = 0.5       # clean seconds before RECOVERING -> HEALTHY
-    #: Clean seconds a QUARANTINED channel must sustain before it may
-    #: re-enter RECOVERING (re-entry is deliberately slower than the
-    #: failure path's: E2E_ONLY recovers on the first decodable quACK).
-    quarantine_probation: float = 1.0
 
     def __post_init__(self) -> None:
         if self.degrade_after < 1 or self.e2e_only_after < self.degrade_after:
@@ -99,8 +100,6 @@ class HealthConfig:
                 f"{self.degrade_after}, {self.e2e_only_after}")
         if self.stale_after <= 0 or self.probation < 0:
             raise ValueError("stale_after must be > 0 and probation >= 0")
-        if self.quarantine_probation < 0:
-            raise ValueError("quarantine_probation must be >= 0")
 
 
 @dataclass
@@ -161,7 +160,7 @@ class HealthMonitor:
             if self._quarantine_clean_since is None:
                 self._quarantine_clean_since = now
             elif (now - self._quarantine_clean_since
-                    >= self.config.quarantine_probation):
+                    >= QUARANTINE_PROBATION_S):
                 self._quarantine_clean_since = None
                 self._probation_started = now
                 self._transition(now, HealthState.RECOVERING,

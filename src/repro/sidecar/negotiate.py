@@ -26,7 +26,7 @@ actually sent and treats any mismatch as a
 :class:`~repro.sidecar.defense.SignalKind.DOWNGRADE` attack feeding the
 quarantine ledger.  An adversary who *strips* HELLOs entirely cannot
 force a silent fallback either: the initiator retries on a timer and,
-past :attr:`NegotiateConfig.strip_after` unanswered offers, ledgers each
+past :data:`STRIP_AFTER` unanswered offers, ledgers each
 further timeout as the same downgrade signal -- enough of them and the
 channel is QUARANTINED, with the transport already running pure
 end-to-end (assistance never starts before the handshake completes, so
@@ -41,7 +41,7 @@ pre-switch version stay valid until the first new-version frame proves
 the emitter adopted the switch -- the switch shares the forward link
 with DATA and can queue behind a full bottleneck buffer, so a deadline
 would misclassify a healthy emitter's snapshots as stale -- plus one
-:attr:`NegotiateConfig.switch_grace_s` window for reordered stragglers;
+:data:`SWITCH_GRACE_S` window for reordered stragglers;
 after that they are counted stale and dropped.
 
 Both halves live here as events in, answers out: :class:`Session` is
@@ -161,31 +161,23 @@ def respond(offer: HelloMessage, own: Capabilities) -> HelloAckMessage | None:
     )
 
 
+#: The initiator's offer-retry timer, seconds.
+OFFER_RETRY_S = 0.15
+
+#: Consecutive unanswered offers written off as loss before each further
+#: timeout ledgers a DOWNGRADE signal.
+STRIP_AFTER = 2
+
+#: Roughly one RTT: how long pre-switch frames stay tolerated after the
+#: first new-version frame, seconds.
+SWITCH_GRACE_S = 0.1
+
+
 @dataclass
 class NegotiateConfig:
-    """Arms capability negotiation on an agent (consumer or emitter).
-
-    ``retry_s`` is the initiator's offer-retry timer; ``strip_after`` is
-    how many consecutive unanswered offers are written off as loss
-    before each further timeout ledgers a DOWNGRADE signal;
-    ``switch_grace_s`` is roughly one RTT -- how long pre-switch frames
-    stay tolerated after the first new-version frame.
-    """
+    """Arms capability negotiation on an agent (consumer or emitter)."""
 
     capabilities: Capabilities = field(default_factory=Capabilities)
-    retry_s: float = 0.15
-    strip_after: int = 2
-    switch_grace_s: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.retry_s <= 0:
-            raise ValueError(f"retry_s must be > 0, got {self.retry_s}")
-        if self.strip_after < 1:
-            raise ValueError(
-                f"strip_after must be >= 1, got {self.strip_after}")
-        if self.switch_grace_s < 0:
-            raise ValueError(
-                f"switch_grace_s must be >= 0, got {self.switch_grace_s}")
 
 
 class Session:
@@ -266,13 +258,14 @@ class Initiator:
     def unanswered(self, offers_sent: int,
                    now: float) -> AdversarialSignal | None:
         """The retry clock fired with the offer open: past
-        ``strip_after`` offers the loss allowance is spent and silence
-        is evidence of stripped HELLOs, not of an unlucky datagram."""
-        if offers_sent < self.config.strip_after:
+        :data:`STRIP_AFTER` offers the loss allowance is spent and
+        silence is evidence of stripped HELLOs, not of an unlucky
+        datagram."""
+        if offers_sent < STRIP_AFTER:
             return None
         return self._downgrade(
             now, f"{offers_sent} capability offers unanswered",
-            offers_sent, self.config.strip_after)
+            offers_sent, STRIP_AFTER)
 
     def on_hello_ack(self, ack: HelloAckMessage,
                      now: float) -> AdversarialSignal | None:
@@ -307,7 +300,7 @@ class Initiator:
                 # First frame under the new version: the emitter has
                 # demonstrably adopted the switch.  Stragglers reordered
                 # behind it get one grace window from this moment.
-                self._grace_until = now + self.config.switch_grace_s
+                self._grace_until = now + SWITCH_GRACE_S
             return True
         # Still propagating, or a reordered in-flight frame from before?
         return version == self._pre_switch_version \

@@ -49,6 +49,10 @@ TARGET_MISSING = 10
 #: many undecodable quACKs in a row, settling this long.
 RESET_AFTER_FAILURES = 3
 SETTLE_TIME_S = 0.1
+#: Buffered packets past which the oldest is written off.
+MAX_BUFFER = 4096
+#: How often the proxy retunes the emitter's cadence, seconds.
+RETUNE_PERIOD_S = 0.25
 
 
 @dataclass
@@ -69,20 +73,17 @@ class SenderSideRetxProxy(ConsumerEndpoint):
 
     def __init__(self, sim: Simulator, router: Router, peer_proxy: str,
                  client: str, flow_id: str,
-                 threshold: int = DEFAULT_THRESHOLD,
-                 max_buffer: int = 4096,
-                 retune_period_s: float = 0.25) -> None:
+                 threshold: int = DEFAULT_THRESHOLD) -> None:
         super().__init__(sim, router, flow_id, RetxProxyStats(), threshold,
                          reset_after_failures=RESET_AFTER_FAILURES,
                          settle_time=SETTLE_TIME_S, peer=peer_proxy)
         self.router = router
         self.client = client
-        self.max_buffer = max_buffer
         self._window_received = 0
         self._window_lost = 0
         router.add_tap(self._tap)
-        self._retune_timer = sim.timer(self._retune, retune_period_s)
-        self._retune_timer.rearm(retune_period_s)
+        self._retune_timer = sim.timer(self._retune, RETUNE_PERIOD_S)
+        self._retune_timer.rearm(RETUNE_PERIOD_S)
 
     def _tap(self, packet: Packet) -> None:
         if packet.dst == self.router.name:
@@ -95,7 +96,7 @@ class SenderSideRetxProxy(ConsumerEndpoint):
             self._log(packet)
 
     def _log(self, packet: Packet) -> None:
-        if self.consumer.outstanding >= self.max_buffer:
+        if self.consumer.outstanding >= MAX_BUFFER:
             # Write off the oldest buffered packet to bound memory.
             if self.consumer.evict_oldest() is not None:
                 self.stats.evicted += 1

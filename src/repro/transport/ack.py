@@ -20,13 +20,15 @@ DEFAULT_ACK_EVERY = 2
 #: QUIC's default max_ack_delay.
 DEFAULT_MAX_ACK_DELAY = 0.025
 
+#: ACK ranges an ACK frame carries, most recent first.
+MAX_ACK_RANGES = 32
+
 
 class AckTracker:
     """Which packet numbers have arrived, and what changed since last ACK."""
 
-    def __init__(self, max_ranges: int = 32) -> None:
+    def __init__(self) -> None:
         self.received = RangeSet()
-        self.max_ranges = max_ranges
         #: Largest packet number received (None before the first).
         self.largest: int | None = None
         self._new_since_last_ack = 0
@@ -46,8 +48,8 @@ class AckTracker:
         return self._new_since_last_ack
 
     def ack_ranges(self) -> tuple[tuple[int, int], ...]:
-        """Most recent ranges first, truncated to ``max_ranges``."""
-        return self.received.highest(self.max_ranges)
+        """Most recent ranges first, truncated to :data:`MAX_ACK_RANGES`."""
+        return self.received.highest(MAX_ACK_RANGES)
 
     def mark_acked(self) -> None:
         """Reset the since-last-ACK counter (an ACK has been emitted)."""
@@ -57,9 +59,8 @@ class AckTracker:
 class AckFrequencyPolicy:
     """When should the receiver emit an ACK?"""
 
-    def __init__(self, ack_every: int = DEFAULT_ACK_EVERY,
-                 max_delay_s: float = DEFAULT_MAX_ACK_DELAY) -> None:
-        self.update(ack_every, max_delay_s)
+    def __init__(self) -> None:
+        self.update(DEFAULT_ACK_EVERY, DEFAULT_MAX_ACK_DELAY)
 
     def update(self, ack_every: int, max_delay_s: float) -> None:
         """Apply an ACK_FREQUENCY frame (or local reconfiguration)."""

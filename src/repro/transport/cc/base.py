@@ -28,9 +28,9 @@ MIN_WINDOW_PACKETS = 2
 class CongestionController(ABC):
     """Window-based congestion control over byte counts."""
 
-    def __init__(self, datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        self.datagram_bytes = datagram_bytes
-        self.cwnd = INITIAL_WINDOW_PACKETS * datagram_bytes
+    def __init__(self) -> None:
+        self.datagram_bytes = DEFAULT_DATAGRAM
+        self.cwnd = INITIAL_WINDOW_PACKETS * DEFAULT_DATAGRAM
         self.ssthresh = float("inf")
         self.congestion_events = 0
         self._recovery_start: float | None = None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.transport.cc.base import DEFAULT_DATAGRAM, CongestionController
+from repro.transport.cc.base import CongestionController
 
 STARTUP_GAIN = 2.89
 DRAIN_GAIN = 1 / STARTUP_GAIN
@@ -46,8 +46,8 @@ FULL_BW_ROUNDS = 3
 class BbrLite(CongestionController):
     """Model-based (BBR v1 style) controller; best used with pacing."""
 
-    def __init__(self, datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        super().__init__(datagram_bytes)
+    def __init__(self) -> None:
+        super().__init__()
         self._bw_samples: deque[float] = deque(maxlen=BW_WINDOW_SAMPLES)
         self._btlbw = 0.0            # bytes per second
         self._rtprop = float("inf")

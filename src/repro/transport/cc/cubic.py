@@ -13,15 +13,15 @@ delayed-ack adjustments are not (the simulator's ACK cadence is explicit).
 
 from __future__ import annotations
 
-from repro.transport.cc.base import DEFAULT_DATAGRAM, CongestionController
+from repro.transport.cc.base import CongestionController
 
 BETA = 0.7
 C_SCALE = 0.4  # window units per second**3, per RFC 9438
 
 
 class Cubic(CongestionController):
-    def __init__(self, datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        super().__init__(datagram_bytes)
+    def __init__(self) -> None:
+        super().__init__()
         self._w_max = 0.0          # datagrams
         self._epoch_start: float | None = None
         self._reno_cwnd = 0.0      # datagrams, the TCP-friendly estimate

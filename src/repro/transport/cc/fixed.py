@@ -12,12 +12,11 @@ class FixedWindow(CongestionController):
     from congestion dynamics in unit tests.
     """
 
-    def __init__(self, window_packets: int,
-                 datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        super().__init__(datagram_bytes)
+    def __init__(self, window_packets: int) -> None:
+        super().__init__()
         if window_packets < 1:
             raise ValueError(f"window must be >= 1 packet, got {window_packets}")
-        self.cwnd = window_packets * datagram_bytes
+        self.cwnd = window_packets * DEFAULT_DATAGRAM
         self.ssthresh = self.cwnd  # never in slow start
 
     def on_ack(self, acked_bytes: int, rtt_s: float, now: float) -> None:
@@ -39,8 +38,8 @@ class AimdRate(CongestionController):
     of packets have yet to be received" (Section 2.1).
     """
 
-    def __init__(self, datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        super().__init__(datagram_bytes)
+    def __init__(self) -> None:
+        super().__init__()
         self._avoidance_acc = 0
 
     def on_ack(self, acked_bytes: int, rtt_s: float, now: float) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.transport.cc.base import DEFAULT_DATAGRAM, CongestionController
+from repro.transport.cc.base import CongestionController
 
 #: Multiplicative decrease factor on congestion.
 LOSS_REDUCTION = 0.5
@@ -11,8 +11,8 @@ LOSS_REDUCTION = 0.5
 class NewReno(CongestionController):
     """Slow start + AIMD congestion avoidance."""
 
-    def __init__(self, datagram_bytes: int = DEFAULT_DATAGRAM) -> None:
-        super().__init__(datagram_bytes)
+    def __init__(self) -> None:
+        super().__init__()
         self._avoidance_acc = 0  # bytes acked since the last +1 MSS step
 
     def on_ack(self, acked_bytes: int, rtt_s: float, now: float) -> None:

@@ -113,11 +113,8 @@ class SenderConnection:
 
     def __init__(self, sim: Simulator, host: Host, peer: str,
                  total_bytes: int,
-                 cc: CongestionController | None = None,
                  key: bytes = b"connection-key",
-                 flow_id: str = "flow0",
-                 cc_from_acks: bool = True,
-                 pacing: bool = False) -> None:
+                 flow_id: str = "flow0") -> None:
         if total_bytes <= 0:
             raise TransportError(f"total_bytes must be positive, got {total_bytes}")
         self.sim = sim
@@ -125,14 +122,14 @@ class SenderConnection:
         self.peer = peer
         self.total_bytes = total_bytes
         self.mss = DEFAULT_MSS
-        self.cc = cc if cc is not None else NewReno(DEFAULT_MSS + HEADER_BYTES)
+        self.cc: CongestionController = NewReno()
         self.id_factory = IdentifierFactory(key, bits=32)
         self.key = key
         self.flow_id = flow_id
         #: Congestion-control division (Section 2.1): when False, e2e ACKs
         #: govern only retransmission; the congestion window moves solely on
         #: sidecar feedback (sidecar_receipt / sidecar_loss).
-        self.cc_from_acks = cc_from_acks
+        self.cc_from_acks = True
         #: Packet-number reordering tolerance before declaring loss.  A
         #: host cooperating with an in-network retransmitter may raise it
         #: to give local repair time to win (experiment E9's ablation).
@@ -141,7 +138,7 @@ class SenderConnection:
         #: whole window.  The rate comes from the congestion controller's
         #: ``pacing_rate_bps(rtt)`` when it has one (AimdRate, BbrLite),
         #: otherwise from cwnd/srtt with the usual slow-start headroom.
-        self.pacing = pacing
+        self.pacing = False
 
         self.rtt = RttEstimator()
         self.sent: dict[int, SentPacketRecord] = {}
@@ -254,8 +251,7 @@ class SenderConnection:
 
     # -- sidecar hooks --------------------------------------------------------
 
-    def sidecar_receipt(self, packet_numbers: list[int],
-                        rtt_sample: float | None = None) -> None:
+    def sidecar_receipt(self, packet_numbers: list[int]) -> None:
         """QuACK-confirmed receipt (by a proxy or the client) of packets.
 
         Releases the packets from the in-flight window and credits the
@@ -274,8 +270,7 @@ class SenderConnection:
                 self.bytes_in_flight -= record.size_bytes
             if not record.cc_credited:
                 record.cc_credited = True
-                sample = rtt_sample if rtt_sample is not None else self.rtt.srtt
-                self.cc.on_ack(record.size_bytes, sample, now)
+                self.cc.on_ack(record.size_bytes, self.rtt.srtt, now)
                 self.stats.sidecar_releases += 1
         self._maybe_send()
 

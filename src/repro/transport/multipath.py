@@ -39,11 +39,10 @@ from repro.transport.ranges import RangeSet
 class SharedStream:
     """Sequential chunk allocator shared by the subflows of one transfer."""
 
-    def __init__(self, total_bytes: int, mss: int = DEFAULT_MSS) -> None:
+    def __init__(self, total_bytes: int) -> None:
         if total_bytes <= 0:
             raise TransportError(f"total_bytes must be positive, got {total_bytes}")
         self.total_bytes = total_bytes
-        self.mss = mss
         self._next_offset = 0
         self._returned: deque[tuple[int, int]] = deque()
 
@@ -53,7 +52,7 @@ class SharedStream:
             return self._returned.popleft()
         if self._next_offset >= self.total_bytes:
             return None
-        length = min(self.mss, self.total_bytes - self._next_offset)
+        length = min(DEFAULT_MSS, self.total_bytes - self._next_offset)
         offset = self._next_offset
         self._next_offset += length
         return offset, length
@@ -121,14 +120,13 @@ class SubflowReceiver(ReceiverConnection):
 class PathSpec:
     """One path of a multipath transfer.
 
-    ``via`` pins the server's first hop; ``via_reverse`` pins the
-    client's first hop for the subflow's ACKs (usually the same proxy),
-    keeping feedback on-path.  Each subflow runs the default congestion
-    controller under its own identifier key.
+    ``via`` is the path's proxy: the server's first hop for the data and
+    the client's first hop for the subflow's ACKs, keeping feedback
+    on-path.  Each subflow runs the default congestion controller under
+    its own identifier key.
     """
 
     via: str
-    via_reverse: str | None = None
 
 
 @dataclass
@@ -157,8 +155,7 @@ class MultipathTransfer:
             flow_id = f"mp-{index}"
             key = f"multipath-key-{index}".encode()
             server.pin(flow_id, path.via)
-            if path.via_reverse is not None:
-                client.pin(flow_id, path.via_reverse)
+            client.pin(flow_id, path.via)
             receiver = SubflowReceiver(
                 sim, client, server.name, total_bytes, self.received,
                 self._subflow_done, key=key, flow_id=flow_id)

@@ -17,14 +17,12 @@ class RangeSet:
 
     __slots__ = ("_ranges", "count")
 
-    def __init__(self, ranges: Iterable[tuple[int, int]] = ()) -> None:
+    def __init__(self) -> None:
         self._ranges: list[tuple[int, int]] = []
         #: Integers covered (read-only; ``len()`` is the same number),
         #: maintained by every mutation so that both endpoints can test
         #: completion per packet without a search.
         self.count = 0
-        for lo, hi in ranges:
-            self.add_range(lo, hi)
 
     # -- mutation ---------------------------------------------------------
 

@@ -145,10 +145,6 @@ class TestBatchOps:
         out2 = f32.batch_mul(a, a)
         assert out2.tolist() == [4, 9, pow(P32 - 1, 2, P32)]
 
-    def test_batch_add(self, f32):
-        a = f32.reduce_array([P32 - 1, 5])
-        assert f32.batch_add(a, 1).tolist() == [0, 6]
-
     def test_batch_power_sums_64bit_path(self, f64):
         values = [P64 - 1, 2 ** 63, 12345]
         sums = f64.batch_power_sums(values, 3)

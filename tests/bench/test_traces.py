@@ -47,8 +47,6 @@ class TestArrivalProcesses:
             poisson_arrivals(5, -1, random.Random(0))
         with pytest.raises(ValueError):
             onoff_arrivals(5, 100, 0, 1, random.Random(0))
-        with pytest.raises(ValueError):
-            synthesize_trace(10, arrival="fractal")
 
 
 class TestSynthesizeTrace:

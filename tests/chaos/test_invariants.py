@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 from repro.chaos.harness import (
+    HEALTH,
     PLANS,
     ChaosSetup,
     format_result,
@@ -22,7 +23,7 @@ from repro.chaos.harness import (
 )
 from repro.chaos.injectors import MiddleboxCrash
 from repro.netsim.faults import SIDECAR_KINDS, Blackout
-from repro.sidecar.health import HealthConfig, HealthState
+from repro.sidecar.health import HealthState
 from repro.sidecar.path import SLICE_S
 
 SEED = 1
@@ -98,16 +99,13 @@ class TestCountersMatchInjectedFaults:
 class TestBlackoutDegradationLadder:
     """The acceptance scenario: full sidecar blackout, then recovery."""
 
-    HEALTH = HealthConfig(degrade_after=2, e2e_only_after=6,
-                          stale_after=0.25, probation=0.25)
-
     @pytest.fixture(scope="class")
     def blackout_result(self):
         outage = Blackout([(0.3, 0.9)], kinds=SIDECAR_KINDS)
         setup = ChaosSetup(name="blackout",
                            faults_toward_client=outage,
                            faults_toward_server=outage)
-        return run_chaos_transfer(setup, seed=SEED, health=self.HEALTH)
+        return run_chaos_transfer(setup, seed=SEED)
 
     def test_completes_despite_total_blackout(self, blackout_result):
         assert blackout_result.completed
@@ -127,7 +125,7 @@ class TestBlackoutDegradationLadder:
         blackout_end = 0.9
         # Recovery = blackout end + quACK cadence + one probation window
         # (plus scheduler slack).
-        deadline = blackout_end + self.HEALTH.probation + 0.15
+        deadline = blackout_end + HEALTH.probation + 0.15
         assert healthy[0].time <= deadline
         assert blackout_result.health_final is HealthState.HEALTHY
 

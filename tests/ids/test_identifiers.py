@@ -42,15 +42,15 @@ class TestIdentifierFactory:
 
     def test_identifiers_batch_matches_scalar(self):
         f = IdentifierFactory(b"key")
-        batch = f.identifiers(50, start=10)
+        batch = f.identifiers(50)
         assert batch.dtype == np.uint64
-        assert batch.tolist() == [f.identifier(10 + i) for i in range(50)]
+        assert batch.tolist() == [f.identifier(i) for i in range(50)]
 
     def test_stream(self):
         f = IdentifierFactory(b"key")
-        stream = f.stream(start=3)
+        stream = f.stream()
         assert [next(stream) for _ in range(4)] == \
-            [f.identifier(3 + i) for i in range(4)]
+            [f.identifier(i) for i in range(4)]
 
     def test_fresh_uses_distinct_keys(self):
         rng = random.Random(0)

@@ -24,10 +24,11 @@ def build_two_flows(total=600_000, assisted_flows=()):
     server = Host(sim, "server")
     proxy = Router(sim, "proxy")
     client = Host(sim, "client")
-    build_path(sim, [server, proxy, client],
-               [HopSpec(bandwidth_bps=40e6, delay_s=0.01),
-                HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                        queue_packets=128)])
+    topology = build_path(sim, [server, proxy, client],
+                          [HopSpec(bandwidth_bps=40e6, delay_s=0.01),
+                           HopSpec(bandwidth_bps=10e6, delay_s=0.01)])
+    for link in (topology.links_up[1], topology.links_down[1]):
+        link.queue_packets = 128
     flows = {}
     for flow_id in ("flow-a", "flow-b"):
         key = flow_id.encode()

@@ -18,6 +18,7 @@ from repro.netsim.node import Host, Router
 from repro.netsim.topology import HopSpec, build_parallel_paths
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
 from repro.sidecar.frequency import PacketCountFrequency
+from repro.transport.frames import DEFAULT_MSS as MSS
 from repro.transport.multipath import (
     MultipathTransfer,
     PathSpec,
@@ -59,14 +60,15 @@ def run(sim, transfer, deadline=60.0):
 
 class TestSharedStream:
     def test_sequential_chunks(self):
-        stream = SharedStream(3500, mss=1000)
+        stream = SharedStream(3 * MSS + 500)
         chunks = [stream.next_chunk() for _ in range(4)]
-        assert chunks == [(0, 1000), (1000, 1000), (2000, 1000), (3000, 500)]
+        assert chunks == [(0, MSS), (MSS, MSS), (2 * MSS, MSS),
+                          (3 * MSS, 500)]
         assert stream.next_chunk() is None
         assert stream.exhausted()
 
     def test_push_back_reoffers(self):
-        stream = SharedStream(2000, mss=1000)
+        stream = SharedStream(2 * MSS)
         first = stream.next_chunk()
         stream.push_back(*first)
         assert not stream.exhausted()
@@ -103,8 +105,8 @@ class TestMultipathTransfer:
         """Two 10 Mbps paths must beat one of them used alone."""
         sim, server, client, p0, p1 = two_path_setup()
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         run(sim, transfer)
         assert transfer.complete
         assert transfer.goodput_bps > 10e6  # above a single path's cap
@@ -112,8 +114,8 @@ class TestMultipathTransfer:
     def test_exact_reassembly(self):
         sim, server, client, p0, p1 = two_path_setup()
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         run(sim, transfer)
         assert len(transfer.received) == TOTAL
         assert transfer.received.covers_contiguously(0, TOTAL - 1)
@@ -121,8 +123,8 @@ class TestMultipathTransfer:
     def test_stream_split_is_disjoint_and_complete(self):
         sim, server, client, p0, p1 = two_path_setup()
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         run(sim, transfer)
         a, b = (sub.sender.assigned_offsets for sub in transfer.subflows)
         assert len(a) + len(b) == TOTAL
@@ -134,8 +136,8 @@ class TestMultipathTransfer:
         sim, server, client, p0, p1 = two_path_setup(path0=(20e6, 0.02),
                                                      path1=(5e6, 0.02))
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         run(sim, transfer)
         split = transfer.bytes_by_subflow()
         # 20 vs 5 Mbps would be 4:1 in steady state; slow start softens
@@ -145,8 +147,8 @@ class TestMultipathTransfer:
     def test_survives_one_lossy_path(self):
         sim, server, client, p0, p1 = two_path_setup(loss1=0.05)
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         run(sim, transfer)
         assert transfer.complete
         assert len(transfer.received) == TOTAL
@@ -154,7 +156,7 @@ class TestMultipathTransfer:
     def test_single_path_degenerate(self):
         sim, server, client, p0, p1 = two_path_setup()
         transfer = MultipathTransfer(sim, server, client, 200_000,
-                                     [PathSpec("p0", "p0")])
+                                     [PathSpec("p0")])
         run(sim, transfer)
         assert transfer.complete
 
@@ -169,8 +171,8 @@ class TestPerPathSidecars:
         """The §5 answer in running code: one quACK session per path."""
         sim, server, client, p0, p1 = two_path_setup(loss1=0.02)
         transfer = MultipathTransfer(sim, server, client, TOTAL,
-                                     [PathSpec("p0", "p0"),
-                                      PathSpec("p1", "p1")])
+                                     [PathSpec("p0"),
+                                      PathSpec("p1")])
         taps = []
         sidecars = []
         for proxy, subflow in zip((p0, p1), transfer.subflows):

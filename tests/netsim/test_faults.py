@@ -99,9 +99,9 @@ class TestCorruption:
 
 class TestDuplicationBurstDelay:
     def test_duplication_copies(self):
-        dupes = Duplication(rate=1.0, seed=1, copies=3)
+        dupes = Duplication(rate=1.0, seed=1)
         decision = dupes.on_transmit(packet(), 0.0)
-        assert decision.copies == 3
+        assert decision.copies == 2
         assert dupes.stats.duplicated == 1
 
     def test_burst_loss_windows(self):

@@ -48,13 +48,20 @@ class TestTiming:
         assert [p.uid for _, p in sink] == [p.uid for p in packets]
 
     def test_serialization_delay_helper(self):
+        # 1250 B at 1 Mbps: 10 ms on the wire before propagation starts.
         sim = Simulator()
-        link = make_link(sim, [], bw=1e6)
-        assert link.serialization_delay(1250) == pytest.approx(0.01)
+        sink = []
+        make_link(sim, sink, bw=1e6, delay=0.0).send(packet(1250))
+        sim.run()
+        assert sink[0][0] == pytest.approx(0.01)
 
     def test_rtt_contribution(self):
+        # The link adds its propagation delay, whatever the bandwidth.
         sim = Simulator()
-        assert make_link(sim, [], delay=0.033).rtt_contribution == 0.033
+        sink = []
+        make_link(sim, sink, bw=1e12, delay=0.033).send(packet(125))
+        sim.run()
+        assert sink[0][0] == pytest.approx(0.033)
 
 
 class TestQueueing:

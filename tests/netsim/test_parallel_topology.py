@@ -24,7 +24,7 @@ class TestBuildParallelPaths:
         sim, left, right, middles, topos = build(3)
         assert len(topos) == 3
         for topo, middle in zip(topos, middles):
-            assert topo.node_named(middle.name) is middle
+            assert middle in topo.nodes
 
     def test_default_route_is_first_path(self):
         sim, left, right, middles, topos = build()

@@ -152,7 +152,7 @@ class TestBucketBoundaries:
     def test_timer_rearm_onto_boundary(self, sim):
         fired = []
         timer = sim.timer(lambda: fired.append(sim.now))
-        timer.rearm_at(WIDTH * 3)  # exactly the start of bucket 3
+        timer.rearm(WIDTH * 3)  # from t=0: exactly the start of bucket 3
         sim.schedule(WIDTH * 3 - 1e-9, fired.append, None)
         sim.run()
         assert fired[0] is None

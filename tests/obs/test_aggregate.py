@@ -25,7 +25,7 @@ def _registry(counter=0, gauge=None, observations=()):
         registry.counter("events_total", labels=("kind",)).labels(
             kind="x").inc(counter)
     if gauge is not None:
-        registry.gauge("depth", labels=()).labels().set(gauge)
+        registry.gauge("depth").labels().set(gauge)
     for value in observations:
         registry.histogram("lat_seconds", labels=(),
                            buckets=LATENCY_BUCKETS).labels().observe(value)

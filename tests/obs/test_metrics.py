@@ -48,8 +48,8 @@ class TestGauge:
         gauge = Gauge()
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.snapshot() == 12.0
+        gauge.dec()
+        assert gauge.snapshot() == 14.0
 
 
 class TestHistogram:

@@ -59,7 +59,7 @@ def cases(draw):
         # One more, two more, or one fewer (m = 0 wraps to the largest).
         delta._count = (delta._count + draw(st.sampled_from([1, 2, -1]))) \
             % 2**delta.count_bits
-    method = draw(st.sampled_from(["auto", "candidates", "factor"]))
+    method = draw(st.sampled_from(["candidates", "factor"]))
     return delta, log, method
 
 

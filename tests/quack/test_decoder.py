@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import make_workload
-from repro.errors import (
-    ArithmeticDomainError,
-    InconsistentQuackError,
-    ThresholdExceededError,
-)
+from repro.errors import ArithmeticDomainError
 from repro.quack.base import DecodeStatus
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
@@ -28,7 +24,7 @@ def make_delta(sent, received, threshold=10, bits=32):
 
 
 class TestHappyPath:
-    @pytest.mark.parametrize("method", ["candidates", "factor", "auto"])
+    @pytest.mark.parametrize("method", ["candidates", "factor"])
     def test_recovers_missing(self, method):
         rng = random.Random(11)
         sent = [rng.getrandbits(32) for _ in range(200)]
@@ -172,20 +168,11 @@ class TestFailures:
         assert result.status is DecodeStatus.THRESHOLD_EXCEEDED
         assert result.num_missing == 15
 
-    def test_threshold_exceeded_raises(self):
-        sent = list(range(1, 30))
-        delta = make_delta(sent, sent[15:], threshold=5)
-        with pytest.raises(ThresholdExceededError) as err:
-            decode_delta(delta, sent, raise_on_failure=True)
-        assert err.value.missing == 15 and err.value.threshold == 5
-
     def test_zero_count_nonzero_sums(self):
         delta = make_delta([1, 2], [1, 2])
         delta._sums[0] = 12345  # corrupt
         result = decode_delta(delta, [1, 2])
         assert result.status is DecodeStatus.INCONSISTENT
-        with pytest.raises(InconsistentQuackError):
-            decode_delta(delta, [1, 2], raise_on_failure=True)
 
     def test_missing_exceeds_log(self):
         sender = PowerSumQuack(10)
@@ -220,13 +207,3 @@ class TestFailures:
         delta = make_delta([1], [1])
         with pytest.raises(ArithmeticDomainError):
             decode_delta(delta, [1], method="quantum")
-
-
-class TestAutoMethod:
-    def test_auto_uses_candidates_for_small_logs(self):
-        # Behavioral check: both must agree anyway, so assert decode works
-        # at the boundary sizes.
-        rng = random.Random(5)
-        sent = [rng.getrandbits(32) for _ in range(100)]
-        delta = make_delta(sent, sent[1:])
-        assert decode_delta(delta, sent, method="auto").ok

@@ -24,8 +24,6 @@ class TestConstruction:
             IbltQuack(0)
         with pytest.raises(ArithmeticDomainError):
             IbltQuack(10, hash_count=1)
-        with pytest.raises(ArithmeticDomainError):
-            IbltQuack(10, cells_per_diff=0.9)
 
     def test_count_tracks_inserts_and_removes(self):
         quack = IbltQuack(8)

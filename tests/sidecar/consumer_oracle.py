@@ -21,23 +21,16 @@ from typing import Any
 from repro.quack.base import DecodeStatus
 from repro.quack.decoder import decode_delta
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.consumer import (
-    DECODE_METHOD,
-    ConsumerStats,
-    LogEntry,
-    QuackFeedback,
-)
+from repro.sidecar.consumer import ConsumerStats, LogEntry, QuackFeedback
 
 
 class ReferenceConsumer:
     """Every identifier folded at its send, every quACK decoded."""
 
-    def __init__(self, threshold: int, bits: int = 32, grace: int = 1,
-                 trailing_in_transit: bool = True) -> None:
+    def __init__(self, threshold: int, bits: int = 32, grace: int = 1) -> None:
         self.mine = PowerSumQuack(threshold, bits)
         self.threshold = threshold
         self.grace = grace
-        self.trailing_in_transit = trailing_in_transit
         self.log: list[LogEntry] = []
         self.stats = ConsumerStats()
         self._recent_confirmed: deque[int] = deque(maxlen=4 * threshold)
@@ -76,8 +69,7 @@ class ReferenceConsumer:
         for entry in self.log[len(kept):]:
             truncated.remove(entry.identifier)
         result = decode_delta(truncated - theirs,
-                              [e.identifier for e in kept] + recent,
-                              method=DECODE_METHOD)
+                              [e.identifier for e in kept] + recent)
         if not result.ok:
             return self._fail(result.status, num_missing=result.num_missing,
                               in_transit=in_transit)
@@ -108,10 +100,9 @@ class ReferenceConsumer:
                                  reconciled=reconciled)
         # A trailing continuous run of missing entries is in transit too.
         tail_start = len(kept)
-        if self.trailing_in_transit:
-            while tail_start > 0 and marks[tail_start - 1]:
-                tail_start -= 1
-            feedback.in_transit += len(kept) - tail_start
+        while tail_start > 0 and marks[tail_start - 1]:
+            tail_start -= 1
+        feedback.in_transit += len(kept) - tail_start
 
         survivors: list[LogEntry] = []
         for index, entry in enumerate(kept):

@@ -103,17 +103,6 @@ class TestTrailingInTransit:
         assert feedback.in_transit == 1
         assert feedback.received == [0, 2]
 
-    def test_trailing_rule_can_be_disabled(self):
-        consumer = QuackConsumer(threshold=5, grace=1,
-                                 trailing_in_transit=False)
-        theirs = receiver()
-        for i, identifier in enumerate(ids(101, 102)):
-            consumer.record_send(identifier, i, now=float(i))
-        theirs.insert(101)
-        feedback = consumer.on_quack(theirs, now=2.0)
-        assert feedback.lost == [1]
-        assert feedback.in_transit == 0
-
 
 class TestInFlightTruncation:
     def test_truncates_when_m_exceeds_threshold(self):
@@ -179,15 +168,14 @@ class TestFailureModes:
     def test_false_loss_declaration_poisons_the_session(self):
         """Declaring a packet lost that later arrives makes subsequent
         decodes inconsistent -- the Section 3.3 reordering hazard."""
-        consumer = QuackConsumer(threshold=4, grace=1,
-                                 trailing_in_transit=False)
+        consumer = QuackConsumer(threshold=4, grace=1)
         theirs = receiver(threshold=4)
         consumer.record_send(111, "x", 0.0)
-        consumer.on_quack(theirs.copy(), now=1.0)  # declared lost
-        assert consumer.stats.declared_lost == 1
+        consumer.record_send(222, "y", 1.0)
+        theirs.insert(222)  # 111 overtaken: missing, and not trailing
+        feedback = consumer.on_quack(theirs.copy(), now=2.0)
+        assert feedback.lost == ["x"] and feedback.received == ["y"]
         theirs.insert(111)  # ... but it arrives after all
-        consumer.record_send(222, "y", 2.0)
-        theirs.insert(222)
         feedback = consumer.on_quack(theirs, now=3.0)
         assert feedback.status is DecodeStatus.INCONSISTENT
 

@@ -95,8 +95,7 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
         checks = seen["settled"] + seen["fell through"]
         truncations = seen["set aside"]
         asides = {"aside: reconciling": new._reconcile_pending,
-                  "aside: aliased": new._aliased > 0,
-                  "aside: no trailing rule": not new.trailing_in_transit}
+                  "aside: aliased": new._aliased > 0}
         feedback = both("on_quack", snapshot, now)
         truncated = seen["set aside"] > truncations
         if seen["settled"] + seen["fell through"] > checks:
@@ -184,7 +183,7 @@ def run_schedule(seed, steps, moves, seen, *, threshold, window, **config):
     dict(threshold=4, window=3),
     dict(threshold=4, window=40),
     dict(threshold=4, window=40, grace=2),
-    dict(threshold=6, window=30, trailing_in_transit=False),
+    dict(threshold=6, window=30, grace=3),
     dict(threshold=20, window=220),
 ], ids=lambda config: ",".join(f"{k}={v}" for k, v in config.items()))
 def test_tail_agrees_with_copy_and_remove(config):
@@ -200,17 +199,12 @@ def test_tail_agrees_with_copy_and_remove(config):
                   "indeterminate"]
         # ... a prefix written off on either side of it, both answers
         # of the in-order check, and each reason it has for not being
-        # asked.  (Without the trailing rule every packet in flight is
-        # declared lost and the session resets too often to get far.)
-        if config.get("trailing_in_transit", True):
-            events += [f"{method} {where} the boundary"
-                       for method in ("evict_oldest", "expire_older_than")
-                       for where in ("below", "past")]
-            events += ["settled", "fell through", "aside: reconciling",
-                       "aside: aliased"]
-        else:
-            events += ["aside: no trailing rule"]
-            assert not seen["settled"] + seen["fell through"]
+        # asked.
+        events += [f"{method} {where} the boundary"
+                   for method in ("evict_oldest", "expire_older_than")
+                   for where in ("below", "past")]
+        events += ["settled", "fell through", "aside: reconciling",
+                   "aside: aliased"]
         for event in events:
             assert seen[event] > 0, (event, seen)
 

@@ -11,6 +11,8 @@ import pytest
 
 from repro.quack.base import DecodeStatus
 from repro.sidecar.defense import (
+    QUARANTINE_AFTER,
+    SIGNAL_WINDOW_S,
     AdversarialSignal,
     DefenseConfig,
     PlausibilityValidator,
@@ -21,7 +23,12 @@ from repro.sidecar.defense import (
     missing_within_log,
     resume_implausibility,
 )
-from repro.sidecar.health import HealthConfig, HealthMonitor, HealthState
+from repro.sidecar.health import (
+    QUARANTINE_PROBATION_S,
+    HealthConfig,
+    HealthMonitor,
+    HealthState,
+)
 
 THRESHOLD = 16
 COUNT_BITS = 16
@@ -126,7 +133,7 @@ class TestCountGates:
 
 class TestRateGate:
     def test_flood_trips_rate_anomaly(self):
-        validator = make_validator(rate_max=5, rate_window_s=0.05)
+        validator = make_validator(rate_max=5)
         signals = []
         for arrival in range(10):
             verdict = validator.check_snapshot(4, sent_count=10,
@@ -138,7 +145,7 @@ class TestRateGate:
         assert SignalKind.RATE_ANOMALY in signals
 
     def test_honest_cadence_never_trips(self):
-        validator = make_validator(rate_max=5, rate_window_s=0.05)
+        validator = make_validator(rate_max=5)
         for arrival in range(20):
             verdict = validator.check_snapshot(4, sent_count=10,
                                                now=0.02 * arrival)
@@ -196,7 +203,8 @@ def signal_at(time: float,
 
 class TestQuarantineLedger:
     def test_trips_after_threshold_inside_window(self):
-        ledger = QuarantineLedger(quarantine_after=3, signal_window_s=5.0)
+        assert QUARANTINE_AFTER == 3
+        ledger = QuarantineLedger()
         assert not ledger.record(signal_at(0.0))
         assert not ledger.record(signal_at(0.1))
         assert ledger.record(signal_at(0.2))
@@ -204,23 +212,26 @@ class TestQuarantineLedger:
         assert ledger.quarantined_at == pytest.approx(0.2)
 
     def test_sparse_signals_outside_window_never_trip(self):
-        ledger = QuarantineLedger(quarantine_after=3, signal_window_s=1.0)
-        for time in (0.0, 2.0, 4.0, 6.0, 8.0):
-            assert not ledger.record(signal_at(time))
+        ledger = QuarantineLedger()
+        # At most two signals ever share a window.
+        for index in range(5):
+            assert not ledger.record(signal_at(0.6 * SIGNAL_WINDOW_S * index))
         assert not ledger.quarantined
 
     def test_verdict_is_sticky(self):
-        ledger = QuarantineLedger(quarantine_after=1, signal_window_s=5.0)
-        assert ledger.record(signal_at(0.0))
+        ledger = QuarantineLedger()
+        assert [ledger.record(signal_at(t)) for t in (0.0, 0.1, 0.2)] \
+            == [False, False, True]
         # Further signals are ledgered as evidence but trip nothing new.
-        assert not ledger.record(signal_at(0.1))
+        assert not ledger.record(signal_at(0.3))
         assert ledger.quarantines == 1
-        assert len(ledger.signals) == 2
+        assert len(ledger.signals) == 4
 
     def test_judge_tells_the_ladder_what_the_ledger_decided(self):
-        ledger = QuarantineLedger(quarantine_after=2, signal_window_s=5.0)
-        assert ledger.judge(signal_at(0.0), quarantined=False) \
-            == (False, None)
+        ledger = QuarantineLedger()
+        for time in (0.0, 0.05):
+            assert ledger.judge(signal_at(time), quarantined=False) \
+                == (False, None)
         assert ledger.judge(signal_at(0.1), quarantined=False) \
             == (True, "quarantined: forged_evidence")
         # Still lying on the quarantined rung: restart its clean clock.
@@ -230,17 +241,18 @@ class TestQuarantineLedger:
         assert ledger.judge(signal_at(0.3), quarantined=False) \
             == (False, None)
         assert not ledger.quarantined
+        assert ledger.judge(signal_at(0.35), quarantined=False) \
+            == (False, None)
         assert ledger.judge(signal_at(0.4), quarantined=False) \
             == (True, "quarantined: forged_evidence")
-        assert ledger.quarantines == 2 and len(ledger.signals) == 5
+        assert ledger.quarantines == 2 and len(ledger.signals) == 7
 
     def test_a_readmitted_liar_is_quarantined_again(self):
         # The ledger and the ladder together, no simulator: three
         # signals quarantine, clean quACKs serve both probations, and
         # the next burst of lies must not find a HEALTHY ladder deaf.
-        ledger = QuarantineLedger(quarantine_after=3, signal_window_s=5.0)
-        monitor = HealthMonitor(HealthConfig(probation=0.1,
-                                             quarantine_probation=0.1))
+        ledger = QuarantineLedger()
+        monitor = HealthMonitor(HealthConfig(probation=0.1))
 
         def lie(now):
             tripped, reason = ledger.judge(signal_at(now),
@@ -250,10 +262,11 @@ class TestQuarantineLedger:
             return tripped
 
         assert [lie(t) for t in (0.1, 0.2, 0.3)] == [False, False, True]
-        for tick in range(31, 53):
+        served = 0.3 + QUARANTINE_PROBATION_S + 0.1 + 0.05
+        for tick in range(31, round(served * 100)):
             monitor.on_good_quack(tick / 100)
         assert monitor.state is HealthState.HEALTHY
-        assert [lie(0.53 + i / 100) for i in range(10)].count(True) == 1
+        assert [lie(served + i / 100) for i in range(10)].count(True) == 1
         assert monitor.state is HealthState.QUARANTINED
         assert ledger.quarantines == 2 and len(ledger.signals) == 13
 
@@ -266,17 +279,12 @@ class TestQuarantineLedger:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DefenseConfig(quarantine_after=0)
-        with pytest.raises(ValueError):
             DefenseConfig(rate_max=0)
-        with pytest.raises(ValueError):
-            DefenseConfig(signal_window_s=0.0)
 
 
 class TestQuarantinedRung:
     def make_monitor(self) -> HealthMonitor:
-        return HealthMonitor(HealthConfig(quarantine_probation=1.0,
-                                          probation=0.25))
+        return HealthMonitor(HealthConfig(probation=0.25))
 
     def test_enter_from_any_rung(self):
         monitor = self.make_monitor()

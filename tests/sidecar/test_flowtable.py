@@ -6,6 +6,8 @@ from repro.netsim.core import Simulator
 from repro.sidecar.accounting import FLOW_ACCOUNTS
 from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.flowtable import (
+    IDLE_AFTER_S,
+    LOW_TRAFFIC_OBSERVED,
     FlowTable,
     FlowTableConfig,
     run_scale,
@@ -39,8 +41,8 @@ class TestConfigValidation:
         {"max_flows": 0},
         {"tenant_budget_bytes": 0},
         {"shed_low_water": 0.0},
-        {"shed_low_water": 0.9, "shed_high_water": 0.8},
-        {"shed_high_water": 1.5},
+        {"shed_low_water": 0.95},
+        {"tenant_budget_bytes": -1},
         {"batch_interval_s": 0.0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
@@ -153,38 +155,36 @@ class TestClamp:
 
 class TestShedding:
     def test_shed_order_idle_then_low_traffic_then_active(self):
-        # 8 flows above the high water (6); shedding stops at the low
-        # water (4) after taking the idle pair, then the low-traffic
+        # 10 flows above the high water (9); shedding stops at the low
+        # water (6) after taking the idle pair, then the low-traffic
         # pair -- the active flows survive.
-        sim, table = make_table(
-            max_flows=8, shed_high_water=0.75, shed_low_water=0.5,
-            idle_after_s=0.004, low_traffic_observed=4,
-            tenant_budget_bytes=10_000)
-        records = [table.admit("t0", f"f{index}") for index in range(8)]
+        sim, table = make_table(max_flows=10, shed_low_water=0.6,
+                                tenant_budget_bytes=10_000)
+        records = [table.admit("t0", f"f{index}") for index in range(2)]
 
-        def drive() -> None:
+        def drive() -> None:   # after the first pair has gone idle
+            records.extend(table.admit("t0", f"f{index}")
+                           for index in range(2, 10))
             for record in records[2:4]:
                 table.observe(record, 7)
             for record in records[4:]:
-                for identifier in range(1, 5):
+                for identifier in range(1, LOW_TRAFFIC_OBSERVED + 1):
                     table.observe(record, identifier)
 
-        sim.schedule(0.003, drive)
-        sim.run(until=0.006)
-        assert table.flows == 4
+        sim.schedule(IDLE_AFTER_S + 0.002, drive)
+        sim.run(until=IDLE_AFTER_S + 0.006)
+        assert table.flows == 6
         assert table.stats.flows_shed == 4
-        assert [record.live for record in records] == \
-            [False, False, False, False, True, True, True, True]
+        assert [record.live for record in records] == [False] * 4 + [True] * 6
 
     def test_no_shedding_below_high_water(self):
-        sim, table = make_table(max_flows=8, shed_high_water=0.75,
-                                shed_low_water=0.5,
+        sim, table = make_table(max_flows=10, shed_low_water=0.5,
                                 tenant_budget_bytes=10_000)
-        for index in range(6):
+        for index in range(9):
             table.admit("t0", f"f{index}")
         sim.run(until=0.02)
         assert table.stats.flows_shed == 0
-        assert table.flows == 6
+        assert table.flows == 9
 
 
 class TestBatching:

@@ -279,9 +279,8 @@ OPS = ("admit", "observe", "close", "readmit", "clamp", "advance")
 MIXES = {
     "tight": (3, {}, (8, 6, 2, 2, 1, 3)),
     "roomier": (7, {"tenants": 2}, (8, 8, 3, 3, 1, 3)),
-    "sheds": (5, {"max_flows": 12, "shed_high_water": 0.75,
-                  "shed_low_water": 0.5, "idle_after_s": 0.004,
-                  "low_traffic_observed": 3}, (9, 6, 1, 2, 1, 4)),
+    "sheds": (5, {"max_flows": 12, "shed_low_water": 0.5},
+              (9, 6, 1, 2, 1, 4)),
 }
 
 

@@ -70,17 +70,16 @@ class TestAdaptiveFrequency:
         assert retransmission_cadence(0.9, 1) == MIN_EVERY == 2
 
     def test_configure_adopts_within_the_policys_own_bounds(self):
-        policy = AdaptiveFrequency(initial_every=16, min_every=4,
-                                   max_every=64)
+        policy = AdaptiveFrequency(initial_every=16)
         policy.configure(32)
         assert policy.every_n == 32
         policy.configure(10_000)
-        assert policy.every_n == 64
+        assert policy.every_n == MAX_EVERY
         policy.configure(1)
-        assert policy.every_n == 4
+        assert policy.every_n == MIN_EVERY
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveFrequency(initial_every=1, min_every=2)
+            AdaptiveFrequency(initial_every=MIN_EVERY - 1)
         with pytest.raises(ValueError):
-            AdaptiveFrequency(initial_every=600, max_every=512)
+            AdaptiveFrequency(initial_every=MAX_EVERY + 1)

@@ -21,6 +21,8 @@ from repro.sidecar.negotiate import (
     FEATURE_DEFENSE,
     FEATURE_RESUME,
     FEATURE_VERSION_SWITCH,
+    STRIP_AFTER,
+    SWITCH_GRACE_S,
     Capabilities,
     Initiator,
     NegotiateConfig,
@@ -107,16 +109,6 @@ class TestRespond:
         assert ack.transcript != hello_transcript(self.OFFER)
 
 
-class TestNegotiateConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retry_s"):
-            NegotiateConfig(retry_s=0)
-        with pytest.raises(ValueError, match="strip_after"):
-            NegotiateConfig(strip_after=0)
-        with pytest.raises(ValueError, match="switch_grace_s"):
-            NegotiateConfig(switch_grace_s=-0.1)
-
-
 # -- the machines: no simulator, no node --------------------------------------
 
 def switch_to(version, epoch=0):
@@ -182,8 +174,8 @@ class TestSession:
 
 
 class TestInitiator:
-    def make(self, **config):
-        return Initiator(NegotiateConfig(**config), Session(armed=True),
+    def make(self):
+        return Initiator(NegotiateConfig(), Session(armed=True),
                          "flow0", threshold=20, bits=32)
 
     def good_ack(self, initiator, own=None):
@@ -195,7 +187,8 @@ class TestInitiator:
         assert initiator.transcript == hello_transcript(initiator.offer)
 
     def test_silence_is_loss_until_the_allowance_is_spent(self):
-        initiator = self.make(strip_after=2)
+        assert STRIP_AFTER == 2
+        initiator = self.make()
         assert initiator.unanswered(1, now=0.15) is None
         signal = initiator.unanswered(2, now=0.3)
         assert signal.kind is SignalKind.DOWNGRADE
@@ -233,7 +226,8 @@ class TestInitiator:
         assert not plain.may_switch(2)
 
     def test_frame_gate_around_a_switch(self):
-        initiator = self.make(switch_grace_s=0.1)
+        assert SWITCH_GRACE_S == 0.1
+        initiator = self.make()
         initiator.on_hello_ack(self.good_ack(initiator), 0.0)
         assert initiator.frame_ok(1, now=0.1)
         assert not initiator.frame_ok(2, now=0.1)  # never switched to

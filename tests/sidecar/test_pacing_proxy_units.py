@@ -11,7 +11,11 @@ from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.quack.power_sum import PowerSumQuack
-from repro.sidecar.cc_division import RESET_AFTER_FAILURES, PacingProxy
+from repro.sidecar.cc_division import (
+    BUFFER_PACKETS,
+    RESET_AFTER_FAILURES,
+    PacingProxy,
+)
 from repro.sidecar.protocol import ResetMessage, quack_packet
 from repro.transport.cc.fixed import FixedWindow
 
@@ -20,16 +24,14 @@ from repro.transport.cc.fixed import FixedWindow
 PHANTOM = 0xDEADBEEF
 
 
-def build_proxy(buffer_packets=4, controller=None):
+def build_proxy(controller=None):
     sim = Simulator()
     server = Host(sim, "server")
     proxy = Router(sim, "proxy")
     client = Host(sim, "client")
     build_path(sim, [server, proxy, client], [HopSpec(), HopSpec()])
     agent = PacingProxy(sim, proxy, server="server", client="client",
-                        flow_id="f", threshold=8,
-                        buffer_packets=buffer_packets,
-                        controller=controller)
+                        flow_id="f", threshold=8, controller=controller)
     delivered = []
     client.add_handler(PacketKind.DATA, delivered.append)
     server.add_handler(PacketKind.QUACK, lambda p: None)
@@ -69,19 +71,19 @@ class TestCustody:
         assert agent.stats.taken_custody == 0
 
     def test_buffer_overflow_drops(self):
-        # A window of 1 packet wedges the drain; the 4-packet buffer then
-        # overflows.
+        # A window of 1 packet wedges the drain; the buffer then
+        # overflows.  Sends are spaced so no link queue drops first.
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=4, controller=FixedWindow(1))
-        for i in range(8):
-            server.send(data_packet(100 + i))
+            controller=FixedWindow(1))
+        for i in range(BUFFER_PACKETS + 8):
+            sim.schedule(i * 0.0002, server.send, data_packet(100 + i))
         sim.run(until=0.2)
-        assert agent.stats.buffer_drops > 0
-        assert agent.stats.max_buffer_depth <= 4
+        assert agent.stats.buffer_drops == 7
+        assert agent.stats.max_buffer_depth == BUFFER_PACKETS
 
     def test_window_gates_forwarding(self):
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(2))
+            controller=FixedWindow(2))
         for i in range(6):
             server.send(data_packet(200 + i))
         sim.run(until=0.2)
@@ -93,7 +95,7 @@ class TestCustody:
 class TestQuackFeedback:
     def test_client_quack_opens_the_window(self):
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(2))
+            controller=FixedWindow(2))
         for i in range(4):
             server.send(data_packet(300 + i))
         sim.run(until=0.1)
@@ -114,7 +116,7 @@ class TestQuackFeedback:
         # proxy one datagram, not the simulation: classified like
         # ServerSidecar does, session state untouched.
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(2))
+            controller=FixedWindow(2))
         for i in range(4):
             server.send(data_packet(300 + i))
         sim.run(until=0.1)
@@ -124,8 +126,7 @@ class TestQuackFeedback:
         good = quack_packet("client", "proxy", receiver_quack, "f", sim.now)
         mangled = dataclasses.replace(good, payload=dataclasses.replace(
             good.payload, frame=flip_frame_bits(good.payload.frame,
-                                                random.Random(7),
-                                                max_flips=1)))
+                                                random.Random(7))))
         outstanding = agent.consumer.outstanding
         client.send(mangled)
         sim.run(until=0.2)
@@ -141,7 +142,7 @@ class TestQuackFeedback:
 
     def test_expire_sweep_releases_stuck_window(self):
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(2))
+            controller=FixedWindow(2))
         agent.expire_age = 0.3
         for i in range(4):
             server.send(data_packet(400 + i))
@@ -166,7 +167,7 @@ class TestReset:
 
     def test_custody_is_conserved_across_a_reset(self):
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(4))
+            controller=FixedWindow(4))
         controls = []
         client.add_handler(PacketKind.CONTROL, controls.append)
         for i in range(7):
@@ -198,7 +199,7 @@ class TestReset:
 
     def test_stale_epoch_quack_is_answered_with_a_repeat(self):
         sim, server, proxy, client, agent, delivered = build_proxy(
-            buffer_packets=64, controller=FixedWindow(4))
+            controller=FixedWindow(4))
         controls = []
         client.add_handler(PacketKind.CONTROL, controls.append)
         for i in range(4):

@@ -46,8 +46,8 @@ def build_assisted(total=1460 * 400, reset_after=2, health=None,
                [HopSpec(bandwidth_bps=5e6, delay_s=0.005),
                 HopSpec(bandwidth_bps=5e6, delay_s=0.005)])
     receiver = ReceiverConnection(sim, client, "server", total)
-    sender = SenderConnection(sim, server, "client", total,
-                              cc_from_acks=not divide_cc)
+    sender = SenderConnection(sim, server, "client", total)
+    sender.cc_from_acks = not divide_cc
     tap = ProxyEmitterTap(sim, proxy, server="server", client="client",
                           flow_id="flow0", policy=PacketCountFrequency(4),
                           threshold=16)

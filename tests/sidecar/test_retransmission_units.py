@@ -11,9 +11,9 @@ from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.topology import HopSpec, build_path
 from repro.sidecar.agents import ProxyEmitterTap
-from repro.sidecar.frequency import AdaptiveFrequency
+from repro.sidecar.frequency import MAX_EVERY, AdaptiveFrequency
 from repro.sidecar.protocol import ConfigMessage, ResetMessage, control_packet
-from repro.sidecar.retransmission import SenderSideRetxProxy
+from repro.sidecar.retransmission import MAX_BUFFER, SenderSideRetxProxy
 from repro.transport.connection import ReceiverConnection, SenderConnection
 
 
@@ -35,10 +35,10 @@ def build_segment(loss_ordinals=frozenset(), quack_every=4,
     ])
     sender_proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                        client="client", flow_id="f",
-                                       threshold=8, retune_period_s=0.05)
+                                       threshold=8)
     receiver_proxy = ProxyEmitterTap(
         sim, p2, server="p1", client="client", flow_id="f", threshold=8,
-        policy=AdaptiveFrequency(initial_every=quack_every, min_every=2))
+        policy=AdaptiveFrequency(initial_every=quack_every))
     received = []
     client.add_handler(PacketKind.DATA, received.append)
     return sim, server, p1, p2, client, sender_proxy, receiver_proxy, received
@@ -181,7 +181,7 @@ class TestAdaptiveCadence:
         message = ConfigMessage(flow_id="f", every_n=10_000)
         p1.send(control_packet("p1", "p2", message, 0.0))
         sim.run(until=1)
-        assert rp.policy.every_n == rp.policy.max_every
+        assert rp.policy.every_n == MAX_EVERY
 
     def test_proxy_retunes_on_its_own(self):
         sim, server, p1, p2, client, sp, rp, received = build_segment()
@@ -189,7 +189,7 @@ class TestAdaptiveCadence:
         sim.run(until=3)
         # Enough traffic crossed (>=50 outcomes) for a retune round trip.
         assert sp.stats.retunes_sent >= 1
-        # Clean link -> cadence relaxes toward max_every.
+        # Clean link -> cadence relaxes toward MAX_EVERY.
         assert rp.policy.every_n > 4
 
     def test_other_flows_ignored(self):
@@ -210,9 +210,9 @@ class TestBufferBound:
                    [HopSpec(), HopSpec(), HopSpec()])
         proxy = SenderSideRetxProxy(sim, p1, peer_proxy="p2",
                                     client="client", flow_id="f",
-                                    threshold=8, max_buffer=10)
+                                    threshold=8)
         client.add_handler(PacketKind.DATA, lambda p: None)
-        send_data(sim, server, 30)
-        sim.run(until=2)
-        assert proxy.stats.evicted > 0
-        assert proxy.consumer.outstanding <= 10
+        send_data(sim, server, MAX_BUFFER + 20)   # no quACK ever comes
+        sim.run(until=(MAX_BUFFER + 40) * 0.001)
+        assert proxy.stats.evicted == 20
+        assert proxy.consumer.outstanding == MAX_BUFFER

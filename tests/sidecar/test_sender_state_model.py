@@ -30,7 +30,7 @@ After every step:
   "the ladder has taken the sidecar's signals away";
 * receipts move the window only on HEALTHY/DEGRADED, losses only on
   HEALTHY;
-* ``quarantine_after`` signals inside ``signal_window_s`` on a
+* ``QUARANTINE_AFTER`` signals inside ``SIGNAL_WINDOW_S`` on a
   non-QUARANTINED channel end QUARANTINED, re-admitted or not;
 * frames stamped v1 carry no feature bits, v2 frames the negotiated
   ones, and no wire version exceeds the negotiated ceiling;
@@ -55,7 +55,11 @@ from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.strawman import HashQuack
 from repro.sidecar.agents import ProxyEmitterTap, ServerSidecar
-from repro.sidecar.defense import DefenseConfig
+from repro.sidecar.defense import (
+    QUARANTINE_AFTER,
+    SIGNAL_WINDOW_S,
+    DefenseConfig,
+)
 from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.health import HealthConfig, HealthState
 from repro.sidecar.negotiate import (
@@ -79,8 +83,6 @@ from repro.transport.connection import ReceiverConnection, SenderConnection
 
 THRESHOLD = 8
 SETTLE = 0.05
-QUARANTINE_AFTER = 4
-SIGNAL_WINDOW = 1.0
 #: The ceiling of the doubling reset-retry delay, seconds.
 RETRY_CAP = 2.0
 EPS = 1e-9
@@ -143,9 +145,9 @@ class SenderSideMachine(RuleBasedStateMachine):
         self.receiver = ReceiverConnection(sim, self.client, "server", total)
         # A fixed window keeps a step's work bounded on a network with
         # no delay; which controller is divided is not what is modelled.
-        self.sender = SenderConnection(sim, self.server, "client", total,
-                                       cc=FixedWindow(3 * THRESHOLD),
-                                       cc_from_acks=False)
+        self.sender = SenderConnection(sim, self.server, "client", total)
+        self.sender.cc = FixedWindow(3 * THRESHOLD)
+        self.sender.cc_from_acks = False
         self.tap = ProxyEmitterTap(
             sim, self.proxy, server="server", client="client", flow_id=FLOW,
             policy=PacketCountFrequency(2), threshold=THRESHOLD,
@@ -156,11 +158,9 @@ class SenderSideMachine(RuleBasedStateMachine):
             apply_losses=True, congestive_loss=False,
             reset_after_failures=2, settle_time=SETTLE,
             health=HealthConfig(degrade_after=2, e2e_only_after=4,
-                                stale_after=0.3, probation=0.03,
-                                quarantine_probation=0.05),
-            defense=DefenseConfig(quarantine_after=QUARANTINE_AFTER,
-                                  signal_window_s=SIGNAL_WINDOW),
-            negotiate=NegotiateConfig(retry_s=0.05), peer="proxy")
+                                stale_after=0.3, probation=0.03),
+            defense=DefenseConfig(), negotiate=NegotiateConfig(),
+            peer="proxy")
         #: Sidecar datagrams in flight toward the server, oldest first.
         self.channel = []
         #: End-to-end ACKs in flight toward the server.
@@ -488,7 +488,7 @@ class SenderSideMachine(RuleBasedStateMachine):
         fresh = [signal.time for signal in self.sidecar.ledger.signals
                  if signal.time > readmitted]
         for first, last in zip(fresh, fresh[QUARANTINE_AFTER - 1:]):
-            assert last - first >= SIGNAL_WINDOW, (first, last)
+            assert last - first >= SIGNAL_WINDOW_S, (first, last)
 
     @invariant()
     def wire_version_stays_under_the_negotiated_ceiling(self):

@@ -8,16 +8,21 @@ a dataclass -- each one doubles the configurations the tests would have
 to cover, so one that every caller leaves alone should be a constant.
 
 A call site sets an option by keyword, by position, through a
-``dict(...)`` forwarded with ``**``, through a ``**kwargs`` wrapper that
-forwards to the callable (a function, or a subclass constructor handing
-its ``**options`` to ``super().__init__``), or as a key of a checked-in
-sweep spec whose scenario names the callable as its entry point.  Inside
-a class body ``super().__init__(...)`` is a call to each base and
-``cls(...)`` a call to the class itself.  Call sites are read
-from ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``; matching is
-by the callable's bare name, so the audit errs towards counting an
-option as set.  Dataclass *state* is not an option: declare it
-``field(init=False)``.
+``dict(...)`` (grown by ``.update(...)``) forwarded with ``**``, through
+a ``**kwargs`` wrapper that forwards to the callable (a function, or a
+subclass constructor handing its ``**options`` to ``super().__init__``),
+as a keyword of ``dataclasses.replace(...)`` (credited to every audited
+dataclass with that field), or as a key of a checked-in sweep spec whose
+scenario names the callable as its entry point.  Inside a class body
+``super().__init__(...)`` is a call to each base and ``cls(...)`` a call
+to the class itself.
+
+Only runtime callers count: call sites are read from ``src/`` and
+``benchmarks/``, never from ``tests/`` or ``examples/``.  An option that
+only a test or an example turns is a configuration no workload runs.
+Matching is by the callable's bare name, so the audit errs towards
+counting an option as set.  Dataclass *state* is not an option: declare
+it ``field(init=False)``.
 """
 
 from __future__ import annotations
@@ -38,22 +43,71 @@ AUDITED = ("repro.chaos", "repro.obs", "repro.quack", "repro.sidecar",
 _ENTRY_POINT = ("keyword of a scenario entry point: the sweep-spec input "
                 "format and the frozen benchmark's call surface")
 
+#: Options a runtime caller sets by attribute assignment, which the
+#: audit cannot see: ``"Callable.option": (file, line)`` of the setter.
+ASSIGNED: dict[str, tuple[str, int]] = {
+    "HopSpec.faults_up": ("src/repro/sidecar/path.py", 100),
+    "HopSpec.faults_down": ("src/repro/sidecar/path.py", 101),
+}
+
 #: ``"Callable.option": reason`` for options that must stay unset.
 ALLOWED: dict[str, str] = {
-    f"{entry}.{option}": _ENTRY_POINT
-    for entry, options in {
-        "run_ack_reduction": (
-            "max_sim_seconds", "proxy_client_delay", "proxy_client_mbps",
-            "quack_every", "server_proxy_delay", "server_proxy_mbps",
-            "threshold"),
-        "run_cc_division": ("max_sim_seconds", "threshold"),
-        "run_retransmission": (
-            "edge_mbps", "lossy_mbps", "max_sim_seconds", "p2_client_delay",
-            "threshold"),
-        "run_scale": ("batch_interval_s", "bits", "threshold", "tick_s"),
-    }.items() for option in options}
+    **{f"{entry}.{option}": _ENTRY_POINT
+       for entry, options in {
+           "run_ack_reduction": (
+               "max_sim_seconds", "proxy_client_delay", "proxy_client_mbps",
+               "quack_every", "server_proxy_delay", "server_proxy_mbps",
+               "threshold"),
+           "run_cc_division": (
+               "max_sim_seconds", "proxy_client_delay", "proxy_client_mbps",
+               "server_proxy_delay", "server_proxy_mbps", "threshold"),
+           "run_retransmission": (
+               "edge_mbps", "loss_process", "lossy_mbps", "max_sim_seconds",
+               "p2_client_delay", "threshold"),
+           "run_scale": ("batch_interval_s", "bits", "max_flows",
+                         "tenant_budget_bytes", "threshold", "tick_s"),
+       }.items() for option in options},
+    **{option: "runtime setter: `run_row` assigns the overlay's injectors "
+               f"at {path}:{line}"
+       for option, (path, line) in ASSIGNED.items()},
+    "find_all_roots.rng": "test seam: seeds the randomized factoring",
+    "IdentifierFactory.fresh.rng": "test seam: seeds the per-connection key",
+    "main.argv": "test seam: the CLI's argv (None reads sys.argv)",
+    "encode_checkpoint.version": (
+        "test seam: pins a checkpoint's wire version, so each format and "
+        "the refusal to drop negotiated state can be built"),
+    "FlightRecorder.trigger.events": (
+        "test seam: dumps a synthetic ring instead of the live tracer's"),
+    "FlightRecorder.trigger.implicated_ctx": (
+        "test seam: names the span a dump elects instead of the first "
+        "undelivered one"),
+    "QuackBank.bits": (
+        "test seam: a 16-bit field makes aliased identifiers cheap to reach"),
+    "QuackBank.count_bits": (
+        "test seam: a 4-bit counter makes count wraparound cheap to reach"),
+    "FlowAccounts.top.n": (
+        "test-only query: `top` itself has no runtime caller yet"),
+    "FlowAccounts.top.key": (
+        "test-only query: `top` itself has no runtime caller yet"),
+    "HopSpec.ecn_threshold": (
+        "the only switch of extension X4 (ECN marking at the hop)"),
+    "QuackMessage.quack.implicit_count": (
+        "the only switch of the implicit-count frame (count left off the "
+        "wire)"),
+    "quack_packet.include_count": (
+        "the only switch of the implicit-count frame, at the packet "
+        "builder"),
+    "DefenseConfig.rate_max": "the only switch of the snapshot rate gate",
+    "Simulator.run.max_events": "safety check: a runaway-event guard",
+    "MemoryClamp.restore_at": (
+        "the only switch of the eviction -> re-admission scenario "
+        "(DESIGN.md, `FlowTableTap.rejoin`)"),
+    "MemoryClamp.rejoin": (
+        "the only switch of the eviction -> re-admission scenario "
+        "(DESIGN.md, `FlowTableTap.rejoin`)"),
+}
 
-CALL_SITE_ROOTS = ("src", "tests", "benchmarks", "examples")
+CALL_SITE_ROOTS = ("src", "benchmarks")
 SPEC_GLOBS = ("examples/sweeps/*.json",)
 
 
@@ -104,6 +158,20 @@ def _dataclass_signature(node: ast.ClassDef) -> tuple[list[str], set[str]]:
     return positional, defaulted
 
 
+def _audited_modules():
+    for package in AUDITED:
+        for path in sorted((SRC / package.replace(".", "/")).rglob("*.py")):
+            yield _parse(path)
+
+
+def audited_dataclass_fields() -> dict[str, set[str]]:
+    """Public dataclasses of the audited packages -> their init fields."""
+    return {node.name: set(_dataclass_signature(node)[0])
+            for module in _audited_modules() for node in module.body
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_") and _is_dataclass(node)}
+
+
 def audited_callables() -> dict[str, tuple[list[str], set[str]]]:
     """Public callables of the audited packages, by bare name.
 
@@ -111,25 +179,24 @@ def audited_callables() -> dict[str, tuple[list[str], set[str]]]:
     method under ``Class.method``.
     """
     found: dict[str, tuple[list[str], set[str]]] = {}
-    for package in AUDITED:
-        for path in sorted((SRC / package.replace(".", "/")).rglob("*.py")):
-            for node in _parse(path).body:
-                if isinstance(node, ast.FunctionDef) \
-                        and not node.name.startswith("_"):
-                    found[node.name] = _signature(node, method=False)
-                elif isinstance(node, ast.ClassDef) \
-                        and not node.name.startswith("_"):
-                    methods = {item.name: item for item in node.body
-                               if isinstance(item, ast.FunctionDef)}
-                    if _is_dataclass(node):
-                        found[node.name] = _dataclass_signature(node)
-                    elif "__init__" in methods:
-                        found[node.name] = _signature(methods["__init__"],
-                                                      method=True)
-                    for name, item in methods.items():
-                        if not name.startswith("_"):
-                            found[f"{node.name}.{name}"] = \
-                                _signature(item, method=True)
+    for module in _audited_modules():
+        for node in module.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                found[node.name] = _signature(node, method=False)
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                methods = {item.name: item for item in node.body
+                           if isinstance(item, ast.FunctionDef)}
+                if _is_dataclass(node):
+                    found[node.name] = _dataclass_signature(node)
+                elif "__init__" in methods:
+                    found[node.name] = _signature(methods["__init__"],
+                                                  method=True)
+                for name, item in methods.items():
+                    if not name.startswith("_"):
+                        found[f"{node.name}.{name}"] = \
+                            _signature(item, method=True)
     return found
 
 
@@ -184,6 +251,11 @@ def _spec_keywords() -> dict[str, set[str]]:
 def options_set() -> dict[str, set[str]]:
     """Callable name -> every option some call site sets on it."""
     callables = audited_callables()
+    fields = audited_dataclass_fields()
+
+    def dataclasses_with(keywords: set[str]) -> list[str]:
+        return [name for name, have in fields.items() if keywords <= have]
+
     by_bare_name: dict[str, list[str]] = {}
     for name in callables:
         by_bare_name.setdefault(name.rpartition(".")[2], []).append(name)
@@ -200,6 +272,14 @@ def options_set() -> dict[str, set[str]]:
                         and isinstance(node.targets[0], ast.Name):
                     dicts.setdefault(node.targets[0].id, set()).update(
                         _dict_keys(node.value))
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "update" \
+                        and isinstance(node.func.value, ast.Name):
+                    # ``kwargs.update(a=..)`` grows a forwarded dict.
+                    dicts.setdefault(node.func.value.id, set()).update(
+                        {kw.arg for kw in node.keywords if kw.arg},
+                        *(_dict_keys(arg) for arg in node.args))
                 if isinstance(node, ast.FunctionDef) and node.args.kwarg:
                     catch_all = node.args.kwarg.arg
                     for call in ast.walk(node):
@@ -235,6 +315,13 @@ def options_set() -> dict[str, set[str]]:
                     if kw.arg is None:
                         keywords |= _dict_keys(kw.value) \
                             | dicts.get(getattr(kw.value, "id", ""), set())
+                if _callee(node) == "replace":
+                    # ``dataclasses.replace(obj, a=..)``: the type of
+                    # ``obj`` is unknown, so credit every dataclass that
+                    # has all the fields.
+                    calls += [(name, 0, keywords)
+                              for name in dataclasses_with(keywords)]
+                    continue
                 calls += [(callee, len(node.args), keywords)
                           for callee in aliased.get(node, [_callee(node)])]
     calls += [(entry, 0, keys) for entry, keys in _spec_keywords().items()]
@@ -277,10 +364,20 @@ def test_the_audit_sees_options_and_call_sites():
     assert "total_bytes" in used["run_chaos_transfer"]   # via run_plan(**)
     assert "plan" in used["run_plan"]                    # via sweep specs
     assert "max_flows" in used["OverloadSpec"]
-    assert "checkpoints" in used["EmitterEndpoint"]      # via **options
+    # via kwargs.update(...) and ** into a subclass's **options
+    assert "checkpoint_interval_s" in used["EmitterEndpoint"]
+    assert "name" in used["ChaosSetup"]           # via dataclasses.replace
     assert "kinds" in used["FaultInjector"]     # via super().__init__(kinds=)
     assert "_key" in used["Packet"]                      # via cls(...)
     assert "stat" in used["fig6_series"]                 # repro.bench
     assert "telemetry" in used["run_sweep"]              # repro.sweep
-    assert "cc" in used["SenderConnection"]              # repro.transport
-    assert len(ALLOWED) == 18
+    assert "flow_id" in used["SenderConnection"]  # repro.transport, via **
+    assert len(ALLOWED) == 44
+
+
+def test_assigned_options_are_assigned_where_allowed():
+    """An ``ASSIGNED`` entry names the line that sets the option."""
+    for option, (path, line) in ASSIGNED.items():
+        attribute = option.rpartition(".")[2]
+        text = (REPO / path).read_text(encoding="utf-8").splitlines()
+        assert f".{attribute} = " in text[line - 1], (option, path, line)

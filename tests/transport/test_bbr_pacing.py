@@ -20,13 +20,16 @@ def run_transfer(cc, loss=0.0, total=1_500_000, pacing=True, seed=4,
                  queue_packets=64):
     sim = Simulator()
     server, client = Host(sim, "server"), Host(sim, "client")
-    build_path(sim, [server, client],
-               [HopSpec(bandwidth_bps=BOTTLENECK_BPS, delay_s=BASE_RTT / 2,
-                        queue_packets=queue_packets,
-                        loss_up=BernoulliLoss(loss, random.Random(seed)))])
+    topology = build_path(
+        sim, [server, client],
+        [HopSpec(bandwidth_bps=BOTTLENECK_BPS, delay_s=BASE_RTT / 2,
+                 loss_up=BernoulliLoss(loss, random.Random(seed)))])
+    for link in topology.links_up + topology.links_down:
+        link.queue_packets = queue_packets
     receiver = ReceiverConnection(sim, client, "server", total)
-    sender = SenderConnection(sim, server, "client", total, cc=cc,
-                              pacing=pacing)
+    sender = SenderConnection(sim, server, "client", total)
+    sender.cc = cc
+    sender.pacing = pacing
     sender.start()
     sim.run(until=120)
     return sender, receiver
@@ -65,13 +68,13 @@ class TestBbrModel:
         assert sender.cc.mode in ("probe_bw", "drain")
 
     def test_no_window_collapse_on_loss_events(self):
-        cc = BbrLite(1500)
+        cc = BbrLite()
         cc.cwnd = 100 * 1500
         cc.on_congestion_event(sent_time=0.5, now=1.0)
         assert cc.cwnd == 100 * 1500  # BBR ignores individual losses
 
     def test_pacing_gain_cycle(self):
-        cc = BbrLite(1500)
+        cc = BbrLite()
         cc._mode = "probe_bw"
         gains = set()
         for index in range(8):
@@ -80,7 +83,7 @@ class TestBbrModel:
         assert gains == {1.25, 0.75, 1.0}
 
     def test_unprimed_pacing_rate_positive(self):
-        cc = BbrLite(1500)
+        cc = BbrLite()
         assert cc.pacing_rate_bps(0.05) > 0
 
     def test_repr(self):
@@ -97,8 +100,8 @@ class TestPacing:
             build_path(sim, [server, client],
                        [HopSpec(bandwidth_bps=100e6, delay_s=0.05)])
             receiver = ReceiverConnection(sim, client, "server", 1_000_000)
-            sender = SenderConnection(sim, server, "client", 1_000_000,
-                                      pacing=pacing)
+            sender = SenderConnection(sim, server, "client", 1_000_000)
+            sender.pacing = pacing
             times = []
             sender.add_send_listener(lambda rec: times.append(rec.time_sent))
             sender.start()

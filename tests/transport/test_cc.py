@@ -3,6 +3,7 @@
 import pytest
 
 from repro.transport.cc.base import (
+    DEFAULT_DATAGRAM,
     INITIAL_WINDOW_PACKETS,
     MIN_WINDOW_PACKETS,
 )
@@ -10,23 +11,23 @@ from repro.transport.cc.cubic import Cubic
 from repro.transport.cc.fixed import AimdRate, FixedWindow
 from repro.transport.cc.newreno import NewReno
 
-MSS = 1500
+MSS = DEFAULT_DATAGRAM
 
 
 class TestNewReno:
     def test_initial_window(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         assert cc.cwnd == INITIAL_WINDOW_PACKETS * MSS
         assert cc.in_slow_start
 
     def test_slow_start_doubles_per_window(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         start = cc.cwnd
         cc.on_ack(start, 0.05, 1.0)  # a full window acked
         assert cc.cwnd == 2 * start
 
     def test_congestion_halves_and_exits_slow_start(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         before = cc.cwnd
         cc.on_congestion_event(sent_time=0.5, now=1.0)
         assert cc.cwnd == before // 2
@@ -35,7 +36,7 @@ class TestNewReno:
         assert cc.congestion_events == 1
 
     def test_congestion_avoidance_linear(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         cc.on_congestion_event(0.5, 1.0)
         w = cc.cwnd
         # One window's worth of acks grows cwnd by ~1 MSS.
@@ -46,7 +47,7 @@ class TestNewReno:
         assert w + MSS <= cc.cwnd <= w + 2 * MSS
 
     def test_once_per_round_trip_reduction(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         cc.on_congestion_event(sent_time=1.0, now=2.0)
         after_first = cc.cwnd
         # A loss for a packet sent *before* recovery began: ignored.
@@ -59,19 +60,19 @@ class TestNewReno:
         assert cc.congestion_events == 2
 
     def test_window_floor(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         for i in range(20):
             cc.on_congestion_event(sent_time=float(i) + 0.5, now=float(i) + 1)
         assert cc.cwnd >= MIN_WINDOW_PACKETS * MSS
 
     def test_can_send(self):
-        cc = FixedWindow(2, MSS)
+        cc = FixedWindow(2)
         assert cc.can_send(0, MSS)
         assert cc.can_send(MSS, MSS)
         assert not cc.can_send(2 * MSS, MSS)
 
     def test_slow_start_clamps_to_ssthresh(self):
-        cc = NewReno(MSS)
+        cc = NewReno()
         cc.ssthresh = cc.cwnd + MSS // 2
         cc.on_ack(5 * MSS, 0.05, 1.0)
         assert cc.cwnd == int(cc.ssthresh)
@@ -79,20 +80,20 @@ class TestNewReno:
 
 class TestCubic:
     def test_slow_start_grows(self):
-        cc = Cubic(MSS)
+        cc = Cubic()
         start = cc.cwnd
         cc.on_ack(start, 0.05, 1.0)
         assert cc.cwnd == 2 * start
 
     def test_reduction_uses_beta(self):
-        cc = Cubic(MSS)
+        cc = Cubic()
         before = cc.cwnd
         cc.on_congestion_event(0.5, 1.0)
         assert cc.cwnd == pytest.approx(before * 0.7, abs=MSS)
         assert not cc.in_slow_start
 
     def test_recovers_toward_w_max(self):
-        cc = Cubic(MSS)
+        cc = Cubic()
         # Grow a bit, then lose.
         cc.on_ack(cc.cwnd, 0.05, 0.5)
         w_before_loss = cc.cwnd_packets
@@ -106,14 +107,14 @@ class TestCubic:
         assert cc.cwnd_packets >= 0.9 * w_before_loss
 
     def test_fast_convergence_lowers_w_max(self):
-        cc = Cubic(MSS)
+        cc = Cubic()
         cc.on_congestion_event(0.5, 1.0)
         first_w_max = cc._w_max
         cc.on_congestion_event(1.5, 2.0)
         assert cc._w_max < first_w_max
 
     def test_window_floor(self):
-        cc = Cubic(MSS)
+        cc = Cubic()
         for i in range(30):
             cc.on_congestion_event(float(i) + 0.5, float(i) + 1)
         assert cc.cwnd >= MIN_WINDOW_PACKETS * MSS
@@ -121,7 +122,7 @@ class TestCubic:
 
 class TestFixedWindow:
     def test_ignores_everything(self):
-        cc = FixedWindow(8, MSS)
+        cc = FixedWindow(8)
         w = cc.cwnd
         cc.on_ack(10 * MSS, 0.05, 1.0)
         cc.on_congestion_event(0.5, 1.0)
@@ -129,28 +130,28 @@ class TestFixedWindow:
         assert cc.congestion_events == 1  # counted, but window unchanged
 
     def test_never_in_slow_start(self):
-        assert not FixedWindow(8, MSS).in_slow_start
+        assert not FixedWindow(8).in_slow_start
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FixedWindow(0, MSS)
+            FixedWindow(0)
 
 
 class TestAimdRate:
     def test_pacing_rate(self):
-        cc = AimdRate(MSS)
+        cc = AimdRate()
         rate = cc.pacing_rate_bps(0.1)
         assert rate == pytest.approx(cc.cwnd * 8 / 0.1)
 
     def test_reduction(self):
-        cc = AimdRate(MSS)
+        cc = AimdRate()
         before = cc.cwnd
         cc.on_congestion_event(0.5, 1.0)
         assert cc.cwnd == before // 2
 
     def test_growth_mirrors_newreno(self):
-        aimd = AimdRate(MSS)
-        reno = NewReno(MSS)
+        aimd = AimdRate()
+        reno = NewReno()
         for controller in (aimd, reno):
             controller.on_congestion_event(0.5, 1.0)
             for _ in range(30):

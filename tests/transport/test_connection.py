@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.netsim.core import Simulator
+from repro.netsim.faults import Blackout, BurstLoss
 from repro.netsim.loss import BernoulliLoss, DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import PacketKind
@@ -15,7 +16,7 @@ from repro.transport.connection import ReceiverConnection, SenderConnection
 from repro.transport.frames import HEADER_BYTES
 
 
-def make_pair(total_bytes=100_000, hops=None, sender_kwargs=None):
+def make_pair(total_bytes=100_000, hops=None, sender_attrs=None):
     sim = Simulator()
     server, client = Host(sim, "server"), Host(sim, "client")
     nodes = [server, client]
@@ -25,8 +26,9 @@ def make_pair(total_bytes=100_000, hops=None, sender_kwargs=None):
         nodes = [server, Router(sim, "mid"), client]
     topo = build_path(sim, nodes, hops)
     receiver = ReceiverConnection(sim, client, "server", total_bytes)
-    sender = SenderConnection(sim, server, "client", total_bytes,
-                              **(sender_kwargs or {}))
+    sender = SenderConnection(sim, server, "client", total_bytes)
+    for name, value in (sender_attrs or {}).items():
+        setattr(sender, name, value)
     return sim, sender, receiver, topo
 
 
@@ -83,7 +85,7 @@ class TestCleanTransfer:
     def test_window_limits_inflight(self):
         sim, sender, receiver, _ = make_pair(
             total_bytes=500_000,
-            sender_kwargs={"cc": FixedWindow(4, 1500)})
+            sender_attrs={"cc": FixedWindow(4)})
         sender.start()
         sim.run(until=0.011)  # before first ACK returns
         assert sender.stats.packets_sent == 4
@@ -115,7 +117,8 @@ class TestLossRecovery:
         sim, sender, receiver, _ = make_pair(
             total_bytes=200_000,
             hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                          loss_down=BernoulliLoss(0.2, random.Random(3)))])
+                          faults_down=BurstLoss([(0.0, 60.0)], rate=0.2,
+                                                seed=3))])
         sender.start()
         sim.run(until=60)
         assert receiver.complete and sender.complete
@@ -197,9 +200,8 @@ class TestSidecarHooks:
         sim, sender, receiver, _ = make_pair(
             total_bytes=1460 * 100,
             hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                          loss_down=BernoulliLoss(1.0 - 1e-12,
-                                                  random.Random(0)))],
-            sender_kwargs={"cc": FixedWindow(4, 1500)})
+                          faults_down=Blackout([(0.0, 60.0)]))],
+            sender_attrs={"cc": FixedWindow(4)})
         sender.start()
         sim.run(until=0.05)
         first_burst = sender.stats.packets_sent
@@ -242,7 +244,7 @@ class TestSidecarHooks:
             total_bytes=1460 * 4,
             hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
                           loss_up=DeterministicLoss({0, 1, 2, 3}))],
-            sender_kwargs={"cc": FixedWindow(4, 1500)})
+            sender_attrs={"cc": FixedWindow(4)})
         sender.start()
         sim.run(until=0.001)
         sender.sidecar_receipt([0, 1, 2, 3])
@@ -253,7 +255,7 @@ class TestSidecarHooks:
 
     def test_cc_from_acks_false_freezes_window_growth(self):
         sim, sender, receiver, _ = make_pair(
-            total_bytes=500_000, sender_kwargs={"cc_from_acks": False})
+            total_bytes=500_000, sender_attrs={"cc_from_acks": False})
         initial_cwnd = sender.cc.cwnd
         sender.start()
         sim.run(until=2)
@@ -278,14 +280,13 @@ class TestThroughHopPath:
 class TestRetransmitAttribution:
     """Retransmit trace events must carry their loss-detection cause."""
 
-    def _traced_lossy_run(self, **sender_kwargs):
+    def _traced_lossy_run(self):
         from repro import obs
 
         sim, sender, receiver, _ = make_pair(
             total_bytes=200_000,
             hops=[HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                          loss_up=BernoulliLoss(0.05, random.Random(7)))],
-            sender_kwargs=sender_kwargs)
+                          loss_up=BernoulliLoss(0.05, random.Random(7)))])
         sink = obs.enable()
         try:
             sender.start()

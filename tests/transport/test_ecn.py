@@ -62,10 +62,11 @@ class TestEndToEndEcn:
         server, client = Host(sim, "server"), Host(sim, "client")
         # A narrow hop behind a fast sender: the queue builds in slow
         # start, the AQM marks instead of dropping.
-        build_path(sim, [server, client],
-                   [HopSpec(bandwidth_bps=10e6, delay_s=0.01,
-                            queue_packets=512,
-                            ecn_threshold=ecn_threshold)])
+        topology = build_path(sim, [server, client],
+                              [HopSpec(bandwidth_bps=10e6, delay_s=0.01,
+                                       ecn_threshold=ecn_threshold)])
+        for link in topology.links_up + topology.links_down:
+            link.queue_packets = 512
         receiver = ReceiverConnection(sim, client, "server", total)
         sender = SenderConnection(sim, server, "client", total)
         sender.start()

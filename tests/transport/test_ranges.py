@@ -6,6 +6,14 @@ from hypothesis import strategies as st
 
 from repro.transport.ranges import RangeSet
 
+
+def rangeset(*ranges):
+    """A RangeSet holding the inclusive ``(lo, hi)`` ``ranges``."""
+    result = RangeSet()
+    for lo, hi in ranges:
+        result.add_range(lo, hi)
+    return result
+
 range_ops = st.lists(
     st.tuples(st.integers(min_value=0, max_value=200),
               st.integers(min_value=0, max_value=10)),
@@ -57,7 +65,7 @@ class TestAddAndMerge:
             RangeSet().add_range(5, 3)
 
     def test_constructor_ranges(self):
-        rs = RangeSet([(0, 2), (4, 6)])
+        rs = rangeset((0, 2), (4, 6))
         assert rs.ranges == ((0, 2), (4, 6))
 
     @given(ops=range_ops)
@@ -126,23 +134,23 @@ class TestAddNew:
     """``add_new``: insert ranges, get back exactly what they added."""
 
     def test_pieces_between_stored_ranges(self):
-        rs = RangeSet([(2, 3), (6, 7), (10, 12)])
+        rs = rangeset((2, 3), (6, 7), (10, 12))
         assert rs.add_new([(0, 11)]) == [(0, 1), (4, 5), (8, 9)]
         assert rs.ranges == ((0, 12),)
         assert len(rs) == 13
 
     def test_covered_range_adds_nothing(self):
-        rs = RangeSet([(0, 9), (20, 29)])
+        rs = rangeset((0, 9), (20, 29))
         assert rs.add_new([(22, 25), (3, 9), (0, 0)]) == []
         assert rs.ranges == ((0, 9), (20, 29))
 
     def test_frame_order_is_kept_and_pieces_ascend(self):
-        rs = RangeSet([(5, 5)])
+        rs = rangeset((5, 5))
         assert rs.add_new([(20, 22), (3, 8), (0, 1)]) == \
             [(20, 22), (3, 4), (6, 8), (0, 1)]
 
     def test_neighbours_merge(self):
-        rs = RangeSet([(0, 4), (10, 14)])
+        rs = rangeset((0, 4), (10, 14))
         assert rs.add_new([(5, 9)]) == [(5, 9)]
         assert rs.ranges == ((0, 14),)
 
@@ -159,7 +167,7 @@ class TestAddNew:
         assert rs.ranges == ((3, 4), (8, 9))
 
     def test_inverted_range_is_empty(self):
-        rs = RangeSet([(1, 2)])
+        rs = rangeset((1, 2))
         assert rs.add_new([(9, 4)]) == []
         assert rs.ranges == ((1, 2),)
 
@@ -210,7 +218,7 @@ class TestAddNew:
 
 class TestQueries:
     def test_min_max(self):
-        rs = RangeSet([(5, 9), (20, 22)])
+        rs = rangeset((5, 9), (20, 22))
         assert rs.min_value == 5
         assert rs.max_value == 22
         assert RangeSet().max_value is None
@@ -218,10 +226,10 @@ class TestQueries:
 
     def test_bool(self):
         assert not RangeSet()
-        assert RangeSet([(1, 1)])
+        assert rangeset((1, 1))
 
     def test_covers_contiguously(self):
-        rs = RangeSet([(0, 10), (12, 20)])
+        rs = rangeset((0, 10), (12, 20))
         assert rs.covers_contiguously(0, 10)
         assert rs.covers_contiguously(3, 7)
         assert not rs.covers_contiguously(0, 12)
@@ -229,29 +237,29 @@ class TestQueries:
         assert rs.covers_contiguously(12, 20)
 
     def test_missing_below(self):
-        rs = RangeSet([(0, 3), (6, 8), (12, 12)])
+        rs = rangeset((0, 3), (6, 8), (12, 12))
         assert rs.has_gap_below(12)
         assert rs.has_gap_below(14)
         assert not rs.has_gap_below(3)
         assert rs.has_gap_below(4)
         # Nothing below the smallest element counts as missing.
-        assert not RangeSet([(5, 9)]).has_gap_below(2)
+        assert not rangeset((5, 9)).has_gap_below(2)
 
     def test_missing_below_empty_set(self):
         assert not RangeSet().has_gap_below(10)
 
     def test_highest(self):
-        rs = RangeSet([(0, 1), (5, 6), (10, 10)])
+        rs = rangeset((0, 1), (5, 6), (10, 10))
         assert rs.highest(2) == ((10, 10), (5, 6))
         assert rs.highest(5) == ((10, 10), (5, 6), (0, 1))
         assert rs.highest(0) == ()
         assert RangeSet().highest(3) == ()
 
     def test_equality(self):
-        assert RangeSet([(1, 3)]) == RangeSet([(1, 2), (3, 3)])
-        assert RangeSet() != RangeSet([(0, 0)])
+        assert rangeset((1, 3)) == rangeset((1, 2), (3, 3))
+        assert RangeSet() != rangeset((0, 0))
 
     def test_iter_and_repr(self):
-        rs = RangeSet([(1, 2)])
+        rs = rangeset((1, 2))
         assert list(rs) == [(1, 2)]
         assert "[1,2]" in repr(rs)

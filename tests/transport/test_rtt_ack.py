@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.transport.ack import AckFrequencyPolicy, AckTracker
+from repro.transport.ack import (
+    MAX_ACK_RANGES,
+    AckFrequencyPolicy,
+    AckTracker,
+)
 from repro.transport.rtt import GRANULARITY, RttEstimator
 
 
@@ -85,10 +89,13 @@ class TestAckTracker:
         assert tracker.ack_ranges() == ((10, 10), (5, 6), (0, 1))
 
     def test_range_truncation(self):
-        tracker = AckTracker(max_ranges=2)
-        for pn in (0, 2, 4, 6):
+        tracker = AckTracker()
+        for pn in range(0, 2 * MAX_ACK_RANGES + 4, 2):
             tracker.on_packet(pn)
-        assert tracker.ack_ranges() == ((6, 6), (4, 4))
+        ranges = tracker.ack_ranges()
+        assert len(ranges) == MAX_ACK_RANGES
+        assert ranges[:2] == ((2 * MAX_ACK_RANGES + 2,) * 2,
+                              (2 * MAX_ACK_RANGES,) * 2)
 
     def test_mark_acked_resets_pending(self):
         tracker = AckTracker()
@@ -111,7 +118,8 @@ class TestAckFrequencyPolicy:
         assert policy.should_ack_immediately(2)
 
     def test_out_of_order_acks_immediately(self):
-        policy = AckFrequencyPolicy(ack_every=32)
+        policy = AckFrequencyPolicy()
+        policy.update(32, 0.025)
         assert policy.should_ack_immediately(1, out_of_order=True)
 
     def test_update(self):
@@ -124,9 +132,9 @@ class TestAckFrequencyPolicy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AckFrequencyPolicy(ack_every=0)
+            AckFrequencyPolicy().update(0, 0.025)
         with pytest.raises(ValueError):
-            AckFrequencyPolicy(max_delay_s=-1)
+            AckFrequencyPolicy().update(2, -1)
 
     def test_repr(self):
         assert "every=2" in repr(AckFrequencyPolicy())

@@ -51,7 +51,7 @@ class World:
 
     def __init__(self, sender_class, total_bytes, *, cc=None,
                  reorder_threshold=PACKET_REORDER_THRESHOLD,
-                 **sender_kwargs):
+                 **sender_attrs):
         self.sim = Simulator()
         server, client = Host(self.sim, "server"), Host(self.sim, "client")
         build_path(self.sim, [server, client],
@@ -60,11 +60,14 @@ class World:
         #: (time, packet number) of every DataFrame that reached the client.
         self.arrived: list[tuple[float, int]] = []
         client.add_handler(PacketKind.DATA, self._on_data)
-        if issubclass(sender_class, SubflowSender):
-            sender_kwargs["stream"] = SharedStream(total_bytes, MSS)
+        stream = ((SharedStream(total_bytes),)
+                  if issubclass(sender_class, SubflowSender) else ())
         self.sender = sender_class(self.sim, server, "client", total_bytes,
-                                   cc=cc() if cc is not None else None,
-                                   **sender_kwargs)
+                                   *stream)
+        if cc is not None:
+            self.sender.cc = cc()
+        for name, value in sender_attrs.items():
+            setattr(self.sender, name, value)
         self.sender.reorder_threshold = reorder_threshold
 
     def _on_data(self, packet: Packet) -> None:
@@ -220,8 +223,7 @@ def run_schedule(seed, steps, seen, *, sender_class=SenderConnection,
             send_ack(frame_of(ranges))
         elif operation == "receipt":
             numbers = recent_numbers(rng.randint(1, 8))
-            sample = rng.choice((None, 0.004, 0.011))
-            both(lambda world: world.sender.sidecar_receipt(numbers, sample))
+            both(lambda world: world.sender.sidecar_receipt(numbers))
         elif operation == "sidecar loss":
             numbers = recent_numbers(rng.randint(1, 3))
             congestive = rng.random() < 0.5
@@ -263,7 +265,7 @@ CONFIGS = [
     dict(reorder_threshold=64, drop=0.15),
     dict(sender_class=SubflowSender, reference_class=ReferenceSubflowSender),
     dict(pacing=True, cc=Cubic),
-    dict(cc=lambda: FixedWindow(60, MSS + 40), drop=0.3, packets=250),
+    dict(cc=lambda: FixedWindow(60), drop=0.3, packets=250),
 ]
 
 
@@ -342,7 +344,7 @@ def test_any_frame_sequence_leaves_both_senders_in_the_same_state(
         frames, threshold):
     """Frames no receiver would build: any ranges, any order, any overlap,
     reaching past what was sent, with idle gaps that let the PTO fire."""
-    config = dict(cc=lambda: FixedWindow(24, MSS + 40),
+    config = dict(cc=lambda: FixedWindow(24),
                   reorder_threshold=threshold)
     new = World(SenderConnection, 60 * MSS, **config)
     old = World(ReferenceSender, 60 * MSS, **config)
