@@ -28,6 +28,7 @@ def test_construction_point(benchmark, bits, threshold):
         quack = PowerSumQuack(threshold=threshold, bits=bits)
         for identifier in identifiers:
             quack.insert(identifier)
+        quack.power_sums    # the read completes the fold insert defers
         return quack
 
     benchmark(build)

@@ -35,13 +35,17 @@ def test_metric2_per_packet_cost_constant_in_n(benchmark):
 
     quack = PowerSumQuack(threshold=20, bits=32)
 
+    # Each half ends with the read that completes the fold ``insert``
+    # defers past its first BATCH_CROSSOVER identifiers.
     def insert_first_1000():
         for identifier in identifiers[:1000]:
             quack.insert(identifier)
+        quack.power_sums
 
     def insert_next_1000():
         for identifier in identifiers[1000:2000]:
             quack.insert(identifier)
+        quack.power_sums
 
     early = measure(insert_first_1000, trials=3, warmup=1)
     late = measure(insert_next_1000, trials=3, warmup=1)

@@ -59,6 +59,7 @@ class TestConstruction:
             quack = PowerSumQuack(threshold=20, bits=32)
             for identifier in received:
                 quack.insert(identifier)
+            quack.power_sums    # the read completes the fold insert defers
             return quack
 
         quack = benchmark(build)

@@ -144,25 +144,25 @@ class PrimeField:
 
         The i-th power sum (1-indexed) of a multiset R is ``sum(x**i for x
         in R) mod p`` (paper, Section 3.1).  This is the vectorized bulk
-        path; the incremental per-packet path lives in the quACK itself.
+        path, for vectorized fields only (a wider field folds in the
+        quACK's own loop): one ``num_sums x n`` table of powers summed by
+        one ``np.add.reduce``, so its Python calls do not grow with ``n``
+        or ``num_sums``.
         """
+        if not self.vectorized:
+            raise ArithmeticDomainError(
+                f"no uint64 power table mod {self.modulus}: wider than 32 bits")
         reduced = self.reduce_array(values)
-        if reduced.size == 0:
-            return [0] * num_sums
-        sums: list[int] = []
-        powers = reduced.copy()
-        if self.vectorized:
-            # Each power is < 2**32, so a uint64 accumulator holds the sum
-            # of up to 2**32 terms without overflow.
-            modulus = np.uint64(self.modulus)
-            for _ in range(num_sums):
-                sums.append(int(np.sum(powers, dtype=np.uint64)) % self.modulus)
-                powers = (powers * reduced) % modulus
-        else:
-            for _ in range(num_sums):
-                sums.append(int(powers.sum()) % self.modulus)
-                powers = (powers * reduced) % self.modulus
-        return sums
+        # Each power is < 2**32, so a uint64 row sums up to 2**32 terms
+        # without overflow.
+        modulus = np.uint64(self.modulus)
+        table = np.empty((num_sums, reduced.size), dtype=np.uint64)
+        table[0] = reduced
+        for k in range(1, num_sums):
+            row = table[k]
+            np.multiply(table[k - 1], reduced, out=row)
+            np.remainder(row, modulus, out=row)
+        return (np.add.reduce(table, axis=1) % modulus).tolist()
 
     def horner_eval(self, coefficients_high_to_low: Sequence[int],
                     points: np.ndarray) -> np.ndarray:

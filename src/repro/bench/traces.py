@@ -6,8 +6,7 @@ module makes that selection quantitative.  It synthesizes constant-rate
 packet traces under a loss process (Bernoulli, Gilbert-Elliott), then
 drives an emitter/consumer session over the trace *without* the full
 simulator, reporting whether the threshold ever overflowed and what was
-decoded.  Poisson and bursty on/off arrival generators sit beside the
-constant-rate one.
+decoded.
 
 The headline use is :func:`survival_probability`: for a given loss
 process and quACK cadence, how often does a session with threshold ``t``
@@ -68,37 +67,6 @@ def cbr_arrivals(n: int, rate_pps: float) -> list[float]:
         raise ValueError(f"rate must be positive, got {rate_pps}")
     gap = 1.0 / rate_pps
     return [i * gap for i in range(n)]
-
-
-def poisson_arrivals(n: int, rate_pps: float,
-                     rng: random.Random) -> list[float]:
-    """Poisson process: exponential inter-arrival gaps."""
-    if rate_pps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_pps}")
-    now = 0.0
-    times = []
-    for _ in range(n):
-        now += rng.expovariate(rate_pps)
-        times.append(now)
-    return times
-
-
-def onoff_arrivals(n: int, rate_pps: float, on_s: float, off_s: float,
-                   rng: random.Random) -> list[float]:
-    """Bursty on/off source: CBR during exponential on-periods, silent
-    during exponential off-periods."""
-    if min(rate_pps, on_s, off_s) <= 0:
-        raise ValueError("rate, on_s and off_s must all be positive")
-    times: list[float] = []
-    now = 0.0
-    gap = 1.0 / rate_pps
-    while len(times) < n:
-        burst_end = now + rng.expovariate(1.0 / on_s)
-        while now < burst_end and len(times) < n:
-            times.append(now)
-            now += gap
-        now = burst_end + rng.expovariate(1.0 / off_s)
-    return times
 
 
 def synthesize_trace(n: int, loss: LossModel | None = None,

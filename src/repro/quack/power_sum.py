@@ -16,14 +16,20 @@ Two usage styles are supported:
   :class:`PowerSumQuack`; the sender computes ``delta = mine - theirs``
   and calls :func:`repro.quack.decoder.decode_delta`.
 
-The stored sums ``_sums`` are only *congruent* to the power sums mod
-``p``: a fold adds or subtracts each power as it is, and every read
-(:attr:`PowerSumQuack.power_sums`, ``==``, ``repr`` and the wire
-encoder) reduces them first and stores the reduced list back.  ``-``
-reduces each difference, which needs neither side reduced, and
-:meth:`~PowerSumQuack.copy` carries the sums over as they are.  Code
-that writes ``_sums`` directly (the wire decoder, the bank's snapshot,
-the chaos adversaries) need only keep it congruent.
+The value of a quACK is ``_sums`` and ``_count`` plus the fold of the
+identifiers in ``_pending``.  :meth:`~PowerSumQuack.insert` folds
+eagerly for the first :data:`BATCH_CROSSOVER` identifiers since the
+last read and only records the rest; every read
+(:attr:`~PowerSumQuack.power_sums`, :attr:`~PowerSumQuack.count`,
+:meth:`~PowerSumQuack.copy`, ``-``, ``==``, ``repr`` and, through
+``power_sums``, the wire encoder) folds the recorded batch first, in
+one numpy pass.  The stored sums are only *congruent* to the power sums
+mod ``p``: a fold adds or subtracts each power as it is, and every read
+but ``-`` and ``copy`` reduces them and stores the reduced list back.
+Code that writes ``_sums`` or ``_count`` directly (the wire decoder,
+the bank's snapshot, the chaos adversaries) does so on a quACK just
+built or just read, with nothing recorded, and need only keep the sums
+congruent.
 """
 
 from __future__ import annotations
@@ -38,11 +44,20 @@ from repro.quack.base import DecodeResult, Quack, QuackScheme
 
 #: Default size of the wrapped packet counter, in bits (Table 2 uses c=16).
 DEFAULT_COUNT_BITS = 16
-#: ``insert_many`` folds fewer identifiers than this one by one.  Measured
-#: at t=20, b=32 on a 2-vCPU x86-64 VM (CPython 3.11, numpy 2.4): scalar
-#: 3.2 us/id at every size; numpy 5.3 / 3.6 / 3.0 / 2.8 / 2.2 us/id in
-#: batches of 16 / 24 / 28 / 32 / 64 (at t=8 it also overtakes at 24-28).
+#: The bulk fold takes fewer identifiers than this one by one, and
+#: ``insert`` folds this many eagerly after each read before it starts
+#: recording.  Measured at t=20, b=32 on a 2-vCPU x86-64 VM (CPython
+#: 3.11, numpy 2.4): the loop 4.3 us/id at every size; the numpy table
+#: 4.7 / 3.9 / 2.6 / 2.3 / 2.0 / 1.1 us/id in batches of 8 / 16 / 24 /
+#: 28 / 32 / 64 (at t=8 it also overtakes at 16).  The switch sits at 28,
+#: not 16, so that a quACK read every few identifiers (the flow table's
+#: emits, the ACK-reduction proxy's) never records: its reads stay free
+#: of calls, and its inserts fold exactly as before.
 BATCH_CROSSOVER = 28
+#: ``insert`` folds its record in place once it holds this many
+#: identifiers, so a quACK that is never read stays bounded and the
+#: fold's ``t x n`` uint64 table stays at 655 kB for t=20.
+PENDING_CAP = 4096
 
 
 class PowerSumQuack(Quack):
@@ -62,7 +77,8 @@ class PowerSumQuack(Quack):
 
     scheme = QuackScheme.POWER_SUM
 
-    __slots__ = ("field", "threshold", "bits", "count_bits", "_sums", "_count")
+    __slots__ = ("field", "threshold", "bits", "count_bits", "_sums", "_count",
+                 "_pending", "_room")
 
     def __init__(self, threshold: int, bits: int = 32,
                  count_bits: int = DEFAULT_COUNT_BITS,
@@ -80,6 +96,11 @@ class PowerSumQuack(Quack):
         self.count_bits = count_bits
         self._sums = [0] * threshold
         self._count = 0
+        #: Identifiers recorded since the last read, None while eager.
+        self._pending: list[int] | None = None
+        #: Inserts left before ``insert`` starts recording (eager) or
+        #: folds its record in place (recording).
+        self._room = BATCH_CROSSOVER
 
     # -- construction ---------------------------------------------------------
 
@@ -92,7 +113,19 @@ class PowerSumQuack(Quack):
         the module docstring), and of the powers ``x, x**2, ...`` only
         every second one is reduced: the one between is a product below
         ``p**2``, which the sums take as it is.
+
+        Past :data:`BATCH_CROSSOVER` inserts since the last read the
+        identifier is only recorded, and the next read folds the batch
+        (the module docstring).  Neither path makes a call.
         """
+        pending = self._pending
+        if pending is not None:
+            pending += (identifier,)    # in place: ``append`` is a call
+            self._room -= 1
+            if not self._room:
+                self._fold(pending)
+                self._pending, self._room = [], PENDING_CAP
+            return
         p = self.field.modulus
         x = identifier % p
         sums = self._sums
@@ -108,6 +141,9 @@ class PowerSumQuack(Quack):
             sums[-2] += power
             sums[-1] += power * x
         self._count = (self._count + 1) & ((1 << self.count_bits) - 1)
+        self._room -= 1
+        if not self._room:
+            self._pending, self._room = [], PENDING_CAP
 
     def remove(self, identifier: int) -> None:
         """Unfold one identifier (used when the sender retires decoded
@@ -130,21 +166,30 @@ class PowerSumQuack(Quack):
         self._count = (self._count - 1) & ((1 << self.count_bits) - 1)
 
     def insert_many(self, identifiers: Iterable[int] | np.ndarray) -> None:
-        """Bulk insert, equivalent to repeated insert: the loop of
-        :meth:`insert` over the identifiers below :data:`BATCH_CROSSOVER`
-        of them, numpy from there on.
+        """Bulk insert, equivalent to repeated insert: the bulk fold.
 
         Conversion to an array is left to the field: naive ``np.asarray``
         on a list of mixed-magnitude Python ints silently promotes to
         float64 above 2**63, corrupting 64-bit identifiers.
         """
-        ids = identifiers if isinstance(identifiers, (list, np.ndarray)) \
-            else list(identifiers)
-        p = self.field.modulus
+        self._fold(identifiers if isinstance(identifiers, (list, np.ndarray))
+                   else list(identifiers))
+
+    def _fold(self, ids: list[int] | np.ndarray) -> None:
+        """The one bulk fold, of ``insert_many`` and of every read that
+        finds identifiers recorded: the loop of :meth:`insert` below
+        :data:`BATCH_CROSSOVER` identifiers and on fields too wide for
+        uint64 products, one numpy power table from there on."""
+        n = len(ids)
         sums = self._sums
-        if len(ids) < BATCH_CROSSOVER:
+        if n >= BATCH_CROSSOVER and self.field.vectorized:
+            batch = self.field.batch_power_sums(ids, self.threshold)
+            for i, value in enumerate(batch):
+                sums[i] += value
+        else:
             if isinstance(ids, np.ndarray):
                 ids = ids.tolist()  # numpy scalars overflow below
+            p = self.field.modulus
             pairs = range(1, self.threshold - 1, 2)
             odd = self.threshold & 1
             for identifier in ids:
@@ -160,17 +205,17 @@ class PowerSumQuack(Quack):
                 else:
                     sums[-2] += power
                     sums[-1] += power * x
-        else:
-            batch = self.field.batch_power_sums(ids, self.threshold)
-            for i in range(self.threshold):
-                sums[i] += batch[i]
-        self._count = (self._count + len(ids)) & ((1 << self.count_bits) - 1)
+        self._count = (self._count + n) & ((1 << self.count_bits) - 1)
 
     # -- state ------------------------------------------------------------------
 
     @property
     def power_sums(self) -> tuple[int, ...]:
         """The current ``t`` power sums, lowest order first."""
+        if self._pending is not None:
+            self._fold(self._pending)
+            self._pending = None
+        self._room = BATCH_CROSSOVER
         p = self.field.modulus
         sums = self._sums
         for i in range(self.threshold):
@@ -180,9 +225,17 @@ class PowerSumQuack(Quack):
     @property
     def count(self) -> int:
         """The wrapped ``c``-bit packet counter."""
+        if self._pending is not None:
+            self._fold(self._pending)
+            self._pending = None
+        self._room = BATCH_CROSSOVER
         return self._count
 
     def copy(self) -> "PowerSumQuack":
+        if self._pending is not None:
+            self._fold(self._pending)
+            self._pending = None
+        self._room = BATCH_CROSSOVER
         clone = PowerSumQuack(self.threshold, self.bits, self.count_bits,
                               field=self.field)
         clone._sums = list(self._sums)
@@ -219,6 +272,11 @@ class PowerSumQuack(Quack):
         *later* receiver quACK still yields exactly the outstanding set.
         """
         self._check_compatible(other)
+        for quack in (self, other):
+            if quack._pending is not None:
+                quack._fold(quack._pending)
+                quack._pending = None
+            quack._room = BATCH_CROSSOVER
         delta = PowerSumQuack(self.threshold, self.bits, self.count_bits,
                               field=self.field)
         p = self.field.modulus
@@ -245,18 +303,23 @@ class PowerSumQuack(Quack):
         if not (isinstance(other, PowerSumQuack)
                 and other.field == self.field
                 and other.threshold == self.threshold
-                and other.count_bits == self.count_bits
-                and other._count == self._count):
+                and other.count_bits == self.count_bits):
             return False
         p = self.field.modulus
-        for sums in (self._sums, other._sums):
+        for quack in (self, other):
+            if quack._pending is not None:
+                quack._fold(quack._pending)
+                quack._pending = None
+            quack._room = BATCH_CROSSOVER
+            sums = quack._sums
             for i in range(self.threshold):
                 sums[i] %= p
-        return other._sums == self._sums
+        return other._count == self._count and other._sums == self._sums
 
     def __hash__(self) -> int:  # pragma: no cover - quacks are mutable
         raise TypeError("PowerSumQuack is mutable and unhashable")
 
     def __repr__(self) -> str:
+        sums = self.power_sums      # folds what was recorded, count included
         return (f"PowerSumQuack(t={self.threshold}, b={self.bits}, "
-                f"count={self._count}, sums={list(self.power_sums)!r})")
+                f"count={self._count}, sums={list(sums)!r})")

@@ -190,15 +190,12 @@ def _sums_layout(threshold: int, width: int) -> struct.Struct | None:
 def _encode_power_sum(quack: PowerSumQuack,
                       include_count: bool) -> tuple[int, int, bytes]:
     flags = _FLAG_HAS_COUNT if include_count else 0
+    sums = quack.power_sums     # folds what was recorded, count included
     parts = [struct.pack(">BHB", quack.bits, quack.threshold,
                          quack.count_bits)]
     if include_count:
-        parts.append(quack.count.to_bytes(_bytes_for_bits(quack.count_bits),
-                                          "big"))
-    modulus = quack.field.modulus
-    sums = quack._sums
-    for i in range(quack.threshold):    # reduced in place, as every read
-        sums[i] %= modulus
+        parts.append(quack._count.to_bytes(
+            _bytes_for_bits(quack.count_bits), "big"))
     width = _bytes_for_bits(quack.bits)
     layout = _sums_layout(quack.threshold, width)
     if layout is not None:

@@ -104,17 +104,6 @@ class FlowAccounts:
         """Resident bank memory across every tracked flow."""
         return sum(account.bank_bytes for account in self._flows.values())
 
-    def top(self, n: int = 10, key: str = "bank_bytes"
-            ) -> list[tuple[str, FlowAccount]]:
-        """The ``n`` heaviest flows by ``key`` (deterministic tie-break)."""
-        if key not in FlowAccount.__slots__:
-            from repro.errors import ObservabilityError
-            raise ObservabilityError(
-                f"unknown flow-account key {key!r}; have "
-                f"{', '.join(FlowAccount.__slots__)}")
-        return sorted(self._flows.items(),
-                      key=lambda item: (-getattr(item[1], key), item[0]))[:n]
-
     def snapshot(self) -> dict:
         """JSON-safe ledger: what a traced run keeps of the table."""
         return {

@@ -7,8 +7,6 @@ import pytest
 from repro.bench.traces import (
     PacketTrace,
     cbr_arrivals,
-    onoff_arrivals,
-    poisson_arrivals,
     run_session,
     survival_probability,
     synthesize_trace,
@@ -22,31 +20,9 @@ class TestArrivalProcesses:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g == pytest.approx(0.01) for g in gaps)
 
-    def test_poisson_mean_rate(self):
-        rng = random.Random(1)
-        times = poisson_arrivals(5000, 1000.0, rng)
-        duration = times[-1] - times[0]
-        assert 5000 / duration == pytest.approx(1000.0, rel=0.1)
-
-    def test_poisson_monotone(self):
-        times = poisson_arrivals(100, 50.0, random.Random(2))
-        assert times == sorted(times)
-
-    def test_onoff_has_gaps(self):
-        times = onoff_arrivals(2000, 1000.0, on_s=0.02, off_s=0.05,
-                               rng=random.Random(3))
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        base_gap = 1 / 1000.0
-        assert max(gaps) > 10 * base_gap  # off-period silences
-        assert min(gaps) == pytest.approx(base_gap)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             cbr_arrivals(5, 0)
-        with pytest.raises(ValueError):
-            poisson_arrivals(5, -1, random.Random(0))
-        with pytest.raises(ValueError):
-            onoff_arrivals(5, 100, 0, 1, random.Random(0))
 
 
 class TestSynthesizeTrace:

@@ -19,8 +19,9 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.chaos.adversary import ForgedPowerSumAdversary, LyingCountAdversary
 from repro.quack import wire
-from repro.quack.power_sum import BATCH_CROSSOVER, PowerSumQuack
+from repro.quack.power_sum import BATCH_CROSSOVER, PENDING_CAP, PowerSumQuack
 from repro.transport.ranges import RangeSet
 
 THRESHOLDS = (1, 2, 3, 4, 5, 20)
@@ -36,9 +37,9 @@ def eager_fold(sums, identifier, modulus, sign=1):
         power = power * x % modulus
 
 
-def reference_quack(threshold, bits, sums, count):
+def reference_quack(threshold, bits, sums, count, count_bits=16):
     """A quACK holding the reference's reduced sums and count."""
-    quack = PowerSumQuack(threshold, bits)
+    quack = PowerSumQuack(threshold, bits, count_bits)
     quack._sums = list(sums)
     quack._count = count
     return quack
@@ -169,6 +170,139 @@ def test_twenty_thousand_folds_without_a_read(threshold, bits):
     assert quack == reference
 
 
+#: Run lengths of ``insert`` between reads: under, at and past the
+#: eager-to-recording switch, and (from a read) up to and past the
+#: record's cap.
+RUNS = (1, 2, BATCH_CROSSOVER - 1, BATCH_CROSSOVER, BATCH_CROSSOVER + 1,
+        BATCH_CROSSOVER + 40, BATCH_CROSSOVER + PENDING_CAP - 1,
+        BATCH_CROSSOVER + PENDING_CAP + 3)
+
+
+class FoldOnReadMachine(RuleBasedStateMachine):
+    """``insert`` runs that stay eager, switch to recording or pass the
+    record's cap, mixed with ``insert_many``, ``remove`` and every read,
+    each read made on the quACK itself so that it meets the recorded
+    batch, and the chaos adversaries' rewrites of ``_count`` and
+    ``_sums`` (made after a read of their own).  Everything is checked
+    against :func:`eager_fold`; with ``count_bits=9`` the count wraps.
+    Edge identifiers (``p``, ``2**64``, ``-1``, ``2**80 + 5``) are
+    folded in bulk as well as one by one."""
+
+    @initialize(threshold=st.sampled_from(THRESHOLDS),
+                bits=st.sampled_from((16, 32, 64)),
+                count_bits=st.sampled_from((9, 16)))
+    def setup(self, threshold, bits, count_bits):
+        self.threshold, self.bits, self.count_bits = threshold, bits, count_bits
+        self.quack = PowerSumQuack(threshold, bits, count_bits)
+        self.modulus = self.quack.field.modulus
+        self.sums = [0] * threshold
+        self.count = 0
+        self.held: list[int] = []
+
+    def identifiers(self, size, seed):
+        p = self.modulus
+        edges = [p, p + 1, 2 ** 64, -1, 2 ** 80 + 5, 0, 2 ** self.bits - 1]
+        rng = random.Random(seed)
+        return [rng.choice(edges) if rng.random() < 0.1
+                else rng.getrandbits(self.bits + 1) for _ in range(size)]
+
+    def fold(self, identifiers, sign=1):
+        for identifier in identifiers:
+            eager_fold(self.sums, identifier, self.modulus, sign)
+        self.count = (self.count + sign * len(identifiers)) \
+            % (1 << self.count_bits)
+
+    def reference(self):
+        return reference_quack(self.threshold, self.bits, self.sums,
+                               self.count, self.count_bits)
+
+    @rule(size=st.sampled_from(RUNS), seed=st.integers(0, 2 ** 16))
+    def insert_run(self, size, seed):
+        batch = self.identifiers(size, seed)
+        for identifier in batch:
+            self.quack.insert(identifier)
+        self.fold(batch)
+        self.held.extend(batch[:3])
+
+    @rule(size=st.sampled_from((0, 1, BATCH_CROSSOVER - 1, BATCH_CROSSOVER,
+                                BATCH_CROSSOVER + 1, 300)),
+          seed=st.integers(0, 2 ** 16))
+    def insert_many(self, size, seed):
+        batch = self.identifiers(size, seed)
+        self.quack.insert_many(batch)
+        self.fold(batch)
+
+    @rule(seed=st.integers(0, 2 ** 16))
+    def remove(self, seed):
+        identifier = self.held.pop() if self.held and seed & 1 \
+            else self.identifiers(1, seed)[0]
+        self.quack.remove(identifier)
+        self.fold([identifier], sign=-1)
+
+    @rule(read=st.sampled_from(("power_sums", "count", "copy", "sub", "eq",
+                                "encode", "repr")))
+    def read(self, read):
+        quack, reference = self.quack, self.reference()
+        if read == "power_sums":
+            assert quack.power_sums == tuple(self.sums)
+        elif read == "count":
+            assert quack.count == self.count
+        elif read == "copy":
+            clone = quack.copy()
+            assert clone.power_sums == tuple(self.sums)
+            assert clone.count == self.count
+        elif read == "sub":
+            for delta in (quack - reference, reference - quack):
+                assert delta.count == 0
+                assert delta.power_sums == (0,) * self.threshold
+        elif read == "eq":
+            assert quack == reference and reference == quack
+        elif read == "encode":
+            assert wire.encode(quack) == wire.encode(reference)
+        else:
+            assert repr(quack) == repr(reference)
+        assert quack._pending is None       # every read folded the record
+
+    @rule(inflation=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+          forge_sums=st.booleans())
+    def adversary_rewrite(self, inflation, seed, forge_sums):
+        """The adversaries rewrite ``_count``/``_sums`` of the quACK they
+        were handed, after reading it; the frame is the rewritten one."""
+        if forge_sums:
+            frame = ForgedPowerSumAdversary(seed)._forged_frame(None,
+                                                                self.quack)
+            rng = random.Random(seed)
+            self.sums = [(value + rng.randrange(1, self.modulus))
+                         % self.modulus for value in self.sums]
+        else:
+            frame = LyingCountAdversary(inflation)._forged_frame(None,
+                                                                 self.quack)
+            self.count = (self.count + inflation) % (1 << self.count_bits)
+        assert wire.decode(frame) == self.reference()
+
+    @invariant()
+    def the_record_stays_under_its_cap(self):
+        pending = self.quack._pending
+        assert pending is None or len(pending) < PENDING_CAP
+
+
+def test_the_record_never_reaches_its_cap():
+    """A quACK that is never read folds its record in place every
+    ``PENDING_CAP`` identifiers, and reads back as the eager fold."""
+    quack = PowerSumQuack(20, count_bits=9)
+    rng = random.Random(7)
+    ids = [rng.getrandbits(32) for _ in range(3 * PENDING_CAP + 5)]
+    longest = 0
+    for identifier in ids:
+        quack.insert(identifier)
+        longest = max(longest, len(quack._pending or ()))
+    assert longest == PENDING_CAP - 1
+    sums = [0] * 20
+    for identifier in ids:
+        eager_fold(sums, identifier, quack.field.modulus)
+    assert quack == reference_quack(20, 32, sums, len(ids) % 512, 9)
+
+
 class QuackSessionMachine(RuleBasedStateMachine):
     """A sender/receiver pair under arbitrary send/deliver/decode steps.
 
@@ -276,6 +410,11 @@ TestPowerSumMachine = PowerSumMachine.TestCase
 TestPowerSumMachine.settings = settings(max_examples=60,
                                         stateful_step_count=30,
                                         deadline=None)
+
+TestFoldOnReadMachine = FoldOnReadMachine.TestCase
+TestFoldOnReadMachine.settings = settings(max_examples=40,
+                                          stateful_step_count=20,
+                                          deadline=None)
 
 TestQuackSessionMachine = QuackSessionMachine.TestCase
 TestQuackSessionMachine.settings = settings(max_examples=20,

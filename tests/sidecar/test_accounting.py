@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.errors import ObservabilityError
 from repro.sidecar import agents
 from repro.sidecar.accounting import FLOW_ACCOUNTS, FlowAccounts
 from repro.sidecar.cc_division import run_cc_division
@@ -37,17 +36,6 @@ class TestFlowAccounts:
         assert account["frames_emitted"] == 1
         assert account["bytes_emitted"] == 41
         assert snapshot["total_bank_bytes"] == 82
-
-    def test_top_is_deterministic_and_validates_key(self):
-        ledger = FlowAccounts()
-        ledger.arm()
-        ledger.on_observe("a", bank_bytes=10)
-        ledger.on_observe("b", bank_bytes=10)
-        ledger.on_observe("c", bank_bytes=99)
-        top = ledger.top(2)
-        assert [flow for flow, _ in top] == ["c", "a"]  # value desc, name
-        with pytest.raises(ObservabilityError):
-            ledger.top(key="not_a_field")
 
     def test_reset_clears_flows(self):
         ledger = FlowAccounts()

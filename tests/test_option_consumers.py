@@ -85,10 +85,6 @@ ALLOWED: dict[str, str] = {
         "test seam: a 16-bit field makes aliased identifiers cheap to reach"),
     "QuackBank.count_bits": (
         "test seam: a 4-bit counter makes count wraparound cheap to reach"),
-    "FlowAccounts.top.n": (
-        "test-only query: `top` itself has no runtime caller yet"),
-    "FlowAccounts.top.key": (
-        "test-only query: `top` itself has no runtime caller yet"),
     "HopSpec.ecn_threshold": (
         "the only switch of extension X4 (ECN marking at the hop)"),
     "QuackMessage.quack.implicit_count": (
@@ -372,7 +368,7 @@ def test_the_audit_sees_options_and_call_sites():
     assert "stat" in used["fig6_series"]                 # repro.bench
     assert "telemetry" in used["run_sweep"]              # repro.sweep
     assert "flow_id" in used["SenderConnection"]  # repro.transport, via **
-    assert len(ALLOWED) == 44
+    assert len(ALLOWED) == 42
 
 
 def test_assigned_options_are_assigned_where_allowed():
