@@ -19,10 +19,16 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.bench import frequency
-from repro.bench.timing import TimingResult, measure, measure_throughput
+from repro.bench.timing import (
+    TimingResult,
+    measure,
+    measure_interleaved,
+    measure_throughput,
+)
 from repro.bench.traces import survival_probability
 from repro.bench.workloads import (
     PAPER_B,
@@ -146,22 +152,26 @@ def fig5_series(thresholds: Sequence[int] = tuple(range(10, 51, 10)),
 
     Returns ``{bits: {threshold: us}}``.  The paper's claim to check:
     "the construction time is directly proportional to t".  ``stat``
-    selects mean (paper methodology) or median (noise-robust).
+    selects mean (paper methodology) or median (noise-robust).  The
+    thresholds of one width are timed round-robin, so a swing in host
+    speed cannot bend the curve at a single point.
     """
     series: dict[int, dict[int, float]] = {}
     for bits in bits_options:
         ids = make_workload(n, 0, bits, SEED).sent.tolist()
-        per_bits: dict[int, float] = {}
-        for threshold in thresholds:
-            def build() -> None:
-                quack = PowerSumQuack(threshold, bits)
-                for identifier in ids:
-                    quack.insert(identifier)
-                quack.power_sums    # the read completes the fold
-            timing = measure(build, trials=trials)
-            per_bits[threshold] = (timing.median * 1e6 if stat == "median"
-                                   else timing.mean_us)
-        series[bits] = per_bits
+
+        def build(threshold: int) -> None:
+            quack = PowerSumQuack(threshold, bits)
+            for identifier in ids:
+                quack.insert(identifier)
+            quack.power_sums    # the read completes the fold
+        timings = measure_interleaved(
+            [partial(build, threshold) for threshold in thresholds],
+            trials, 3)
+        series[bits] = {
+            threshold: (timing.median * 1e6 if stat == "median"
+                        else timing.mean_us)
+            for threshold, timing in zip(thresholds, timings)}
     return series
 
 

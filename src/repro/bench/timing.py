@@ -14,7 +14,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,23 @@ def _summary(samples: list[float]) -> TimingResult:
 def measure(fn: Callable[[], object], trials: int = 100,
             warmup: int = 3) -> TimingResult:
     """Time ``fn`` with warmup, the paper's Table 2 methodology."""
+    return measure_interleaved([fn], trials, warmup)[0]
+
+
+def measure_interleaved(fns: Sequence[Callable[[], object]], trials: int,
+                        warmup: int) -> list[TimingResult]:
+    """Time several callables round-robin, one result each: every trial
+    times each callable once, so a swing in host speed spreads over all
+    of them instead of landing on one."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(trials):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return _summary(samples)
+    samples: list[list[float]] = [[] for _ in fns]
+    for _ in range(warmup + trials):
+        for fn, recorded in zip(fns, samples):
+            start = time.perf_counter()
+            fn()
+            recorded.append(time.perf_counter() - start)
+    return [_summary(recorded[warmup:]) for recorded in samples]
 
 
 def measure_staged(setup: Callable[[], object],

@@ -4,15 +4,7 @@
 bridges it to the sidecar protocol:
 
 * :func:`sidecar_corrupter` -- a :class:`~repro.netsim.faults.Corruption`
-  corrupter that understands both sidecar datagram families.  QuACK
-  snapshots already travel as bytes and get their frame bits flipped;
-  Reset/Config messages travel as dataclasses in the simulator, so the
-  corrupter round-trips them through the real control wire format
-  (:func:`~repro.sidecar.protocol.encode_control`), flips bits, and
-  re-parses -- yielding either a survivable decode (the checksum
-  collided, vanishingly rare) or a
-  :class:`~repro.sidecar.protocol.CorruptFrame` the receiving agent
-  counts and drops.
+  corrupter for every sidecar datagram, quACK or control;
 * :class:`MiddleboxCrash` -- not a link fault at all: a scheduled
   process-level failure that wipes a quACK emitter's volatile state
   (accumulator *and* epoch) at fixed times, exactly what a middlebox
@@ -30,23 +22,27 @@ from repro.netsim.core import Simulator
 from repro.netsim.faults import flip_frame_bits
 from repro.netsim.packet import Packet
 from repro.sidecar.protocol import (
-    ConfigMessage,
+    CONTROL_TYPES,
     CorruptFrame,
     QuackMessage,
-    ResetMessage,
     decode_control,
     encode_control,
 )
 
 
 def sidecar_corrupter(packet: Packet, rng: random.Random) -> Packet | None:
-    """Bit-flip any sidecar datagram, quACK or control alike."""
+    """Bit-flip any sidecar datagram, quACK or control alike.
+
+    Control messages travel as dataclasses in the simulator, so they are
+    encoded, flipped and re-parsed: a :class:`CorruptFrame` the receiver
+    counts and drops, or (the CRC collided) whatever the bytes now say.
+    """
     payload = packet.payload
     if isinstance(payload, QuackMessage):
         mangled = dataclasses.replace(
             payload, frame=flip_frame_bits(payload.frame, rng))
         return packet.with_payload(mangled)
-    if isinstance(payload, (ResetMessage, ConfigMessage)):
+    if isinstance(payload, CONTROL_TYPES):
         frame = flip_frame_bits(encode_control(payload), rng)
         try:
             reparsed = decode_control(frame)

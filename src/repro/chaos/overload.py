@@ -173,35 +173,19 @@ class MemoryClamp(_Driver):
 
     Models a host-level memory clamp (cgroup pressure): the tenant's
     flows -- the harness's primary transfer included -- are evicted
-    immediately, active or not.  With ``restore_at`` set the budget
-    comes back and the tap re-admits itself (``rejoin=True``), which
-    must heal through the count-regression reset into ``RECOVERING``
-    probation, never straight to ``HEALTHY``.
+    immediately, active or not, and the sender falls to e2e-only.
     """
 
     at: float
-    restore_at: float | None = None
-    rejoin: bool = False
     evicted: int = field(default=0, init=False)
-    restored: bool = field(default=False, init=False)
-    rejoined: bool = field(default=False, init=False)
 
     def arm(self, sim: Simulator, table: FlowTable, tap) -> None:
         self._table = table
-        self._tap = tap
         sim.schedule(self.at, self._clamp)
-        if self.restore_at is not None:
-            sim.schedule(self.restore_at, self._restore)
 
     def _clamp(self) -> None:
         # One byte holds no bank, so every flow of the tenant goes.
         self.evicted += self._table.clamp_tenant(PRIMARY_TENANT, 1)
-
-    def _restore(self) -> None:
-        self._table.clamp_tenant(PRIMARY_TENANT, None)
-        self.restored = True
-        if self.rejoin and self._tap is not None:
-            self.rejoined = self._tap.rejoin()
 
 
 @dataclass

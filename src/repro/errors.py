@@ -13,8 +13,6 @@ Every exception raised intentionally by this library derives from
 
 from __future__ import annotations
 
-from typing import Sequence
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -51,19 +49,11 @@ class WireFormatError(QuackError, ValueError):
 
 
 def unsupported_version(format_name: str, got: int,
-                        supported: Sequence[int]) -> WireFormatError:
-    """The one true version-rejection error, shared by every wire format.
-
-    Each sidecar byte format (quACK frames, control messages, emitter
-    checkpoints) carries a version byte; all of them reject an alien
-    version with this exact shape, so operators and conformance vectors
-    see one consistent message naming the format, the version received,
-    and the range this build speaks.
-    """
-    low, high = min(supported), max(supported)
-    span = str(low) if low == high else f"{low}..{high}"
-    return WireFormatError(
-        f"{format_name}: unsupported version {got} (supported {span})")
+                        supported: tuple[int, ...]) -> WireFormatError:
+    """The version-rejection error of every sidecar byte format, raised
+    by the envelope's header check (:func:`repro.quack.wire.check_header`)."""
+    return WireFormatError(f"{format_name}: unsupported version {got} "
+                           f"(supported {min(supported)}..{max(supported)})")
 
 
 class SimulationError(ReproError):

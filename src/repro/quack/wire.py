@@ -23,8 +23,7 @@ byte: the feature bits agreed during the capability handshake
 (:mod:`repro.sidecar.negotiate`) ride every frame, so a peer can verify
 each snapshot was produced under the negotiated configuration.  Both
 versions are always decodable; which version an *encoder* uses is the
-negotiation layer's business.  Unknown version bytes are rejected with
-the repo-wide :func:`~repro.errors.unsupported_version` message.
+negotiation layer's business.
 
 The checksum exists for the *sidecar channel*: sidecar datagrams cross
 real networks and get bit-flipped, and without a checksum a flipped
@@ -43,6 +42,11 @@ n" (Section 4.3); the deserializer then takes the count from context.
 
 Echo body: ``bits`` (1), ``n`` (4), then ``n`` identifiers.
 Hash body: ``bits`` (1), ``count_bits`` (1), count, 32-byte SHA-256 digest.
+
+The control frame and the checkpoint share this frame's version rules
+and CRC, the *sidecar envelope* below; :func:`encode` and :func:`decode`
+run once per quACK, so they keep the checks inline and call
+:func:`check_header` only to raise.
 """
 
 from __future__ import annotations
@@ -80,14 +84,9 @@ def encode(quack: Quack, include_count: bool = True,
     protocol layer always asks for it.  ``version`` selects the frame
     layout (v2 carries the negotiated ``features`` bits; v1 cannot).
     """
-    if version not in VERSIONS:
-        raise unsupported_version(FORMAT_NAME, version, VERSIONS)
-    if version < 2 and features:
-        raise WireFormatError(
-            f"{FORMAT_NAME}: feature bits {features:#04x} need version >= 2")
-    if not 0 <= features <= 0xFF:
-        raise WireFormatError(
-            f"{FORMAT_NAME}: feature bits {features:#x} exceed one byte")
+    if version not in VERSIONS \
+            or not 0 <= features <= (0xFF if version >= 2 else 0):
+        check_header(FORMAT_NAME, version, VERSIONS, features)
     if isinstance(quack, PowerSumQuack):
         scheme, flags, body = _encode_power_sum(quack, include_count)
     elif isinstance(quack, EchoQuack):
@@ -138,7 +137,7 @@ def decode(frame: bytes, implicit_count: int | None = None) -> Quack:
         raise WireFormatError(f"bad magic {frame[:2]!r}")
     version, scheme_raw, flags = frame[2], frame[3], frame[4]
     if version not in VERSIONS:
-        raise unsupported_version(FORMAT_NAME, version, VERSIONS)
+        check_header(FORMAT_NAME, version, VERSIONS, 0)
     body_at = 6 if version >= 2 else 5
     if len(frame) < body_at:
         raise WireFormatError(f"frame too short: {len(frame)} bytes")
@@ -172,6 +171,58 @@ def decode(frame: bytes, implicit_count: int | None = None) -> Quack:
         # quACK accepts (bits=0, absurd widths); network input must
         # surface as a wire error, not a constructor exception.
         raise WireFormatError(f"unusable frame parameters: {exc}") from exc
+
+
+# -- the sidecar envelope -------------------------------------------------------
+
+def check_header(format_name: str, version: int, versions: tuple[int, ...],
+                 features: int) -> None:
+    """Raise unless ``version`` is one of ``versions`` and ``features``
+    fits the header: feature bits only from version 2 on, in one byte."""
+    if version not in versions:
+        raise unsupported_version(format_name, version, versions)
+    if version < 2 and features:
+        raise WireFormatError(
+            f"{format_name}: feature bits {features:#04x} need version >= 2")
+    if not 0 <= features <= 0xFF:
+        raise WireFormatError(
+            f"{format_name}: feature bits {features:#x} exceed one byte")
+
+
+def seal(body: bytes) -> bytes:
+    """``body`` with its CRC-32 trailer appended."""
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def unseal(format_name: str, frame: bytes, shortest: int) -> bytes:
+    """``frame`` without its CRC-32 trailer, once the trailer checks out;
+    a frame shorter than ``shortest`` bytes is refused first."""
+    if len(frame) < shortest:
+        raise WireFormatError(f"{format_name} too short: {len(frame)} bytes")
+    body = frame[:-CRC_BYTES]
+    if int.from_bytes(frame[-CRC_BYTES:], "big") != zlib.crc32(body):
+        raise WireFormatError(f"{format_name} checksum mismatch")
+    return body
+
+
+def pack_flow_id(flow_id: str) -> bytes:
+    """The flow id as a u16 length and its UTF-8 bytes."""
+    flow = flow_id.encode("utf-8")
+    return struct.pack(">H", len(flow)) + flow
+
+
+def unpack_flow_id(format_name: str, data: bytes, at: int,
+                   tail: int) -> tuple[str, int]:
+    """The flow id packed at ``data[at]`` and the offset just past it;
+    at least ``tail`` bytes must follow it."""
+    (length,) = struct.unpack_from(">H", data, at)
+    end = at + 2 + length
+    if len(data) < end + tail:
+        raise WireFormatError(f"{format_name} truncated inside flow id")
+    try:
+        return data[at + 2:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"undecodable flow id: {exc}") from exc
 
 
 # -- power sum ----------------------------------------------------------------

@@ -21,9 +21,8 @@ middlebox needs and the paper's deployment story assumes --
 The robustness contract (DESIGN.md §13): losing a flow's bank only ever
 *removes assistance*.  The evicted flow's sender stops seeing quACKs,
 walks the health ladder down to ``E2E_ONLY``, and keeps its goodput at
-the unassisted baseline with zero spurious retransmits; a re-admitted
-flow re-enters through the ``RECOVERING`` probation, never straight to
-``HEALTHY``.  The chaos plans in :mod:`repro.chaos` check exactly this.
+the unassisted baseline with zero spurious retransmits.  The chaos
+plans in :mod:`repro.chaos` check exactly this.
 
 Everything here is deterministic: every eviction/shed ordering carries
 an explicit total order with the flow key as tie-break, and
@@ -491,18 +490,14 @@ class FlowTableTap(ProxyEmitterTap):
     accounting and LRU recency see them) and emission happens on the
     table's shared batch timer, not inline.  When the table evicts this
     flow the tap goes silent -- the sender's health ladder does the
-    rest -- and :meth:`rejoin` re-admits with a fresh accumulator,
-    healing through the server's count-regression detection into
-    ``RECOVERING`` probation.
+    rest.
     """
 
     def __init__(self, sim, router, server: str, client: str, flow_id: str,
                  policy, table: FlowTable, tenant: str = "primary",
                  **kwargs) -> None:
         self.table = table
-        self.tenant = tenant
         self.evictions = 0
-        self.readmissions = 0
         self._record: FlowRecord | None = None
         super().__init__(sim, router, server, client, flow_id, policy,
                          **kwargs)
@@ -527,38 +522,14 @@ class FlowTableTap(ProxyEmitterTap):
     def _evicted(self, reason: str) -> None:
         self.evictions += 1
 
-    def rejoin(self) -> bool:
-        """Re-admit after eviction; False when still rejected.
-
-        The fresh accumulator makes the server see a count regression,
-        which heals through the ordinary implicit-reset path --
-        re-entry costs a handshake, never corruption.
-        """
-        if self.assisted:
-            return True
-        self.emitter = self._fresh_emitter()
-        record = self.table.admit(self.tenant, self.flow_id,
-                                  emitter=self.emitter,
-                                  on_emit=self._deliver,
-                                  on_evict=self._evicted)
-        if record is None:
-            return False
-        self._record = record
-        self.readmissions += 1
-        return True
-
     def _replace_emitter(self) -> None:
         super()._replace_emitter()
-        # The table folds and emits through a live record (rejoin()
-        # admits an evicted flow afresh).
-        if self._record is not None and self._record.live:
+        if self.assisted:   # the table folds and emits through the record
             self.table.swap_emitter(self._record, self.emitter)
 
     def fault_counters(self) -> dict:
         counters = super().fault_counters()
-        counters.update(evictions=self.evictions,
-                        readmissions=self.readmissions,
-                        assisted=self.assisted)
+        counters.update(evictions=self.evictions, assisted=self.assisted)
         return counters
 
 

@@ -14,9 +14,10 @@ real networks: they get bit-flipped, truncated, and replayed, and the
 sidecar must classify that corruption as a
 :class:`~repro.errors.WireFormatError` at the parse boundary rather than
 let mangled power sums masquerade as decode divergence.  QuACK snapshots
-ride the CRC-carrying quACK wire format; control messages have their own
-tiny CRC-protected encoding (:func:`encode_control` /
-:func:`decode_control`).  A datagram whose bytes no longer parse is
+ride the CRC-carrying quACK wire format; control messages share its
+envelope (version rules, CRC-32 trailer, packed flow id) around one
+layout row per message type (:func:`encode_control` /
+:func:`parse_control`).  A datagram whose bytes no longer parse is
 represented in the simulator as a :class:`CorruptFrame`, which every
 receiving agent counts and drops.
 """
@@ -24,11 +25,12 @@ receiving agent counts and drops.
 from __future__ import annotations
 
 import struct
-import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from repro import obs
-from repro.errors import WireFormatError, unsupported_version
+from repro.errors import WireFormatError
 from repro.netsim.packet import Packet, PacketKind
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
@@ -36,19 +38,13 @@ from repro.quack.power_sum import PowerSumQuack
 #: IP/UDP overhead of a sidecar datagram.
 SIDECAR_HEADER_BYTES = 28
 
-#: Magic prefix of serialized control messages (reset/config).
+#: Magic prefix of serialized control messages.
 CONTROL_MAGIC = b"sC"
 CONTROL_VERSION = 1
 #: Every control-frame version this build can encode and decode.  v2
 #: inserts a negotiated-feature byte between the version and the kind.
 CONTROL_VERSIONS = (1, 2)
 CONTROL_FORMAT = "control frame"
-_CONTROL_RESET = 1
-_CONTROL_CONFIG = 2
-_CONTROL_RESUME = 3
-_CONTROL_HELLO = 4
-_CONTROL_HELLO_ACK = 5
-_CONTROL_VERSION_SWITCH = 6
 #: Sentinel for "field not present" in serialized ConfigMessages.
 _ABSENT = 0xFFFFFFFF
 #: Size of the transcript hash a HELLO-ACK echoes (SHA-256).
@@ -162,63 +158,41 @@ class CorruptFrame:
 
 
 # -- control-message wire format ----------------------------------------------
-#
-# offset  size  field
-# 0       2     magic b"sC"
-# 2       1     version (1 or 2)
-# 3       1     negotiated-feature bits (version >= 2 only)
-# 3/4     1     type (1 = reset, 2 = config, 3 = resume, 4 = hello,
-#               5 = hello-ack, 6 = version-switch)
-# ..      2     flow-id length, big-endian, then the UTF-8 flow id
-# ..      --    type-specific fields (reset: epoch u32; config: every_n
-#               u32, interval_us u32, threshold u32 -- 0xFFFFFFFF = absent;
-#               resume: epoch u32, count u32; hello: min u8, max u8,
-#               threshold u16, bits u8, interval_us u32, features u32;
-#               hello-ack: version u8, threshold u16, bits u8,
-#               interval_us u32, features u32, transcript 32 bytes;
-#               version-switch: version u8, epoch u32)
-# -4      4     CRC-32 over everything before it
 
 ControlMessage = (ResetMessage | ConfigMessage | ResumeMessage
                   | HelloMessage | HelloAckMessage | VersionSwitchMessage)
 
-_CONTROL_KINDS: dict[type, int] = {
-    ResetMessage: _CONTROL_RESET,
-    ConfigMessage: _CONTROL_CONFIG,
-    ResumeMessage: _CONTROL_RESUME,
-    HelloMessage: _CONTROL_HELLO,
-    HelloAckMessage: _CONTROL_HELLO_ACK,
-    VersionSwitchMessage: _CONTROL_VERSION_SWITCH,
-}
+
+class _Layout(NamedTuple):
+    cls: type
+    kind: int               # the type byte
+    name: str               # the message's name in errors
+    body: struct.Struct     # the fields after the flow id, in field order
+    read: Callable          # message -> (flow_id, *body fields)
 
 
-def _encode_body(message: ControlMessage) -> bytes:
-    if isinstance(message, ResetMessage):
-        return struct.pack(">I", message.epoch)
-    if isinstance(message, ResumeMessage):
-        return struct.pack(">II", message.epoch, message.count)
-    if isinstance(message, ConfigMessage):
-        every = _ABSENT if message.every_n is None else message.every_n
-        # Round, never truncate: int() would drift encode->decode round
-        # trips by up to 1 us per hop.
-        interval = _ABSENT if message.interval_s is None \
-            else int(round(message.interval_s * 1e6))
-        threshold = _ABSENT if message.threshold is None else message.threshold
-        return struct.pack(">III", every, interval, threshold)
-    if isinstance(message, HelloMessage):
-        return struct.pack(">BBHBII", message.min_version,
-                           message.max_version, message.threshold,
-                           message.bits, message.interval_us,
-                           message.features)
-    if isinstance(message, HelloAckMessage):
-        if len(message.transcript) != TRANSCRIPT_BYTES:
-            raise WireFormatError(
-                f"hello-ack transcript is {len(message.transcript)} bytes, "
-                f"expected {TRANSCRIPT_BYTES}")
-        return struct.pack(">BHBII", message.version, message.threshold,
-                           message.bits, message.interval_us,
-                           message.features) + message.transcript
-    return struct.pack(">BI", message.version, message.epoch)
+def _layout(cls: type, kind: int, name: str, body: str) -> _Layout:
+    return _Layout(cls, kind, name, struct.Struct(body),
+                   attrgetter(*(field.name for field in fields(cls))))
+
+
+#: One row per control message.  The frame is the sidecar envelope of
+#: :mod:`repro.quack.wire` around the row: magic ``sC``, version (1 or
+#: 2), the negotiated-feature byte (v2 only), the type byte, the packed
+#: flow id, the body, and the CRC-32 trailer.  ConfigMessage carries its
+#: interval in whole microseconds and 0xFFFFFFFF for an absent field.
+_LAYOUTS = (
+    _layout(ResetMessage, 1, "reset", ">I"),
+    _layout(ConfigMessage, 2, "config", ">III"),
+    _layout(ResumeMessage, 3, "resume", ">II"),
+    _layout(HelloMessage, 4, "hello", ">BBHBII"),
+    _layout(HelloAckMessage, 5, "hello-ack", f">BHBII{TRANSCRIPT_BYTES}s"),
+    _layout(VersionSwitchMessage, 6, "version-switch", ">BI"),
+)
+_BY_TYPE = {layout.cls: layout for layout in _LAYOUTS}
+_BY_KIND = {layout.kind: layout for layout in _LAYOUTS}
+#: Every control-message type, in type-byte order.
+CONTROL_TYPES = tuple(_BY_TYPE)
 
 
 def encode_control(message: ControlMessage, version: int = CONTROL_VERSION,
@@ -231,81 +205,29 @@ def encode_control(message: ControlMessage, version: int = CONTROL_VERSION,
     session negotiated to v2 stamps its feature bits on every control
     message it sends.
     """
-    if type(message) not in _CONTROL_KINDS:
+    layout = _BY_TYPE.get(type(message))
+    if layout is None:
         raise WireFormatError(
             f"cannot serialize control message {type(message).__name__}")
-    if version not in CONTROL_VERSIONS:
-        raise unsupported_version(CONTROL_FORMAT, version, CONTROL_VERSIONS)
-    if version < 2 and features:
+    wire.check_header(CONTROL_FORMAT, version, CONTROL_VERSIONS, features)
+    flow_id, *values = layout.read(message)
+    if layout.cls is ConfigMessage:
+        every, interval, threshold = values
+        if interval is not None:
+            # Round, never truncate: int() would drift encode->decode
+            # round trips by up to 1 us per hop.
+            interval = int(round(interval * 1e6))
+        values = [_ABSENT if value is None else value
+                  for value in (every, interval, threshold)]
+    elif layout.cls is HelloAckMessage \
+            and len(message.transcript) != TRANSCRIPT_BYTES:
         raise WireFormatError(
-            f"{CONTROL_FORMAT}: feature bits {features:#04x} need "
-            f"version >= 2")
-    if not 0 <= features <= 0xFF:
-        raise WireFormatError(
-            f"{CONTROL_FORMAT}: feature bits {features:#x} exceed one byte")
-    flow = message.flow_id.encode("utf-8")
-    head = [CONTROL_MAGIC, bytes((version,))]
-    if version >= 2:
-        head.append(bytes((features,)))
-    head.append(bytes((_CONTROL_KINDS[type(message)],)))
-    head.append(struct.pack(">H", len(flow)))
-    head.append(flow)
-    head.append(_encode_body(message))
-    body = b"".join(head)
-    return body + struct.pack(">I", zlib.crc32(body))
-
-
-def _decode_body(kind: int, flow_id: str, rest: bytes) -> ControlMessage:
-    if kind == _CONTROL_RESET:
-        if len(rest) != 4:
-            raise WireFormatError(f"reset body is {len(rest)} bytes, expected 4")
-        (epoch,) = struct.unpack(">I", rest)
-        return ResetMessage(flow_id=flow_id, epoch=epoch)
-    if kind == _CONTROL_RESUME:
-        if len(rest) != 8:
-            raise WireFormatError(
-                f"resume body is {len(rest)} bytes, expected 8")
-        epoch, count = struct.unpack(">II", rest)
-        return ResumeMessage(flow_id=flow_id, epoch=epoch, count=count)
-    if kind == _CONTROL_CONFIG:
-        if len(rest) != 12:
-            raise WireFormatError(f"config body is {len(rest)} bytes, expected 12")
-        every, interval, threshold = struct.unpack(">III", rest)
-        return ConfigMessage(
-            flow_id=flow_id,
-            every_n=None if every == _ABSENT else every,
-            interval_s=None if interval == _ABSENT else interval / 1e6,
-            threshold=None if threshold == _ABSENT else threshold,
-        )
-    if kind == _CONTROL_HELLO:
-        if len(rest) != 13:
-            raise WireFormatError(
-                f"hello body is {len(rest)} bytes, expected 13")
-        low, high, threshold, bits, interval_us, feats = \
-            struct.unpack(">BBHBII", rest)
-        return HelloMessage(flow_id=flow_id, min_version=low,
-                            max_version=high, threshold=threshold,
-                            bits=bits, interval_us=interval_us,
-                            features=feats)
-    if kind == _CONTROL_HELLO_ACK:
-        if len(rest) != 12 + TRANSCRIPT_BYTES:
-            raise WireFormatError(
-                f"hello-ack body is {len(rest)} bytes, expected "
-                f"{12 + TRANSCRIPT_BYTES}")
-        chosen, threshold, bits, interval_us, feats = \
-            struct.unpack(">BHBII", rest[:12])
-        return HelloAckMessage(flow_id=flow_id, version=chosen,
-                               threshold=threshold, bits=bits,
-                               interval_us=interval_us, features=feats,
-                               transcript=rest[12:])
-    if kind == _CONTROL_VERSION_SWITCH:
-        if len(rest) != 5:
-            raise WireFormatError(
-                f"version-switch body is {len(rest)} bytes, expected 5")
-        chosen, epoch = struct.unpack(">BI", rest)
-        return VersionSwitchMessage(flow_id=flow_id, version=chosen,
-                                    epoch=epoch)
-    raise WireFormatError(f"unknown control message type {kind}")
+            f"hello-ack transcript is {len(message.transcript)} bytes, "
+            f"expected {TRANSCRIPT_BYTES}")
+    header = (version, features, layout.kind) if version >= 2 \
+        else (version, layout.kind)
+    return wire.seal(CONTROL_MAGIC + bytes(header)
+                     + wire.pack_flow_id(flow_id) + layout.body.pack(*values))
 
 
 def parse_control(frame: bytes) -> tuple[ControlMessage, int, int]:
@@ -316,34 +238,32 @@ def parse_control(frame: bytes) -> tuple[ControlMessage, int, int]:
     are returned alongside the message so the session layer can check
     frames against the negotiated configuration.
     """
-    if len(frame) < 10:
-        raise WireFormatError(f"control frame too short: {len(frame)} bytes")
-    (stated,) = struct.unpack(">I", frame[-4:])
-    if stated != zlib.crc32(frame[:-4]):
-        raise WireFormatError("control frame checksum mismatch")
-    if frame[:2] != CONTROL_MAGIC:
-        raise WireFormatError(f"bad control magic {frame[:2]!r}")
-    version = frame[2]
-    if version not in CONTROL_VERSIONS:
-        raise unsupported_version(CONTROL_FORMAT, version, CONTROL_VERSIONS)
-    features = 0
-    offset = 3
+    data = wire.unseal(CONTROL_FORMAT, frame, 10)
+    if data[:2] != CONTROL_MAGIC:
+        raise WireFormatError(f"bad control magic {data[:2]!r}")
+    version = data[2]
+    wire.check_header(CONTROL_FORMAT, version, CONTROL_VERSIONS, 0)
+    features, at = 0, 3
     if version >= 2:
         if len(frame) < 11:
             raise WireFormatError(
-                f"control frame too short: {len(frame)} bytes")
-        features = frame[3]
-        offset = 4
-    kind = frame[offset]
-    (flow_len,) = struct.unpack(">H", frame[offset + 1:offset + 3])
-    body = frame[offset + 3:-4]
-    if len(body) < flow_len:
-        raise WireFormatError("control frame truncated inside flow id")
-    try:
-        flow_id = body[:flow_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"undecodable flow id: {exc}") from exc
-    return _decode_body(kind, flow_id, body[flow_len:]), version, features
+                f"{CONTROL_FORMAT} too short: {len(frame)} bytes")
+        features, at = data[3], 4
+    flow_id, end = wire.unpack_flow_id(CONTROL_FORMAT, data, at + 1, 0)
+    layout = _BY_KIND.get(data[at])
+    if layout is None:
+        raise WireFormatError(f"unknown control message type {data[at]}")
+    if len(data) - end != layout.body.size:
+        raise WireFormatError(
+            f"{layout.name} body is {len(data) - end} bytes, "
+            f"expected {layout.body.size}")
+    values = layout.body.unpack_from(data, end)
+    if layout.cls is ConfigMessage:
+        every, interval, threshold = (None if value == _ABSENT else value
+                                      for value in values)
+        values = (every, None if interval is None else interval / 1e6,
+                  threshold)
+    return layout.cls(flow_id, *values), version, features
 
 
 def decode_control(frame: bytes) -> ControlMessage:

@@ -28,8 +28,9 @@ exactly, so assistance resumes within one resume-handshake delivery
 instead of a reset round-trip, which the trace analytics' dwell-time
 comparison makes visible.
 
-Checkpoints are framed like every other sidecar byte string: magic,
-version, and a trailing CRC-32, with any malformation raising
+Checkpoints are framed like every other sidecar byte string, in the
+envelope of :mod:`repro.quack.wire`: magic, version, the packed flow id
+and a trailing CRC-32, with any malformation raising
 :class:`~repro.errors.WireFormatError` -- a half-written or bit-rotted
 checkpoint must cold-start the emitter, never restore garbage into the
 session.
@@ -38,10 +39,9 @@ session.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
-from repro.errors import WireFormatError, unsupported_version
+from repro.errors import WireFormatError
 from repro.quack import wire
 from repro.quack.power_sum import PowerSumQuack
 from repro.sidecar.defense import resume_implausibility
@@ -98,62 +98,37 @@ def encode_checkpoint(checkpoint: EmitterCheckpoint,
     if version is None:
         negotiated = checkpoint.wire_version != 1 or checkpoint.features != 0
         version = 2 if negotiated else CHECKPOINT_VERSION
-    if version not in CHECKPOINT_VERSIONS:
-        raise unsupported_version(CHECKPOINT_FORMAT, version,
-                                  CHECKPOINT_VERSIONS)
+    wire.check_header(CHECKPOINT_FORMAT, version, CHECKPOINT_VERSIONS, 0)
     if version < 2 and (checkpoint.wire_version != 1 or checkpoint.features):
         raise WireFormatError(
             f"{CHECKPOINT_FORMAT}: negotiated session state (wire version "
             f"{checkpoint.wire_version}, features "
             f"{checkpoint.features:#04x}) needs version >= 2")
-    flow = checkpoint.flow_id.encode("utf-8")
-    parts = [
-        CHECKPOINT_MAGIC,
-        bytes((version,)),
-        struct.pack(">H", len(flow)),
-        flow,
-        struct.pack(">Id", checkpoint.epoch, checkpoint.taken_at),
-    ]
-    if version >= 2:
-        parts.append(struct.pack(
-            ">BB", checkpoint.wire_version, checkpoint.features))
-    parts.append(struct.pack(">I", len(checkpoint.frame)))
-    parts.append(checkpoint.frame)
-    body = b"".join(parts)
-    return body + struct.pack(">I", zlib.crc32(body))
+    session = struct.pack(">BB", checkpoint.wire_version,
+                          checkpoint.features) if version >= 2 else b""
+    return wire.seal(b"".join((
+        CHECKPOINT_MAGIC, bytes((version,)),
+        wire.pack_flow_id(checkpoint.flow_id),
+        struct.pack(">Id", checkpoint.epoch, checkpoint.taken_at), session,
+        struct.pack(">I", len(checkpoint.frame)), checkpoint.frame)))
 
 
 def decode_checkpoint(blob: bytes) -> EmitterCheckpoint:
     """Parse checkpoint bytes; any malformation raises WireFormatError."""
-    if len(blob) < 25:
-        raise WireFormatError(f"checkpoint too short: {len(blob)} bytes")
-    (stated,) = struct.unpack(">I", blob[-4:])
-    if stated != zlib.crc32(blob[:-4]):
-        raise WireFormatError("checkpoint checksum mismatch")
-    if blob[:2] != CHECKPOINT_MAGIC:
-        raise WireFormatError(f"bad checkpoint magic {blob[:2]!r}")
-    version = blob[2]
-    if version not in CHECKPOINT_VERSIONS:
-        raise unsupported_version(CHECKPOINT_FORMAT, version,
-                                  CHECKPOINT_VERSIONS)
+    data = wire.unseal(CHECKPOINT_FORMAT, blob, 25)
+    if data[:2] != CHECKPOINT_MAGIC:
+        raise WireFormatError(f"bad checkpoint magic {data[:2]!r}")
+    version = data[2]
+    wire.check_header(CHECKPOINT_FORMAT, version, CHECKPOINT_VERSIONS, 0)
     session_bytes = 2 if version >= 2 else 0
-    (flow_len,) = struct.unpack(">H", blob[3:5])
-    rest = blob[5:-4]
-    if len(rest) < flow_len + 16 + session_bytes:
-        raise WireFormatError("checkpoint truncated inside flow id")
-    try:
-        flow_id = rest[:flow_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"undecodable flow id: {exc}") from exc
-    epoch, taken_at = struct.unpack(">Id", rest[flow_len:flow_len + 12])
-    offset = flow_len + 12
-    wire_version, features = 1, 0
-    if version >= 2:
-        wire_version, features = struct.unpack(
-            ">BB", rest[offset:offset + 2])
-        offset += 2
-    (frame_len,) = struct.unpack(">I", rest[offset:offset + 4])
-    frame = rest[offset + 4:]
+    flow_id, at = wire.unpack_flow_id(CHECKPOINT_FORMAT, data, 3,
+                                      16 + session_bytes)
+    epoch, taken_at = struct.unpack_from(">Id", data, at)
+    wire_version, features = data[at + 12:at + 14] if version >= 2 \
+        else (1, 0)
+    at += 12 + session_bytes
+    (frame_len,) = struct.unpack_from(">I", data, at)
+    frame = data[at + 4:]
     if len(frame) != frame_len:
         raise WireFormatError(
             f"checkpoint frame is {len(frame)} bytes, stated {frame_len}")

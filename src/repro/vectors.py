@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import struct
-import zlib
 from pathlib import Path
 from typing import Any, Callable
 
@@ -74,9 +72,7 @@ def _message_to_dict(message: ControlMessage) -> dict[str, Any]:
 
 
 def _message_from_dict(record: dict[str, Any]) -> ControlMessage:
-    kinds = {cls.__name__: cls for cls in (
-        ResetMessage, ConfigMessage, ResumeMessage,
-        HelloMessage, HelloAckMessage, VersionSwitchMessage)}
+    kinds = {cls.__name__: cls for cls in protocol.CONTROL_TYPES}
     cls = kinds[record["type"]]
     fields = {key: value for key, value in record.items() if key != "type"}
     if "transcript" in fields:
@@ -92,7 +88,7 @@ def _recrc(frame: bytes, mutate: Callable[[bytearray], None]) -> bytes:
     """
     data = bytearray(frame[:-4])
     mutate(data)
-    return bytes(data) + struct.pack(">I", zlib.crc32(bytes(data)))
+    return wire.seal(bytes(data))
 
 
 # -- suite builders ------------------------------------------------------------

@@ -95,12 +95,6 @@ ALLOWED: dict[str, str] = {
         "builder"),
     "DefenseConfig.rate_max": "the only switch of the snapshot rate gate",
     "Simulator.run.max_events": "safety check: a runaway-event guard",
-    "MemoryClamp.restore_at": (
-        "the only switch of the eviction -> re-admission scenario "
-        "(DESIGN.md, `FlowTableTap.rejoin`)"),
-    "MemoryClamp.rejoin": (
-        "the only switch of the eviction -> re-admission scenario "
-        "(DESIGN.md, `FlowTableTap.rejoin`)"),
 }
 
 CALL_SITE_ROOTS = ("src", "benchmarks")
@@ -368,7 +362,7 @@ def test_the_audit_sees_options_and_call_sites():
     assert "stat" in used["fig6_series"]                 # repro.bench
     assert "telemetry" in used["run_sweep"]              # repro.sweep
     assert "flow_id" in used["SenderConnection"]  # repro.transport, via **
-    assert len(ALLOWED) == 42
+    assert len(ALLOWED) == 40
 
 
 def test_assigned_options_are_assigned_where_allowed():
