@@ -81,9 +81,6 @@ class PrimeField:
             raise ArithmeticDomainError("zero has no multiplicative inverse")
         return pow(a, self.modulus - 2, self.modulus)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def small_inverses(self, n: int) -> list[int]:
         """Table with ``table[i] == inv(i)`` for ``1 <= i <= n < p``.
 

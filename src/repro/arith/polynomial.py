@@ -59,13 +59,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def monomial(cls, field: PrimeField, degree: int) -> "Poly":
-        """``x**degree``."""
-        if degree < 0:
-            raise ArithmeticDomainError(f"monomial degree must be >= 0, got {degree}")
-        return cls(field, [0] * degree + [1])
-
-    @classmethod
     def from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "Poly":
         """Return the monic polynomial ``prod(x - r)`` over the field."""
         result = cls.one(field)
@@ -89,9 +82,6 @@ class Poly:
         if not self.coeffs:
             raise ArithmeticDomainError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     # -- ring operations -----------------------------------------------------
 

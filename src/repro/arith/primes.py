@@ -108,17 +108,6 @@ def prev_prime(n: int) -> int:
     raise ArithmeticDomainError(f"no prime exists below {n}")  # pragma: no cover
 
 
-def next_prime(n: int) -> int:
-    """Return the smallest prime strictly above ``n``."""
-    candidate = max(n + 1, 2)
-    if candidate > 2 and candidate % 2 == 0:
-        candidate += 1
-    while True:
-        if is_prime(candidate):
-            return candidate
-        candidate += 2 if candidate > 2 else 1
-
-
 @lru_cache(maxsize=None)
 def largest_prime_in_bits(bits: int) -> int:
     """Return the largest prime expressible in ``bits`` bits (below 2**bits).

@@ -53,13 +53,6 @@ class PacketTrace:
     def loss_rate(self) -> float:
         return self.loss_count / self.n if self.n else 0.0
 
-    def longest_loss_burst(self) -> int:
-        longest = current = 0
-        for dropped in self.dropped:
-            current = current + 1 if dropped else 0
-            longest = max(longest, current)
-        return longest
-
 
 def cbr_arrivals(n: int, rate_pps: float) -> list[float]:
     """Constant bit rate: one packet every 1/rate seconds."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 import numpy as np
 
@@ -49,27 +48,6 @@ class IdentifierFactory:
             key=self.key, digest_size=8,
         ).digest()
         return int.from_bytes(digest, "big") & self._mask
-
-    def identifiers(self, count: int) -> np.ndarray:
-        """Identifiers of packet numbers ``0..count-1``, as uint64."""
-        values = np.fromiter(
-            (self.identifier(i) for i in range(count)),
-            dtype=np.uint64, count=count,
-        )
-        return values
-
-    def stream(self) -> Iterator[int]:
-        """An endless iterator of identifiers from packet number 0 up."""
-        packet_number = 0
-        while True:
-            yield self.identifier(packet_number)
-            packet_number += 1
-
-    @classmethod
-    def fresh(cls, rng: random.Random | None = None) -> "IdentifierFactory":
-        """A factory with a random per-connection key."""
-        rng = rng if rng is not None else random.SystemRandom()
-        return cls(rng.getrandbits(128).to_bytes(16, "big"))
 
 
 def random_identifiers(count: int, bits: int = 32,

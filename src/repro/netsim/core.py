@@ -99,11 +99,6 @@ class Simulator:
         """Virtual time of the next live event, or None if idle."""
         return self._sched.peek_time()
 
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled, not-yet-cancelled events."""
-        return self._sched.pending()
-
     # -- resource counters (delegated to the backend) ---------------------------
 
     @property

@@ -17,16 +17,14 @@ asks when the packet would arrive):
   ``duplicated_fault`` / ``corrupted_fault``.
 
 Injectors are deliberately payload-agnostic: this module knows nothing
-about the sidecar protocol.  :class:`Corruption` duck-types -- any
-payload dataclass with a ``frame: bytes`` field gets its bytes flipped;
-everything else can be handled by passing a custom ``corrupter`` (the
-chaos package supplies a sidecar-aware one).  Randomized injectors take a
-seed, so every chaos scenario replays identically.
+about the sidecar protocol.  :class:`Corruption` is handed the
+``corrupter`` that builds each mangled packet (the chaos package supplies
+the sidecar-aware one, on :func:`flip_frame_bits`).  Randomized injectors
+take a seed, so every chaos scenario replays identically.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -167,33 +165,17 @@ def flip_frame_bits(frame: bytes, rng: random.Random) -> bytes:
     return bytes(data)
 
 
-def default_corrupter(packet: Packet,
-                      rng: random.Random) -> Packet | None:
-    """Bit-flip any payload that carries raw ``frame`` bytes.
-
-    Returns the corrupted packet, or None when this payload carries no
-    byte frame to corrupt (the injector then leaves the packet intact).
-    """
-    payload = packet.payload
-    frame = getattr(payload, "frame", None)
-    if not isinstance(frame, bytes) or not frame:
-        return None
-    mangled = dataclasses.replace(payload, frame=flip_frame_bits(frame, rng))
-    return packet.with_payload(mangled)
-
-
 class Corruption(FaultInjector):
     """Corrupt a fraction of packets (seeded, replayable).
 
-    ``corrupter(packet, rng)`` builds the corrupted replacement;
-    :func:`default_corrupter` flips bits in ``payload.frame`` bytes.
+    ``corrupter(packet, rng)`` builds the corrupted replacement, or
+    returns None to leave the packet intact.
     """
 
-    def __init__(self, rate: float, seed: int = 0,
-                 kinds: Iterable[PacketKind] | None = None,
-                 corrupter: Callable[[Packet, random.Random],
-                                     Packet | None] = default_corrupter) \
-            -> None:
+    def __init__(self, rate: float,
+                 corrupter: Callable[[Packet, random.Random], Packet | None],
+                 seed: int = 0,
+                 kinds: Iterable[PacketKind] | None = None) -> None:
         if not 0 <= rate <= 1:
             raise SimulationError(f"corruption rate must be in [0,1], got {rate}")
         super().__init__(kinds=kinds)
@@ -272,33 +254,3 @@ class DelaySpike(FaultInjector):
         if in_window(self.windows, now):
             return FaultDecision(extra_delay=self.extra_delay_s)
         return FaultDecision.none()
-
-
-class CompositeFault(FaultInjector):
-    """Run several injectors in order, merging their decisions.
-
-    Drops short-circuit (later injectors are not consulted); extra
-    delays add; copies take the maximum; a later replacement supersedes
-    an earlier one (its corrupter saw the already-corrupted packet).
-    """
-
-    def __init__(self, injectors: Sequence[FaultInjector]) -> None:
-        super().__init__(kinds=None)
-        self.injectors = list(injectors)
-
-    def on_transmit(self, packet: Packet, now: float) -> FaultDecision:
-        merged = FaultDecision()
-        current = packet
-        for injector in self.injectors:
-            decision = injector.on_transmit(current, now)
-            if decision.drop or decision.copies == 0:
-                return FaultDecision(drop=True)
-            merged.extra_delay += decision.extra_delay
-            merged.copies = max(merged.copies, decision.copies)
-            if decision.replacement is not None:
-                merged.replacement = decision.replacement
-                current = decision.replacement
-        return merged
-
-    def _decide(self, packet: Packet, now: float) -> FaultDecision:
-        raise AssertionError("CompositeFault overrides on_transmit")

@@ -156,10 +156,6 @@ class Packet:
             )
         return self._protected
 
-    @property
-    def has_protected_payload(self) -> bool:
-        return self._key is not None
-
     def __repr__(self) -> str:
         ident = f"{self.identifier:#010x}" if self.identifier is not None else "-"
         return (f"Packet(uid={self.uid}, {self.src}->{self.dst}, "

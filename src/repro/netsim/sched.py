@@ -359,10 +359,6 @@ class CalendarScheduler:
             del buckets[idx]
         return None
 
-    def pending(self) -> int:
-        return sum(1 for bucket in self._buckets.values() for entry in bucket
-                   if not entry[2].cancelled)
-
     def stats(self) -> dict[str, int]:
         return {
             "events_dispatched": self.events_dispatched,

@@ -17,7 +17,7 @@ means is not the mean).  This module merges and queries such snapshots:
 
 Quantiles over a merged histogram are exact-to-bucket: the reported
 p50/p90/p99/p999 is the upper bound of the bucket the rank lands in,
-never an interpolation (``Histogram.quantile`` semantics).
+never an interpolation (:func:`~repro.obs.metrics.hist_quantile`).
 
 Determinism: every series here is driven by virtual-time simulation
 events, so a merged snapshot is a pure function of the cell set --

@@ -146,9 +146,6 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def quantile(self, q: float) -> float:
-        return hist_quantile(self.snapshot(), q)
-
     def merge(self, state: dict) -> None:
         """Add a peer's snapshot state bucket-wise (the bounds are equal:
         the family was asked for under the peer's)."""

@@ -125,11 +125,6 @@ class QuackBank:
         quack._count = int(self._counts[flow])
         return quack
 
-    def reset_flow(self, flow: int) -> None:
-        """Restart one flow's accumulator (the epoch-reset hook)."""
-        self._sums[flow, :] = 0
-        self._counts[flow] = 0
-
     def __len__(self) -> int:
         return self.num_flows
 

@@ -14,18 +14,14 @@ probability for n = 1000:
     bits:   8      16      24       32
     prob:   0.98   0.015   6.0e-05  2.3e-07
 
-This module provides the closed form, the Table 3 row, and a Monte-Carlo
-estimator used by the tests to validate the closed form empirically.
+This module provides the closed form and a Monte-Carlo estimator used
+to validate the closed form empirically.
 """
 
 from __future__ import annotations
 
 import math
 import random
-
-#: The identifier widths and the list length of Table 3.
-TABLE3_BITS: tuple[int, ...] = (8, 16, 24, 32)
-TABLE3_N = 1000
 
 
 def collision_probability(n: int, bits: int) -> float:
@@ -41,16 +37,6 @@ def collision_probability(n: int, bits: int) -> float:
         raise ValueError(f"need at least one identifier bit, got {bits}")
     # expm1/log1p keep precision when 1/2**bits is tiny (b=32 -> 2.3e-7).
     return -math.expm1((n - 1) * math.log1p(-(0.5 ** bits)))
-
-
-def expected_collisions(n: int, bits: int) -> float:
-    """Expected number of packets among ``n`` involved in a collision."""
-    return n * collision_probability(n, bits)
-
-
-def table3_row() -> dict[int, float]:
-    """The collision probabilities Table 3 reports, keyed by bit width."""
-    return {b: collision_probability(TABLE3_N, b) for b in TABLE3_BITS}
 
 
 def monte_carlo_collision_rate(n: int, bits: int, trials: int,

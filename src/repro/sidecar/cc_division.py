@@ -70,10 +70,6 @@ class PacingProxyStats(ConsumerEndpointStats):
     buffer_drops: int = field(default=0, init=False)
     max_buffer_depth: int = field(default=0, init=False)
 
-    @property
-    def quacks_from_client(self) -> int:
-        return self.quacks_received
-
 
 class PacingProxy(ConsumerEndpoint):
     """The congestion-control-division proxy: buffer, pace, quACK.

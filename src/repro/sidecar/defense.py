@@ -26,10 +26,10 @@ an honest observer *cannot* violate:
   more of the flow than the sender put on the wire.
 * **inter-quACK rate sanity** -- an honest emitter is bounded by its
   frequency policy; a flood of snapshots is a signal in itself.
-* **decoded-missing subseteq sent-log** -- enforced structurally (the
-  decoder only matches roots against the sender's own log,
-  :func:`~repro.quack.decoder.decode_delta`) and re-checkable with
-  :func:`missing_within_log`.
+* **decoded-missing subseteq sent-log** -- enforced structurally by the
+  decoder, which only matches roots against the sender's own log
+  (:func:`~repro.quack.decoder.decode_delta`); no separate gate checks
+  it again.
 * **forged evidence** -- a CRC-valid snapshot that passes every count
   gate but whose power sums and count disagree (an undecodable delta)
   is cryptographically inconsistent state: either an extremely rare
@@ -58,7 +58,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from repro.quack.base import DecodeStatus
 
@@ -306,28 +305,6 @@ class PlausibilityValidator:
         if why is None:
             return None
         return self._signal(now, SignalKind.IMPLAUSIBLE_RESUME, *why)
-
-
-def missing_within_log(missing: Iterable[int],
-                       log_identifiers: Iterable[int]) -> list[int]:
-    """Identifiers decoded as missing that were never in the sent log.
-
-    :func:`~repro.quack.decoder.decode_delta` matches roots against the
-    sender's own log, so a non-empty return is unreachable through that
-    path; the check exists as defense in depth for alternative decoders
-    and as the executable statement of the decoded-missing subseteq
-    sent-log gate.
-    """
-    from collections import Counter
-
-    budget = Counter(log_identifiers)
-    alien: list[int] = []
-    for identifier in missing:
-        if budget.get(identifier, 0) > 0:
-            budget[identifier] -= 1
-        else:
-            alien.append(identifier)
-    return alien
 
 
 # -- the quarantine ledger -----------------------------------------------------

@@ -408,16 +408,13 @@ class FlowTable:
         self._remove(record, "close")
         return True
 
-    def clamp_tenant(self, tenant: str, budget_bytes: int | None) -> int:
-        """Force a tenant's budget down (``None`` restores the default).
+    def clamp_tenant(self, tenant: str, budget_bytes: int) -> int:
+        """Force a tenant's budget down for the rest of the run.
 
         Unlike LRU-on-admit this evicts *immediately*, active flows
         included -- the memory-pressure semantics of a host cgroup
         clamp.  Returns the number of flows evicted.
         """
-        if budget_bytes is None:
-            self._budget_override.pop(tenant, None)
-            return 0
         self._budget_override[tenant] = budget_bytes
         evicted = 0
         while (self._tenant_bank.get(tenant, 0) > budget_bytes
@@ -562,9 +559,14 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
     p99 budget bounds is actually visible (ticks aligned with the batch
     timer would measure an unrepresentative zero).
     """
-    if flows < 1 or tenants < 1 or packets_per_flow < 0:
-        raise ValueError("flows/tenants must be >= 1 and "
-                         "packets_per_flow >= 0")
+    for name, value, floor in (("flows", flows, 1), ("tenants", tenants, 1),
+                               ("packets_per_flow", packets_per_flow, 0),
+                               ("churn_rate", churn_rate, 0)):
+        if value < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value}")
+    for name, value in (("duration_s", duration_s), ("tick_s", tick_s)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     sim = Simulator()
     config = FlowTableConfig(
         max_flows=max_flows if max_flows is not None else max(2 * flows, 16),

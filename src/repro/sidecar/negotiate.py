@@ -75,18 +75,6 @@ FEATURE_VERSION_SWITCH = 0x04  #: mid-connection version upgrades
 
 ALL_FEATURES = FEATURE_RESUME | FEATURE_DEFENSE | FEATURE_VERSION_SWITCH
 
-_FEATURE_NAMES = {
-    FEATURE_RESUME: "resume",
-    FEATURE_DEFENSE: "defense",
-    FEATURE_VERSION_SWITCH: "version-switch",
-}
-
-
-def feature_names(bits: int) -> list[str]:
-    """Human-readable names of the feature bits set in ``bits``."""
-    return [name for bit, name in sorted(_FEATURE_NAMES.items())
-            if bits & bit]
-
 
 @dataclass(frozen=True)
 class Capabilities:

@@ -196,9 +196,6 @@ class CheckpointStore:
             self.loads += 1
         return self.blob
 
-    def clear(self) -> None:
-        self.blob = None
-
     def __repr__(self) -> str:
         size = len(self.blob) if self.blob is not None else 0
         return f"CheckpointStore({self.writes} writes, latest {size} B)"

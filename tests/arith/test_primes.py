@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.arith.primes import (
     is_prime,
     largest_prime_in_bits,
-    next_prime,
     prev_prime,
 )
 from repro.errors import ArithmeticDomainError
@@ -80,19 +79,6 @@ class TestPrevNextPrime:
             prev_prime(2)
         with pytest.raises(ArithmeticDomainError):
             prev_prime(0)
-
-    def test_next_prime_basic(self):
-        assert next_prime(1) == 2
-        assert next_prime(2) == 3
-        assert next_prime(7) == 11
-        assert next_prime(65_520) == 65_521
-
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    @settings(max_examples=60)
-    def test_next_prime_properties(self, n):
-        p = next_prime(n)
-        assert p > n
-        assert is_prime(p)
 
     @given(st.integers(min_value=3, max_value=10 ** 6))
     @settings(max_examples=60)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.bench.traces import (
-    PacketTrace,
     cbr_arrivals,
     run_session,
     survival_probability,
@@ -37,13 +36,6 @@ class TestSynthesizeTrace:
             10, loss=DeterministicLoss({0, 1, 2}), seed=1)
         assert trace.loss_count == 3
         assert trace.loss_rate == pytest.approx(0.3)
-        assert trace.longest_loss_burst() == 3
-
-    def test_burst_detection(self):
-        trace = PacketTrace(times=(0, 1, 2, 3, 4),
-                            dropped=(False, True, True, False, True),
-                            identifiers=(1, 2, 3, 4, 5))
-        assert trace.longest_loss_burst() == 2
 
 
 class TestRunSession:

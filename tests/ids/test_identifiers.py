@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.ids.identifiers import (
@@ -40,29 +39,10 @@ class TestIdentifierFactory:
         with pytest.raises(ValueError):
             IdentifierFactory(b"", bits=32)
 
-    def test_identifiers_batch_matches_scalar(self):
-        f = IdentifierFactory(b"key")
-        batch = f.identifiers(50)
-        assert batch.dtype == np.uint64
-        assert batch.tolist() == [f.identifier(i) for i in range(50)]
-
-    def test_stream(self):
-        f = IdentifierFactory(b"key")
-        stream = f.stream()
-        assert [next(stream) for _ in range(4)] == \
-            [f.identifier(i) for i in range(4)]
-
-    def test_fresh_uses_distinct_keys(self):
-        rng = random.Random(0)
-        a = IdentifierFactory.fresh(rng)
-        b = IdentifierFactory.fresh(rng)
-        assert a.key != b.key
-
     def test_uniformity_coarse(self):
         # Mean of uniform 32-bit values should be near 2**31.
         f = IdentifierFactory(b"uniformity")
-        values = f.identifiers(4000)
-        mean = float(values.mean())
+        mean = sum(f.identifier(i) for i in range(4000)) / 4000
         assert abs(mean - 2 ** 31) < 2 ** 31 * 0.05
 
 

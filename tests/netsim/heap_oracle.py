@@ -140,9 +140,6 @@ class HeapScheduler:
         self._drop_cancelled_head()
         return self._heap[0][0] if self._heap else None
 
-    def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
-
     def stats(self) -> dict[str, int]:
         return {
             "events_dispatched": self.events_dispatched,

@@ -206,12 +206,6 @@ class TestRunControl:
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_pending_events(self, sim):
-        handles = [sim.schedule(1.0, lambda: None) for _ in range(4)]
-        assert sim.pending_events == 4
-        handles[0].cancel()
-        assert sim.pending_events == 3
-
     def test_handle_time_property(self, sim):
         handle = sim.schedule(4.5, lambda: None)
         assert handle.time == 4.5

@@ -11,7 +11,6 @@ from repro.netsim.faults import (
     SIDECAR_KINDS,
     Blackout,
     BurstLoss,
-    CompositeFault,
     Corruption,
     DelaySpike,
     Duplication,
@@ -32,6 +31,15 @@ def packet(kind=PacketKind.QUACK, payload=None):
 @dataclasses.dataclass(frozen=True)
 class FramedPayload:
     frame: bytes
+
+
+def flip_frame(packet, rng):
+    """A corrupter for payloads with a ``frame: bytes`` field."""
+    frame = getattr(packet.payload, "frame", None)
+    if not isinstance(frame, bytes):
+        return None
+    return packet.with_payload(dataclasses.replace(
+        packet.payload, frame=flip_frame_bits(frame, rng)))
 
 
 class TestBlackout:
@@ -58,7 +66,7 @@ class TestBlackout:
 
 class TestCorruption:
     def test_flips_frame_bytes(self):
-        noise = Corruption(rate=1.0, seed=7)
+        noise = Corruption(rate=1.0, corrupter=flip_frame, seed=7)
         original = packet(payload=FramedPayload(frame=b"\x00" * 20))
         decision = noise.on_transmit(original, 0.0)
         assert decision.replacement is not None
@@ -67,12 +75,12 @@ class TestCorruption:
         assert noise.stats.corrupted == 1
 
     def test_leaves_frameless_payloads_alone(self):
-        noise = Corruption(rate=1.0, seed=7)
+        noise = Corruption(rate=1.0, corrupter=flip_frame, seed=7)
         decision = noise.on_transmit(packet(payload="not bytes"), 0.0)
         assert decision.replacement is None
 
     def test_rate_zero_never_corrupts(self):
-        noise = Corruption(rate=0.0, seed=7)
+        noise = Corruption(rate=0.0, corrupter=flip_frame, seed=7)
         for _ in range(50):
             decision = noise.on_transmit(
                 packet(payload=FramedPayload(frame=b"x" * 8)), 0.0)
@@ -81,7 +89,7 @@ class TestCorruption:
     def test_seeded_replay_is_identical(self):
         outcomes = []
         for _ in range(2):
-            noise = Corruption(rate=0.5, seed=42)
+            noise = Corruption(rate=0.5, corrupter=flip_frame, seed=42)
             outcomes.append([
                 noise.on_transmit(
                     packet(payload=FramedPayload(frame=bytes(range(16)))),
@@ -113,23 +121,6 @@ class TestDuplicationBurstDelay:
         spike = DelaySpike([(0.0, 1.0)], extra_delay_s=0.25)
         assert spike.on_transmit(packet(), 0.5).extra_delay == 0.25
         assert spike.on_transmit(packet(), 1.5).extra_delay == 0.0
-
-
-class TestComposite:
-    def test_merges_decisions(self):
-        composite = CompositeFault([
-            DelaySpike([(0.0, 10.0)], extra_delay_s=0.1),
-            Duplication(rate=1.0, seed=1),
-        ])
-        decision = composite.on_transmit(packet(), 1.0)
-        assert decision.extra_delay == pytest.approx(0.1)
-        assert decision.copies == 2
-
-    def test_drop_short_circuits(self):
-        dupes = Duplication(rate=1.0, seed=1)
-        composite = CompositeFault([Blackout([(0.0, 10.0)]), dupes])
-        assert composite.on_transmit(packet(), 1.0).drop
-        assert dupes.stats.considered == 0
 
 
 class TestLinkIntegration:
@@ -166,7 +157,8 @@ class TestLinkIntegration:
         assert len(delivered) == 1
 
     def test_corruption_swaps_payload(self):
-        sim, link, delivered = self.build(Corruption(rate=1.0, seed=3))
+        sim, link, delivered = self.build(Corruption(rate=1.0, corrupter=flip_frame,
+                                                   seed=3))
         link.send(packet(payload=FramedPayload(frame=b"\xaa" * 12)))
         sim.run(until=1.0)
         assert len(delivered) == 1

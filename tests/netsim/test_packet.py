@@ -17,7 +17,6 @@ class TestBasics:
         assert p.kind is PacketKind.DATA
         assert p.identifier is None
         assert p.payload is None
-        assert not p.has_protected_payload
 
     def test_repr_with_identifier(self):
         p = Packet(src="a", dst="b", size_bytes=10, identifier=0xDEADBEEF)
@@ -33,7 +32,6 @@ class TestSealedPayload:
         p = Packet.sealed(src="a", dst="b", size_bytes=10, key=b"secret",
                           payload={"seq": 7})
         assert p.protected_payload(b"secret") == {"seq": 7}
-        assert p.has_protected_payload
 
     def test_wrong_key_rejected(self):
         p = Packet.sealed(src="a", dst="b", size_bytes=10, key=b"secret",

@@ -12,6 +12,7 @@ from repro.obs.metrics import (
     Histogram,
     Metric,
     MetricsRegistry,
+    hist_quantile,
     json_safe,
     series_rows,
     summarize_hist,
@@ -69,8 +70,8 @@ class TestHistogram:
         hist = Histogram(buckets=(1.0, 2.0, 4.0))
         for value in (0.5, 0.5, 1.5, 3.0):
             hist.observe(value)
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(1.0) == 4.0
+        assert hist_quantile(hist.snapshot(), 0.5) == 1.0
+        assert hist_quantile(hist.snapshot(), 1.0) == 4.0
 
     def test_empty_snapshot_has_no_extremes(self):
         snap = Histogram().snapshot()
@@ -79,7 +80,7 @@ class TestHistogram:
 
     def test_quantile_validation(self):
         with pytest.raises(ObservabilityError):
-            Histogram().quantile(1.5)
+            hist_quantile(Histogram().snapshot(), 1.5)
 
     def test_overflow_quantile_reports_observed_max(self):
         # Every sample lands past the last bound: the bound itself would
@@ -87,14 +88,14 @@ class TestHistogram:
         hist = Histogram(buckets=(1.0, 2.0))
         for value in (5.0, 8.0, 50.0):
             hist.observe(value)
-        assert hist.quantile(0.99) == 50.0
-        assert hist.quantile(0.5) == 50.0
+        assert hist_quantile(hist.snapshot(), 0.99) == 50.0
+        assert hist_quantile(hist.snapshot(), 0.5) == 50.0
 
     def test_overflow_quantile_never_below_last_bound(self):
         snap = Histogram(buckets=(1.0, 2.0))
         snap.counts[-1] = 1  # overflow count with maximum unset
         snap.count = 1
-        assert snap.quantile(0.99) == 2.0
+        assert hist_quantile(snap.snapshot(), 0.99) == 2.0
 
     def test_needs_buckets(self):
         with pytest.raises(ObservabilityError):
@@ -130,7 +131,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         family = registry.histogram("lat_seconds", buckets=(0.5, 1.0, 3.0))
         family.labels().observe(2.0)
-        assert family.labels().quantile(0.5) == 3.0
+        assert hist_quantile(family.labels().snapshot(), 0.5) == 3.0
         # Re-registration with the same override is idempotent.
         assert registry.histogram("lat_seconds",
                                   buckets=(0.5, 1.0, 3.0)) is family

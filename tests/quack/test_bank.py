@@ -138,14 +138,6 @@ class TestDecodePath:
         assert bank.count(0) == bank.count(1) == bank.count(2) == 1
         assert bank.power_sums(0) != bank.power_sums(1)
 
-    def test_reset_flow(self):
-        bank = QuackBank(2, threshold=4)
-        bank.observe_batch([0, 1], [5, 6])
-        bank.reset_flow(0)
-        assert bank.count(0) == 0
-        assert bank.power_sums(0) == (0, 0, 0, 0)
-        assert bank.count(1) == 1  # untouched
-
     def test_count_wraps(self):
         bank = QuackBank(1, threshold=2, count_bits=4)
         bank.observe_batch([0] * 20, list(range(1, 21)))

@@ -6,11 +6,8 @@ import random
 import pytest
 
 from repro.quack.collision import (
-    TABLE3_BITS,
     collision_probability,
-    expected_collisions,
     monte_carlo_collision_rate,
-    table3_row,
 )
 
 
@@ -53,17 +50,6 @@ class TestClosedForm:
             collision_probability(0, 32)
         with pytest.raises(ValueError):
             collision_probability(10, 0)
-
-
-class TestDerived:
-    def test_expected_collisions(self):
-        assert expected_collisions(1000, 16) == pytest.approx(
-            1000 * collision_probability(1000, 16))
-
-    def test_table3_row_keys(self):
-        row = table3_row()
-        assert tuple(row) == TABLE3_BITS
-        assert row[32] == collision_probability(1000, 32)
 
 
 class TestMonteCarlo:

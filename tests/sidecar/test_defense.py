@@ -20,7 +20,6 @@ from repro.sidecar.defense import (
     SignalKind,
     count_lead,
     count_regression,
-    missing_within_log,
     resume_implausibility,
 )
 from repro.sidecar.health import (
@@ -181,18 +180,6 @@ class TestDecodeAndResumeGates:
         validator = make_validator()
         assert validator.check_resume(0, 180, current_epoch=0,
                                       sent_count=200, now=0.0) is None
-
-
-class TestMissingWithinLog:
-    def test_subset_is_clean(self):
-        assert missing_within_log([3, 5], [1, 3, 5, 7]) == []
-
-    def test_alien_identifiers_are_reported(self):
-        assert missing_within_log([3, 99], [1, 3, 5]) == [99]
-
-    def test_multiplicity_is_respected(self):
-        # The log holds one copy of 3; a second missing 3 is alien.
-        assert missing_within_log([3, 3], [1, 3, 5]) == [3]
 
 
 def signal_at(time: float,

@@ -141,8 +141,8 @@ class TestClamp:
         assert evicted == 2
         assert table.stats.flows_evicted == 2
         assert table.flows == 1
-        # None restores the default budget: admissions work again.
-        table.clamp_tenant("t0", None)
+        # A clamp back to the configured budget: admissions work again.
+        assert table.clamp_tenant("t0", 10 * BANK) == 0
         assert table.admit("t0", "fresh") is not None
 
     def test_clamp_to_zero_removes_every_flow(self):
@@ -249,9 +249,15 @@ class TestLedgerIntegration:
 
 
 class TestRunScale:
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            run_scale(flows=0)
+    @pytest.mark.parametrize("parameter, value", [
+        ("flows", 0), ("tenants", 0), ("packets_per_flow", -1),
+        ("churn_rate", -1.0), ("duration_s", 0.0), ("duration_s", -1.0),
+        ("tick_s", 0.0), ("tick_s", -0.01)])
+    def test_validates_inputs(self, parameter, value):
+        # Each would otherwise run: a division by zero, a schedule into
+        # the past, one tick of a zero-length run, or no churn at all.
+        with pytest.raises(ValueError, match=f"^{parameter} must be"):
+            run_scale(**{"flows": 10, parameter: value})
 
     def test_deterministic_across_runs(self):
         first = run_scale(flows=200, tenants=4, churn_rate=0.5,

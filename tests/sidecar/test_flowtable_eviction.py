@@ -120,8 +120,11 @@ class CheckedTable:
         self.admit(record.tenant, record.flow_id)
 
     def clamp(self, tenant: str, banks: int | None) -> None:
+        """Squeeze ``tenant`` to ``banks`` banks; None clamps it back to
+        the configured budget."""
         self.table.clamp_tenant(
-            tenant, None if banks is None else banks * BANK)
+            tenant, self.table.config.tenant_budget_bytes if banks is None
+            else banks * BANK)
         self.check()
 
     def advance(self, seconds: float) -> None:

@@ -27,7 +27,6 @@ from repro.sidecar.negotiate import (
     Initiator,
     NegotiateConfig,
     Session,
-    feature_names,
     hello_transcript,
     respond,
     select_version,
@@ -67,12 +66,6 @@ class TestCapabilities:
         assert (hello.threshold, hello.bits) == (24, 16)
         assert (hello.min_version, hello.max_version) == (1, 2)
         assert hello.features == ALL_FEATURES
-
-    def test_feature_names(self):
-        assert feature_names(ALL_FEATURES) \
-            == ["resume", "defense", "version-switch"]
-        assert feature_names(FEATURE_DEFENSE) == ["defense"]
-        assert feature_names(0) == []
 
 
 class TestRespond:

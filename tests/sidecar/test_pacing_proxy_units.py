@@ -107,7 +107,7 @@ class TestQuackFeedback:
         client.send(quack_packet("client", "proxy", receiver_quack, "f",
                                  sim.now))
         sim.run(until=0.3)
-        assert agent.stats.quacks_from_client == 1
+        assert agent.stats.quacks_received == 1
         assert agent.stats.decode_failures == 0
         assert agent.stats.forwarded == 4  # window freed, rest drained
 
@@ -130,7 +130,7 @@ class TestQuackFeedback:
         outstanding = agent.consumer.outstanding
         client.send(mangled)
         sim.run(until=0.2)
-        assert agent.stats.quacks_from_client == 1
+        assert agent.stats.quacks_received == 1
         assert agent.stats.decode_failures == 1
         assert agent.consumer.outstanding == outstanding
         assert agent.stats.forwarded == 2  # window still shut

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro.chaos.injectors import sidecar_corrupter
 from repro.netsim.core import Simulator
-from repro.netsim.faults import Blackout, Corruption, default_corrupter
+from repro.netsim.faults import Blackout, Corruption
 from repro.netsim.loss import DeterministicLoss
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import Packet, PacketKind
@@ -114,7 +115,7 @@ class TestCorruptQuack:
             if flipped:
                 return None
             flipped.append(packet)
-            return default_corrupter(packet, rng)
+            return sidecar_corrupter(packet, rng)
 
         sim, server, p1, p2, client, sp, rp, received = build_segment(
             loss_ordinals={2},

@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 from repro.chaos.harness import PLANS, ChaosSetup
+from repro.chaos.injectors import sidecar_corrupter
 from repro.netsim.faults import Corruption
 from repro.netsim.packet import PacketKind
 from repro.sidecar.ack_reduction import ack_reduction_row, run_ack_reduction
@@ -58,7 +59,7 @@ class TestCcDivision:
     def test_client_actually_quacked(self, results):
         _, sidecar = results
         assert sidecar.client_quacks > 0
-        assert sidecar.proxy_stats.quacks_from_client > 0
+        assert sidecar.proxy_stats.quacks_received > 0
 
     def test_proxy_took_custody_of_all_data(self, results):
         _, sidecar = results
@@ -211,7 +212,8 @@ class TestCorruptQuackChannel:
 
     @staticmethod
     def _run_with_corrupt_quacks(row, rate=0.05):
-        injector = Corruption(rate, seed=5, kinds=[PacketKind.QUACK])
+        injector = Corruption(rate, sidecar_corrupter, seed=5,
+                              kinds=[PacketKind.QUACK])
         setup = ChaosSetup(faults_toward_server=injector)
         return run_row(row, setup), injector
 

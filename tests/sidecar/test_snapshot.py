@@ -197,12 +197,6 @@ class TestCheckpointStore:
         assert store.writes == 2
         assert store.loads == 1
 
-    def test_clear_models_a_lost_disk(self):
-        store = CheckpointStore()
-        store.save(b"data")
-        store.clear()
-        assert store.load() is None
-
 
 class TestRestoreValidation:
     """What a restarting emitter may adopt; anything else cold-starts."""

@@ -71,7 +71,6 @@ ALLOWED: dict[str, str] = {
                f"at {path}:{line}"
        for option, (path, line) in ASSIGNED.items()},
     "find_all_roots.rng": "test seam: seeds the randomized factoring",
-    "IdentifierFactory.fresh.rng": "test seam: seeds the per-connection key",
     "main.argv": "test seam: the CLI's argv (None reads sys.argv)",
     "encode_checkpoint.version": (
         "test seam: pins a checkpoint's wire version, so each format and "
@@ -362,7 +361,7 @@ def test_the_audit_sees_options_and_call_sites():
     assert "stat" in used["fig6_series"]                 # repro.bench
     assert "telemetry" in used["run_sweep"]              # repro.sweep
     assert "flow_id" in used["SenderConnection"]  # repro.transport, via **
-    assert len(ALLOWED) == 40
+    assert len(ALLOWED) == 39
 
 
 def test_assigned_options_are_assigned_where_allowed():
