@@ -236,10 +236,16 @@ class PowerSumQuack(Quack):
             self._fold(self._pending)
             self._pending = None
         self._room = BATCH_CROSSOVER
-        clone = PowerSumQuack(self.threshold, self.bits, self.count_bits,
-                              field=self.field)
-        clone._sums = list(self._sums)
+        # Slot by slot: the parameters were validated at construction.
+        clone = object.__new__(PowerSumQuack)
+        clone.field = self.field
+        clone.threshold = self.threshold
+        clone.bits = self.bits
+        clone.count_bits = self.count_bits
+        clone._sums = self._sums[:]
         clone._count = self._count
+        clone._pending = None
+        clone._room = BATCH_CROSSOVER
         return clone
 
     def wire_size_bits(self) -> int:

@@ -61,23 +61,21 @@ class FlowAccounts:
         self._flows = {}
         self.evicted_flows = 0
 
-    def _account(self, flow: str) -> FlowAccount:
-        account = self._flows.get(flow)
-        if account is None:
-            account = self._flows[flow] = FlowAccount()
-        return account
-
     # -- hook sites (call only behind an ``if FLOW_ACCOUNTS.armed``) ------
 
     def on_observe(self, flow: str, bank_bytes: int) -> None:
         """One identifier folded into ``flow``'s bank."""
-        account = self._account(flow)
+        account = self._flows.get(flow)
+        if account is None:
+            account = self._flows[flow] = FlowAccount()
         account.observed += 1
         account.bank_bytes = bank_bytes
 
     def on_emit(self, flow: str, frame_bytes: int) -> None:
         """One quACK frame emitted for ``flow``."""
-        account = self._account(flow)
+        account = self._flows.get(flow)
+        if account is None:
+            account = self._flows[flow] = FlowAccount()
         account.frames_emitted += 1
         account.bytes_emitted += frame_bytes
 

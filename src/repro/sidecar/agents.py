@@ -291,7 +291,8 @@ class EmitterEndpoint(_Endpoint):
             else None
         if blob is None:
             return
-        restored = restore_checkpoint(blob, self.flow_id, self.threshold)
+        restored = restore_checkpoint(blob, self.flow_id,
+                                      self.emitter.quack)
         if restored is None:
             self.checkpoint_corrupt += 1
             return

@@ -28,6 +28,11 @@ class EmitterStats:
     emitted_bytes: int = field(default=0, init=False)
 
 
+#: Shared by every emitter built without a policy: it has no mutating
+#: method (the retunable ``AdaptiveFrequency`` is always passed in).
+DEFAULT_POLICY = PacketCountFrequency(2)
+
+
 class QuackEmitter:
     """Observes identifiers; produces quACK snapshots per policy.
 
@@ -38,18 +43,21 @@ class QuackEmitter:
 
     One emitter exists per tracked flow, so the class is
     ``__slots__``-based for the million-flow regime (ROADMAP item 2).
+    ``bank_bytes`` is the accumulator's wire size in whole bytes, fixed
+    for the emitter's life: what the ledger and the flow table meter.
     """
 
-    __slots__ = ("quack", "policy", "flow", "stats",
+    __slots__ = ("quack", "policy", "flow", "stats", "bank_bytes",
                  "_packets_since_emit", "_last_emit")
 
     def __init__(self, threshold: int, bits: int = 32,
                  policy: FrequencyPolicy | None = None,
                  flow: str = "") -> None:
         self.quack = PowerSumQuack(threshold, bits)
-        self.policy = policy if policy is not None else PacketCountFrequency(2)
+        self.policy = policy if policy is not None else DEFAULT_POLICY
         self.flow = flow
         self.stats = EmitterStats()
+        self.bank_bytes = (self.quack.wire_size_bits() + 7) // 8
         self._packets_since_emit = 0
         self._last_emit = 0.0
 
@@ -76,8 +84,7 @@ class QuackEmitter:
             obs.TRACER.emit("sidecar.mb_observe", now,
                             flow=flow if flow is not None else "?", ctx=ctx)
         if FLOW_ACCOUNTS.armed:
-            FLOW_ACCOUNTS.on_observe(
-                self.flow, (self.quack.wire_size_bits() + 7) // 8)
+            FLOW_ACCOUNTS.on_observe(self.flow, self.bank_bytes)
         self.stats.observed += 1
         self._packets_since_emit += 1
         return self.policy.on_packet(self._packets_since_emit, now,
@@ -96,12 +103,10 @@ class QuackEmitter:
         self._packets_since_emit = 0
         self._last_emit = now
         self.stats.emitted += 1
-        snapshot = self.quack.copy()
-        frame_bytes = (snapshot.wire_size_bits() + 7) // 8
-        self.stats.emitted_bytes += frame_bytes
+        self.stats.emitted_bytes += self.bank_bytes
         if FLOW_ACCOUNTS.armed:
-            FLOW_ACCOUNTS.on_emit(self.flow, frame_bytes)
-        return snapshot
+            FLOW_ACCOUNTS.on_emit(self.flow, self.bank_bytes)
+        return self.quack.copy()
 
     @property
     def pending_packets(self) -> int:

@@ -183,10 +183,6 @@ class FlowTable:
 
     # -- admission --------------------------------------------------------
 
-    def _tenant_budget(self, tenant: str) -> int:
-        return self._budget_override.get(tenant,
-                                         self.config.tenant_budget_bytes)
-
     def admit(self, tenant: str, flow_id: str, *,
               emitter: QuackEmitter | None = None,
               on_emit=None, on_evict=None) -> FlowRecord | None:
@@ -200,9 +196,9 @@ class FlowTable:
         """
         now = self.sim.now
         key = f"{tenant}/{flow_id}"
-        existing = self._tenants.get(tenant, {}).get(key)
-        if existing is not None:
-            return existing
+        records = self._tenants.get(tenant)
+        if records is not None and key in records:
+            return records[key]
         if self._flow_count >= self.config.max_flows:
             return self._reject(tenant, flow_id)
         if emitter is None:
@@ -212,28 +208,36 @@ class FlowTable:
             # The ledger keys on the tenant-qualified flow, so observe
             # and emit hooks must account under the same name.
             emitter.flow = key
-        bank = (emitter.quack.wire_size_bits() + 7) // 8
-        budget = self._tenant_budget(tenant)
-        while (self._tenant_bank.get(tenant, 0) + bank > budget
-               and self._tenants.get(tenant)):
+        bank = emitter.bank_bytes
+        budget = self._budget_override.get(tenant,
+                                           self.config.tenant_budget_bytes)
+        held = self._tenant_bank.get(tenant, 0)
+        while held + bank > budget and records:
             self._remove(self._tenant_lru(tenant), "budget")
-        if self._tenant_bank.get(tenant, 0) + bank > budget:
+            # ``_remove`` drops the tenant's dict once it empties.
+            held = self._tenant_bank.get(tenant, 0)
+            records = self._tenants.get(tenant)
+        if held + bank > budget:
             # The newcomer alone does not fit the tenant's budget.
             return self._reject(tenant, flow_id)
         record = FlowRecord(tenant, flow_id, key, emitter, bank, now,
                             on_emit, on_evict)
-        self._tenants.setdefault(tenant, {})[key] = record
+        if records is None:
+            records = self._tenants[tenant] = {}
+        records[key] = record
         heap = self._lru_heaps.get(tenant)
         if heap is not None:
             self._lru_seq += 1
             heappush(heap, (now, now, key, self._lru_seq, record))
-        self._tenant_bank[tenant] = self._tenant_bank.get(tenant, 0) + bank
+        self._tenant_bank[tenant] = held + bank
         self._bank_total += bank
         self._flow_count += 1
-        self.stats.flows_admitted += 1
-        self.stats.peak_flows = max(self.stats.peak_flows, self._flow_count)
-        self.stats.peak_bank_bytes = max(self.stats.peak_bank_bytes,
-                                         self._bank_total)
+        stats = self.stats
+        stats.flows_admitted += 1
+        if self._flow_count > stats.peak_flows:
+            stats.peak_flows = self._flow_count
+        if self._bank_total > stats.peak_bank_bytes:
+            stats.peak_bank_bytes = self._bank_total
         if obs.TRACER.enabled:
             # Direct: admissions have no per-flow event to derive from.
             obs.count("flowtable_flows_admitted_total")
@@ -244,7 +248,7 @@ class FlowTable:
         crashed or renegotiated), keeping the tenant's bytes equal to
         its resident banks."""
         emitter.flow = record.flow_key
-        bank = (emitter.quack.wire_size_bits() + 7) // 8
+        bank = emitter.bank_bytes
         change = bank - record.bank_bytes
         record.emitter = emitter
         record.bank_bytes = bank
@@ -275,15 +279,16 @@ class FlowTable:
         if not record.live:
             return False
         now = self.sim.now
-        due = record.emitter.note(identifier, now, ctx=ctx,
-                                  flow=record.flow_key)
+        due = (record.emitter.note(identifier, now) if ctx is None else
+               record.emitter.note(identifier, now, ctx=ctx,
+                                   flow=record.flow_key))
         record.observed += 1
         record.last_activity = now
         self.stats.observations += 1
         if due and not record.due:
             record.due = True
             record.due_since = now
-            self._due.append(record)
+            self._due += (record,)      # in place: ``append`` is a call
         return True
 
     # -- the shared emission timer ----------------------------------------
@@ -310,7 +315,7 @@ class FlowTable:
             # to the shared timer putting its frame on the wire.  The
             # SLO budget bounds this tail, not the policy's own wait.
             latency = now - record.due_since
-            self._latencies.append(latency)
+            self._latencies += (latency,)
             if obs.TRACER.enabled:
                 # Direct: ``sidecar.batch_emit`` is per sweep, not per frame.
                 obs.observe("flowtable_emission_latency_seconds",
@@ -599,15 +604,22 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
     per_tick = -(-total_obs // ticks) if total_obs else 0  # ceil div
     tick = cursor = 0
     churn_carry = 0.0
+    # ``rng.randrange(1, 1 << bits)``'s own rejection loop, in one call
+    # per draw: the identifiers are the same, draw for draw.
+    getrandbits = rng.getrandbits
+    reject_from = (1 << bits) - 1
 
     def step() -> None:
         nonlocal tick, cursor, churn_carry
-        for _ in range(per_tick):
-            if cursor >= total_obs:
-                break
-            record = records[cursor % len(records)]
-            cursor += 1
-            table.observe(record, rng.randrange(1, 1 << bits))
+        observe = table.observe
+        admitted = len(records)
+        stop = min(cursor + per_tick, total_obs)
+        for index in range(cursor, stop):
+            identifier = getrandbits(bits)
+            while identifier >= reject_from:
+                identifier = getrandbits(bits)
+            observe(records[index % admitted], identifier + 1)
+        cursor = stop
         churn_carry += churn_rate * flows * tick_s
         replace = int(churn_carry)
         churn_carry -= replace
@@ -656,7 +668,6 @@ def run_scale(*, flows: int = 2000, tenants: int = 8,
 def _default_tenant_budget(flows: int, tenants: int,
                            threshold: int, bits: int) -> int:
     """Room for every flow of an evenly loaded tenant, doubled."""
-    probe = QuackEmitter(threshold, bits)
-    bank = (probe.quack.wire_size_bits() + 7) // 8
+    bank = QuackEmitter(threshold, bits).bank_bytes
     return max(1, bank * (-(-flows // tenants)) * 2)
 

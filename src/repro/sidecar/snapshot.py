@@ -137,18 +137,20 @@ def decode_checkpoint(blob: bytes) -> EmitterCheckpoint:
                              wire_version=wire_version, features=features)
 
 
-def restore_checkpoint(blob: bytes, flow_id: str, threshold: int) \
+def restore_checkpoint(blob: bytes, flow_id: str, fresh: PowerSumQuack) \
         -> tuple[EmitterCheckpoint, PowerSumQuack] | None:
-    """The checkpoint and accumulator a restarting emitter may adopt.
-    None means cold start, exactly as if no checkpoint existed: the blob
-    fails its CRC (a torn write, bit rot), or describes another flow or
-    another quACK configuration."""
+    """The checkpoint and accumulator a restarting emitter (its empty
+    accumulator ``fresh``) may adopt.  None means cold start, as if no
+    checkpoint existed: the blob fails its CRC (a torn write, bit rot),
+    or describes another flow, threshold, ``bits`` or ``count_bits``."""
     try:
         checkpoint = decode_checkpoint(blob)
         restored = checkpoint.quack()
     except WireFormatError:
         return None
-    if checkpoint.flow_id != flow_id or restored.threshold != threshold:
+    if checkpoint.flow_id != flow_id or (
+            (restored.threshold, restored.bits, restored.count_bits)
+            != (fresh.threshold, fresh.bits, fresh.count_bits)):
         return None
     return checkpoint, restored
 

@@ -163,10 +163,6 @@ class RangeSet:
     def max_value(self) -> int | None:
         return self._ranges[-1][1] if self._ranges else None
 
-    @property
-    def min_value(self) -> int | None:
-        return self._ranges[0][0] if self._ranges else None
-
     def covers_contiguously(self, lo: int, hi: int) -> bool:
         """True if every integer in [lo, hi] is present."""
         i = bisect.bisect_right(self._ranges, (lo, float("inf"))) - 1
@@ -174,7 +170,7 @@ class RangeSet:
                 and self._ranges[i][1] >= hi)
 
     def has_gap_below(self, ceiling: int) -> bool:
-        """True if some integer in [min_value, ceiling] is missing.
+        """True if some integer in [smallest element, ceiling] is missing.
 
         Nothing is known below the smallest element, so that is not a
         gap.  Ranges never touch, so the answer is whether the lowest

@@ -14,7 +14,6 @@ from repro.netsim.faults import (
     Corruption,
     DelaySpike,
     Duplication,
-    FaultDecision,
     flip_frame_bits,
 )
 from repro.netsim.link import Link

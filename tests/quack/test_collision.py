@@ -1,6 +1,5 @@
 """Tests for collision analytics (repro.quack.collision) -- Table 3."""
 
-import math
 import random
 
 import pytest

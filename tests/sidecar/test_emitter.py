@@ -1,5 +1,7 @@
 """Tests for the receiver-side sidecar state (repro.sidecar.emitter)."""
 
+import pytest
+
 from repro.sidecar.emitter import QuackEmitter
 from repro.sidecar.frequency import IntervalFrequency, PacketCountFrequency
 
@@ -65,3 +67,26 @@ class TestObserve:
         emitter = QuackEmitter(threshold=4)
         assert emitter.observe(1, 0.0) is None
         assert emitter.observe(2, 0.0) is not None
+
+
+class TestPerFlowConstants:
+    """What is fixed for a flow is computed once, not per packet."""
+
+    @pytest.mark.parametrize("threshold,bits", [(1, 8), (4, 32), (20, 32),
+                                                (7, 64)])
+    def test_bank_bytes_is_the_accumulators_wire_size(self, threshold, bits):
+        emitter = QuackEmitter(threshold, bits)
+        assert emitter.bank_bytes \
+            == (emitter.quack.wire_size_bits() + 7) // 8
+        # A frame is metered at the size it has on the wire.
+        snapshot = emitter.emit(0.0)
+        assert emitter.stats.emitted_bytes \
+            == (snapshot.wire_size_bits() + 7) // 8
+
+    def test_emitters_without_a_policy_share_the_default(self):
+        first, second = QuackEmitter(4), QuackEmitter(4)
+        assert first.policy is second.policy
+        assert isinstance(first.policy, PacketCountFrequency)
+        assert first.policy.every_n == 2
+        assert QuackEmitter(4, policy=PacketCountFrequency(2)).policy \
+            is not first.policy

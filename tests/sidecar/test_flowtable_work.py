@@ -1,4 +1,5 @@
-"""Work-counter gate: a budget eviction does not scan the tenant.
+"""Work-counter gates: a budget eviction does not scan the tenant, and
+an observation, an admission and a frame cost a fixed number of calls.
 
 Machine-independent, like ``tests/transport/test_ack_work.py`` and the
 insert+remove gate in ``test_consumer_truncation.py``: exact counts, no
@@ -16,8 +17,11 @@ from __future__ import annotations
 import cProfile
 from collections import Counter
 
+import pytest
+
 from repro.netsim.core import Simulator
 from repro.sidecar import flowtable
+from repro.sidecar.accounting import FLOW_ACCOUNTS
 from repro.sidecar.flowtable import FlowTable, FlowTableConfig
 from tests.sidecar.flowtable_oracle import BANK
 
@@ -99,3 +103,66 @@ def test_heap_operations_are_bounded_by_the_events_that_cause_them(
     assert sum(operations.values()) <= (stats.flows_admitted
                                         + stats.observations
                                         + 2 * stats.flows_evicted)
+
+
+# -- the per-flow path: what one observation, admission and emission cost --
+#
+# Exact interpreter calls (``_profiled_calls``: the profiled function and
+# ``Profile.disable`` included).  What is fixed for a flow -- its bank
+# size, its policy, its quACK's parameters -- is computed when the flow
+# is admitted, not per packet or per frame, and the ledger's hooks make
+# one dict probe.
+
+#: A flow's first observation, and its second, which makes it due (the
+#: default policy emits every second packet): the table's ``observe``,
+#: the emitter's ``note``, the quACK's ``insert`` and the policy's
+#: ``on_packet``.  An armed ledger adds ``on_observe`` and its one
+#: ``dict.get``, and on the flow's first observation its account.
+OBSERVE_CALLS = {"disarmed": (6, 6), "armed": (9, 8)}
+#: One admission of a new flow into a tenant inside its budget.
+ADMIT_CALLS = 12
+#: One batch sweep: a fixed part, and per due flow ``pending_packets``,
+#: ``emit``, ``copy`` and the clone's ``object.__new__``.
+FLUSH_CALLS = 2
+FLUSH_CALLS_PER_FLOW = 4
+
+
+@pytest.fixture
+def ledger():
+    FLOW_ACCOUNTS.disarm()
+    FLOW_ACCOUNTS.reset()
+    yield FLOW_ACCOUNTS
+    FLOW_ACCOUNTS.disarm()
+    FLOW_ACCOUNTS.reset()
+
+
+@pytest.mark.parametrize("state", sorted(OBSERVE_CALLS))
+def test_an_observation_costs_a_fixed_number_of_calls(ledger, state):
+    if state == "armed":
+        ledger.arm()
+    table = FlowTable(Simulator(), FlowTableConfig())
+    record = table.admit("t0", "f0")
+    calls = (_profiled_calls(lambda: table.observe(record, 11)),
+             _profiled_calls(lambda: table.observe(record, 12)))
+    assert record.due and record.observed == 2
+    assert calls == OBSERVE_CALLS[state]
+
+
+def test_an_admission_costs_a_fixed_number_of_calls():
+    table = FlowTable(Simulator(), FlowTableConfig())
+    table.admit("t0", "f0")
+    calls = _profiled_calls(lambda: table.admit("t0", "f1"))
+    assert table.flows == 2
+    assert calls == ADMIT_CALLS
+
+
+@pytest.mark.parametrize("due", [1, 10])
+def test_a_batch_emission_costs_a_fixed_number_of_calls_per_flow(due):
+    table = FlowTable(Simulator(), FlowTableConfig())
+    for index in range(due):
+        record = table.admit("t0", f"f{index}")
+        table.observe(record, 11)
+        table.observe(record, 12)
+    calls = _profiled_calls(table.flush)
+    assert table.stats.frames_batched == due
+    assert calls == FLUSH_CALLS + FLUSH_CALLS_PER_FLOW * due

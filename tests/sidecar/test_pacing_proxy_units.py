@@ -3,8 +3,6 @@
 import dataclasses
 import random
 
-import pytest
-
 from repro.netsim.core import Simulator
 from repro.netsim.faults import flip_frame_bits
 from repro.netsim.node import Host, Router

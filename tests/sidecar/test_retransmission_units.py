@@ -1,7 +1,5 @@
 """Unit tests for the in-network retransmission proxies (Section 2.3)."""
 
-import random
-
 import pytest
 
 from repro.chaos.injectors import sidecar_corrupter

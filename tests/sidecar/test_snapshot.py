@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
+from repro.netsim.core import Simulator
+from repro.netsim.node import Host
 from repro.quack.power_sum import PowerSumQuack
+from repro.sidecar.agents import EmitterEndpoint
 from repro.sidecar.consumer import QuackConsumer
+from repro.sidecar.frequency import PacketCountFrequency
 from repro.sidecar.snapshot import (
     CheckpointStore,
     EmitterCheckpoint,
@@ -198,32 +202,90 @@ class TestCheckpointStore:
         assert store.loads == 1
 
 
+#: The empty accumulator of the emitter that restarts in these tests.
+FRESH = PowerSumQuack(4)
+
+
 class TestRestoreValidation:
     """What a restarting emitter may adopt; anything else cold-starts."""
 
     def test_a_good_checkpoint_restores_epoch_and_accumulator(self):
         checkpoint = make_checkpoint(epoch=3, values=(7, 8, 9))
         restored = restore_checkpoint(encode_checkpoint(checkpoint),
-                                      "flow0", threshold=4)
+                                      "flow0", FRESH)
         assert restored is not None
         assert restored[0].epoch == 3 and restored[1].count == 3
 
     def test_bit_rot_cold_starts(self):
         blob = bytearray(encode_checkpoint(make_checkpoint()))
         blob[9] ^= 0x40
-        assert restore_checkpoint(bytes(blob), "flow0", threshold=4) is None
+        assert restore_checkpoint(bytes(blob), "flow0", FRESH) is None
 
     def test_torn_write_cold_starts(self):
         blob = encode_checkpoint(make_checkpoint())
-        assert restore_checkpoint(blob[:-7], "flow0", threshold=4) is None
+        assert restore_checkpoint(blob[:-7], "flow0", FRESH) is None
 
     def test_another_flows_checkpoint_cold_starts(self):
         blob = encode_checkpoint(make_checkpoint(flow_id="flow9"))
-        assert restore_checkpoint(blob, "flow0", threshold=4) is None
+        assert restore_checkpoint(blob, "flow0", FRESH) is None
 
     def test_another_configurations_checkpoint_cold_starts(self):
         blob = encode_checkpoint(make_checkpoint())
-        assert restore_checkpoint(blob, "flow0", threshold=8) is None
+        assert restore_checkpoint(blob, "flow0", PowerSumQuack(8)) is None
+
+    def test_another_identifier_widths_checkpoint_cold_starts(self):
+        # A 32-bit checkpoint in a 16-bit emitter: every later quACK
+        # would fail the consumer's parameter check.
+        blob = encode_checkpoint(make_checkpoint())
+        assert restore_checkpoint(blob, "flow0",
+                                  PowerSumQuack(4, bits=16)) is None
+
+    def test_another_count_widths_checkpoint_cold_starts(self):
+        blob = encode_checkpoint(make_checkpoint())
+        assert restore_checkpoint(blob, "flow0",
+                                  PowerSumQuack(4, count_bits=8)) is None
+
+
+class _SilentHost(Host):
+    """A host whose sends (the restart's RESUME) go nowhere."""
+
+    def send(self, packet):
+        return True
+
+
+def checkpointed_emitter() -> EmitterEndpoint:
+    """An emitter endpoint holding three identifiers and a checkpoint
+    of them, taken at 32 bits."""
+    sim = Simulator()
+    endpoint = EmitterEndpoint(
+        sim, _SilentHost(sim, "proxy"), "server", "flow0",
+        PacketCountFrequency(100), "test", threshold=4,
+        checkpoints=CheckpointStore())
+    for identifier in (5, 6, 7):
+        endpoint.emitter.note(identifier, 0.0)
+    sim.run(until=0.06)     # the first checkpoint tick is at 0.05 s
+    assert endpoint.checkpoints_taken == 1
+    return endpoint
+
+
+class TestRestart:
+    def test_a_restored_emitter_meters_its_restored_bank(self):
+        endpoint = checkpointed_emitter()
+        endpoint.crash_restart()
+        emitter = endpoint.emitter
+        assert endpoint.checkpoint_restores == 1
+        assert emitter.quack.count == 3
+        assert emitter.bank_bytes == (emitter.quack.wire_size_bits() + 7) // 8
+
+    def test_a_narrower_emitter_cold_starts(self):
+        endpoint = checkpointed_emitter()
+        endpoint.bits = 16          # as a HELLO negotiating fewer would
+        endpoint.crash_restart()
+        emitter = endpoint.emitter
+        assert (endpoint.checkpoint_restores, endpoint.checkpoint_corrupt) \
+            == (0, 1)
+        assert (emitter.quack.bits, emitter.quack.count) == (16, 0)
+        assert emitter.bank_bytes == (emitter.quack.wire_size_bits() + 7) // 8
 
 
 class TestResumeVerdict:

@@ -49,9 +49,6 @@ ALLOWED: dict[str, str] = {
     "repro.netsim.link:Link.queue_depth": _ORACLE,
     "repro.netsim.sched:Timer.next_fire_time": _ORACLE,
     "repro.transport.ranges:RangeSet.max_value": _ORACLE,
-    "repro.transport.ranges:RangeSet.min_value": (
-        "the lower end of the pair whose max_value the sender oracle "
-        "reads; tests/transport/test_ranges.py pins both ends"),
     "repro.netsim.loss:GilbertElliottLoss.steady_state_loss_rate": (
         'checks the tuning of make_loss_model("bursty")'),
     "repro.netsim.loss:DeterministicLoss": (

@@ -90,7 +90,7 @@ class TestAddAndMerge:
 
 
 def missing_below(rs, ceiling):
-    """The gaps in [min_value, ceiling], as ``RangeSet.missing_below``
+    """The gaps in [smallest element, ceiling], as ``RangeSet.missing_below``
     listed them before ``has_gap_below`` replaced it."""
     gaps = []
     previous_hi = None
@@ -219,10 +219,8 @@ class TestAddNew:
 class TestQueries:
     def test_min_max(self):
         rs = rangeset((5, 9), (20, 22))
-        assert rs.min_value == 5
         assert rs.max_value == 22
         assert RangeSet().max_value is None
-        assert RangeSet().min_value is None
 
     def test_bool(self):
         assert not RangeSet()
